@@ -79,5 +79,9 @@ pub mod transform;
 
 pub use ast::LoopNest;
 pub use driver::{compile_nest, CompileError, CompileOptions, CompiledLoop};
+/// The simulator crate whose [`fuzzy_sim::Program`] this compiler emits,
+/// for callers that take the output further without a dependency of
+/// their own.
+pub use fuzzy_sim;
 pub use region::RegionSplit;
 pub use reorder::reorder;

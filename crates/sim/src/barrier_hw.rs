@@ -111,33 +111,65 @@ impl BarrierUnit {
 /// barrier region may still have non-barrier instructions in flight).
 pub fn evaluate_sync(units: &mut [BarrierUnit], ready_override: &[bool]) -> Vec<usize> {
     debug_assert_eq!(units.len(), ready_override.len());
-    let effective_ready: Vec<bool> = units
+    let allowed = ready_override
         .iter()
-        .zip(ready_override)
-        .map(|(u, &ok)| u.ready_line() && ok)
-        .collect();
-
-    let mut synced = Vec::new();
-    for (i, unit) in units.iter().enumerate() {
-        if !effective_ready[i] || unit.tag == 0 {
-            continue;
-        }
-        let mut all_partners_ready = true;
-        for j in 0..units.len() {
-            if j == i || unit.mask & (1u64 << j) == 0 {
-                continue;
-            }
-            if !effective_ready[j] || units[j].tag != unit.tag {
-                all_partners_ready = false;
-                break;
-            }
-        }
-        if all_partners_ready {
-            synced.push(i);
-        }
-    }
+        .enumerate()
+        .fold(0u64, |m, (i, &ok)| m | (u64::from(ok) << i));
+    let ready = ready_lines(units.iter()) & allowed;
+    let synced: Vec<usize> = bits(sync_set(units.len(), |i| &units[i], ready)).collect();
     for &i in &synced {
         units[i].state = BarrierState::Synced;
+    }
+    synced
+}
+
+/// The most processors one machine can hold: masks and every processor
+/// set derived from them are single `u64` words.
+pub(crate) const MAX_PROCS: usize = 64;
+
+/// The mask lines that lead somewhere on an `n`-processor machine: one bit
+/// per processor.
+pub(crate) fn wired(n: usize) -> u64 {
+    debug_assert!(n <= MAX_PROCS);
+    if n == MAX_PROCS {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
+/// The set bits of `mask`, lowest first.
+pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> + Clone {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// Bit *i* set ⇔ the *i*-th unit's ready line is raised.
+pub(crate) fn ready_lines<'a>(units: impl Iterator<Item = &'a BarrierUnit>) -> u64 {
+    units
+        .enumerate()
+        .fold(0, |m, (i, u)| m | (u64::from(u.ready_line()) << i))
+}
+
+/// The synchronization condition itself, without allocation or mutation:
+/// given the `n` units (through `unit`) and the set of ready lines the
+/// network actually sees, returns the set of units that synchronize. The
+/// caller applies [`BarrierState::Synced`] to them.
+pub(crate) fn sync_set<'a>(n: usize, unit: impl Fn(usize) -> &'a BarrierUnit, ready: u64) -> u64 {
+    let wired = wired(n);
+    let mut synced = 0;
+    for i in bits(ready & wired) {
+        let u = unit(i);
+        // Mask bits beyond the last processor are not wired to anything.
+        let partners = u.mask & wired & !(1u64 << i);
+        if u.tag != 0 && partners & !ready == 0 && bits(partners).all(|j| unit(j).tag == u.tag) {
+            synced |= 1u64 << i;
+        }
     }
     synced
 }

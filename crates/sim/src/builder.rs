@@ -127,7 +127,8 @@ impl MachineBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidProgram`] if validation is on and fails.
+    /// Returns [`SimError::InvalidProgram`] if validation is on and fails,
+    /// and [`SimError::TooManyProcessors`] for more than 64 streams.
     pub fn build(self) -> Result<Machine, SimError> {
         let mut machine = match self.units {
             Some(units) => Machine::with_units(self.program, self.cfg, units)?,

@@ -107,6 +107,27 @@ impl FaultState {
         matches!(self.plan.fault, ReadyFault::Stall) && cycle >= self.plan.onset
     }
 
+    /// The first cycle at or after `cycle` that an event-skipping run must
+    /// step through on this fault's account, if any. A fault changes
+    /// behaviour at its onset and, for a delay, when it heals; the
+    /// broadcast evaluation sees the change in that cycle, the deadlock
+    /// probe (which asks about the cycle to come) one cycle earlier, so
+    /// both cycles count. An active stutter samples its RNG in every
+    /// evaluated cycle: each one counts.
+    pub(crate) fn next_change(&self, cycle: u64) -> Option<u64> {
+        let onset = self.plan.onset;
+        let changes = match self.plan.fault {
+            ReadyFault::Delay { cycles } => [onset, onset + cycles],
+            ReadyFault::Stutter { .. } if cycle + 1 >= onset => return Some(cycle),
+            ReadyFault::Stall | ReadyFault::Stutter { .. } => [onset; 2],
+        };
+        changes
+            .into_iter()
+            .filter(|&change| change >= cycle)
+            .map(|change| change.saturating_sub(1).max(cycle))
+            .min()
+    }
+
     /// Whether the victim's broadcast is suppressed during `cycle`.
     pub(crate) fn suppresses(&mut self, cycle: u64) -> bool {
         if cycle < self.plan.onset {

@@ -6,8 +6,12 @@
 //! cycle: every processor attempts to issue, then the synchronization
 //! condition is evaluated once, broadcast-style, so all members of a
 //! barrier group discover synchronization in the same cycle.
+//! [`Machine::run`] is that step plus a jump over the cycles in which no
+//! processor can issue and no line can change — with a 120-cycle miss
+//! penalty, most of them — charged in bulk so that no simulated count
+//! differs from stepping through them.
 
-use crate::barrier_hw::{evaluate_sync, BarrierState, BarrierUnit};
+use crate::barrier_hw::{bits, ready_lines, sync_set, wired, BarrierState, BarrierUnit, MAX_PROCS};
 use crate::fault::{EvictionEvent, FaultPlan, FaultState};
 use crate::isa::Instr;
 use crate::memory::{Memory, MemoryConfig, OutOfBounds};
@@ -15,7 +19,6 @@ use crate::processor::Processor;
 use crate::program::{Program, ProgramError};
 use crate::stats::{MachineStats, ProcStats, SyncTelemetry};
 use crate::trace::{EventKind, TraceLog};
-use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -135,6 +138,14 @@ pub enum SimError {
         /// The trap cause.
         cause: u16,
     },
+    /// The program has more streams than the barrier hardware has mask
+    /// bits: one processor per stream, one mask bit per processor.
+    TooManyProcessors {
+        /// Streams in the rejected program.
+        procs: usize,
+        /// The most a machine can hold.
+        max: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -159,6 +170,12 @@ impl fmt::Display for SimError {
                 write!(
                     f,
                     "processor {proc} at cycle {cycle}: trap {cause} with no handler registered"
+                )
+            }
+            SimError::TooManyProcessors { procs, max } => {
+                write!(
+                    f,
+                    "program has {procs} streams; the barrier masks hold at most {max} processors"
                 )
             }
         }
@@ -206,6 +223,37 @@ pub struct Machine {
     faults: Vec<FaultState>,
     /// Watchdog-triggered evictions, in firing order.
     evictions: Vec<EvictionEvent>,
+    /// Mutation hook for the equivalence suite: the one event source
+    /// [`Machine::skip_idle_cycles`] pretends not to know about.
+    #[cfg(test)]
+    pub(crate) forgotten: Option<EventSource>,
+}
+
+/// Most samples [`Machine::sync_positions`] retains (8 MiB of `u64`s):
+/// the samples describe a distribution, and a million of them describe it
+/// as well as the hundreds of millions a long sweep would otherwise pile
+/// up. Later synchronizations are still counted everywhere else.
+pub const SYNC_POSITION_SAMPLES: usize = 1 << 20;
+
+/// Everything that can end a run of idle cycles — the event list of
+/// [`Machine::skip_idle_cycles`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EventSource {
+    /// A serial-mode processor finishes its multi-cycle instruction
+    /// (`busy_until`) and issues again.
+    Issue,
+    /// A scheduled interrupt comes due for a processor stalled at its
+    /// barrier exit.
+    Interrupt,
+    /// A pipelined non-barrier instruction completes
+    /// (`outstanding_plain`), un-vetoing its processor's ready line.
+    InFlight,
+    /// A ready-line fault sets in or heals.
+    Fault,
+    /// A watchdog register runs past its budget.
+    Watchdog,
+    /// The caller's cycle budget.
+    Limit,
 }
 
 impl Machine {
@@ -216,17 +264,24 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidProgram`] if validation is enabled and
-    /// the program violates the Sec. 3 branch rules.
+    /// Returns [`SimError::TooManyProcessors`] if the program has more
+    /// than 64 streams (a barrier mask is one 64-bit register), and
+    /// [`SimError::InvalidProgram`] if validation is enabled and the
+    /// program violates the Sec. 3 branch rules.
     pub fn new(program: Program, cfg: MachineConfig) -> Result<Self, SimError> {
+        let n = program.num_procs();
+        if n > MAX_PROCS {
+            return Err(SimError::TooManyProcessors {
+                procs: n,
+                max: MAX_PROCS,
+            });
+        }
         if cfg.validate {
             program.validate()?;
         }
-        let n = program.num_procs();
-        let all = if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
         let procs = (0..n)
             .map(|id| {
-                let mask = all & !(1u64 << id);
+                let mask = wired(n) & !(1u64 << id);
                 Processor::new(id, BarrierUnit::new(mask, 1))
             })
             .collect();
@@ -244,6 +299,8 @@ impl Machine {
             telemetry: SyncTelemetry::default(),
             faults: Vec::new(),
             evictions: Vec::new(),
+            #[cfg(test)]
+            forgotten: None,
         })
     }
 
@@ -380,69 +437,77 @@ impl Machine {
         // Broadcast synchronization evaluation, once per cycle, after all
         // processors have acted — "all processors simultaneously discover
         // the occurrence of synchronization".
-        let mut ready_override: Vec<bool> = self
-            .procs
-            .iter()
-            .map(|p| {
-                if self.cfg.pipelined {
-                    p.outstanding_plain.iter().all(|&done| done <= cycle)
-                } else {
-                    true
-                }
-            })
-            .collect();
-        for fault in &mut self.faults {
-            if fault.suppresses(cycle) {
-                ready_override[fault.victim()] = false;
-            }
+        let ready = ready_lines(self.procs.iter().map(|p| &p.unit)) & self.lines_delivered(cycle);
+        let synced = sync_set(self.procs.len(), |i| &self.procs[i].unit, ready);
+        if synced != 0 {
+            self.synchronize(cycle, synced);
         }
-        let mut units: Vec<BarrierUnit> = self.procs.iter().map(|p| p.unit.clone()).collect();
-        let synced = evaluate_sync(&mut units, &ready_override);
-        if !synced.is_empty() {
-            for ev in &mut self.evictions {
-                if ev.recovered_at.is_none() && synced.contains(&ev.watchdog) {
-                    ev.recovered_at = Some(cycle);
-                }
-            }
-            let tags: BTreeSet<u16> = synced.iter().map(|&i| units[i].tag).collect();
-            self.sync_events += tags.len() as u64;
-            // Arrival spread per tag group: first-to-last barrier-region
-            // entry cycle among the group's members.
-            for &tag in &tags {
-                let mut first: Option<u64> = None;
-                let mut last: Option<u64> = None;
-                for &i in &synced {
-                    if units[i].tag != tag {
-                        continue;
-                    }
-                    if let Some(entered) = self.procs[i].region_entered_at {
-                        first = Some(first.map_or(entered, |f: u64| f.min(entered)));
-                        last = Some(last.map_or(entered, |l: u64| l.max(entered)));
-                    }
-                }
-                if let (Some(f), Some(l)) = (first, last) {
-                    self.telemetry.record_spread(l - f);
-                }
-            }
-            for &i in &synced {
-                self.procs[i].unit.state = BarrierState::Synced;
-                self.procs[i].stats.syncs += 1;
-                if let Some(start) = self.procs[i].stall_started.take() {
-                    // Inclusive: a stall that starts and resolves in the
-                    // same cycle costs one stall cycle.
-                    self.telemetry.stall_hist.record(cycle - start + 1);
-                }
-                if self.sync_positions.len() < (1 << 20) {
-                    self.sync_positions.push(self.procs[i].region_progress);
-                }
-                self.trace.record(cycle, i, EventKind::Sync);
-            }
-        }
-
-        self.maintain_watchdogs(cycle, &ready_override, &synced);
+        self.maintain_watchdogs(cycle, ready & !synced);
 
         self.cycle += 1;
         Ok(!self.all_halted())
+    }
+
+    /// The processors whose ready line, if raised, reaches the broadcast
+    /// network during `cycle`: in the pipelined model a line is vetoed
+    /// while non-barrier instructions are still in flight (Sec. 6), and an
+    /// injected fault suppresses its victim's line.
+    fn lines_delivered(&mut self, cycle: u64) -> u64 {
+        let mut delivered = u64::MAX;
+        if self.cfg.pipelined {
+            for (i, p) in self.procs.iter().enumerate() {
+                if p.outstanding_plain.iter().any(|&done| done > cycle) {
+                    delivered &= !(1u64 << i);
+                }
+            }
+        }
+        for fault in &mut self.faults {
+            if fault.suppresses(cycle) {
+                delivered &= !(1u64 << fault.victim());
+            }
+        }
+        delivered
+    }
+
+    /// Applies a non-empty result of the broadcast evaluation: state
+    /// (iii) for every member of `synced`, plus the bookkeeping that hangs
+    /// off a synchronization.
+    fn synchronize(&mut self, cycle: u64, synced: u64) {
+        for ev in &mut self.evictions {
+            if ev.recovered_at.is_none() && synced & (1u64 << ev.watchdog) != 0 {
+                ev.recovered_at = Some(cycle);
+            }
+        }
+        // One sync event per tag group, in ascending tag order; its
+        // arrival spread is the first-to-last barrier-region entry cycle
+        // among the group's members.
+        let procs = &self.procs;
+        let mut ungrouped = synced;
+        while let Some(tag) = bits(ungrouped).map(|i| procs[i].unit.tag).min() {
+            let group = bits(ungrouped)
+                .filter(|&i| procs[i].unit.tag == tag)
+                .fold(0, |m, i| m | (1u64 << i));
+            ungrouped &= !group;
+            self.sync_events += 1;
+            let entered = bits(group).filter_map(|i| procs[i].region_entered_at);
+            if let (Some(first), Some(last)) = (entered.clone().min(), entered.max()) {
+                self.telemetry.record_spread(last - first);
+            }
+        }
+        for i in bits(synced) {
+            let p = &mut self.procs[i];
+            p.unit.state = BarrierState::Synced;
+            p.stats.syncs += 1;
+            if let Some(start) = p.stall_started.take() {
+                // Inclusive: a stall that starts and resolves in the
+                // same cycle costs one stall cycle.
+                self.telemetry.stall_hist.record(cycle - start + 1);
+            }
+            if self.sync_positions.len() < SYNC_POSITION_SAMPLES {
+                self.sync_positions.push(p.region_progress);
+            }
+            self.trace.record(cycle, i, EventKind::Sync);
+        }
     }
 
     /// Advances every armed watchdog register and evicts stragglers once a
@@ -452,62 +517,65 @@ impl Machine {
     /// zeroed, so survivors synchronize without it from the next broadcast
     /// evaluation onward. The watchdog processor's trap handler (if
     /// registered) is raised as an eviction interrupt on the next cycle.
-    fn maintain_watchdogs(&mut self, cycle: u64, ready_override: &[bool], synced: &[usize]) {
-        let n = self.procs.len();
-        let effective_ready: Vec<bool> = (0..n)
-            .map(|i| self.procs[i].unit.ready_line() && ready_override[i])
-            .collect();
+    ///
+    /// `ready` is the set of ready lines the network still sees after this
+    /// cycle's synchronization.
+    fn maintain_watchdogs(&mut self, cycle: u64, ready: u64) {
+        let mut expired = 0u64;
         for (i, p) in self.procs.iter_mut().enumerate() {
-            if synced.contains(&i) || p.halted || p.unit.tag == 0 || !p.unit.ready_line() {
-                p.unit.waiting = 0;
-            } else {
+            if p.counts_waiting() {
                 p.unit.waiting += 1;
+                expired |= u64::from(p.unit.watchdog_expired()) << i;
+            } else {
+                p.unit.waiting = 0;
             }
         }
+        if expired == 0 {
+            return;
+        }
 
-        let mut fired: Vec<(usize, usize)> = Vec::new();
-        for i in 0..n {
-            if self.procs[i].halted || !self.procs[i].unit.watchdog_expired() {
-                continue;
-            }
+        // Every expired watchdog names its stragglers from the masks and
+        // tags as they stood at the broadcast, before any of this cycle's
+        // evictions rewrites them.
+        let wired = wired(self.procs.len());
+        let mut fired: Vec<(usize, u64)> = Vec::new();
+        for i in bits(expired) {
             let unit = &self.procs[i].unit;
-            let stragglers: Vec<usize> = (0..n)
-                .filter(|&j| j != i && unit.mask & (1u64 << j) != 0)
-                .filter(|&j| !effective_ready[j] || self.procs[j].unit.tag != unit.tag)
-                .collect();
-            if stragglers.is_empty() {
+            let stragglers = bits(unit.mask & wired & !(1u64 << i))
+                .filter(|&j| ready & (1u64 << j) == 0 || self.procs[j].unit.tag != unit.tag)
+                .fold(0, |m, j| m | (1u64 << j));
+            if stragglers == 0 {
                 // Every partner looks healthy from here; the wait must be
                 // someone else's fault (e.g. our own broadcast is the one
                 // being suppressed). Re-arm rather than evict the innocent.
                 self.procs[i].unit.waiting = 0;
-                continue;
-            }
-            for j in stragglers {
-                fired.push((i, j));
+            } else {
+                fired.push((i, stragglers));
             }
         }
 
-        let mut evicted_now: BTreeSet<usize> = BTreeSet::new();
-        for (watchdog, victim) in fired {
-            if !evicted_now.insert(victim) {
-                continue; // several watchdogs named the same straggler
-            }
-            for p in &mut self.procs {
-                p.unit.mask &= !(1u64 << victim);
-            }
-            let v = &mut self.procs[victim].unit;
-            v.mask = 0;
-            v.tag = 0;
-            v.waiting = 0;
-            self.evictions.push(EvictionEvent {
-                victim,
-                watchdog,
-                fired_at: cycle,
-                recovered_at: None,
-            });
-            self.trace.record(cycle, victim, EventKind::Evict);
-            if let Some(handler) = self.trap_handlers[watchdog] {
-                self.interrupts.push((cycle + 1, watchdog, handler));
+        let mut evicted_now = 0u64;
+        for (watchdog, stragglers) in fired {
+            // Several watchdogs may name the same straggler.
+            for victim in bits(stragglers & !evicted_now) {
+                evicted_now |= 1u64 << victim;
+                for p in &mut self.procs {
+                    p.unit.mask &= !(1u64 << victim);
+                }
+                let v = &mut self.procs[victim].unit;
+                v.mask = 0;
+                v.tag = 0;
+                v.waiting = 0;
+                self.evictions.push(EvictionEvent {
+                    victim,
+                    watchdog,
+                    fired_at: cycle,
+                    recovered_at: None,
+                });
+                self.trace.record(cycle, victim, EventKind::Evict);
+                if let Some(handler) = self.trap_handlers[watchdog] {
+                    self.interrupts.push((cycle + 1, watchdog, handler));
+                }
             }
         }
     }
@@ -526,8 +594,119 @@ impl Machine {
             if self.is_deadlocked() {
                 return Ok(RunOutcome::Deadlock { cycle: self.cycle });
             }
+            self.skip_idle_cycles(max_cycles);
         }
         Ok(RunOutcome::CycleLimit { cycles: self.cycle })
+    }
+
+    /// Jumps the clock from here to the next cycle in which anything can
+    /// happen, so that [`Machine::run`] pays host time per *event* rather
+    /// than per simulated cycle. Called right after a [`Machine::step`]
+    /// that neither halted nor deadlocked the machine; the cycles jumped
+    /// over are charged exactly as stepping through them would have.
+    ///
+    /// An *idle* cycle is one in which every live processor either waits
+    /// out a multi-cycle instruction (serial `busy_until`) or sits stalled
+    /// at its barrier exit with no interrupt due. Stepping through one
+    /// changes three accumulators and nothing else — `busy_cycles` for
+    /// the former kind of processor, `stall_cycles` for the latter, and
+    /// `unit.waiting` for every live unit with its ready line up and a
+    /// non-zero tag — provided the broadcast evaluation stays quiet and
+    /// the deadlock probe keeps saying "no". Both do, because:
+    ///
+    /// * Memory is time-free between issues. `bank_free`, the caches, the
+    ///   miss RNGs and the data all change inside `execute`, i.e. only when
+    ///   a processor issues; in-flight latency is a number the issuing
+    ///   processor already holds (`busy_until` / `outstanding_plain`).
+    /// * The broadcast condition can only *lose* members between issues.
+    ///   The evaluation that just ran moved whoever could synchronize to
+    ///   state (iii), lowering their ready lines. A unit left behind had a
+    ///   partner that was not ready or wore another tag; with no processor
+    ///   acting, tags and masks stand still and the ready set has only
+    ///   shrunk, so it still cannot fire. What can re-open the condition
+    ///   without an issue is on the event list below (a ready line
+    ///   un-vetoed or un-suppressed) or is an eviction, which rewrites
+    ///   masks *after* its cycle's evaluation — so nothing is skipped
+    ///   right after one.
+    /// * The deadlock probe reads unit state, masks, tags, the interrupt
+    ///   list and in-flight lists, all frozen while idle, and the faults'
+    ///   state one cycle ahead — hence a fault's change is an event one
+    ///   cycle early as well ([`FaultState::next_change`]).
+    ///
+    /// The events that end an idle span are listed by [`EventSource`]. An
+    /// active `Stutter` fault draws from its RNG in every evaluated
+    /// cycle, so no cycle is provably silent and the distance is 0.
+    fn skip_idle_cycles(&mut self, max_cycles: u64) {
+        let cycle = self.cycle;
+        if self
+            .evictions
+            .last()
+            .is_some_and(|ev| ev.fired_at + 1 == cycle)
+        {
+            return;
+        }
+        let serial = !self.cfg.pipelined;
+        let busy = |p: &Processor| serial && p.busy_until > cycle;
+        let mut next = u64::MAX;
+        let mut event = |_source: EventSource, at: u64| {
+            #[cfg(test)]
+            if self.forgotten == Some(_source) {
+                return;
+            }
+            next = next.min(at.max(cycle));
+        };
+        event(EventSource::Limit, max_cycles);
+        for (i, p) in self.procs.iter().enumerate() {
+            if p.halted {
+                continue;
+            }
+            if let Some(budget) = p.unit.watchdog.filter(|_| p.counts_waiting()) {
+                let left = budget.saturating_sub(p.unit.waiting);
+                event(EventSource::Watchdog, cycle.saturating_add(left));
+            }
+            if busy(p) {
+                event(EventSource::Issue, p.busy_until);
+                continue;
+            }
+            // Not busy: it issues in this very cycle unless it is parked
+            // at its barrier exit, where only an interrupt moves it.
+            let at_exit = self.program.streams()[i]
+                .ops()
+                .get(p.pc)
+                .is_some_and(|op| !op.barrier);
+            if !(p.unit.is_stalled() && !p.in_handler() && at_exit) {
+                return;
+            }
+            for &(at, proc, _) in &self.interrupts {
+                if proc == i {
+                    event(EventSource::Interrupt, at);
+                }
+            }
+            for &done in &p.outstanding_plain {
+                event(EventSource::InFlight, done);
+            }
+        }
+        for fault in &self.faults {
+            if let Some(at) = fault.next_change(cycle) {
+                event(EventSource::Fault, at);
+            }
+        }
+
+        let idle = next.saturating_sub(cycle);
+        if idle == 0 {
+            return;
+        }
+        for p in self.procs.iter_mut().filter(|p| !p.halted) {
+            if busy(p) {
+                p.stats.busy_cycles += idle;
+            } else {
+                p.stats.stall_cycles += idle;
+            }
+            if p.counts_waiting() {
+                p.unit.waiting += idle;
+            }
+        }
+        self.cycle = next;
     }
 
     /// True when no future cycle can change any processor's state: every
@@ -567,16 +746,13 @@ impl Machine {
         // severed line counts as suppression — so a delay waiting to heal
         // or a stutter (p < 1) that could let one evaluation through both
         // defer deadlock, while a dead line does not mask a real deadlock.
-        let mut units: Vec<BarrierUnit> = self.procs.iter().map(|p| p.unit.clone()).collect();
-        let ready: Vec<bool> = (0..units.len())
-            .map(|i| {
-                !self
-                    .faults
-                    .iter()
-                    .any(|f| f.victim() == i && f.severed_from(self.cycle))
-            })
-            .collect();
-        evaluate_sync(&mut units, &ready).is_empty()
+        let severed = self
+            .faults
+            .iter()
+            .filter(|f| f.severed_from(self.cycle))
+            .fold(0, |m, f| m | (1u64 << f.victim()));
+        let ready = ready_lines(self.procs.iter().map(|p| &p.unit)) & !severed;
+        sync_set(self.procs.len(), |i| &self.procs[i].unit, ready) == 0
     }
 
     /// Whether some armed watchdog currently sees a straggler it will
@@ -616,7 +792,7 @@ impl Machine {
         }
 
         // Deliver a pending interrupt (one at a time; never nested).
-        if !self.procs[i].in_handler() {
+        if !self.interrupts.is_empty() && !self.procs[i].in_handler() {
             if let Some(idx) = self
                 .interrupts
                 .iter()
@@ -880,6 +1056,9 @@ impl Machine {
 }
 
 #[cfg(test)]
+mod equivalence;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::ReadyFault;
@@ -1139,6 +1318,31 @@ mod tests {
         // ~290 cycles apart.
         assert_eq!(stats.sync.spread_events, stats.sync_events);
         assert!(stats.sync.spread_last_cycles > 200, "{stats:?}");
+    }
+
+    #[test]
+    fn more_streams_than_mask_bits_is_a_typed_error() {
+        let barrier_then_halt = |n: usize| {
+            let stream = Stream::from_ops(vec![Op::fuzzy(Instr::Nop), Op::plain(Instr::Halt)]);
+            Program::new(vec![stream; n])
+        };
+        // Sixty-four is the full width of a mask, and all of it works.
+        let mut m = Machine::new(barrier_then_halt(64), config()).unwrap();
+        assert!(m.run(1_000).unwrap().is_halted());
+        assert_eq!(m.stats().sync_events, 1);
+        assert_eq!(m.proc_stats(63).syncs, 1);
+        // One more would alias processor 64 onto processor 0's mask bit.
+        let err = Machine::new(barrier_then_halt(65), config()).unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::TooManyProcessors { procs: 65, max: 64 }
+        ));
+        assert!(err.to_string().contains("65 streams"), "{err}");
+        let units = vec![BarrierUnit::new(0, 1); 65];
+        assert!(matches!(
+            Machine::with_units(barrier_then_halt(65), config(), units),
+            Err(SimError::TooManyProcessors { procs: 65, max: 64 })
+        ));
     }
 
     #[test]

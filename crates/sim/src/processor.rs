@@ -96,6 +96,13 @@ impl Processor {
         self.handler_depth > 0
     }
 
+    /// Whether this cycle counts against the unit's watchdog budget: the
+    /// processor is live and broadcasting readiness under a real tag, and
+    /// synchronization has not come.
+    pub(crate) fn counts_waiting(&self) -> bool {
+        !self.halted && self.unit.tag != 0 && self.unit.ready_line()
+    }
+
     /// Reads a register.
     #[must_use]
     pub fn reg(&self, r: u8) -> i64 {

@@ -4,7 +4,7 @@
 #
 #   scripts/perf_gate.sh [--full]
 #
-# Three sub-gates, all of which must pass:
+# Four sub-gates, all of which must pass:
 #
 #   faceoff  runs the exp_backend_faceoff sweep (quick subset by default,
 #            full sweep with --full), schema-validates the fresh export,
@@ -25,6 +25,13 @@
 #            zero decode errors on the lossless loopback mesh, plus a
 #            wedge-free multi-process UDS run, so a frame-traffic or
 #            liveness regression fails the gate before the comparison.
+#   encore   re-runs exp_encore --stats-json and requires its soft_sweep
+#            and hw_sweep sections to equal BENCH_encore.json byte for
+#            byte. Those rows are simulator cycle counts: deterministic,
+#            so tolerance 0 — any change to what fuzzy-sim counts shows
+#            here, however the host is loaded. The thread-timed backends
+#            section of the same file is left to bench-smoke's schema
+#            check, as before.
 #
 # Environment:
 #   PERF_GATE_TOLERANCE   multiplicative slack for probes/episode and
@@ -80,10 +87,46 @@ run_gate() {
     return "$status"
 }
 
+# The simulator's part of an encore export: from the "soft_sweep" key up
+# to, not including, the "backends" key. The exporter writes keys in a
+# fixed order, one per line, so the text range is the two sections.
+sim_sections() {
+    sed -n '/^  "soft_sweep"/,/^  "backends"/p' "$1" | sed '$d'
+}
+
+encore_gate() {
+    baseline=BENCH_encore.json
+    fresh="$(mktemp)" && want="$(mktemp)" && got="$(mktemp)" || return 1
+    status=1
+    if cargo run -q --release -p fuzzy-bench --bin exp_encore -- \
+        --stats-json "$fresh" >/dev/null; then
+        sim_sections "$baseline" >"$want"
+        sim_sections "$fresh" >"$got"
+        if [ ! -s "$want" ]; then
+            echo "perf_gate: no soft_sweep/hw_sweep sections in $baseline" >&2
+        elif diff "$want" "$got" >&2; then
+            status=0
+        else
+            echo "perf_gate: simulator rows differ (< $baseline, > this build)" >&2
+        fi
+    else
+        echo "perf_gate: encore run failed (in-run assertion or crash)" >&2
+    fi
+    rm -f "$fresh" "$want" "$got"
+
+    if [ "$status" -eq 0 ]; then
+        echo "perf_gate: encore PASS (soft_sweep + hw_sweep exact vs $baseline)"
+    else
+        echo "perf_gate: encore FAIL" >&2
+    fi
+    return "$status"
+}
+
 overall=0
 run_gate faceoff exp_backend_faceoff backend_faceoff BENCH_faceoff.json || overall=1
 run_gate async exp_async_scale async_scale BENCH_async.json || overall=1
 run_gate net exp_net_scale net_scale BENCH_net.json || overall=1
+encore_gate || overall=1
 
 if [ "$overall" -eq 0 ]; then
     echo "perf_gate: PASS"
