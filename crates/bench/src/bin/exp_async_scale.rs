@@ -6,9 +6,12 @@
 //! future (`arrive → region work → await release`) parked by waker
 //! registration instead of a spinning OS thread, so `M ≫ N` participants
 //! complete fuzzy episodes on a fixed worker pool. This sweep measures
-//! the frontend's bookkeeping cost — polls, parks, wakes, drains, steals
-//! — as M grows from 64 to 4096 over pools of 2, 4 and 8 workers, and
-//! proves liveness: the largest configuration is re-run under five
+//! the frontend's bookkeeping cost — polls, parks, wakes, drains, steals,
+//! and wall-clock time per arrival — as M grows from 64 to 4096 over
+//! pools of 2, 4 and 8 workers; the full sweep asserts that an arrival at
+//! M = 4096 costs at most [`SCALE_BOUND`]× one at M = 64 (the frontend is
+//! O(1) per participant, so the ratio is a shape, not a host speed); and
+//! it proves liveness: the largest configuration is re-run under five
 //! different arrival-jitter seeds and must complete every episode with
 //! `parked == resumed` (every parked task was woken exactly once per
 //! park; a lost wakeup would hang the run instead).
@@ -33,6 +36,14 @@ const EPISODES: u64 = 8;
 const QUICK_EPISODES: u64 = 4;
 const REGION_UNITS: u64 = 4;
 const LIVENESS_SEEDS: u64 = 5;
+/// Most that one arrival at the largest M may cost, in units of one
+/// arrival at the smallest M, both on [`SCALE_WORKERS`] workers. A
+/// registry that visits every parked waiter per drain lands near 60×.
+const SCALE_BOUND: f64 = 8.0;
+const SCALE_WORKERS: usize = 2;
+/// Runs per side of the scale check; the fastest counts (two workers on a
+/// shared two-core host convoy on the probe lock now and then).
+const SCALE_REPEATS: usize = 3;
 /// Poll-count slack added on top of the ratio check so near-minimal
 /// baselines (every future ready on first poll) cannot fail on noise.
 const POLL_SLACK: f64 = 4.0;
@@ -52,6 +63,12 @@ struct Row {
     drains: u64,
     polls_per_arrival: f64,
     elapsed_ms: f64,
+}
+
+impl Row {
+    fn ns_per_arrival(&self) -> f64 {
+        self.elapsed_ms * 1e6 / self.arrivals.max(1) as f64
+    }
 }
 
 fn measure(tasks: usize, workers: usize, episodes: u64, seed: u64) -> Row {
@@ -190,6 +207,7 @@ fn run_sweep(quick: bool) {
         "polls/arrival",
         "wakes",
         "elapsed ms",
+        "ns/arrival",
     ]);
     let mut rows: Vec<Row> = Vec::new();
     for &m in ms {
@@ -203,11 +221,33 @@ fn run_sweep(quick: bool) {
                 format!("{:.2}", row.polls_per_arrival),
                 row.wakes.to_string(),
                 format!("{:.1}", row.elapsed_ms),
+                format!("{:.0}", row.ns_per_arrival()),
             ]);
             rows.push(row);
         }
     }
     println!("{}", t.render());
+
+    // The scale claim, as a ratio of two configurations of this very run.
+    // Only the full sweep reaches an M where a per-drain walk of the
+    // registry would show.
+    if !quick {
+        let at = |tasks: usize| {
+            (0..SCALE_REPEATS)
+                .map(|_| measure(tasks, SCALE_WORKERS, episodes, 0xA5).ns_per_arrival())
+                .fold(f64::INFINITY, f64::min)
+        };
+        let (small, large) = (ms[0], *ms.last().unwrap());
+        let ratio = at(large) / at(small);
+        println!(
+            "\nns/arrival at M={large} is {ratio:.2}x that at M={small} \
+             ({SCALE_WORKERS} workers, best of {SCALE_REPEATS}; bound {SCALE_BOUND}x)"
+        );
+        assert!(
+            ratio <= SCALE_BOUND,
+            "time per arrival grows with the number of parked tasks"
+        );
+    }
 
     // Liveness: the largest configuration re-run under distinct jitter
     // seeds. Arrival order, parking pattern and steal pattern all change

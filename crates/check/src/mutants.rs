@@ -15,7 +15,10 @@
 //! poison/evict scenarios. The ninth is an *async frontend* whose
 //! completion path forgets to drain the parked-waker registry — the
 //! canonical lost wakeup of poll-based waiting, caught by the
-//! waker-handoff scenario. The next two seed *dynamic-membership* bugs:
+//! waker-handoff scenario; beside it, a backend whose `release_epoch`
+//! runs one arrival ahead of its `is_complete`, which the same scenario
+//! catches as an early release through the real frontend. The next two
+//! seed *dynamic-membership* bugs:
 //! a join admitted mid-episode instead of at the boundary, and a
 //! credential check that forgets the slot generation — caught by the
 //! reconfig scenarios. The last is a *distributed* bug: a transport
@@ -772,6 +775,75 @@ impl Future for NoDrainFuture {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .push((this.id, this.episode, cx.waker().clone()));
         Poll::Pending
+    }
+}
+
+// ---------------------------------------------------------------------------
+// MutantEarlyEpoch: release word one arrival ahead of is_complete
+// ---------------------------------------------------------------------------
+
+/// The stock [`CentralBarrier`] with a [`SplitBarrier::release_epoch`]
+/// that **runs one arrival ahead** of `is_complete`.
+///
+/// `arrive`, `is_complete` and `wait` are the real backend's, so every
+/// thread-based scenario passes. Only a layer that trusts the release
+/// word instead of probing tokens — the real
+/// [`fuzzy_barrier::AsyncBarrier`]'s registry drain — is misled: with one
+/// arrival still missing it is told the episode released, resolves the
+/// parked futures, and a task leaves the barrier before a peer has
+/// arrived. The async scenario's ledger reports that as a fuzzy
+/// violation; this is the check behind the trait's contract, `Some(k)`
+/// ⇔ `is_complete(token(id, e)) == (e < k)` for every id.
+#[derive(Debug)]
+pub struct MutantEarlyEpoch<S: SyncOps = ShadowSync> {
+    inner: CentralBarrier<S>,
+    /// Arrivals so far, counted before the backend sees them.
+    arrivals: S::AtomicU64,
+}
+
+impl<S: SyncOps> MutantEarlyEpoch<S> {
+    /// Creates the mutant for `n` participants.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        MutantEarlyEpoch {
+            inner: CentralBarrier::with_policy_in(n, StallPolicy::Spin),
+            arrivals: S::AtomicU64::new(0),
+        }
+    }
+}
+
+impl<S: SyncOps> SplitBarrier for MutantEarlyEpoch<S> {
+    fn arrive(&self, id: usize) -> ArrivalToken {
+        self.arrivals.fetch_add(1, Ordering::AcqRel);
+        self.inner.arrive(id)
+    }
+
+    fn is_complete(&self, token: &ArrivalToken) -> bool {
+        self.inner.is_complete(token)
+    }
+
+    fn release_epoch(&self) -> Option<u64> {
+        // BUG (seeded): the word must say how many episodes *completed*;
+        // the `+ 1` publishes an episode when its last arrival is still
+        // outstanding.
+        let arrivals = self.arrivals.load(Ordering::Acquire);
+        Some((arrivals + 1) / self.inner.participants() as u64)
+    }
+
+    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
+        self.inner.wait(token)
+    }
+
+    fn is_poisoned(&self) -> bool {
+        self.inner.is_poisoned()
+    }
+
+    fn participants(&self) -> usize {
+        self.inner.participants()
+    }
+
+    fn stats(&self) -> StatsSnapshot {
+        self.inner.stats()
     }
 }
 

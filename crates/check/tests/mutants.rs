@@ -325,6 +325,70 @@ fn real_async_frontend_survives_the_no_drain_schedule_space() {
     }
 }
 
+/// Check-smoke's exploration — unbounded-preemption DFS — cut off after
+/// `max_schedules`.
+fn smoke_dfs(max_schedules: usize) -> ExploreOptions {
+    ExploreOptions {
+        max_schedules,
+        step_limit: 20_000,
+        preemption_bound: None,
+    }
+}
+
+#[test]
+fn async_early_epoch_is_caught_as_fuzzy_violation() {
+    // The real frontend over a backend whose release word runs one
+    // arrival ahead: the registry drain trusts it, resolves a future with
+    // a peer still outside the barrier, and the ledger sees the early
+    // exit. This is what holds `release_epoch` to its contract.
+    use fuzzy_barrier::AsyncBarrier;
+    use fuzzy_check::mutants::MutantEarlyEpoch;
+    use fuzzy_check::{async_handoff_with, AsyncFrontend};
+    let mut scenario = async_handoff_with("mutant/early-epoch".to_string(), 3, 2, || {
+        let backend: Arc<dyn SplitBarrier> = Arc::new(MutantEarlyEpoch::<ShadowSync>::new(3));
+        Arc::new(AsyncBarrier::<_, ShadowSync>::new_in(backend)) as Arc<dyn AsyncFrontend>
+    });
+    match explore_dfs(&mut scenario, &smoke_dfs(10_000)) {
+        Outcome::Fail {
+            violation,
+            schedules,
+        } => {
+            assert!(
+                matches!(violation.defect, Defect::FuzzyViolation { .. }),
+                "mutant/early-epoch: expected FuzzyViolation, got {:?}",
+                violation.defect
+            );
+            eprintln!(
+                "mutant/early-epoch: caught after {schedules} schedules: {}",
+                violation.defect
+            );
+        }
+        Outcome::Pass { schedules, .. } => {
+            panic!("mutant/early-epoch survived {schedules} schedules")
+        }
+    }
+}
+
+#[test]
+fn real_async_frontend_survives_the_early_epoch_scenario_on_every_backend() {
+    // Same scenario over the stock backends: the three that publish a
+    // release word take the watermark drain, the two cooperative ones the
+    // fixpoint sweep; neither may lose a wakeup or release early. A tenth
+    // of the mutant's budget here; `scripts/ci.sh check-smoke` runs this
+    // very exploration (`check --scenario async`) to the full 10k.
+    for backend in fuzzy_check::BackendKind::ALL {
+        let mut scenario = fuzzy_check::async_handoff(backend, 3, 2);
+        match explore_dfs(&mut scenario, &smoke_dfs(1_000)) {
+            Outcome::Pass { schedules, .. } => {
+                eprintln!("async/{} clean over {schedules} schedules", backend.name());
+            }
+            Outcome::Fail { violation, .. } => {
+                panic!("real async frontend on {}: {violation}", backend.name())
+            }
+        }
+    }
+}
+
 #[test]
 fn join_mid_epoch_mutant_is_caught() {
     // The mutant widens the episode the moment join() returns instead of

@@ -14,28 +14,43 @@
 //! All async-frontend probing is serialized under a **probe lock** — the
 //! shared [`crate::sync::TicketLock`] over the [`SyncOps`] domain, *not* a
 //! `std` mutex, so the `fuzzy-check` model checker can observe (and
-//! deschedule through) the lock's spin in its instrumented domain. Under the lock lives a registry
-//! of parked waiters (`(id, episode, Waker)` triples).
+//! deschedule through) the lock's spin in its instrumented domain. Under
+//! the lock lives a registry of parked waiters (`(id, episode, Waker)`
+//! triples), indexed by participant id — a participant has at most one
+//! arrival in flight — so park, waker refresh and un-park are O(1).
 //!
 //! * **Arrive** (sync or async) drains the registry after the backend's
 //!   arrival: if this arrival completed an episode, every parked waiter of
 //!   that episode is removed and its waker collected.
 //! * **Every poll** — including polls that will return `Pending` — runs the
-//!   same drain before probing its own token. This is what makes the
-//!   frontend safe on *cooperative* backends (dissemination, hier), whose
-//!   [`SplitBarrier::is_complete`] help-drives the probed participant's
-//!   rounds: a poll may be the last event in the system, so it must push
-//!   the whole registry to a fixpoint, not just itself.
+//!   same drain before deciding its own token.
 //! * **Poison / abort / evict** also drain, so parked waiters observe
 //!   faults promptly instead of at their next (never-coming) wakeup.
+//!   Poison wakes everyone.
 //!
-//! The drain loops to a **fixpoint**: probing one waiter's token can
-//! enable another's (a dissemination probe that advances a round sends the
-//! next round's signal), and enablement chains ascend one round per sweep
-//! in the worst case, so the drain keeps sweeping until `help_rounds + 1`
-//! consecutive sweeps make no progress (`help_rounds` defaults to
-//! `ceil(log2(participants))`, an upper bound on any backend's round
-//! count; for non-cooperative backends it can be set to 0).
+//! What a drain costs is the backend's property, read at run time from
+//! [`SplitBarrier::release_epoch`]:
+//!
+//! * **Uniform-release backends** (central, counting, tree) publish one
+//!   release word `k`: every arrival for an episode below `k` is released,
+//!   no other is. The registry keeps a watermark — a lower bound on the
+//!   oldest parked episode — and a drain is *one load and one compare*
+//!   unless `oldest < k`; then it removes exactly the released entries.
+//!   The caller's own token is decided by `episode < k`, with no probe of
+//!   its own. An episode of `M` tasks costs O(M) registry visits in total:
+//!   O(1) per participant, O(released) per release.
+//! * **Cooperative backends** (dissemination, hier, the network barrier)
+//!   return `None`: their [`SplitBarrier::is_complete`] help-drives the
+//!   probed participant's rounds, so a poll may be the last event in the
+//!   system and must push the whole registry to a **fixpoint**, not just
+//!   itself. Probing one waiter's token can enable another's (a
+//!   dissemination probe that advances a round sends the next round's
+//!   signal), and enablement chains ascend one round per sweep in the
+//!   worst case, so the drain keeps sweeping every parked entry until
+//!   `help_rounds + 1` consecutive sweeps make no progress (`help_rounds`
+//!   defaults to `ceil(log2(participants))`, an upper bound on any
+//!   backend's round count). "Every poll drains everything" is this
+//!   path's rule, and only this path's.
 //!
 //! Collected wakers are invoked **after** the probe lock is released: in
 //! the checker's shadow domain a wake is itself a scheduling point, and no
@@ -43,14 +58,22 @@
 //!
 //! # Lost-wakeup freedom
 //!
-//! A waiter's probe-then-register and a completer's drain are both
-//! critical sections of the probe lock. If the waiter's section runs
-//! first, the completer's drain sees the registered entry, probes it
-//! complete, and wakes it. If the completer's runs first, the waiter's own
-//! probe happens-after the completing arrival (lock release/acquire
-//! ordering) and observes completion directly. Participants that arrived
-//! but have not yet polled are why every poll drains: they will probe —
-//! and help-drive — on their first poll.
+//! A waiter's decide-then-register and a completer's drain are both
+//! critical sections of the probe lock, and every completion-producing
+//! call drains *after* its backend call returned. If the waiter's section
+//! runs first, the completer's drain finds the registered entry — on the
+//! sweep path by probing it complete; on the watermark path because
+//! registering lowered `oldest` to at most the waiter's episode `e`, the
+//! completer reads `k > e` (its own arrival advanced the word before it
+//! took the lock), so `oldest < k` and the entry is removed and woken. If
+//! the completer's section runs first, the waiter's read of the release
+//! word (or its own probe) happens-after the completing arrival (lock
+//! release/acquire ordering) and observes completion directly. The
+//! watermark is only ever a *lower* bound — raised solely by the scan that
+//! recomputes it exactly — so it can cost a wasted scan, never a skipped
+//! one. On cooperative backends, participants that arrived but have not
+//! yet polled are why every poll sweeps: they will probe — and help-drive
+//! — on their first poll.
 
 use crate::error::BarrierError;
 use crate::failure::{Deadline, WaitPolicy};
@@ -61,7 +84,7 @@ use crate::token::{ArrivalToken, WaitOutcome};
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
@@ -70,6 +93,118 @@ struct Parked {
     id: usize,
     episode: u64,
     waker: Waker,
+}
+
+/// [`Registry::slot_of`] value of a participant that is not parked.
+const NOT_PARKED: usize = usize::MAX;
+
+/// The parked waiters, indexed by participant id.
+struct Registry {
+    /// Parked waiters, dense and unordered.
+    parked: Vec<Parked>,
+    /// Each participant's position in `parked`, or [`NOT_PARKED`]. One
+    /// slot per id suffices: a participant has at most one arrival in
+    /// flight, so a second registration for an id replaces the first.
+    slot_of: Vec<usize>,
+    /// Lower bound on the oldest parked episode; `u64::MAX` when nothing
+    /// is parked. See the module docs for why a lower bound is enough.
+    oldest: u64,
+}
+
+impl Registry {
+    fn new(participants: usize) -> Self {
+        Registry {
+            parked: Vec::new(),
+            slot_of: vec![NOT_PARKED; participants],
+            oldest: u64::MAX,
+        }
+    }
+
+    /// Registers a parked waiter, or refreshes the waker of the one
+    /// already there. Returns true if the waiter was newly parked.
+    fn register(&mut self, id: usize, episode: u64, waker: &Waker) -> bool {
+        if id >= self.slot_of.len() {
+            self.slot_of.resize(id + 1, NOT_PARKED);
+        }
+        self.oldest = self.oldest.min(episode);
+        match self.slot_of[id] {
+            NOT_PARKED => {
+                self.slot_of[id] = self.parked.len();
+                self.parked.push(Parked {
+                    id,
+                    episode,
+                    waker: waker.clone(),
+                });
+                true
+            }
+            slot => {
+                let entry = &mut self.parked[slot];
+                entry.episode = episode;
+                entry.waker.clone_from(waker);
+                false
+            }
+        }
+    }
+
+    /// Removes the waiter's entry, if it is (still) parked.
+    fn deregister(&mut self, id: usize, episode: u64) {
+        match self.slot_of.get(id) {
+            Some(&slot) if slot != NOT_PARKED && self.parked[slot].episode == episode => {
+                drop(self.remove_at(slot));
+            }
+            _ => {}
+        }
+    }
+
+    /// Removes the entry at `slot` and returns its waker. The last entry
+    /// takes its place.
+    fn remove_at(&mut self, slot: usize) -> Waker {
+        let entry = self.parked.swap_remove(slot);
+        self.slot_of[entry.id] = NOT_PARKED;
+        if let Some(moved) = self.parked.get(slot) {
+            self.slot_of[moved.id] = slot;
+        }
+        if self.parked.is_empty() {
+            self.oldest = u64::MAX;
+        }
+        entry.waker
+    }
+
+    /// Removes every entry parked for an episode below `k` into `woken`
+    /// and recomputes the watermark. Walks from the back, so releasing
+    /// everything moves nothing.
+    fn release_below(&mut self, k: u64, woken: &mut Vec<Waker>) {
+        woken.reserve(self.parked.len());
+        let mut oldest = u64::MAX;
+        let mut slot = self.parked.len();
+        while slot > 0 {
+            slot -= 1;
+            let episode = self.parked[slot].episode;
+            if episode < k {
+                woken.push(self.remove_at(slot));
+            } else {
+                oldest = oldest.min(episode);
+            }
+        }
+        self.oldest = oldest;
+    }
+
+    /// Removes every entry into `woken` (poison releases everyone).
+    fn release_all(&mut self, woken: &mut Vec<Waker>) {
+        woken.reserve(self.parked.len());
+        for entry in self.parked.drain(..) {
+            self.slot_of[entry.id] = NOT_PARKED;
+            woken.push(entry.waker);
+        }
+        self.oldest = u64::MAX;
+    }
+}
+
+/// The held probe lock and the registry it guards. Fields drop in
+/// declaration order: the registry mutex first, then the ticket.
+struct Probe<'a, S: SyncOps> {
+    registry: MutexGuard<'a, Registry>,
+    _ticket: TicketGuard<'a, S>,
 }
 
 /// An async frontend over any [`SplitBarrier`] backend.
@@ -109,9 +244,10 @@ pub struct AsyncBarrier<B: SplitBarrier, S: SyncOps = RealSync> {
     /// Parked waiters. Only ever accessed while holding the probe lock, so
     /// this std mutex never contends (and never blocks a checker vthread
     /// invisibly).
-    registry: Mutex<Vec<Parked>>,
-    /// Upper bound on help-driving enablement chain length; see module
-    /// docs. 0 means a single no-progress sweep ends the drain.
+    registry: Mutex<Registry>,
+    /// Upper bound on help-driving enablement chain length on cooperative
+    /// backends; see module docs. 0 means a single no-progress sweep ends
+    /// the drain.
     help_rounds: usize,
     astats: AsyncStats,
 }
@@ -136,15 +272,16 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
         AsyncBarrier {
             inner,
             probe: TicketLock::new(),
-            registry: Mutex::new(Vec::new()),
+            registry: Mutex::new(Registry::new(n)),
             help_rounds,
             astats: AsyncStats::new(),
         }
     }
 
-    /// Overrides the drain's no-progress sweep budget. Use 0 for backends
-    /// whose `is_complete` is a pure read (central, counting, tree) — one
-    /// sweep that removes nobody is already a fixpoint there.
+    /// Overrides the cooperative drain's no-progress sweep budget. Use 0
+    /// for a backend whose `is_complete` is a pure read — one sweep that
+    /// removes nobody is already a fixpoint there. Backends with a
+    /// [`SplitBarrier::release_epoch`] never sweep, whatever this says.
     #[must_use]
     pub fn with_help_rounds(mut self, rounds: usize) -> Self {
         self.help_rounds = rounds;
@@ -188,21 +325,51 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
         }
     }
 
-    /// Acquires the probe lock: a [`TicketLock`] over the `S` domain, so
-    /// blocked acquirers deschedule properly under the model checker.
-    fn probe_lock(&self) -> TicketGuard<'_, S> {
-        self.probe.acquire()
+    /// Acquires the probe lock — a [`TicketLock`] over the `S` domain, so
+    /// blocked acquirers deschedule properly under the model checker — and
+    /// the registry it guards.
+    fn probe_lock(&self) -> Probe<'_, S> {
+        let ticket = self.probe.acquire();
+        let registry = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
+        Probe {
+            registry,
+            _ticket: ticket,
+        }
     }
 
-    /// Probes every parked waiter — plus the caller's own token, when
-    /// given — to a fixpoint. Must be called with the probe lock held.
-    /// Returns the wakers of completed (or fault-released) waiters, to be
-    /// invoked *after* the lock is dropped, and whether `own` completed.
-    fn drain_locked(&self, own: Option<&ArrivalToken>) -> (Vec<Waker>, bool) {
+    /// Removes every released (or fault-released) waiter from `registry`
+    /// and decides the caller's own token, when given. Must be called with
+    /// the probe lock held. Returns the wakers of the removed waiters, to
+    /// be invoked *after* the lock is dropped, and whether `own` completed.
+    fn drain_locked(
+        &self,
+        registry: &mut Registry,
+        own: Option<&ArrivalToken>,
+    ) -> (Vec<Waker>, bool) {
         self.astats.record_drain();
         let mut woken = Vec::new();
+        let Some(released) = self.inner.release_epoch() else {
+            let own_done = self.sweep_locked(registry, own, &mut woken);
+            return (woken, own_done);
+        };
+        if !registry.parked.is_empty() && self.inner.is_poisoned() {
+            registry.release_all(&mut woken);
+        } else if registry.oldest < released {
+            registry.release_below(released, &mut woken);
+        }
+        (woken, own.is_some_and(|token| token.episode < released))
+    }
+
+    /// The cooperative-backend drain: probes every parked waiter — plus
+    /// the caller's own token — to a fixpoint, since each probe may
+    /// help-drive rounds that enable another waiter.
+    fn sweep_locked(
+        &self,
+        registry: &mut Registry,
+        own: Option<&ArrivalToken>,
+        woken: &mut Vec<Waker>,
+    ) -> bool {
         let mut own_done = false;
-        let mut registry = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
         let mut stale = 0usize;
         loop {
             let mut progressed = false;
@@ -214,14 +381,14 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
                 }
             }
             let mut i = 0;
-            while i < registry.len() {
+            while i < registry.parked.len() {
                 let done = poisoned || {
-                    let entry = &registry[i];
+                    let entry = &registry.parked[i];
                     let probe = ArrivalToken::new(entry.id, entry.episode);
                     self.inner.is_complete(&probe)
                 };
                 if done {
-                    woken.push(registry.swap_remove(i).waker);
+                    woken.push(registry.remove_at(i));
                     progressed = true;
                 } else {
                     i += 1;
@@ -236,47 +403,20 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
                 }
             }
         }
-        (woken, own_done)
-    }
-
-    /// Registers (or refreshes) a parked waiter. Must be called with the
-    /// probe lock held. Returns true if the waiter was newly parked.
-    fn register_locked(&self, id: usize, episode: u64, waker: &Waker) -> bool {
-        let mut registry = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
-        match registry
-            .iter_mut()
-            .find(|e| e.id == id && e.episode == episode)
-        {
-            Some(entry) => {
-                entry.waker.clone_from(waker);
-                false
-            }
-            None => {
-                registry.push(Parked {
-                    id,
-                    episode,
-                    waker: waker.clone(),
-                });
-                true
-            }
-        }
-    }
-
-    /// Removes a waiter's entry, if present. Must be called with the probe
-    /// lock held.
-    fn deregister_locked(&self, id: usize, episode: u64) {
-        self.registry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .retain(|e| !(e.id == id && e.episode == episode));
+        own_done
     }
 
     /// Drain + wake, used by the completion-producing [`SplitBarrier`]
     /// hooks (arrive, poison, abort, evict).
     fn drain_and_wake(&self) {
-        let guard = self.probe_lock();
-        let (wakers, _) = self.drain_locked(None);
-        drop(guard);
+        let mut probe = self.probe_lock();
+        let (wakers, _) = self.drain_locked(&mut probe.registry, None);
+        drop(probe);
+        self.wake_all(wakers);
+    }
+
+    /// Invokes drained wakers; call with the probe lock released.
+    fn wake_all(&self, wakers: Vec<Waker>) {
         self.astats.record_wakes(wakers.len() as u64);
         for waker in wakers {
             waker.wake();
@@ -439,12 +579,13 @@ impl<B: SplitBarrier, S: SyncOps> Future for BarrierFuture<B, S> {
         this.barrier.astats.record_poll();
         let own = ArrivalToken::new(this.id, this.episode);
 
-        let guard = this.barrier.probe_lock();
-        let (wakers, own_done) = this.barrier.drain_locked(Some(&own));
+        let mut probe = this.barrier.probe_lock();
+        let registry = &mut *probe.registry;
+        let (wakers, own_done) = this.barrier.drain_locked(registry, Some(&own));
         let result = if own_done {
             // The drain may have collected our own (stale) entry already;
             // deregistering again is a harmless no-op.
-            this.barrier.deregister_locked(this.id, this.episode);
+            registry.deregister(this.id, this.episode);
             Some(Ok(WaitOutcome {
                 episode: this.episode,
                 stalled: this.polls > 1,
@@ -453,28 +594,22 @@ impl<B: SplitBarrier, S: SyncOps> Future for BarrierFuture<B, S> {
                 stall_time: this.first_pending.map(|t| t.elapsed()).unwrap_or_default(),
             }))
         } else if this.barrier.inner.is_poisoned() {
-            this.barrier.deregister_locked(this.id, this.episode);
+            registry.deregister(this.id, this.episode);
             Some(Err(BarrierError::Poisoned {
                 episode: this.episode,
             }))
         } else {
-            if this
-                .barrier
-                .register_locked(this.id, this.episode, cx.waker())
-            {
+            if registry.register(this.id, this.episode, cx.waker()) {
                 this.barrier.astats.record_parked();
                 this.parked = true;
             }
             None
         };
-        drop(guard);
+        drop(probe);
 
         // Cascaded completions are woken outside the lock: in the checker
         // domain a wake is itself a scheduling point.
-        this.barrier.astats.record_wakes(wakers.len() as u64);
-        for waker in wakers {
-            waker.wake();
-        }
+        this.barrier.wake_all(wakers);
 
         match result {
             Some(output) => {
@@ -509,10 +644,10 @@ impl<B: SplitBarrier, S: SyncOps> BarrierFuture<B, S> {
     /// peers on the next episode (mirrors [`SplitBarrier::abort`]).
     fn probe_and_deregister(&self) {
         let own = ArrivalToken::new(self.id, self.episode);
-        let guard = self.barrier.probe_lock();
-        self.barrier.deregister_locked(self.id, self.episode);
+        let mut probe = self.barrier.probe_lock();
+        probe.registry.deregister(self.id, self.episode);
         let complete = self.barrier.inner.is_complete(&own);
-        drop(guard);
+        drop(probe);
         if !complete {
             SplitBarrier::poison(self.barrier.as_ref());
         }
@@ -524,13 +659,282 @@ mod tests {
     use super::*;
     use crate::centralized::CentralBarrier;
     use crate::dissemination::DisseminationBarrier;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::task::Wake;
+
+    fn poll_with<B: SplitBarrier, S: SyncOps>(
+        fut: &mut BarrierFuture<B, S>,
+        waker: &Waker,
+    ) -> Poll<Result<WaitOutcome, BarrierError>> {
+        Pin::new(fut).poll(&mut Context::from_waker(waker))
+    }
 
     fn poll_once<B: SplitBarrier, S: SyncOps>(
         fut: &mut BarrierFuture<B, S>,
     ) -> Poll<Result<WaitOutcome, BarrierError>> {
+        poll_with(fut, Waker::noop())
+    }
+
+    /// A waker that counts its invocations.
+    #[derive(Default)]
+    struct Woken(AtomicU64);
+
+    impl Wake for Woken {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    impl Woken {
+        fn new() -> (Arc<Woken>, Waker) {
+            let woken = Arc::new(Woken::default());
+            let waker = Waker::from(Arc::clone(&woken));
+            (woken, waker)
+        }
+
+        fn count(&self) -> u64 {
+            self.0.load(Ordering::Relaxed)
+        }
+    }
+
+    /// Forwards to `B`, counting the completion probes the frontend makes:
+    /// `is_complete` and `release_epoch` calls.
+    struct Probed<B> {
+        inner: B,
+        probes: AtomicU64,
+    }
+
+    impl<B: SplitBarrier> Probed<B> {
+        fn new(inner: B) -> Self {
+            Probed {
+                inner,
+                probes: AtomicU64::new(0),
+            }
+        }
+    }
+
+    impl<B: SplitBarrier> SplitBarrier for Probed<B> {
+        fn arrive(&self, id: usize) -> ArrivalToken {
+            self.inner.arrive(id)
+        }
+
+        fn is_complete(&self, token: &ArrivalToken) -> bool {
+            self.probes.fetch_add(1, Ordering::Relaxed);
+            self.inner.is_complete(token)
+        }
+
+        fn release_epoch(&self) -> Option<u64> {
+            self.probes.fetch_add(1, Ordering::Relaxed);
+            self.inner.release_epoch()
+        }
+
+        fn wait(&self, token: ArrivalToken) -> WaitOutcome {
+            self.inner.wait(token)
+        }
+
+        fn poison(&self) {
+            self.inner.poison();
+        }
+
+        fn is_poisoned(&self) -> bool {
+            self.inner.is_poisoned()
+        }
+
+        fn participants(&self) -> usize {
+            self.inner.participants()
+        }
+
+        fn stats(&self) -> StatsSnapshot {
+            self.inner.stats()
+        }
+    }
+
+    /// Drives one full episode of `m` futures through the frontend — each
+    /// arrives and polls once (all but the last park), then every parked
+    /// future is polled until it resolves — and returns the backend probes
+    /// spent per task.
+    fn probes_per_task<B: SplitBarrier>(backend: B, m: usize) -> f64 {
+        let b = Arc::new(AsyncBarrier::new(Probed::new(backend)));
+        let mut parked = Vec::new();
+        for id in 0..m {
+            let mut fut = b.arrive_async(id);
+            match poll_once(&mut fut) {
+                Poll::Pending => parked.push(fut),
+                Poll::Ready(result) => assert_eq!(result.expect("no faults").episode, 0),
+            }
+        }
+        // A cooperative backend may need a few passes of polls to walk its
+        // rounds; a uniform-release backend resolves everyone in one.
+        for _ in 0..=m {
+            parked.retain_mut(|fut| match poll_once(fut) {
+                Poll::Pending => true,
+                Poll::Ready(result) => {
+                    assert_eq!(result.expect("no faults").episode, 0);
+                    false
+                }
+            });
+        }
+        assert!(
+            parked.is_empty(),
+            "{} of {m} waiters stranded",
+            parked.len()
+        );
+        let stats = b.async_stats();
+        assert_eq!(stats.parked, stats.resumed);
+        assert!(b.registry.lock().unwrap().parked.is_empty());
+        b.backend().probes.load(Ordering::Relaxed) as f64 / m as f64
+    }
+
+    #[test]
+    fn uniform_release_backends_cost_constant_probes_per_task() {
+        // arrive, the parking poll and the resolving poll: one release-word
+        // read each, whatever the number of parked peers.
+        for m in [64, 1024] {
+            let per_task = probes_per_task(CentralBarrier::new(m), m);
+            assert!(per_task <= 4.0, "M={m}: {per_task} backend probes per task");
+        }
+    }
+
+    #[test]
+    fn cooperative_backends_still_resolve_every_waiter() {
+        // No `release_epoch`: polls alone walk every participant's rounds
+        // (the harness asserts nobody is stranded).
+        let m = 64;
+        let _ = probes_per_task(DisseminationBarrier::new(m), m);
+    }
+
+    #[test]
+    fn registry_index_tracks_moves_and_the_watermark_is_a_lower_bound() {
         let waker = Waker::noop();
-        let mut cx = Context::from_waker(waker);
-        Pin::new(fut).poll(&mut cx)
+        let mut r = Registry::new(4);
+        assert_eq!(r.oldest, u64::MAX);
+        assert!(r.register(0, 7, waker));
+        assert!(r.register(1, 7, waker));
+        assert!(r.register(2, 8, waker));
+        assert!(
+            !r.register(1, 7, waker),
+            "a re-poll refreshes, not re-parks"
+        );
+        assert_eq!(r.oldest, 7);
+        // Removing the first entry moves the last into its place.
+        r.deregister(0, 7);
+        assert_eq!(r.slot_of[..3], [NOT_PARKED, 1, 0]);
+        r.deregister(2, 7); // wrong episode: somebody else's entry stays
+        assert_eq!(r.parked.len(), 2);
+        // Two live episodes: releasing below 8 takes 7's entry only.
+        let mut woken = Vec::new();
+        r.release_below(8, &mut woken);
+        assert_eq!(woken.len(), 1);
+        assert_eq!((r.parked.len(), r.oldest), (1, 8));
+        assert_eq!(r.slot_of[..3], [NOT_PARKED, NOT_PARKED, 0]);
+        // An id beyond the construction size grows the index.
+        assert!(r.register(9, 8, waker));
+        r.release_all(&mut woken);
+        assert_eq!((woken.len(), r.parked.len(), r.oldest), (3, 0, u64::MAX));
+        assert!(r.slot_of.iter().all(|&slot| slot == NOT_PARKED));
+    }
+
+    #[test]
+    fn repoll_with_a_different_waker_refreshes_the_entry() {
+        let b = Arc::new(AsyncBarrier::new(CentralBarrier::new(2)));
+        let (first, first_waker) = Woken::new();
+        let (second, second_waker) = Woken::new();
+        let mut fut = b.arrive_async(0);
+        assert!(poll_with(&mut fut, &first_waker).is_pending());
+        assert!(poll_with(&mut fut, &second_waker).is_pending());
+        assert_eq!(b.async_stats().parked, 1, "parked once, refreshed once");
+        drop(SplitBarrier::arrive(b.as_ref(), 1));
+        assert_eq!((first.count(), second.count()), (0, 1));
+        assert!(poll_once(&mut fut).is_ready());
+    }
+
+    #[test]
+    fn dropping_a_parked_future_deregisters_it() {
+        let b = Arc::new(AsyncBarrier::new(CentralBarrier::new(3)));
+        let (kept, kept_waker) = Woken::new();
+        let (dropped, dropped_waker) = Woken::new();
+        let mut doomed = b.arrive_async(0);
+        let mut survivor = b.arrive_async(1);
+        assert!(poll_with(&mut doomed, &dropped_waker).is_pending());
+        assert!(poll_with(&mut survivor, &kept_waker).is_pending());
+        drop(doomed);
+        // The drop poisons (cancellation), which wakes the survivor — but
+        // never the dropped future's own waker, whose entry was removed
+        // first and whose registry reference is gone.
+        assert_eq!((dropped.count(), kept.count()), (0, 1));
+        assert_eq!(Arc::strong_count(&dropped), 2, "test + its Waker only");
+        assert!(b.registry.lock().unwrap().parked.is_empty());
+        assert!(matches!(
+            poll_once(&mut survivor),
+            Poll::Ready(Err(BarrierError::Poisoned { episode: 0 }))
+        ));
+    }
+
+    #[test]
+    fn fast_task_parks_for_the_next_episode_while_the_last_one_drains() {
+        // The last arriver of episode 0 has advanced the backend's word
+        // but not yet drained (it is between `inner.arrive` and the probe
+        // lock); a fast participant is already waiting on episode 1. Its
+        // poll releases episode 0's entries and parks itself — one entry
+        // for episode 1 is left, and the watermark follows.
+        let inner = Arc::new(CentralBarrier::new(3));
+        let b = Arc::new(AsyncBarrier::new(Arc::clone(&inner)));
+        let wakers: Vec<_> = (0..3).map(|_| Woken::new()).collect();
+        let mut slow: Vec<_> = (0..2).map(|id| b.arrive_async(id)).collect();
+        for (fut, (_, waker)) in slow.iter_mut().zip(&wakers) {
+            assert!(poll_with(fut, waker).is_pending());
+        }
+        drop(inner.arrive(2)); // completes episode 0 behind the frontend's back
+        drop(inner.arrive(2)); // ... and is first to arrive for episode 1
+        let mut fast = BarrierFuture {
+            barrier: Arc::clone(&b),
+            id: 2,
+            episode: 1,
+            parked: false,
+            polls: 0,
+            first_pending: None,
+            done: false,
+        };
+        assert!(poll_with(&mut fast, &wakers[2].1).is_pending());
+        let counts: Vec<u64> = wakers.iter().map(|(woken, _)| woken.count()).collect();
+        assert_eq!(counts, [1, 1, 0]);
+        {
+            let registry = b.registry.lock().unwrap();
+            assert_eq!((registry.parked.len(), registry.oldest), (1, 1));
+            assert_eq!(registry.slot_of, [NOT_PARKED, NOT_PARKED, 0]);
+        }
+        for fut in &mut slow {
+            assert!(poll_once(fut).is_ready());
+        }
+        // Episode 1 completes through the frontend and wakes the fast task.
+        let mut rest: Vec<_> = (0..2).map(|id| b.arrive_async(id)).collect();
+        assert_eq!(wakers[2].0.count(), 1);
+        for fut in rest.iter_mut().chain([&mut fast]) {
+            match poll_once(fut) {
+                Poll::Ready(Ok(outcome)) => assert_eq!(outcome.episode, 1),
+                other => panic!("expected Ready(Ok(_)), got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn poison_wakes_every_parked_waiter() {
+        let m = 16;
+        let b = Arc::new(AsyncBarrier::new(CentralBarrier::new(m + 1)));
+        let wakers: Vec<_> = (0..m).map(|_| Woken::new()).collect();
+        let mut futures: Vec<_> = (0..m).map(|id| b.arrive_async(id)).collect();
+        for (fut, (_, waker)) in futures.iter_mut().zip(&wakers) {
+            assert!(poll_with(fut, waker).is_pending());
+        }
+        SplitBarrier::poison(b.as_ref());
+        assert!(wakers.iter().all(|(woken, _)| woken.count() == 1));
+        assert!(b.registry.lock().unwrap().parked.is_empty());
+        for fut in &mut futures {
+            assert!(matches!(
+                poll_once(fut),
+                Poll::Ready(Err(BarrierError::Poisoned { episode: 0 }))
+            ));
+        }
     }
 
     #[test]

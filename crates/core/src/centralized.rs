@@ -212,6 +212,10 @@ impl<S: SyncOps> SplitBarrier for CentralBarrier<S> {
         self.episode.load(Ordering::Acquire) > token.episode
     }
 
+    fn release_epoch(&self) -> Option<u64> {
+        Some(self.episode.load(Ordering::Acquire))
+    }
+
     fn wait(&self, token: ArrivalToken) -> WaitOutcome {
         match self.wait_core(&token, Deadline::never(), self.policy) {
             Ok(outcome) => outcome,

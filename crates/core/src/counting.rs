@@ -196,6 +196,10 @@ impl<S: SyncOps> SplitBarrier for CountingBarrier<S> {
         count(self.arrivals.load(Ordering::Acquire)) >= self.threshold(token.episode)
     }
 
+    fn release_epoch(&self) -> Option<u64> {
+        Some(count(self.arrivals.load(Ordering::Acquire)) / self.n as u64)
+    }
+
     fn wait(&self, token: ArrivalToken) -> WaitOutcome {
         match self.wait_core(&token, Deadline::never(), self.policy) {
             Ok(outcome) => outcome,

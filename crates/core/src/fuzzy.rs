@@ -40,6 +40,28 @@ pub trait SplitBarrier: Send + Sync {
     /// state bit.
     fn is_complete(&self, token: &ArrivalToken) -> bool;
 
+    /// The backend's release word, if it has one: `Some(k)` promises that
+    /// **for every participant id** `is_complete(token(id, e)) == (e < k)`,
+    /// and costs one `Acquire` load. Episodes release in order, for all
+    /// participants at once, through that single word — Scott's fuzzy
+    /// central barrier's one global word that every departing thread reads.
+    ///
+    /// A layer that tracks many waiters (the async frontend's waker
+    /// registry) asks this once instead of probing each waiter: everything
+    /// parked for an episode below `k` is released, nothing else is. The
+    /// value is monotone and, like `is_complete`, a `k` observed after
+    /// acquiring a lock that a completing arriver released covers that
+    /// arrival.
+    ///
+    /// `None` (the default) means completion is per participant —
+    /// cooperative backends whose `is_complete` help-drives the probed
+    /// id's rounds (dissemination, hier, the network barrier) — or that
+    /// the type is a wrapper with bookkeeping of its own; callers must
+    /// then fall back to `is_complete` per token.
+    fn release_epoch(&self) -> Option<u64> {
+        None
+    }
+
     /// Blocks (per the backend's [`StallPolicy`]) until the episode named by
     /// `token` completes.
     ///
@@ -188,6 +210,10 @@ impl<B: SplitBarrier + ?Sized> SplitBarrier for std::sync::Arc<B> {
         (**self).is_complete(token)
     }
 
+    fn release_epoch(&self) -> Option<u64> {
+        (**self).release_epoch()
+    }
+
     fn wait(&self, token: ArrivalToken) -> WaitOutcome {
         (**self).wait(token)
     }
@@ -322,6 +348,10 @@ impl<B: SplitBarrier> SplitBarrier for FuzzyBarrier<B> {
 
     fn is_complete(&self, token: &ArrivalToken) -> bool {
         self.inner.is_complete(token)
+    }
+
+    fn release_epoch(&self) -> Option<u64> {
+        self.inner.release_epoch()
     }
 
     fn wait(&self, token: ArrivalToken) -> WaitOutcome {

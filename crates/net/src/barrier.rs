@@ -796,6 +796,9 @@ mod tests {
     fn async_frontend_runs_unmodified_over_the_mesh() {
         use fuzzy_barrier::AsyncBarrier;
         let (_mesh, bs) = mesh_barriers(2, NetConfig::new());
+        // Cooperative: each endpoint completes by its own rounds, so the
+        // frontend must take its sweep path.
+        assert_eq!(bs[0].release_epoch(), None);
         let asy = Arc::new(AsyncBarrier::new(Arc::clone(&bs[0])));
         std::thread::scope(|s| {
             let peer = Arc::clone(&bs[1]);

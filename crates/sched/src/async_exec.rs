@@ -46,6 +46,8 @@ struct Task {
     state: AtomicU8,
     /// Run queue the task is (re-)enqueued on.
     home: usize,
+    /// Where the pool's [`Live`] list holds this task until it completes.
+    slot: usize,
     shared: Arc<Shared>,
 }
 
@@ -84,16 +86,48 @@ impl Wake for Task {
 struct Shared {
     /// Per-worker run queues. Owners pop the front; thieves pop the back.
     queues: Vec<Mutex<VecDeque<Arc<Task>>>>,
-    /// Live (spawned, not yet completed) task count, guarded for
+    /// The spawned, not yet completed tasks, guarded for
     /// [`AsyncExecutor::wait_idle`]'s condvar.
-    live: Mutex<usize>,
+    live: Mutex<Live>,
     idle_cv: Condvar,
-    /// Worker parking lot: workers re-scan under this lock before waiting,
-    /// and every enqueue notifies under it, so no wake is lost.
-    park: Mutex<bool>,
+    /// Worker parking lot. No wake is lost: a worker re-scans the queues
+    /// and counts itself into `sleepers` under this lock, in one critical
+    /// section ending in `park_cv.wait`; an enqueuer pushes first and
+    /// reads `sleepers` under the same lock afterwards. If the worker's
+    /// section comes first, the enqueuer reads a non-zero count and
+    /// notifies; if the enqueuer's does, the worker's re-scan sees the
+    /// pushed task and does not sleep. A worker counts itself out only
+    /// once it holds the lock again, so the count covers every worker
+    /// that a notification could still be for — an enqueue that reads
+    /// zero has nobody to wake and skips the `futex` call.
+    park: Mutex<Park>,
     park_cv: Condvar,
     stats: AsyncStats,
     next_home: AtomicUsize,
+}
+
+/// A handle to every unfinished task, so that dropping the pool can
+/// cancel the ones parked on a waker held elsewhere (a barrier's
+/// registry) — they sit in no run queue. Touched at spawn and at
+/// completion only, under the lock both already take.
+#[derive(Default)]
+struct Live {
+    /// `None` marks a free slot.
+    tasks: Vec<Option<Arc<Task>>>,
+    free: Vec<usize>,
+}
+
+impl Live {
+    fn count(&self) -> usize {
+        self.tasks.len() - self.free.len()
+    }
+}
+
+#[derive(Default)]
+struct Park {
+    shutdown: bool,
+    /// Workers in (or waking up from) `park_cv.wait`.
+    sleepers: usize,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
@@ -104,10 +138,11 @@ impl Shared {
     fn enqueue(&self, task: Arc<Task>) {
         let home = task.home;
         lock(&self.queues[home]).push_back(task);
-        // Notify under the park lock: a worker that scanned empty queues
-        // re-checks under the same lock before sleeping.
-        drop(lock(&self.park));
-        self.park_cv.notify_one();
+        // See `Shared::park` for why reading zero here loses no wake.
+        let sleepers = lock(&self.park).sleepers;
+        if sleepers > 0 {
+            self.park_cv.notify_one();
+        }
     }
 
     /// Pops the next runnable task for worker `me`: own queue first, then
@@ -133,8 +168,9 @@ impl Shared {
 /// Spawned tasks are distributed round-robin over per-worker run queues;
 /// an idle worker steals from the back of a sibling's queue (recorded in
 /// the steal counter). Dropping the executor shuts the workers down;
-/// still-queued tasks are dropped, which — for barrier futures — counts
-/// as cancellation and poisons their barrier.
+/// unfinished tasks — queued or parked on a waker — are dropped, which —
+/// for barrier futures — counts as cancellation and poisons their
+/// barrier.
 ///
 /// # Examples
 ///
@@ -163,7 +199,7 @@ impl std::fmt::Debug for AsyncExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AsyncExecutor")
             .field("workers", &self.workers.len())
-            .field("live", &*lock(&self.shared.live))
+            .field("live", &lock(&self.shared.live).count())
             .finish_non_exhaustive()
     }
 }
@@ -179,9 +215,9 @@ impl AsyncExecutor {
         assert!(workers > 0, "need at least one worker");
         let shared = Arc::new(Shared {
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            live: Mutex::new(0),
+            live: Mutex::default(),
             idle_cv: Condvar::new(),
-            park: Mutex::new(false),
+            park: Mutex::default(),
             park_cv: Condvar::new(),
             stats: AsyncStats::new(),
             next_home: AtomicUsize::new(0),
@@ -200,21 +236,29 @@ impl AsyncExecutor {
 
     /// Spawns a task onto the pool (round-robin over the run queues).
     pub fn spawn(&self, future: impl Future<Output = ()> + Send + 'static) {
-        *lock(&self.shared.live) += 1;
         let home = self.shared.next_home.fetch_add(1, Ordering::Relaxed) % self.workers.len();
+        let future: TaskFuture = Box::pin(future);
+        let mut live = lock(&self.shared.live);
+        let slot = live.free.pop().unwrap_or_else(|| {
+            live.tasks.push(None);
+            live.tasks.len() - 1
+        });
         let task = Arc::new(Task {
-            future: Mutex::new(Some(Box::pin(future))),
+            future: Mutex::new(Some(future)),
             state: AtomicU8::new(QUEUED),
             home,
+            slot,
             shared: Arc::clone(&self.shared),
         });
+        live.tasks[slot] = Some(Arc::clone(&task));
+        drop(live);
         self.shared.enqueue(task);
     }
 
     /// Blocks until every spawned task has completed.
     pub fn wait_idle(&self) {
         let mut live = lock(&self.shared.live);
-        while *live > 0 {
+        while live.count() > 0 {
             live = self
                 .shared
                 .idle_cv
@@ -240,12 +284,20 @@ impl AsyncExecutor {
 
 impl Drop for AsyncExecutor {
     fn drop(&mut self) {
-        *lock(&self.shared.park) = true;
+        lock(&self.shared.park).shutdown = true;
         self.shared.park_cv.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        // Cancel still-queued tasks (drops their futures).
+        // Cancel every unfinished task, queued or parked, by dropping its
+        // future. The future is dropped with no lock held: a barrier
+        // future's drop poisons its barrier, which wakes (re-enqueues)
+        // peers.
+        let unfinished = std::mem::take(&mut *lock(&self.shared.live));
+        for task in unfinished.tasks.into_iter().flatten() {
+            let future = lock(&task.future).take();
+            drop(future);
+        }
         for queue in &self.shared.queues {
             lock(queue).clear();
         }
@@ -257,13 +309,18 @@ fn worker_loop(shared: &Arc<Shared>, me: usize) {
         let Some(task) = shared.find_task(me) else {
             // Park: re-scan under the lock so an enqueue between the
             // failed scan and the wait cannot be lost.
-            let guard = lock(&shared.park);
-            if *guard {
+            let mut park = lock(&shared.park);
+            if park.shutdown {
                 return;
             }
             let busy_elsewhere = shared.queues.iter().any(|q| !lock(q).is_empty());
             if !busy_elsewhere {
-                drop(shared.park_cv.wait(guard));
+                park.sleepers += 1;
+                park = shared
+                    .park_cv
+                    .wait(park)
+                    .unwrap_or_else(PoisonError::into_inner);
+                park.sleepers -= 1;
             }
             continue;
         };
@@ -275,23 +332,29 @@ fn run_task(shared: &Shared, task: Arc<Task>) {
     task.state.store(RUNNING, Ordering::Release);
     let waker = Waker::from(Arc::clone(&task));
     let mut cx = Context::from_waker(&waker);
-    let mut slot = lock(&task.future);
-    let Some(future) = slot.as_mut() else {
-        return;
+    let mut future = lock(&task.future);
+    let polled = match future.as_mut() {
+        Some(future) => future.as_mut().poll(&mut cx),
+        // Already taken: the task completed (or was cancelled) before.
+        None => {
+            task.state.store(DONE, Ordering::Release);
+            return;
+        }
     };
-    match future.as_mut().poll(&mut cx) {
+    match polled {
         Poll::Ready(()) => {
-            *slot = None;
-            drop(slot);
+            *future = None;
+            drop(future);
             task.state.store(DONE, Ordering::Release);
             let mut live = lock(&shared.live);
-            *live -= 1;
-            if *live == 0 {
+            live.tasks[task.slot] = None;
+            live.free.push(task.slot);
+            if live.count() == 0 {
                 shared.idle_cv.notify_all();
             }
         }
         Poll::Pending => {
-            drop(slot);
+            drop(future);
             if task
                 .state
                 .compare_exchange(RUNNING, WAITING, Ordering::AcqRel, Ordering::Acquire)
@@ -342,19 +405,7 @@ pub fn run_async_episodes(
     seed: u64,
 ) -> AsyncRunReport {
     assert!(tasks > 0, "need at least one logical participant");
-    // Backends whose `is_complete` is a pure read need no help-round
-    // fixpoint in the release drain; one sweep per drain keeps the M=4096
-    // sweep O(parked) instead of O(parked · log M) per completion probe.
-    let pure_read = matches!(
-        backend,
-        BarrierChoice::Central | BarrierChoice::Counting | BarrierChoice::Tree { .. }
-    );
-    let inner = AsyncBarrier::new(backend.build(tasks, policy));
-    let barrier = Arc::new(if pure_read {
-        inner.with_help_rounds(0)
-    } else {
-        inner
-    });
+    let barrier = Arc::new(AsyncBarrier::new(backend.build(tasks, policy)));
     let pool = AsyncExecutor::new(workers);
     let start = Instant::now();
     for id in 0..tasks {
@@ -388,7 +439,8 @@ pub fn run_async_episodes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fuzzy_barrier::TopLevel;
+    use fuzzy_barrier::{BarrierError, CentralBarrier, Deadline, TopLevel};
+    use std::sync::mpsc;
 
     #[test]
     fn plain_tasks_run_to_completion() {
@@ -444,15 +496,172 @@ mod tests {
         }
     }
 
+    /// Runs `body` on a thread of its own and fails — instead of hanging
+    /// the suite — if it has not returned after `limit`.
+    fn with_watchdog(limit: Duration, body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(limit) {
+            Ok(()) => handle.join().expect("body panicked after finishing"),
+            // The sender dropped without sending: the body panicked.
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(handle.join().expect_err("sender dropped unsent"))
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("no progress within {limit:?}"),
+        }
+    }
+
+    /// A one-shot event: the awaiting task parks its waker here and a
+    /// foreign thread fires it.
+    #[derive(Default)]
+    struct Signal(Mutex<(bool, Option<Waker>)>);
+
+    impl Signal {
+        fn has_waiter(&self) -> bool {
+            lock(&self.0).1.is_some()
+        }
+
+        fn fire(&self) {
+            let waker = {
+                let mut state = lock(&self.0);
+                state.0 = true;
+                state.1.take()
+            };
+            waker
+                .expect("the task parked before the signal fired")
+                .wake();
+        }
+    }
+
+    impl Future for &Signal {
+        type Output = ();
+
+        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            let mut state = lock(&self.0);
+            if state.0 {
+                return Poll::Ready(());
+            }
+            state.1 = Some(cx.waker().clone());
+            Poll::Pending
+        }
+    }
+
     #[test]
-    fn steals_are_recorded_under_imbalance() {
-        // One worker gets all the long tasks via round-robin with a
-        // 1-queue... use 4 workers and many short tasks: with 4 queues and
-        // staggered finish times some stealing is effectively certain;
-        // accept zero only for the degenerate single-worker pool.
+    fn foreign_wake_reaches_a_worker_asleep_on_the_condvar() {
+        // Each round one task awaits a signal and *every* worker goes to
+        // sleep in `park_cv.wait`; only then does this thread fire it. The
+        // enqueue must read a non-zero sleeper count and notify, or the
+        // round hangs (the watchdog turns that into a failure).
+        const ROUNDS: usize = 1_000;
+        for workers in [1, 2, 4] {
+            with_watchdog(Duration::from_secs(60), move || {
+                let pool = AsyncExecutor::new(workers);
+                let signals: Arc<Vec<Signal>> =
+                    Arc::new((0..ROUNDS).map(|_| Signal::default()).collect());
+                let reached = Arc::new(AtomicUsize::new(0));
+                {
+                    let (signals, reached) = (Arc::clone(&signals), Arc::clone(&reached));
+                    pool.spawn(async move {
+                        for signal in signals.iter() {
+                            signal.await;
+                            reached.fetch_add(1, Ordering::Release);
+                        }
+                    });
+                }
+                for (round, signal) in signals.iter().enumerate() {
+                    // The worker that polled counted itself out before the
+                    // poll, so a full count now means it went back to sleep.
+                    while !signal.has_waiter() || lock(&pool.shared.park).sleepers < workers {
+                        std::thread::yield_now();
+                    }
+                    assert_eq!(reached.load(Ordering::Acquire), round);
+                    signal.fire();
+                }
+                pool.wait_idle();
+                assert_eq!(reached.load(Ordering::Acquire), ROUNDS);
+            });
+        }
+    }
+
+    #[test]
+    fn idle_worker_steals_from_a_blocked_siblings_queue() {
+        with_watchdog(Duration::from_secs(60), || {
+            let pool = AsyncExecutor::new(2);
+            // The first task occupies whichever worker picks it up until
+            // released, so that worker's own queue is served by nobody.
+            let (release, blocked) = mpsc::channel::<()>();
+            let (started_tx, started) = mpsc::channel();
+            pool.spawn(async move {
+                started_tx.send(()).expect("test thread listens");
+                let _ = blocked.recv();
+            });
+            started.recv().expect("the blocker runs");
+            // Round-robin homes half of these on the blocked worker's
+            // queue; they can only finish by being stolen.
+            let hits = Arc::new(AtomicUsize::new(0));
+            for _ in 0..8 {
+                let hits = Arc::clone(&hits);
+                pool.spawn(async move {
+                    hits.fetch_add(1, Ordering::Release);
+                });
+            }
+            while hits.load(Ordering::Acquire) < 8 {
+                std::thread::yield_now();
+            }
+            assert!(pool.steals() >= 4, "{} steals", pool.steals());
+            release.send(()).expect("the blocker listens");
+            pool.wait_idle();
+        });
+    }
+
+    #[test]
+    fn single_worker_pool_never_steals() {
         let pool = AsyncExecutor::new(1);
-        pool.spawn(async {});
+        for _ in 0..32 {
+            pool.spawn(async {});
+        }
         pool.wait_idle();
-        assert_eq!(pool.steals(), 0, "nothing to steal from");
+        assert_eq!(pool.steals(), 0, "nobody to steal from");
+    }
+
+    #[test]
+    fn dropping_the_pool_cancels_a_task_parked_on_a_barrier() {
+        // The parked task sits in no run queue: only its barrier's
+        // registry holds a waker to it. Dropping the pool must still drop
+        // its future, which poisons the barrier — or a peer waiting for
+        // the cancelled participant's next arrival would hang.
+        let barrier = Arc::new(AsyncBarrier::new(CentralBarrier::new(2)));
+        let pool = AsyncExecutor::new(1);
+        {
+            let barrier = Arc::clone(&barrier);
+            pool.spawn(async move {
+                let _ = barrier.arrive_async(0).await;
+            });
+        }
+        while barrier.async_stats().parked == 0 {
+            std::thread::yield_now();
+        }
+        assert!(!SplitBarrier::is_poisoned(barrier.as_ref()));
+        drop(pool);
+        assert!(SplitBarrier::is_poisoned(barrier.as_ref()));
+        assert_eq!(
+            Arc::strong_count(&barrier),
+            1,
+            "task, future and waker gone"
+        );
+        // The cancelled arrival still counts: the peer completes episode 0
+        // (completion wins over poison), and gets the error on episode 1,
+        // which participant 0 will never arrive for.
+        let wait = |token| {
+            let deadline = Deadline::after(Duration::from_secs(30));
+            SplitBarrier::wait_deadline(barrier.as_ref(), token, deadline)
+        };
+        let outcome = wait(SplitBarrier::arrive(barrier.as_ref(), 1));
+        assert_eq!(outcome.map(|o| o.episode), Ok(0));
+        let err = wait(SplitBarrier::arrive(barrier.as_ref(), 1)).unwrap_err();
+        assert_eq!(err, BarrierError::Poisoned { episode: 1 });
     }
 }

@@ -18,8 +18,8 @@
 #   check-smoke  fuzzy-check: 10k DFS schedules per backend at N=3
 #   bench-smoke  exp_encore --stats-json + schema validation
 #   async-smoke  exp_async_scale quick sweep + schema validation, then
-#                the lost-wakeup mutant must still be caught by the
-#                model checker
+#                the lost-wakeup and early-release-word mutants must
+#                still be caught by the model checker
 #   fault-smoke  check --scenario poison + exp_fault_recovery export
 #   fuzz-smoke   differential fuzzer: 200 nests at a fixed seed, zero
 #                divergences required, stats export schema-validated
@@ -142,7 +142,8 @@ bench_smoke() {
 # parked == resumed and full completion), schema-validated, followed by
 # the model checker's no-drain mutant pair — the seeded lost-wakeup bug
 # must be caught and the real frontend must survive the same schedule
-# space.
+# space — and the backend whose release word runs one arrival early,
+# which must be caught through the real frontend.
 async_smoke() {
     out="$(mktemp)" || return 1
     status=1
@@ -150,7 +151,7 @@ async_smoke() {
         --quick --stats-json "$out" >/dev/null; then
         if cargo run -q --release -p fuzzy-bench --bin validate_stats -- \
             --schema async_scale "$out"; then
-            cargo test -q -p fuzzy-check --test mutants no_drain
+            cargo test -q -p fuzzy-check --test mutants -- no_drain async_early_epoch
             status=$?
         fi
     fi
