@@ -34,8 +34,15 @@ use fuzzy_sched::static_sched::block;
 use fuzzy_sched::{executor::Strategy, run_threaded_with, BarrierChoice, ThreadReport};
 use fuzzy_util::Json;
 
-const EPISODES: usize = 100;
-const QUICK_EPISODES: usize = 40;
+/// Episodes per row. Arrival spread is sampled once per
+/// `fuzzy_barrier::stats::SPREAD_SAMPLE_PERIOD` (64) episodes, never on
+/// episode 0, whose spread is thread start-up skew; a row needs whole
+/// periods to report one at all. Both sweeps fold at least
+/// [`MIN_SPREAD_SAMPLES`] samples a row (checked in `measure`), so
+/// `spread_mean_ns` is a mean, not one draw.
+const EPISODES: usize = 640;
+const QUICK_EPISODES: usize = 512;
+const MIN_SPREAD_SAMPLES: u64 = 8;
 const ITER_COST: u64 = 8;
 const REGION_UNITS: u64 = 4;
 /// Probe-count slack added on top of the ratio check so near-zero
@@ -128,6 +135,12 @@ fn measure(c: &Contender, procs: usize, episodes: usize) -> Row {
         c.choice,
     );
     let t = &report.telemetry;
+    assert!(
+        t.spread.episodes >= MIN_SPREAD_SAMPLES,
+        "{}@{procs}: only {} spread samples",
+        c.label,
+        t.spread.episodes
+    );
     let episodes = t.base.episodes.max(1);
     Row {
         label: c.label,

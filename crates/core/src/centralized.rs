@@ -140,12 +140,24 @@ impl<S: SyncOps> CentralBarrier<S> {
             prev > 1,
             "the last remaining participant cannot leave the barrier"
         );
-        self.stats.record_arrival(id);
+        let episode = self.local_episode[id].load(Ordering::Relaxed);
+        self.stats.record_arrival(id, episode);
+        self.count_down(id);
+    }
+
+    /// One arrival — real, departing or an eviction's stand-in — against
+    /// the count-down word, made by recorder `who`. The last one re-arms
+    /// the counter for the next episode, then publishes completion. The
+    /// order matters — participants released by the episode bump may
+    /// immediately arrive again and must see a full counter. The
+    /// expectation is re-read because participants may have left (see
+    /// [`Self::leave`]).
+    fn count_down(&self, who: usize) {
         if self.count.fetch_sub(1, Ordering::AcqRel) == 1 {
             let expected = self.expected.load(Ordering::Acquire);
             self.count.store(expected, Ordering::Release);
-            self.episode.fetch_add(1, Ordering::Release);
-            self.stats.record_episode();
+            let completed = self.episode.fetch_add(1, Ordering::Release);
+            self.stats.record_episode(who, completed);
         }
     }
 
@@ -166,7 +178,7 @@ impl<S: SyncOps> CentralBarrier<S> {
     ) -> Result<WaitOutcome, BarrierError> {
         // Adaptive policies become a concrete budget sized by this
         // barrier's wait-cost history; everything else passes through.
-        let policy = self.stats.resolve_policy(policy);
+        let policy = self.stats.resolve_policy(token.id, policy);
         let result = failure::guarded_wait::<S>(
             policy,
             deadline,
@@ -193,18 +205,8 @@ impl<S: SyncOps> SplitBarrier for CentralBarrier<S> {
     fn arrive(&self, id: usize) -> ArrivalToken {
         self.check_id(id);
         let episode = self.local_episode[id].fetch_add(1, Ordering::Relaxed);
-        self.stats.record_arrival(id);
-        if self.count.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last arriver: re-arm the counter for the next episode, then
-            // publish completion. The order matters — participants released
-            // by the episode bump may immediately arrive again and must see
-            // a full counter. The expectation is re-read because
-            // participants may have left (see [`Self::leave`]).
-            let expected = self.expected.load(Ordering::Acquire);
-            self.count.store(expected, Ordering::Release);
-            self.episode.fetch_add(1, Ordering::Release);
-            self.stats.record_episode();
-        }
+        self.stats.record_arrival(id, episode);
+        self.count_down(id);
         ArrivalToken::new(id, episode)
     }
 
@@ -288,12 +290,8 @@ impl<S: SyncOps> SplitBarrier for CentralBarrier<S> {
         // value. The evicted participant must not have arrived for the
         // in-flight episode — this decrement is its stand-in arrival.
         self.expected.fetch_sub(1, Ordering::AcqRel);
-        if self.count.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let expected = self.expected.load(Ordering::Acquire);
-            self.count.store(expected, Ordering::Release);
-            self.episode.fetch_add(1, Ordering::Release);
-            self.stats.record_episode();
-        }
+        // The evictor is not the evicted participant's thread.
+        self.count_down(BarrierStats::NOT_A_PARTICIPANT);
         Ok(())
     }
 

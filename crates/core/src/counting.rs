@@ -128,7 +128,8 @@ impl<S: SyncOps> CountingBarrier<S> {
     /// arrival covers the in-flight episode, and the next crosser will see
     /// it). A pre-payment can itself cross the next boundary when the
     /// survivors raced a whole episode ahead of it, hence the loop.
-    fn add_and_settle(&self, mut delta: u64) {
+    /// `who` is the statistics recorder making the add.
+    fn add_and_settle(&self, mut delta: u64, who: usize) {
         let n = self.n as u64;
         loop {
             let before = self.arrivals.fetch_add(delta, Ordering::AcqRel);
@@ -139,7 +140,7 @@ impl<S: SyncOps> CountingBarrier<S> {
             if count(after) / n == count(before) / n {
                 return;
             }
-            self.stats.record_episode();
+            self.stats.record_episode(who, count(after) / n - 1);
             let ghosts = dead(after);
             if ghosts == 0 {
                 return;
@@ -156,7 +157,7 @@ impl<S: SyncOps> CountingBarrier<S> {
         policy: StallPolicy,
     ) -> Result<WaitOutcome, BarrierError> {
         let threshold = self.threshold(token.episode);
-        let policy = self.stats.resolve_policy(policy);
+        let policy = self.stats.resolve_policy(token.id, policy);
         let result = failure::guarded_wait::<S>(
             policy,
             deadline,
@@ -187,8 +188,8 @@ impl<S: SyncOps> SplitBarrier for CountingBarrier<S> {
             self.n
         );
         let episode = self.local_episode[id].fetch_add(1, Ordering::Relaxed);
-        self.stats.record_arrival(id);
-        self.add_and_settle(1);
+        self.stats.record_arrival(id, episode);
+        self.add_and_settle(1, id);
         ArrivalToken::new(id, episode)
     }
 
@@ -271,7 +272,8 @@ impl<S: SyncOps> SplitBarrier for CountingBarrier<S> {
         // ghost arrival per participant dead *as of its crossing* for the
         // episode after it — including this one, atomically, because both
         // fields travel in the same word.
-        self.add_and_settle((1u64 << DEAD_SHIFT) | 1);
+        // The evictor is not the evicted participant's thread.
+        self.add_and_settle((1u64 << DEAD_SHIFT) | 1, BarrierStats::NOT_A_PARTICIPANT);
         Ok(())
     }
 

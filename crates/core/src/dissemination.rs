@@ -224,7 +224,7 @@ impl<S: SyncOps> DisseminationBarrier<S> {
                     // This participant has completed the episode; record it
                     // once globally.
                     if self.completed.fetch_max(goal, Ordering::AcqRel) < goal {
-                        self.stats.record_episode();
+                        self.stats.record_episode(id, episode);
                     }
                     return true;
                 }
@@ -241,7 +241,7 @@ impl<S: SyncOps> DisseminationBarrier<S> {
         deadline: Deadline,
         policy: StallPolicy,
     ) -> Result<WaitOutcome, BarrierError> {
-        let policy = self.stats.resolve_policy(policy);
+        let policy = self.stats.resolve_policy(token.id, policy);
         let result = failure::guarded_wait::<S>(
             policy,
             deadline,
@@ -273,11 +273,11 @@ impl<S: SyncOps> SplitBarrier for DisseminationBarrier<S> {
         );
         let episode = self.progress[id].episode.fetch_add(1, Ordering::Relaxed);
         self.progress[id].round.store(0, Ordering::Relaxed);
-        self.stats.record_arrival(id);
+        self.stats.record_arrival(id, episode);
         if self.rounds == 0 {
             // Single participant: the episode is complete on arrival.
             if self.completed.fetch_max(episode + 1, Ordering::AcqRel) < episode + 1 {
-                self.stats.record_episode();
+                self.stats.record_episode(id, episode);
             }
         } else {
             self.signal(id, 0, episode + 1);

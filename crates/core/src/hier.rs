@@ -350,8 +350,11 @@ impl<S: SyncOps> HierBarrier<S> {
     /// One arrival (real or eviction stand-in) against shard `k`'s
     /// count-down word. The member that completes the shard re-arms the
     /// counter and signs the shard in at the top level — *without
-    /// blocking*, preserving the fuzzy split for the leader too.
-    fn shard_arrival(&self, k: usize) {
+    /// blocking*, preserving the fuzzy split for the leader too. `who` is
+    /// the statistics recorder making the arrival (see
+    /// [`BarrierStats::NOT_A_PARTICIPANT`]); it is handed down to wherever
+    /// the episode's completion ends up being observed.
+    fn shard_arrival(&self, k: usize, who: usize) {
         let shard = &self.shards[k];
         if shard.count.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Re-arm BEFORE the sign-in: the sign-in can transitively
@@ -362,22 +365,22 @@ impl<S: SyncOps> HierBarrier<S> {
             let expected = shard.expected.load(Ordering::Acquire);
             shard.count.store(expected, Ordering::Release);
             let goal = shard.arrived.fetch_add(1, Ordering::AcqRel) + 1;
-            self.top_sign_in(k, goal);
+            self.top_sign_in(k, goal, who);
         }
     }
 
     /// Signs shard `k` in for episode `goal` at the top level.
-    fn top_sign_in(&self, k: usize, goal: u64) {
+    fn top_sign_in(&self, k: usize, goal: u64, who: usize) {
         match &self.top {
             Top::Tree {
                 nodes,
                 leaf_of_shard,
-            } => self.top_signal_node(nodes, leaf_of_shard[k]),
+            } => self.top_signal_node(nodes, leaf_of_shard[k], who),
             Top::Dissemination { flags, .. } => {
                 if self.rounds == 0 {
                     // One shard: its completion is the global episode.
                     if self.episode.fetch_max(goal, Ordering::AcqRel) < goal {
-                        self.stats.record_episode();
+                        self.stats.record_episode(who, goal - 1);
                     }
                 } else {
                     // Round-0 signal to the distance-1 neighbour; relay
@@ -393,16 +396,16 @@ impl<S: SyncOps> HierBarrier<S> {
 
     /// Propagates one sign-in up the combining tree; the root publishes
     /// the completed episode.
-    fn top_signal_node(&self, nodes: &[CachePadded<TopNode<S>>], index: usize) {
+    fn top_signal_node(&self, nodes: &[CachePadded<TopNode<S>>], index: usize, who: usize) {
         let node = &nodes[index];
         if node.count.fetch_sub(1, Ordering::AcqRel) == 1 {
             node.count
                 .store(node.expected.load(Ordering::Acquire), Ordering::Release);
             match node.parent {
-                Some(parent) => self.top_signal_node(nodes, parent),
+                Some(parent) => self.top_signal_node(nodes, parent, who),
                 None => {
-                    self.episode.fetch_add(1, Ordering::Release);
-                    self.stats.record_episode();
+                    let completed = self.episode.fetch_add(1, Ordering::Release);
+                    self.stats.record_episode(who, completed);
                 }
             }
         }
@@ -411,15 +414,18 @@ impl<S: SyncOps> HierBarrier<S> {
     /// The wait predicate: is episode `goal` (1-based) complete from
     /// shard `k`'s point of view? The shard epoch word is the fast path;
     /// the first waiter to observe top-level completion broadcasts it
-    /// there so the rest of the shard stops touching global state.
-    fn episode_done(&self, k: usize, goal: u64) -> bool {
+    /// there so the rest of the shard stops touching global state. `who`
+    /// is the probing participant.
+    fn episode_done(&self, k: usize, goal: u64, who: usize) -> bool {
         let shard = &self.shards[k];
         if shard.epoch.load(Ordering::Acquire) >= goal {
             return true;
         }
         let done = match &self.top {
             Top::Tree { .. } => self.episode.load(Ordering::Acquire) >= goal,
-            Top::Dissemination { flags, progress } => self.try_top_rounds(flags, progress, k, goal),
+            Top::Dissemination { flags, progress } => {
+                self.try_top_rounds(flags, progress, k, goal, who)
+            }
         };
         if done {
             shard.epoch.fetch_max(goal, Ordering::AcqRel);
@@ -437,6 +443,7 @@ impl<S: SyncOps> HierBarrier<S> {
         progress: &[CachePadded<S::AtomicU64>],
         j: usize,
         goal: u64,
+        who: usize,
     ) -> u64 {
         let m = self.shards.len();
         let rounds = u64::from(self.rounds);
@@ -468,7 +475,7 @@ impl<S: SyncOps> HierBarrier<S> {
                 // every shard for `g`. Record the episode exactly once
                 // across shards.
                 if self.episode.fetch_max(g, Ordering::AcqRel) < g {
-                    self.stats.record_episode();
+                    self.stats.record_episode(who, g - 1);
                 }
             }
         }
@@ -486,19 +493,20 @@ impl<S: SyncOps> HierBarrier<S> {
         progress: &[CachePadded<S::AtomicU64>],
         k: usize,
         goal: u64,
+        who: usize,
     ) -> bool {
         if self.rounds == 0 {
             return self.shards[k].arrived.load(Ordering::Acquire) >= goal;
         }
         let target = goal * u64::from(self.rounds);
         loop {
-            if self.drive_shard(flags, progress, k, goal) >= target {
+            if self.drive_shard(flags, progress, k, goal, who) >= target {
                 return true;
             }
             let mut advanced = false;
             for j in (0..self.shards.len()).filter(|&j| j != k) {
                 let before = progress[j].load(Ordering::Relaxed);
-                advanced |= self.drive_shard(flags, progress, j, goal) > before;
+                advanced |= self.drive_shard(flags, progress, j, goal, who) > before;
             }
             if !advanced {
                 return false;
@@ -544,13 +552,13 @@ impl<S: SyncOps> HierBarrier<S> {
     /// Shrinks the top tree when shard `k` dies: walk up from its leaf,
     /// removing the shard's contribution; the first node with other live
     /// contributors gets one stand-in signal for the in-flight episode.
-    fn top_retire_shard(&self, nodes: &[CachePadded<TopNode<S>>], leaf: usize) {
+    fn top_retire_shard(&self, nodes: &[CachePadded<TopNode<S>>], leaf: usize, who: usize) {
         let mut index = leaf;
         loop {
             let node = &nodes[index];
             let prev = node.expected.fetch_sub(1, Ordering::AcqRel);
             if prev > 1 {
-                self.top_signal_node(nodes, index);
+                self.top_signal_node(nodes, index, who);
                 return;
             }
             match node.parent {
@@ -570,14 +578,14 @@ impl<S: SyncOps> HierBarrier<S> {
         deadline: Deadline,
         policy: StallPolicy,
     ) -> Result<WaitOutcome, BarrierError> {
-        let policy = self.stats.resolve_policy(policy);
+        let policy = self.stats.resolve_policy(token.id, policy);
         let k = self.shard_of(token.id);
         let goal = token.episode + 1;
         let result = failure::guarded_wait::<S>(
             policy,
             deadline,
             token.episode,
-            || self.episode_done(k, goal),
+            || self.episode_done(k, goal, token.id),
             || self.poisoned.load(Ordering::Acquire) != 0,
         );
         match result {
@@ -599,15 +607,15 @@ impl<S: SyncOps> SplitBarrier for HierBarrier<S> {
     fn arrive(&self, id: usize) -> ArrivalToken {
         self.check_id(id);
         let episode = self.local_episode[id].fetch_add(1, Ordering::Relaxed);
-        self.stats.record_arrival(id);
-        self.shard_arrival(self.shard_of(id));
+        self.stats.record_arrival(id, episode);
+        self.shard_arrival(self.shard_of(id), id);
         ArrivalToken::new(id, episode)
     }
 
     fn is_complete(&self, token: &ArrivalToken) -> bool {
         // Like the dissemination backend's `is_complete`, this may drive
         // the caller's shard through its pending leader rounds.
-        self.episode_done(self.shard_of(token.id), token.episode + 1)
+        self.episode_done(self.shard_of(token.id), token.episode + 1, token.id)
     }
 
     fn wait(&self, token: ArrivalToken) -> WaitOutcome {
@@ -676,6 +684,8 @@ impl<S: SyncOps> SplitBarrier for HierBarrier<S> {
         self.live.fetch_sub(1, Ordering::AcqRel);
         self.stats.record_eviction();
         let k = self.shard_of(id);
+        // The evictor is not the evicted participant's thread.
+        let who = BarrierStats::NOT_A_PARTICIPANT;
         // Shrink the shard's expectation BEFORE the stand-in arrival so
         // the shard's re-armer picks up the shrunk value (same discipline
         // as the flat backends). The evicted participant must not have
@@ -694,10 +704,10 @@ impl<S: SyncOps> SplitBarrier for HierBarrier<S> {
                 leaf_of_shard,
             } = &self.top
             {
-                self.top_retire_shard(nodes, leaf_of_shard[k]);
+                self.top_retire_shard(nodes, leaf_of_shard[k], who);
             }
         } else {
-            self.shard_arrival(k);
+            self.shard_arrival(k, who);
         }
         Ok(())
     }

@@ -446,7 +446,7 @@ impl<S: SyncOps> ReconfigBarrier<S> {
     /// * [`BarrierError::NotAParticipant`] — the slot is not currently
     ///   active (departed this epoch, generation not yet reused).
     pub fn arrive(&self, handle: &MemberHandle) -> Result<ReconfigToken, BarrierError> {
-        let _g = self.gate.acquire();
+        let gate = self.gate.acquire();
         let held = handle.generation;
         let current = self.generation[handle.slot].load(Ordering::Acquire);
         if current != held {
@@ -467,7 +467,12 @@ impl<S: SyncOps> ReconfigBarrier<S> {
         let inner_token = inner.arrive(rank);
         let inner_episode = inner_token.episode();
         drop(inner_token);
-        self.stats.record_arrival(handle.slot);
+        // Recorded with the gate released: telemetry is not membership
+        // state. The price is that a member descheduled right here can miss
+        // a sampled epoch's spread fold, which then measures the members
+        // that had stamped.
+        drop(gate);
+        self.stats.record_arrival(handle.slot, epoch);
         Ok(ReconfigToken {
             slot: handle.slot,
             epoch,
@@ -517,7 +522,7 @@ impl<S: SyncOps> ReconfigBarrier<S> {
         let inner_token = ArrivalToken::new(token.rank, token.inner_episode);
         match token.inner.wait_deadline(inner_token, deadline) {
             Ok(inner_outcome) => {
-                self.finish_boundary(e, deadline)?;
+                self.finish_boundary(e, token.slot, deadline)?;
                 let outcome = WaitOutcome {
                     episode: e,
                     ..inner_outcome
@@ -533,10 +538,10 @@ impl<S: SyncOps> ReconfigBarrier<S> {
 
     /// The boundary protocol after the inner wait returned: elect one
     /// installer via the monotone claim, then hold everyone until the
-    /// install publishes.
-    fn finish_boundary(&self, e: u64, deadline: Deadline) -> Result<(), BarrierError> {
+    /// install publishes. `slot` is the waiting member's.
+    fn finish_boundary(&self, e: u64, slot: usize, deadline: Deadline) -> Result<(), BarrierError> {
         if self.claim.fetch_max(e + 1, Ordering::AcqRel) <= e {
-            self.install(e);
+            self.install(e, slot);
             return Ok(());
         }
         let report = S::wait_until_budget(self.policy, deadline.instant(), || {
@@ -553,8 +558,8 @@ impl<S: SyncOps> ReconfigBarrier<S> {
     /// The boundary install, run exactly once per epoch by the claim
     /// winner: free departed slots, activate staged joiners (rebuilding
     /// the inner backend at the new size), publish the epoch, wake
-    /// parked async waiters.
-    fn install(&self, e: u64) {
+    /// parked async waiters. `slot` is the winner's own, for statistics.
+    fn install(&self, e: u64, slot: usize) {
         {
             let _g = self.gate.acquire();
             let mut ins = lock(&self.installed);
@@ -590,8 +595,8 @@ impl<S: SyncOps> ReconfigBarrier<S> {
                 ins.members = active.len();
                 ins.inner = (self.factory)(active.len());
             }
-            self.stats.record_episode();
         }
+        self.stats.record_episode(slot, e);
         // Publish outside the gate; an RMW so shadow waiters re-wake.
         self.epoch.fetch_add(1, Ordering::AcqRel);
         self.wake_parked();
@@ -817,7 +822,7 @@ impl<S: SyncOps> Future for ReconfigFuture<S> {
             if this.token.inner.is_complete(&own) {
                 // All of epoch e arrived; run the boundary if unclaimed.
                 if barrier.claim.fetch_max(e + 1, Ordering::AcqRel) <= e {
-                    barrier.install(e);
+                    barrier.install(e, this.token.slot);
                 }
                 // Own episode done: only the publication is outstanding,
                 // and the installer wakes everyone parked. Park before

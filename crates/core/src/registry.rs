@@ -224,8 +224,9 @@ impl<S: SyncOps> GroupRegistry<S> {
             .ok_or(BarrierError::UnknownTag { tag })
     }
 
-    /// Aggregates telemetry across all currently live barriers: flat
-    /// counters and spread totals are summed, histograms are merged.
+    /// Aggregates telemetry across all currently live barriers with
+    /// [`TelemetrySnapshot::merge`]: flat counters, spread totals and
+    /// adaptive observations are summed, histograms are merged.
     /// Per-participant counters are dropped (ranks of different masks do
     /// not line up), and the per-barrier breakdown is returned alongside,
     /// keyed by tag and sorted for deterministic reporting.
@@ -243,21 +244,7 @@ impl<S: SyncOps> GroupRegistry<S> {
         };
         let mut total = TelemetrySnapshot::default();
         for (_, t) in &per_barrier {
-            total.base.episodes += t.base.episodes;
-            total.base.arrivals += t.base.arrivals;
-            total.base.waits += t.base.waits;
-            total.base.stalls += t.base.stalls;
-            total.base.deschedules += t.base.deschedules;
-            total.base.stall_time += t.base.stall_time;
-            total.base.probes += t.base.probes;
-            total.base.timeouts += t.base.timeouts;
-            total.base.evictions += t.base.evictions;
-            total.base.poisonings += t.base.poisonings;
-            total.stall_hist.merge(&t.stall_hist);
-            total.spread.episodes += t.spread.episodes;
-            total.spread.total += t.spread.total;
-            total.spread.max = total.spread.max.max(t.spread.max);
-            total.spread.last = t.spread.last;
+            total.merge(t);
         }
         (total, per_barrier)
     }
@@ -492,6 +479,36 @@ mod tests {
                 .expect("admission must succeed once the slot frees");
             assert!(r.lookup(tag2).is_ok());
         });
+    }
+
+    #[test]
+    fn aggregate_telemetry_merges_every_field_of_the_live_barriers() {
+        let r = GroupRegistry::new(3);
+        let (tag_a, a) = r.allocate([0].into_iter().collect()).unwrap();
+        let (tag_b, b) = r.allocate([1].into_iter().collect()).unwrap();
+        let period = crate::stats::SPREAD_SAMPLE_PERIOD;
+        for _ in 0..period {
+            a.wait(a.arrive(0, tag_a).unwrap());
+        }
+        for _ in 0..2 * period {
+            b.wait(b.arrive(1, tag_b).unwrap());
+        }
+        let (total, per_barrier) = r.aggregate_telemetry();
+        assert_eq!(per_barrier.len(), 2);
+        let (ta, tb) = (&per_barrier[0].1, &per_barrier[1].1);
+        assert_eq!((ta.base.episodes, tb.base.episodes), (period, 2 * period));
+        assert_eq!(total.base.episodes, 3 * period);
+        assert_eq!(total.base.arrivals, 3 * period);
+        assert_eq!(total.base.waits, 3 * period);
+        // The hand-written sum this replaces forgot the adaptive history.
+        assert_eq!(
+            total.adaptive.observations,
+            ta.adaptive.observations + tb.adaptive.observations
+        );
+        assert_eq!(total.adaptive.observations, 3 * period);
+        assert_eq!((ta.spread.episodes, tb.spread.episodes), (1, 2));
+        assert_eq!(total.spread.episodes, 3);
+        assert!(total.per_participant.is_empty(), "ranks do not line up");
     }
 
     #[test]

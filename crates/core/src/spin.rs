@@ -37,11 +37,13 @@ pub enum StallPolicy {
     /// recent waits have been short (the budget grows to cover them),
     /// escalate to yielding almost immediately when they have been long
     /// (spinning through a wait that dwarfs a context switch buys
-    /// nothing — the Sec. 8 trade-off, decided per barrier at runtime).
+    /// nothing — the Sec. 8 trade-off, decided per participant at
+    /// runtime).
     ///
-    /// The history lives in an [`AdaptiveSpin`] accumulator owned by the
-    /// barrier's statistics block; backends resolve this variant to a
-    /// concrete `SpinYield` budget before each wait. Passed directly to
+    /// The history lives in one [`AdaptiveSpin`] accumulator per
+    /// participant, in the barrier's statistics; backends resolve this
+    /// variant against the waiter's own history to a concrete `SpinYield`
+    /// budget before each wait. Passed directly to
     /// [`wait_until_budget`] (no accumulator in sight) it degrades to
     /// `SpinYield { spin_limit: max_spin }`.
     Adaptive {
@@ -253,12 +255,15 @@ pub fn wait_until_budget(
 /// statistics layer after every completed wait and consulted by backends
 /// to size the *next* wait's spin budget.
 ///
-/// The counters are plain process-wide atomics updated with racy
-/// read-modify-write sequences: concurrent observers may each fold their
-/// sample against the same previous value and one update may be lost. That
-/// is deliberate — this is a sizing heuristic, not synchronization, and it
-/// sits outside the `SyncOps` model so the shadow-sync model checker never
-/// schedules against it.
+/// Each participant owns one (inside its statistics cell), so a history
+/// describes the waits of the participant whose budget it sizes and has a
+/// single writer. Every update is therefore a plain load and store, never
+/// a read-modify-write. Shared between threads — the participant-blind
+/// fallback — concurrent observers may fold against the same previous
+/// value and lose one update, count included. That is deliberate: this is
+/// a sizing heuristic, not synchronization, and it sits outside the
+/// `SyncOps` model so the shadow-sync model checker never schedules
+/// against it.
 #[derive(Debug, Default)]
 pub struct AdaptiveSpin {
     /// EWMA of per-wait predicate probes (weight 1/2^[`Self::EWMA_SHIFT`]),
@@ -297,7 +302,10 @@ impl AdaptiveSpin {
     /// history. The first observation seeds the EWMAs directly so the
     /// policy does not spend its warm-up decaying from zero.
     pub fn observe(&self, probes: u64, stall_nanos: u64) {
-        if self.observations.fetch_add(1, Ordering::Relaxed) == 0 {
+        let seen = self.observations.load(Ordering::Relaxed);
+        self.observations
+            .store(seen.wrapping_add(1), Ordering::Relaxed);
+        if seen == 0 {
             self.ewma_probes
                 .store(probes << Self::EWMA_SHIFT, Ordering::Relaxed);
             self.ewma_stall_nanos

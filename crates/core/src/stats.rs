@@ -1,4 +1,5 @@
-//! Lock-free per-barrier statistics and episode telemetry.
+//! Per-barrier statistics and episode telemetry, kept off the shared
+//! cache lines.
 //!
 //! Every backend records how many episodes completed, how many arrivals it
 //! saw, and — crucially for reproducing the paper's Sec. 8 measurement —
@@ -6,33 +7,97 @@
 //! escalates to a deschedule corresponds to the Encore context save/restore
 //! the paper identifies as the dominant synchronization cost.
 //!
-//! On top of the flat counters, [`BarrierStats`] maintains per-episode
-//! telemetry:
+//! The paper's Sec. 1 case against software barriers is the hot spot:
+//! every processor doing a read-modify-write on the same word. Telemetry
+//! must not rebuild that hot spot beside the protocol, so recording and
+//! reporting are split:
 //!
-//! * a fixed-bucket power-of-two-nanosecond **stall-time histogram**
-//!   ([`StallHistogram`]) — bucket `i` counts stalls whose duration in
-//!   nanoseconds satisfies `2^i <= ns < 2^(i+1)` (bucket 0 also absorbs
-//!   zero), so the whole `u64` range is covered by 64 buckets;
-//! * **arrival spread** — the time between the first and last `arrive`
-//!   of each episode, the direct measure of how much drift the fuzzy
-//!   barrier region absorbed;
-//! * **per-participant** stall/probe counters, which expose asymmetric
-//!   load (one slow stream stalls everyone else, Sec. 8).
+//! * **Recording** (`record_*`, on the `arrive` / `wait` paths) writes one
+//!   participant-private, cache-line-padded *cell* with a plain load and
+//!   store: no read-modify-write, no line another participant writes, and
+//!   no clock read except on a sampled arrival (below). Each cell holds
+//!   every per-event counter, the participant's own power-of-two stall
+//!   histogram ([`StallHistogram`]: bucket `i` counts stalls with
+//!   `2^i <= ns < 2^(i+1)`, bucket 0 also absorbs zero) and its own
+//!   [`AdaptiveSpin`] wait-cost history.
+//! * **Reporting** ([`BarrierStats::snapshot`], [`BarrierStats::telemetry`])
+//!   folds the cells into the public snapshot types: totals are the shared
+//!   block plus the sum over cells, histograms are merged. A snapshot is
+//!   O(participants); it is the cold side, taken a few times a run, and
+//!   that is the side that should pay.
+//! * **Arrival spread** — the gap between the first and last `arrive` of an
+//!   episode, the direct measure of the drift the barrier region absorbed —
+//!   is measured on every [`SPREAD_SAMPLE_PERIOD`]-th episode (never on
+//!   episode 0, which measures thread start-up). On a sampled episode each
+//!   arriver stamps its own cell (the one clock read left on the arrive
+//!   path) and the completer takes max − min over the cells stamped for
+//!   exactly that episode.
 //!
-//! Everything is updated with relaxed atomic adds on paths that already
-//! performed at least one synchronizing atomic; nothing on the hot path
-//! allocates (all storage is sized at construction).
+//! A small shared block remains for what has no participant: the cold
+//! counters (timeouts, evictions, poisonings, spread totals), and as the
+//! read-modify-write fallback for participant-blind statistics, ids out of
+//! range, and recorders that are not a participant's thread
+//! ([`BarrierStats::NOT_A_PARTICIPANT`]). Nothing on either path allocates.
 
-use crate::spin::{AdaptiveSpin, StallPolicy};
+use crate::spin::{AdaptiveSpin, SpinReport, StallPolicy};
 use crate::token::WaitOutcome;
+use fuzzy_util::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Number of histogram buckets: one per power of two of a `u64` value.
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
-/// Sentinel meaning "no arrival recorded yet for this episode".
-const SPREAD_ARMED: u64 = u64::MAX;
+/// Arrival spread is measured on every `SPREAD_SAMPLE_PERIOD`-th episode —
+/// the last of each period: episodes 63, 127, … One in 64 keeps the clock
+/// read and the completer's walk over the cells under 2 % of the arrivals
+/// while a run of a few thousand episodes still folds dozens of samples.
+///
+/// Episode 0 is thereby never sampled, on purpose: its spread is thread
+/// start-up skew, milliseconds against the microseconds of a steady
+/// episode, and sampled 1-in-64 it would weigh 64 times what it did when
+/// every episode was measured. A run shorter than one period measures no
+/// spread.
+pub const SPREAD_SAMPLE_PERIOD: u64 = 64;
+const _: () = assert!(SPREAD_SAMPLE_PERIOD.is_power_of_two());
+
+/// Stamp tag of a cell that holds no arrival stamp (yet, or mid-rewrite).
+const NO_STAMP: u64 = u64::MAX;
+
+fn is_sampled(episode: u64) -> bool {
+    episode & (SPREAD_SAMPLE_PERIOD - 1) == SPREAD_SAMPLE_PERIOD - 1
+}
+
+fn saturating_nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// `total / count` without narrowing the count (a `Duration` divides by
+/// `u32` only); zero when nothing was counted.
+fn mean_duration(total: Duration, count: u64) -> Duration {
+    const NANOS_PER_SEC: u128 = 1_000_000_000;
+    if count == 0 {
+        return Duration::ZERO;
+    }
+    let nanos = total.as_nanos() / u128::from(count);
+    Duration::new(
+        (nanos / NANOS_PER_SEC) as u64,
+        (nanos % NANOS_PER_SEC) as u32,
+    )
+}
+
+/// Adds `n` to a counter. A participant's own cell has a single writer, so
+/// a load and a store suffice; the shared block takes the
+/// read-modify-write.
+#[inline]
+fn add(counter: &AtomicU64, n: u64, sole_writer: bool) {
+    if sole_writer {
+        let value = counter.load(Ordering::Relaxed).wrapping_add(n);
+        counter.store(value, Ordering::Relaxed);
+    } else {
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
+}
 
 /// A lock-free fixed-bucket histogram over power-of-two ranges.
 ///
@@ -87,9 +152,13 @@ impl StallHistogram {
         (lo, hi)
     }
 
-    /// Records one observation of `value`.
+    fn bucket(&self, value: u64) -> &AtomicU64 {
+        &self.buckets[Self::bucket_index(value)]
+    }
+
+    /// Records one observation of `value`. Safe from any number of threads.
     pub fn record(&self, value: u64) {
-        self.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        add(self.bucket(value), 1, false);
     }
 
     /// Takes a point-in-time copy of the bucket counts.
@@ -164,44 +233,12 @@ impl HistogramSnapshot {
     }
 }
 
-/// Per-episode arrival-spread accumulator: the gap between the first and
-/// last arrival of each episode.
+/// One block of per-event counters. It exists once per participant, inside
+/// that participant's [`Cell`] and written by it alone, and once more as
+/// the shared block any thread may write.
 #[derive(Debug, Default)]
-struct SpreadTracker {
-    /// Earliest arrival timestamp (ns since the stats anchor) of the
-    /// episode in flight; `SPREAD_ARMED` when none recorded yet.
-    first: AtomicU64,
-    /// Latest arrival timestamp of the episode in flight.
-    last: AtomicU64,
-    /// Sum of spreads over completed episodes.
-    total_nanos: AtomicU64,
-    /// Largest spread seen.
-    max_nanos: AtomicU64,
-    /// Spread of the most recently completed episode.
-    last_nanos: AtomicU64,
-    /// Episodes with a measured spread.
-    episodes: AtomicU64,
-}
-
-/// Per-participant relaxed counters (indexed by participant id).
-#[derive(Debug, Default)]
-struct ParticipantCounters {
-    arrivals: AtomicU64,
-    waits: AtomicU64,
-    stalls: AtomicU64,
-    stall_nanos: AtomicU64,
-    probes: AtomicU64,
-}
-
-/// Atomic counters updated by barrier operations.
-///
-/// Cheap enough to leave enabled: every field is a relaxed atomic add on a
-/// path that already performed at least one synchronizing atomic. Construct
-/// with [`BarrierStats::with_participants`] to additionally get
-/// per-participant counters; the plain [`BarrierStats::new`] keeps only the
-/// aggregate view.
-#[derive(Debug)]
-pub struct BarrierStats {
+struct Counters {
+    /// Episodes whose completion this writer recorded.
     episodes: AtomicU64,
     arrivals: AtomicU64,
     waits: AtomicU64,
@@ -209,17 +246,143 @@ pub struct BarrierStats {
     deschedules: AtomicU64,
     stall_nanos: AtomicU64,
     probes: AtomicU64,
+    stall_hist: StallHistogram,
+    /// Wait-cost EWMAs feeding [`StallPolicy::Adaptive`] budget sizing.
+    adaptive: AdaptiveSpin,
+}
+
+impl Counters {
+    /// Folds the cost of one wait that had to stall — completed or cut
+    /// short by its deadline — into the stall totals and the histogram.
+    fn record_stall(&self, probes: u64, nanos: u64, sole_writer: bool) {
+        add(&self.stall_nanos, nanos, sole_writer);
+        add(&self.probes, probes, sole_writer);
+        add(self.stall_hist.bucket(nanos), 1, sole_writer);
+    }
+
+    fn snapshot(&self) -> StatsSnapshot {
+        StatsSnapshot {
+            episodes: self.episodes.load(Ordering::Relaxed),
+            arrivals: self.arrivals.load(Ordering::Relaxed),
+            waits: self.waits.load(Ordering::Relaxed),
+            stalls: self.stalls.load(Ordering::Relaxed),
+            deschedules: self.deschedules.load(Ordering::Relaxed),
+            stall_time: Duration::from_nanos(self.stall_nanos.load(Ordering::Relaxed)),
+            probes: self.probes.load(Ordering::Relaxed),
+            ..StatsSnapshot::default()
+        }
+    }
+
+    fn telemetry(&self) -> TelemetrySnapshot {
+        TelemetrySnapshot {
+            base: self.snapshot(),
+            stall_hist: self.stall_hist.snapshot(),
+            adaptive: AdaptiveSnapshot {
+                observations: self.adaptive.observations(),
+                ewma_probes: self.adaptive.ewma_probes(),
+                ewma_stall: self.adaptive.ewma_stall(),
+            },
+            ..TelemetrySnapshot::default()
+        }
+    }
+}
+
+/// One participant's private statistics: its counters and its arrival
+/// stamp for the most recent sampled episode.
+#[derive(Debug)]
+struct Cell {
+    counters: Counters,
+    /// The sampled episode `stamp_nanos` belongs to, or [`NO_STAMP`].
+    stamp_episode: AtomicU64,
+    /// When this participant arrived for `stamp_episode`, in ns since the
+    /// stats anchor.
+    stamp_nanos: AtomicU64,
+}
+
+impl Cell {
+    fn new() -> Self {
+        Cell {
+            counters: Counters::default(),
+            stamp_episode: AtomicU64::new(NO_STAMP),
+            stamp_nanos: AtomicU64::new(0),
+        }
+    }
+
+    /// Stamps this participant's arrival for sampled episode `episode`.
+    /// The tag is cleared first and set last, so a completer that reads the
+    /// tag on both sides of the time (see [`Self::stamp_for`]) never pairs
+    /// one episode's tag with another's time.
+    fn stamp(&self, episode: u64, nanos: u64) {
+        self.stamp_episode.store(NO_STAMP, Ordering::Relaxed);
+        self.stamp_nanos.store(nanos, Ordering::Release);
+        self.stamp_episode.store(episode, Ordering::Release);
+    }
+
+    /// This participant's arrival time for `episode`, if its stamp is for
+    /// exactly that episode. A stale stamp (an evicted participant's, or
+    /// one not yet written) and one being rewritten both read as `None`.
+    fn stamp_for(&self, episode: u64) -> Option<u64> {
+        if self.stamp_episode.load(Ordering::Acquire) != episode {
+            return None;
+        }
+        // Acquire: if this reads a later stamp's time, the tag read below
+        // sees that stamp's cleared (or newer) tag and rejects it.
+        let nanos = self.stamp_nanos.load(Ordering::Acquire);
+        (self.stamp_episode.load(Ordering::Relaxed) == episode).then_some(nanos)
+    }
+}
+
+/// What has no participant to belong to: the fallback [`Counters`] plus
+/// the cold counters and the folded spread totals.
+#[derive(Debug, Default)]
+struct Shared {
+    counters: Counters,
     timeouts: AtomicU64,
     evictions: AtomicU64,
     poisonings: AtomicU64,
-    stall_hist: StallHistogram,
-    spread: SpreadTracker,
-    /// Wait-cost EWMAs feeding [`StallPolicy::Adaptive`] budget sizing.
-    adaptive: AdaptiveSpin,
-    /// Monotonic time origin for arrival timestamps.
+    /// Sampled episodes with a measured spread.
+    spread_episodes: AtomicU64,
+    /// Sum of the measured spreads.
+    spread_total_nanos: AtomicU64,
+    /// Largest spread seen.
+    spread_max_nanos: AtomicU64,
+    /// Spread of the most recently measured episode.
+    spread_last_nanos: AtomicU64,
+}
+
+/// Statistics recorded by barrier operations; see the module docs for the
+/// split between recording and reporting.
+///
+/// Construct with [`BarrierStats::with_participants`] to give each
+/// participant a private cell; the plain [`BarrierStats::new`] is
+/// participant-blind and records everything into the shared block (it
+/// therefore measures no arrival spread — there is no cell to stamp).
+///
+/// # The single-writer rule
+///
+/// Cell `id` is written only by the thread currently *driving* participant
+/// `id`: the one inside `arrive(id)`, or probing / waiting on the token
+/// that arrival returned. Every `record_*` call that names an in-range id
+/// relies on it, which is what lets a cell be updated with a plain load
+/// and store. A participant may move between threads, but every such
+/// hand-off already synchronizes: an async task migrates through the
+/// executor's run-queue mutex and is probed by other tasks only under the
+/// frontend's probe lock; a reconfigurable barrier's slot changes owner
+/// through the boundary install (gate lock, then the epoch publication);
+/// a supervisor re-admits a crashed member through the same join path. So
+/// the next writer always observes the previous writer's last store. A
+/// recorder that is *not* the driving thread — a supervisor running
+/// `evict`, a transport reader delivering the frame that completes an
+/// episode — must pass [`BarrierStats::NOT_A_PARTICIPANT`] and takes the
+/// shared block's read-modify-write instead; two writers on one cell would
+/// lose counts. Snapshots read cells with relaxed loads from any thread.
+#[derive(Debug)]
+pub struct BarrierStats {
+    /// One padded cell per participant; empty when participant-blind.
+    cells: Box<[CachePadded<Cell>]>,
+    shared: Shared,
+    /// Monotonic time origin for arrival stamps.
     anchor: Instant,
-    /// Per-participant counters; empty when participant-blind.
-    per_participant: Box<[ParticipantCounters]>,
 }
 
 impl Default for BarrierStats {
@@ -229,108 +392,106 @@ impl Default for BarrierStats {
 }
 
 impl BarrierStats {
+    /// The recorder id of a thread that is not driving any participant
+    /// (see the single-writer rule on the type): out of every range, so
+    /// the record lands in the shared block.
+    pub const NOT_A_PARTICIPANT: usize = usize::MAX;
+
     /// Creates a zeroed, participant-blind statistics block.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a statistics block that also keeps per-participant counters
-    /// for participants `0..n`. All storage is allocated here; recording
-    /// never allocates.
+    /// Creates a statistics block with a private cell for each of the
+    /// participants `0..n`. All storage is allocated here; recording never
+    /// allocates.
     #[must_use]
     pub fn with_participants(n: usize) -> Self {
-        let spread = SpreadTracker::default();
-        spread.first.store(SPREAD_ARMED, Ordering::Relaxed);
         BarrierStats {
-            episodes: AtomicU64::new(0),
-            arrivals: AtomicU64::new(0),
-            waits: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
-            deschedules: AtomicU64::new(0),
-            stall_nanos: AtomicU64::new(0),
-            probes: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            poisonings: AtomicU64::new(0),
-            stall_hist: StallHistogram::new(),
-            spread,
-            adaptive: AdaptiveSpin::new(),
+            cells: (0..n).map(|_| CachePadded::new(Cell::new())).collect(),
+            shared: Shared::default(),
             anchor: Instant::now(),
-            per_participant: (0..n).map(|_| ParticipantCounters::default()).collect(),
         }
     }
 
-    fn now_nanos(&self) -> u64 {
-        u64::try_from(self.anchor.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    /// The counters recorder `id` writes, and whether it is their only
+    /// writer.
+    fn counters(&self, id: usize) -> (&Counters, bool) {
+        match self.cells.get(id) {
+            Some(cell) => (&cell.counters, true),
+            None => (&self.shared.counters, false),
+        }
     }
 
-    /// Records one arrival by participant `id` (aggregate, per-participant
-    /// and arrival-spread bookkeeping).
+    /// Records participant `id`'s arrival for `episode`. On a sampled
+    /// episode this also stamps the arrival time — the only clock read on
+    /// the arrive path.
+    ///
+    /// Call it *before* the protocol step that makes the arrival visible
+    /// to peers, so the completer of `episode` finds the stamp.
     ///
     /// Public so that [`crate::SplitBarrier`] implementations outside this
     /// crate (the `fuzzy-net` message-passing backend, checker mutants) can
     /// feed the same telemetry schema as the in-process backends.
-    pub fn record_arrival(&self, id: usize) {
-        self.arrivals.fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = self.per_participant.get(id) {
-            p.arrivals.fetch_add(1, Ordering::Relaxed);
+    pub fn record_arrival(&self, id: usize, episode: u64) {
+        let Some(cell) = self.cells.get(id) else {
+            add(&self.shared.counters.arrivals, 1, false);
+            return;
+        };
+        add(&cell.counters.arrivals, 1, true);
+        if is_sampled(episode) {
+            cell.stamp(episode, saturating_nanos(self.anchor.elapsed()));
         }
-        // Arrival-spread bookkeeping. `first` uses fetch_min against the
-        // SPREAD_ARMED sentinel so the earliest arrival of the episode wins;
-        // `last` uses fetch_max. When episodes overlap (a fast participant
-        // arrives for episode e+1 before e's completion is recorded) the
-        // spread attributed to e may include the head of e+1 — an accepted
-        // approximation; telemetry is statistics, not synchronization.
-        let now = self.now_nanos().min(SPREAD_ARMED - 1);
-        self.spread.first.fetch_min(now, Ordering::Relaxed);
-        self.spread.last.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// Records one completed episode and folds the episode's arrival
-    /// spread. Call exactly once per episode, from whichever participant
-    /// observes completion first.
-    pub fn record_episode(&self) {
-        self.episodes.fetch_add(1, Ordering::Relaxed);
-        let first = self.spread.first.swap(SPREAD_ARMED, Ordering::Relaxed);
-        let last = self.spread.last.swap(0, Ordering::Relaxed);
-        if first != SPREAD_ARMED && last >= first {
-            let spread = last - first;
-            self.spread.total_nanos.fetch_add(spread, Ordering::Relaxed);
-            self.spread.max_nanos.fetch_max(spread, Ordering::Relaxed);
-            self.spread.last_nanos.store(spread, Ordering::Relaxed);
-            self.spread.episodes.fetch_add(1, Ordering::Relaxed);
+    /// Records the completion of `episode`, observed by recorder `id`, and
+    /// on a sampled episode folds its arrival spread. Call exactly once
+    /// per episode, from whichever thread observes completion first.
+    pub fn record_episode(&self, id: usize, episode: u64) {
+        let (counters, sole_writer) = self.counters(id);
+        add(&counters.episodes, 1, sole_writer);
+        if is_sampled(episode) {
+            self.fold_spread(episode);
         }
+    }
+
+    /// Measures `episode`'s arrival spread: latest minus earliest stamp
+    /// over the cells stamped for exactly this episode. Exact, because a
+    /// cell's stamp names its episode: neither an early arrival for a later
+    /// episode nor an evicted participant's old stamp can leak in.
+    fn fold_spread(&self, episode: u64) {
+        let mut stamps = self.cells.iter().filter_map(|c| c.stamp_for(episode));
+        let Some(first) = stamps.next() else {
+            return;
+        };
+        let (earliest, latest) =
+            stamps.fold((first, first), |(lo, hi), at| (lo.min(at), hi.max(at)));
+        let spread = latest - earliest;
+        let shared = &self.shared;
+        shared.spread_episodes.fetch_add(1, Ordering::Relaxed);
+        shared
+            .spread_total_nanos
+            .fetch_add(spread, Ordering::Relaxed);
+        shared.spread_max_nanos.fetch_max(spread, Ordering::Relaxed);
+        shared.spread_last_nanos.store(spread, Ordering::Relaxed);
     }
 
     /// Records one completed wait by participant `id`: stall/deschedule
     /// counters, the stall histogram and the adaptive budget history.
     pub fn record_wait(&self, id: usize, outcome: &WaitOutcome) {
-        self.waits.fetch_add(1, Ordering::Relaxed);
-        let p = self.per_participant.get(id);
-        if let Some(p) = p {
-            p.waits.fetch_add(1, Ordering::Relaxed);
-        }
+        let (counters, sole_writer) = self.counters(id);
+        add(&counters.waits, 1, sole_writer);
+        let nanos = saturating_nanos(outcome.stall_time);
         // Every completed wait — including the instant ones, which pull
         // the EWMAs toward zero — feeds the adaptive budget history.
-        self.adaptive.observe(
-            outcome.probes,
-            u64::try_from(outcome.stall_time.as_nanos()).unwrap_or(u64::MAX),
-        );
+        counters.adaptive.observe(outcome.probes, nanos);
         if outcome.stalled {
-            self.stalls.fetch_add(1, Ordering::Relaxed);
-            let nanos = u64::try_from(outcome.stall_time.as_nanos()).unwrap_or(u64::MAX);
-            self.stall_nanos.fetch_add(nanos, Ordering::Relaxed);
-            self.probes.fetch_add(outcome.probes, Ordering::Relaxed);
-            self.stall_hist.record(nanos);
-            if let Some(p) = p {
-                p.stalls.fetch_add(1, Ordering::Relaxed);
-                p.stall_nanos.fetch_add(nanos, Ordering::Relaxed);
-                p.probes.fetch_add(outcome.probes, Ordering::Relaxed);
-            }
+            add(&counters.stalls, 1, sole_writer);
+            counters.record_stall(outcome.probes, nanos, sole_writer);
         }
         if outcome.descheduled {
-            self.deschedules.fetch_add(1, Ordering::Relaxed);
+            add(&counters.deschedules, 1, sole_writer);
         }
     }
 
@@ -341,97 +502,97 @@ impl BarrierStats {
     /// `timeouts` counter. `waits`/`stalls` are untouched so the
     /// waits-equals-arrivals invariant keeps holding once the wait is
     /// eventually retried to completion.
-    pub fn record_timeout(&self, id: usize, report: &crate::spin::SpinReport) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
-        let nanos = u64::try_from(report.waited.as_nanos()).unwrap_or(u64::MAX);
-        self.adaptive.observe(report.probes, nanos);
-        self.stall_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.probes.fetch_add(report.probes, Ordering::Relaxed);
-        self.stall_hist.record(nanos);
+    pub fn record_timeout(&self, id: usize, report: &SpinReport) {
+        self.shared.timeouts.fetch_add(1, Ordering::Relaxed);
+        let (counters, sole_writer) = self.counters(id);
+        let nanos = saturating_nanos(report.waited);
+        counters.adaptive.observe(report.probes, nanos);
+        counters.record_stall(report.probes, nanos, sole_writer);
         if report.descheduled {
-            self.deschedules.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(p) = self.per_participant.get(id) {
-            p.stall_nanos.fetch_add(nanos, Ordering::Relaxed);
-            p.probes.fetch_add(report.probes, Ordering::Relaxed);
+            add(&counters.deschedules, 1, sole_writer);
         }
     }
 
     /// Records a participant eviction (mask shrink due to failure).
     pub fn record_eviction(&self) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
+        self.shared.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a poisoning transition (only the first `poison` call after a
     /// clear counts).
     pub fn record_poisoning(&self) {
-        self.poisonings.fetch_add(1, Ordering::Relaxed);
+        self.shared.poisonings.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The adaptive wait-cost history, fed by every recorded wait and
-    /// timeout.
+    /// Participant `id`'s adaptive wait-cost history, fed by each of its
+    /// recorded waits and timeouts (the shared history for an id without a
+    /// cell).
     #[must_use]
-    pub fn adaptive(&self) -> &AdaptiveSpin {
-        &self.adaptive
+    pub fn adaptive(&self, id: usize) -> &AdaptiveSpin {
+        &self.counters(id).0.adaptive
     }
 
-    /// Resolves a stall policy for the next wait: [`StallPolicy::Adaptive`]
-    /// is sized from this barrier's wait-cost EWMAs, everything else passes
-    /// through unchanged. Backends call this at the top of their wait path.
+    /// Resolves a stall policy for participant `id`'s next wait:
+    /// [`StallPolicy::Adaptive`] is sized from that participant's own
+    /// wait-cost history — the fast participants that actually stall are
+    /// not talked out of spinning by a slow one's instant waits —
+    /// everything else passes through unchanged. Backends call this at the
+    /// top of their wait path.
     #[must_use]
-    pub fn resolve_policy(&self, policy: StallPolicy) -> StallPolicy {
-        self.adaptive.resolve(policy)
+    pub fn resolve_policy(&self, id: usize, policy: StallPolicy) -> StallPolicy {
+        self.adaptive(id).resolve(policy)
     }
 
-    /// Takes a consistent-enough snapshot for reporting (fields are read
-    /// individually with relaxed ordering; exact cross-field consistency is
-    /// not needed for statistics).
+    /// Folds the flat counters: the shared block plus every cell. Fields
+    /// are read individually with relaxed ordering; exact cross-field
+    /// consistency is not needed for statistics.
     #[must_use]
     pub fn snapshot(&self) -> StatsSnapshot {
+        let mut total = self.shared_snapshot();
+        for cell in self.cells.iter() {
+            total.merge(&cell.counters.snapshot());
+        }
+        total
+    }
+
+    fn shared_snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            episodes: self.episodes.load(Ordering::Relaxed),
-            arrivals: self.arrivals.load(Ordering::Relaxed),
-            waits: self.waits.load(Ordering::Relaxed),
-            stalls: self.stalls.load(Ordering::Relaxed),
-            deschedules: self.deschedules.load(Ordering::Relaxed),
-            stall_time: Duration::from_nanos(self.stall_nanos.load(Ordering::Relaxed)),
-            probes: self.probes.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            poisonings: self.poisonings.load(Ordering::Relaxed),
+            timeouts: self.shared.timeouts.load(Ordering::Relaxed),
+            evictions: self.shared.evictions.load(Ordering::Relaxed),
+            poisonings: self.shared.poisonings.load(Ordering::Relaxed),
+            ..self.shared.counters.snapshot()
         }
     }
 
-    /// Takes the full telemetry snapshot: flat counters plus the stall
-    /// histogram, arrival spread and per-participant counters.
+    /// Takes the full telemetry snapshot: flat counters, stall histogram
+    /// and adaptive history folded over the cells as in
+    /// [`Self::snapshot`], the arrival spread, and one row per cell.
     #[must_use]
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            base: self.snapshot(),
-            stall_hist: self.stall_hist.snapshot(),
+        let shared = &self.shared;
+        let mut total = TelemetrySnapshot {
+            base: self.shared_snapshot(),
             spread: SpreadSnapshot {
-                episodes: self.spread.episodes.load(Ordering::Relaxed),
-                total: Duration::from_nanos(self.spread.total_nanos.load(Ordering::Relaxed)),
-                max: Duration::from_nanos(self.spread.max_nanos.load(Ordering::Relaxed)),
-                last: Duration::from_nanos(self.spread.last_nanos.load(Ordering::Relaxed)),
+                episodes: shared.spread_episodes.load(Ordering::Relaxed),
+                total: Duration::from_nanos(shared.spread_total_nanos.load(Ordering::Relaxed)),
+                max: Duration::from_nanos(shared.spread_max_nanos.load(Ordering::Relaxed)),
+                last: Duration::from_nanos(shared.spread_last_nanos.load(Ordering::Relaxed)),
             },
-            adaptive: AdaptiveSnapshot {
-                observations: self.adaptive.observations(),
-                ewma_probes: self.adaptive.ewma_probes(),
-                ewma_stall: self.adaptive.ewma_stall(),
-            },
-            per_participant: self
-                .per_participant
-                .iter()
-                .map(|p| ParticipantSnapshot {
-                    arrivals: p.arrivals.load(Ordering::Relaxed),
-                    waits: p.waits.load(Ordering::Relaxed),
-                    stalls: p.stalls.load(Ordering::Relaxed),
-                    stall_time: Duration::from_nanos(p.stall_nanos.load(Ordering::Relaxed)),
-                    probes: p.probes.load(Ordering::Relaxed),
-                })
-                .collect(),
+            per_participant: Vec::with_capacity(self.cells.len()),
+            ..shared.counters.telemetry()
+        };
+        for cell in self.cells.iter() {
+            let own = cell.counters.telemetry();
+            total.merge(&own);
+            total.per_participant.push(ParticipantSnapshot {
+                arrivals: own.base.arrivals,
+                waits: own.base.waits,
+                stalls: own.base.stalls,
+                stall_time: own.base.stall_time,
+                probes: own.base.probes,
+            });
         }
+        total
     }
 }
 
@@ -476,15 +637,27 @@ impl StatsSnapshot {
     /// overhead comparable to the paper's µs-per-barrier numbers.
     #[must_use]
     pub fn mean_stall_per_wait(&self) -> Duration {
-        if self.waits == 0 {
-            Duration::ZERO
-        } else {
-            self.stall_time / u32::try_from(self.waits.min(u64::from(u32::MAX))).unwrap_or(1)
-        }
+        mean_duration(self.stall_time, self.waits)
+    }
+
+    /// Adds another snapshot's counts into this one (for aggregation
+    /// across barriers or participants).
+    pub fn merge(&mut self, other: &StatsSnapshot) {
+        self.episodes = self.episodes.saturating_add(other.episodes);
+        self.arrivals = self.arrivals.saturating_add(other.arrivals);
+        self.waits = self.waits.saturating_add(other.waits);
+        self.stalls = self.stalls.saturating_add(other.stalls);
+        self.deschedules = self.deschedules.saturating_add(other.deschedules);
+        self.stall_time = self.stall_time.saturating_add(other.stall_time);
+        self.probes = self.probes.saturating_add(other.probes);
+        self.timeouts = self.timeouts.saturating_add(other.timeouts);
+        self.evictions = self.evictions.saturating_add(other.evictions);
+        self.poisonings = self.poisonings.saturating_add(other.poisonings);
     }
 }
 
-/// Arrival-spread summary: per-episode gap between first and last arrival.
+/// Arrival-spread summary: per-episode gap between first and last arrival,
+/// over the sampled episodes (see [`SPREAD_SAMPLE_PERIOD`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpreadSnapshot {
     /// Episodes with a measured spread.
@@ -493,7 +666,7 @@ pub struct SpreadSnapshot {
     pub total: Duration,
     /// Largest single-episode spread.
     pub max: Duration,
-    /// Spread of the most recently completed episode.
+    /// Spread of the most recently measured episode.
     pub last: Duration,
 }
 
@@ -501,11 +674,7 @@ impl SpreadSnapshot {
     /// Mean spread per measured episode.
     #[must_use]
     pub fn mean(&self) -> Duration {
-        if self.episodes == 0 {
-            Duration::ZERO
-        } else {
-            self.total / u32::try_from(self.episodes.min(u64::from(u32::MAX))).unwrap_or(1)
-        }
+        mean_duration(self.total, self.episodes)
     }
 }
 
@@ -525,7 +694,9 @@ pub struct ParticipantSnapshot {
 }
 
 /// A point-in-time copy of the adaptive wait-cost history backing
-/// [`StallPolicy::Adaptive`] budget sizing.
+/// [`StallPolicy::Adaptive`] budget sizing. Each participant keeps its own
+/// history; a barrier's snapshot reports the sum of their observations and
+/// the largest of their EWMAs (the participant that waits hardest).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdaptiveSnapshot {
     /// Waits folded into the EWMAs so far.
@@ -798,6 +969,30 @@ impl TelemetrySnapshot {
             ..TelemetrySnapshot::default()
         }
     }
+
+    /// Adds another snapshot into this one (for aggregation across
+    /// barriers or participants): flat counters, spread totals and adaptive
+    /// observations add, histograms merge, spread `max` and the adaptive
+    /// EWMAs keep the larger side, and spread `last` follows `other` when
+    /// it measured anything. `per_participant` is left alone: rows of
+    /// different barriers do not line up.
+    pub fn merge(&mut self, other: &TelemetrySnapshot) {
+        self.base.merge(&other.base);
+        self.stall_hist.merge(&other.stall_hist);
+        if other.spread.episodes > 0 {
+            let spread = &mut self.spread;
+            spread.episodes = spread.episodes.saturating_add(other.spread.episodes);
+            spread.total = spread.total.saturating_add(other.spread.total);
+            spread.max = spread.max.max(other.spread.max);
+            spread.last = other.spread.last;
+        }
+        let adaptive = &mut self.adaptive;
+        adaptive.observations = adaptive
+            .observations
+            .saturating_add(other.adaptive.observations);
+        adaptive.ewma_probes = adaptive.ewma_probes.max(other.adaptive.ewma_probes);
+        adaptive.ewma_stall = adaptive.ewma_stall.max(other.adaptive.ewma_stall);
+    }
 }
 
 #[cfg(test)]
@@ -815,7 +1010,7 @@ mod tests {
     #[test]
     fn record_wait_accumulates() {
         let stats = BarrierStats::new();
-        stats.record_arrival(0);
+        stats.record_arrival(0, 0);
         stats.record_wait(
             0,
             &WaitOutcome {
@@ -928,25 +1123,265 @@ mod tests {
             .all(|p| *p == ParticipantSnapshot::default()));
     }
 
+    /// The `k`-th sampled episode.
+    fn sampled(k: u64) -> u64 {
+        (k + 1) * SPREAD_SAMPLE_PERIOD - 1
+    }
+
+    /// The gap between two cells' arrival stamps, read white-box.
+    fn stamp_gap(stats: &BarrierStats, early: usize, late: usize) -> Duration {
+        let at = |id: usize| stats.cells[id].stamp_nanos.load(Ordering::Relaxed);
+        Duration::from_nanos(at(late) - at(early))
+    }
+
+    #[test]
+    fn only_the_last_episode_of_each_period_is_sampled() {
+        assert!(!is_sampled(0), "episode 0 measures thread start-up");
+        let hits: Vec<u64> = (0..3 * SPREAD_SAMPLE_PERIOD)
+            .filter(|&e| is_sampled(e))
+            .collect();
+        assert_eq!(hits, [sampled(0), sampled(1), sampled(2)]);
+    }
+
     #[test]
     fn spread_measures_first_to_last_arrival() {
         let stats = BarrierStats::with_participants(2);
-        stats.record_arrival(0);
+        // Episodes between samples count as episodes and measure nothing.
+        for e in 0..sampled(0) {
+            stats.record_arrival(0, e);
+            stats.record_arrival(1, e);
+            stats.record_episode(0, e);
+        }
+        assert_eq!(stats.telemetry().spread, SpreadSnapshot::default());
+        stats.record_arrival(0, sampled(0));
         std::thread::sleep(Duration::from_millis(2));
-        stats.record_arrival(1);
-        stats.record_episode();
+        stats.record_arrival(1, sampled(0));
+        stats.record_episode(1, sampled(0));
         let t = stats.telemetry();
+        assert_eq!(t.base.episodes, SPREAD_SAMPLE_PERIOD);
         assert_eq!(t.spread.episodes, 1);
         assert!(t.spread.last >= Duration::from_millis(2), "{:?}", t.spread);
+        assert_eq!(
+            t.spread.last,
+            stamp_gap(&stats, 0, 1),
+            "exact, not approximate"
+        );
         assert_eq!(t.spread.last, t.spread.max);
         assert_eq!(t.spread.last, t.spread.total);
-        // The next episode re-arms cleanly.
-        stats.record_arrival(0);
-        stats.record_arrival(1);
-        stats.record_episode();
+        // The next sampled episode re-arms cleanly.
+        stats.record_arrival(0, sampled(1));
+        stats.record_arrival(1, sampled(1));
+        stats.record_episode(0, sampled(1));
         let t = stats.telemetry();
         assert_eq!(t.spread.episodes, 2);
+        assert_eq!(t.spread.last, stamp_gap(&stats, 0, 1));
         assert!(t.spread.last <= t.spread.max);
+        assert_eq!(t.spread.mean(), t.spread.total / 2);
+    }
+
+    #[test]
+    fn early_arrival_for_the_next_episode_leaves_the_sample_alone() {
+        // Participant 0 is released from sampled episode e and arrives for
+        // e + 1 before the completer gets to record e: the shared
+        // first/last words this replaces folded that arrival into e's
+        // spread. A cell's stamp names its episode, so nothing leaks.
+        let stats = BarrierStats::with_participants(2);
+        let e = sampled(0);
+        stats.record_arrival(0, e);
+        stats.record_arrival(1, e);
+        let exact = stamp_gap(&stats, 0, 1);
+        std::thread::sleep(Duration::from_millis(2));
+        stats.record_arrival(0, e + 1);
+        stats.record_episode(1, e);
+        let spread = stats.telemetry().spread;
+        assert_eq!(spread.episodes, 1);
+        assert_eq!(spread.last, exact);
+        // Even an arrival for the next *sampled* episode only removes its
+        // own cell from the fold; it never stretches the sample.
+        stats.record_arrival(0, sampled(1));
+        stats.record_arrival(1, sampled(1));
+        std::thread::sleep(Duration::from_millis(2));
+        stats.record_arrival(0, sampled(2));
+        stats.record_episode(1, sampled(1));
+        let spread = stats.telemetry().spread;
+        assert_eq!(spread.episodes, 2);
+        assert_eq!(spread.last, Duration::ZERO, "one stamped cell left");
+    }
+
+    #[test]
+    fn evicted_participants_stale_stamp_is_ignored() {
+        let stats = BarrierStats::with_participants(3);
+        for id in 0..3 {
+            stats.record_arrival(id, sampled(0));
+        }
+        stats.record_episode(2, sampled(0));
+        // Participant 2 is evicted; its cell keeps the old stamp.
+        std::thread::sleep(Duration::from_millis(2));
+        stats.record_arrival(0, sampled(1));
+        stats.record_arrival(1, sampled(1));
+        stats.record_episode(BarrierStats::NOT_A_PARTICIPANT, sampled(1));
+        let t = stats.telemetry();
+        assert_eq!(t.base.episodes, 2);
+        assert_eq!(t.spread.episodes, 2);
+        assert_eq!(t.spread.last, stamp_gap(&stats, 0, 1));
+        assert!(t.spread.last < stamp_gap(&stats, 2, 0), "{:?}", t.spread);
+    }
+
+    #[test]
+    fn unsampled_episode_reads_no_clock_derived_state() {
+        let stats = BarrierStats::with_participants(2);
+        for e in 0..sampled(0) {
+            stats.record_arrival(0, e);
+            stats.record_arrival(1, e);
+            stats.record_episode(1, e);
+        }
+        let t = stats.telemetry();
+        assert_eq!(t.base.episodes, SPREAD_SAMPLE_PERIOD - 1);
+        assert_eq!(t.base.arrivals, 2 * (SPREAD_SAMPLE_PERIOD - 1));
+        assert_eq!(t.spread, SpreadSnapshot::default());
+        for cell in stats.cells.iter() {
+            assert_eq!(cell.stamp_episode.load(Ordering::Relaxed), NO_STAMP);
+            assert_eq!(cell.stamp_nanos.load(Ordering::Relaxed), 0);
+        }
+        // Participant-blind statistics have no cell to stamp: arrivals and
+        // episodes count, spread stays unmeasured even on a sampled episode.
+        let blind = BarrierStats::new();
+        blind.record_arrival(0, sampled(0));
+        blind.record_episode(0, sampled(0));
+        let t = blind.telemetry();
+        assert_eq!((t.base.arrivals, t.base.episodes), (1, 1));
+        assert_eq!(t.spread, SpreadSnapshot::default());
+    }
+
+    #[test]
+    fn cells_are_padded_and_in_range_recording_never_touches_the_shared_block() {
+        let stats = BarrierStats::with_participants(4);
+        for pair in stats.cells.windows(2) {
+            let a = std::ptr::from_ref::<Cell>(&pair[0]) as usize;
+            let b = std::ptr::from_ref::<Cell>(&pair[1]) as usize;
+            assert!(b - a >= 128, "cells {a:#x} and {b:#x} share a line pair");
+            assert_eq!(a % 128, 0);
+        }
+        assert!(
+            std::mem::size_of::<CachePadded<Cell>>() <= 768,
+            "a cell is {} bytes",
+            std::mem::size_of::<CachePadded<Cell>>()
+        );
+        let stalled = WaitOutcome {
+            episode: 0,
+            stalled: true,
+            descheduled: true,
+            probes: 3,
+            stall_time: Duration::from_nanos(700),
+        };
+        for e in 0..1_000u64 {
+            for id in 0..4 {
+                stats.record_arrival(id, e);
+            }
+            stats.record_episode((e % 4) as usize, e);
+            for id in 0..4 {
+                stats.record_wait(id, &stalled);
+            }
+        }
+        // The hot-spot words of the old design are never written.
+        let shared = stats.shared.counters.telemetry();
+        assert_eq!(shared.base, StatsSnapshot::default());
+        assert!(shared.stall_hist.is_empty());
+        assert_eq!(shared.adaptive, AdaptiveSnapshot::default());
+        // ... and the fold still reports every event.
+        let t = stats.telemetry();
+        assert_eq!(t.base, stats.snapshot());
+        assert_eq!(t.base.arrivals, 4_000);
+        assert_eq!(t.base.waits, 4_000);
+        assert_eq!(t.base.stalls, 4_000);
+        assert_eq!(t.base.deschedules, 4_000);
+        assert_eq!(t.base.probes, 12_000);
+        assert_eq!(t.base.episodes, 1_000);
+        assert_eq!(t.stall_hist.total(), 4_000);
+        assert_eq!(t.adaptive.observations, 4_000);
+        assert_eq!(t.per_participant.len(), 4);
+        assert!(t.per_participant.iter().all(|p| p.arrivals == 1_000));
+    }
+
+    #[test]
+    fn out_of_range_and_non_participant_recorders_take_the_shared_block() {
+        let stats = BarrierStats::with_participants(2);
+        stats.record_arrival(0, sampled(0));
+        stats.record_arrival(7, sampled(0));
+        stats.record_wait(7, &WaitOutcome::default());
+        stats.record_episode(BarrierStats::NOT_A_PARTICIPANT, sampled(0));
+        let shared = stats.shared.counters.snapshot();
+        assert_eq!((shared.arrivals, shared.waits, shared.episodes), (1, 1, 1));
+        let t = stats.telemetry();
+        assert_eq!((t.base.arrivals, t.base.waits, t.base.episodes), (2, 1, 1));
+        assert_eq!(t.per_participant[0].arrivals, 1);
+        assert_eq!(t.spread.episodes, 1, "cell 0 stamped the episode");
+    }
+
+    #[test]
+    fn means_survive_more_than_u32_max_counts() {
+        // 2^33 episodes of 3 ns each: dividing by a count clamped to
+        // u32::MAX reported 6 ns, growing with the run.
+        let episodes = 1u64 << 33;
+        let spread = SpreadSnapshot {
+            episodes,
+            total: Duration::from_nanos(3 * episodes),
+            ..SpreadSnapshot::default()
+        };
+        assert_eq!(spread.mean(), Duration::from_nanos(3));
+        let stats = StatsSnapshot {
+            waits: episodes,
+            stall_time: Duration::from_nanos(5 * episodes),
+            ..StatsSnapshot::default()
+        };
+        assert_eq!(stats.mean_stall_per_wait(), Duration::from_nanos(5));
+        // Totals past u64 nanoseconds still divide exactly.
+        let long = SpreadSnapshot {
+            episodes: 4,
+            total: Duration::from_secs(u64::MAX / 2),
+            ..SpreadSnapshot::default()
+        };
+        assert_eq!(long.mean(), Duration::from_secs(u64::MAX / 2) / 4);
+    }
+
+    #[test]
+    fn merge_adds_counts_and_keeps_the_larger_extremes() {
+        let a = BarrierStats::with_participants(1);
+        let b = BarrierStats::with_participants(1);
+        let wait = |probes, nanos| WaitOutcome {
+            episode: 0,
+            stalled: true,
+            descheduled: false,
+            probes,
+            stall_time: Duration::from_nanos(nanos),
+        };
+        a.record_arrival(0, sampled(0));
+        a.record_episode(0, sampled(0));
+        a.record_wait(0, &wait(10, 100));
+        a.record_eviction();
+        b.record_arrival(0, sampled(0));
+        b.record_episode(0, sampled(0));
+        b.record_wait(0, &wait(40, 900));
+        b.record_wait(0, &wait(40, 900));
+        b.record_poisoning();
+        let (ta, tb) = (a.telemetry(), b.telemetry());
+        let mut total = ta.clone();
+        total.merge(&tb);
+        assert_eq!(total.base.arrivals, 2);
+        assert_eq!(total.base.episodes, 2);
+        assert_eq!(total.base.waits, 3);
+        assert_eq!(total.base.probes, 90);
+        assert_eq!(total.base.stall_time, Duration::from_nanos(1_900));
+        assert_eq!((total.base.evictions, total.base.poisonings), (1, 1));
+        assert_eq!(total.stall_hist.total(), 3);
+        assert_eq!(total.spread.episodes, 2);
+        assert_eq!(total.adaptive.observations, 3);
+        assert_eq!(total.adaptive.ewma_probes, 40);
+        assert_eq!(total.adaptive.ewma_stall, Duration::from_nanos(900));
+        assert_eq!(total.per_participant, ta.per_participant, "rows untouched");
+        let mut flat = ta.base;
+        flat.merge(&tb.base);
+        assert_eq!(flat, total.base);
     }
 
     #[test]
@@ -979,8 +1414,8 @@ mod tests {
     #[test]
     fn per_participant_counters_attribute_stalls() {
         let stats = BarrierStats::with_participants(2);
-        stats.record_arrival(0);
-        stats.record_arrival(1);
+        stats.record_arrival(0, 0);
+        stats.record_arrival(1, 0);
         stats.record_wait(
             1,
             &WaitOutcome {
@@ -1022,14 +1457,26 @@ mod tests {
         assert_eq!(t.adaptive.ewma_probes, 64);
         assert_eq!(t.adaptive.ewma_stall, Duration::from_nanos(400));
         // Short recorded waits produce a budget near twice the EWMA, so an
-        // adaptive policy resolves to a concrete SpinYield in that range.
-        let resolved = stats.resolve_policy(StallPolicy::adaptive());
+        // adaptive policy resolves to a concrete SpinYield in that range —
+        // for the participant that waited. Its peer has no history yet and
+        // gets the optimistic budget.
+        let resolved = stats.resolve_policy(0, StallPolicy::adaptive());
         assert_eq!(resolved, StallPolicy::SpinYield { spin_limit: 128 });
+        let fresh = stats.resolve_policy(1, StallPolicy::adaptive());
+        assert_eq!(
+            fresh,
+            StallPolicy::SpinYield {
+                spin_limit: 1 << 12
+            }
+        );
         // Non-adaptive policies are untouched.
-        assert_eq!(stats.resolve_policy(StallPolicy::Spin), StallPolicy::Spin);
+        assert_eq!(
+            stats.resolve_policy(0, StallPolicy::Spin),
+            StallPolicy::Spin
+        );
         // Timeouts count as (expensive) waits in the history too.
         stats.record_timeout(
-            1,
+            0,
             &crate::spin::SpinReport {
                 probes: 1_000,
                 descheduled: true,
@@ -1038,7 +1485,50 @@ mod tests {
             },
         );
         assert_eq!(stats.telemetry().adaptive.observations, 2);
-        assert!(stats.adaptive().ewma_stall() > Duration::from_nanos(400));
+        assert!(stats.adaptive(0).ewma_stall() > Duration::from_nanos(400));
+        assert_eq!(stats.adaptive(1).observations(), 0);
+    }
+
+    #[test]
+    fn adaptive_budget_is_sized_by_the_waiters_own_history() {
+        // The slow participant arrives last and never waits; the fast one
+        // stalls for ~500 probes every episode. One shared EWMA let the
+        // hundred instant waits pull the staller's budget down to a
+        // fraction of its typical wait (2 * 500/8 = 125 probes, so it
+        // descheduled every time); per-participant histories keep them
+        // apart.
+        let stats = BarrierStats::with_participants(2);
+        for _ in 0..100 {
+            stats.record_wait(0, &WaitOutcome::default());
+        }
+        stats.record_wait(
+            1,
+            &WaitOutcome {
+                episode: 0,
+                stalled: true,
+                descheduled: false,
+                probes: 500,
+                stall_time: Duration::from_micros(2),
+            },
+        );
+        let policy = StallPolicy::adaptive();
+        let alone = AdaptiveSpin::new();
+        alone.observe(500, 2_000);
+        assert_eq!(stats.resolve_policy(1, policy), alone.resolve(policy));
+        assert_eq!(
+            stats.resolve_policy(1, policy),
+            StallPolicy::SpinYield { spin_limit: 1_000 }
+        );
+        assert_eq!(
+            stats.resolve_policy(0, policy),
+            StallPolicy::SpinYield { spin_limit: 1 << 5 },
+            "instant waits need no spin budget"
+        );
+        // The snapshot reports every observation and the hardest waiter.
+        let adaptive = stats.telemetry().adaptive;
+        assert_eq!(adaptive.observations, 101);
+        assert_eq!(adaptive.ewma_probes, 500);
+        assert_eq!(adaptive.ewma_stall, Duration::from_micros(2));
     }
 
     #[test]

@@ -164,7 +164,8 @@ impl<S: SyncOps> TreeBarrier<S> {
         self.nodes.len()
     }
 
-    fn signal_node(&self, index: usize) {
+    /// One arrival at node `index`, made by statistics recorder `who`.
+    fn signal_node(&self, index: usize, who: usize) {
         let node = &self.nodes[index];
         if node.count.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Re-arm this node *before* propagating, so participants released
@@ -175,10 +176,10 @@ impl<S: SyncOps> TreeBarrier<S> {
             node.count
                 .store(node.expected.load(Ordering::Acquire), Ordering::Release);
             match node.parent {
-                Some(parent) => self.signal_node(parent),
+                Some(parent) => self.signal_node(parent, who),
                 None => {
-                    self.episode.fetch_add(1, Ordering::Release);
-                    self.stats.record_episode();
+                    let completed = self.episode.fetch_add(1, Ordering::Release);
+                    self.stats.record_episode(who, completed);
                 }
             }
         }
@@ -191,7 +192,7 @@ impl<S: SyncOps> TreeBarrier<S> {
         deadline: Deadline,
         policy: StallPolicy,
     ) -> Result<WaitOutcome, BarrierError> {
-        let policy = self.stats.resolve_policy(policy);
+        let policy = self.stats.resolve_policy(token.id, policy);
         let result = failure::guarded_wait::<S>(
             policy,
             deadline,
@@ -227,8 +228,8 @@ impl<S: SyncOps> SplitBarrier for TreeBarrier<S> {
             self.n
         );
         let episode = self.local_episode[id].fetch_add(1, Ordering::Relaxed);
-        self.stats.record_arrival(id);
-        self.signal_node(self.leaf_of[id]);
+        self.stats.record_arrival(id, episode);
+        self.signal_node(self.leaf_of[id], id);
         ArrivalToken::new(id, episode)
     }
 
@@ -319,7 +320,8 @@ impl<S: SyncOps> SplitBarrier for TreeBarrier<S> {
             let node = &self.nodes[index];
             let prev = node.expected.fetch_sub(1, Ordering::AcqRel);
             if prev > 1 {
-                self.signal_node(index);
+                // The evictor is not the evicted participant's thread.
+                self.signal_node(index, BarrierStats::NOT_A_PARTICIPANT);
                 return Ok(());
             }
             match node.parent {

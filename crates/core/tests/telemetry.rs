@@ -1,11 +1,26 @@
-//! Integration tests for the telemetry layer: all backends agree on the
-//! flat counters, per-participant counters attribute work correctly, and
-//! the dissemination barrier survives a non-power-of-two episode stress.
+//! Integration tests for the telemetry layer: every backend and wrapper
+//! conserves its counts through the per-participant cell fold,
+//! per-participant counters attribute work correctly, and the
+//! dissemination barrier survives a non-power-of-two episode stress.
 
+use fuzzy_barrier::reconfig::ReconfigBarrier;
+use fuzzy_barrier::stats::SPREAD_SAMPLE_PERIOD;
 use fuzzy_barrier::{
-    CentralBarrier, CountingBarrier, DisseminationBarrier, SplitBarrier, StallPolicy, TreeBarrier,
+    CentralBarrier, CountingBarrier, DisseminationBarrier, FuzzyBarrier, HierBarrier, SplitBarrier,
+    StallPolicy, TelemetrySnapshot, TopLevel, TreeBarrier,
 };
 use std::sync::Arc;
+use std::time::Duration;
+
+/// A small asymmetric barrier region, so some participants arrive late
+/// and others stall.
+fn region(id: usize) {
+    let mut acc = 0u64;
+    for i in 0..(id as u64 * 120) {
+        acc = acc.wrapping_add(i);
+    }
+    std::hint::black_box(acc);
+}
 
 fn run_schedule(b: &dyn SplitBarrier, n: usize, episodes: u64) {
     std::thread::scope(|s| {
@@ -13,13 +28,7 @@ fn run_schedule(b: &dyn SplitBarrier, n: usize, episodes: u64) {
             s.spawn(move || {
                 for _ in 0..episodes {
                     let t = b.arrive(id);
-                    // A small asymmetric region so some participants arrive
-                    // late and others stall.
-                    let mut acc = 0u64;
-                    for i in 0..(id as u64 * 120) {
-                        acc = acc.wrapping_add(i);
-                    }
-                    std::hint::black_box(acc);
+                    region(id);
                     b.wait(t);
                 }
             });
@@ -27,39 +36,116 @@ fn run_schedule(b: &dyn SplitBarrier, n: usize, episodes: u64) {
     });
 }
 
-/// Every backend must report the same `episodes` and `arrivals` for the
-/// same protocol-following schedule, in both the flat snapshot and the
-/// telemetry snapshot.
+/// What `n` participants following the protocol for `episodes` episodes
+/// must read back, whichever cells and whichever completer recorded it:
+/// nothing lost, nothing counted twice.
+fn assert_conserved(name: &str, t: &TelemetrySnapshot, n: usize, episodes: u64) {
+    let what = format!("{name} n={n}");
+    assert_eq!(t.base.episodes, episodes, "{what}");
+    assert_eq!(t.base.arrivals, episodes * n as u64, "{what}");
+    assert_eq!(t.base.waits, episodes * n as u64, "{what}");
+    assert_eq!(
+        t.stall_hist.total(),
+        t.base.stalls + t.base.timeouts,
+        "{what}"
+    );
+    // The rows sum to the totals, field by field; participants beyond `n`
+    // (spare reconfiguration slots) stay zero.
+    let rows = &t.per_participant;
+    assert!(rows.len() >= n, "{what}");
+    let sum = |f: fn(&fuzzy_barrier::ParticipantSnapshot) -> u64| rows.iter().map(f).sum::<u64>();
+    assert_eq!(sum(|p| p.arrivals), t.base.arrivals, "{what}");
+    assert_eq!(sum(|p| p.waits), t.base.waits, "{what}");
+    assert_eq!(sum(|p| p.stalls), t.base.stalls, "{what}");
+    assert_eq!(sum(|p| p.probes), t.base.probes, "{what}");
+    assert_eq!(
+        rows.iter().map(|p| p.stall_time).sum::<Duration>(),
+        t.base.stall_time,
+        "{what}"
+    );
+    for (id, p) in rows.iter().enumerate() {
+        let expect = if id < n { episodes } else { 0 };
+        assert_eq!(p.arrivals, expect, "{what} participant {id}");
+        assert_eq!(p.waits, expect, "{what} participant {id}");
+    }
+    // The last episode of every full period is sampled.
+    assert_eq!(t.spread.episodes, episodes / SPREAD_SAMPLE_PERIOD, "{what}");
+    assert!(t.spread.max >= t.spread.mean(), "{what}");
+    assert!(t.spread.max >= t.spread.last, "{what}");
+}
+
+const CONSERVATION_SIZES: [usize; 5] = [1, 2, 3, 4, 8];
+const CONSERVATION_EPISODES: u64 = 150;
+
+/// Every backend must report the same `episodes`, `arrivals` and `waits`
+/// for the same protocol-following schedule, in both the flat snapshot and
+/// the telemetry snapshot, with the per-participant rows adding up.
 #[test]
 fn all_backends_report_identical_episode_and_arrival_counts() {
-    let n = 4;
-    let episodes = 80;
-    let backends: Vec<(&str, Box<dyn SplitBarrier>)> = vec![
-        ("central", Box::new(CentralBarrier::new(n))),
-        ("counting", Box::new(CountingBarrier::new(n))),
-        ("dissemination", Box::new(DisseminationBarrier::new(n))),
-        ("tree", Box::new(TreeBarrier::new(n))),
-    ];
-    for (name, b) in &backends {
-        run_schedule(&**b, n, episodes);
-        let t = b.telemetry();
-        assert_eq!(t.base.episodes, episodes, "{name}");
-        assert_eq!(t.base.arrivals, episodes * n as u64, "{name}");
-        assert_eq!(t.base.waits, episodes * n as u64, "{name}");
-        assert_eq!(t.base, b.stats(), "{name}: telemetry base != stats()");
-        // Telemetry internal consistency.
-        assert_eq!(t.stall_hist.total(), t.base.stalls, "{name}");
-        assert_eq!(t.per_participant.len(), n, "{name}");
-        let per_arrivals: u64 = t.per_participant.iter().map(|p| p.arrivals).sum();
-        let per_stalls: u64 = t.per_participant.iter().map(|p| p.stalls).sum();
-        assert_eq!(per_arrivals, t.base.arrivals, "{name}");
-        assert_eq!(per_stalls, t.base.stalls, "{name}");
-        for (id, p) in t.per_participant.iter().enumerate() {
-            assert_eq!(p.arrivals, episodes, "{name} participant {id}");
-            assert_eq!(p.waits, episodes, "{name} participant {id}");
+    let episodes = CONSERVATION_EPISODES;
+    for n in CONSERVATION_SIZES {
+        let yielding = StallPolicy::default();
+        let backends: Vec<(&str, Box<dyn SplitBarrier>)> = vec![
+            ("central", Box::new(CentralBarrier::new(n))),
+            ("counting", Box::new(CountingBarrier::new(n))),
+            ("dissemination", Box::new(DisseminationBarrier::new(n))),
+            ("tree", Box::new(TreeBarrier::new(n))),
+            ("hier", Box::new(HierBarrier::new(n))),
+            (
+                "hier/2 dissemination top",
+                Box::new(HierBarrier::with_shards(
+                    n,
+                    2,
+                    TopLevel::Dissemination,
+                    yielding,
+                )),
+            ),
+            (
+                "hier/2 tree top",
+                Box::new(HierBarrier::with_shards(n, 2, TopLevel::Tree, yielding)),
+            ),
+            ("fuzzy", Box::new(FuzzyBarrier::new(n))),
+        ];
+        for (name, b) in &backends {
+            run_schedule(&**b, n, episodes);
+            let t = b.telemetry();
+            assert_conserved(name, &t, n, episodes);
+            assert_eq!(t.base, b.stats(), "{name}: telemetry base != stats()");
+            assert_eq!(t.per_participant.len(), n, "{name}");
+            // Every wait is one observation of its participant's history.
+            assert_eq!(t.adaptive.observations, t.base.waits, "{name}");
         }
-        assert!(t.spread.episodes <= t.base.episodes, "{name}");
-        assert!(t.spread.max >= t.spread.mean(), "{name}");
+    }
+}
+
+/// The same conservation through the reconfigurable wrapper, whose own
+/// statistics are indexed by slot and record the boundary install as the
+/// episode.
+#[test]
+fn reconfig_wrapper_conserves_counts_through_the_cell_fold() {
+    let episodes = CONSERVATION_EPISODES;
+    for n in CONSERVATION_SIZES {
+        // One spare slot: its row must stay zero.
+        let (barrier, handles) = ReconfigBarrier::new(n + 1, n, |m| {
+            Arc::new(CentralBarrier::with_policy(m, StallPolicy::default()))
+        });
+        let barrier = &barrier;
+        std::thread::scope(|s| {
+            for handle in handles {
+                s.spawn(move || {
+                    for e in 0..episodes {
+                        let token = barrier.arrive(&handle).expect("live member");
+                        region(handle.slot());
+                        let outcome = barrier.wait(&token).expect("never poisoned");
+                        assert_eq!(outcome.episode, e);
+                    }
+                });
+            }
+        });
+        let t = barrier.telemetry();
+        assert_conserved("reconfig", &t, n, episodes);
+        assert_eq!(t.base, barrier.stats());
+        assert_eq!(t.per_participant.len(), n + 1);
     }
 }
 

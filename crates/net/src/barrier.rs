@@ -257,8 +257,12 @@ impl<S: SyncOps> NetBarrier<S> {
     /// Non-blocking protocol pump: sends every round that is due for the
     /// lowest incomplete episode and advances completion. Idempotent and
     /// callable from any thread — waiters, probes, and transport readers
-    /// all drive.
-    fn drive(&self) {
+    /// all drive. `who` is the statistics recorder pumping: the local
+    /// participant whose arrival, probe or wait this is, or
+    /// [`BarrierStats::NOT_A_PARTICIPANT`] for a thread that is not driving
+    /// one (a transport reader) — a completion it observes must not be
+    /// counted in some participant's single-writer cell.
+    fn drive(&self, who: usize) {
         loop {
             let goal = self.completed.load(Ordering::Acquire) + 1;
             if !self.locally_entered(goal) {
@@ -282,7 +286,7 @@ impl<S: SyncOps> NetBarrier<S> {
                 return;
             }
             if self.completed.fetch_max(goal, Ordering::AcqRel) < goal {
-                self.stats.record_episode();
+                self.stats.record_episode(who, goal - 1);
                 // The next episode's arrivals may already be in; keep
                 // pumping until nothing more is due.
                 continue;
@@ -409,7 +413,7 @@ impl<S: SyncOps> NetBarrier<S> {
         let mut total = SpinReport::default();
         let mut recoveries = 0u32;
         loop {
-            self.drive();
+            self.drive(token.participant());
             if self.completed.load(Ordering::Acquire) >= goal {
                 let outcome = WaitOutcome::from_report(episode, total);
                 self.stats.record_wait(token.participant(), &outcome);
@@ -461,14 +465,14 @@ impl<S: SyncOps> SplitBarrier for NetBarrier<S> {
             self.locals
         );
         let episode = self.member_episode[id].fetch_add(1, Ordering::AcqRel);
-        self.stats.record_arrival(id);
+        self.stats.record_arrival(id, episode);
         self.local_count.fetch_add(1, Ordering::AcqRel);
-        self.drive();
+        self.drive(id);
         ArrivalToken::new(id, episode)
     }
 
     fn is_complete(&self, token: &ArrivalToken) -> bool {
-        self.drive();
+        self.drive(token.participant());
         self.completed.load(Ordering::Acquire) > token.episode()
     }
 
@@ -534,7 +538,7 @@ impl<S: SyncOps> FrameSink for NetBarrier<S> {
             Message::Signal { episode, round } => {
                 if (round as usize) < self.seen.len() {
                     self.seen[round as usize].fetch_max(episode + 1, Ordering::AcqRel);
-                    self.drive();
+                    self.drive(BarrierStats::NOT_A_PARTICIPANT);
                 }
                 // An out-of-range round is a peer bug, not ours: ignore.
             }
@@ -695,6 +699,82 @@ mod tests {
         });
         assert_eq!(many.stats().episodes, 10);
         assert_eq!(many.stats().arrivals, 30);
+    }
+
+    #[test]
+    fn completion_observed_by_the_delivering_thread_is_counted() {
+        // Rank 0 arrives first; the frame that completes its episode is
+        // delivered (loopback: on the sender's thread) while its own
+        // participant is still in its region. That deliverer is no
+        // participant of rank 0's, so the completion must be on the books
+        // before rank 0 probes or waits — and exactly once after it does.
+        let (_mesh, bs) = mesh_barriers(2, NetConfig::new());
+        for e in 0..3 * fuzzy_barrier::stats::SPREAD_SAMPLE_PERIOD {
+            let t0 = bs[0].arrive(0);
+            assert_eq!(bs[0].stats().episodes, e, "peer has not arrived");
+            let t1 = bs[1].arrive(0);
+            assert_eq!(bs[0].stats().episodes, e + 1, "delivered completion");
+            assert_eq!(bs[0].wait(t0).episode, e);
+            assert_eq!(bs[1].wait(t1).episode, e);
+            for b in &bs {
+                let s = b.stats();
+                assert_eq!((s.episodes, s.arrivals, s.waits), (e + 1, e + 1, e + 1));
+            }
+        }
+        assert_eq!(bs[0].telemetry().spread.episodes, 3);
+    }
+
+    #[test]
+    fn counts_are_conserved_over_loopback() {
+        // Node 0 hosts `n` locals, node 1 one: completions are observed by
+        // whichever local or deliverer gets there first, and every one of
+        // them must land in exactly one place.
+        let episodes = 150u64;
+        let sampled = episodes / fuzzy_barrier::stats::SPREAD_SAMPLE_PERIOD;
+        for n in [1usize, 2, 3, 8] {
+            let mesh = LoopbackMesh::new(2);
+            let many = NetBarrier::start(Arc::new(mesh.endpoint(0)), NetConfig::new().locals(n));
+            let one = NetBarrier::start(Arc::new(mesh.endpoint(1)), NetConfig::new());
+            std::thread::scope(|s| {
+                let one = &one;
+                s.spawn(move || {
+                    for _ in 0..episodes {
+                        let t = one.arrive(0);
+                        one.wait(t);
+                    }
+                });
+                for id in 0..n {
+                    let many = &many;
+                    s.spawn(move || {
+                        for e in 0..episodes {
+                            let t = many.arrive(id);
+                            assert_eq!(many.wait(t).episode, e);
+                        }
+                    });
+                }
+            });
+            for (b, locals) in [(&many, n as u64), (&one, 1)] {
+                let t = b.telemetry();
+                assert_eq!(t.base, b.stats());
+                assert_eq!(t.base.episodes, episodes, "n={n}");
+                assert_eq!(t.base.arrivals, episodes * locals, "n={n}");
+                assert_eq!(t.base.waits, episodes * locals, "n={n}");
+                assert_eq!(t.stall_hist.total(), t.base.stalls + t.base.timeouts);
+                let rows = &t.per_participant;
+                assert_eq!(rows.len() as u64, locals);
+                assert!(rows
+                    .iter()
+                    .all(|p| p.arrivals == episodes && p.waits == episodes));
+                assert_eq!(rows.iter().map(|p| p.stalls).sum::<u64>(), t.base.stalls);
+                assert_eq!(rows.iter().map(|p| p.probes).sum::<u64>(), t.base.probes);
+                assert_eq!(
+                    rows.iter().map(|p| p.stall_time).sum::<Duration>(),
+                    t.base.stall_time
+                );
+                assert_eq!(t.spread.episodes, sampled, "n={n}");
+                assert!(t.spread.max >= t.spread.mean());
+            }
+        }
     }
 
     #[test]
