@@ -1110,6 +1110,10 @@ impl Transport for MutantNetSkipRound {
         self.inner.start(forger);
     }
 
+    fn poll(&self) -> usize {
+        self.inner.poll()
+    }
+
     fn shutdown(&self) {
         self.inner.shutdown();
     }

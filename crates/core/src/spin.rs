@@ -138,10 +138,11 @@ const DEADLINE_CHECK_MASK: u64 = (1 << 6) - 1;
 /// or it is far away, the remaining budget when the deadline is nearer,
 /// and zero once it has passed.
 ///
-/// This is the overshoot clamp shared by every sleep the waiting machinery
-/// takes against a deadline: [`wait_until_budget`]'s park slices and the
-/// per-round receive naps in `fuzzy-net`'s socket readers both size their
-/// sleeps here, so deadline arithmetic lives in exactly one place.
+/// This is the overshoot clamp for any sleep the waiting machinery takes
+/// against a deadline, so that arithmetic lives in exactly one place.
+/// Today its one caller is [`wait_until_budget`]'s park slice; `fuzzy-net`
+/// never sleeps against a deadline (its waits are `wait_until_budget`
+/// probes that poll the socket, and its sweeper's nap has no deadline).
 #[must_use]
 pub fn clamped_nap(deadline: Option<Instant>, interval: Duration) -> Duration {
     deadline.map_or(interval, |d| {

@@ -16,11 +16,17 @@
 //! `(rank − 2^r) mod nodes`. All protocol state is **monotone** — per-round
 //! `seen`/`sent` words hold `episode + 1` and only advance via `fetch_max`
 //! — so duplicated, reordered, and re-transmitted frames are harmless by
-//! construction, and any thread (a waiter, an `is_complete` probe, a
-//! transport reader delivering a frame) can *drive* the protocol forward
-//! idempotently. That drive-from-anywhere property is what lets the
-//! [`fuzzy_barrier::AsyncBarrier`] frontend run unmodified on top: its
-//! polls call [`SplitBarrier::is_complete`], which pumps outbound rounds.
+//! construction, and any thread (a waiter, an `is_complete` probe, the
+//! transport's sweeper delivering a frame) can *drive* the protocol
+//! forward idempotently. Receive is part of the same pump: `arrive`,
+//! `is_complete` and every probe of a stalled `wait` first
+//! [`Transport::poll`] — deliver, on their own thread, whatever has
+//! already arrived — and then drive, so the waiter itself reads the frame
+//! that releases it and the barrier region hides the round-trip without a
+//! hand-off from a reader thread. That drive-from-anywhere property is
+//! what lets the [`fuzzy_barrier::AsyncBarrier`] frontend run unmodified
+//! on top: its polls call [`SplitBarrier::is_complete`], which pumps both
+//! directions.
 //!
 //! # Failure model
 //!
@@ -72,7 +78,12 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             locals: 1,
-            policy: StallPolicy::yielding(),
+            // The unit is socket polls, not loads: a probe of a stalled
+            // wait is a `read(2)` per link, some 100x a shared-memory
+            // probe. Sixteen of them cover a peer that is running; past
+            // that the waiter is burning the time slice of the peer it is
+            // waiting for, and yields.
+            policy: StallPolicy::SpinYield { spin_limit: 16 },
             round_timeout: Some(Duration::from_millis(200)),
             resend_limit: 25,
         }
@@ -254,14 +265,24 @@ impl<S: SyncOps> NetBarrier<S> {
         self.poisoned.load(Ordering::Acquire) != 0
     }
 
+    /// The full pump, for a thread entering the barrier on behalf of local
+    /// participant `who`: receive what has arrived, then [`Self::drive`].
+    /// Delivery itself drives (see [`FrameSink::deliver`] below) but never
+    /// polls, so the pump does not re-enter the transport.
+    fn pump(&self, who: usize) {
+        self.transport.poll();
+        self.drive(who);
+    }
+
     /// Non-blocking protocol pump: sends every round that is due for the
     /// lowest incomplete episode and advances completion. Idempotent and
-    /// callable from any thread — waiters, probes, and transport readers
-    /// all drive. `who` is the statistics recorder pumping: the local
+    /// callable from any thread — waiters, probes, and whoever delivers a
+    /// frame all drive. `who` is the statistics recorder pumping: the local
     /// participant whose arrival, probe or wait this is, or
-    /// [`BarrierStats::NOT_A_PARTICIPANT`] for a thread that is not driving
-    /// one (a transport reader) — a completion it observes must not be
-    /// counted in some participant's single-writer cell.
+    /// [`BarrierStats::NOT_A_PARTICIPANT`] for a delivering thread — it may
+    /// be the transport's sweeper or another participant's poll, so a
+    /// completion it observes must not be counted in some participant's
+    /// single-writer cell.
     fn drive(&self, who: usize) {
         loop {
             let goal = self.completed.load(Ordering::Acquire) + 1;
@@ -413,7 +434,7 @@ impl<S: SyncOps> NetBarrier<S> {
         let mut total = SpinReport::default();
         let mut recoveries = 0u32;
         loop {
-            self.drive(token.participant());
+            self.pump(token.participant());
             if self.completed.load(Ordering::Acquire) >= goal {
                 let outcome = WaitOutcome::from_report(episode, total);
                 self.stats.record_wait(token.participant(), &outcome);
@@ -425,6 +446,9 @@ impl<S: SyncOps> NetBarrier<S> {
             let round_budget = self.round_timeout.map(|t| Instant::now() + t);
             let slice = nearest_deadline(outer, round_budget);
             let report = S::wait_until_budget(policy, slice, || {
+                // Each probe receives; a delivered signal drives the
+                // protocol itself, so completion needs no second step.
+                self.transport.poll();
                 self.completed.load(Ordering::Acquire) >= goal || self.is_poisoned_now()
             });
             total.probes += report.probes;
@@ -467,12 +491,12 @@ impl<S: SyncOps> SplitBarrier for NetBarrier<S> {
         let episode = self.member_episode[id].fetch_add(1, Ordering::AcqRel);
         self.stats.record_arrival(id, episode);
         self.local_count.fetch_add(1, Ordering::AcqRel);
-        self.drive(id);
+        self.pump(id);
         ArrivalToken::new(id, episode)
     }
 
     fn is_complete(&self, token: &ArrivalToken) -> bool {
-        self.drive(token.participant());
+        self.pump(token.participant());
         self.completed.load(Ordering::Acquire) > token.episode()
     }
 

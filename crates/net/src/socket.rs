@@ -22,18 +22,38 @@
 //!
 //! # Delivery
 //!
-//! [`Transport::start`] spawns one reader thread per link. Readers block
-//! in short (`READ_SLICE`) timeout slices so they can observe shutdown,
-//! read exactly one validated header and then exactly the declared
-//! payload (a corrupt length can never force an unbounded read), and push
-//! decoded messages into the [`FrameSink`]. A clean `Bye` reports
-//! `link_down(peer, graceful = true)`; EOF or an I/O/decode error without
-//! one reports a non-graceful link-down, which the barrier layer treats
-//! as a peer death.
+//! Once the handshake is done a link is non-blocking for life and there is
+//! exactly one receive path, [`Transport::poll`]: for each link it can
+//! claim (a `try_lock` — one pumper per link, a loser just re-checks its
+//! predicate) it first decodes every whole frame already in the link's
+//! small receive buffer, then `read`s what the socket holds and decodes
+//! again, until the socket is dry. It never waits for data. A header is
+//! validated as soon as its eight bytes are in, before any of its payload
+//! is awaited, and a legal frame always fits the buffer — a corrupt
+//! length can neither force an unbounded read nor park the link. A clean
+//! `Bye` reports `link_down(peer, graceful = true)`; EOF or an I/O or
+//! decode error without one reports a non-graceful link-down, which the
+//! barrier layer treats as a peer death (after a decode error the
+//! connection is dropped: framing is lost). Either way the link is then
+//! closed and later polls are silent about it.
+//!
+//! Two drivers call that one path. Threads already inside the barrier
+//! (`arrive`, `is_complete`, every probe of a stalled `wait`) poll as part
+//! of the protocol pump, so the waiter reads the frame that releases it
+//! itself. And [`Transport::start`] spawns **one** sweeper thread per
+//! endpoint — not per link — that loops the same `poll` and naps 1 ms
+//! (`SWEEP_NAP`) after a sweep that found nothing: it is what delivers
+//! while every local thread is outside the barrier, so a `Poison`, a
+//! peer's death or a completing signal is seen even if nobody pumps.
+//!
+//! Frames are delivered with the link's receive lock held, and delivery
+//! may send (the barrier's pump answers a signal with the next round's).
+//! That cannot fill a socket buffer: a barrier keeps at most two episodes
+//! of `⌈log₂ nodes⌉` small frames in flight per link.
 
 use crate::error::NetError;
 use crate::transport::{Backoff, FrameSink, Transport};
-use crate::wire::{self, Message, HEADER_LEN};
+use crate::wire::{self, DecodeError, Message, HEADER_LEN, MAX_PAYLOAD};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -43,8 +63,11 @@ use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a reader blocks in one `read` before re-checking shutdown.
-const READ_SLICE: Duration = Duration::from_millis(50);
+/// How long the sweeper sleeps after a sweep that delivered nothing.
+const SWEEP_NAP: Duration = Duration::from_millis(1);
+/// Receive buffer per link: the largest legal frame, i.e. a dozen signals.
+/// Anything that does not fit fails header validation first.
+const RX_BUF: usize = HEADER_LEN + MAX_PAYLOAD;
 /// How long mesh formation waits for peers to connect and say hello.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(20);
 /// How many malformed connections formation tolerates before giving up.
@@ -74,6 +97,13 @@ impl Stream {
         match self {
             Stream::Unix(s) => s.set_read_timeout(dur),
             Stream::Tcp(s) => s.set_read_timeout(dur),
+        }
+    }
+
+    fn set_nonblocking(&self, on: bool) -> io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.set_nonblocking(on),
+            Stream::Tcp(s) => s.set_nonblocking(on),
         }
     }
 
@@ -137,8 +167,19 @@ impl Listener {
 
 struct Link {
     writer: Mutex<Stream>,
-    /// The read half, taken by `start` when the reader thread spawns.
-    reader: Mutex<Option<Stream>>,
+    /// The read half and its reassembly buffer; whoever holds the lock is
+    /// the link's one pumper.
+    rx: Mutex<Rx>,
+}
+
+/// The receive side of one link: bytes read but not yet decoded sit in
+/// `buf[..len]`, always starting on a frame boundary.
+struct Rx {
+    stream: Stream,
+    buf: [u8; RX_BUF],
+    len: usize,
+    /// Cleared when the link's end (`Bye`, EOF, an error) has been seen.
+    open: bool,
 }
 
 struct Inner {
@@ -146,10 +187,8 @@ struct Inner {
     nodes: usize,
     links: Vec<Option<Link>>,
     sink: Mutex<Option<Weak<dyn FrameSink>>>,
-    /// Shared with reader threads (they must not keep `Inner` — and with
-    /// it the writer sockets — alive).
-    shutdown: Arc<AtomicBool>,
-    readers: Mutex<Vec<JoinHandle<()>>>,
+    shutdown: AtomicBool,
+    sweeper: Mutex<Option<JoinHandle<()>>>,
     /// Our own listener's socket file, removed at shutdown (UDS only).
     own_path: Option<PathBuf>,
 }
@@ -300,8 +339,8 @@ impl SocketTransport {
                 nodes,
                 links,
                 sink: Mutex::new(None),
-                shutdown: Arc::new(AtomicBool::new(false)),
-                readers: Mutex::new(Vec::new()),
+                shutdown: AtomicBool::new(false),
+                sweeper: Mutex::new(None),
                 own_path,
             }),
         })
@@ -321,14 +360,20 @@ fn setup_err(source: io::Error) -> NetError {
     NetError::Io { peer: None, source }
 }
 
-/// Splits a handshaken stream into a link (cloned writer + reader halves),
-/// arming the reader's shutdown-poll timeout.
+/// Splits a handshaken stream into a link (cloned writer + read half).
+/// Non-blocking mode is a property of the socket, not of the handle, so
+/// the writer shares it: see `send`.
 fn link_from(stream: Stream) -> io::Result<Link> {
-    stream.set_read_timeout(Some(READ_SLICE))?;
+    stream.set_nonblocking(true)?;
     let writer = stream.try_clone()?;
     Ok(Link {
         writer: Mutex::new(writer),
-        reader: Mutex::new(Some(stream)),
+        rx: Mutex::new(Rx {
+            stream,
+            buf: [0; RX_BUF],
+            len: 0,
+            open: true,
+        }),
     })
 }
 
@@ -351,83 +396,109 @@ fn read_hello(stream: &mut Stream) -> Result<(usize, usize), NetError> {
     }
 }
 
-enum ReadStatus {
-    Full,
-    Eof,
-    Shutdown,
-}
-
-/// Fills `buf` across timeout slices, polling `stop` between reads so a
-/// blocked reader observes shutdown within one `READ_SLICE`.
-fn read_full(stream: &mut Stream, buf: &mut [u8], stop: &AtomicBool) -> io::Result<ReadStatus> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if stop.load(Ordering::Acquire) {
-            return Ok(ReadStatus::Shutdown);
+impl Rx {
+    /// Delivers every frame of this link that has already arrived and
+    /// returns how many; reports the link's end, once, when it sees it.
+    fn pump(&mut self, peer: usize, sink: &dyn FrameSink, stop: &AtomicBool) -> usize {
+        let mut delivered = 0;
+        let mut dry = false;
+        while self.open {
+            // Whole frames first: what an earlier read left behind must
+            // not wait for the socket to have more.
+            delivered += self.deliver_buffered(peer, sink, stop);
+            if dry || !self.open {
+                break;
+            }
+            // A partial frame is shorter than a whole one, so there is room.
+            let room = &mut self.buf[self.len..];
+            match self.stream.read(room) {
+                Ok(0) => self.close(peer, sink, stop, false),
+                Ok(n) => {
+                    // A short read emptied the socket: skip the read that
+                    // would only say `WouldBlock`.
+                    dry = n < room.len();
+                    self.len += n;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => self.close(peer, sink, stop, false),
+            }
         }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Ok(ReadStatus::Eof),
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(e),
+        delivered
+    }
+
+    /// Decodes and delivers the whole frames in the buffer, then moves the
+    /// partial frame behind them (if any) to the front.
+    fn deliver_buffered(&mut self, peer: usize, sink: &dyn FrameSink, stop: &AtomicBool) -> usize {
+        let mut at = 0;
+        let mut delivered = 0;
+        while self.open {
+            match wire::decode(&self.buf[at..self.len]) {
+                Ok((Message::Bye, _)) => self.close(peer, sink, stop, true),
+                Ok((msg, used)) => {
+                    at += used;
+                    sink.deliver(peer, msg);
+                    delivered += 1;
+                }
+                // The rest of the frame has not arrived yet.
+                Err(DecodeError::Truncated { .. }) => break,
+                Err(e) => {
+                    // Framing is lost; the connection is unrecoverable.
+                    sink.decode_failure(peer, e);
+                    self.stream.shutdown_both();
+                    self.close(peer, sink, stop, false);
+                }
+            }
+        }
+        self.buf.copy_within(at..self.len, 0);
+        self.len -= at;
+        delivered
+    }
+
+    /// Marks the link ended and tells the sink — unless the end is our own
+    /// `shutdown` closing the socket under us, which is nobody's death.
+    fn close(&mut self, peer: usize, sink: &dyn FrameSink, stop: &AtomicBool, graceful: bool) {
+        self.open = false;
+        if !stop.load(Ordering::Acquire) {
+            sink.link_down(peer, graceful);
         }
     }
-    Ok(ReadStatus::Full)
 }
 
-/// One link's reader loop: frame boundary → decode → sink, until EOF,
-/// `Bye`, an error, or shutdown.
-fn reader_loop(mut stream: Stream, peer: usize, sink: Weak<dyn FrameSink>, stop: Arc<AtomicBool>) {
-    let fail = |graceful: bool| {
-        if let Some(s) = sink.upgrade() {
-            s.link_down(peer, graceful);
+impl Inner {
+    /// The one receive path; see [`Transport::poll`].
+    fn poll(&self) -> usize {
+        if self.shutdown.load(Ordering::Acquire) {
+            return 0;
         }
-    };
-    loop {
-        let mut header = [0u8; HEADER_LEN];
-        match read_full(&mut stream, &mut header, &stop) {
-            Ok(ReadStatus::Full) => {}
-            Ok(ReadStatus::Eof) => return fail(false),
-            Ok(ReadStatus::Shutdown) => return,
-            Err(_) => return fail(false),
-        }
-        let (kind, len) = match wire::decode_header(&header) {
-            Ok(v) => v,
-            Err(e) => {
-                // Framing is lost; the connection is unrecoverable.
-                if let Some(s) = sink.upgrade() {
-                    s.decode_failure(peer, e);
-                }
-                stream.shutdown_both();
-                return fail(false);
+        let sink = self
+            .sink
+            .lock()
+            .expect("sink lock")
+            .as_ref()
+            .and_then(Weak::upgrade);
+        let Some(sink) = sink else { return 0 };
+        let mut delivered = 0;
+        for (peer, link) in self.links.iter().enumerate() {
+            let Some(link) = link else { continue };
+            // One pumper per link keeps its frames in order; the loser's
+            // frames are being delivered for it.
+            if let Ok(mut rx) = link.rx.try_lock() {
+                delivered += rx.pump(peer, &*sink, &self.shutdown);
             }
-        };
-        let mut payload = vec![0u8; len];
-        match read_full(&mut stream, &mut payload, &stop) {
-            Ok(ReadStatus::Full) => {}
-            Ok(ReadStatus::Eof) => return fail(false),
-            Ok(ReadStatus::Shutdown) => return,
-            Err(_) => return fail(false),
         }
-        match wire::decode_payload(kind, &payload) {
-            Ok(Message::Bye) => return fail(true),
-            Ok(msg) => match sink.upgrade() {
-                Some(s) => s.deliver(peer, msg),
-                None => return,
-            },
-            Err(e) => {
-                if let Some(s) = sink.upgrade() {
-                    s.decode_failure(peer, e);
-                }
-                stream.shutdown_both();
-                return fail(false);
-            }
+        // `sink` drops here, after every receive lock: if it was the last
+        // handle, the barrier — and this transport — shut down on this
+        // thread.
+        delivered
+    }
+}
+
+/// The endpoint's background driver of `poll`, for when no caller is.
+fn sweeper_loop(inner: &Inner) {
+    while !inner.shutdown.load(Ordering::Acquire) {
+        if inner.poll() == 0 {
+            std::thread::sleep(SWEEP_NAP);
         }
     }
 }
@@ -442,7 +513,8 @@ impl Transport for SocketTransport {
     }
 
     fn send(&self, to: usize, msg: &Message) -> Result<(), NetError> {
-        if self.inner.shutdown.load(Ordering::Acquire) {
+        let stop = &self.inner.shutdown;
+        if stop.load(Ordering::Acquire) {
             return Err(NetError::Closed);
         }
         let link = self
@@ -451,29 +523,51 @@ impl Transport for SocketTransport {
             .get(to)
             .and_then(Option::as_ref)
             .ok_or(NetError::PeerDown { peer: to })?;
+        let frame = msg.encode();
+        // Held across the whole frame: a partial write must be finished by
+        // the sender that started it.
         let mut writer = link.writer.lock().expect("writer lock");
-        writer
-            .write_all(&msg.encode())
-            .map_err(|e| NetError::io(to, e))
+        let mut rest = &frame[..];
+        while !rest.is_empty() {
+            match writer.write(rest) {
+                Ok(0) => return Err(NetError::io(to, io::ErrorKind::WriteZero.into())),
+                Ok(n) => rest = &rest[n..],
+                // The socket is non-blocking for the receive side's sake,
+                // so a full buffer shows up here. It is back-pressure from
+                // a peer that has not read yet, not a death: wait for it.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                    ) =>
+                {
+                    if stop.load(Ordering::Acquire) {
+                        return Err(NetError::Closed);
+                    }
+                    std::thread::yield_now();
+                }
+                Err(e) => return Err(NetError::io(to, e)),
+            }
+        }
+        Ok(())
     }
 
     fn start(&self, sink: Arc<dyn FrameSink>) {
-        let weak = Arc::downgrade(&sink);
-        *self.inner.sink.lock().expect("sink lock") = Some(weak.clone());
-        let mut readers = self.inner.readers.lock().expect("readers lock");
-        for (peer, link) in self.inner.links.iter().enumerate() {
-            let Some(link) = link else { continue };
-            let Some(stream) = link.reader.lock().expect("reader lock").take() else {
-                continue;
-            };
-            let weak = weak.clone();
-            let stop = Arc::clone(&self.inner.shutdown);
-            let handle = std::thread::Builder::new()
-                .name(format!("fuzzy-net-rx-{}-{peer}", self.inner.rank))
-                .spawn(move || reader_loop(stream, peer, weak, stop))
-                .expect("spawn reader");
-            readers.push(handle);
+        *self.inner.sink.lock().expect("sink lock") = Some(Arc::downgrade(&sink));
+        let mut sweeper = self.inner.sweeper.lock().expect("sweeper lock");
+        if sweeper.is_none() && !self.inner.shutdown.load(Ordering::Acquire) {
+            let inner = Arc::clone(&self.inner);
+            *sweeper = Some(
+                std::thread::Builder::new()
+                    .name(format!("fuzzy-net-rx-{}", self.inner.rank))
+                    .spawn(move || sweeper_loop(&inner))
+                    .expect("spawn sweeper"),
+            );
         }
+    }
+
+    fn poll(&self) -> usize {
+        self.inner.poll()
     }
 
     fn shutdown(&self) {
@@ -481,19 +575,19 @@ impl Transport for SocketTransport {
             return;
         }
         for link in self.inner.links.iter().flatten() {
+            // A sender stalled on back-pressure sees the flag and lets go.
             let mut writer = link.writer.lock().expect("writer lock");
             let _ = writer.write_all(&Message::Bye.encode());
             writer.shutdown_both();
         }
-        let handles: Vec<_> = self
-            .inner
-            .readers
-            .lock()
-            .expect("readers lock")
-            .drain(..)
-            .collect();
-        for h in handles {
-            let _ = h.join();
+        let sweeper = self.inner.sweeper.lock().expect("sweeper lock").take();
+        if let Some(handle) = sweeper {
+            // The sweeper itself gets here when the sink it has just
+            // delivered to was the last owner of this transport; joining
+            // oneself is an error, and it exits on the flag anyway.
+            if handle.thread().id() != std::thread::current().id() {
+                let _ = handle.join();
+            }
         }
         if let Some(path) = &self.inner.own_path {
             let _ = std::fs::remove_file(path);
@@ -504,18 +598,16 @@ impl Transport for SocketTransport {
 
 impl Drop for SocketTransport {
     fn drop(&mut self) {
-        // Last handle out turns off the lights; reader threads hold only
-        // the sink weakly and the stop flag, not `Inner`.
-        if Arc::strong_count(&self.inner) == 1 {
-            self.shutdown();
-        }
+        // The sweeper shares `inner` but never outlives the flag.
+        self.shutdown();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::DecodeError;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::mpsc;
     use std::sync::Mutex as StdMutex;
 
     #[derive(Default)]
@@ -548,16 +640,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn unix_pair_exchanges_signals_and_says_goodbye() {
-        let dir = std::env::temp_dir().join(format!("fuzzy-net-ut-{}", std::process::id()));
+    /// A connected two-node UDS mesh in a directory of its own.
+    fn unix_pair(tag: &str) -> (SocketTransport, SocketTransport, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("fuzzy-net-ut-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let b = std::thread::spawn({
             let dir = dir.clone();
             move || SocketTransport::unix(1, 2, &dir).unwrap()
         });
         let a = SocketTransport::unix(0, 2, &dir).unwrap();
-        let b = b.join().unwrap();
+        (a, b.join().unwrap(), dir)
+    }
+
+    /// More frames than any socket buffer holds (Linux caps a UDS send
+    /// buffer at ~208 KiB by default): a sender of this many cannot finish
+    /// before the receiver reads.
+    const FLOOD: u64 = 50_000;
+
+    fn flood_frame(episode: u64) -> Message {
+        Message::Signal { episode, round: 0 }
+    }
+
+    #[test]
+    fn unix_pair_exchanges_signals_and_says_goodbye() {
+        let (a, b, dir) = unix_pair("pair");
 
         let ra = Arc::new(Recorder::default());
         let rb = Arc::new(Recorder::default());
@@ -592,12 +698,128 @@ mod tests {
         );
 
         b.shutdown();
-        // a's reader sees the Bye: graceful link-down, not a peer death.
+        // a's sweeper sees the Bye: graceful link-down, not a peer death.
         let downs = wait_for(|| {
             let d = ra.downs.lock().unwrap();
             (!d.is_empty()).then(|| d.clone())
         });
         assert_eq!(downs, vec![(1, true)]);
+        a.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn send_waits_out_a_receiver_that_is_not_reading_yet() {
+        let (a, b, dir) = unix_pair("backpressure");
+        let rb = Arc::new(Recorder::default());
+        std::thread::scope(|s| {
+            let sender = s.spawn(|| {
+                for episode in 0..FLOOD {
+                    a.send(1, &flood_frame(episode))
+                        .expect("a full link is back-pressure, not a failure");
+                }
+            });
+            // Nobody reads b's end until here, so the sender is (or soon
+            // will be) stalled on a full socket; it must come through.
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(!sender.is_finished(), "the link cannot hold the flood");
+            b.start(rb.clone());
+            sender.join().unwrap();
+        });
+        wait_for(|| (rb.frames.lock().unwrap().len() as u64 >= FLOOD).then_some(()));
+        let frames = rb.frames.lock().unwrap();
+        assert_eq!(frames.len() as u64, FLOOD, "each frame exactly once");
+        for (episode, frame) in frames.iter().enumerate() {
+            assert_eq!(*frame, (0, flood_frame(episode as u64)), "in order");
+        }
+        assert!(rb.decode_errors.lock().unwrap().is_empty());
+        assert!(rb.downs.lock().unwrap().is_empty());
+        drop(frames);
+        a.shutdown();
+        b.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shutdown_releases_a_sender_stalled_on_a_full_link() {
+        // b never starts, so nothing ever drains the link.
+        let (a, _b, dir) = unix_pair("stalled-shutdown");
+        let sent = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            let sender = s.spawn(|| loop {
+                match a.send(1, &flood_frame(sent.load(Ordering::Relaxed))) {
+                    Ok(()) => sent.fetch_add(1, Ordering::Relaxed),
+                    Err(e) => return e,
+                };
+            });
+            // Wait for the stall itself: progress made, then none.
+            wait_for(|| {
+                let before = sent.load(Ordering::Relaxed);
+                std::thread::sleep(Duration::from_millis(20));
+                (before > 0 && sent.load(Ordering::Relaxed) == before).then_some(())
+            });
+            assert!(sent.load(Ordering::Relaxed) < FLOOD);
+            a.shutdown();
+            let err = sender.join().unwrap();
+            assert!(matches!(err, NetError::Closed), "got {err:?}");
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A sink that owns its transport, as a barrier does, and whose
+    /// `deliver` blocks until the test says go.
+    struct OwningSink {
+        transport: StdMutex<Option<Arc<SocketTransport>>>,
+        entered: mpsc::Sender<()>,
+        gate: StdMutex<mpsc::Receiver<()>>,
+        /// Told, once the transport is dropped, whether that panicked.
+        dropped: mpsc::Sender<bool>,
+    }
+
+    impl FrameSink for OwningSink {
+        fn deliver(&self, _from: usize, _msg: Message) {
+            self.entered.send(()).unwrap();
+            self.gate.lock().unwrap().recv().unwrap();
+        }
+        fn link_down(&self, _peer: usize, _graceful: bool) {}
+    }
+
+    impl Drop for OwningSink {
+        fn drop(&mut self) {
+            // The last handle: `SocketTransport::shutdown` runs right here.
+            drop(self.transport.lock().unwrap().take());
+            let _ = self.dropped.send(std::thread::panicking());
+        }
+    }
+
+    #[test]
+    fn last_sink_handle_dropped_by_the_delivering_thread_shuts_down_cleanly() {
+        let (a, b, dir) = unix_pair("self-join");
+        let own_file = unix_socket_path(&dir, 1);
+        assert!(own_file.exists());
+        let (entered_tx, entered) = mpsc::channel();
+        let (gate, gate_rx) = mpsc::channel();
+        let (dropped_tx, dropped) = mpsc::channel();
+        let b = Arc::new(b);
+        let sink = Arc::new(OwningSink {
+            transport: StdMutex::new(Some(Arc::clone(&b))),
+            entered: entered_tx,
+            gate: StdMutex::new(gate_rx),
+            dropped: dropped_tx,
+        });
+        b.start(sink.clone());
+        a.send(1, &flood_frame(0)).unwrap();
+        // The sweeper is now inside `deliver`, holding the only other
+        // handle to the sink; give up ours, then let it return.
+        entered.recv_timeout(Duration::from_secs(5)).unwrap();
+        drop(sink);
+        drop(b);
+        gate.send(()).unwrap();
+        let panicked = dropped
+            .recv_timeout(Duration::from_secs(3))
+            .expect("dropping the transport on its own sweeper must not die joining itself");
+        assert!(!panicked);
+        wait_for(|| (!own_file.exists()).then_some(()));
         a.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -3,15 +3,28 @@
 //! A [`Transport`] is one endpoint of a fully connected mesh of `nodes`
 //! endpoints, addressed by dense ranks `0..nodes`. It moves [`Message`]s;
 //! it knows nothing about barriers. The barrier layer hands it a
-//! [`FrameSink`] at [`Transport::start`] and from then on every inbound
-//! frame (and every link state change) is pushed into the sink — there is
-//! no receive call to block on, which is what keeps the barrier's waiters
-//! on their own spin/park machinery (`SyncOps::wait_until_budget`) rather
-//! than on any single connection.
+//! [`FrameSink`] at [`Transport::start`]; every inbound frame (and every
+//! link state change) is pushed into that sink, by one of two drivers of
+//! the same receive path:
+//!
+//! * **the caller**: [`Transport::poll`] delivers, on the calling thread
+//!   and without blocking, whatever has already arrived. The barrier polls
+//!   wherever it already pumps its protocol (`arrive`, `is_complete`, each
+//!   probe of a stalled `wait`), so a waiter reads its own socket and the
+//!   frame that releases it costs no thread hand-off. Waiters still stall
+//!   on their own spin/yield machinery (`SyncOps::wait_until_budget`),
+//!   never inside a read on one connection.
+//! * **the transport**: after `start` an attached sink receives frames
+//!   even if nobody polls — that is what notices a `Poison` or a dead peer
+//!   while every local participant is deep in its barrier region. Socket
+//!   transports keep one background sweeper per endpoint that loops the
+//!   same `poll`; loopback delivers on the sender's thread at `send` time
+//!   and has nothing left to poll.
 //!
 //! Transports hold the sink **weakly**: the barrier owns the transport, so
-//! a strong reference back would cycle and leak both. A reader thread that
-//! fails to upgrade the sink knows the barrier is gone and exits.
+//! a strong reference back would cycle and leak both. A delivering thread
+//! upgrades the sink for the length of one `poll`; when the upgrade fails
+//! the barrier is gone and there is nobody to deliver to.
 
 use crate::error::NetError;
 use crate::wire::{DecodeError, Message};
@@ -52,13 +65,28 @@ pub trait Transport: Send + Sync + Debug {
     /// link-level flow control.
     fn send(&self, to: usize, msg: &Message) -> Result<(), NetError>;
 
-    /// Attaches the sink and starts delivery (reader threads for socket
-    /// transports, queued-frame flush for loopback). Frames sent to this
-    /// endpoint before `start` are buffered and delivered here, in order.
+    /// Attaches the sink and starts delivery (the sweeper thread for
+    /// socket transports, queued-frame flush for loopback). Frames sent to
+    /// this endpoint before `start` are buffered and delivered afterwards,
+    /// in order. From here on the sink receives frames whether or not
+    /// anyone calls [`Transport::poll`].
     fn start(&self, sink: Arc<dyn FrameSink>);
 
+    /// Delivers to the sink, on the calling thread, every frame that has
+    /// already arrived, and returns how many. Never blocks and never waits
+    /// for data; callable from any thread, concurrently. Frames of one
+    /// link are delivered in order, by one thread at a time: a caller that
+    /// finds a link being pumped skips it, so `0` means "nothing for
+    /// *you* to do", not "nothing arrived" — re-check your predicate.
+    ///
+    /// The default is for transports that deliver at `send` time and so
+    /// never hold an undelivered frame.
+    fn poll(&self) -> usize {
+        0
+    }
+
     /// Stops delivery, says `Bye` to peers on a best-effort basis, closes
-    /// links, and joins any reader threads. Idempotent.
+    /// links, and joins the transport's own thread, if any. Idempotent.
     fn shutdown(&self);
 }
 

@@ -5,13 +5,15 @@
 use fuzzy_barrier::{Deadline, SplitBarrier};
 use fuzzy_net::wire::{self, HEADER_LEN, MAX_PAYLOAD};
 use fuzzy_net::{
-    DecodeError, LoopbackMesh, Message, NetBarrier, NetConfig, SocketTransport, Transport,
+    DecodeError, FrameSink, LoopbackMesh, Message, NetBarrier, NetConfig, SocketTransport,
+    Transport,
 };
 use fuzzy_util::SplitMix64;
 use std::io::Write;
-use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::Duration;
+use std::os::unix::net::UnixStream;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 fn valid_frames() -> Vec<Vec<u8>> {
     vec![
@@ -152,6 +154,21 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// A raw connection to the Unix listener at `path`, waiting for it to
+/// appear: a peer whose every byte the test controls.
+fn dial(path: &Path) -> UnixStream {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        match UnixStream::connect(path) {
+            Ok(s) => return s,
+            Err(_) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            Err(e) => panic!("listener never appeared: {e}"),
+        }
+    }
+}
+
 /// A stranger spraying garbage at a Unix listener during mesh formation
 /// is dropped; the real peers still connect and complete an episode.
 #[test]
@@ -164,29 +181,19 @@ fn unix_mesh_forms_through_garbage_connections() {
     // Wait for rank 0's listener, then hit it with garbage connections:
     // raw noise, a truncated hello, and a hello claiming an absurd rank.
     let path = fuzzy_net::unix_socket_path(&dir, 0);
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let connect = || loop {
-        match std::os::unix::net::UnixStream::connect(&path) {
-            Ok(s) => return s,
-            Err(_) if std::time::Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => panic!("listener never appeared: {e}"),
-        }
-    };
     {
-        let mut s = connect();
+        let mut s = dial(&path);
         s.write_all(&[0xBA, 0xAD, 0xF0, 0x0D, 1, 2, 3, 4, 5, 6])
             .unwrap();
     }
     {
-        let mut s = connect();
+        let mut s = dial(&path);
         s.write_all(&Message::Hello { rank: 1, nodes: 2 }.encode()[..5])
             .unwrap();
         // Dropped here: mid-hello hangup.
     }
     {
-        let mut s = connect();
+        let mut s = dial(&path);
         s.write_all(&Message::Hello { rank: 9, nodes: 2 }.encode())
             .unwrap();
     }
@@ -257,4 +264,180 @@ fn tcp_mesh_forms_through_garbage_connections() {
     });
     b0.shutdown();
     b1.shutdown();
+}
+
+/// Everything a sink is told, in the order it was told.
+#[derive(Debug, Clone, PartialEq)]
+enum Event {
+    Frame(usize, Message),
+    Broken(usize, DecodeError),
+    Down(usize, bool),
+}
+
+#[derive(Default)]
+struct Log(Mutex<Vec<Event>>);
+
+impl Log {
+    fn events(&self) -> Vec<Event> {
+        self.0.lock().unwrap().clone()
+    }
+}
+
+impl FrameSink for Log {
+    fn deliver(&self, from: usize, msg: Message) {
+        self.0.lock().unwrap().push(Event::Frame(from, msg));
+    }
+    fn decode_failure(&self, from: usize, err: DecodeError) {
+        self.0.lock().unwrap().push(Event::Broken(from, err));
+    }
+    fn link_down(&self, peer: usize, graceful: bool) {
+        self.0.lock().unwrap().push(Event::Down(peer, graceful));
+    }
+}
+
+/// A started rank 0 of a two-node UDS mesh whose rank 1 is a raw stream,
+/// handshaken by hand, plus the log rank 0 delivers into.
+fn endpoint_with_raw_peer(tag: &str) -> (SocketTransport, UnixStream, Arc<Log>) {
+    let dir = temp_dir(tag);
+    let rank0 = std::thread::spawn({
+        let dir = dir.clone();
+        move || SocketTransport::unix(0, 2, &dir).unwrap()
+    });
+    let mut peer = dial(&fuzzy_net::unix_socket_path(&dir, 0));
+    peer.write_all(&Message::Hello { rank: 1, nodes: 2 }.encode())
+        .unwrap();
+    let endpoint = rank0.join().unwrap();
+    // The connection outlives its socket file.
+    let _ = std::fs::remove_dir_all(&dir);
+    let log = Arc::new(Log::default());
+    endpoint.start(log.clone());
+    (endpoint, peer, log)
+}
+
+/// Polls `endpoint` (its sweeper polls too; whoever gets a frame logs it)
+/// until the log holds `count` events.
+fn poll_until(endpoint: &SocketTransport, log: &Log, count: usize) -> Vec<Event> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        endpoint.poll();
+        let events = log.events();
+        if events.len() >= count {
+            return events;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{} of {count} events",
+            events.len()
+        );
+        std::thread::yield_now();
+    }
+}
+
+/// Lets both drivers run long enough that anything still to be said about
+/// the link would have been.
+fn settle(endpoint: &SocketTransport) {
+    for _ in 0..20 {
+        endpoint.poll();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+fn signal(episode: u64) -> Message {
+    Message::Signal { episode, round: 0 }
+}
+
+#[test]
+fn a_frame_arriving_a_byte_at_a_time_is_delivered_exactly_once() {
+    let (endpoint, mut peer, log) = endpoint_with_raw_peer("reasm-bytes");
+    let frame = signal(41).encode();
+    let (last, head) = frame.split_last().unwrap();
+    for byte in head {
+        peer.write_all(&[*byte]).unwrap();
+        assert_eq!(endpoint.poll(), 0, "a partial frame is not a frame");
+    }
+    settle(&endpoint);
+    assert_eq!(log.events(), vec![], "nothing until the last byte is in");
+    peer.write_all(&[*last]).unwrap();
+    assert_eq!(
+        poll_until(&endpoint, &log, 1),
+        vec![Event::Frame(1, signal(41))]
+    );
+    settle(&endpoint);
+    assert_eq!(log.events().len(), 1, "and never again");
+    endpoint.shutdown();
+}
+
+#[test]
+fn many_frames_in_one_write_all_deliver_in_order() {
+    // Far more than the receive buffer holds, so most polls end with whole
+    // frames still buffered and must deliver them before reading on; the
+    // tail is delivered from the buffer after the socket has run dry.
+    const FRAMES: u64 = 5_000;
+    let (endpoint, mut peer, log) = endpoint_with_raw_peer("reasm-burst");
+    let burst: Vec<u8> = (0..FRAMES).flat_map(|e| signal(e).encode()).collect();
+    let writer = std::thread::spawn(move || {
+        peer.write_all(&burst).unwrap();
+        peer
+    });
+    let events = poll_until(&endpoint, &log, FRAMES as usize);
+    let _peer = writer.join().unwrap();
+    settle(&endpoint);
+    assert_eq!(log.events().len() as u64, FRAMES, "each frame exactly once");
+    for (episode, event) in events.iter().enumerate() {
+        assert_eq!(*event, Event::Frame(1, signal(episode as u64)));
+    }
+    endpoint.shutdown();
+}
+
+#[test]
+fn a_frame_then_a_close_delivers_the_frame_before_the_death() {
+    let (endpoint, mut peer, log) = endpoint_with_raw_peer("reasm-close");
+    peer.write_all(&signal(7).encode()).unwrap();
+    drop(peer);
+    assert_eq!(
+        poll_until(&endpoint, &log, 2),
+        vec![Event::Frame(1, signal(7)), Event::Down(1, false)]
+    );
+    settle(&endpoint);
+    assert_eq!(log.events().len(), 2, "a link dies once");
+    endpoint.shutdown();
+}
+
+#[test]
+fn a_bye_is_one_graceful_link_down_and_then_silence() {
+    let (endpoint, mut peer, log) = endpoint_with_raw_peer("reasm-bye");
+    // Whatever follows a goodbye — frames, then the close — is not news.
+    let mut bytes = Message::Bye.encode();
+    bytes.extend_from_slice(&signal(3).encode());
+    peer.write_all(&bytes).unwrap();
+    assert_eq!(poll_until(&endpoint, &log, 1), vec![Event::Down(1, true)]);
+    drop(peer);
+    settle(&endpoint);
+    assert_eq!(log.events(), vec![Event::Down(1, true)]);
+    endpoint.shutdown();
+}
+
+#[test]
+fn lost_framing_is_reported_and_drops_the_connection() {
+    let (endpoint, mut peer, log) = endpoint_with_raw_peer("reasm-garbage");
+    let mut bytes = signal(1).encode();
+    // An oversized length is refused at the header: no payload is awaited.
+    bytes.extend_from_slice(&[wire::MAGIC, wire::VERSION, 2, 0]);
+    bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+    peer.write_all(&bytes).unwrap();
+    assert_eq!(
+        poll_until(&endpoint, &log, 3),
+        vec![
+            Event::Frame(1, signal(1)),
+            Event::Broken(1, DecodeError::Oversized(u32::MAX as usize)),
+            Event::Down(1, false),
+        ]
+    );
+    // The endpoint hung up on the garbage: the peer's next read sees it.
+    peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut byte = [0u8; 1];
+    assert_eq!(std::io::Read::read(&mut peer, &mut byte).unwrap(), 0);
+    settle(&endpoint);
+    assert_eq!(log.events().len(), 3);
+    endpoint.shutdown();
 }

@@ -72,12 +72,13 @@ fn unix_mesh_runs_episodes_across_four_processes_worth_of_endpoints() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Over sockets a completing frame is delivered by the link's reader
-/// thread, which is nobody's participant: its record must neither be lost
-/// nor collide with the local participant's own.
+/// Over sockets a completing frame is delivered by whoever polls first —
+/// the endpoint's sweeper when no local caller is in the barrier — and a
+/// deliverer is nobody's participant: its record must neither be lost nor
+/// collide with the local participant's own.
 #[test]
-fn unix_pair_counts_completions_delivered_by_reader_threads() {
-    let dir = temp_dir("uds-reader-completion");
+fn unix_pair_counts_completions_delivered_by_the_sweeper_and_by_pollers() {
+    let dir = temp_dir("uds-sweeper-completion");
     let transports = form(2, |r| SocketTransport::unix(r, 2, &dir).unwrap());
     let barriers: Vec<Arc<NetBarrier>> = transports
         .into_iter()
@@ -85,22 +86,23 @@ fn unix_pair_counts_completions_delivered_by_reader_threads() {
         .collect();
     // Episode 0 by hand: rank 0 arrives and then only *reads* its counters
     // (no probe, no wait, so its own thread never pumps the protocol)
-    // until rank 1's signal has come in through the reader thread.
+    // until rank 1's signal has come in through the sweeper.
     let t0 = barriers[0].arrive(0);
     let t1 = barriers[1].arrive(0);
     let patience = std::time::Instant::now() + Duration::from_secs(20);
     while barriers[0].stats().episodes == 0 {
         assert!(
             std::time::Instant::now() < patience,
-            "the reader thread never completed episode 0"
+            "the sweeper never completed episode 0"
         );
         std::thread::sleep(Duration::from_millis(1));
     }
     let within = Deadline::after(Duration::from_secs(20));
     assert_eq!(barriers[0].wait_deadline(t0, within).unwrap().episode, 0);
     assert_eq!(barriers[1].wait_deadline(t1, within).unwrap().episode, 0);
-    // Then free-running episodes: readers and waiters race to observe
-    // each completion, and the books must still balance exactly.
+    // Then free-running episodes: the sweeper and the waiters' own polls
+    // race to deliver each completion, and the books must still balance
+    // exactly.
     let episodes = 200u64;
     std::thread::scope(|s| {
         for b in &barriers {

@@ -34,6 +34,10 @@
 #                quick exp_net_scale sweep, schema validated
 #   perf-gate    exp_backend_faceoff + exp_async_scale + exp_net_scale
 #                quick sweeps vs the checked-in baselines
+#   ledger-smoke the performance ledger (benchmark/): its own tests, then
+#                all six workloads untraced and traced at --seed 7
+#                --seconds 1; any failed operation, missing metric or
+#                non-zero exit fails the stage
 #   doc          cargo doc --no-deps (rustdoc warnings are errors)
 #
 # Each stage prints `ci: stage <name> PASS|FAIL (N.Ns)`; the script stops
@@ -44,7 +48,7 @@ set -u
 
 cd "$(dirname "$0")/.."
 
-STAGES="fmt build clippy test tier1 check-smoke bench-smoke async-smoke fault-smoke fuzz-smoke chaos-smoke net-smoke perf-gate doc"
+STAGES="fmt build clippy test tier1 check-smoke bench-smoke async-smoke fault-smoke fuzz-smoke chaos-smoke net-smoke perf-gate ledger-smoke doc"
 
 SELECTED=""
 for arg in "$@"; do
@@ -249,6 +253,21 @@ perf_gate() {
     sh scripts/perf_gate.sh
 }
 
+# Ledger smoke: benchmark/ is a package of its own (own workspace, own
+# lock file), so no stage above builds or runs it, and a ledger run that
+# fails would first be seen by whoever referees a performance claim. Its
+# unit tests, then the whole ledger with the command BENCHMARK.json
+# declares, one second a workload: the runner exits non-zero if any
+# workload fails an operation (every episode's release and visibility
+# check, the net counters, the simulated result), leaves a declared
+# metric unreported, or exits non-zero itself; what went wrong is on
+# stderr. The numbers of a one-second run mean nothing and are dropped.
+ledger_smoke() {
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml || return 1
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --seed 7 --seconds 1 >/dev/null
+}
+
 want fmt && run_stage fmt cargo fmt --check
 want build && run_stage build cargo build --workspace --all-targets
 want clippy && run_stage clippy cargo clippy --workspace --all-targets -- -D warnings
@@ -262,6 +281,7 @@ want fuzz-smoke && run_stage fuzz-smoke fuzz_smoke
 want chaos-smoke && run_stage chaos-smoke chaos_smoke
 want net-smoke && run_stage net-smoke net_smoke
 want perf-gate && run_stage perf-gate perf_gate
+want ledger-smoke && run_stage ledger-smoke ledger_smoke
 want doc && run_stage doc env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 if [ -n "$SUMMARY" ]; then
