@@ -14,7 +14,12 @@
 //! it proves liveness: the largest configuration is re-run under five
 //! different arrival-jitter seeds and must complete every episode with
 //! `parked == resumed` (every parked task was woken exactly once per
-//! park; a lost wakeup would hang the run instead).
+//! park; a lost wakeup would hang the run instead). Every row also
+//! asserts who took the frontend's probe lock: on the central backend
+//! only a poll or an arrive that reads a completed release word drains,
+//! so `drains <= polls + episodes × workers` (at most one arrival per
+//! worker can read a just-completed word); a frontend that drains on
+//! every arrive has `drains ≈ polls + arrivals` and fails it.
 //!
 //! ```text
 //! exp_async_scale [--quick] [--stats-json <path>]
@@ -90,6 +95,13 @@ fn measure(tasks: usize, workers: usize, episodes: u64, seed: u64) -> Row {
     assert_eq!(
         f.parked, f.resumed,
         "a parked task that never resumed is a lost wakeup"
+    );
+    assert!(
+        f.drains <= f.polls + episodes * workers as u64,
+        "M={tasks} N={workers}: {} drains for {} polls: an arrive that completed \
+         nothing took the probe lock",
+        f.drains,
+        f.polls
     );
     Row {
         tasks,
@@ -195,7 +207,8 @@ fn run_sweep(quick: bool) {
     };
     println!(
         "\n{episodes} episodes per configuration, central backend, region jitter in\n\
-         [0, {}] busy units per episode; every row asserts parked == resumed.\n",
+         [0, {}] busy units per episode; every row asserts parked == resumed\n\
+         and drains <= polls + episodes x workers.\n",
         2 * REGION_UNITS
     );
 

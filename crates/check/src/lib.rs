@@ -40,12 +40,14 @@
 //! cargo run -p fuzzy-check --bin check -- --backend all -n 3 --schedules 10000
 //! ```
 //!
-//! The [`mutants`] module carries twelve seeded-bug backends the checker
+//! The [`mutants`] module carries fifteen seeded-bug backends the checker
 //! must catch — six concurrency races (including a hierarchical shard
 //! leader that releases early), two fault-handling bugs (a no-op poison
-//! and a mask-preserving eviction), an async frontend that forgets
-//! to drain its parked-waker registry on release, two
-//! dynamic-membership bugs (a join admitted mid-episode and a forgotten
+//! and a mask-preserving eviction), four async bugs (a frontend that
+//! forgets to drain its parked-waker registry on release, a backend whose
+//! release word runs one arrival early, a waiter that parks on a release
+//! word read outside the probe lock, and a completing arrival that skips
+//! the drain it owes), two dynamic-membership bugs (a join admitted mid-episode and a forgotten
 //! generation check), and a distributed bug (a transport that forges the
 //! higher dissemination rounds, releasing a `NetBarrier` endpoint on
 //! first contact); `cargo test -p fuzzy-check` proves it does.

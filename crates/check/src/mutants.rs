@@ -17,7 +17,11 @@
 //! canonical lost wakeup of poll-based waiting, caught by the
 //! waker-handoff scenario; beside it, a backend whose `release_epoch`
 //! runs one arrival ahead of its `is_complete`, which the same scenario
-//! catches as an early release through the real frontend. The next two
+//! catches as an early release through the real frontend, and two
+//! replicas of that frontend's release-word fast paths, each with one of
+//! the two obligations that keep them wakeup-safe dropped: a waiter that
+//! parks on a release word read *outside* the probe lock, and a
+//! completer whose skip-the-drain test is off by one. The next two
 //! seed *dynamic-membership* bugs:
 //! a join admitted mid-episode instead of at the boundary, and a
 //! credential check that forgets the slot generation — caught by the
@@ -30,7 +34,7 @@ use crate::scenario::{AsyncArrival, AsyncFrontend, ReconfigOps};
 use crate::shadow::ShadowSync;
 use fuzzy_barrier::spin::SpinReport;
 use fuzzy_barrier::stats::StatsSnapshot;
-use fuzzy_barrier::sync::{Atomic, SyncOps};
+use fuzzy_barrier::sync::{Atomic, SyncOps, TicketLock};
 use fuzzy_barrier::{
     ArrivalToken, BarrierError, CentralBarrier, Deadline, JoinTicket, MemberHandle,
     ReconfigBarrier, SplitBarrier, StallPolicy, WaitOutcome,
@@ -844,6 +848,142 @@ impl<S: SyncOps> SplitBarrier for MutantEarlyEpoch<S> {
 
     fn stats(&self) -> StatsSnapshot {
         self.inner.stats()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// MutantUnlockedPark / MutantCompleterSkipsDrain: the release-word fast
+// paths, each short of one obligation
+// ---------------------------------------------------------------------------
+
+const UNLOCKED_PARK: u8 = 0;
+const COMPLETER_SKIPS_DRAIN: u8 = 1;
+
+/// A replica of the real [`fuzzy_barrier::AsyncBarrier`]'s release-word
+/// fast paths over the stock [`CentralBarrier`] — the probe lock is the
+/// same [`TicketLock`], an arrival that reads the release word at or
+/// below its own episode skips the drain, a poll that reads it above its
+/// episode resolves without the lock — with one of the two obligations of
+/// the frontend's lost-wakeup argument dropped, chosen by `BUG`. Use it
+/// through [`MutantUnlockedPark`] and [`MutantCompleterSkipsDrain`].
+#[derive(Debug)]
+pub struct FastPathReplica<const BUG: u8> {
+    inner: CentralBarrier<ShadowSync>,
+    probe: TicketLock<ShadowSync>,
+    /// Only touched with `probe` held, so this mutex never blocks.
+    parked: Mutex<Vec<(usize, u64, Waker)>>,
+}
+
+/// [`FastPathReplica`] whose poll **parks on the lock-free read**: it takes
+/// the probe lock to register, but does not re-read the release word under
+/// it. The completer can arrive, find the registry empty and finish its
+/// drain between that read and the registration; the waiter then sleeps
+/// on an episode that has already released — a lost wakeup that needs one
+/// preemption, between two lines that look atomic.
+pub type MutantUnlockedPark = FastPathReplica<UNLOCKED_PARK>;
+
+/// [`FastPathReplica`] whose arrive gets the skip test **off by one**:
+/// `k <= e + 1` instead of `k <= e`. The arrival that completes episode
+/// `e` reads exactly `k = e + 1`, so the one arrival that owes the drain
+/// is the one that skips it, and every waiter parked for `e` is lost —
+/// on every schedule in which anyone parked.
+pub type MutantCompleterSkipsDrain = FastPathReplica<COMPLETER_SKIPS_DRAIN>;
+
+impl<const BUG: u8> FastPathReplica<BUG> {
+    /// Creates the mutant for `n` participants.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        FastPathReplica {
+            inner: CentralBarrier::with_policy_in(n, StallPolicy::Spin),
+            probe: TicketLock::new(),
+            parked: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn released(&self) -> u64 {
+        self.inner
+            .release_epoch()
+            .expect("central has a release word")
+    }
+
+    /// With the probe lock held: removes the waiters parked below
+    /// `released`, then registers `park` if given. Returns the removed
+    /// waiters' wakers.
+    fn settle(&self, released: u64, park: Option<(usize, u64, &Waker)>) -> Vec<Waker> {
+        let mut parked = self
+            .parked
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let (woken, mut kept): (Vec<_>, Vec<_>) =
+            parked.drain(..).partition(|entry| entry.1 < released);
+        if let Some((id, episode, waker)) = park {
+            kept.retain(|entry| entry.0 != id);
+            kept.push((id, episode, waker.clone()));
+        }
+        *parked = kept;
+        woken.into_iter().map(|entry| entry.2).collect()
+    }
+}
+
+impl<const BUG: u8> AsyncFrontend for FastPathReplica<BUG> {
+    fn participants(&self) -> usize {
+        self.inner.participants()
+    }
+
+    fn arrive_future(self: Arc<Self>, id: usize) -> AsyncArrival {
+        let token = self.inner.arrive(id);
+        let episode = token.episode();
+        drop(token);
+        // BUG (seeded, `MutantCompleterSkipsDrain`): the real test is
+        // `k <= e`; one more lets the completing arrival through.
+        let slack = u64::from(BUG == COMPLETER_SKIPS_DRAIN);
+        if self.released() > episode + slack {
+            let ticket = self.probe.acquire();
+            let wakers = self.settle(self.released(), None);
+            drop(ticket);
+            wakers.into_iter().for_each(Waker::wake);
+        }
+        Box::pin(FastPathFuture {
+            owner: self,
+            id,
+            episode,
+        })
+    }
+}
+
+struct FastPathFuture<const BUG: u8> {
+    owner: Arc<FastPathReplica<BUG>>,
+    id: usize,
+    episode: u64,
+}
+
+impl<const BUG: u8> Future for FastPathFuture<BUG> {
+    type Output = Result<WaitOutcome, BarrierError>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = Pin::into_inner(self);
+        let owner = &this.owner;
+        let mut released = owner.released();
+        if released <= this.episode {
+            let ticket = owner.probe.acquire();
+            // BUG (seeded, `MutantUnlockedPark`): the real frontend reads
+            // the release word again here, under the lock, and parks on
+            // that answer only.
+            if BUG != UNLOCKED_PARK {
+                released = owner.released();
+            }
+            let park = (released <= this.episode).then_some((this.id, this.episode, cx.waker()));
+            let wakers = owner.settle(released, park);
+            drop(ticket);
+            wakers.into_iter().for_each(Waker::wake);
+        }
+        if released <= this.episode {
+            return Poll::Pending;
+        }
+        Poll::Ready(Ok(WaitOutcome {
+            episode: this.episode,
+            ..WaitOutcome::default()
+        }))
     }
 }
 

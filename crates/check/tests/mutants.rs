@@ -277,6 +277,55 @@ fn failing_schedule_replays_to_the_same_defect() {
     );
 }
 
+/// Explores `factory`'s async frontend under the waker-handoff scenario —
+/// `n` tasks, `episodes` episodes, at most `bound` preemptions — and
+/// asserts the checker classifies what it finds as a lost wakeup.
+fn must_lose_a_wakeup(
+    name: &str,
+    (n, episodes, bound): (usize, u64, usize),
+    factory: impl FnMut() -> Arc<dyn fuzzy_check::AsyncFrontend> + 'static,
+) {
+    let mut scenario = fuzzy_check::async_handoff_with(name.to_string(), n, episodes, factory);
+    match explore_dfs(&mut scenario, &opts(bound)) {
+        Outcome::Fail {
+            violation,
+            schedules,
+        } => {
+            assert!(
+                matches!(violation.defect, Defect::LostWakeup { .. }),
+                "{name}: expected LostWakeup, got {:?}",
+                violation.defect
+            );
+            eprintln!(
+                "{name}: caught after {schedules} schedules: {}",
+                violation.defect
+            );
+        }
+        Outcome::Pass { schedules, .. } => panic!("{name} survived {schedules} schedules"),
+    }
+}
+
+/// The schedule space of [`must_lose_a_wakeup`] over the *real*
+/// `AsyncBarrier` frontend on the central backend, which must exhaust
+/// clean.
+fn real_async_frontend_survives((n, episodes, bound): (usize, u64, usize)) {
+    let mut scenario = fuzzy_check::async_handoff(fuzzy_check::BackendKind::Central, n, episodes);
+    match explore_dfs(&mut scenario, &opts(bound)) {
+        Outcome::Pass { schedules, .. } => {
+            assert!(schedules < opts(bound).max_schedules, "space not exhausted");
+            eprintln!("async/central/n{n}/e{episodes} clean over {schedules} schedules");
+        }
+        Outcome::Fail { violation, .. } => {
+            panic!("real async frontend failed: {}", violation)
+        }
+    }
+}
+
+/// (tasks, episodes, preemption bound) of each mutant / real-frontend pair.
+const NO_DRAIN_SPACE: (usize, u64, usize) = (2, 1, 2);
+const UNLOCKED_PARK_SPACE: (usize, u64, usize) = (2, 2, 2);
+const COMPLETER_SKIPS_SPACE: (usize, u64, usize) = (3, 1, 1);
+
 #[test]
 fn async_no_drain_is_caught_as_lost_wakeup() {
     // t0 arrives, polls Pending, parks its waker. t1 arrives (completing
@@ -284,45 +333,55 @@ fn async_no_drain_is_caught_as_lost_wakeup() {
     // registry. t0 sleeps on a flag nobody sets; its episode fully
     // arrived, so the checker must classify the hang as a lost wakeup.
     use fuzzy_check::mutants::MutantNoDrain;
-    use fuzzy_check::{async_handoff_with, AsyncFrontend};
-    let mut scenario = async_handoff_with("mutant/no-drain".to_string(), 2, 1, || {
-        Arc::new(MutantNoDrain::new(2)) as Arc<dyn AsyncFrontend>
+    must_lose_a_wakeup("mutant/no-drain", NO_DRAIN_SPACE, || {
+        Arc::new(MutantNoDrain::new(2))
     });
-    match explore_dfs(&mut scenario, &opts(2)) {
-        Outcome::Fail {
-            violation,
-            schedules,
-        } => {
-            assert!(
-                matches!(violation.defect, Defect::LostWakeup { .. }),
-                "mutant/no-drain: expected LostWakeup, got {:?}",
-                violation.defect
-            );
-            eprintln!(
-                "mutant/no-drain: caught after {schedules} schedules: {}",
-                violation.defect
-            );
-        }
-        Outcome::Pass { schedules, .. } => {
-            panic!("mutant/no-drain survived {schedules} schedules")
-        }
-    }
 }
 
 #[test]
 fn real_async_frontend_survives_the_no_drain_schedule_space() {
     // The same tiny configuration over the *real* AsyncBarrier frontend
-    // must exhaust clean: the drain-on-every-completion-path discipline is
-    // exactly what separates it from MutantNoDrain.
-    let mut scenario = fuzzy_check::async_handoff(fuzzy_check::BackendKind::Central, 2, 1);
-    match explore_dfs(&mut scenario, &opts(2)) {
-        Outcome::Pass { schedules, .. } => {
-            eprintln!("async/central clean over {schedules} schedules");
-        }
-        Outcome::Fail { violation, .. } => {
-            panic!("real async frontend failed: {}", violation)
-        }
-    }
+    // must exhaust clean: draining on every path that may have completed
+    // an episode is exactly what separates it from MutantNoDrain.
+    real_async_frontend_survives(NO_DRAIN_SPACE);
+}
+
+#[test]
+fn async_unlocked_park_is_caught_as_lost_wakeup() {
+    // t0 reads the release word lock-free: episode 0 is open. Preempted.
+    // t1 arrives, completes the episode, drains an empty registry. t0
+    // takes the lock and registers on the strength of the read it made
+    // outside it; nobody is left to wake it. Two episodes, so the first
+    // episode's lock-free resolutions are behind the second's parks.
+    use fuzzy_check::mutants::MutantUnlockedPark;
+    must_lose_a_wakeup("mutant/unlocked-park", UNLOCKED_PARK_SPACE, || {
+        Arc::new(MutantUnlockedPark::new(2))
+    });
+}
+
+#[test]
+fn real_async_frontend_survives_the_unlocked_park_schedule_space() {
+    // The real poll re-reads the word under the lock before it parks.
+    real_async_frontend_survives(UNLOCKED_PARK_SPACE);
+}
+
+#[test]
+fn async_completer_skips_drain_is_caught_as_lost_wakeup() {
+    // Three tasks: the first two arrivals read `k <= e` and rightly skip
+    // the drain; the third completes the episode, reads `k = e + 1`, and
+    // the off-by-one test lets it skip too. Whoever parked stays parked.
+    use fuzzy_check::mutants::MutantCompleterSkipsDrain;
+    must_lose_a_wakeup(
+        "mutant/completer-skips-drain",
+        COMPLETER_SKIPS_SPACE,
+        || Arc::new(MutantCompleterSkipsDrain::new(3)),
+    );
+}
+
+#[test]
+fn real_async_frontend_survives_the_completer_skips_drain_schedule_space() {
+    // The real arrive skips on `k <= e` only: the completer always drains.
+    real_async_frontend_survives(COMPLETER_SKIPS_SPACE);
 }
 
 /// Check-smoke's exploration — unbounded-preemption DFS — cut off after

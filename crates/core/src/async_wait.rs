@@ -11,79 +11,130 @@
 //!
 //! # The waker protocol
 //!
-//! All async-frontend probing is serialized under a **probe lock** — the
-//! shared [`crate::sync::TicketLock`] over the [`SyncOps`] domain, *not* a
-//! `std` mutex, so the `fuzzy-check` model checker can observe (and
-//! deschedule through) the lock's spin in its instrumented domain. Under
-//! the lock lives a registry of parked waiters (`(id, episode, Waker)`
-//! triples), indexed by participant id — a participant has at most one
-//! arrival in flight — so park, waker refresh and un-park are O(1).
+//! The parked waiters live in a registry (`(id, episode, Waker)` triples,
+//! indexed by participant id — a participant has at most one arrival in
+//! flight — so park, waker refresh and un-park are O(1)) guarded by a
+//! **probe lock**: the shared [`crate::sync::TicketLock`] over the
+//! [`SyncOps`] domain, *not* a `std` mutex, so the `fuzzy-check` model
+//! checker can observe (and deschedule through) the lock's spin in its
+//! instrumented domain. Who takes that lock, and when, is the backend's
+//! property, read at run time from [`SplitBarrier::release_epoch`].
 //!
-//! * **Arrive** (sync or async) drains the registry after the backend's
-//!   arrival: if this arrival completed an episode, every parked waiter of
-//!   that episode is removed and its waker collected.
-//! * **Every poll** — including polls that will return `Pending` — runs the
-//!   same drain before deciding its own token.
-//! * **Poison / abort / evict** also drain, so parked waiters observe
-//!   faults promptly instead of at their next (never-coming) wakeup.
-//!   Poison wakes everyone.
+//! **Uniform-release backends** (central, counting, tree) publish one
+//! release word `k`: every arrival for an episode below `k` is released,
+//! no other is. The word alone answers most questions, so the lock is
+//! taken only to *park* and to *release the parked*:
 //!
-//! What a drain costs is the backend's property, read at run time from
-//! [`SplitBarrier::release_epoch`]:
+//! * **Arrive** (sync or async) reads `k` after the backend's arrival
+//!   returned its token for episode `e`. `k <= e` on an unpoisoned barrier
+//!   means this arrival completed nothing and owes nobody a wake: it
+//!   returns without the lock. Otherwise — by the trait's contract the
+//!   arrival that completes `e` reads `k > e` after its own arrival — it
+//!   **drains** under the lock: every entry parked for an episode below
+//!   `k` is removed and its waker collected. The registry keeps a
+//!   watermark, a lower bound on the oldest parked episode, so a drain
+//!   that releases nobody is one load and one compare.
+//! * **Poll** reads `k` first, lock-free. `e < k`: `Ready`, with no lock
+//!   and no registry access (completion wins over poison). Otherwise the
+//!   poll takes the lock, **re-reads `k` under it**, drains as above, and
+//!   only then decides its own token from that second read: `Ready` and
+//!   un-park, `Err(Poisoned)` and un-park, or register its waker and
+//!   return `Pending`.
+//! * A fault-free task-episode therefore takes the lock once (its parking
+//!   poll) and the completer once more per episode; an episode of `M`
+//!   tasks costs `M` lock acquisitions and O(M) registry visits in total.
+//! * A future that resolves on the lock-free path does not un-park. If it
+//!   had parked and is polled again between the completing arrival and the
+//!   drain that arrival owes, its entry stays behind, **stale**. The next
+//!   drain under the lock removes it — the completer's, or the one that
+//!   opens the id's own next parking poll — and wakes it: a task that has
+//!   moved on takes that as a spurious poll, which every future
+//!   tolerates. Registration does not lean on that order: finding an
+//!   older episode's entry under its id, it replaces it in place and
+//!   counts a fresh park.
 //!
-//! * **Uniform-release backends** (central, counting, tree) publish one
-//!   release word `k`: every arrival for an episode below `k` is released,
-//!   no other is. The registry keeps a watermark — a lower bound on the
-//!   oldest parked episode — and a drain is *one load and one compare*
-//!   unless `oldest < k`; then it removes exactly the released entries.
-//!   The caller's own token is decided by `episode < k`, with no probe of
-//!   its own. An episode of `M` tasks costs O(M) registry visits in total:
-//!   O(1) per participant, O(released) per release.
-//! * **Cooperative backends** (dissemination, hier, the network barrier)
-//!   return `None`: their [`SplitBarrier::is_complete`] help-drives the
-//!   probed participant's rounds, so a poll may be the last event in the
-//!   system and must push the whole registry to a **fixpoint**, not just
-//!   itself. Probing one waiter's token can enable another's (a
-//!   dissemination probe that advances a round sends the next round's
-//!   signal), and enablement chains ascend one round per sweep in the
-//!   worst case, so the drain keeps sweeping every parked entry until
-//!   `help_rounds + 1` consecutive sweeps make no progress (`help_rounds`
-//!   defaults to `ceil(log2(participants))`, an upper bound on any
-//!   backend's round count). "Every poll drains everything" is this
-//!   path's rule, and only this path's.
+//! **Cooperative backends** (dissemination, hier, the network barrier)
+//! return `None`: their [`SplitBarrier::is_complete`] help-drives the
+//! probed participant's rounds, so a poll may be the last event in the
+//! system and must push the whole registry to a **fixpoint**, not just
+//! itself. Every arrive and every poll — including polls that will return
+//! `Pending` — takes the lock and sweeps. Probing one waiter's token can
+//! enable another's (a dissemination probe that advances a round sends the
+//! next round's signal), and enablement chains ascend one round per sweep
+//! in the worst case, so the drain keeps sweeping every parked entry until
+//! `help_rounds + 1` consecutive sweeps make no progress (`help_rounds`
+//! defaults to `ceil(log2(participants))`, an upper bound on any backend's
+//! round count). "Every poll drains everything" is this path's rule, and
+//! only this path's.
+//!
+//! On **every** backend, poison / abort / evict and the blocking `wait`
+//! flavors drain under the lock when they return, so parked waiters
+//! observe faults promptly instead of at their next (never-coming)
+//! wakeup. Poison wakes everyone.
 //!
 //! Collected wakers are invoked **after** the probe lock is released: in
 //! the checker's shadow domain a wake is itself a scheduling point, and no
 //! schedule may interleave inside the lock.
 //!
+//! The frontend's counters follow the same rule as the barrier's own
+//! statistics (see [`crate::stats`]): nothing on the poll path bumps a
+//! shared word. `parked` / `drains` / `wakes` are plain fields of the
+//! registry, written only with the lock held; `polls` / `resumed` are
+//! counted in the future and folded into its participant's own padded
+//! cell when it resolves or drops; [`AsyncBarrier::async_stats`] adds
+//! them up.
+//!
 //! # Lost-wakeup freedom
 //!
-//! A waiter's decide-then-register and a completer's drain are both
-//! critical sections of the probe lock, and every completion-producing
-//! call drains *after* its backend call returned. If the waiter's section
-//! runs first, the completer's drain finds the registered entry — on the
-//! sweep path by probing it complete; on the watermark path because
-//! registering lowered `oldest` to at most the waiter's episode `e`, the
-//! completer reads `k > e` (its own arrival advanced the word before it
-//! took the lock), so `oldest < k` and the entry is removed and woken. If
-//! the completer's section runs first, the waiter's read of the release
-//! word (or its own probe) happens-after the completing arrival (lock
-//! release/acquire ordering) and observes completion directly. The
-//! watermark is only ever a *lower* bound — raised solely by the scan that
-//! recomputes it exactly — so it can cost a wasted scan, never a skipped
-//! one. On cooperative backends, participants that arrived but have not
-//! yet polled are why every poll sweeps: they will probe — and help-drive
-//! — on their first poll.
+//! The proof is the re-read under the lock. Sentence by sentence, with the
+//! `fuzzy-check` mutant that breaks each:
+//!
+//! 1. *A waiter decides to park and registers in one critical section of
+//!    the probe lock, from a release word (or probe) read inside that
+//!    section.* The lock-free read may only ever say `Ready` — it
+//!    registers nothing, so it can strand nothing. (`MutantUnlockedPark`
+//!    parks on the strength of the lock-free read: the completer arrives
+//!    and drains an empty registry between that read and the
+//!    registration.)
+//! 2. *Every arrival that may have completed an episode drains, in a
+//!    critical section entered after its backend call returned.* The
+//!    skipped arrivals are exactly those that read `k <= e`, and the
+//!    completer of `e` reads `k > e`. (`MutantCompleterSkipsDrain` skips
+//!    on `k <= e + 1`; `MutantNoDrain` never drains.) That a word above
+//!    `e` means *released* is the trait's contract (`MutantEarlyEpoch`).
+//! 3. Two critical sections are ordered. If the waiter's runs first, the
+//!    completer's drain finds the registered entry — on the sweep path by
+//!    probing it complete; on the watermark path because registering
+//!    lowered `oldest` to at most the waiter's episode `e` and the
+//!    completer reads `k > e`, so `oldest < k` and the entry is removed
+//!    and woken. If the completer's runs first, the waiter's re-read of
+//!    the release word (or its own probe) happens-after the completing
+//!    arrival (lock release/acquire ordering) and observes completion
+//!    directly.
+//! 4. A stale entry (above) describes a waiter that needs no wake: its
+//!    future resolved. It sits below the release word, where the
+//!    watermark keeps pointing, so the next drain removes it; and an id
+//!    has one slot, so a registration that did find it would overwrite
+//!    episode and waker there — the registry never describes anyone but
+//!    the id's latest waiter.
+//!
+//! The watermark is only ever a *lower* bound — raised solely by the scan
+//! that recomputes it exactly — so it can cost a wasted scan, never a
+//! skipped one. On cooperative backends, participants that arrived but
+//! have not yet polled are why every poll sweeps: they will probe — and
+//! help-drive — on their first poll.
 
 use crate::error::BarrierError;
 use crate::failure::{Deadline, WaitPolicy};
 use crate::fuzzy::SplitBarrier;
-use crate::stats::{AsyncSnapshot, AsyncStats, StatsSnapshot, TelemetrySnapshot};
+use crate::stats::{self, AsyncSnapshot, StatsSnapshot, TelemetrySnapshot};
 use crate::sync::{RealSync, SyncOps, TicketGuard, TicketLock};
 use crate::token::{ArrivalToken, WaitOutcome};
+use fuzzy_util::CachePadded;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
@@ -109,6 +160,10 @@ struct Registry {
     /// Lower bound on the oldest parked episode; `u64::MAX` when nothing
     /// is parked. See the module docs for why a lower bound is enough.
     oldest: u64,
+    /// The `parked` / `drains` / `wakes` counts. Plain words: like the
+    /// rest of the registry they are only written with the probe lock
+    /// held.
+    counts: AsyncSnapshot,
 }
 
 impl Registry {
@@ -117,11 +172,14 @@ impl Registry {
             parked: Vec::new(),
             slot_of: vec![NOT_PARKED; participants],
             oldest: u64::MAX,
+            counts: AsyncSnapshot::default(),
         }
     }
 
     /// Registers a parked waiter, or refreshes the waker of the one
-    /// already there. Returns true if the waiter was newly parked.
+    /// already there. Returns true if the waiter was newly parked: its id
+    /// had no entry, or a stale one left by an older episode's future that
+    /// resolved without the lock.
     fn register(&mut self, id: usize, episode: u64, waker: &Waker) -> bool {
         if id >= self.slot_of.len() {
             self.slot_of.resize(id + 1, NOT_PARKED);
@@ -139,9 +197,10 @@ impl Registry {
             }
             slot => {
                 let entry = &mut self.parked[slot];
+                let stale = entry.episode < episode;
                 entry.episode = episode;
                 entry.waker.clone_from(waker);
-                false
+                stale
             }
         }
     }
@@ -200,6 +259,14 @@ impl Registry {
     }
 }
 
+/// The `polls` / `resumed` counts of one participant's futures, folded in
+/// by each future when it resolves or drops.
+#[derive(Debug, Default)]
+struct FutureCounts {
+    polls: AtomicU64,
+    resumed: AtomicU64,
+}
+
 /// The held probe lock and the registry it guards. Fields drop in
 /// declaration order: the registry mutex first, then the ticket.
 struct Probe<'a, S: SyncOps> {
@@ -249,7 +316,12 @@ pub struct AsyncBarrier<B: SplitBarrier, S: SyncOps = RealSync> {
     /// backends; see module docs. 0 means a single no-progress sweep ends
     /// the drain.
     help_rounds: usize,
-    astats: AsyncStats,
+    /// One padded cell per participant, under the single-writer rule of
+    /// [`crate::stats::BarrierStats`]: a cell is written by the thread
+    /// driving that participant's future, with a plain load and store.
+    future_counts: Box<[CachePadded<FutureCounts>]>,
+    /// The read-modify-write fallback for ids beyond the cells.
+    stray_counts: FutureCounts,
 }
 
 impl<B: SplitBarrier> AsyncBarrier<B> {
@@ -274,7 +346,8 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
             probe: TicketLock::new(),
             registry: Mutex::new(Registry::new(n)),
             help_rounds,
-            astats: AsyncStats::new(),
+            future_counts: (0..n).map(|_| CachePadded::default()).collect(),
+            stray_counts: FutureCounts::default(),
         }
     }
 
@@ -295,10 +368,30 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
     }
 
     /// Snapshot of the async-frontend counters (parks, resumes, drains,
-    /// wakes, polls).
+    /// wakes, polls): the registry's counts, read under the probe lock,
+    /// plus the per-participant cells. `polls` and `resumed` cover the
+    /// futures that have resolved or dropped; one still in flight adds its
+    /// share when it does.
     #[must_use]
     pub fn async_stats(&self) -> AsyncSnapshot {
-        self.astats.snapshot()
+        let mut total = self.probe_lock().registry.counts;
+        let cells = self.future_counts.iter().map(|cell| &**cell);
+        for counts in cells.chain([&self.stray_counts]) {
+            total.polls += counts.polls.load(Ordering::Relaxed);
+            total.resumed += counts.resumed.load(Ordering::Relaxed);
+        }
+        total
+    }
+
+    /// Folds a finished (resolved or dropped) future's counts into its
+    /// participant's cell.
+    fn record_future(&self, id: usize, polls: u64, resumed: bool) {
+        let (counts, sole_writer) = match self.future_counts.get(id) {
+            Some(cell) => (&**cell, true),
+            None => (&self.stray_counts, false),
+        };
+        stats::add(&counts.polls, polls, sole_writer);
+        stats::add(&counts.resumed, u64::from(resumed), sole_writer);
     }
 
     /// Arrives *and* returns a future that completes when this episode
@@ -341,23 +434,29 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
     /// and decides the caller's own token, when given. Must be called with
     /// the probe lock held. Returns the wakers of the removed waiters, to
     /// be invoked *after* the lock is dropped, and whether `own` completed.
+    ///
+    /// The release word is read here, under the lock: this read — not the
+    /// lock-free one a poll starts with — is the one a waiter may park on.
     fn drain_locked(
         &self,
         registry: &mut Registry,
         own: Option<&ArrivalToken>,
     ) -> (Vec<Waker>, bool) {
-        self.astats.record_drain();
+        registry.counts.drains += 1;
         let mut woken = Vec::new();
-        let Some(released) = self.inner.release_epoch() else {
-            let own_done = self.sweep_locked(registry, own, &mut woken);
-            return (woken, own_done);
+        let own_done = match self.inner.release_epoch() {
+            None => self.sweep_locked(registry, own, &mut woken),
+            Some(released) => {
+                if !registry.parked.is_empty() && self.inner.is_poisoned() {
+                    registry.release_all(&mut woken);
+                } else if registry.oldest < released {
+                    registry.release_below(released, &mut woken);
+                }
+                own.is_some_and(|token| token.episode < released)
+            }
         };
-        if !registry.parked.is_empty() && self.inner.is_poisoned() {
-            registry.release_all(&mut woken);
-        } else if registry.oldest < released {
-            registry.release_below(released, &mut woken);
-        }
-        (woken, own.is_some_and(|token| token.episode < released))
+        registry.counts.wakes += woken.len() as u64;
+        (woken, own_done)
     }
 
     /// The cooperative-backend drain: probes every parked waiter — plus
@@ -412,15 +511,14 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
         let mut probe = self.probe_lock();
         let (wakers, _) = self.drain_locked(&mut probe.registry, None);
         drop(probe);
-        self.wake_all(wakers);
+        wake_all(wakers);
     }
+}
 
-    /// Invokes drained wakers; call with the probe lock released.
-    fn wake_all(&self, wakers: Vec<Waker>) {
-        self.astats.record_wakes(wakers.len() as u64);
-        for waker in wakers {
-            waker.wake();
-        }
+/// Invokes drained wakers; call with the probe lock released.
+fn wake_all(wakers: Vec<Waker>) {
+    for waker in wakers {
+        waker.wake();
     }
 }
 
@@ -439,7 +537,14 @@ impl<B: SplitBarrier, S: SyncOps> fmt::Debug for AsyncBarrier<B, S> {
 impl<B: SplitBarrier, S: SyncOps> SplitBarrier for AsyncBarrier<B, S> {
     fn arrive(&self, id: usize) -> ArrivalToken {
         let token = self.inner.arrive(id);
-        self.drain_and_wake();
+        // A release word still at or below this arrival's episode says it
+        // completed nothing: the arrival that does complete the episode
+        // reads a higher word and drains (module docs). Poison is the one
+        // other thing a parked waiter may be owed by an arrival.
+        let left_open = matches!(self.inner.release_epoch(), Some(k) if k <= token.episode);
+        if !left_open || self.inner.is_poisoned() {
+            self.drain_and_wake();
+        }
         token
     }
 
@@ -529,6 +634,14 @@ impl<B: SplitBarrier, S: SyncOps> SplitBarrier for AsyncBarrier<B, S> {
 /// `Err(BarrierError::Poisoned)` on poisoning (completion wins when both
 /// hold). Dropping an unresolved future poisons the barrier — the async
 /// form of [`SplitBarrier::abort`].
+///
+/// The outcome's `stalled`, `descheduled` and `probes` are exact on every
+/// episode. Its `stall_time` — first `Pending` poll to resolution — is
+/// **sampled**: the future reads the clock only on the episodes whose
+/// arrival spread is sampled too (the last of every
+/// [`crate::stats::SPREAD_SAMPLE_PERIOD`]) and reports zero on the
+/// others, the way a blocking wait arms no clock before its stall costs a
+/// context switch: the two clock reads cost about what a whole poll does.
 #[must_use = "an async arrival must be polled to completion"]
 pub struct BarrierFuture<B: SplitBarrier, S: SyncOps = RealSync> {
     barrier: Arc<AsyncBarrier<B, S>>,
@@ -536,9 +649,10 @@ pub struct BarrierFuture<B: SplitBarrier, S: SyncOps = RealSync> {
     episode: u64,
     /// True once a waker has been registered (we parked at least once).
     parked: bool,
-    /// Completion probes performed by this future's polls.
+    /// This future's polls so far.
     polls: u64,
-    /// When the first pending poll happened; the async stall clock.
+    /// When the first pending poll happened, on a sampled episode; the
+    /// async stall clock.
     first_pending: Option<Instant>,
     done: bool,
 }
@@ -576,56 +690,58 @@ impl<B: SplitBarrier, S: SyncOps> Future for BarrierFuture<B, S> {
         let this = Pin::into_inner(self);
         assert!(!this.done, "BarrierFuture polled after completion");
         this.polls += 1;
-        this.barrier.astats.record_poll();
-        let own = ArrivalToken::new(this.id, this.episode);
 
-        let mut probe = this.barrier.probe_lock();
-        let registry = &mut *probe.registry;
-        let (wakers, own_done) = this.barrier.drain_locked(registry, Some(&own));
-        let result = if own_done {
-            // The drain may have collected our own (stale) entry already;
-            // deregistering again is a harmless no-op.
-            registry.deregister(this.id, this.episode);
-            Some(Ok(WaitOutcome {
-                episode: this.episode,
-                stalled: this.polls > 1,
-                descheduled: this.parked,
-                probes: this.polls,
-                stall_time: this.first_pending.map(|t| t.elapsed()).unwrap_or_default(),
-            }))
-        } else if this.barrier.inner.is_poisoned() {
-            registry.deregister(this.id, this.episode);
-            Some(Err(BarrierError::Poisoned {
-                episode: this.episode,
-            }))
+        // Lock-free first: a release word above our episode is final (the
+        // word is monotone), and resolving needs nothing from the
+        // registry. Only this read's *other* answer is provisional.
+        let released = this.barrier.inner.release_epoch();
+        let resolved = if released.is_some_and(|k| this.episode < k) {
+            Some(Ok(()))
         } else {
-            if registry.register(this.id, this.episode, cx.waker()) {
-                this.barrier.astats.record_parked();
-                this.parked = true;
-            }
-            None
+            let own = ArrivalToken::new(this.id, this.episode);
+            let mut probe = this.barrier.probe_lock();
+            let registry = &mut *probe.registry;
+            // Re-reads the release word under the lock.
+            let (wakers, own_done) = this.barrier.drain_locked(registry, Some(&own));
+            let resolved = if own_done {
+                // The drain may have collected our own entry already;
+                // deregistering again is a harmless no-op.
+                registry.deregister(this.id, this.episode);
+                Some(Ok(()))
+            } else if this.barrier.inner.is_poisoned() {
+                registry.deregister(this.id, this.episode);
+                Some(Err(BarrierError::Poisoned {
+                    episode: this.episode,
+                }))
+            } else {
+                if registry.register(this.id, this.episode, cx.waker()) {
+                    registry.counts.parked += 1;
+                    this.parked = true;
+                }
+                None
+            };
+            drop(probe);
+            // Cascaded completions are woken outside the lock: in the
+            // checker domain a wake is itself a scheduling point.
+            wake_all(wakers);
+            resolved
         };
-        drop(probe);
 
-        // Cascaded completions are woken outside the lock: in the checker
-        // domain a wake is itself a scheduling point.
-        this.barrier.wake_all(wakers);
-
-        match result {
-            Some(output) => {
-                this.done = true;
-                if this.parked {
-                    this.barrier.astats.record_resumed();
-                }
-                Poll::Ready(output)
+        let Some(resolved) = resolved else {
+            if this.first_pending.is_none() && stats::is_sampled(this.episode) {
+                this.first_pending = Some(Instant::now());
             }
-            None => {
-                if this.first_pending.is_none() {
-                    this.first_pending = Some(Instant::now());
-                }
-                Poll::Pending
-            }
-        }
+            return Poll::Pending;
+        };
+        this.done = true;
+        this.barrier.record_future(this.id, this.polls, this.parked);
+        Poll::Ready(resolved.map(|()| WaitOutcome {
+            episode: this.episode,
+            stalled: this.polls > 1,
+            descheduled: this.parked,
+            probes: this.polls,
+            stall_time: this.first_pending.map(|t| t.elapsed()).unwrap_or_default(),
+        }))
     }
 }
 
@@ -634,6 +750,7 @@ impl<B: SplitBarrier, S: SyncOps> Drop for BarrierFuture<B, S> {
         if self.done {
             return;
         }
+        self.barrier.record_future(self.id, self.polls, false);
         self.probe_and_deregister();
     }
 }
@@ -658,8 +775,10 @@ impl<B: SplitBarrier, S: SyncOps> BarrierFuture<B, S> {
 mod tests {
     use super::*;
     use crate::centralized::CentralBarrier;
+    use crate::counting::CountingBarrier;
     use crate::dissemination::DisseminationBarrier;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::hier::HierBarrier;
+    use crate::tree::TreeBarrier;
     use std::task::Wake;
 
     fn poll_with<B: SplitBarrier, S: SyncOps>(
@@ -752,8 +871,8 @@ mod tests {
     /// Drives one full episode of `m` futures through the frontend — each
     /// arrives and polls once (all but the last park), then every parked
     /// future is polled until it resolves — and returns the backend probes
-    /// spent per task.
-    fn probes_per_task<B: SplitBarrier>(backend: B, m: usize) -> f64 {
+    /// spent per task and the frontend's counters.
+    fn drive_episode<B: SplitBarrier>(backend: B, m: usize) -> (f64, AsyncSnapshot) {
         let b = Arc::new(AsyncBarrier::new(Probed::new(backend)));
         let mut parked = Vec::new();
         for id in 0..m {
@@ -782,25 +901,155 @@ mod tests {
         let stats = b.async_stats();
         assert_eq!(stats.parked, stats.resumed);
         assert!(b.registry.lock().unwrap().parked.is_empty());
-        b.backend().probes.load(Ordering::Relaxed) as f64 / m as f64
+        let probes = b.backend().probes.load(Ordering::Relaxed);
+        (probes as f64 / m as f64, stats)
     }
 
     #[test]
-    fn uniform_release_backends_cost_constant_probes_per_task() {
-        // arrive, the parking poll and the resolving poll: one release-word
-        // read each, whatever the number of parked peers.
+    fn uniform_release_backends_lock_once_per_park_and_once_per_episode() {
+        // Backend probes per task: arrive and the resolving poll read the
+        // release word once, the parking poll twice (lock-free, then under
+        // the lock) — whatever the number of parked peers. Probe-lock
+        // acquisitions per episode: the M - 1 parking polls and the
+        // completer's arrive. No other arrive and no resolving poll locks.
         for m in [64, 1024] {
-            let per_task = probes_per_task(CentralBarrier::new(m), m);
-            assert!(per_task <= 4.0, "M={m}: {per_task} backend probes per task");
+            let backends: [(&str, Arc<dyn SplitBarrier>); 3] = [
+                ("central", Arc::new(CentralBarrier::new(m))),
+                ("counting", Arc::new(CountingBarrier::new(m))),
+                ("tree", Arc::new(TreeBarrier::new(m))),
+            ];
+            for (name, backend) in backends {
+                let (per_task, stats) = drive_episode(backend, m);
+                assert!(per_task <= 4.0, "{name} M={m}: {per_task} probes per task");
+                assert_eq!(stats.drains, m as u64, "{name} M={m}: {stats:?}");
+                assert_eq!(stats.parked, m as u64 - 1, "{name} M={m}");
+                assert_eq!(stats.wakes, stats.parked, "{name} M={m}");
+                assert_eq!(stats.polls, 2 * m as u64 - 1, "{name} M={m}");
+            }
         }
     }
 
     #[test]
-    fn cooperative_backends_still_resolve_every_waiter() {
+    fn cooperative_backends_still_sweep_on_every_arrive_and_poll() {
         // No `release_epoch`: polls alone walk every participant's rounds
-        // (the harness asserts nobody is stranded).
+        // (the harness asserts nobody is stranded), so every arrive and
+        // every poll takes the lock and drains.
         let m = 64;
-        let _ = probes_per_task(DisseminationBarrier::new(m), m);
+        let backends: [(&str, Arc<dyn SplitBarrier>); 2] = [
+            ("dissemination", Arc::new(DisseminationBarrier::new(m))),
+            ("hier", Arc::new(HierBarrier::new(m))),
+        ];
+        for (name, backend) in backends {
+            let (_, stats) = drive_episode(backend, m);
+            assert_eq!(stats.drains, m as u64 + stats.polls, "{name}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn stale_entry_of_a_lock_free_resolution_is_swept_by_the_next_drain() {
+        let b = Arc::new(AsyncBarrier::new(CentralBarrier::new(2)));
+        let (stale, stale_waker) = Woken::new();
+        let mut fut = b.arrive_async(0);
+        assert!(poll_with(&mut fut, &stale_waker).is_pending());
+        // Episode 0 completes behind the frontend's back — the completer
+        // between its backend arrival and the drain it owes, frozen there:
+        // no hook runs. A spurious poll of the parked future resolves on
+        // the lock-free path and leaves its entry where it was.
+        drop(b.backend().arrive(1));
+        match poll_with(&mut fut, &stale_waker) {
+            Poll::Ready(Ok(outcome)) => assert!(outcome.descheduled && outcome.episode == 0),
+            other => panic!("expected Ready(Ok(_)), got {other:?}"),
+        }
+        {
+            let registry = b.registry.lock().unwrap();
+            assert_eq!(registry.slot_of, [0, NOT_PARKED]);
+            assert_eq!(registry.parked[0].episode, 0);
+            assert_eq!(registry.counts.drains, 1, "the resolving poll took no lock");
+        }
+        assert_eq!(stale.count(), 0);
+        // Episode 1 runs through the frontend. Participant 0 parks afresh
+        // (the drain of its parking poll sweeps the stale entry out, waking
+        // the stale waker: one spurious poll, no more) and is woken by
+        // exactly episode 1's completing arrive.
+        let (fresh, fresh_waker) = Woken::new();
+        let mut fut = b.arrive_async(0);
+        assert!(poll_with(&mut fut, &fresh_waker).is_pending());
+        assert_eq!(b.registry.lock().unwrap().parked[0].episode, 1);
+        assert_eq!((stale.count(), fresh.count()), (1, 0));
+        let mut last = b.arrive_async(1);
+        assert_eq!((stale.count(), fresh.count()), (1, 1));
+        for fut in [&mut fut, &mut last] {
+            match poll_once(fut) {
+                Poll::Ready(Ok(outcome)) => {
+                    assert_eq!(outcome.episode, 1);
+                    assert_eq!(outcome.descheduled, outcome.probes > 1);
+                }
+                other => panic!("expected Ready(Ok(_)), got {other:?}"),
+            }
+        }
+        let stats = b.async_stats();
+        assert_eq!((stats.parked, stats.resumed), (2, 2), "{stats:?}");
+        assert!(stale.count() <= 1);
+        assert!(b.registry.lock().unwrap().parked.is_empty());
+    }
+
+    #[test]
+    fn arrive_on_a_poisoned_barrier_takes_no_fast_path() {
+        let m = 8;
+        let b = Arc::new(AsyncBarrier::new(CentralBarrier::new(m + 2)));
+        let wakers: Vec<_> = (0..m).map(|_| Woken::new()).collect();
+        let mut futures: Vec<_> = (0..m).map(|id| b.arrive_async(id)).collect();
+        for (fut, (_, waker)) in futures.iter_mut().zip(&wakers) {
+            assert!(poll_with(fut, waker).is_pending());
+        }
+        assert_eq!(b.async_stats().drains, m as u64, "no arrive has drained");
+        // Poisoned inside the backend (a timed-out inner wait does this):
+        // the frontend's poison hook never ran, nobody was woken.
+        b.backend().poison();
+        assert!(wakers.iter().all(|(woken, _)| woken.count() == 0));
+        // The next arrival completes nothing, and still owes the wake.
+        futures.push(b.arrive_async(m));
+        assert!(wakers.iter().all(|(woken, _)| woken.count() == 1));
+        assert!(b.registry.lock().unwrap().parked.is_empty());
+        for fut in &mut futures {
+            assert!(matches!(
+                poll_once(fut),
+                Poll::Ready(Err(BarrierError::Poisoned { episode: 0 }))
+            ));
+        }
+        let stats = b.async_stats();
+        assert_eq!((stats.parked, stats.resumed), (m as u64, m as u64));
+    }
+
+    #[test]
+    fn stall_clock_runs_on_sampled_episodes_only() {
+        // 1-in-64, the episodes whose arrival spread is stamped too; the
+        // exact fields never depend on it.
+        let period = stats::SPREAD_SAMPLE_PERIOD;
+        let b = Arc::new(AsyncBarrier::new(CentralBarrier::new(2)));
+        for episode in 0..2 * period {
+            let mut fut = b.arrive_async(0);
+            assert!(poll_once(&mut fut).is_pending());
+            assert_eq!(fut.first_pending.is_some(), episode % period == period - 1);
+            if fut.first_pending.is_some() {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let mut last = b.arrive_async(1);
+            let (Poll::Ready(Ok(waited)), Poll::Ready(Ok(instant))) =
+                (poll_once(&mut fut), poll_once(&mut last))
+            else {
+                panic!("episode {episode} did not release");
+            };
+            assert!(waited.stalled && waited.descheduled && waited.probes == 2);
+            assert!(!instant.stalled && !instant.descheduled && instant.probes == 1);
+            assert_eq!(
+                waited.stall_time >= std::time::Duration::from_millis(1),
+                stats::is_sampled(episode),
+                "episode {episode}: {:?}",
+                waited.stall_time
+            );
+            assert_eq!(instant.stall_time, std::time::Duration::ZERO);
+        }
     }
 
     #[test]
@@ -827,6 +1076,10 @@ mod tests {
         assert_eq!(woken.len(), 1);
         assert_eq!((r.parked.len(), r.oldest), (1, 8));
         assert_eq!(r.slot_of[..3], [NOT_PARKED, NOT_PARKED, 0]);
+        // Taking over an older episode's stale entry is a park, in place.
+        assert!(r.register(2, 9, waker));
+        assert!(!r.register(2, 9, waker));
+        assert_eq!((r.parked.len(), r.parked[0].episode, r.oldest), (1, 9, 8));
         // An id beyond the construction size grows the index.
         assert!(r.register(9, 8, waker));
         r.release_all(&mut woken);
@@ -1031,6 +1284,16 @@ mod tests {
         let fut = b.arrive_async(0);
         drop(fut);
         assert!(!SplitBarrier::is_poisoned(b.as_ref()));
+        // A future the lock-free read sent on to park poisons when dropped,
+        // and its polls are not lost with it.
+        let b = Arc::new(AsyncBarrier::new(CentralBarrier::new(2)));
+        let mut fut = b.arrive_async(0);
+        assert!(poll_once(&mut fut).is_pending());
+        drop(fut);
+        assert!(SplitBarrier::is_poisoned(b.as_ref()));
+        let stats = b.async_stats();
+        assert_eq!((stats.polls, stats.parked, stats.resumed), (1, 1, 0));
+        assert!(b.registry.lock().unwrap().parked.is_empty());
     }
 
     #[test]

@@ -112,9 +112,8 @@ pub use reconfig::{
 pub use registry::GroupRegistry;
 pub use spin::{AdaptiveSpin, StallPolicy};
 pub use stats::{
-    AdaptiveSnapshot, AsyncSnapshot, AsyncStats, HistogramSnapshot, NetSnapshot, NetStats,
-    ParticipantSnapshot, PeerLinkSnapshot, SpreadSnapshot, StallHistogram, StatsSnapshot,
-    TelemetrySnapshot,
+    AdaptiveSnapshot, AsyncSnapshot, HistogramSnapshot, NetSnapshot, NetStats, ParticipantSnapshot,
+    PeerLinkSnapshot, SpreadSnapshot, StallHistogram, StatsSnapshot, TelemetrySnapshot,
 };
 pub use sync::{Atomic, RealSync, SyncOps, TicketGuard, TicketLock};
 pub use tag::Tag;

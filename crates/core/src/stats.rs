@@ -64,7 +64,7 @@ const _: () = assert!(SPREAD_SAMPLE_PERIOD.is_power_of_two());
 /// Stamp tag of a cell that holds no arrival stamp (yet, or mid-rewrite).
 const NO_STAMP: u64 = u64::MAX;
 
-fn is_sampled(episode: u64) -> bool {
+pub(crate) fn is_sampled(episode: u64) -> bool {
     episode & (SPREAD_SAMPLE_PERIOD - 1) == SPREAD_SAMPLE_PERIOD - 1
 }
 
@@ -90,7 +90,7 @@ fn mean_duration(total: Duration, count: u64) -> Duration {
 /// a load and a store suffice; the shared block takes the
 /// read-modify-write.
 #[inline]
-fn add(counter: &AtomicU64, n: u64, sole_writer: bool) {
+pub(crate) fn add(counter: &AtomicU64, n: u64, sole_writer: bool) {
     if sole_writer {
         let value = counter.load(Ordering::Relaxed).wrapping_add(n);
         counter.store(value, Ordering::Relaxed);
@@ -707,78 +707,15 @@ pub struct AdaptiveSnapshot {
     pub ewma_stall: Duration,
 }
 
-/// Relaxed counters for the async (poll-based) barrier frontend.
+/// Counters of the async (poll-based) barrier frontend.
 ///
 /// Tracked separately from [`BarrierStats`] on purpose: the flat
 /// [`StatsSnapshot`] feeds schema-pinned experiment exports, so async-only
-/// counters live in their own block rather than widening a frozen shape.
-/// All record methods are public — `fuzzy-sched`'s executor records steal
-/// events into its own instance; `fuzzy-barrier`'s `AsyncBarrier` records
-/// the parking-protocol events.
-#[derive(Debug, Default)]
-pub struct AsyncStats {
-    parked: AtomicU64,
-    resumed: AtomicU64,
-    drains: AtomicU64,
-    wakes: AtomicU64,
-    polls: AtomicU64,
-    steals: AtomicU64,
-}
-
-impl AsyncStats {
-    /// Creates a zeroed counter block.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a waiter registering a waker (first `Poll::Pending`).
-    pub fn record_parked(&self) {
-        self.parked.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a previously parked waiter completing its episode.
-    pub fn record_resumed(&self) {
-        self.resumed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one drain sweep over the parked-waiter registry.
-    pub fn record_drain(&self) {
-        self.drains.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` wakers invoked by a drain.
-    pub fn record_wakes(&self, n: u64) {
-        if n > 0 {
-            self.wakes.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one `Future::poll` of a barrier future.
-    pub fn record_poll(&self) {
-        self.polls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a task stolen from another worker's run queue.
-    pub fn record_steal(&self) {
-        self.steals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a point-in-time copy of the counters.
-    #[must_use]
-    pub fn snapshot(&self) -> AsyncSnapshot {
-        AsyncSnapshot {
-            parked: self.parked.load(Ordering::Relaxed),
-            resumed: self.resumed.load(Ordering::Relaxed),
-            drains: self.drains.load(Ordering::Relaxed),
-            wakes: self.wakes.load(Ordering::Relaxed),
-            polls: self.polls.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`AsyncStats`].
+/// counters have a shape of their own rather than widening a frozen one.
+/// The parking-protocol counts come from
+/// [`crate::AsyncBarrier::async_stats`], which folds them at snapshot time
+/// (there is no shared counter block to bump on the poll path); `steals`
+/// is `fuzzy-sched`'s executor's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AsyncSnapshot {
     /// Waiters that registered a waker (first pending poll).
@@ -811,7 +748,7 @@ impl AsyncSnapshot {
 /// Per-peer link counters for a message-passing barrier (the `fuzzy-net`
 /// crate).
 ///
-/// Like [`AsyncStats`], this lives beside [`BarrierStats`] rather than
+/// Like [`AsyncSnapshot`], this lives beside [`BarrierStats`] rather than
 /// inside it: the flat [`StatsSnapshot`] feeds schema-pinned experiment
 /// exports, so transport-only counters get their own block. One instance
 /// covers one mesh endpoint; the `per-peer` rows are indexed by mesh rank

@@ -62,7 +62,13 @@ pub struct WaitOutcome {
     pub descheduled: bool,
     /// Number of wait probes performed.
     pub probes: u64,
-    /// Wall-clock time spent stalled.
+    /// Wall-clock time spent stalled. Only as exact as the waiter's clock:
+    /// a blocking wait that never escalated past spinning reports zero
+    /// (it arms no clock until a stall costs a context switch), and a
+    /// [`crate::BarrierFuture`] times its park on sampled episodes only —
+    /// the last of every [`crate::stats::SPREAD_SAMPLE_PERIOD`] — and
+    /// reports zero on the others. `stalled`, `descheduled` and `probes`
+    /// are exact on every wait.
     pub stall_time: Duration,
 }
 

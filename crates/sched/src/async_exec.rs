@@ -14,13 +14,15 @@
 //! [`std::task::Wake`], parking is a `Condvar`.
 
 use crate::executor::{busy, BarrierChoice};
-use fuzzy_barrier::stats::{AsyncSnapshot, AsyncStats, StatsSnapshot};
+use fuzzy_barrier::stats::{AsyncSnapshot, StatsSnapshot};
 use fuzzy_barrier::{AsyncBarrier, SplitBarrier, StallPolicy};
 use fuzzy_util::SplitMix64;
+use std::any::Any;
 use std::collections::VecDeque;
 use std::future::Future;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
@@ -33,7 +35,7 @@ const RUNNING: u8 = 1;
 const WAITING: u8 = 2;
 /// Task was woken *while* being polled; the poller re-enqueues it.
 const NOTIFIED: u8 = 3;
-/// Task ran to completion.
+/// Task ran to completion, or panicked.
 const DONE: u8 = 4;
 
 type TaskFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
@@ -102,7 +104,8 @@ struct Shared {
     /// zero has nobody to wake and skips the `futex` call.
     park: Mutex<Park>,
     park_cv: Condvar,
-    stats: AsyncStats,
+    /// Tasks taken from a sibling's run queue.
+    steals: AtomicU64,
     next_home: AtomicUsize,
 }
 
@@ -115,6 +118,9 @@ struct Live {
     /// `None` marks a free slot.
     tasks: Vec<Option<Arc<Task>>>,
     free: Vec<usize>,
+    /// What the first task to panic panicked with, until
+    /// [`AsyncExecutor::wait_idle`] re-raises it.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 impl Live {
@@ -154,11 +160,25 @@ impl Shared {
         for offset in 1..self.queues.len() {
             let victim = (me + offset) % self.queues.len();
             if let Some(task) = lock(&self.queues[victim]).pop_back() {
-                self.stats.record_steal();
+                self.steals.fetch_add(1, Ordering::Relaxed);
                 return Some(task);
             }
         }
         None
+    }
+
+    /// Takes a finished task — completed or panicked — off the live list.
+    fn retire(&self, task: &Task, panic: Option<Box<dyn Any + Send>>) {
+        task.state.store(DONE, Ordering::Release);
+        let mut live = lock(&self.live);
+        live.tasks[task.slot] = None;
+        live.free.push(task.slot);
+        if live.panic.is_none() {
+            live.panic = panic;
+        }
+        if live.count() == 0 {
+            self.idle_cv.notify_all();
+        }
     }
 }
 
@@ -170,7 +190,9 @@ impl Shared {
 /// the steal counter). Dropping the executor shuts the workers down;
 /// unfinished tasks — queued or parked on a waker — are dropped, which —
 /// for barrier futures — counts as cancellation and poisons their
-/// barrier.
+/// barrier. A task that panics is dropped the same way and counts as
+/// finished; its worker carries on, and [`AsyncExecutor::wait_idle`]
+/// re-raises the panic.
 ///
 /// # Examples
 ///
@@ -219,7 +241,7 @@ impl AsyncExecutor {
             idle_cv: Condvar::new(),
             park: Mutex::default(),
             park_cv: Condvar::new(),
-            stats: AsyncStats::new(),
+            steals: AtomicU64::new(0),
             next_home: AtomicUsize::new(0),
         });
         let handles = (0..workers)
@@ -256,6 +278,12 @@ impl AsyncExecutor {
     }
 
     /// Blocks until every spawned task has completed.
+    ///
+    /// # Panics
+    ///
+    /// If a task panicked since the last call, resumes the first such
+    /// panic — once every task has finished, so peers released by the
+    /// panicking task's cancelled barrier future have run to their end.
     pub fn wait_idle(&self) {
         let mut live = lock(&self.shared.live);
         while live.count() > 0 {
@@ -265,12 +293,16 @@ impl AsyncExecutor {
                 .wait(live)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+        if let Some(payload) = live.panic.take() {
+            drop(live);
+            resume_unwind(payload);
+        }
     }
 
     /// Tasks stolen from a sibling's run queue so far.
     #[must_use]
     pub fn steals(&self) -> u64 {
-        self.shared.stats.snapshot().steals
+        self.shared.steals.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the executor's counters (only `steals` is populated;
@@ -278,7 +310,10 @@ impl AsyncExecutor {
     /// [`fuzzy_barrier::AsyncBarrier::async_stats`]).
     #[must_use]
     pub fn stats(&self) -> AsyncSnapshot {
-        self.shared.stats.snapshot()
+        AsyncSnapshot {
+            steals: self.steals(),
+            ..AsyncSnapshot::default()
+        }
     }
 }
 
@@ -334,7 +369,10 @@ fn run_task(shared: &Shared, task: Arc<Task>) {
     let mut cx = Context::from_waker(&waker);
     let mut future = lock(&task.future);
     let polled = match future.as_mut() {
-        Some(future) => future.as_mut().poll(&mut cx),
+        // A panicking task must cost neither its worker nor `wait_idle`'s
+        // count. Nothing of the task is looked at again after an unwind:
+        // its future is dropped, unpolled, just below.
+        Some(future) => catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(&mut cx))),
         // Already taken: the task completed (or was cancelled) before.
         None => {
             task.state.store(DONE, Ordering::Release);
@@ -342,18 +380,22 @@ fn run_task(shared: &Shared, task: Arc<Task>) {
         }
     };
     match polled {
-        Poll::Ready(()) => {
+        Ok(Poll::Ready(())) => {
             *future = None;
             drop(future);
-            task.state.store(DONE, Ordering::Release);
-            let mut live = lock(&shared.live);
-            live.tasks[task.slot] = None;
-            live.free.push(task.slot);
-            if live.count() == 0 {
-                shared.idle_cv.notify_all();
-            }
+            shared.retire(&task, None);
         }
-        Poll::Pending => {
+        Err(payload) => {
+            // Drop what the unwind left of the future, with no lock held:
+            // a barrier future's drop poisons its barrier, which wakes
+            // (re-enqueues) the peers — they resolve to `Err(Poisoned)`
+            // instead of parking forever.
+            let panicked = future.take();
+            drop(future);
+            drop(panicked);
+            shared.retire(&task, Some(payload));
+        }
+        Ok(Poll::Pending) => {
             drop(future);
             if task
                 .state
@@ -625,6 +667,128 @@ mod tests {
         }
         pool.wait_idle();
         assert_eq!(pool.steals(), 0, "nobody to steal from");
+    }
+
+    /// What `wait_idle` re-raised, as the text of the task's `panic!`.
+    fn re_raised(pool: &AsyncExecutor) -> &'static str {
+        let payload = catch_unwind(AssertUnwindSafe(|| pool.wait_idle()))
+            .expect_err("wait_idle returned although a task panicked");
+        payload.downcast_ref::<&str>().copied().unwrap_or("?")
+    }
+
+    #[test]
+    fn panicking_task_is_re_raised_by_wait_idle_and_costs_no_worker() {
+        for workers in [1, 3] {
+            with_watchdog(Duration::from_secs(60), move || {
+                let pool = AsyncExecutor::new(workers);
+                pool.spawn(async { panic!("first task failed") });
+                pool.spawn(async {});
+                assert_eq!(re_raised(&pool), "first task failed");
+                // Raised once; every worker is still there for what comes.
+                let hits = Arc::new(AtomicUsize::new(0));
+                for _ in 0..4 * workers {
+                    let hits = Arc::clone(&hits);
+                    pool.spawn(async move {
+                        hits.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+                pool.wait_idle();
+                assert_eq!(hits.load(Ordering::Relaxed), 4 * workers);
+            });
+        }
+    }
+
+    #[test]
+    fn panicking_peer_poisons_its_barrier_instead_of_stranding_the_survivor() {
+        for workers in [1, 3] {
+            with_watchdog(Duration::from_secs(60), move || {
+                let barrier = Arc::new(AsyncBarrier::new(CentralBarrier::new(2)));
+                let pool = AsyncExecutor::new(workers);
+                {
+                    let barrier = Arc::clone(&barrier);
+                    pool.spawn(async move {
+                        let _arrived = barrier.arrive_async(1);
+                        panic!("peer failed in its region");
+                    });
+                }
+                // The unwind drops the peer's unresolved future.
+                while !SplitBarrier::is_poisoned(barrier.as_ref()) {
+                    std::thread::yield_now();
+                }
+                let (report, survivor) = mpsc::channel();
+                {
+                    let barrier = Arc::clone(&barrier);
+                    pool.spawn(async move {
+                        let first = barrier.arrive_async(0).await;
+                        let second = barrier.arrive_async(0).await;
+                        report.send((first, second)).expect("test thread listens");
+                    });
+                }
+                assert_eq!(re_raised(&pool), "peer failed in its region");
+                // The cancelled arrival still counts, so episode 0
+                // completes (completion wins over poison); episode 1, which
+                // the peer will never arrive for, is the error.
+                let (first, second) = survivor.recv().expect("the survivor finished");
+                assert_eq!(first.map(|outcome| outcome.episode), Ok(0));
+                assert_eq!(second, Err(BarrierError::Poisoned { episode: 1 }));
+                pool.spawn(async {});
+                pool.wait_idle();
+            });
+        }
+    }
+
+    #[test]
+    fn frontend_counters_are_exact_under_contention() {
+        // Four workers race 512 tasks through 200 episodes; every counter
+        // is still a count. On central only parking polls and completing
+        // arrives take the probe lock; on dissemination everything does.
+        const TASKS: usize = 512;
+        const EPISODES: u64 = 200;
+        for backend in [BarrierChoice::Central, BarrierChoice::Dissemination] {
+            with_watchdog(Duration::from_secs(300), move || {
+                let barrier = Arc::new(AsyncBarrier::new(
+                    backend.build(TASKS, StallPolicy::default()),
+                ));
+                let pool = AsyncExecutor::new(4);
+                let probes = Arc::new(AtomicU64::new(0));
+                for id in 0..TASKS {
+                    let (barrier, probes) = (Arc::clone(&barrier), Arc::clone(&probes));
+                    pool.spawn(async move {
+                        let mut own = 0;
+                        for episode in 0..EPISODES {
+                            let outcome = barrier.arrive_async(id).await.expect("no faults");
+                            assert_eq!(outcome.episode, episode);
+                            own += outcome.probes;
+                        }
+                        probes.fetch_add(own, Ordering::Relaxed);
+                    });
+                }
+                pool.wait_idle();
+                let frontend = barrier.async_stats();
+                assert_eq!(
+                    frontend.parked, frontend.resumed,
+                    "{backend:?}: {frontend:?}"
+                );
+                assert!(
+                    frontend.wakes <= frontend.parked,
+                    "{backend:?}: {frontend:?}"
+                );
+                assert_eq!(
+                    frontend.polls,
+                    probes.load(Ordering::Relaxed),
+                    "{backend:?}"
+                );
+                let arrivals = TASKS as u64 * EPISODES;
+                assert_eq!(SplitBarrier::stats(barrier.as_ref()).arrivals, arrivals);
+                match backend {
+                    BarrierChoice::Central => assert!(
+                        frontend.drains <= frontend.polls + EPISODES * 4,
+                        "{frontend:?}"
+                    ),
+                    _ => assert_eq!(frontend.drains, frontend.polls + arrivals),
+                }
+            });
+        }
     }
 
     #[test]

@@ -17,9 +17,12 @@
 #   tier1        the repo's tier-1 gate, verbatim from ROADMAP.md
 #   check-smoke  fuzzy-check: 10k DFS schedules per backend at N=3
 #   bench-smoke  exp_encore --stats-json + schema validation
-#   async-smoke  exp_async_scale quick sweep + schema validation, then
-#                the lost-wakeup and early-release-word mutants must
-#                still be caught by the model checker
+#   async-smoke  exp_async_scale quick sweep (asserts who takes the
+#                probe lock) + schema validation; the four async mutants
+#                (no drain, early release word, park on an unlocked read,
+#                completer skips its drain) must still be caught by the
+#                model checker while the real frontend survives; a
+#                panicking task must neither wedge nor shrink the pool
 #   fault-smoke  check --scenario poison + exp_fault_recovery export
 #   fuzz-smoke   differential fuzzer: 200 nests at a fixed seed, zero
 #                divergences required, stats export schema-validated
@@ -143,11 +146,16 @@ bench_smoke() {
 }
 
 # Async smoke: the quick exp_async_scale sweep (every row asserts
-# parked == resumed and full completion), schema-validated, followed by
-# the model checker's no-drain mutant pair — the seeded lost-wakeup bug
-# must be caught and the real frontend must survive the same schedule
-# space — and the backend whose release word runs one arrival early,
-# which must be caught through the real frontend.
+# parked == resumed, full completion, and that only polls and completing
+# arrives took the probe lock), schema-validated, followed by the model
+# checker's three lost-wakeup mutant pairs — no drain at all, a park
+# decided on a release word read outside the probe lock, a completing
+# arrive that skips the drain it owes: each seeded bug must be caught
+# and the real frontend must survive the same schedule space — and the
+# backend whose release word runs one arrival early, which must be caught
+# through the real frontend. Last, the executor's panicking-task tests: a
+# task that panics is re-raised by wait_idle, poisons the barrier it was
+# parked on, and costs the pool no worker.
 async_smoke() {
     out="$(mktemp)" || return 1
     status=1
@@ -155,7 +163,9 @@ async_smoke() {
         --quick --stats-json "$out" >/dev/null; then
         if cargo run -q --release -p fuzzy-bench --bin validate_stats -- \
             --schema async_scale "$out"; then
-            cargo test -q -p fuzzy-check --test mutants -- no_drain async_early_epoch
+            cargo test -q -p fuzzy-check --test mutants -- no_drain async_early_epoch \
+                unlocked_park completer_skips_drain &&
+                cargo test -q -p fuzzy-sched panicking
             status=$?
         fi
     fi
