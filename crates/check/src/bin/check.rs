@@ -202,9 +202,12 @@ fn scenarios(cfg: &Config) -> Vec<Scenario> {
                     out.push(fuzzy_check::poison(*backend, cfg.participants));
                 }
             }
+            // Both eviction shapes: one member leaves after a full-strength
+            // episode, and all members race to evict themselves.
             "evict" => {
                 for backend in &cfg.backends {
                     out.push(fuzzy_check::evict(*backend, cfg.participants, cfg.episodes));
+                    out.push(fuzzy_check::evict_race(*backend, cfg.participants));
                 }
             }
             "async" => {
@@ -308,47 +311,42 @@ fn summary_scenario_flag(name: &str) -> String {
     }
 }
 
+/// Replays `schedule` against every selected scenario in turn (a family
+/// like `evict` or `subset` selects several; the recording fits the one
+/// whose name the failure printed, and merely diverges on the others).
 fn run_replay(cfg: &Config, schedule: Vec<usize>) -> i32 {
-    let mut scens = scenarios(cfg);
-    if scens.len() != 1 {
-        eprintln!(
-            "check: --replay needs exactly one scenario (got {}); pin --scenario and --backend",
-            scens.len()
-        );
-        return 2;
-    }
-    let scenario = &mut scens[0];
-    println!(
-        "check: replaying {} ({} grants)",
-        scenario.name,
-        schedule.len()
-    );
-    let (result, diverged) = replay(scenario, schedule, DEFAULT_STEP_LIMIT);
-    if diverged {
-        println!("check: note: replay diverged from the recorded schedule");
-    }
-    if cfg.trace {
+    let mut status = 0;
+    for mut scenario in scenarios(cfg) {
         println!(
-            "  executed: {}",
-            result
-                .schedule
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
+            "check: replaying {} ({} grants)",
+            scenario.name,
+            schedule.len()
         );
-    }
-    match result.violation {
-        Some(violation) => {
-            println!("  {violation}");
-            1
+        let (result, diverged) = replay(&mut scenario, schedule.clone(), DEFAULT_STEP_LIMIT);
+        if diverged {
+            println!("check: note: replay diverged from the recorded schedule");
         }
-        None => {
+        if cfg.trace {
             println!(
+                "  executed: {}",
+                result
+                    .schedule
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join(",")
+            );
+        }
+        match result.violation {
+            Some(violation) => {
+                println!("  {violation}");
+                status = 1;
+            }
+            None => println!(
                 "  no violation under this schedule ({} steps)",
                 result.steps
-            );
-            0
+            ),
         }
     }
+    status
 }

@@ -40,10 +40,12 @@
 //! cargo run -p fuzzy-check --bin check -- --backend all -n 3 --schedules 10000
 //! ```
 //!
-//! The [`mutants`] module carries fifteen seeded-bug backends the checker
+//! The [`mutants`] module carries sixteen seeded-bug backends the checker
 //! must catch — six concurrency races (including a hierarchical shard
-//! leader that releases early), two fault-handling bugs (a no-op poison
-//! and a mask-preserving eviction), four async bugs (a frontend that
+//! leader that releases early; the centralized one is a
+//! [`fuzzy_barrier::Protocol`] run through the real episode core), three
+//! fault-handling bugs (a no-op poison, a mask-preserving eviction and a
+//! check-then-act eviction guard), four async bugs (a frontend that
 //! forgets to drain its parked-waker registry on release, a backend whose
 //! release word runs one arrival early, a waiter that parks on a release
 //! word read outside the probe lock, and a completing arrival that skips
@@ -66,10 +68,10 @@ pub use explore::{
     explore_dfs, explore_random, replay, ExploreOptions, Outcome, Scenario, ScheduleRun,
 };
 pub use scenario::{
-    async_handoff, async_handoff_with, classify, evict, evict_with, join_evict_race,
-    join_mid_episode, join_mid_episode_with, net_round, net_round_with, poison, poison_with,
-    protocol, protocol_with, registry, stale_generation, stale_generation_with, subset_overlap,
-    subset_pair, AsyncArrival, AsyncFrontend, BackendKind, Ledger, ReconfigOps,
+    async_handoff, async_handoff_with, classify, evict, evict_race, evict_race_with, evict_with,
+    join_evict_race, join_mid_episode, join_mid_episode_with, net_round, net_round_with, poison,
+    poison_with, protocol, protocol_with, registry, stale_generation, stale_generation_with,
+    subset_overlap, subset_pair, AsyncArrival, AsyncFrontend, BackendKind, Ledger, ReconfigOps,
 };
 pub use sched::{Defect, RunResult, Violation, DEFAULT_STEP_LIMIT};
 pub use shadow::ShadowSync;

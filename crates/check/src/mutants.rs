@@ -12,7 +12,10 @@
 //! flavor of the early-release fuzzy violation. The next two seed
 //! *fault-handling* bugs — a recovery layer that forgets to poison, and
 //! an eviction that forgets to shrink the mask — caught by the
-//! poison/evict scenarios. The ninth is an *async frontend* whose
+//! poison/evict scenarios, and beside them the check-then-act eviction
+//! guard the stock backends used to carry, which lets concurrent
+//! evictions empty the barrier and is caught by the evict-race scenario.
+//! The next is an *async frontend* whose
 //! completion path forgets to drain the parked-waker registry — the
 //! canonical lost wakeup of poll-based waiting, caught by the
 //! waker-handoff scenario; beside it, a backend whose `release_epoch`
@@ -36,8 +39,8 @@ use fuzzy_barrier::spin::SpinReport;
 use fuzzy_barrier::stats::StatsSnapshot;
 use fuzzy_barrier::sync::{Atomic, SyncOps, TicketLock};
 use fuzzy_barrier::{
-    ArrivalToken, BarrierError, CentralBarrier, Deadline, JoinTicket, MemberHandle,
-    ReconfigBarrier, SplitBarrier, StallPolicy, WaitOutcome,
+    ArrivalToken, Barrier, BarrierError, CentralBarrier, Cx, Deadline, JoinTicket, MemberHandle,
+    Protocol, ReconfigBarrier, SplitBarrier, StallPolicy, WaitOutcome,
 };
 use fuzzy_net::{DecodeError, FrameSink, Message, NetError, Transport};
 use std::future::Future;
@@ -60,66 +63,54 @@ fn outcome(episode: u64, report: SpinReport) -> WaitOutcome {
 // MutantCentral: publish-before-re-arm
 // ---------------------------------------------------------------------------
 
-/// Centralized barrier whose completing arrival **publishes the episode
-/// before re-arming the counter**.
+/// Centralized protocol whose completing arrival **publishes the episode
+/// before re-arming the counter** — [`fuzzy_barrier::centralized::Central`]
+/// with two lines swapped, and nothing else: ids, tokens, the wait loop,
+/// poison and eviction are the real episode core's, so catching this
+/// mutant also shows that the shared core hides no protocol bug.
 ///
 /// The race: the last arriver bumps `episode`, releasing the waiters; a
 /// released thread re-arrives for the next episode and decrements the
 /// still-un-re-armed counter (0 → wraparound); the completer's belated
-/// `store(n)` then overwrites the counter, silently discarding that
-/// arrival. The next episode can never complete — a **lost wakeup** that
-/// needs at least two episodes and one specific preemption to manifest.
+/// re-arm then overwrites the counter, silently discarding that arrival.
+/// The next episode can never complete — a **lost wakeup** that needs at
+/// least two episodes and one specific preemption to manifest.
 #[derive(Debug)]
 pub struct MutantCentral<S: SyncOps = ShadowSync> {
-    n: usize,
     count: S::AtomicUsize,
     episode: S::AtomicU64,
-    local_episode: Vec<S::AtomicU64>,
 }
 
 impl<S: SyncOps> MutantCentral<S> {
-    /// Creates the mutant for `n` participants.
+    /// Creates the mutant barrier for `n` participants: this protocol
+    /// behind the real [`Barrier`].
     #[must_use]
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0);
-        MutantCentral {
-            n,
+    pub fn new(n: usize) -> Barrier<Self, S> {
+        let protocol = MutantCentral {
             count: S::AtomicUsize::new(n),
             episode: S::AtomicU64::new(0),
-            local_episode: (0..n).map(|_| S::AtomicU64::new(0)).collect(),
-        }
+        };
+        Barrier::from_protocol(n, StallPolicy::Spin, protocol)
     }
 }
 
-impl<S: SyncOps> SplitBarrier for MutantCentral<S> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
-        let episode = self.local_episode[id].fetch_add(1, Ordering::Relaxed);
+impl<S: SyncOps> Protocol<S> for MutantCentral<S> {
+    fn arrive(&self, _id: usize, _episode: u64, cx: &Cx<'_, S>) {
         if self.count.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // BUG (seeded): the stock backend re-arms the counter first,
+            // BUG (seeded): the stock protocol re-arms the counter first,
             // then publishes. Swapping the two opens the window above.
-            self.episode.fetch_add(1, Ordering::Release);
-            self.count.store(self.n, Ordering::Release);
+            let completed = self.episode.fetch_add(1, Ordering::Release);
+            self.count.store(cx.live(), Ordering::Release);
+            cx.record_episode(completed);
         }
-        ArrivalToken::new(id, episode)
     }
 
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
-        self.episode.load(Ordering::Acquire) > token.episode()
+    fn released(&self, _id: usize, episode: u64, _cx: &Cx<'_, S>) -> bool {
+        self.episode.load(Ordering::Acquire) > episode
     }
 
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        let report = S::wait_until(StallPolicy::Spin, || {
-            self.episode.load(Ordering::Acquire) > token.episode()
-        });
-        outcome(token.episode(), report)
-    }
-
-    fn participants(&self) -> usize {
-        self.n
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot::default()
+    fn retire(&self, id: usize, cx: &Cx<'_, S>) {
+        self.arrive(id, 0, cx);
     }
 }
 
@@ -696,6 +687,103 @@ impl SplitBarrier for MutantEvictNoMask {
 
     fn stats(&self) -> StatsSnapshot {
         self.inner.stats()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// MutantRacyEvictGuard: check-then-act eviction guard
+// ---------------------------------------------------------------------------
+
+/// Centralized barrier whose `evict` guards the last survivor with a
+/// **check-then-act** sequence: "is there a survivor?" is a load, the claim
+/// and the shrink are separate RMWs after it, and nothing makes the three
+/// indivisible. Two evictors that interleave between the check and the
+/// shrink each see a survivor in the other; both succeed, and the barrier
+/// is empty — against the trait's "evicting the last live participant
+/// fails with `EmptyGroup`". This is the guard every stock backend
+/// hand-copied before the episode core serialised it; sequential callers
+/// (every older eviction test) never see the difference.
+#[derive(Debug)]
+pub struct MutantRacyEvictGuard<S: SyncOps = ShadowSync> {
+    n: usize,
+    expected: S::AtomicUsize,
+    count: S::AtomicUsize,
+    episode: S::AtomicU64,
+    local_episode: Vec<S::AtomicU64>,
+    evicted: Vec<S::AtomicU32>,
+}
+
+impl<S: SyncOps> MutantRacyEvictGuard<S> {
+    /// Creates the mutant for `n` participants.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        assert!(n > 0);
+        MutantRacyEvictGuard {
+            n,
+            expected: S::AtomicUsize::new(n),
+            count: S::AtomicUsize::new(n),
+            episode: S::AtomicU64::new(0),
+            local_episode: (0..n).map(|_| S::AtomicU64::new(0)).collect(),
+            evicted: (0..n).map(|_| S::AtomicU32::new(0)).collect(),
+        }
+    }
+
+    fn count_down(&self) {
+        if self.count.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let expected = self.expected.load(Ordering::Acquire);
+            self.count.store(expected, Ordering::Release);
+            self.episode.fetch_add(1, Ordering::Release);
+        }
+    }
+}
+
+impl<S: SyncOps> SplitBarrier for MutantRacyEvictGuard<S> {
+    fn arrive(&self, id: usize) -> ArrivalToken {
+        let episode = self.local_episode[id].fetch_add(1, Ordering::Relaxed);
+        self.count_down();
+        ArrivalToken::new(id, episode)
+    }
+
+    fn is_complete(&self, token: &ArrivalToken) -> bool {
+        self.episode.load(Ordering::Acquire) > token.episode()
+    }
+
+    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
+        let report = S::wait_until(StallPolicy::Spin, || {
+            self.episode.load(Ordering::Acquire) > token.episode()
+        });
+        outcome(token.episode(), report)
+    }
+
+    fn evict(&self, id: usize) -> Result<(), BarrierError> {
+        if id >= self.n {
+            return Err(BarrierError::InvalidParticipant {
+                id,
+                capacity: self.n,
+            });
+        }
+        if self.evicted[id].load(Ordering::Acquire) != 0 {
+            return Err(BarrierError::NotAParticipant { id });
+        }
+        // BUG (seeded): the survivor check, the claim and the shrink are
+        // three separate steps; the real core runs them under one lock.
+        if self.expected.load(Ordering::Acquire) <= 1 {
+            return Err(BarrierError::EmptyGroup);
+        }
+        if self.evicted[id].fetch_max(1, Ordering::AcqRel) != 0 {
+            return Err(BarrierError::NotAParticipant { id });
+        }
+        self.expected.fetch_sub(1, Ordering::AcqRel);
+        self.count_down();
+        Ok(())
+    }
+
+    fn participants(&self) -> usize {
+        self.n
+    }
+
+    fn stats(&self) -> StatsSnapshot {
+        StatsSnapshot::default()
     }
 }
 

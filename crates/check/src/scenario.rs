@@ -1155,6 +1155,102 @@ fn evict_survivor_body(
     }
 }
 
+/// Evict-race scenario: all `n` members evict themselves before anyone
+/// arrives, with no ordering between them — the supervisor-per-member
+/// shape in which every evictor believes a peer will survive.
+///
+/// What must hold in **every** interleaving:
+///
+/// * exactly one eviction is refused, with
+///   [`BarrierError::EmptyGroup`]; the other `n − 1` succeed. A guard that
+///   checks for a survivor and *then* claims and shrinks
+///   ([`crate::mutants::MutantRacyEvictGuard`]) lets two racing evictors
+///   each count the other as the survivor and empties the barrier;
+/// * nothing panics and nothing spins without bound (a protocol's
+///   `retire` may assume a survivor exists);
+/// * the refused member — the survivor — then completes the in-flight
+///   episode 0 alone, on the evictees' stand-in arrivals.
+pub fn evict_race_with(
+    name: impl Into<String>,
+    n: usize,
+    mut factory: impl FnMut() -> Arc<dyn SplitBarrier> + 'static,
+) -> Scenario {
+    assert!(n >= 2, "the evict-race scenario needs two evictors");
+    Scenario {
+        name: name.into(),
+        threads: n,
+        build: Box::new(move || {
+            let barrier = factory();
+            assert_eq!(barrier.participants(), n, "factory/participant mismatch");
+            let refused = Arc::new(AtomicU64::new(0));
+            let bodies: Vec<Job> = (0..n)
+                .map(|id| {
+                    let barrier = Arc::clone(&barrier);
+                    let refused = Arc::clone(&refused);
+                    Box::new(move || evict_race_body(&*barrier, &refused, id)) as Job
+                })
+                .collect();
+            // No fuzzy ledger: the survivor synchronizes alone, so a hang
+            // is reported as the deadlock it is.
+            ScheduleRun {
+                bodies,
+                finish: Box::new(move |defect| {
+                    let refused = refused.load(Ordering::Relaxed);
+                    defect.or_else(|| {
+                        (refused != 1).then(|| Defect::ProtocolError {
+                            thread: 0,
+                            message: format!(
+                                "{refused} of {n} concurrent self-evictions were refused with \
+                                 EmptyGroup; exactly one must be"
+                            ),
+                        })
+                    })
+                }),
+            }
+        }),
+    }
+}
+
+/// [`evict_race_with`] over a stock backend.
+#[must_use]
+pub fn evict_race(backend: BackendKind, n: usize) -> Scenario {
+    evict_race_with(
+        format!("evict/race/{}/n{n}", backend.name()),
+        n,
+        move || backend.build_shadow(n),
+    )
+}
+
+fn evict_race_body(barrier: &dyn SplitBarrier, refused: &AtomicU64, id: usize) {
+    match barrier.evict(id) {
+        Ok(()) => return,
+        Err(BarrierError::EmptyGroup) => {
+            refused.fetch_add(1, Ordering::Relaxed);
+        }
+        Err(err) => {
+            report_err(id, "self-evict", &err);
+            return;
+        }
+    }
+    if ctx::aborted() {
+        return;
+    }
+    // The survivor: its arrival joins the evictees' stand-ins.
+    let token = barrier.arrive(id);
+    let result = barrier.wait_deadline(token, Deadline::never());
+    if ctx::aborted() {
+        return;
+    }
+    match result {
+        Ok(outcome) if outcome.episode == 0 => {}
+        Ok(outcome) => ctx::report(Defect::ProtocolError {
+            thread: id,
+            message: format!("expected episode 0, wait returned {}", outcome.episode),
+        }),
+        Err(err) => report_err(id, "survivor wait", &err),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Async waker-handoff scenario
 // ---------------------------------------------------------------------------

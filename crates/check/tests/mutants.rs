@@ -62,7 +62,11 @@ fn is_lost_signal(defect: &Defect) -> bool {
 #[test]
 fn central_publish_before_rearm_is_caught() {
     // Needs two episodes: a waiter released by the early publish re-arrives
-    // and its decrement is overwritten by the belated re-arm.
+    // and its decrement is overwritten by the belated re-arm. The mutant is
+    // a `Protocol` behind the real episode core, whose poison probe and
+    // live-count read are scheduling points too: caught after 100
+    // schedules at bound 2 (48 as a hand-written barrier), of the 100,000
+    // `opts` allows.
     let v = must_catch(
         "mutant/central",
         2,
@@ -248,6 +252,60 @@ fn eviction_without_mask_update_is_caught() {
         }
         Outcome::Pass { schedules, .. } => {
             panic!("mutant/evict-no-mask survived {schedules} schedules")
+        }
+    }
+}
+
+#[test]
+fn racy_evict_guard_is_caught() {
+    // Two members evict themselves at once. t0 checks for a survivor
+    // (sees t1) and is preempted before it shrinks the count; t1 checks
+    // (sees t0), claims, shrinks and returns Ok; t0 resumes and does the
+    // same. Nobody was refused: the barrier is empty. The check-smoke
+    // exploration (unbounded DFS) must find that within 100 schedules.
+    use fuzzy_check::mutants::MutantRacyEvictGuard;
+    let mut scenario =
+        fuzzy_check::evict_race_with("mutant/racy-evict-guard".to_string(), 2, || {
+            Arc::new(MutantRacyEvictGuard::<ShadowSync>::new(2)) as Arc<dyn SplitBarrier>
+        });
+    match explore_dfs(&mut scenario, &smoke_dfs(100)) {
+        Outcome::Fail {
+            violation,
+            schedules,
+        } => {
+            assert!(
+                matches!(violation.defect, Defect::ProtocolError { .. }),
+                "mutant/racy-evict-guard: expected ProtocolError, got {:?}",
+                violation.defect
+            );
+            eprintln!(
+                "mutant/racy-evict-guard: caught after {schedules} schedules: {}",
+                violation.defect
+            );
+        }
+        Outcome::Pass { schedules, .. } => {
+            panic!("mutant/racy-evict-guard survived {schedules} schedules")
+        }
+    }
+}
+
+#[test]
+fn racy_evict_guard_is_gone_from_every_stock_backend() {
+    // The episode core serialises the guard once for all five: exactly
+    // one of three racing self-evictions is refused, nothing panics or
+    // livelocks, and the survivor synchronizes alone.
+    for backend in fuzzy_check::BackendKind::ALL {
+        let mut scenario = fuzzy_check::evict_race(backend, 3);
+        match explore_dfs(&mut scenario, &smoke_dfs(1_000)) {
+            Outcome::Pass { schedules, .. } => {
+                eprintln!(
+                    "evict/race/{} clean over {schedules} schedules",
+                    backend.name()
+                );
+            }
+            Outcome::Fail { violation, .. } => {
+                panic!("evict race on {}: {violation}", backend.name())
+            }
         }
     }
 }

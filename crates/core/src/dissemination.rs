@@ -1,12 +1,7 @@
 //! Dissemination split-phase barrier — O(log n) rounds, no hot spot.
 
-use crate::error::BarrierError;
-use crate::failure::{self, Deadline, OnTimeout, WaitPolicy};
-use crate::spin::StallPolicy;
-use crate::stats::{BarrierStats, StatsSnapshot, TelemetrySnapshot};
+use crate::episode::{Barrier, Cx, FlatProtocol, Protocol};
 use crate::sync::{Atomic, RealSync, SyncOps};
-use crate::token::{ArrivalToken, WaitOutcome};
-use crate::SplitBarrier;
 use fuzzy_util::CachePadded;
 use std::sync::atomic::Ordering;
 
@@ -19,11 +14,12 @@ use std::sync::atomic::Ordering;
 /// "best possible software implementation" with logarithmic cost that the
 /// paper cites (\[4\] in Sec. 1).
 ///
-/// The split is cooperative: [`SplitBarrier::arrive`] performs the round-0
-/// signal and returns; later rounds progress inside
-/// [`SplitBarrier::is_complete`] / [`SplitBarrier::wait`] probes. Signals
-/// carry monotone episode numbers, so late observers of an overwritten slot
-/// still see a value at least as large as the one they wait for.
+/// The split is cooperative: [`crate::SplitBarrier::arrive`] performs the
+/// round-0 signal and returns; later rounds progress inside
+/// [`crate::SplitBarrier::is_complete`] / [`crate::SplitBarrier::wait`]
+/// probes. Signals carry monotone episode numbers, so late observers of an
+/// overwritten slot still see a value at least as large as the one they
+/// wait for.
 ///
 /// # Examples
 ///
@@ -34,11 +30,14 @@ use std::sync::atomic::Ordering;
 /// let t = b.arrive(0);
 /// assert!(!b.wait(t).stalled);
 /// ```
+pub type DisseminationBarrier<S = RealSync> = Barrier<Dissemination<S>, S>;
+
+/// The dissemination arrival/release protocol behind
+/// [`DisseminationBarrier`].
 #[derive(Debug)]
-pub struct DisseminationBarrier<S: SyncOps = RealSync> {
+pub struct Dissemination<S: SyncOps> {
     n: usize,
     rounds: u32,
-    policy: StallPolicy,
     /// `flags[r * n + i]`: highest episode for which the round-`r` signal
     /// aimed at participant `i` has been sent. Single writer per slot.
     ///
@@ -53,111 +52,59 @@ pub struct DisseminationBarrier<S: SyncOps = RealSync> {
     /// arithmetic (`r * n + i`) and drops one indirection per flag access.
     flags: Box<[CachePadded<S::AtomicU64>]>,
     /// Per-participant progress through the current episode's rounds.
-    progress: Vec<CachePadded<Progress<S>>>,
+    ///
+    /// Memory-ordering note (audited): `progress[id]` is accessed **only
+    /// through participant `id`'s own calls** — `arrive(id)` and the
+    /// `try_progress(id, ..)` probes driven by that arrival's token.
+    /// `Relaxed` is therefore sufficient:
+    ///
+    /// * If the token stays on the arriving thread (the normal protocol),
+    ///   all accesses to `progress[id]` are same-thread, and per-location
+    ///   coherence alone guarantees each load sees the preceding store.
+    /// * If the token is handed to another thread, the hand-off mechanism
+    ///   (channel, join, mutex — anything that makes the transfer sound)
+    ///   itself establishes happens-before between the two threads'
+    ///   accesses, so the receiver still observes the owner's last
+    ///   `Relaxed` store.
+    ///
+    /// Cross-participant synchronization never flows through `progress`:
+    /// it is carried exclusively by the `flags` slots, whose `Release`
+    /// stores ([`Dissemination::signal`]) pair with the `Acquire` loads in
+    /// `try_progress` to order each signaller's pre-barrier writes before
+    /// the observer's post-barrier reads, transitively across all
+    /// ⌈log₂ n⌉ rounds.
+    progress: Vec<CachePadded<S::AtomicU32>>,
     /// Highest episode any participant has fully completed (for stats).
     completed: CachePadded<S::AtomicU64>,
-    /// Number of evicted participants (guards against emptying the barrier).
-    dead: CachePadded<S::AtomicUsize>,
-    /// Non-zero once the barrier is poisoned.
-    poisoned: CachePadded<S::AtomicU32>,
-    /// Per-participant eviction flags (non-zero once evicted). Read by the
-    /// ghost-signal closure in [`Self::flag_ready`].
-    evicted: Vec<CachePadded<S::AtomicU32>>,
-    stats: BarrierStats,
 }
 
-/// Memory-ordering note (audited): `episode` and `round` are accessed
-/// **only through participant `id`'s own calls** — `arrive(id)` and the
-/// `try_progress(token.id, ..)` probes driven by that arrival's token.
-/// `Relaxed` is therefore sufficient for both:
-///
-/// * If the token stays on the arriving thread (the normal protocol), all
-///   accesses to `progress[id]` are same-thread, and per-location coherence
-///   alone guarantees each load sees the preceding store.
-/// * If the token is handed to another thread, the hand-off mechanism
-///   (channel, join, mutex — anything that makes the transfer sound) itself
-///   establishes happens-before between the two threads' accesses, so the
-///   receiver still observes the owner's last `Relaxed` store.
-///
-/// Cross-participant synchronization never flows through `progress`: it is
-/// carried exclusively by the `flags` slots, whose `Release` stores
-/// ([`DisseminationBarrier::signal`]) pair with the `Acquire` loads in
-/// `try_progress` to order each signaller's pre-barrier writes before the
-/// observer's post-barrier reads, transitively across all ⌈log₂ n⌉ rounds.
-#[derive(Debug)]
-struct Progress<S: SyncOps> {
-    episode: S::AtomicU64,
-    round: S::AtomicU32,
-}
-
-impl<S: SyncOps> Progress<S> {
-    fn new() -> Self {
-        Progress {
-            episode: S::AtomicU64::new(0),
-            round: S::AtomicU32::new(0),
-        }
-    }
-}
-
-impl DisseminationBarrier {
-    /// Creates a barrier for `n` participants with the default stall policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        Self::with_policy(n, StallPolicy::default())
-    }
-
-    /// Creates a barrier with an explicit [`StallPolicy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn with_policy(n: usize, policy: StallPolicy) -> Self {
-        Self::with_policy_in(n, policy)
-    }
-}
-
-impl<S: SyncOps> DisseminationBarrier<S> {
-    /// Creates a barrier in an explicit [`SyncOps`] domain — `RealSync` in
-    /// production, instrumented shadow state under the `fuzzy-check` model
-    /// checker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn with_policy_in(n: usize, policy: StallPolicy) -> Self {
-        assert!(n > 0, "a barrier needs at least one participant");
+impl<S: SyncOps> FlatProtocol<S> for Dissemination<S> {
+    fn for_participants(n: usize) -> Self {
         let rounds = usize::BITS - (n - 1).leading_zeros(); // ceil(log2 n); 0 for n == 1
         let flags = (0..rounds as usize * n)
             .map(|_| CachePadded::new(S::AtomicU64::new(0)))
             .collect();
-        DisseminationBarrier {
+        Dissemination {
             n,
             rounds,
-            policy,
             flags,
-            progress: (0..n).map(|_| CachePadded::new(Progress::new())).collect(),
-            completed: CachePadded::new(S::AtomicU64::new(0)),
-            dead: CachePadded::new(S::AtomicUsize::new(0)),
-            poisoned: CachePadded::new(S::AtomicU32::new(0)),
-            evicted: (0..n)
+            progress: (0..n)
                 .map(|_| CachePadded::new(S::AtomicU32::new(0)))
                 .collect(),
-            stats: BarrierStats::with_participants(n),
+            completed: CachePadded::new(S::AtomicU64::new(0)),
         }
     }
+}
 
+impl<S: SyncOps> DisseminationBarrier<S> {
     /// Number of signalling rounds per episode (⌈log₂ n⌉).
     #[must_use]
     pub fn rounds(&self) -> u32 {
-        self.rounds
+        self.protocol().rounds
     }
+}
 
+impl<S: SyncOps> Dissemination<S> {
     fn partner(&self, id: usize, round: u32) -> usize {
         (id + (1usize << round)) % self.n
     }
@@ -187,45 +134,51 @@ impl<S: SyncOps> DisseminationBarrier<S> {
     /// the round, so it terminates; every input (flag slots, eviction
     /// flags) is monotone, so the predicate is monotone and a probe that
     /// once returned true can never regress — no wakeup can be lost.
-    fn flag_ready(&self, receiver: usize, round: u32, goal: u64) -> bool {
+    fn flag_ready(&self, receiver: usize, round: u32, goal: u64, cx: &Cx<'_, S>) -> bool {
         if self.flags[round as usize * self.n + receiver].load(Ordering::Acquire) >= goal {
             return true;
         }
         let sender = self.source(receiver, round);
-        self.ghost_sent(sender, round, goal)
+        self.ghost_sent(sender, round, goal, cx)
     }
 
     /// Would the evicted `sender` have sent its round-`round` signal for
     /// `goal`? False for live senders.
-    fn ghost_sent(&self, sender: usize, round: u32, goal: u64) -> bool {
-        if self.evicted[sender].load(Ordering::Acquire) == 0 {
+    fn ghost_sent(&self, sender: usize, round: u32, goal: u64, cx: &Cx<'_, S>) -> bool {
+        if !cx.is_evicted(sender) {
             return false;
         }
-        (0..round).all(|r| self.flag_ready(sender, r, goal))
+        (0..round).all(|r| self.flag_ready(sender, r, goal, cx))
+    }
+
+    /// Records `episode`'s completion once globally, by whichever
+    /// participant finishes its rounds first.
+    fn record_completion(&self, episode: u64, cx: &Cx<'_, S>) {
+        let goal = episode + 1;
+        if self.completed.fetch_max(goal, Ordering::AcqRel) < goal {
+            cx.record_episode(episode);
+        }
     }
 
     /// Advances participant `id` through as many rounds of `episode` as the
     /// received signals allow, without blocking. Returns true once all
     /// rounds are complete.
-    fn try_progress(&self, id: usize, episode: u64) -> bool {
+    fn try_progress(&self, id: usize, episode: u64, cx: &Cx<'_, S>) -> bool {
         let goal = episode + 1;
         loop {
-            let round = self.progress[id].round.load(Ordering::Relaxed);
+            let round = self.progress[id].load(Ordering::Relaxed);
             if round >= self.rounds {
                 return true;
             }
-            if self.flag_ready(id, round, goal) {
+            if self.flag_ready(id, round, goal, cx) {
                 let next = round + 1;
                 if next < self.rounds {
                     self.signal(id, next, goal);
                 }
-                self.progress[id].round.store(next, Ordering::Relaxed);
+                self.progress[id].store(next, Ordering::Relaxed);
                 if next == self.rounds {
-                    // This participant has completed the episode; record it
-                    // once globally.
-                    if self.completed.fetch_max(goal, Ordering::AcqRel) < goal {
-                        self.stats.record_episode(id, episode);
-                    }
+                    // This participant has completed the episode.
+                    self.record_completion(episode, cx);
                     return true;
                 }
             } else {
@@ -233,152 +186,37 @@ impl<S: SyncOps> DisseminationBarrier<S> {
             }
         }
     }
-
-    /// The poison-aware bounded wait all wait flavors funnel through.
-    fn wait_core(
-        &self,
-        token: &ArrivalToken,
-        deadline: Deadline,
-        policy: StallPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let policy = self.stats.resolve_policy(token.id, policy);
-        let result = failure::guarded_wait::<S>(
-            policy,
-            deadline,
-            token.episode,
-            || self.try_progress(token.id, token.episode),
-            || self.poisoned.load(Ordering::Acquire) != 0,
-        );
-        match result {
-            Ok(outcome) => {
-                self.stats.record_wait(token.id, &outcome);
-                Ok(outcome)
-            }
-            Err(fault) => {
-                if matches!(fault.error, BarrierError::Timeout { .. }) {
-                    self.stats.record_timeout(token.id, &fault.report);
-                }
-                Err(fault.error)
-            }
-        }
-    }
 }
 
-impl<S: SyncOps> SplitBarrier for DisseminationBarrier<S> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
-        assert!(
-            id < self.n,
-            "participant id {id} out of range for {} participants",
-            self.n
-        );
-        let episode = self.progress[id].episode.fetch_add(1, Ordering::Relaxed);
-        self.progress[id].round.store(0, Ordering::Relaxed);
-        self.stats.record_arrival(id, episode);
+impl<S: SyncOps> Protocol<S> for Dissemination<S> {
+    #[inline]
+    fn arrive(&self, id: usize, episode: u64, cx: &Cx<'_, S>) {
+        self.progress[id].store(0, Ordering::Relaxed);
         if self.rounds == 0 {
             // Single participant: the episode is complete on arrival.
-            if self.completed.fetch_max(episode + 1, Ordering::AcqRel) < episode + 1 {
-                self.stats.record_episode(id, episode);
-            }
+            self.record_completion(episode, cx);
         } else {
             self.signal(id, 0, episode + 1);
         }
-        ArrivalToken::new(id, episode)
     }
 
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
-        self.try_progress(token.id, token.episode)
+    #[inline]
+    fn released(&self, id: usize, episode: u64, cx: &Cx<'_, S>) -> bool {
+        self.try_progress(id, episode, cx)
     }
 
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        match self.wait_core(&token, Deadline::never(), self.policy) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                panic!("DisseminationBarrier::wait failed: {e} (use wait_deadline to recover)")
-            }
-        }
-    }
-
-    fn wait_deadline(
-        &self,
-        token: ArrivalToken,
-        deadline: Deadline,
-    ) -> Result<WaitOutcome, BarrierError> {
-        self.wait_core(&token, deadline, self.policy)
-    }
-
-    fn wait_with(
-        &self,
-        token: ArrivalToken,
-        policy: &WaitPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let backoff = policy.backoff.unwrap_or(self.policy);
-        let result = self.wait_core(&token, policy.arm(), backoff);
-        if matches!(result, Err(BarrierError::Timeout { .. }))
-            && policy.on_timeout == OnTimeout::Poison
-        {
-            self.poison();
-        }
-        result
-    }
-
-    fn poison(&self) {
-        if self.poisoned.fetch_max(1, Ordering::AcqRel) == 0 {
-            self.stats.record_poisoning();
-        }
-    }
-
-    fn clear_poison(&self) {
-        self.poisoned.store(0, Ordering::Release);
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire) != 0
-    }
-
-    fn evict(&self, id: usize) -> Result<(), BarrierError> {
-        if id >= self.n {
-            return Err(BarrierError::InvalidParticipant {
-                id,
-                capacity: self.n,
-            });
-        }
-        // Already-dead ids are rejected before the EmptyGroup guard: a
-        // dead id stays dead regardless of how many live remain.
-        if self.evicted[id].load(Ordering::Acquire) != 0 {
-            return Err(BarrierError::NotAParticipant { id });
-        }
-        if self.dead.load(Ordering::Acquire) + 1 >= self.n {
-            return Err(BarrierError::EmptyGroup);
-        }
-        if self.evicted[id].fetch_max(1, Ordering::AcqRel) != 0 {
-            return Err(BarrierError::NotAParticipant { id });
-        }
-        self.dead.fetch_add(1, Ordering::AcqRel);
-        self.stats.record_eviction();
-        // Nothing else to do: the single write above (an RMW, so blocked
-        // checker waiters re-probe) flips every survivor's ghost-closure
-        // predicate — see [`Self::flag_ready`]. The evicted participant's
-        // pending arrival for the in-flight episode is waived vacuously,
-        // and no flag slot gains a second writer.
-        Ok(())
-    }
-
-    fn participants(&self) -> usize {
-        self.n
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn telemetry(&self) -> TelemetrySnapshot {
-        self.stats.telemetry()
-    }
+    /// Nothing to do: the core's claim of the eviction flag (an RMW, so
+    /// blocked checker waiters re-probe) flips every survivor's
+    /// ghost-closure predicate — see `Dissemination::flag_ready`. The
+    /// evicted participant's pending arrival for the in-flight episode is
+    /// waived vacuously, and no flag slot gains a second writer.
+    fn retire(&self, _id: usize, _cx: &Cx<'_, S>) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitBarrier;
     use std::sync::Arc;
 
     #[test]
@@ -395,21 +233,11 @@ mod tests {
     #[test]
     fn partners_wrap_around() {
         let b = DisseminationBarrier::new(5);
+        let b = b.protocol();
         assert_eq!(b.partner(3, 0), 4);
         assert_eq!(b.partner(4, 0), 0);
         assert_eq!(b.partner(3, 1), 0);
         assert_eq!(b.partner(2, 2), 1);
-    }
-
-    #[test]
-    fn single_participant_instant() {
-        let b = DisseminationBarrier::new(1);
-        for e in 0..5 {
-            let t = b.arrive(0);
-            assert!(b.is_complete(&t));
-            assert_eq!(b.wait(t).episode, e);
-        }
-        assert_eq!(b.stats().episodes, 5);
     }
 
     #[test]
@@ -462,66 +290,5 @@ mod tests {
                 assert_eq!(b.stats().evictions, 1, "n={n} victim={victim}");
             }
         }
-    }
-
-    #[test]
-    fn evict_guards() {
-        let b = DisseminationBarrier::new(3);
-        assert_eq!(
-            b.evict(7).unwrap_err(),
-            BarrierError::InvalidParticipant { id: 7, capacity: 3 }
-        );
-        b.evict(0).unwrap();
-        assert_eq!(
-            b.evict(0).unwrap_err(),
-            BarrierError::NotAParticipant { id: 0 }
-        );
-        b.evict(1).unwrap();
-        assert_eq!(b.evict(2).unwrap_err(), BarrierError::EmptyGroup);
-        // The lone survivor still synchronizes: both peers are ghosts.
-        let t = b.arrive(2);
-        assert_eq!(b.wait(t).episode, 0);
-    }
-
-    #[test]
-    fn poison_unblocks_dissemination_waiters() {
-        let b = Arc::new(DisseminationBarrier::new(2));
-        std::thread::scope(|s| {
-            let b0 = Arc::clone(&b);
-            s.spawn(move || {
-                let t = b0.arrive(0);
-                let err = b0.wait_deadline(t, Deadline::never()).unwrap_err();
-                assert_eq!(err, BarrierError::Poisoned { episode: 0 });
-            });
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            b.poison();
-        });
-        assert!(b.is_poisoned());
-        assert_eq!(b.stats().poisonings, 1);
-    }
-
-    #[test]
-    fn separates_phases_with_real_data() {
-        use std::sync::atomic::AtomicU64;
-        let n = 4;
-        let cells: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
-        let b = Arc::new(DisseminationBarrier::new(n));
-        std::thread::scope(|s| {
-            for id in 0..n {
-                let b = Arc::clone(&b);
-                let cells = Arc::clone(&cells);
-                s.spawn(move || {
-                    for phase in 1..=300u64 {
-                        cells[id].store(phase, Ordering::Release);
-                        let t = b.arrive(id);
-                        b.wait(t);
-                        let v = cells[(id + n - 1) % n].load(Ordering::Acquire);
-                        assert!(v >= phase, "stale read {v} in phase {phase}");
-                        let t = b.arrive(id);
-                        b.wait(t);
-                    }
-                });
-            }
-        });
     }
 }

@@ -82,8 +82,8 @@ pub trait SplitBarrier: Send + Sync {
     /// episode completes, or [`Self::poison`] the barrier to release peers.
     ///
     /// The default implementation ignores the deadline and cannot observe
-    /// poison (it delegates to plain [`Self::wait`]); the four stock
-    /// backends override it.
+    /// poison (it delegates to plain [`Self::wait`]); the episode core
+    /// ([`crate::Barrier`]) overrides it for the five stock backends.
     fn wait_deadline(
         &self,
         token: ArrivalToken,
@@ -100,8 +100,8 @@ pub trait SplitBarrier: Send + Sync {
     /// waiter).
     ///
     /// The default implementation layers the timeout reaction over
-    /// [`Self::wait_deadline`]; backends override it to also honor the
-    /// `backoff` override.
+    /// [`Self::wait_deadline`]; the episode core overrides it to also
+    /// honor the `backoff` override.
     fn wait_with(
         &self,
         token: ArrivalToken,
@@ -154,7 +154,9 @@ pub trait SplitBarrier: Send + Sync {
     /// participant that already arrived will have its arrival double
     /// counted). Eviction is permanent: ids are never reused. Evicting the
     /// last live participant fails with [`BarrierError::EmptyGroup`];
-    /// evicting twice fails with [`BarrierError::NotAParticipant`].
+    /// evicting twice fails with [`BarrierError::NotAParticipant`]. On the
+    /// stock backends both hold under concurrent evictions too: of any
+    /// set of racing calls, exactly those that leave a survivor succeed.
     ///
     /// The default implementation reports
     /// [`BarrierError::EvictionUnsupported`].

@@ -17,13 +17,10 @@
 //! one hot line. The fuzzy split is fully preserved — `arrive` never
 //! blocks, even for the leader, whose top-level sign-in is non-blocking.
 
-use crate::error::BarrierError;
-use crate::failure::{self, Deadline, OnTimeout, WaitPolicy};
+use crate::episode::{Barrier, Cx, Protocol};
 use crate::spin::StallPolicy;
-use crate::stats::{BarrierStats, StatsSnapshot, TelemetrySnapshot};
 use crate::sync::{Atomic, RealSync, SyncOps};
-use crate::token::{ArrivalToken, WaitOutcome};
-use crate::SplitBarrier;
+use crate::tree::CombiningTree;
 use fuzzy_util::CachePadded;
 use std::sync::atomic::Ordering;
 
@@ -59,31 +56,6 @@ struct Shard<S: SyncOps> {
     arrived: S::AtomicU64,
 }
 
-/// One node of the top-level combining tree (only built for
-/// [`TopLevel::Tree`]).
-#[derive(Debug)]
-struct TopNode<S: SyncOps> {
-    /// Remaining sign-ins at this node for the in-flight episode.
-    count: S::AtomicUsize,
-    /// Live contributors to this node (shrinks when shards die).
-    expected: S::AtomicUsize,
-    /// Parent node index; `None` for the root.
-    parent: Option<usize>,
-}
-
-impl<S: SyncOps> TopNode<S> {
-    fn new(expected: usize) -> Self {
-        TopNode {
-            count: S::AtomicUsize::new(expected),
-            expected: S::AtomicUsize::new(expected),
-            parent: None,
-        }
-    }
-}
-
-/// The combining-tree node array plus each shard's level-0 node index.
-type TreeTop<S> = (Box<[CachePadded<TopNode<S>>]>, Box<[usize]>);
-
 /// Top-level synchronization state, matching the configured [`TopLevel`].
 #[derive(Debug)]
 enum Top<S: SyncOps> {
@@ -94,12 +66,8 @@ enum Top<S: SyncOps> {
         flags: Box<[CachePadded<S::AtomicU64>]>,
         progress: Box<[CachePadded<S::AtomicU64>]>,
     },
-    /// Combining-tree nodes (level by level, root last) and each shard's
-    /// level-0 node index.
-    Tree {
-        nodes: Box<[CachePadded<TopNode<S>>]>,
-        leaf_of_shard: Box<[usize]>,
-    },
+    /// A fan-in-2 combining tree whose contributors are the shards.
+    Tree(CombiningTree<S>),
 }
 
 /// A hierarchical split-phase barrier: sharded arrival words, a
@@ -129,12 +97,13 @@ enum Top<S: SyncOps> {
 /// let outcome = b.wait(token);
 /// assert!(!outcome.stalled);
 /// ```
+pub type HierBarrier<S = RealSync> = Barrier<Hier<S>, S>;
+
+/// The hierarchical arrival/release protocol behind [`HierBarrier`].
 #[derive(Debug)]
-pub struct HierBarrier<S: SyncOps = RealSync> {
-    n: usize,
+pub struct Hier<S: SyncOps> {
     shard_size: usize,
     top_level: TopLevel,
-    policy: StallPolicy,
     /// Top-level dissemination rounds, `ceil(log2(shards))` (0 for one
     /// shard); fixed at construction even as shards die.
     rounds: u32,
@@ -143,15 +112,6 @@ pub struct HierBarrier<S: SyncOps = RealSync> {
     /// Completed global episodes: the release word for the tree top, pure
     /// episode bookkeeping for the dissemination top.
     episode: CachePadded<S::AtomicU64>,
-    /// Live participants across all shards (guards `EmptyGroup`).
-    live: CachePadded<S::AtomicUsize>,
-    /// Per-participant count of arrivals performed, used to stamp tokens.
-    local_episode: Vec<CachePadded<S::AtomicU64>>,
-    /// Non-zero once the barrier is poisoned (see [`SplitBarrier::poison`]).
-    poisoned: CachePadded<S::AtomicU32>,
-    /// Per-participant eviction flags (non-zero once evicted).
-    evicted: Vec<CachePadded<S::AtomicU32>>,
-    stats: BarrierStats,
 }
 
 impl HierBarrier {
@@ -246,115 +206,50 @@ impl<S: SyncOps> HierBarrier<S> {
                         .collect()
                 },
             },
-            TopLevel::Tree => {
-                let (nodes, leaf_of_shard) = Self::build_top_tree(m);
-                Top::Tree {
-                    nodes,
-                    leaf_of_shard,
-                }
-            }
+            TopLevel::Tree => Top::Tree(CombiningTree::new(m, 2)),
         };
-        HierBarrier {
-            n,
+        let protocol = Hier {
             shard_size,
             top_level,
-            policy,
             rounds,
             shards,
             top,
             episode: CachePadded::new(S::AtomicU64::new(0)),
-            live: CachePadded::new(S::AtomicUsize::new(n)),
-            local_episode: (0..n)
-                .map(|_| CachePadded::new(S::AtomicU64::new(0)))
-                .collect(),
-            poisoned: CachePadded::new(S::AtomicU32::new(0)),
-            evicted: (0..n)
-                .map(|_| CachePadded::new(S::AtomicU32::new(0)))
-                .collect(),
-            stats: BarrierStats::with_participants(n),
-        }
-    }
-
-    /// Builds the fan-in-2 combining tree over `m` shards, level by level
-    /// (root last), returning the nodes and each shard's leaf node index.
-    fn build_top_tree(m: usize) -> TreeTop<S> {
-        const FAN_IN: usize = 2;
-        let leaf_of_shard: Box<[usize]> = (0..m).map(|k| k / FAN_IN).collect();
-        let mut nodes: Vec<TopNode<S>> = Vec::new();
-        let mut level_start = 0;
-        let mut level_count = m.div_ceil(FAN_IN);
-        for j in 0..level_count {
-            nodes.push(TopNode::new(FAN_IN.min(m - j * FAN_IN)));
-        }
-        while level_count > 1 {
-            let next_start = level_start + level_count;
-            let next_count = level_count.div_ceil(FAN_IN);
-            for j in 0..next_count {
-                nodes.push(TopNode::new(FAN_IN.min(level_count - j * FAN_IN)));
-            }
-            for i in 0..level_count {
-                nodes[level_start + i].parent = Some(next_start + i / FAN_IN);
-            }
-            level_start = next_start;
-            level_count = next_count;
-        }
-        (
-            nodes.into_iter().map(CachePadded::new).collect(),
-            leaf_of_shard,
-        )
-    }
-
-    /// The stall policy waits use.
-    #[must_use]
-    pub fn policy(&self) -> StallPolicy {
-        self.policy
+        };
+        Barrier::from_protocol(n, policy, protocol)
     }
 
     /// The (clamped) shard size.
     #[must_use]
     pub fn shard_size(&self) -> usize {
-        self.shard_size
+        self.protocol().shard_size
     }
 
     /// Number of shards (`ceil(n / shard_size)`).
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.protocol().shards.len()
     }
 
     /// The leader protocol over shards.
     #[must_use]
     pub fn top_level(&self) -> TopLevel {
-        self.top_level
+        self.protocol().top_level
     }
+}
 
-    /// Participants still in the barrier (construction count minus
-    /// evictions).
-    #[must_use]
-    pub fn remaining_participants(&self) -> usize {
-        self.live.load(Ordering::Acquire)
-    }
-
+impl<S: SyncOps> Hier<S> {
     fn shard_of(&self, id: usize) -> usize {
         id / self.shard_size
-    }
-
-    fn check_id(&self, id: usize) {
-        assert!(
-            id < self.n,
-            "participant id {id} out of range for {} participants",
-            self.n
-        );
     }
 
     /// One arrival (real or eviction stand-in) against shard `k`'s
     /// count-down word. The member that completes the shard re-arms the
     /// counter and signs the shard in at the top level — *without
-    /// blocking*, preserving the fuzzy split for the leader too. `who` is
-    /// the statistics recorder making the arrival (see
-    /// [`BarrierStats::NOT_A_PARTICIPANT`]); it is handed down to wherever
-    /// the episode's completion ends up being observed.
-    fn shard_arrival(&self, k: usize, who: usize) {
+    /// blocking*, preserving the fuzzy split for the leader too. `cx`
+    /// carries the statistics recorder making the arrival; it is handed
+    /// down to wherever the episode's completion ends up being observed.
+    fn shard_arrival(&self, k: usize, cx: &Cx<'_, S>) {
         let shard = &self.shards[k];
         if shard.count.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Re-arm BEFORE the sign-in: the sign-in can transitively
@@ -365,22 +260,19 @@ impl<S: SyncOps> HierBarrier<S> {
             let expected = shard.expected.load(Ordering::Acquire);
             shard.count.store(expected, Ordering::Release);
             let goal = shard.arrived.fetch_add(1, Ordering::AcqRel) + 1;
-            self.top_sign_in(k, goal, who);
+            self.top_sign_in(k, goal, cx);
         }
     }
 
     /// Signs shard `k` in for episode `goal` at the top level.
-    fn top_sign_in(&self, k: usize, goal: u64, who: usize) {
+    fn top_sign_in(&self, k: usize, goal: u64, cx: &Cx<'_, S>) {
         match &self.top {
-            Top::Tree {
-                nodes,
-                leaf_of_shard,
-            } => self.top_signal_node(nodes, leaf_of_shard[k], who),
+            Top::Tree(tree) => tree.arrive(k, &self.episode, cx),
             Top::Dissemination { flags, .. } => {
                 if self.rounds == 0 {
                     // One shard: its completion is the global episode.
                     if self.episode.fetch_max(goal, Ordering::AcqRel) < goal {
-                        self.stats.record_episode(who, goal - 1);
+                        cx.record_episode(goal - 1);
                     }
                 } else {
                     // Round-0 signal to the distance-1 neighbour; relay
@@ -394,37 +286,20 @@ impl<S: SyncOps> HierBarrier<S> {
         }
     }
 
-    /// Propagates one sign-in up the combining tree; the root publishes
-    /// the completed episode.
-    fn top_signal_node(&self, nodes: &[CachePadded<TopNode<S>>], index: usize, who: usize) {
-        let node = &nodes[index];
-        if node.count.fetch_sub(1, Ordering::AcqRel) == 1 {
-            node.count
-                .store(node.expected.load(Ordering::Acquire), Ordering::Release);
-            match node.parent {
-                Some(parent) => self.top_signal_node(nodes, parent, who),
-                None => {
-                    let completed = self.episode.fetch_add(1, Ordering::Release);
-                    self.stats.record_episode(who, completed);
-                }
-            }
-        }
-    }
-
     /// The wait predicate: is episode `goal` (1-based) complete from
     /// shard `k`'s point of view? The shard epoch word is the fast path;
     /// the first waiter to observe top-level completion broadcasts it
-    /// there so the rest of the shard stops touching global state. `who`
-    /// is the probing participant.
-    fn episode_done(&self, k: usize, goal: u64, who: usize) -> bool {
+    /// there so the rest of the shard stops touching global state. `cx`
+    /// records for the probing participant.
+    fn episode_done(&self, k: usize, goal: u64, cx: &Cx<'_, S>) -> bool {
         let shard = &self.shards[k];
         if shard.epoch.load(Ordering::Acquire) >= goal {
             return true;
         }
         let done = match &self.top {
-            Top::Tree { .. } => self.episode.load(Ordering::Acquire) >= goal,
+            Top::Tree(_) => self.episode.load(Ordering::Acquire) >= goal,
             Top::Dissemination { flags, progress } => {
-                self.try_top_rounds(flags, progress, k, goal, who)
+                self.try_top_rounds(flags, progress, k, goal, cx)
             }
         };
         if done {
@@ -443,7 +318,7 @@ impl<S: SyncOps> HierBarrier<S> {
         progress: &[CachePadded<S::AtomicU64>],
         j: usize,
         goal: u64,
-        who: usize,
+        cx: &Cx<'_, S>,
     ) -> u64 {
         let m = self.shards.len();
         let rounds = u64::from(self.rounds);
@@ -475,7 +350,7 @@ impl<S: SyncOps> HierBarrier<S> {
                 // every shard for `g`. Record the episode exactly once
                 // across shards.
                 if self.episode.fetch_max(g, Ordering::AcqRel) < g {
-                    self.stats.record_episode(who, g - 1);
+                    cx.record_episode(g - 1);
                 }
             }
         }
@@ -493,20 +368,20 @@ impl<S: SyncOps> HierBarrier<S> {
         progress: &[CachePadded<S::AtomicU64>],
         k: usize,
         goal: u64,
-        who: usize,
+        cx: &Cx<'_, S>,
     ) -> bool {
         if self.rounds == 0 {
             return self.shards[k].arrived.load(Ordering::Acquire) >= goal;
         }
         let target = goal * u64::from(self.rounds);
         loop {
-            if self.drive_shard(flags, progress, k, goal, who) >= target {
+            if self.drive_shard(flags, progress, k, goal, cx) >= target {
                 return true;
             }
             let mut advanced = false;
             for j in (0..self.shards.len()).filter(|&j| j != k) {
                 let before = progress[j].load(Ordering::Relaxed);
-                advanced |= self.drive_shard(flags, progress, j, goal, who) > before;
+                advanced |= self.drive_shard(flags, progress, j, goal, cx) > before;
             }
             if !advanced {
                 return false;
@@ -548,144 +423,23 @@ impl<S: SyncOps> HierBarrier<S> {
         }
         (0..round).all(|r| self.top_flag_ready(flags, s, r, goal))
     }
-
-    /// Shrinks the top tree when shard `k` dies: walk up from its leaf,
-    /// removing the shard's contribution; the first node with other live
-    /// contributors gets one stand-in signal for the in-flight episode.
-    fn top_retire_shard(&self, nodes: &[CachePadded<TopNode<S>>], leaf: usize, who: usize) {
-        let mut index = leaf;
-        loop {
-            let node = &nodes[index];
-            let prev = node.expected.fetch_sub(1, Ordering::AcqRel);
-            if prev > 1 {
-                self.top_signal_node(nodes, index, who);
-                return;
-            }
-            match node.parent {
-                Some(parent) => index = parent,
-                // The EmptyGroup guard keeps at least one participant —
-                // and therefore one live shard whose path joins ours at
-                // or below the root — so the walk always stops early.
-                None => unreachable!("retiring the last live shard"),
-            }
-        }
-    }
-
-    /// The poison-aware bounded wait all wait flavors funnel through.
-    fn wait_core(
-        &self,
-        token: &ArrivalToken,
-        deadline: Deadline,
-        policy: StallPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let policy = self.stats.resolve_policy(token.id, policy);
-        let k = self.shard_of(token.id);
-        let goal = token.episode + 1;
-        let result = failure::guarded_wait::<S>(
-            policy,
-            deadline,
-            token.episode,
-            || self.episode_done(k, goal, token.id),
-            || self.poisoned.load(Ordering::Acquire) != 0,
-        );
-        match result {
-            Ok(outcome) => {
-                self.stats.record_wait(token.id, &outcome);
-                Ok(outcome)
-            }
-            Err(fault) => {
-                if matches!(fault.error, BarrierError::Timeout { .. }) {
-                    self.stats.record_timeout(token.id, &fault.report);
-                }
-                Err(fault.error)
-            }
-        }
-    }
 }
 
-impl<S: SyncOps> SplitBarrier for HierBarrier<S> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
-        self.check_id(id);
-        let episode = self.local_episode[id].fetch_add(1, Ordering::Relaxed);
-        self.stats.record_arrival(id, episode);
-        self.shard_arrival(self.shard_of(id), id);
-        ArrivalToken::new(id, episode)
+impl<S: SyncOps> Protocol<S> for Hier<S> {
+    #[inline]
+    fn arrive(&self, id: usize, _episode: u64, cx: &Cx<'_, S>) {
+        self.shard_arrival(self.shard_of(id), cx);
     }
 
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
-        // Like the dissemination backend's `is_complete`, this may drive
-        // the caller's shard through its pending leader rounds.
-        self.episode_done(self.shard_of(token.id), token.episode + 1, token.id)
+    /// Like the dissemination backend's, this may drive the caller's shard
+    /// through its pending leader rounds.
+    #[inline]
+    fn released(&self, id: usize, episode: u64, cx: &Cx<'_, S>) -> bool {
+        self.episode_done(self.shard_of(id), episode + 1, cx)
     }
 
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        match self.wait_core(&token, Deadline::never(), self.policy) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("HierBarrier::wait failed: {e} (use wait_deadline to recover)"),
-        }
-    }
-
-    fn wait_deadline(
-        &self,
-        token: ArrivalToken,
-        deadline: Deadline,
-    ) -> Result<WaitOutcome, BarrierError> {
-        self.wait_core(&token, deadline, self.policy)
-    }
-
-    fn wait_with(
-        &self,
-        token: ArrivalToken,
-        policy: &WaitPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let backoff = policy.backoff.unwrap_or(self.policy);
-        let result = self.wait_core(&token, policy.arm(), backoff);
-        if matches!(result, Err(BarrierError::Timeout { .. }))
-            && policy.on_timeout == OnTimeout::Poison
-        {
-            self.poison();
-        }
-        result
-    }
-
-    fn poison(&self) {
-        if self.poisoned.fetch_max(1, Ordering::AcqRel) == 0 {
-            self.stats.record_poisoning();
-        }
-    }
-
-    fn clear_poison(&self) {
-        self.poisoned.store(0, Ordering::Release);
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire) != 0
-    }
-
-    fn evict(&self, id: usize) -> Result<(), BarrierError> {
-        if id >= self.n {
-            return Err(BarrierError::InvalidParticipant {
-                id,
-                capacity: self.n,
-            });
-        }
-        // A dead id stays dead regardless of how many live remain, so the
-        // already-evicted check comes first; the RMW below re-checks it
-        // when claiming.
-        if self.evicted[id].load(Ordering::Acquire) != 0 {
-            return Err(BarrierError::NotAParticipant { id });
-        }
-        if self.live.load(Ordering::Acquire) <= 1 {
-            return Err(BarrierError::EmptyGroup);
-        }
-        if self.evicted[id].fetch_max(1, Ordering::AcqRel) != 0 {
-            return Err(BarrierError::NotAParticipant { id });
-        }
-        self.live.fetch_sub(1, Ordering::AcqRel);
-        self.stats.record_eviction();
+    fn retire(&self, id: usize, cx: &Cx<'_, S>) {
         let k = self.shard_of(id);
-        // The evictor is not the evicted participant's thread.
-        let who = BarrierStats::NOT_A_PARTICIPANT;
         // Shrink the shard's expectation BEFORE the stand-in arrival so
         // the shard's re-armer picks up the shrunk value (same discipline
         // as the flat backends). The evicted participant must not have
@@ -698,36 +452,22 @@ impl<S: SyncOps> SplitBarrier for HierBarrier<S> {
             // ghost closure reads `expected == 0`, the tree top shrinks
             // the dead shard out of the combining tree with one stand-in
             // signal for the in-flight episode. (A shard with waiters
-            // always has `expected >= 1`: waiters are live members.)
-            if let Top::Tree {
-                nodes,
-                leaf_of_shard,
-            } = &self.top
-            {
-                self.top_retire_shard(nodes, leaf_of_shard[k], who);
+            // always has `expected >= 1`: waiters are live members.) The
+            // core's eviction guard keeps at least one participant, and
+            // therefore one live shard for the tree's walk to stop at.
+            if let Top::Tree(tree) = &self.top {
+                tree.retire(k, &self.episode, cx);
             }
         } else {
-            self.shard_arrival(k, who);
+            self.shard_arrival(k, cx);
         }
-        Ok(())
-    }
-
-    fn participants(&self) -> usize {
-        self.n
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn telemetry(&self) -> TelemetrySnapshot {
-        self.stats.telemetry()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitBarrier;
     use std::sync::Arc;
 
     /// Every (n, shard_size) shape used by the sweeps below, including
@@ -753,22 +493,9 @@ mod tests {
     const TOPS: &[TopLevel] = &[TopLevel::Dissemination, TopLevel::Tree];
 
     #[test]
-    #[should_panic(expected = "at least one participant")]
-    fn zero_participants_panics() {
-        let _ = HierBarrier::new(0);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one member")]
     fn zero_shard_size_panics() {
         let _ = HierBarrier::with_shards(4, 0, TopLevel::Dissemination, StallPolicy::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_id_panics() {
-        let b = HierBarrier::new(2);
-        let _ = b.arrive(2);
     }
 
     #[test]
@@ -873,108 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_actually_separates_phases() {
-        use std::sync::atomic::AtomicU64;
-        for &top in TOPS {
-            let n = 5;
-            let cells: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
-            let b = Arc::new(HierBarrier::with_shards(n, 2, top, StallPolicy::yielding()));
-            std::thread::scope(|s| {
-                for id in 0..n {
-                    let b = Arc::clone(&b);
-                    let cells = Arc::clone(&cells);
-                    s.spawn(move || {
-                        for phase in 1..=200u64 {
-                            cells[id].store(phase, Ordering::Release);
-                            let t = b.arrive(id);
-                            b.wait(t);
-                            // Cross-shard read: id 0 (shard 0) checks id
-                            // n-1 (last shard) and vice versa.
-                            let neighbour = cells[(id + 1) % n].load(Ordering::Acquire);
-                            assert!(
-                                neighbour >= phase,
-                                "{top:?}: participant {id} saw stale phase {neighbour} < {phase}"
-                            );
-                            let t = b.arrive(id);
-                            b.wait(t);
-                        }
-                    });
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn stall_detection_sees_late_arriver() {
-        // Participants in *different* shards: the early one must stall
-        // until the late shard signs in through the top level.
-        let b = Arc::new(HierBarrier::with_shards(
-            2,
-            1,
-            TopLevel::Dissemination,
-            StallPolicy::yielding(),
-        ));
-        std::thread::scope(|s| {
-            let early = Arc::clone(&b);
-            s.spawn(move || {
-                let t = early.arrive(0);
-                let o = early.wait(t);
-                assert_eq!(o.episode, 0);
-            });
-            let late = Arc::clone(&b);
-            s.spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                let t = late.arrive(1);
-                let o = late.wait(t);
-                assert!(!o.stalled, "the last arriver completes the episode");
-            });
-        });
-        assert!(
-            b.stats().stalls >= 1,
-            "the early thread should have stalled"
-        );
-    }
-
-    #[test]
-    fn stalled_participant_times_out_then_eviction_recovers() {
-        for &top in TOPS {
-            let n = 5;
-            let b = Arc::new(HierBarrier::with_shards(n, 2, top, StallPolicy::yielding()));
-            std::thread::scope(|s| {
-                for id in 0..4 {
-                    let b = Arc::clone(&b);
-                    s.spawn(move || {
-                        let t = b.arrive(id);
-                        let err = b
-                            .wait_deadline(t, Deadline::after(std::time::Duration::from_millis(30)))
-                            .unwrap_err();
-                        assert_eq!(err, BarrierError::Timeout { episode: 0 }, "{top:?}");
-                    });
-                }
-            });
-            // Participant 4 is the sole member of the last shard: evicting
-            // it kills that shard entirely, exercising ghost sign-ins
-            // (dissemination) / tree shrinking (tree).
-            b.evict(4).unwrap();
-            assert_eq!(b.remaining_participants(), 4);
-            std::thread::scope(|s| {
-                for id in 0..4 {
-                    let b = Arc::clone(&b);
-                    s.spawn(move || {
-                        let t = b.arrive(id);
-                        let o = b.wait(t);
-                        assert_eq!(o.episode, 1, "{top:?}");
-                    });
-                }
-            });
-            let stats = b.stats();
-            assert_eq!(stats.timeouts, 4, "{top:?}");
-            assert_eq!(stats.evictions, 1);
-            assert_eq!(stats.episodes, 2);
-        }
-    }
-
-    #[test]
     fn whole_shard_eviction_mid_group() {
         // Kill an *interior* shard ({2,3} of shards {0,1},{2,3},{4}) while
         // nobody has arrived, then run episodes over the survivors.
@@ -1012,108 +637,6 @@ mod tests {
             assert_eq!(b.wait(t2).episode, 0, "{top:?}");
             assert_eq!(b.stats().episodes, 1);
         }
-    }
-
-    #[test]
-    fn evict_guards_reject_bad_ids() {
-        let b = HierBarrier::new(2);
-        assert_eq!(
-            b.evict(5).unwrap_err(),
-            BarrierError::InvalidParticipant { id: 5, capacity: 2 }
-        );
-        b.evict(1).unwrap();
-        assert_eq!(
-            b.evict(1).unwrap_err(),
-            BarrierError::NotAParticipant { id: 1 }
-        );
-        assert_eq!(b.evict(0).unwrap_err(), BarrierError::EmptyGroup);
-        // The survivor still synchronizes: its arrival joins the
-        // evictee's stand-in arrival to complete episode 0.
-        let t = b.arrive(0);
-        assert_eq!(b.wait(t).episode, 0);
-    }
-
-    #[test]
-    fn poison_releases_unbounded_deadline_waiters() {
-        let b = Arc::new(HierBarrier::with_shards(
-            2,
-            1,
-            TopLevel::Tree,
-            StallPolicy::yielding(),
-        ));
-        std::thread::scope(|s| {
-            let b0 = Arc::clone(&b);
-            s.spawn(move || {
-                let t = b0.arrive(0);
-                let err = b0.wait_deadline(t, Deadline::never()).unwrap_err();
-                assert_eq!(err, BarrierError::Poisoned { episode: 0 });
-            });
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            b.poison();
-        });
-        assert!(b.is_poisoned());
-        assert_eq!(b.stats().poisonings, 1);
-        b.clear_poison();
-        assert!(!b.is_poisoned());
-        b.evict(1).unwrap();
-        let t = b.arrive(0);
-        assert_eq!(b.wait(t).episode, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "use wait_deadline to recover")]
-    fn plain_wait_panics_on_poison() {
-        let b = HierBarrier::new(2);
-        let t = b.arrive(0);
-        b.poison();
-        let _ = b.wait(t);
-    }
-
-    #[test]
-    fn abort_consumes_token_and_poisons() {
-        let b = HierBarrier::new(2);
-        let t = b.arrive(0);
-        b.abort(t);
-        assert!(b.is_poisoned());
-    }
-
-    #[test]
-    fn completion_wins_over_poison() {
-        let b = HierBarrier::new(1);
-        let t = b.arrive(0);
-        b.poison();
-        let o = b
-            .wait_deadline(t, Deadline::never())
-            .expect("completed episode must win over poison");
-        assert_eq!(o.episode, 0);
-    }
-
-    #[test]
-    fn wait_with_poison_on_timeout_releases_peers() {
-        let b = Arc::new(HierBarrier::with_shards(
-            3,
-            2,
-            TopLevel::Dissemination,
-            StallPolicy::yielding(),
-        ));
-        std::thread::scope(|s| {
-            let b0 = Arc::clone(&b);
-            s.spawn(move || {
-                let t = b0.arrive(0);
-                let policy = WaitPolicy::new()
-                    .deadline(std::time::Duration::from_millis(20))
-                    .on_timeout(OnTimeout::Poison);
-                let err = b0.wait_with(t, &policy).unwrap_err();
-                assert_eq!(err, BarrierError::Timeout { episode: 0 });
-            });
-            let b1 = Arc::clone(&b);
-            s.spawn(move || {
-                let t = b1.arrive(2);
-                let err = b1.wait_deadline(t, Deadline::never()).unwrap_err();
-                assert_eq!(err, BarrierError::Poisoned { episode: 0 });
-            });
-        });
-        assert!(b.is_poisoned());
     }
 
     #[test]

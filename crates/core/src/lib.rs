@@ -56,9 +56,13 @@
 //!   (dissemination or tree), per-shard release broadcast, and an
 //!   adaptive stall policy by default.
 //!
-//! All backends expose the same split-phase protocol and record
-//! [`stats::BarrierStats`] so experiments can observe how often waits
-//! actually stalled.
+//! All five are type aliases of one generic episode core,
+//! [`episode::Barrier`], over a small [`episode::Protocol`] — how an
+//! arrival is signalled and what one condition a waiter polls. The core
+//! owns everything else, once: ids and tokens, the stall policy, deadline
+//! waits, poisoning, the (race-free) eviction guard, and the
+//! [`stats::BarrierStats`] that let experiments observe how often waits
+//! actually stalled. Writing a sixth backend means writing a `Protocol`.
 //!
 //! ## Masks, tags and groups (multiple barriers, Sec. 5)
 //!
@@ -75,17 +79,16 @@
 #![warn(missing_debug_implementations)]
 
 pub mod async_wait;
-pub mod blocking;
 pub mod centralized;
 pub mod counting;
 pub mod dissemination;
+pub mod episode;
 pub mod error;
 pub mod failure;
 pub mod fuzzy;
 pub mod group;
 pub mod hier;
 pub mod mask;
-pub mod phased;
 pub mod reconfig;
 pub mod registry;
 pub mod spin;
@@ -96,10 +99,10 @@ pub mod token;
 pub mod tree;
 
 pub use async_wait::{AsyncBarrier, BarrierFuture};
-pub use blocking::PointBarrier;
 pub use centralized::CentralBarrier;
 pub use counting::CountingBarrier;
 pub use dissemination::DisseminationBarrier;
+pub use episode::{Barrier, Cx, FlatProtocol, Protocol};
 pub use error::BarrierError;
 pub use failure::{Deadline, OnTimeout, WaitPolicy};
 pub use fuzzy::{FuzzyBarrier, SplitBarrier};
@@ -133,7 +136,6 @@ mod send_sync_tests {
         assert_send_sync::<DisseminationBarrier>();
         assert_send_sync::<TreeBarrier>();
         assert_send_sync::<HierBarrier>();
-        assert_send_sync::<PointBarrier>();
         assert_send_sync::<SubsetBarrier>();
         assert_send_sync::<FuzzyBarrier>();
         assert_send_sync::<AsyncBarrier<CentralBarrier>>();

@@ -1,8 +1,8 @@
 //! The synchronization-primitive abstraction the barrier backends are
 //! written against.
 //!
-//! Every spin point and every shared atomic word in the four core backends
-//! goes through [`SyncOps`]. In production code the only implementation that
+//! Every spin point and every shared atomic word in the episode core and
+//! the five backend protocols behind it goes through [`SyncOps`]. In production code the only implementation that
 //! exists is [`RealSync`], whose associated types are the `std::sync::atomic`
 //! types themselves and whose [`SyncOps::wait_until`] is
 //! [`crate::spin::wait_until`] — the abstraction monomorphizes away entirely

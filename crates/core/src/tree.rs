@@ -1,12 +1,8 @@
 //! Combining-tree split-phase barrier with configurable fan-in.
 
-use crate::error::BarrierError;
-use crate::failure::{self, Deadline, OnTimeout, WaitPolicy};
+use crate::episode::{Barrier, Cx, Protocol};
 use crate::spin::StallPolicy;
-use crate::stats::{BarrierStats, StatsSnapshot, TelemetrySnapshot};
 use crate::sync::{Atomic, RealSync, SyncOps};
-use crate::token::{ArrivalToken, WaitOutcome};
-use crate::SplitBarrier;
 use fuzzy_util::CachePadded;
 use std::sync::atomic::Ordering;
 
@@ -29,23 +25,26 @@ use std::sync::atomic::Ordering;
 /// let t = b.arrive(0);
 /// assert!(!b.wait(t).stalled);
 /// ```
+pub type TreeBarrier<S = RealSync> = Barrier<Tree<S>, S>;
+
+/// The combining-tree arrival/release protocol behind [`TreeBarrier`].
 #[derive(Debug)]
-pub struct TreeBarrier<S: SyncOps = RealSync> {
-    n: usize,
+pub struct Tree<S: SyncOps> {
     fan_in: usize,
-    policy: StallPolicy,
-    nodes: Vec<CachePadded<Node<S>>>,
-    /// Leaf node index for each participant.
-    leaf_of: Vec<usize>,
+    tree: CombiningTree<S>,
+    /// Number of completed episodes; the release word, published by the
+    /// root's last arriver.
     episode: CachePadded<S::AtomicU64>,
-    local_episode: Vec<CachePadded<S::AtomicU64>>,
-    /// Live (non-evicted) participants; guards against emptying the tree.
-    live: CachePadded<S::AtomicUsize>,
-    /// Non-zero once the barrier is poisoned.
-    poisoned: CachePadded<S::AtomicU32>,
-    /// Per-participant eviction flags (non-zero once evicted).
-    evicted: Vec<CachePadded<S::AtomicU32>>,
-    stats: BarrierStats,
+}
+
+/// The tree of count-down nodes itself, over `n` contributors: the
+/// participants here, the shards under [`crate::HierBarrier`]'s tree top.
+/// The root's last arriver publishes into an episode word its owner keeps.
+#[derive(Debug)]
+pub(crate) struct CombiningTree<S: SyncOps> {
+    nodes: Vec<CachePadded<Node<S>>>,
+    /// Leaf node index for each contributor.
+    leaf_of: Vec<usize>,
 }
 
 #[derive(Debug)]
@@ -89,32 +88,36 @@ impl<S: SyncOps> TreeBarrier<S> {
     /// Panics if `n == 0` or `fan_in < 2`.
     #[must_use]
     pub fn with_fan_in_in(n: usize, fan_in: usize, policy: StallPolicy) -> Self {
-        assert!(n > 0, "a barrier needs at least one participant");
         assert!(fan_in >= 2, "fan-in must be at least 2");
+        let protocol = Tree {
+            fan_in,
+            tree: CombiningTree::new(n, fan_in),
+            episode: CachePadded::new(S::AtomicU64::new(0)),
+        };
+        Barrier::from_protocol(n, policy, protocol)
+    }
 
-        // Build levels bottom-up. Level 0 nodes absorb the participants;
+    /// The tree fan-in.
+    #[must_use]
+    pub fn fan_in(&self) -> usize {
+        self.protocol().fan_in
+    }
+
+    /// Total number of tree nodes (exposed for tests and diagnostics).
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.protocol().tree.nodes.len()
+    }
+}
+
+impl<S: SyncOps> CombiningTree<S> {
+    pub(crate) fn new(n: usize, fan_in: usize) -> Self {
+        // Build levels bottom-up. Level 0 nodes absorb the contributors;
         // each higher level absorbs the level below, until one root remains.
         let mut nodes: Vec<CachePadded<Node<S>>> = Vec::new();
-        let mut leaf_of = vec![0usize; n];
-
-        // level 0
-        let level0 = n.div_ceil(fan_in);
-        for g in 0..level0 {
-            let members = members_of_group(n, fan_in, g);
-            nodes.push(CachePadded::new(Node {
-                count: S::AtomicUsize::new(members),
-                expected: S::AtomicUsize::new(members),
-                parent: None,
-            }));
-        }
-        for (id, leaf) in leaf_of.iter_mut().enumerate() {
-            *leaf = id / fan_in;
-        }
-
-        // higher levels
         let mut level_start = 0usize;
-        let mut level_len = level0;
-        while level_len > 1 {
+        let mut level_len = n;
+        loop {
             let next_len = level_len.div_ceil(fan_in);
             let next_start = nodes.len();
             for g in 0..next_len {
@@ -125,91 +128,81 @@ impl<S: SyncOps> TreeBarrier<S> {
                     parent: None,
                 }));
             }
-            for i in 0..level_len {
-                let parent = next_start + i / fan_in;
-                nodes[level_start + i].parent = Some(parent);
+            // Level 0's children are the contributors, not nodes.
+            if next_start > 0 {
+                for i in 0..level_len {
+                    nodes[level_start + i].parent = Some(next_start + i / fan_in);
+                }
+            }
+            if next_len <= 1 {
+                break;
             }
             level_start = next_start;
             level_len = next_len;
         }
-
-        TreeBarrier {
-            n,
-            fan_in,
-            policy,
+        CombiningTree {
             nodes,
-            leaf_of,
-            episode: CachePadded::new(S::AtomicU64::new(0)),
-            local_episode: (0..n)
-                .map(|_| CachePadded::new(S::AtomicU64::new(0)))
-                .collect(),
-            live: CachePadded::new(S::AtomicUsize::new(n)),
-            poisoned: CachePadded::new(S::AtomicU32::new(0)),
-            evicted: (0..n)
-                .map(|_| CachePadded::new(S::AtomicU32::new(0)))
-                .collect(),
-            stats: BarrierStats::with_participants(n),
+            leaf_of: (0..n).map(|id| id / fan_in).collect(),
         }
     }
 
-    /// The tree fan-in.
-    #[must_use]
-    pub fn fan_in(&self) -> usize {
-        self.fan_in
+    /// One arrival by contributor `id`; the root's last arriver publishes
+    /// the completed episode into `episode`.
+    pub(crate) fn arrive(&self, id: usize, episode: &S::AtomicU64, cx: &Cx<'_, S>) {
+        self.signal_node(self.leaf_of[id], episode, cx);
     }
 
-    /// Total number of tree nodes (exposed for tests and diagnostics).
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// One arrival at node `index`, made by statistics recorder `who`.
-    fn signal_node(&self, index: usize, who: usize) {
+    /// One arrival at node `index`.
+    fn signal_node(&self, index: usize, episode: &S::AtomicU64, cx: &Cx<'_, S>) {
         let node = &self.nodes[index];
         if node.count.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Re-arm this node *before* propagating, so participants released
             // by the eventual episode bump find a full counter. The
             // expectation is re-read because eviction may have shrunk it
             // (the shrink is ordered before this read by the RMW chain on
-            // `count`, exactly like the centralized barrier's `leave`).
+            // `count`, exactly like the centralized barrier's live count).
             node.count
                 .store(node.expected.load(Ordering::Acquire), Ordering::Release);
             match node.parent {
-                Some(parent) => self.signal_node(parent, who),
+                Some(parent) => self.signal_node(parent, episode, cx),
                 None => {
-                    let completed = self.episode.fetch_add(1, Ordering::Release);
-                    self.stats.record_episode(who, completed);
+                    let completed = episode.fetch_add(1, Ordering::Release);
+                    cx.record_episode(completed);
                 }
             }
         }
     }
 
-    /// The poison-aware bounded wait all wait flavors funnel through.
-    fn wait_core(
-        &self,
-        token: &ArrivalToken,
-        deadline: Deadline,
-        policy: StallPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let policy = self.stats.resolve_policy(token.id, policy);
-        let result = failure::guarded_wait::<S>(
-            policy,
-            deadline,
-            token.episode,
-            || self.episode.load(Ordering::Acquire) > token.episode,
-            || self.poisoned.load(Ordering::Acquire) != 0,
-        );
-        match result {
-            Ok(outcome) => {
-                self.stats.record_wait(token.id, &outcome);
-                Ok(outcome)
+    /// Removes contributor `id`, which must not have arrived for the
+    /// in-flight episode, while another contributor survives.
+    ///
+    /// Walks its leaf-to-root path. At each node, shrink the expectation
+    /// first (the completer re-reads it when re-arming); then:
+    ///  - if other contributors remain, perform one stand-in arrival at
+    ///    this node for the in-flight episode and stop — future episodes
+    ///    are handled by the shrunk expectation;
+    ///  - if the node's expectation dropped to zero, the node is retired
+    ///    (nothing will ever signal it again) and the removal moves up:
+    ///    the parent must stop expecting the retired node's signal.
+    pub(crate) fn retire(&self, id: usize, episode: &S::AtomicU64, cx: &Cx<'_, S>) {
+        let mut index = self.leaf_of[id];
+        loop {
+            let node = &self.nodes[index];
+            let prev = node.expected.fetch_sub(1, Ordering::AcqRel);
+            if prev > 1 {
+                self.signal_node(index, episode, cx);
+                return;
             }
-            Err(fault) => {
-                if matches!(fault.error, BarrierError::Timeout { .. }) {
-                    self.stats.record_timeout(token.id, &fault.report);
+            match node.parent {
+                Some(parent) => index = parent,
+                None => {
+                    // Unreachable: the core's eviction guard admits a
+                    // removal only while a survivor remains, and admits
+                    // them one at a time. A surviving contributor keeps
+                    // the expectation chain on the shared path segment
+                    // above 1, stopping the walk before the root retires.
+                    unreachable!("the core rejects evicting the last live participant")
                 }
-                Err(fault.error)
             }
         }
     }
@@ -220,139 +213,31 @@ fn members_of_group(total: usize, fan_in: usize, group: usize) -> usize {
     fan_in.min(total - start)
 }
 
-impl<S: SyncOps> SplitBarrier for TreeBarrier<S> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
-        assert!(
-            id < self.n,
-            "participant id {id} out of range for {} participants",
-            self.n
-        );
-        let episode = self.local_episode[id].fetch_add(1, Ordering::Relaxed);
-        self.stats.record_arrival(id, episode);
-        self.signal_node(self.leaf_of[id], id);
-        ArrivalToken::new(id, episode)
+impl<S: SyncOps> Protocol<S> for Tree<S> {
+    #[inline]
+    fn arrive(&self, id: usize, _episode: u64, cx: &Cx<'_, S>) {
+        self.tree.arrive(id, &self.episode, cx);
     }
 
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
-        self.episode.load(Ordering::Acquire) > token.episode
+    #[inline]
+    fn released(&self, _id: usize, episode: u64, _cx: &Cx<'_, S>) -> bool {
+        self.episode.load(Ordering::Acquire) > episode
     }
 
+    #[inline]
     fn release_epoch(&self) -> Option<u64> {
         Some(self.episode.load(Ordering::Acquire))
     }
 
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        match self.wait_core(&token, Deadline::never(), self.policy) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("TreeBarrier::wait failed: {e} (use wait_deadline to recover)"),
-        }
-    }
-
-    fn wait_deadline(
-        &self,
-        token: ArrivalToken,
-        deadline: Deadline,
-    ) -> Result<WaitOutcome, BarrierError> {
-        self.wait_core(&token, deadline, self.policy)
-    }
-
-    fn wait_with(
-        &self,
-        token: ArrivalToken,
-        policy: &WaitPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let backoff = policy.backoff.unwrap_or(self.policy);
-        let result = self.wait_core(&token, policy.arm(), backoff);
-        if matches!(result, Err(BarrierError::Timeout { .. }))
-            && policy.on_timeout == OnTimeout::Poison
-        {
-            self.poison();
-        }
-        result
-    }
-
-    fn poison(&self) {
-        if self.poisoned.fetch_max(1, Ordering::AcqRel) == 0 {
-            self.stats.record_poisoning();
-        }
-    }
-
-    fn clear_poison(&self) {
-        self.poisoned.store(0, Ordering::Release);
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire) != 0
-    }
-
-    fn evict(&self, id: usize) -> Result<(), BarrierError> {
-        if id >= self.n {
-            return Err(BarrierError::InvalidParticipant {
-                id,
-                capacity: self.n,
-            });
-        }
-        // Already-dead ids are rejected before the EmptyGroup guard: a
-        // dead id stays dead regardless of how many live remain.
-        if self.evicted[id].load(Ordering::Acquire) != 0 {
-            return Err(BarrierError::NotAParticipant { id });
-        }
-        if self.live.load(Ordering::Acquire) <= 1 {
-            return Err(BarrierError::EmptyGroup);
-        }
-        if self.evicted[id].fetch_max(1, Ordering::AcqRel) != 0 {
-            return Err(BarrierError::NotAParticipant { id });
-        }
-        self.live.fetch_sub(1, Ordering::AcqRel);
-        self.stats.record_eviction();
-        // Walk the evicted participant's leaf-to-root path. At each node,
-        // shrink the expectation first (the completer re-reads it when
-        // re-arming); then:
-        //  - if other contributors remain, perform one stand-in arrival at
-        //    this node for the in-flight episode (the evicted participant
-        //    must not have arrived for it) and stop — future episodes are
-        //    handled by the shrunk expectation;
-        //  - if the node's expectation dropped to zero, the node is retired
-        //    (nothing will ever signal it again) and the eviction moves up:
-        //    the parent must stop expecting the retired node's signal.
-        let mut index = self.leaf_of[id];
-        loop {
-            let node = &self.nodes[index];
-            let prev = node.expected.fetch_sub(1, Ordering::AcqRel);
-            if prev > 1 {
-                // The evictor is not the evicted participant's thread.
-                self.signal_node(index, BarrierStats::NOT_A_PARTICIPANT);
-                return Ok(());
-            }
-            match node.parent {
-                Some(parent) => index = parent,
-                None => {
-                    // Unreachable with the live-count guard: a surviving
-                    // participant keeps the expectation chain on the shared
-                    // path segment above 1, stopping the walk before the
-                    // root retires.
-                    unreachable!("evicting the last live participant is rejected above")
-                }
-            }
-        }
-    }
-
-    fn participants(&self) -> usize {
-        self.n
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn telemetry(&self) -> TelemetrySnapshot {
-        self.stats.telemetry()
+    fn retire(&self, id: usize, cx: &Cx<'_, S>) {
+        self.tree.retire(id, &self.episode, cx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitBarrier;
     use std::sync::Arc;
 
     #[test]
@@ -382,16 +267,6 @@ mod tests {
     #[should_panic(expected = "fan-in")]
     fn fan_in_one_panics() {
         let _ = TreeBarrier::with_fan_in(4, 1, StallPolicy::default());
-    }
-
-    #[test]
-    fn single_participant() {
-        let b = TreeBarrier::new(1);
-        for e in 0..4 {
-            let t = b.arrive(0);
-            assert!(b.is_complete(&t));
-            assert_eq!(b.wait(t).episode, e);
-        }
     }
 
     #[test]
@@ -457,52 +332,6 @@ mod tests {
         assert!(b.is_complete(&t0), "stand-in arrival completes episode 0");
         assert_eq!(b.wait(t0).episode, 0);
         assert_eq!(b.wait(t1).episode, 0);
-    }
-
-    #[test]
-    fn tree_evict_guards() {
-        let b = TreeBarrier::new(2);
-        assert_eq!(
-            b.evict(9).unwrap_err(),
-            BarrierError::InvalidParticipant { id: 9, capacity: 2 }
-        );
-        b.evict(0).unwrap();
-        assert_eq!(
-            b.evict(0).unwrap_err(),
-            BarrierError::NotAParticipant { id: 0 }
-        );
-        assert_eq!(b.evict(1).unwrap_err(), BarrierError::EmptyGroup);
-        let t = b.arrive(1);
-        assert_eq!(b.wait(t).episode, 0);
-    }
-
-    #[test]
-    fn poison_unblocks_tree_waiters() {
-        // n = 3: participant 2 never arrives, so neither wait below can be
-        // satisfied by completion.
-        let b = Arc::new(TreeBarrier::new(3));
-        std::thread::scope(|s| {
-            let b0 = Arc::clone(&b);
-            s.spawn(move || {
-                let t = b0.arrive(0);
-                let err = b0.wait_deadline(t, Deadline::never()).unwrap_err();
-                assert_eq!(err, BarrierError::Poisoned { episode: 0 });
-            });
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            b.poison();
-        });
-        assert!(b.is_poisoned());
-        // wait_with escalation path still reports the timeout distinctly.
-        b.clear_poison();
-        let t = b.arrive(1);
-        let policy = WaitPolicy::new()
-            .deadline(std::time::Duration::from_millis(5))
-            .on_timeout(OnTimeout::Poison);
-        assert!(matches!(
-            b.wait_with(t, &policy),
-            Err(BarrierError::Timeout { episode: 0 })
-        ));
-        assert!(b.is_poisoned());
     }
 
     #[test]

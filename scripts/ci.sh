@@ -23,7 +23,11 @@
 #                completer skips its drain) must still be caught by the
 #                model checker while the real frontend survives; a
 #                panicking task must neither wedge nor shrink the pool
-#   fault-smoke  check --scenario poison + exp_fault_recovery export
+#   fault-smoke  check --scenario poison and --scenario evict (both
+#                eviction shapes: one member leaves, all members race to
+#                evict themselves), the racy-evict-guard mutant pair
+#                (mutant caught, stock backends clean), then the
+#                exp_fault_recovery export
 #   fuzz-smoke   differential fuzzer: 200 nests at a fixed seed, zero
 #                divergences required, stats export schema-validated
 #   chaos-smoke  reconfig mutants must be caught (and the real barrier
@@ -173,13 +177,22 @@ async_smoke() {
     return $status
 }
 
-# Fault smoke: the poisoning scenario on the model checker (1k DFS
-# schedules per backend at N=3), then the fault-recovery experiment with
-# its --stats-json export schema-validated.
+# Fault smoke: the poisoning and eviction scenarios on the model checker
+# (1k DFS schedules per backend and shape at N=3; beyond this stage,
+# eviction is explored only inside the 21-25-minute check-smoke), then the
+# eviction-guard mutant pair: the check-then-act guard the backends used
+# to hand-copy must be caught racing two self-evictions, and the episode
+# core's serialised guard must survive three on every stock backend. Last,
+# the fault-recovery experiment with its --stats-json export
+# schema-validated.
 fault_smoke() {
-    cargo build --release -q -p fuzzy-check --bin check &&
-        ./target/release/check --backend all --scenario poison \
+    cargo build --release -q -p fuzzy-check --bin check || return 1
+    for scenario in poison evict; do
+        ./target/release/check --backend all --scenario "$scenario" \
             --participants 3 --episodes 2 --mode dfs --schedules 1000 ||
+            return 1
+    done
+    cargo test --release -q -p fuzzy-check --test mutants racy_evict_guard ||
         return 1
     out="$(mktemp)" || return 1
     status=1
