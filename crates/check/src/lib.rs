@@ -41,18 +41,20 @@
 //! ```
 //!
 //! The [`mutants`] module carries sixteen seeded-bug backends the checker
-//! must catch — six concurrency races (including a hierarchical shard
-//! leader that releases early; the centralized one is a
-//! [`fuzzy_barrier::Protocol`] run through the real episode core), three
-//! fault-handling bugs (a no-op poison, a mask-preserving eviction and a
-//! check-then-act eviction guard), four async bugs (a frontend that
-//! forgets to drain its parked-waker registry on release, a backend whose
-//! release word runs one arrival early, a waiter that parks on a release
-//! word read outside the probe lock, and a completing arrival that skips
-//! the drain it owes), two dynamic-membership bugs (a join admitted mid-episode and a forgotten
-//! generation check), and a distributed bug (a transport that forges the
-//! higher dissemination rounds, releasing a `NetBarrier` endpoint on
-//! first contact); `cargo test -p fuzzy-check` proves it does.
+//! must catch. Seven are a [`fuzzy_barrier::Protocol`] holding nothing but
+//! the bug, run through the real episode core: six concurrency races
+//! (including a hierarchical shard leader that releases early) and a
+//! release word that runs one arrival early, which misleads the real
+//! async frontend. Three replace the core, because the bug is in what the
+//! core owns: a no-op poison, a mask-preserving eviction and a
+//! check-then-act eviction guard. Three are async frontends (one that
+//! forgets to drain its parked-waker registry on release, a waiter that
+//! parks on a release word read outside the probe lock, and a completing
+//! arrival that skips the drain it owes), two are dynamic-membership
+//! layers (a join admitted mid-episode and a forgotten generation check),
+//! and one is a transport that forges the higher dissemination rounds,
+//! releasing a `NetBarrier` endpoint on first contact;
+//! `cargo test -p fuzzy-check` proves the checker catches them all.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,46 +1,56 @@
 //! Seeded-bug barrier backends ("mutants") that the checker must catch.
 //!
-//! Each mutant copies one stock backend and re-introduces a realistic
-//! concurrency bug — the kind a refactor could plausibly create. They are
-//! the checker's regression suite in reverse: a checker release is only
-//! trustworthy if it *fails* every one of these within its schedule
-//! budget. Three of the first five are interleaving-dependent (they pass
-//! on the default round-robin-ish schedule and need a specific
+//! Each mutant re-introduces one realistic concurrency bug — the kind a
+//! refactor could plausibly create. They are the checker's regression
+//! suite in reverse: a checker release is only trustworthy if it *fails*
+//! every one of these within its schedule budget.
+//!
+//! **Protocols over the real core.** A bug in how arrivals are signalled
+//! or release is detected is a [`Protocol`] holding nothing but that bug,
+//! behind the real [`Barrier`]: ids, tokens, the wait loop, poison and
+//! eviction are the stock ones, so catching these also shows the shared
+//! core hides no protocol bug. [`MutantCentral`], [`MutantCounting`],
+//! [`MutantDissemination`] and [`MutantTree`] are interleaving-dependent
+//! (they pass on the default round-robin-ish schedule and need a specific
 //! preemption), which is precisely what distinguishes a model checker
-//! from a stress test. The sixth is hierarchical: a shard leader that
-//! releases its shard before the top-level sync completes — the sharded
-//! flavor of the early-release fuzzy violation. The next two seed
-//! *fault-handling* bugs — a recovery layer that forgets to poison, and
-//! an eviction that forgets to shrink the mask — caught by the
-//! poison/evict scenarios, and beside them the check-then-act eviction
-//! guard the stock backends used to carry, which lets concurrent
-//! evictions empty the barrier and is caught by the evict-race scenario.
-//! The next is an *async frontend* whose
-//! completion path forgets to drain the parked-waker registry — the
-//! canonical lost wakeup of poll-based waiting, caught by the
-//! waker-handoff scenario; beside it, a backend whose `release_epoch`
-//! runs one arrival ahead of its `is_complete`, which the same scenario
-//! catches as an early release through the real frontend, and two
-//! replicas of that frontend's release-word fast paths, each with one of
-//! the two obligations that keep them wakeup-safe dropped: a waiter that
-//! parks on a release word read *outside* the probe lock, and a
-//! completer whose skip-the-drain test is off by one. The next two
-//! seed *dynamic-membership* bugs:
-//! a join admitted mid-episode instead of at the boundary, and a
-//! credential check that forgets the slot generation — caught by the
-//! reconfig scenarios. The last is a *distributed* bug: a transport
-//! wrapper that forges the higher dissemination rounds from the round-0
-//! signal, releasing a `NetBarrier` endpoint on first contact — caught by
-//! the net-round scenario's cross-mesh fuzzy check.
+//! from a stress test. [`MutantEarlyRelease`] and the hierarchical
+//! [`MutantLeaderEarlyRelease`] — a shard leader that releases its shard
+//! before the top-level sync completes — are early-release fuzzy
+//! violations. [`MutantEarlyEpoch`]'s `release_epoch` runs one arrival
+//! ahead of `released`, which the async scenario catches as an early
+//! release through the real frontend.
+//!
+//! **Replacements of the core.** A bug in what the core itself owns cannot
+//! be a protocol, so these implement [`SplitBarrier`] whole and spell out
+//! what they do not do: [`MutantNoPoison`] (a recovery layer that forgets
+//! to poison) and [`MutantEvictNoMask`] (an eviction that forgets to
+//! shrink the mask), caught by the poison/evict scenarios, and
+//! [`MutantRacyEvictGuard`], the check-then-act eviction guard the stock
+//! backends used to carry, which lets concurrent evictions empty the
+//! barrier and is caught by the evict-race scenario.
+//!
+//! **Other layers.** An *async frontend* whose completion path forgets to
+//! drain the parked-waker registry — the canonical lost wakeup of
+//! poll-based waiting, caught by the waker-handoff scenario — and two
+//! replicas of the real frontend's release-word fast paths, each with one
+//! of the two obligations that keep them wakeup-safe dropped: a waiter
+//! that parks on a release word read *outside* the probe lock, and a
+//! completer whose skip-the-drain test is off by one. Two
+//! *dynamic-membership* bugs: a join admitted mid-episode instead of at
+//! the boundary, and a credential check that forgets the slot generation
+//! — caught by the reconfig scenarios. And a *distributed* bug: a
+//! transport wrapper that forges the higher dissemination rounds from the
+//! round-0 signal, releasing a `NetBarrier` endpoint on first contact —
+//! caught by the net-round scenario's cross-mesh fuzzy check.
 
 use crate::scenario::{AsyncArrival, AsyncFrontend, ReconfigOps};
 use crate::shadow::ShadowSync;
-use fuzzy_barrier::spin::SpinReport;
+use fuzzy_barrier::centralized::Central;
 use fuzzy_barrier::stats::StatsSnapshot;
 use fuzzy_barrier::sync::{Atomic, SyncOps, TicketLock};
 use fuzzy_barrier::{
-    ArrivalToken, Barrier, BarrierError, CentralBarrier, Cx, Deadline, JoinTicket, MemberHandle,
-    Protocol, ReconfigBarrier, SplitBarrier, StallPolicy, WaitOutcome,
+    ArrivalToken, Barrier, BarrierError, CentralBarrier, Cx, Deadline, FlatProtocol, JoinTicket,
+    MemberHandle, Protocol, ReconfigBarrier, SplitBarrier, StallPolicy, WaitOutcome,
 };
 use fuzzy_net::{DecodeError, FrameSink, Message, NetError, Transport};
 use std::future::Future;
@@ -49,14 +59,9 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, Weak};
 use std::task::{Context, Poll, Waker};
 
-fn outcome(episode: u64, report: SpinReport) -> WaitOutcome {
-    WaitOutcome {
-        episode,
-        stalled: !report.was_instant(),
-        descheduled: report.descheduled,
-        probes: report.probes,
-        stall_time: report.waited,
-    }
+/// `retire` of a protocol mutant whose scenarios never remove anyone.
+fn no_removals() -> ! {
+    unreachable!("the protocol scenarios neither evict nor leave")
 }
 
 // ---------------------------------------------------------------------------
@@ -118,7 +123,7 @@ impl<S: SyncOps> Protocol<S> for MutantCentral<S> {
 // MutantCounting: non-atomic increment
 // ---------------------------------------------------------------------------
 
-/// Counting barrier whose arrival increment is a **load/store pair**
+/// Counting protocol whose arrival increment is a **load/store pair**
 /// instead of a `fetch_add`.
 ///
 /// Two arrivals interleaved load/load/store/store lose a count; the
@@ -126,56 +131,36 @@ impl<S: SyncOps> Protocol<S> for MutantCentral<S> {
 /// lost wakeup reachable within a single episode.
 #[derive(Debug)]
 pub struct MutantCounting<S: SyncOps = ShadowSync> {
-    n: usize,
+    n: u64,
     arrivals: S::AtomicU64,
-    local_episode: Vec<S::AtomicU64>,
 }
 
 impl<S: SyncOps> MutantCounting<S> {
-    /// Creates the mutant for `n` participants.
+    /// Creates the mutant barrier for `n` participants.
     #[must_use]
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0);
-        MutantCounting {
-            n,
+    pub fn new(n: usize) -> Barrier<Self, S> {
+        let protocol = MutantCounting {
+            n: n as u64,
             arrivals: S::AtomicU64::new(0),
-            local_episode: (0..n).map(|_| S::AtomicU64::new(0)).collect(),
-        }
-    }
-
-    fn threshold(&self, episode: u64) -> u64 {
-        (episode + 1) * self.n as u64
+        };
+        Barrier::from_protocol(n, StallPolicy::Spin, protocol)
     }
 }
 
-impl<S: SyncOps> SplitBarrier for MutantCounting<S> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
-        let episode = self.local_episode[id].fetch_add(1, Ordering::Relaxed);
-        // BUG (seeded): the stock backend uses fetch_add; a read-modify-
+impl<S: SyncOps> Protocol<S> for MutantCounting<S> {
+    fn arrive(&self, _id: usize, _episode: u64, _cx: &Cx<'_, S>) {
+        // BUG (seeded): the stock protocol uses fetch_add; a read-modify-
         // write torn into a load and a store drops concurrent arrivals.
         let current = self.arrivals.load(Ordering::Acquire);
         self.arrivals.store(current + 1, Ordering::Release);
-        ArrivalToken::new(id, episode)
     }
 
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
-        self.arrivals.load(Ordering::Acquire) >= self.threshold(token.episode())
+    fn released(&self, _id: usize, episode: u64, _cx: &Cx<'_, S>) -> bool {
+        self.arrivals.load(Ordering::Acquire) >= (episode + 1) * self.n
     }
 
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        let threshold = self.threshold(token.episode());
-        let report = S::wait_until(StallPolicy::Spin, || {
-            self.arrivals.load(Ordering::Acquire) >= threshold
-        });
-        outcome(token.episode(), report)
-    }
-
-    fn participants(&self) -> usize {
-        self.n
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot::default()
+    fn retire(&self, _id: usize, _cx: &Cx<'_, S>) {
+        no_removals()
     }
 }
 
@@ -183,7 +168,7 @@ impl<S: SyncOps> SplitBarrier for MutantCounting<S> {
 // MutantDissemination: exact-match flag comparison
 // ---------------------------------------------------------------------------
 
-/// Dissemination barrier that compares received signals with `==` instead
+/// Dissemination protocol that compares received signals with `==` instead
 /// of `>=`.
 ///
 /// Flags carry monotone `episode + 1` values precisely so that a slot
@@ -196,33 +181,39 @@ pub struct MutantDissemination<S: SyncOps = ShadowSync> {
     n: usize,
     rounds: u32,
     flags: Vec<Vec<S::AtomicU64>>,
-    episode: Vec<S::AtomicU64>,
     round: Vec<S::AtomicU32>,
 }
 
 impl<S: SyncOps> MutantDissemination<S> {
-    /// Creates the mutant for `n` participants.
+    /// Creates the mutant barrier for `n` participants.
     #[must_use]
-    pub fn new(n: usize) -> Self {
+    pub fn new(n: usize) -> Barrier<Self, S> {
         assert!(n > 1, "the bug needs a partner");
         let rounds = usize::BITS - (n - 1).leading_zeros();
-        MutantDissemination {
+        let protocol = MutantDissemination {
             n,
             rounds,
             flags: (0..rounds)
                 .map(|_| (0..n).map(|_| S::AtomicU64::new(0)).collect())
                 .collect(),
-            episode: (0..n).map(|_| S::AtomicU64::new(0)).collect(),
             round: (0..n).map(|_| S::AtomicU32::new(0)).collect(),
-        }
+        };
+        Barrier::from_protocol(n, StallPolicy::Spin, protocol)
     }
 
     fn signal(&self, from: usize, round: u32, episode_plus_one: u64) {
         let target = (from + (1usize << round)) % self.n;
         self.flags[round as usize][target].store(episode_plus_one, Ordering::Release);
     }
+}
 
-    fn try_progress(&self, id: usize, episode: u64) -> bool {
+impl<S: SyncOps> Protocol<S> for MutantDissemination<S> {
+    fn arrive(&self, id: usize, episode: u64, _cx: &Cx<'_, S>) {
+        self.round[id].store(0, Ordering::Relaxed);
+        self.signal(id, 0, episode + 1);
+    }
+
+    fn released(&self, id: usize, episode: u64, _cx: &Cx<'_, S>) -> bool {
         let goal = episode + 1;
         loop {
             let round = self.round[id].load(Ordering::Relaxed);
@@ -246,33 +237,9 @@ impl<S: SyncOps> MutantDissemination<S> {
             }
         }
     }
-}
 
-impl<S: SyncOps> SplitBarrier for MutantDissemination<S> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
-        let episode = self.episode[id].fetch_add(1, Ordering::Relaxed);
-        self.round[id].store(0, Ordering::Relaxed);
-        self.signal(id, 0, episode + 1);
-        ArrivalToken::new(id, episode)
-    }
-
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
-        self.try_progress(token.participant(), token.episode())
-    }
-
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        let report = S::wait_until(StallPolicy::Spin, || {
-            self.try_progress(token.participant(), token.episode())
-        });
-        outcome(token.episode(), report)
-    }
-
-    fn participants(&self) -> usize {
-        self.n
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot::default()
+    fn retire(&self, _id: usize, _cx: &Cx<'_, S>) {
+        no_removals()
     }
 }
 
@@ -280,18 +247,15 @@ impl<S: SyncOps> SplitBarrier for MutantDissemination<S> {
 // MutantTree: propagate-before-re-arm
 // ---------------------------------------------------------------------------
 
-/// Combining-tree barrier (fan-in 2) whose completing arrival at a node
+/// Combining-tree protocol (fan-in 2) whose completing arrival at a node
 /// **propagates upward before re-arming the node** — the tree-shaped twin
 /// of [`MutantCentral`]: a fast participant released by the root's episode
 /// bump re-arrives and decrements a not-yet-re-armed node; the belated
 /// re-arm overwrites the wrapped counter and the arrival is lost.
 #[derive(Debug)]
 pub struct MutantTree<S: SyncOps = ShadowSync> {
-    n: usize,
     nodes: Vec<MutantNode<S>>,
-    leaf_of: Vec<usize>,
     episode: S::AtomicU64,
-    local_episode: Vec<S::AtomicU64>,
 }
 
 #[derive(Debug)]
@@ -302,54 +266,48 @@ struct MutantNode<S: SyncOps> {
 }
 
 impl<S: SyncOps> MutantTree<S> {
-    /// Creates the mutant for `n` participants, fan-in 2.
+    const FAN_IN: usize = 2;
+
+    /// Creates the mutant barrier for `n` participants, fan-in 2.
     #[must_use]
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0);
-        let fan_in = 2usize;
+    pub fn new(n: usize) -> Barrier<Self, S> {
+        // Level by level, bottom-up: each level's nodes absorb the level
+        // below (the participants, for the leaves) until one root remains.
         let mut nodes: Vec<MutantNode<S>> = Vec::new();
-        let level0 = n.div_ceil(fan_in);
-        for g in 0..level0 {
-            let members = fan_in.min(n - g * fan_in);
-            nodes.push(MutantNode {
-                count: S::AtomicUsize::new(members),
-                expected: members,
-                parent: None,
-            });
-        }
-        let leaf_of = (0..n).map(|id| id / fan_in).collect();
-        let mut level_start = 0usize;
-        let mut level_len = level0;
-        while level_len > 1 {
-            let next_len = level_len.div_ceil(fan_in);
-            let next_start = nodes.len();
-            for g in 0..next_len {
-                let members = fan_in.min(level_len - g * fan_in);
+        let mut below: Option<usize> = None;
+        let mut below_len = n;
+        loop {
+            let start = nodes.len();
+            let len = below_len.div_ceil(Self::FAN_IN);
+            for g in 0..len {
+                let members = Self::FAN_IN.min(below_len - g * Self::FAN_IN);
                 nodes.push(MutantNode {
                     count: S::AtomicUsize::new(members),
                     expected: members,
                     parent: None,
                 });
             }
-            for i in 0..level_len {
-                nodes[level_start + i].parent = Some(next_start + i / fan_in);
+            if let Some(below_start) = below {
+                for i in 0..below_len {
+                    nodes[below_start + i].parent = Some(start + i / Self::FAN_IN);
+                }
             }
-            level_start = next_start;
-            level_len = next_len;
+            if len <= 1 {
+                break;
+            }
+            (below, below_len) = (Some(start), len);
         }
-        MutantTree {
-            n,
+        let protocol = MutantTree {
             nodes,
-            leaf_of,
             episode: S::AtomicU64::new(0),
-            local_episode: (0..n).map(|_| S::AtomicU64::new(0)).collect(),
-        }
+        };
+        Barrier::from_protocol(n, StallPolicy::Spin, protocol)
     }
 
     fn signal_node(&self, index: usize) {
         let node = &self.nodes[index];
         if node.count.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // BUG (seeded): the stock backend re-arms the node before
+            // BUG (seeded): the stock protocol re-arms the node before
             // propagating; doing it after leaves a window where released
             // participants decrement a stale counter.
             match node.parent {
@@ -363,30 +321,17 @@ impl<S: SyncOps> MutantTree<S> {
     }
 }
 
-impl<S: SyncOps> SplitBarrier for MutantTree<S> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
-        let episode = self.local_episode[id].fetch_add(1, Ordering::Relaxed);
-        self.signal_node(self.leaf_of[id]);
-        ArrivalToken::new(id, episode)
+impl<S: SyncOps> Protocol<S> for MutantTree<S> {
+    fn arrive(&self, id: usize, _episode: u64, _cx: &Cx<'_, S>) {
+        self.signal_node(id / Self::FAN_IN);
     }
 
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
-        self.episode.load(Ordering::Acquire) > token.episode()
+    fn released(&self, _id: usize, episode: u64, _cx: &Cx<'_, S>) -> bool {
+        self.episode.load(Ordering::Acquire) > episode
     }
 
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        let report = S::wait_until(StallPolicy::Spin, || {
-            self.episode.load(Ordering::Acquire) > token.episode()
-        });
-        outcome(token.episode(), report)
-    }
-
-    fn participants(&self) -> usize {
-        self.n
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot::default()
+    fn retire(&self, _id: usize, _cx: &Cx<'_, S>) {
+        no_removals()
     }
 }
 
@@ -394,63 +339,41 @@ impl<S: SyncOps> SplitBarrier for MutantTree<S> {
 // MutantEarlyRelease: off-by-one wait predicate
 // ---------------------------------------------------------------------------
 
-/// Centralized barrier whose wait predicate uses `>=` instead of `>`:
-/// `wait(token)` for episode *e* returns as soon as the episode counter
-/// reaches *e* — i.e. immediately, before anyone else arrived. This is the
-/// canonical **fuzzy-semantics violation** and proves the checker's ledger
-/// check fires: no deadlock, no panic, just a barrier that does not
-/// barrier.
+/// The stock [`Central`] protocol with a release predicate that uses `>=`
+/// instead of `>`: `wait(token)` for episode *e* returns as soon as the
+/// episode counter reaches *e* — i.e. immediately, before anyone else
+/// arrived. This is the canonical **fuzzy-semantics violation** and proves
+/// the checker's ledger check fires: no deadlock, no panic, just a barrier
+/// that does not barrier.
 #[derive(Debug)]
 pub struct MutantEarlyRelease<S: SyncOps = ShadowSync> {
-    n: usize,
-    count: S::AtomicUsize,
-    episode: S::AtomicU64,
-    local_episode: Vec<S::AtomicU64>,
+    inner: Central<S>,
 }
 
 impl<S: SyncOps> MutantEarlyRelease<S> {
-    /// Creates the mutant for `n` participants.
+    /// Creates the mutant barrier for `n` participants.
     #[must_use]
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0);
-        MutantEarlyRelease {
-            n,
-            count: S::AtomicUsize::new(n),
-            episode: S::AtomicU64::new(0),
-            local_episode: (0..n).map(|_| S::AtomicU64::new(0)).collect(),
-        }
+    pub fn new(n: usize) -> Barrier<Self, S> {
+        let protocol = MutantEarlyRelease {
+            inner: Central::for_participants(n),
+        };
+        Barrier::from_protocol(n, StallPolicy::Spin, protocol)
     }
 }
 
-impl<S: SyncOps> SplitBarrier for MutantEarlyRelease<S> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
-        let episode = self.local_episode[id].fetch_add(1, Ordering::Relaxed);
-        if self.count.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.count.store(self.n, Ordering::Release);
-            self.episode.fetch_add(1, Ordering::Release);
-        }
-        ArrivalToken::new(id, episode)
+impl<S: SyncOps> Protocol<S> for MutantEarlyRelease<S> {
+    fn arrive(&self, id: usize, episode: u64, cx: &Cx<'_, S>) {
+        self.inner.arrive(id, episode, cx);
     }
 
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
+    fn released(&self, _id: usize, episode: u64, _cx: &Cx<'_, S>) -> bool {
         // BUG (seeded): `>=` instead of `>` — satisfied before the
         // episode completes.
-        self.episode.load(Ordering::Acquire) >= token.episode()
+        self.inner.release_epoch() >= Some(episode)
     }
 
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        let report = S::wait_until(StallPolicy::Spin, || {
-            self.episode.load(Ordering::Acquire) >= token.episode()
-        });
-        outcome(token.episode(), report)
-    }
-
-    fn participants(&self) -> usize {
-        self.n
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot::default()
+    fn retire(&self, id: usize, cx: &Cx<'_, S>) {
+        self.inner.retire(id, cx);
     }
 }
 
@@ -458,7 +381,7 @@ impl<S: SyncOps> SplitBarrier for MutantEarlyRelease<S> {
 // MutantLeaderEarlyRelease: shard released before the top-level sync
 // ---------------------------------------------------------------------------
 
-/// Hierarchical (sharded) barrier whose shard leader **bumps the shard's
+/// Hierarchical (sharded) protocol whose shard leader **bumps the shard's
 /// release epoch as soon as its own shard fills**, before the top-level
 /// synchronization across shards has completed.
 ///
@@ -472,12 +395,10 @@ impl<S: SyncOps> SplitBarrier for MutantEarlyRelease<S> {
 /// may only advance after the shard's leader rounds complete.
 #[derive(Debug)]
 pub struct MutantLeaderEarlyRelease<S: SyncOps = ShadowSync> {
-    n: usize,
     shards: Vec<MutantShard<S>>,
     /// Total shard sign-ins — what the *correct* wait predicate would
     /// consult (`sign_ins >= (episode + 1) * shards`).
     top_sign_ins: S::AtomicU64,
-    local_episode: Vec<S::AtomicU64>,
 }
 
 #[derive(Debug)]
@@ -490,9 +411,9 @@ struct MutantShard<S: SyncOps> {
 impl<S: SyncOps> MutantLeaderEarlyRelease<S> {
     const SHARD: usize = 2;
 
-    /// Creates the mutant for `n` participants, shard size 2.
+    /// Creates the mutant barrier for `n` participants, shard size 2.
     #[must_use]
-    pub fn new(n: usize) -> Self {
+    pub fn new(n: usize) -> Barrier<Self, S> {
         assert!(n > Self::SHARD, "the bug needs a second shard");
         let shards = (0..n.div_ceil(Self::SHARD))
             .map(|g| {
@@ -504,18 +425,16 @@ impl<S: SyncOps> MutantLeaderEarlyRelease<S> {
                 }
             })
             .collect();
-        MutantLeaderEarlyRelease {
-            n,
+        let protocol = MutantLeaderEarlyRelease {
             shards,
             top_sign_ins: S::AtomicU64::new(0),
-            local_episode: (0..n).map(|_| S::AtomicU64::new(0)).collect(),
-        }
+        };
+        Barrier::from_protocol(n, StallPolicy::Spin, protocol)
     }
 }
 
-impl<S: SyncOps> SplitBarrier for MutantLeaderEarlyRelease<S> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
-        let episode = self.local_episode[id].fetch_add(1, Ordering::Relaxed);
+impl<S: SyncOps> Protocol<S> for MutantLeaderEarlyRelease<S> {
+    fn arrive(&self, id: usize, _episode: u64, _cx: &Cx<'_, S>) {
         let shard = &self.shards[id / Self::SHARD];
         if shard.count.fetch_sub(1, Ordering::AcqRel) == 1 {
             shard.count.store(shard.expected, Ordering::Release);
@@ -526,28 +445,14 @@ impl<S: SyncOps> SplitBarrier for MutantLeaderEarlyRelease<S> {
             // be empty.
             shard.epoch.fetch_add(1, Ordering::Release);
         }
-        ArrivalToken::new(id, episode)
     }
 
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
-        let shard = &self.shards[token.participant() / Self::SHARD];
-        shard.epoch.load(Ordering::Acquire) > token.episode()
+    fn released(&self, id: usize, episode: u64, _cx: &Cx<'_, S>) -> bool {
+        self.shards[id / Self::SHARD].epoch.load(Ordering::Acquire) > episode
     }
 
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        let shard = &self.shards[token.participant() / Self::SHARD];
-        let report = S::wait_until(StallPolicy::Spin, || {
-            shard.epoch.load(Ordering::Acquire) > token.episode()
-        });
-        outcome(token.episode(), report)
-    }
-
-    fn participants(&self) -> usize {
-        self.n
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot::default()
+    fn retire(&self, _id: usize, _cx: &Cx<'_, S>) {
+        no_removals()
     }
 }
 
@@ -585,10 +490,6 @@ impl SplitBarrier for MutantNoPoison {
         self.inner.is_complete(token)
     }
 
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        self.inner.wait(token)
-    }
-
     fn wait_deadline(
         &self,
         token: ArrivalToken,
@@ -598,9 +499,17 @@ impl SplitBarrier for MutantNoPoison {
     }
 
     // BUG (seeded): the recovery layer swallows the failure instead of
-    // poisoning. `abort` (the trait default) drops the token and calls
+    // poisoning. `abort` (derived in the trait) drops the token and calls
     // *this* no-op, so peers blocked on the next episode hang forever.
     fn poison(&self) {}
+
+    fn clear_poison(&self) {
+        self.inner.clear_poison();
+    }
+
+    fn is_poisoned(&self) -> bool {
+        self.inner.is_poisoned()
+    }
 
     fn evict(&self, id: usize) -> Result<(), BarrierError> {
         self.inner.evict(id)
@@ -647,10 +556,6 @@ impl SplitBarrier for MutantEvictNoMask {
 
     fn is_complete(&self, token: &ArrivalToken) -> bool {
         self.inner.is_complete(token)
-    }
-
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        self.inner.wait(token)
     }
 
     fn wait_deadline(
@@ -748,11 +653,26 @@ impl<S: SyncOps> SplitBarrier for MutantRacyEvictGuard<S> {
         self.episode.load(Ordering::Acquire) > token.episode()
     }
 
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
+    /// Unbounded whatever the deadline (shadow waits never time out), and
+    /// blind to poison, which this copy does not carry: the evict-race
+    /// scenario raises neither.
+    fn wait_deadline(
+        &self,
+        token: ArrivalToken,
+        _deadline: Deadline,
+    ) -> Result<WaitOutcome, BarrierError> {
         let report = S::wait_until(StallPolicy::Spin, || {
             self.episode.load(Ordering::Acquire) > token.episode()
         });
-        outcome(token.episode(), report)
+        Ok(WaitOutcome::from_report(token.episode(), report))
+    }
+
+    fn poison(&self) {}
+
+    fn clear_poison(&self) {}
+
+    fn is_poisoned(&self) -> bool {
+        false
     }
 
     fn evict(&self, id: usize) -> Result<(), BarrierError> {
@@ -874,12 +794,12 @@ impl Future for NoDrainFuture {
 // MutantEarlyEpoch: release word one arrival ahead of is_complete
 // ---------------------------------------------------------------------------
 
-/// The stock [`CentralBarrier`] with a [`SplitBarrier::release_epoch`]
-/// that **runs one arrival ahead** of `is_complete`.
+/// The stock [`Central`] protocol with a [`Protocol::release_epoch`] that
+/// **runs one arrival ahead** of `released`.
 ///
-/// `arrive`, `is_complete` and `wait` are the real backend's, so every
-/// thread-based scenario passes. Only a layer that trusts the release
-/// word instead of probing tokens — the real
+/// `arrive` and `released` are the real protocol's and the wait loop the
+/// real core's, so every thread-based scenario passes. Only a layer that
+/// trusts the release word instead of probing tokens — the real
 /// [`fuzzy_barrier::AsyncBarrier`]'s registry drain — is misled: with one
 /// arrival still missing it is told the episode released, resolves the
 /// parked futures, and a task leaves the barrier before a peer has
@@ -888,30 +808,33 @@ impl Future for NoDrainFuture {
 /// ⇔ `is_complete(token(id, e)) == (e < k)` for every id.
 #[derive(Debug)]
 pub struct MutantEarlyEpoch<S: SyncOps = ShadowSync> {
-    inner: CentralBarrier<S>,
-    /// Arrivals so far, counted before the backend sees them.
+    inner: Central<S>,
+    n: u64,
+    /// Arrivals so far, counted before the protocol sees them.
     arrivals: S::AtomicU64,
 }
 
 impl<S: SyncOps> MutantEarlyEpoch<S> {
-    /// Creates the mutant for `n` participants.
+    /// Creates the mutant barrier for `n` participants.
     #[must_use]
-    pub fn new(n: usize) -> Self {
-        MutantEarlyEpoch {
-            inner: CentralBarrier::with_policy_in(n, StallPolicy::Spin),
+    pub fn new(n: usize) -> Barrier<Self, S> {
+        let protocol = MutantEarlyEpoch {
+            inner: Central::for_participants(n),
+            n: n as u64,
             arrivals: S::AtomicU64::new(0),
-        }
+        };
+        Barrier::from_protocol(n, StallPolicy::Spin, protocol)
     }
 }
 
-impl<S: SyncOps> SplitBarrier for MutantEarlyEpoch<S> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
+impl<S: SyncOps> Protocol<S> for MutantEarlyEpoch<S> {
+    fn arrive(&self, id: usize, episode: u64, cx: &Cx<'_, S>) {
         self.arrivals.fetch_add(1, Ordering::AcqRel);
-        self.inner.arrive(id)
+        self.inner.arrive(id, episode, cx);
     }
 
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
-        self.inner.is_complete(token)
+    fn released(&self, id: usize, episode: u64, cx: &Cx<'_, S>) -> bool {
+        self.inner.released(id, episode, cx)
     }
 
     fn release_epoch(&self) -> Option<u64> {
@@ -919,23 +842,11 @@ impl<S: SyncOps> SplitBarrier for MutantEarlyEpoch<S> {
         // the `+ 1` publishes an episode when its last arrival is still
         // outstanding.
         let arrivals = self.arrivals.load(Ordering::Acquire);
-        Some((arrivals + 1) / self.inner.participants() as u64)
+        Some((arrivals + 1) / self.n)
     }
 
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        self.inner.wait(token)
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.inner.is_poisoned()
-    }
-
-    fn participants(&self) -> usize {
-        self.inner.participants()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.stats()
+    fn retire(&self, id: usize, cx: &Cx<'_, S>) {
+        self.inner.retire(id, cx);
     }
 }
 

@@ -67,10 +67,12 @@
 //! round count). "Every poll drains everything" is this path's rule, and
 //! only this path's.
 //!
-//! On **every** backend, poison / abort / evict and the blocking `wait`
-//! flavors drain under the lock when they return, so parked waiters
-//! observe faults promptly instead of at their next (never-coming)
-//! wakeup. Poison wakes everyone.
+//! On **every** backend, `poison`, a successful `evict` and
+//! `wait_deadline` drain under the lock when they return — and with them
+//! `abort` and plain `wait`, which the trait derives from those, so the
+//! drain precedes `wait`'s poison panic. Parked waiters thus observe
+//! faults promptly instead of at their next (never-coming) wakeup. Poison
+//! wakes everyone.
 //!
 //! Collected wakers are invoked **after** the probe lock is released: in
 //! the checker's shadow domain a wake is itself a scheduling point, and no
@@ -125,7 +127,7 @@
 //! help-drive — on their first poll.
 
 use crate::error::BarrierError;
-use crate::failure::{Deadline, WaitPolicy};
+use crate::failure::Deadline;
 use crate::fuzzy::SplitBarrier;
 use crate::stats::{self, AsyncSnapshot, StatsSnapshot, TelemetrySnapshot};
 use crate::sync::{RealSync, SyncOps, TicketGuard, TicketLock};
@@ -506,7 +508,7 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
     }
 
     /// Drain + wake, used by the completion-producing [`SplitBarrier`]
-    /// hooks (arrive, poison, abort, evict).
+    /// hooks (arrive, every wait return, poison, evict).
     fn drain_and_wake(&self) {
         let mut probe = self.probe_lock();
         let (wakers, _) = self.drain_locked(&mut probe.registry, None);
@@ -552,36 +554,19 @@ impl<B: SplitBarrier, S: SyncOps> SplitBarrier for AsyncBarrier<B, S> {
         self.inner.is_complete(token)
     }
 
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        let outcome = self.inner.wait(token);
-        // On cooperative backends the blocking wait just performed rounds
-        // (flag stores) that may have enabled a parked async waiter whose
-        // last drain ran before those stores landed.
-        self.drain_and_wake();
-        outcome
-    }
-
     fn wait_deadline(
         &self,
         token: ArrivalToken,
         deadline: Deadline,
     ) -> Result<WaitOutcome, BarrierError> {
         let result = self.inner.wait_deadline(token, deadline);
-        // Drain on *every* return: even a timed-out cooperative wait may
-        // have progressed rounds that enable a parked waiter.
-        self.drain_and_wake();
-        result
-    }
-
-    fn wait_with(
-        &self,
-        token: ArrivalToken,
-        policy: &WaitPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let result = self.inner.wait_with(token, policy);
-        // Drain on every return; this also propagates an
-        // `OnTimeout::Poison` fault (poisoned *inside* the inner wait,
-        // bypassing our poison hook) to the parked waiters.
+        // Drain on *every* return. On cooperative backends a blocking wait
+        // performs rounds (flag stores) that may have enabled a parked
+        // async waiter whose last drain ran before those stores landed —
+        // even when it then timed out. And a fault raised below this
+        // frontend (`backend().poison()`, a network peer's death) has run
+        // no hook of ours: the derived `wait` panics on it only after
+        // this drain has woken the parked futures.
         self.drain_and_wake();
         result
     }
@@ -597,11 +582,6 @@ impl<B: SplitBarrier, S: SyncOps> SplitBarrier for AsyncBarrier<B, S> {
 
     fn is_poisoned(&self) -> bool {
         self.inner.is_poisoned()
-    }
-
-    fn abort(&self, token: ArrivalToken) {
-        self.inner.abort(token);
-        self.drain_and_wake();
     }
 
     fn evict(&self, id: usize) -> Result<(), BarrierError> {
@@ -847,12 +827,20 @@ mod tests {
             self.inner.release_epoch()
         }
 
-        fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-            self.inner.wait(token)
+        fn wait_deadline(
+            &self,
+            token: ArrivalToken,
+            deadline: Deadline,
+        ) -> Result<WaitOutcome, BarrierError> {
+            self.inner.wait_deadline(token, deadline)
         }
 
         fn poison(&self) {
             self.inner.poison();
+        }
+
+        fn clear_poison(&self) {
+            self.inner.clear_poison();
         }
 
         fn is_poisoned(&self) -> bool {
@@ -1019,6 +1007,28 @@ mod tests {
         }
         let stats = b.async_stats();
         assert_eq!((stats.parked, stats.resumed), (m as u64, m as u64));
+    }
+
+    #[test]
+    fn plain_wait_drains_before_it_panics_on_poison() {
+        let b = Arc::new(AsyncBarrier::new(CentralBarrier::new(3)));
+        let (woken, waker) = Woken::new();
+        let mut parked = b.arrive_async(0);
+        assert!(poll_with(&mut parked, &waker).is_pending());
+        let token = SplitBarrier::arrive(b.as_ref(), 1);
+        // A fault raised below the frontend runs none of its hooks.
+        b.backend().poison();
+        assert_eq!(woken.count(), 0);
+        // The sync participant's unbounded wait is then the only call left
+        // that can tell the parked future, and it unwinds.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.wait(token)));
+        assert!(unwound.is_err(), "plain wait panics on poison");
+        assert_eq!(woken.count(), 1, "the drain must precede the panic");
+        assert!(b.registry.lock().unwrap().parked.is_empty());
+        assert!(matches!(
+            poll_once(&mut parked),
+            Poll::Ready(Err(BarrierError::Poisoned { episode: 0 }))
+        ));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! the only `impl SplitBarrier` they have.
 
 use crate::error::BarrierError;
-use crate::failure::{self, Deadline, OnTimeout, WaitPolicy};
+use crate::failure::{self, Deadline};
 use crate::spin::StallPolicy;
 use crate::stats::{BarrierStats, StatsSnapshot, TelemetrySnapshot};
 use crate::sync::{Atomic, RealSync, SyncOps, TicketGuard, TicketLock};
@@ -293,42 +293,6 @@ impl<P: Protocol<S>, S: SyncOps> Barrier<P, S> {
             self.n
         );
     }
-
-    /// The poison-aware bounded wait all wait flavors funnel through.
-    /// Inlined into each of them: behind `dyn SplitBarrier` an outlined
-    /// copy costs an uncontended episode a call and a `Result` returned
-    /// through memory (≈8 ns of ≈50).
-    #[inline]
-    fn wait_core(
-        &self,
-        token: &ArrivalToken,
-        deadline: Deadline,
-        policy: StallPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        // Adaptive policies become a concrete budget sized by this
-        // participant's wait-cost history; everything else passes through.
-        let policy = self.shared.stats.resolve_policy(token.id, policy);
-        let cx = self.cx(token.id);
-        let result = failure::guarded_wait::<S>(
-            policy,
-            deadline,
-            token.episode,
-            || self.protocol.released(token.id, token.episode, &cx),
-            || self.poisoned.load(Ordering::Acquire) != 0,
-        );
-        match result {
-            Ok(outcome) => {
-                self.shared.stats.record_wait(token.id, &outcome);
-                Ok(outcome)
-            }
-            Err(fault) => {
-                if matches!(fault.error, BarrierError::Timeout { .. }) {
-                    self.shared.stats.record_timeout(token.id, &fault.report);
-                }
-                Err(fault.error)
-            }
-        }
-    }
 }
 
 impl<P: Protocol<S>, S: SyncOps> SplitBarrier for Barrier<P, S> {
@@ -354,35 +318,39 @@ impl<P: Protocol<S>, S: SyncOps> SplitBarrier for Barrier<P, S> {
         self.protocol.release_epoch()
     }
 
+    /// The one wait, poison-aware and bounded. Inlined into the derived
+    /// `wait`: behind `dyn SplitBarrier` an outlined copy costs an
+    /// uncontended episode a call and a `Result` returned through memory
+    /// (≈8 ns of ≈50).
     #[inline]
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        match self.wait_core(&token, Deadline::never(), self.policy) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("barrier wait failed: {e} (use wait_deadline to recover)"),
-        }
-    }
-
     fn wait_deadline(
         &self,
         token: ArrivalToken,
         deadline: Deadline,
     ) -> Result<WaitOutcome, BarrierError> {
-        self.wait_core(&token, deadline, self.policy)
-    }
-
-    fn wait_with(
-        &self,
-        token: ArrivalToken,
-        policy: &WaitPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let backoff = policy.backoff.unwrap_or(self.policy);
-        let result = self.wait_core(&token, policy.arm(), backoff);
-        if matches!(result, Err(BarrierError::Timeout { .. }))
-            && policy.on_timeout == OnTimeout::Poison
-        {
-            self.poison();
+        // Adaptive policies become a concrete budget sized by this
+        // participant's wait-cost history; everything else passes through.
+        let policy = self.shared.stats.resolve_policy(token.id, self.policy);
+        let cx = self.cx(token.id);
+        let result = failure::guarded_wait::<S>(
+            policy,
+            deadline,
+            token.episode,
+            || self.protocol.released(token.id, token.episode, &cx),
+            || self.poisoned.load(Ordering::Acquire) != 0,
+        );
+        match result {
+            Ok(outcome) => {
+                self.shared.stats.record_wait(token.id, &outcome);
+                Ok(outcome)
+            }
+            Err(fault) => {
+                if matches!(fault.error, BarrierError::Timeout { .. }) {
+                    self.shared.stats.record_timeout(token.id, &fault.report);
+                }
+                Err(fault.error)
+            }
         }
-        result
     }
 
     fn poison(&self) {

@@ -5,8 +5,8 @@
 //! forever. This module supplies the recovery primitives layered on top of
 //! the split-phase protocol:
 //!
-//! - [`Deadline`] / [`WaitPolicy`] bound how long `wait` may stall, turning
-//!   a straggler into an observable [`BarrierError::Timeout`] instead of a
+//! - A [`Deadline`] bounds how long `wait_deadline` may stall, turning a
+//!   straggler into an observable [`BarrierError::Timeout`] instead of a
 //!   silent deadlock.
 //! - **Poisoning** (std-`Mutex`-style): a participant that panics mid
 //!   episode or calls `abort()` marks the barrier; peers blocked in a
@@ -69,73 +69,6 @@ impl Deadline {
     }
 }
 
-/// What a waiter does when its deadline expires.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum OnTimeout {
-    /// Return [`BarrierError::Timeout`] and leave the barrier untouched;
-    /// the caller decides what to do (retry, evict the straggler, give up).
-    #[default]
-    Fail,
-    /// Poison the barrier before returning [`BarrierError::Timeout`], so
-    /// every other waiter unblocks with [`BarrierError::Poisoned`] instead
-    /// of stalling on an episode that will never complete.
-    Poison,
-}
-
-/// Per-call wait configuration for `SplitBarrier::wait_with`.
-///
-/// The default policy is an unbounded wait with the barrier's own stall
-/// policy — indistinguishable from plain `wait`, minus the panic on poison.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WaitPolicy {
-    /// How long the wait may stall before giving up; `None` waits forever.
-    pub deadline: Option<Duration>,
-    /// Stall policy override for this call; `None` uses the policy the
-    /// barrier was constructed with.
-    pub backoff: Option<StallPolicy>,
-    /// What to do when the deadline expires.
-    pub on_timeout: OnTimeout,
-}
-
-impl WaitPolicy {
-    /// An unbounded wait using the barrier's own stall policy.
-    #[must_use]
-    pub fn new() -> Self {
-        WaitPolicy::default()
-    }
-
-    /// Sets the wait deadline (relative; armed when the wait starts).
-    #[must_use]
-    pub fn deadline(mut self, timeout: Duration) -> Self {
-        self.deadline = Some(timeout);
-        self
-    }
-
-    /// Overrides the stall policy for this call.
-    #[must_use]
-    pub fn backoff(mut self, policy: StallPolicy) -> Self {
-        self.backoff = Some(policy);
-        self
-    }
-
-    /// Sets the timeout reaction.
-    #[must_use]
-    pub fn on_timeout(mut self, action: OnTimeout) -> Self {
-        self.on_timeout = action;
-        self
-    }
-
-    /// Arms the relative deadline into an absolute [`Deadline`].
-    #[must_use]
-    pub fn arm(&self) -> Deadline {
-        match self.deadline {
-            Some(timeout) => Deadline::after(timeout),
-            None => Deadline::never(),
-        }
-    }
-}
-
 /// A failed bounded wait: the error to surface plus the spin report the
 /// backend needs for stall telemetry.
 pub(crate) struct FaultedWait {
@@ -191,19 +124,6 @@ mod tests {
     fn after_deadline_expires() {
         let d = Deadline::after(Duration::ZERO);
         assert!(d.expired());
-    }
-
-    #[test]
-    fn wait_policy_builder_chains() {
-        let p = WaitPolicy::new()
-            .deadline(Duration::from_millis(5))
-            .backoff(StallPolicy::Spin)
-            .on_timeout(OnTimeout::Poison);
-        assert_eq!(p.deadline, Some(Duration::from_millis(5)));
-        assert_eq!(p.backoff, Some(StallPolicy::Spin));
-        assert_eq!(p.on_timeout, OnTimeout::Poison);
-        assert!(p.arm().instant().is_some());
-        assert!(WaitPolicy::new().arm().instant().is_none());
     }
 
     #[test]

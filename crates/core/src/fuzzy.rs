@@ -2,8 +2,7 @@
 
 use crate::centralized::CentralBarrier;
 use crate::error::BarrierError;
-use crate::failure::{Deadline, OnTimeout, WaitPolicy};
-use crate::spin::StallPolicy;
+use crate::failure::Deadline;
 use crate::stats::{StatsSnapshot, TelemetrySnapshot};
 use crate::token::{ArrivalToken, WaitOutcome};
 
@@ -25,6 +24,14 @@ use crate::token::{ArrivalToken, WaitOutcome};
 /// arrive twice for the same episode without having waited (its own episode
 /// counter advances only on arrival).
 ///
+/// # Implementing
+///
+/// An implementor decides eight things and may answer three more
+/// differently from the defaults; [`Self::wait`], [`Self::abort`],
+/// [`Self::point`] and [`Self::fuzzy`] are derived from those here and are
+/// not meant to be overridden. DESIGN.md, "The `SplitBarrier` surface", has
+/// the table.
+///
 /// # Panics
 ///
 /// Implementations panic if `id >= n`; participant ids are dense indices
@@ -39,6 +46,40 @@ pub trait SplitBarrier: Send + Sync {
     /// blocking. The fuzzy analogue of peeking at the hardware "synchronized"
     /// state bit.
     fn is_complete(&self, token: &ArrivalToken) -> bool;
+
+    /// Blocks (per the backend's [`crate::StallPolicy`]) until the episode
+    /// named by `token` completes, the barrier is poisoned
+    /// ([`BarrierError::Poisoned`]), or `deadline` passes
+    /// ([`BarrierError::Timeout`]). Completion wins over both faults.
+    ///
+    /// On `Err` the arrival still counted and the token is consumed: the
+    /// caller may [`Self::evict`] the straggler so the episode completes,
+    /// or [`Self::poison`] the barrier to release its peers.
+    fn wait_deadline(
+        &self,
+        token: ArrivalToken,
+        deadline: Deadline,
+    ) -> Result<WaitOutcome, BarrierError>;
+
+    /// Poisons the barrier: every current and future
+    /// [`Self::wait_deadline`] returns [`BarrierError::Poisoned`] (and
+    /// plain [`Self::wait`] panics) until [`Self::clear_poison`].
+    /// Completion still wins for episodes that manage to complete.
+    fn poison(&self);
+
+    /// Clears a poisoned barrier (like `std::sync::Mutex::clear_poison`),
+    /// typically after the failed participant has been [`Self::evict`]ed
+    /// and recovery is complete.
+    fn clear_poison(&self);
+
+    /// True if the barrier is currently poisoned.
+    fn is_poisoned(&self) -> bool;
+
+    /// Number of participants.
+    fn participants(&self) -> usize;
+
+    /// Snapshot of this barrier's accumulated statistics.
+    fn stats(&self) -> StatsSnapshot;
 
     /// The backend's release word, if it has one: `Some(k)` promises that
     /// **for every participant id** `is_complete(token(id, e)) == (e < k)`,
@@ -62,89 +103,6 @@ pub trait SplitBarrier: Send + Sync {
         None
     }
 
-    /// Blocks (per the backend's [`StallPolicy`]) until the episode named by
-    /// `token` completes.
-    ///
-    /// If the barrier is poisoned before the episode completes,
-    /// implementations with poison support **panic** (like unwrapping a
-    /// poisoned `std::sync::Mutex`); use [`Self::wait_deadline`] or
-    /// [`Self::wait_with`] to observe poisoning as an error instead.
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome;
-
-    /// Bounded, poison-aware wait: blocks until the episode named by
-    /// `token` completes, the barrier is poisoned
-    /// ([`BarrierError::Poisoned`]), or `deadline` passes
-    /// ([`BarrierError::Timeout`]). Completion wins over both faults.
-    ///
-    /// On `Err` the arrival still counted — the caller may probe again
-    /// later (via a fresh bounded wait on a reconstructed token is *not*
-    /// possible; tokens are consumed), [`Self::evict`] the straggler so the
-    /// episode completes, or [`Self::poison`] the barrier to release peers.
-    ///
-    /// The default implementation ignores the deadline and cannot observe
-    /// poison (it delegates to plain [`Self::wait`]); the episode core
-    /// ([`crate::Barrier`]) overrides it for the five stock backends.
-    fn wait_deadline(
-        &self,
-        token: ArrivalToken,
-        deadline: Deadline,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let _ = deadline;
-        Ok(self.wait(token))
-    }
-
-    /// Waits under a full [`WaitPolicy`]: optional deadline, optional stall
-    /// policy override, and a timeout reaction (for
-    /// [`OnTimeout::Poison`], the barrier is poisoned before the
-    /// [`BarrierError::Timeout`] is returned, releasing every other
-    /// waiter).
-    ///
-    /// The default implementation layers the timeout reaction over
-    /// [`Self::wait_deadline`]; the episode core overrides it to also
-    /// honor the `backoff` override.
-    fn wait_with(
-        &self,
-        token: ArrivalToken,
-        policy: &WaitPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let result = self.wait_deadline(token, policy.arm());
-        if matches!(result, Err(BarrierError::Timeout { .. }))
-            && policy.on_timeout == OnTimeout::Poison
-        {
-            self.poison();
-        }
-        result
-    }
-
-    /// Poisons the barrier: every current and future bounded wait returns
-    /// [`BarrierError::Poisoned`] (and plain [`Self::wait`] panics) until
-    /// [`Self::clear_poison`]. Completion still wins for episodes that
-    /// manage to complete. The default implementation is a no-op for
-    /// backends without poison support.
-    fn poison(&self) {}
-
-    /// Clears a poisoned barrier (like `std::sync::Mutex::clear_poison`),
-    /// typically after the failed participant has been [`Self::evict`]ed
-    /// and recovery is complete.
-    fn clear_poison(&self) {}
-
-    /// True if the barrier is currently poisoned.
-    fn is_poisoned(&self) -> bool {
-        false
-    }
-
-    /// Abandons an episode from inside it: consumes the token and poisons
-    /// the barrier. The aborter's arrival already counted, so the in-flight
-    /// episode may still complete — but the aborter will never arrive
-    /// again, so without poisoning its peers would hang on the *next*
-    /// episode. Call this on a panic path before unwinding past
-    /// barrier-using code (the `sched` executor does exactly that for
-    /// panicking workers).
-    fn abort(&self, token: ArrivalToken) {
-        drop(token);
-        self.poison();
-    }
-
     /// Permanently removes participant `id` from the barrier — the paper's
     /// Sec. 5 mask shrink applied to a *failed* stream: survivors
     /// re-synchronize without it from the in-flight episode onward.
@@ -158,18 +116,11 @@ pub trait SplitBarrier: Send + Sync {
     /// stock backends both hold under concurrent evictions too: of any
     /// set of racing calls, exactly those that leave a survivor succeed.
     ///
-    /// The default implementation reports
-    /// [`BarrierError::EvictionUnsupported`].
-    fn evict(&self, id: usize) -> Result<(), BarrierError> {
-        let _ = id;
+    /// The default reports [`BarrierError::EvictionUnsupported`], whatever
+    /// the `id`.
+    fn evict(&self, _id: usize) -> Result<(), BarrierError> {
         Err(BarrierError::EvictionUnsupported)
     }
-
-    /// Number of participants.
-    fn participants(&self) -> usize;
-
-    /// Snapshot of this barrier's accumulated statistics.
-    fn stats(&self) -> StatsSnapshot;
 
     /// Full telemetry snapshot: flat counters plus stall histogram,
     /// arrival spread and per-participant counters. Backends that track
@@ -177,6 +128,34 @@ pub trait SplitBarrier: Send + Sync {
     /// telemetry.
     fn telemetry(&self) -> TelemetrySnapshot {
         TelemetrySnapshot::from_base(self.stats())
+    }
+
+    /// Blocks until the episode named by `token` completes: an unbounded
+    /// [`Self::wait_deadline`].
+    ///
+    /// # Panics
+    ///
+    /// If the barrier is poisoned before the episode completes (like
+    /// unwrapping a poisoned `std::sync::Mutex`); call
+    /// [`Self::wait_deadline`] to observe poisoning as an error instead.
+    #[inline]
+    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
+        match self.wait_deadline(token, Deadline::never()) {
+            Ok(outcome) => outcome,
+            Err(e) => panic!("barrier wait failed: {e} (use wait_deadline to recover)"),
+        }
+    }
+
+    /// Abandons an episode from inside it: consumes the token and poisons
+    /// the barrier. The aborter's arrival already counted, so the in-flight
+    /// episode may still complete — but the aborter will never arrive
+    /// again, so without poisoning its peers would hang on the *next*
+    /// episode. Call this on a panic path before unwinding past
+    /// barrier-using code (the `sched` executor does exactly that for
+    /// panicking workers).
+    fn abort(&self, token: ArrivalToken) {
+        drop(token);
+        self.poison();
     }
 
     /// Arrive and immediately wait: the classic single-point barrier the
@@ -202,7 +181,8 @@ pub trait SplitBarrier: Send + Sync {
 /// A shared barrier is a barrier: delegating through [`std::sync::Arc`]
 /// lets generic layers (the async frontend, the checker's scenarios) wrap
 /// an `Arc<dyn SplitBarrier>` or `Arc<ConcreteBackend>` without caring
-/// which they were handed.
+/// which they were handed. Forwards what an implementor may have answered;
+/// the derived methods reach the backend through these.
 impl<B: SplitBarrier + ?Sized> SplitBarrier for std::sync::Arc<B> {
     fn arrive(&self, id: usize) -> ArrivalToken {
         (**self).arrive(id)
@@ -212,28 +192,12 @@ impl<B: SplitBarrier + ?Sized> SplitBarrier for std::sync::Arc<B> {
         (**self).is_complete(token)
     }
 
-    fn release_epoch(&self) -> Option<u64> {
-        (**self).release_epoch()
-    }
-
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        (**self).wait(token)
-    }
-
     fn wait_deadline(
         &self,
         token: ArrivalToken,
         deadline: Deadline,
     ) -> Result<WaitOutcome, BarrierError> {
         (**self).wait_deadline(token, deadline)
-    }
-
-    fn wait_with(
-        &self,
-        token: ArrivalToken,
-        policy: &WaitPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        (**self).wait_with(token, policy)
     }
 
     fn poison(&self) {
@@ -248,14 +212,6 @@ impl<B: SplitBarrier + ?Sized> SplitBarrier for std::sync::Arc<B> {
         (**self).is_poisoned()
     }
 
-    fn abort(&self, token: ArrivalToken) {
-        (**self).abort(token);
-    }
-
-    fn evict(&self, id: usize) -> Result<(), BarrierError> {
-        (**self).evict(id)
-    }
-
     fn participants(&self) -> usize {
         (**self).participants()
     }
@@ -264,13 +220,21 @@ impl<B: SplitBarrier + ?Sized> SplitBarrier for std::sync::Arc<B> {
         (**self).stats()
     }
 
+    fn release_epoch(&self) -> Option<u64> {
+        (**self).release_epoch()
+    }
+
+    fn evict(&self, id: usize) -> Result<(), BarrierError> {
+        (**self).evict(id)
+    }
+
     fn telemetry(&self) -> TelemetrySnapshot {
         (**self).telemetry()
     }
 }
 
-/// The default fuzzy barrier: a [`SplitBarrier`] backend (centralized
-/// sense-reversing by default) behind a thin, well-documented front door.
+/// The default fuzzy barrier: the centralized sense-reversing backend
+/// under the name the paper gives the mechanism.
 ///
 /// # Examples
 ///
@@ -291,123 +255,7 @@ impl<B: SplitBarrier + ?Sized> SplitBarrier for std::sync::Arc<B> {
 ///     }
 /// });
 /// ```
-#[derive(Debug)]
-pub struct FuzzyBarrier<B: SplitBarrier = CentralBarrier> {
-    inner: B,
-}
-
-impl FuzzyBarrier<CentralBarrier> {
-    /// Creates a fuzzy barrier for `n` participants with the default
-    /// (centralized sense-reversing) backend and default stall policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        FuzzyBarrier {
-            inner: CentralBarrier::new(n),
-        }
-    }
-
-    /// Creates a fuzzy barrier with an explicit stall policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn with_policy(n: usize, policy: StallPolicy) -> Self {
-        FuzzyBarrier {
-            inner: CentralBarrier::with_policy(n, policy),
-        }
-    }
-}
-
-impl<B: SplitBarrier> FuzzyBarrier<B> {
-    /// Wraps an arbitrary backend.
-    #[must_use]
-    pub fn from_backend(backend: B) -> Self {
-        FuzzyBarrier { inner: backend }
-    }
-
-    /// Borrows the underlying backend.
-    #[must_use]
-    pub fn backend(&self) -> &B {
-        &self.inner
-    }
-
-    /// Unwraps the underlying backend.
-    #[must_use]
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
-}
-
-impl<B: SplitBarrier> SplitBarrier for FuzzyBarrier<B> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
-        self.inner.arrive(id)
-    }
-
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
-        self.inner.is_complete(token)
-    }
-
-    fn release_epoch(&self) -> Option<u64> {
-        self.inner.release_epoch()
-    }
-
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        self.inner.wait(token)
-    }
-
-    fn wait_deadline(
-        &self,
-        token: ArrivalToken,
-        deadline: Deadline,
-    ) -> Result<WaitOutcome, BarrierError> {
-        self.inner.wait_deadline(token, deadline)
-    }
-
-    fn wait_with(
-        &self,
-        token: ArrivalToken,
-        policy: &WaitPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        self.inner.wait_with(token, policy)
-    }
-
-    fn poison(&self) {
-        self.inner.poison();
-    }
-
-    fn clear_poison(&self) {
-        self.inner.clear_poison();
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.inner.is_poisoned()
-    }
-
-    fn abort(&self, token: ArrivalToken) {
-        self.inner.abort(token);
-    }
-
-    fn evict(&self, id: usize) -> Result<(), BarrierError> {
-        self.inner.evict(id)
-    }
-
-    fn participants(&self) -> usize {
-        self.inner.participants()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.stats()
-    }
-
-    fn telemetry(&self) -> TelemetrySnapshot {
-        self.inner.telemetry()
-    }
-}
+pub type FuzzyBarrier = CentralBarrier;
 
 #[cfg(test)]
 mod tests {

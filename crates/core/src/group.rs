@@ -3,7 +3,7 @@
 
 use crate::centralized::CentralBarrier;
 use crate::error::BarrierError;
-use crate::failure::{Deadline, WaitPolicy};
+use crate::failure::Deadline;
 use crate::mask::ProcMask;
 use crate::spin::StallPolicy;
 use crate::stats::{StatsSnapshot, TelemetrySnapshot};
@@ -202,20 +202,6 @@ impl<B: crate::SplitBarrier> SubsetBarrier<B> {
         deadline: Deadline,
     ) -> Result<WaitOutcome, BarrierError> {
         self.inner.wait_deadline(token, deadline)
-    }
-
-    /// Waits under a full [`WaitPolicy`] (see
-    /// [`crate::SplitBarrier::wait_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::wait_deadline`].
-    pub fn wait_with(
-        &self,
-        token: ArrivalToken,
-        policy: &WaitPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        self.inner.wait_with(token, policy)
     }
 
     /// Poisons the group's barrier, releasing bounded waiters with
@@ -474,8 +460,21 @@ mod tests {
             fn is_complete(&self, token: &ArrivalToken) -> bool {
                 self.0.is_complete(token)
             }
-            fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-                self.0.wait(token)
+            fn wait_deadline(
+                &self,
+                token: ArrivalToken,
+                deadline: Deadline,
+            ) -> Result<WaitOutcome, BarrierError> {
+                self.0.wait_deadline(token, deadline)
+            }
+            fn poison(&self) {
+                self.0.poison();
+            }
+            fn clear_poison(&self) {
+                self.0.clear_poison();
+            }
+            fn is_poisoned(&self) -> bool {
+                self.0.is_poisoned()
             }
             fn participants(&self) -> usize {
                 self.0.participants()

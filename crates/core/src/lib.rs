@@ -104,7 +104,7 @@ pub use counting::CountingBarrier;
 pub use dissemination::DisseminationBarrier;
 pub use episode::{Barrier, Cx, FlatProtocol, Protocol};
 pub use error::BarrierError;
-pub use failure::{Deadline, OnTimeout, WaitPolicy};
+pub use failure::Deadline;
 pub use fuzzy::{FuzzyBarrier, SplitBarrier};
 pub use group::{BarrierGroup, SubsetBarrier};
 pub use hier::{HierBarrier, TopLevel};

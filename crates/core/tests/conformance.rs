@@ -2,15 +2,17 @@
 //! (`fuzzy_barrier::episode`), checked once over a table of every backend
 //! and shape instead of in uneven per-backend copies: id validation,
 //! episode order, phase separation, the timeout → evict → resynchronise
-//! story, poison, `abort`, `wait_with`, the eviction guard's error order —
-//! and that guard under concurrent evictions, which it must serialise.
+//! story, poison, the derived `wait` and `abort`, the eviction guard's
+//! error order — and that guard under concurrent evictions, which it must
+//! serialise. The `async/*` rows put the same contract through a wrapper
+//! that overrides what `wait` and `abort` are derived from.
 //! What is specific to one backend (tree shapes, ghost pre-payment, shard
 //! death, …) stays in that backend's own unit tests.
 
 use fuzzy_barrier::{
-    ArrivalToken, Barrier, BarrierError, CentralBarrier, CountingBarrier, Cx, Deadline,
-    DisseminationBarrier, FlatProtocol, HierBarrier, OnTimeout, Protocol, RealSync, SplitBarrier,
-    StallPolicy, TopLevel, TreeBarrier, WaitPolicy,
+    ArrivalToken, AsyncBarrier, Barrier, BarrierError, CentralBarrier, CountingBarrier, Cx,
+    Deadline, DisseminationBarrier, FlatProtocol, HierBarrier, Protocol, RealSync, SplitBarrier,
+    StallPolicy, TopLevel, TreeBarrier,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -64,8 +66,9 @@ impl FlatProtocol<RealSync> for Flags {
 }
 
 /// Every backend and shape: both tree fan-ins; both hier tops at shard
-/// size 1 (pure top level), 2 and ≥ n (one centralized shard); and the
-/// worked example.
+/// size 1 (pure top level), 2 and ≥ n (one centralized shard); the worked
+/// example; and the async frontend, driven through the sync trait only,
+/// over a uniform-release and a cooperative backend.
 const SHAPES: &[(&str, Build)] = &[
     ("central", |n, p| {
         Arc::new(CentralBarrier::with_policy(n, p))
@@ -107,6 +110,12 @@ const SHAPES: &[(&str, Build)] = &[
     }),
     ("example/flags", |n, p| {
         Arc::new(Barrier::<Flags>::with_policy(n, p))
+    }),
+    ("async/central", |n, p| {
+        Arc::new(AsyncBarrier::new(CentralBarrier::with_policy(n, p)))
+    }),
+    ("async/dissemination", |n, p| {
+        Arc::new(AsyncBarrier::new(DisseminationBarrier::with_policy(n, p)))
     }),
 ];
 
@@ -317,59 +326,6 @@ fn completion_wins_over_poison() {
             .wait_deadline(t, Deadline::never())
             .unwrap_or_else(|e| panic!("{name}: completed episode must win over poison: {e}"));
         assert_eq!(o.episode, 0, "{name}");
-    });
-}
-
-#[test]
-fn wait_with_honours_the_backoff_override() {
-    // The barrier itself only ever spins, which never deschedules; a wait
-    // that reports a deschedule therefore ran under the per-call override.
-    for (name, build) in SHAPES {
-        let b = build(2, StallPolicy::Spin);
-        std::thread::scope(|s| {
-            let early = &b;
-            s.spawn(move || {
-                let t = early.arrive(0);
-                let policy = WaitPolicy::new().backoff(StallPolicy::SpinYield { spin_limit: 0 });
-                let o = early.wait_with(t, &policy).unwrap();
-                assert!(o.stalled && o.descheduled, "{name}: {o:?}");
-            });
-            // Arrive only once the early waiter is (all but surely) in
-            // its stall loop.
-            while b.stats().arrivals == 0 {
-                std::thread::yield_now();
-            }
-            std::thread::sleep(Duration::from_millis(20));
-            let t = b.arrive(1);
-            assert!(!b.wait(t).stalled, "{name}");
-        });
-    }
-}
-
-#[test]
-fn wait_with_poison_on_timeout_releases_peers() {
-    // Participant 2 never arrives. Participant 0 escalates its timeout to
-    // a poisoning, which releases participant 1's unbounded wait.
-    for_each_shape(3, |name, b| {
-        std::thread::scope(|s| {
-            let b0 = &b;
-            s.spawn(move || {
-                let t = b0.arrive(0);
-                let policy = WaitPolicy::new()
-                    .deadline(Duration::from_millis(20))
-                    .on_timeout(OnTimeout::Poison);
-                let err = b0.wait_with(t, &policy).unwrap_err();
-                assert_eq!(err, BarrierError::Timeout { episode: 0 }, "{name}");
-            });
-            let b1 = &b;
-            s.spawn(move || {
-                let t = b1.arrive(1);
-                let err = b1.wait_deadline(t, Deadline::never()).unwrap_err();
-                assert_eq!(err, BarrierError::Poisoned { episode: 0 }, "{name}");
-            });
-        });
-        assert!(b.is_poisoned(), "{name}");
-        assert_eq!(b.stats().timeouts, 1, "{name}");
     });
 }
 

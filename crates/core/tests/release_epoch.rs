@@ -116,7 +116,7 @@ fn cooperative_backends_and_wrappers_publish_no_release_word() {
     assert_eq!(DisseminationBarrier::new(n).release_epoch(), None);
     assert_eq!(HierBarrier::new(n).release_epoch(), None);
     let shared: Arc<dyn SplitBarrier> = Arc::new(DisseminationBarrier::new(n));
-    assert_eq!(FuzzyBarrier::from_backend(shared).release_epoch(), None);
+    assert_eq!(shared.release_epoch(), None);
     // A wrapper with bookkeeping of its own keeps `None` even over a
     // uniform-release backend. (`ReconfigBarrier` is not a `SplitBarrier`
     // at all; `NetBarrier`'s `None` is asserted in `fuzzy-net`.)

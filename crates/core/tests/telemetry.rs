@@ -197,8 +197,21 @@ fn default_telemetry_wraps_stats() {
         fn is_complete(&self, token: &fuzzy_barrier::ArrivalToken) -> bool {
             self.0.is_complete(token)
         }
-        fn wait(&self, token: fuzzy_barrier::ArrivalToken) -> fuzzy_barrier::WaitOutcome {
-            self.0.wait(token)
+        fn wait_deadline(
+            &self,
+            token: fuzzy_barrier::ArrivalToken,
+            deadline: fuzzy_barrier::Deadline,
+        ) -> Result<fuzzy_barrier::WaitOutcome, fuzzy_barrier::BarrierError> {
+            self.0.wait_deadline(token, deadline)
+        }
+        fn poison(&self) {
+            self.0.poison();
+        }
+        fn clear_poison(&self) {
+            self.0.clear_poison();
+        }
+        fn is_poisoned(&self) -> bool {
+            self.0.is_poisoned()
         }
         fn participants(&self) -> usize {
             self.0.participants()

@@ -50,8 +50,8 @@ use fuzzy_barrier::spin::{nearest_deadline, SpinReport};
 use fuzzy_barrier::stats::BarrierStats;
 use fuzzy_barrier::sync::Atomic;
 use fuzzy_barrier::{
-    ArrivalToken, BarrierError, Deadline, NetSnapshot, NetStats, OnTimeout, RealSync, SplitBarrier,
-    StallPolicy, StatsSnapshot, SyncOps, TelemetrySnapshot, WaitOutcome, WaitPolicy,
+    ArrivalToken, BarrierError, Deadline, NetSnapshot, NetStats, RealSync, SplitBarrier,
+    StallPolicy, StatsSnapshot, SyncOps, TelemetrySnapshot, WaitOutcome,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -421,12 +421,31 @@ impl<S: SyncOps> NetBarrier<S> {
             }
         }
     }
+}
 
-    fn wait_core(
+impl<S: SyncOps> SplitBarrier for NetBarrier<S> {
+    fn arrive(&self, id: usize) -> ArrivalToken {
+        assert!(
+            id < self.locals,
+            "participant id {id} out of range for {} locals",
+            self.locals
+        );
+        let episode = self.member_episode[id].fetch_add(1, Ordering::AcqRel);
+        self.stats.record_arrival(id, episode);
+        self.local_count.fetch_add(1, Ordering::AcqRel);
+        self.pump(id);
+        ArrivalToken::new(id, episode)
+    }
+
+    fn is_complete(&self, token: &ArrivalToken) -> bool {
+        self.pump(token.participant());
+        self.completed.load(Ordering::Acquire) > token.episode()
+    }
+
+    fn wait_deadline(
         &self,
-        token: &ArrivalToken,
+        token: ArrivalToken,
         deadline: Deadline,
-        policy: StallPolicy,
     ) -> Result<WaitOutcome, BarrierError> {
         let episode = token.episode();
         let goal = episode + 1;
@@ -445,7 +464,7 @@ impl<S: SyncOps> NetBarrier<S> {
             }
             let round_budget = self.round_timeout.map(|t| Instant::now() + t);
             let slice = nearest_deadline(outer, round_budget);
-            let report = S::wait_until_budget(policy, slice, || {
+            let report = S::wait_until_budget(self.policy, slice, || {
                 // Each probe receives; a delivered signal drives the
                 // protocol itself, so completion needs no second step.
                 self.transport.poll();
@@ -478,56 +497,6 @@ impl<S: SyncOps> NetBarrier<S> {
             }
             self.retransmit(goal);
         }
-    }
-}
-
-impl<S: SyncOps> SplitBarrier for NetBarrier<S> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
-        assert!(
-            id < self.locals,
-            "participant id {id} out of range for {} locals",
-            self.locals
-        );
-        let episode = self.member_episode[id].fetch_add(1, Ordering::AcqRel);
-        self.stats.record_arrival(id, episode);
-        self.local_count.fetch_add(1, Ordering::AcqRel);
-        self.pump(id);
-        ArrivalToken::new(id, episode)
-    }
-
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
-        self.pump(token.participant());
-        self.completed.load(Ordering::Acquire) > token.episode()
-    }
-
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        match self.wait_core(&token, Deadline::never(), self.policy) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("NetBarrier::wait failed: {e} (use wait_deadline to recover)"),
-        }
-    }
-
-    fn wait_deadline(
-        &self,
-        token: ArrivalToken,
-        deadline: Deadline,
-    ) -> Result<WaitOutcome, BarrierError> {
-        self.wait_core(&token, deadline, self.policy)
-    }
-
-    fn wait_with(
-        &self,
-        token: ArrivalToken,
-        policy: &WaitPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let stall = policy.backoff.unwrap_or(self.policy);
-        let result = self.wait_core(&token, policy.arm(), stall);
-        if matches!(result, Err(BarrierError::Timeout { .. }))
-            && policy.on_timeout == OnTimeout::Poison
-        {
-            self.poison_and_broadcast();
-        }
-        result
     }
 
     fn poison(&self) {
@@ -826,19 +795,17 @@ mod tests {
     }
 
     #[test]
-    fn on_timeout_poison_releases_the_peer() {
+    fn timeout_then_poison_releases_the_peer() {
         let (_mesh, bs) = mesh_barriers(3, NetConfig::new());
-        // Ranks 0 and 1 arrive; rank 2 never does. Rank 0 times out with
-        // OnTimeout::Poison, which must release rank 1 as Poisoned.
+        // Ranks 0 and 1 arrive; rank 2 never does. Rank 0 times out and
+        // poisons, which must release rank 1 across the mesh as Poisoned.
         let t0 = bs[0].arrive(0);
         let t1 = bs[1].arrive(0);
-        let policy = WaitPolicy::new()
-            .deadline(Duration::from_millis(30))
-            .on_timeout(OnTimeout::Poison);
         assert_eq!(
-            bs[0].wait_with(t0, &policy),
+            bs[0].wait_deadline(t0, Deadline::after(Duration::from_millis(30))),
             Err(BarrierError::Timeout { episode: 0 })
         );
+        bs[0].poison();
         let err = bs[1]
             .wait_deadline(t1, Deadline::after(Duration::from_secs(5)))
             .unwrap_err();

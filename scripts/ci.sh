@@ -119,6 +119,26 @@ run_stage() {
 "
 }
 
+# filtered_tests "<cargo test args>" <filter>...: one `cargo test -q` run
+# per filter, each of which must pass at least one test. `cargo test --
+# <filter>` exits 0 when the filter matches nothing, so without this a
+# renamed test silently turns the gate that selects it into a no-op.
+filtered_tests() {
+    cargo_args="$1"
+    shift
+    for filter in "$@"; do
+        # shellcheck disable=SC2086 # cargo_args is a word list
+        log="$(cargo test -q $cargo_args -- "$filter" 2>&1)"
+        test_status=$?
+        echo "$log"
+        [ "$test_status" -eq 0 ] || return 1
+        if ! echo "$log" | grep -q 'test result: ok\. [1-9][0-9]* passed'; then
+            echo "ci: test filter '$filter' matched no test" >&2
+            return 1
+        fi
+    done
+}
+
 # The tier-1 gate, exactly as ROADMAP.md specifies it. Kept verbatim in a
 # single shell line so the stage tests precisely what reviewers run.
 tier1_gate() {
@@ -167,9 +187,9 @@ async_smoke() {
         --quick --stats-json "$out" >/dev/null; then
         if cargo run -q --release -p fuzzy-bench --bin validate_stats -- \
             --schema async_scale "$out"; then
-            cargo test -q -p fuzzy-check --test mutants -- no_drain async_early_epoch \
-                unlocked_park completer_skips_drain &&
-                cargo test -q -p fuzzy-sched panicking
+            filtered_tests "-p fuzzy-check --test mutants" no_drain \
+                async_early_epoch unlocked_park completer_skips_drain &&
+                filtered_tests "-p fuzzy-sched" panicking
             status=$?
         fi
     fi
@@ -192,7 +212,7 @@ fault_smoke() {
             --participants 3 --episodes 2 --mode dfs --schedules 1000 ||
             return 1
     done
-    cargo test --release -q -p fuzzy-check --test mutants racy_evict_guard ||
+    filtered_tests "--release -p fuzzy-check --test mutants" racy_evict_guard ||
         return 1
     out="$(mktemp)" || return 1
     status=1
@@ -231,8 +251,8 @@ fuzz_smoke() {
 # every backend, both runtimes, seeded join/leave/crash/delay/spurious
 # churn — with its telemetry export schema-validated.
 chaos_smoke() {
-    cargo test -q -p fuzzy-check --test mutants -- \
-        join_mid_epoch stale_generation real_reconfig || return 1
+    filtered_tests "-p fuzzy-check --test mutants" \
+        join_mid_epoch stale_generation_mutant real_reconfig || return 1
     out="$(mktemp)" || return 1
     status=1
     if cargo run -q --release -p fuzzy-bench --bin exp_chaos_churn -- \
@@ -254,7 +274,7 @@ chaos_smoke() {
 # finally the quick exp_net_scale sweep — in-process loopback mesh plus
 # forked UDS worker processes — with its export schema-validated.
 net_smoke() {
-    cargo test -q -p fuzzy-check --test mutants -- \
+    filtered_tests "-p fuzzy-check --test mutants" \
         net_skip_round real_net_barrier || return 1
     cargo test -q -p fuzzy-sched --test multiproc || return 1
     out="$(mktemp)" || return 1
