@@ -6,10 +6,13 @@
 //! cycle: every processor attempts to issue, then the synchronization
 //! condition is evaluated once, broadcast-style, so all members of a
 //! barrier group discover synchronization in the same cycle.
-//! [`Machine::run`] is that step plus a jump over the cycles in which no
-//! processor can issue and no line can change — with a 120-cycle miss
-//! penalty, most of them — charged in bulk so that no simulated count
-//! differs from stepping through them.
+//! [`Machine::run`] reaches the same states by events instead: the barrier
+//! network is combinational logic over ready lines, tags and masks, so it
+//! is evaluated only in a cycle where one of those inputs changed, only
+//! the processors that can issue are visited, and the cycles in which
+//! nothing can happen — with a 120-cycle miss penalty, most of them — are
+//! jumped over and charged when somebody next looks, so that no simulated
+//! count differs from stepping through them.
 
 use crate::barrier_hw::{bits, ready_lines, sync_set, wired, BarrierState, BarrierUnit, MAX_PROCS};
 use crate::fault::{EvictionEvent, FaultPlan, FaultState};
@@ -223,10 +226,10 @@ pub struct Machine {
     faults: Vec<FaultState>,
     /// Watchdog-triggered evictions, in firing order.
     evictions: Vec<EvictionEvent>,
-    /// Mutation hook for the equivalence suite: the one event source
-    /// [`Machine::skip_idle_cycles`] pretends not to know about.
+    /// Mutation hook for the equivalence suite: the one thing
+    /// [`Machine::run`] pretends not to know about.
     #[cfg(test)]
-    pub(crate) forgotten: Option<EventSource>,
+    pub(crate) forgotten: Option<Forgotten>,
 }
 
 /// Most samples [`Machine::sync_positions`] retains (8 MiB of `u64`s):
@@ -235,8 +238,8 @@ pub struct Machine {
 /// up. Later synchronizations are still counted everywhere else.
 pub const SYNC_POSITION_SAMPLES: usize = 1 << 20;
 
-/// Everything that can end a run of idle cycles — the event list of
-/// [`Machine::skip_idle_cycles`].
+/// Everything that can end a run of jumped-over cycles — the event list of
+/// [`Machine::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum EventSource {
     /// A serial-mode processor finishes its multi-cycle instruction
@@ -254,6 +257,92 @@ pub(crate) enum EventSource {
     Watchdog,
     /// The caller's cycle budget.
     Limit,
+}
+
+/// Everything that can change what the broadcast evaluation computes — the
+/// dirty rule of [`Machine::run`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DirtySource {
+    /// A visited processor entered a barrier region: its ready line rose.
+    Entry,
+    /// A visited processor executed `settag` (which may also re-arm it).
+    SetTag,
+    /// A visited processor executed `setmask`.
+    SetMask,
+    /// A visited processor halted.
+    Halt,
+    /// The previous cycle's eviction rewrote masks and tags, after its
+    /// own evaluation.
+    Eviction,
+    /// Pipelined: a completing instruction un-vetoes a line, no issue.
+    Unveto,
+    /// A fault is injected: lines move on its schedule, and a stutter
+    /// draws once per evaluated cycle.
+    Fault,
+    /// A watchdog register runs past its budget in this cycle.
+    Watchdog,
+}
+
+/// What a processor's turn came to, as far as [`Machine::run`] cares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Visit {
+    /// It wrote nothing the barrier network reads: an ordinary
+    /// instruction issued, or was waited out.
+    Quiet,
+    /// It wrote its ready line, tag or mask.
+    Moved(DirtySource),
+    /// It sits stalled at its barrier exit (state iv) outside any
+    /// handler: every turn is this one again until an interrupt or a
+    /// synchronization comes.
+    Parked,
+    Halted,
+}
+
+/// One thing [`Machine::run`] can be told to overlook; the equivalence
+/// suite must catch each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Forgotten {
+    /// The jump does not stop for this event.
+    Event(EventSource),
+    /// This change does not set the dirty bit.
+    Dirty(DirtySource),
+    /// Returns leave parked processors' stall cycles uncharged.
+    SettleCharged,
+    /// Returns leave the watchdog registers where the last evaluation
+    /// put them.
+    SettleWaiting,
+}
+
+/// The call-local state of [`Machine::run`]: who is worth a visit,
+/// whether the network's inputs changed, and what the processors and
+/// registers nobody looks at are owed ([`Machine::settle`] pays).
+struct Schedule {
+    /// Processors that have not halted.
+    live: u64,
+    /// Those of them last seen [`Visit::Parked`]: not visited.
+    parked: u64,
+    /// Per parked processor, the first cycle not yet in its `stall_cycles`.
+    charged: Vec<u64>,
+    /// An input of the barrier network changed since it was evaluated.
+    dirty: bool,
+    /// Units whose watchdog register was counting after the evaluation in
+    /// cycle `evaluated` (one tick owed per cycle since), and the first
+    /// cycle in which one of them passes its budget.
+    counting: u64,
+    evaluated: u64,
+    expiry: u64,
+    /// Processors below this index are through the cycle `Machine::cycle`
+    /// names, the rest are not: non-zero only when a visit failed.
+    visited: usize,
+}
+
+impl Schedule {
+    /// Charges parked `p` its stall cycles before `upto` and returns it to
+    /// the visit pass.
+    fn unpark(&mut self, p: &mut Processor, upto: u64) {
+        p.stats.stall_cycles += upto - self.charged[p.id];
+        self.parked &= !(1u64 << p.id);
+    }
 }
 
 impl Machine {
@@ -317,6 +406,7 @@ impl Machine {
     /// state is frozen for the handler's duration — a stalled processor
     /// takes the interrupt, runs the handler, and resumes its stall.
     pub fn schedule_interrupt(&mut self, proc: usize, cycle: u64, handler: usize) {
+        assert!(proc < self.procs.len(), "interrupt target out of range");
         self.interrupts.push((cycle, proc, handler));
     }
 
@@ -434,18 +524,23 @@ impl Machine {
             self.step_proc(i, cycle)?;
         }
 
-        // Broadcast synchronization evaluation, once per cycle, after all
-        // processors have acted — "all processors simultaneously discover
-        // the occurrence of synchronization".
+        self.broadcast(cycle);
+        self.cycle += 1;
+        Ok(!self.all_halted())
+    }
+
+    /// Broadcast synchronization evaluation, once per cycle, after all
+    /// processors have acted — "all processors simultaneously discover
+    /// the occurrence of synchronization" — followed by the watchdog
+    /// registers' tick. Returns the processors that synchronized.
+    fn broadcast(&mut self, cycle: u64) -> u64 {
         let ready = ready_lines(self.procs.iter().map(|p| &p.unit)) & self.lines_delivered(cycle);
         let synced = sync_set(self.procs.len(), |i| &self.procs[i].unit, ready);
         if synced != 0 {
             self.synchronize(cycle, synced);
         }
         self.maintain_watchdogs(cycle, ready & !synced);
-
-        self.cycle += 1;
-        Ok(!self.all_halted())
+        synced
     }
 
     /// The processors whose ready line, if raised, reaches the broadcast
@@ -580,141 +675,249 @@ impl Machine {
         }
     }
 
-    /// Runs until halt, deadlock or `max_cycles`.
+    /// Runs until halt, deadlock or `max_cycles`: the machine
+    /// [`Machine::step`] defines, reached by events so that host time is
+    /// paid per event (DESIGN.md §16 argues in full why nothing a caller
+    /// can observe differs).
+    ///
+    /// Per processed cycle: (1) a parked processor whose interrupt has
+    /// come due is un-parked; (2) the live processors that are not parked
+    /// get their turn, in index order; (3) the broadcast network —
+    /// combinational logic over ready lines, tags and masks — is
+    /// evaluated **only if one of those inputs changed** (`DirtySource`)
+    /// or it is the call's first cycle: an evaluation lowers the lines of
+    /// whoever it synchronizes, so between two evaluations with unchanged
+    /// inputs the condition cannot fire, whether or not processors issued;
+    /// (4) the deadlock probe runs only when every live processor is
+    /// parked; (5) the clock jumps to the earliest `EventSource`, busy
+    /// processors charged for the span in bulk. Memory is time-free
+    /// between issues, so nothing else can happen in between. What the
+    /// cycles add where nobody looks — `stall_cycles` of the parked,
+    /// `unit.waiting` of counting watchdog registers — accrues in
+    /// `Schedule` and is settled on every return, `Err` included.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Memory`] on an out-of-bounds access.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunOutcome, SimError> {
+        let n = self.procs.len();
+        let set = |member: &dyn Fn(usize) -> bool| {
+            bits(wired(n)).fold(0, |m, i| m | (u64::from(member(i)) << i))
+        };
+        let mut s = Schedule {
+            live: set(&|i| !self.procs[i].halted),
+            parked: set(&|i| self.is_parked(i)),
+            charged: vec![self.cycle; n],
+            // The cycle before the call's first is not this call's to
+            // vouch for.
+            dirty: true,
+            counting: 0,
+            evaluated: self.cycle,
+            expiry: u64::MAX,
+            visited: 0,
+        };
+        let outcome = self.run_events(max_cycles, &mut s);
+        self.settle(&s);
+        outcome
+    }
+
+    fn run_events(&mut self, max_cycles: u64, s: &mut Schedule) -> Result<RunOutcome, SimError> {
         while self.cycle < max_cycles {
-            let live = self.step()?;
-            if !live {
+            let cycle = self.cycle;
+            let mut next_issue = self.visit(cycle, s)?;
+            if self.evaluate(cycle, s) {
+                next_issue = cycle + 1;
+            }
+            self.cycle = cycle + 1;
+            if s.live == 0 {
                 return Ok(RunOutcome::Halted { cycles: self.cycle });
             }
-            if self.is_deadlocked() {
+            if s.live & !s.parked == 0 && self.is_deadlocked() {
                 return Ok(RunOutcome::Deadlock { cycle: self.cycle });
             }
-            self.skip_idle_cycles(max_cycles);
+            let next = self.next_event(s, next_issue, max_cycles);
+            if next > self.cycle {
+                // Whoever is not parked waits out an instruction until then.
+                for i in bits(s.live & !s.parked) {
+                    self.procs[i].stats.busy_cycles += next - self.cycle;
+                }
+                self.cycle = next;
+            }
         }
         Ok(RunOutcome::CycleLimit { cycles: self.cycle })
     }
 
-    /// Jumps the clock from here to the next cycle in which anything can
-    /// happen, so that [`Machine::run`] pays host time per *event* rather
-    /// than per simulated cycle. Called right after a [`Machine::step`]
-    /// that neither halted nor deadlocked the machine; the cycles jumped
-    /// over are charged exactly as stepping through them would have.
+    /// Steps (1) and (2) of [`Machine::run`]: every processor that can do
+    /// something with `cycle` gets its turn, in index order. Returns the
+    /// earliest cycle in which one of them can issue again.
     ///
-    /// An *idle* cycle is one in which every live processor either waits
-    /// out a multi-cycle instruction (serial `busy_until`) or sits stalled
-    /// at its barrier exit with no interrupt due. Stepping through one
-    /// changes three accumulators and nothing else — `busy_cycles` for
-    /// the former kind of processor, `stall_cycles` for the latter, and
-    /// `unit.waiting` for every live unit with its ready line up and a
-    /// non-zero tag — provided the broadcast evaluation stays quiet and
-    /// the deadlock probe keeps saying "no". Both do, because:
-    ///
-    /// * Memory is time-free between issues. `bank_free`, the caches, the
-    ///   miss RNGs and the data all change inside `execute`, i.e. only when
-    ///   a processor issues; in-flight latency is a number the issuing
-    ///   processor already holds (`busy_until` / `outstanding_plain`).
-    /// * The broadcast condition can only *lose* members between issues.
-    ///   The evaluation that just ran moved whoever could synchronize to
-    ///   state (iii), lowering their ready lines. A unit left behind had a
-    ///   partner that was not ready or wore another tag; with no processor
-    ///   acting, tags and masks stand still and the ready set has only
-    ///   shrunk, so it still cannot fire. What can re-open the condition
-    ///   without an issue is on the event list below (a ready line
-    ///   un-vetoed or un-suppressed) or is an eviction, which rewrites
-    ///   masks *after* its cycle's evaluation — so nothing is skipped
-    ///   right after one.
-    /// * The deadlock probe reads unit state, masks, tags, the interrupt
-    ///   list and in-flight lists, all frozen while idle, and the faults'
-    ///   state one cycle ahead — hence a fault's change is an event one
-    ///   cycle early as well ([`FaultState::next_change`]).
-    ///
-    /// The events that end an idle span are listed by [`EventSource`]. An
-    /// active `Stutter` fault draws from its RNG in every evaluated
-    /// cycle, so no cycle is provably silent and the distance is 0.
-    fn skip_idle_cycles(&mut self, max_cycles: u64) {
-        let cycle = self.cycle;
-        if self
-            .evictions
-            .last()
-            .is_some_and(|ev| ev.fired_at + 1 == cycle)
-        {
-            return;
+    /// Kept a function of its own with `step_proc` and `execute` inlined
+    /// into it — the shape `step` has — because the per-visit cost is what
+    /// a dense program (everybody issues every cycle) pays for: measured,
+    /// EXPERIMENTS.md E22.
+    #[inline(never)]
+    fn visit(&mut self, cycle: u64, s: &mut Schedule) -> Result<u64, SimError> {
+        for &(at, proc, _) in &self.interrupts {
+            if at <= cycle && s.parked & (1u64 << proc) != 0 {
+                s.unpark(&mut self.procs[proc], cycle);
+            }
         }
-        let serial = !self.cfg.pipelined;
-        let busy = |p: &Processor| serial && p.busy_until > cycle;
-        let mut next = u64::MAX;
-        let mut event = |_source: EventSource, at: u64| {
-            #[cfg(test)]
-            if self.forgotten == Some(_source) {
-                return;
-            }
-            next = next.min(at.max(cycle));
-        };
-        event(EventSource::Limit, max_cycles);
-        for (i, p) in self.procs.iter().enumerate() {
-            if p.halted {
+        let mut next_issue = u64::MAX;
+        for i in bits(s.live & !s.parked) {
+            let p = &mut self.procs[i];
+            if p.busy_until > cycle {
+                // Waiting out an instruction: `step_proc`'s answer, sooner.
+                p.stats.busy_cycles += 1;
+                next_issue = next_issue.min(p.busy_until);
                 continue;
             }
-            if let Some(budget) = p.unit.watchdog.filter(|_| p.counts_waiting()) {
-                let left = budget.saturating_sub(p.unit.waiting);
-                event(EventSource::Watchdog, cycle.saturating_add(left));
-            }
-            if busy(p) {
-                event(EventSource::Issue, p.busy_until);
-                continue;
-            }
-            // Not busy: it issues in this very cycle unless it is parked
-            // at its barrier exit, where only an interrupt moves it.
-            let at_exit = self.program.streams()[i]
-                .ops()
-                .get(p.pc)
-                .is_some_and(|op| !op.barrier);
-            if !(p.unit.is_stalled() && !p.in_handler() && at_exit) {
-                return;
-            }
-            for &(at, proc, _) in &self.interrupts {
-                if proc == i {
-                    event(EventSource::Interrupt, at);
+            let visit = self.step_proc(i, cycle).inspect_err(|_| s.visited = i)?;
+            match visit {
+                Visit::Quiet => {}
+                Visit::Moved(source) => s.dirty |= self.dirties(source),
+                Visit::Parked => {
+                    s.parked |= 1u64 << i;
+                    s.charged[i] = cycle + 1;
+                    continue;
+                }
+                Visit::Halted => {
+                    s.live &= !(1u64 << i);
+                    s.dirty |= self.dirties(DirtySource::Halt);
+                    continue;
                 }
             }
-            for &done in &p.outstanding_plain {
+            next_issue = next_issue.min(self.procs[i].busy_until.max(cycle + 1));
+        }
+        if self.cfg.pipelined {
+            // A parked processor still retires what completes.
+            for i in bits(s.parked) {
+                self.procs[i].retire(cycle);
+            }
+        }
+        Ok(next_issue)
+    }
+
+    /// Step (3) of [`Machine::run`]: the broadcast evaluation, if an input
+    /// of it changed. Returns whether it un-parked anybody.
+    fn evaluate(&mut self, cycle: u64, s: &mut Schedule) -> bool {
+        // Lines that move without an issue: no processed cycle is clean.
+        let restless = self.cfg.pipelined && self.dirties(DirtySource::Unveto)
+            || !self.faults.is_empty() && self.dirties(DirtySource::Fault);
+        let expired = cycle >= s.expiry && self.dirties(DirtySource::Watchdog);
+        if !(s.dirty || restless || expired) {
+            return false;
+        }
+        for i in bits(s.counting) {
+            self.procs[i].unit.waiting += cycle - 1 - s.evaluated;
+        }
+        let evictions = self.evictions.len();
+        let freed = self.broadcast(cycle) & s.parked;
+        for i in bits(freed) {
+            s.unpark(&mut self.procs[i], cycle + 1);
+        }
+        (s.counting, s.evaluated, s.expiry) = (0, cycle, u64::MAX);
+        for (i, p) in self.procs.iter().enumerate() {
+            if p.counts_waiting() {
+                s.counting |= 1u64 << i;
+                if let Some(budget) = p.unit.watchdog {
+                    let left = budget.saturating_sub(p.unit.waiting);
+                    s.expiry = s.expiry.min((cycle + 1).saturating_add(left));
+                }
+            }
+        }
+        // An eviction rewrote masks and tags after the evaluation.
+        s.dirty = self.evictions.len() > evictions && self.dirties(DirtySource::Eviction);
+        freed != 0
+    }
+
+    /// Step (5) of [`Machine::run`]: the first cycle from `self.cycle` on
+    /// in which anything can happen — the earliest [`EventSource`].
+    fn next_event(&self, s: &Schedule, next_issue: u64, max_cycles: u64) -> u64 {
+        let mut next = if s.dirty { self.cycle } else { u64::MAX };
+        let mut event = |source, at: u64| {
+            if !self.forgets(Forgotten::Event(source)) {
+                next = next.min(at);
+            }
+        };
+        event(EventSource::Limit, max_cycles);
+        event(EventSource::Issue, next_issue);
+        event(EventSource::Watchdog, s.expiry);
+        for &(at, proc, _) in &self.interrupts {
+            if s.parked & (1u64 << proc) != 0 {
+                event(EventSource::Interrupt, at);
+            }
+        }
+        if self.cfg.pipelined {
+            for &done in bits(s.parked).flat_map(|i| &self.procs[i].outstanding_plain) {
                 event(EventSource::InFlight, done);
             }
         }
         for fault in &self.faults {
-            if let Some(at) = fault.next_change(cycle) {
+            if let Some(at) = fault.next_change(self.cycle) {
                 event(EventSource::Fault, at);
             }
         }
+        next.max(self.cycle)
+    }
 
-        let idle = next.saturating_sub(cycle);
-        if idle == 0 {
-            return;
-        }
-        for p in self.procs.iter_mut().filter(|p| !p.halted) {
-            if busy(p) {
-                p.stats.busy_cycles += idle;
-            } else {
-                p.stats.stall_cycles += idle;
+    /// Whether no visit can move processor `i`: stalled at its barrier
+    /// exit outside any handler, it only pays a stall cycle per cycle
+    /// until an interrupt or a synchronization comes.
+    fn is_parked(&self, i: usize) -> bool {
+        let p = &self.procs[i];
+        p.unit.is_stalled()
+            && !p.in_handler()
+            && self.program.streams()[i]
+                .ops()
+                .get(p.pc)
+                .is_some_and(|op| !op.barrier)
+    }
+
+    /// The mutation hook: whether this machine's `run` is to overlook
+    /// `what`. Nothing outside the equivalence suite sets it.
+    fn forgets(&self, _what: Forgotten) -> bool {
+        #[cfg(test)]
+        return self.forgotten == Some(_what);
+        #[cfg(not(test))]
+        false
+    }
+
+    fn dirties(&self, source: DirtySource) -> bool {
+        !self.forgets(Forgotten::Dirty(source))
+    }
+
+    /// Pays what [`Machine::run`] owes when it returns with the clock at
+    /// `self.cycle`: every parked processor is charged through the last
+    /// cycle it would have been stepped in, every counting watchdog
+    /// register ticks up to the last complete cycle.
+    fn settle(&mut self, s: &Schedule) {
+        if !self.forgets(Forgotten::SettleCharged) {
+            for i in bits(s.parked) {
+                let stepped = i < s.visited;
+                self.procs[i].stats.stall_cycles += self.cycle + u64::from(stepped) - s.charged[i];
+                if stepped {
+                    self.procs[i].retire(self.cycle);
+                }
             }
-            if p.counts_waiting() {
-                p.unit.waiting += idle;
+        }
+        if !self.forgets(Forgotten::SettleWaiting) {
+            for i in bits(s.counting) {
+                self.procs[i].unit.waiting += self.cycle - 1 - s.evaluated;
             }
         }
-        self.cycle = next;
     }
 
     /// True when no future cycle can change any processor's state: every
     /// live processor is stalled at a barrier exit with nothing in flight,
     /// and the synchronization condition just failed to fire.
     fn is_deadlocked(&self) -> bool {
-        // A pending interrupt can still unblock a stalled processor.
-        if !self.interrupts.is_empty() {
+        // A pending interrupt can still unblock a stalled processor —
+        // unless its target halted, which leaves it pending forever.
+        if self
+            .interrupts
+            .iter()
+            .any(|&(_, p, _)| !self.procs[p].halted)
+        {
             return false;
         }
         // An armed watchdog staring at a straggler will evict it within a
@@ -780,17 +983,20 @@ impl Machine {
         false
     }
 
-    fn step_proc(&mut self, i: usize, cycle: u64) -> Result<(), SimError> {
+    /// Gives processor `i` its turn in `cycle`, and reports what came of
+    /// it for [`Machine::run`]'s scheduling ([`Machine::step`] need not
+    /// care).
+    #[inline(always)]
+    fn step_proc(&mut self, i: usize, cycle: u64) -> Result<Visit, SimError> {
         if self.procs[i].halted {
-            return Ok(());
+            return Ok(Visit::Quiet);
         }
         if self.cfg.pipelined {
             self.procs[i].retire(cycle);
         } else if self.procs[i].busy_until > cycle {
             self.procs[i].stats.busy_cycles += 1;
-            return Ok(());
+            return Ok(Visit::Quiet);
         }
-
         // Deliver a pending interrupt (one at a time; never nested).
         if !self.interrupts.is_empty() && !self.procs[i].in_handler() {
             if let Some(idx) = self
@@ -815,9 +1021,15 @@ impl Machine {
             self.procs[i].halted = true;
             self.procs[i].unit.state = BarrierState::NonBarrier;
             self.trace.record(cycle, i, EventKind::Halt);
-            return Ok(());
+            return Ok(Visit::Halted);
         }
         let op = stream.ops()[pc];
+        let mut visit = match op.instr {
+            Instr::SetTag { .. } => Visit::Moved(DirtySource::SetTag),
+            Instr::SetMask { .. } => Visit::Moved(DirtySource::SetMask),
+            Instr::Halt => Visit::Halted,
+            _ => Visit::Quiet,
+        };
 
         // Region transitions at issue time. Suspended while inside an
         // interrupt/trap handler: the handler's instructions execute with
@@ -838,6 +1050,9 @@ impl Machine {
                 self.procs[i].region_progress = 0;
                 self.procs[i].region_entered_at = Some(cycle);
                 self.trace.record(cycle, i, EventKind::EnterBarrier);
+                if visit == Visit::Quiet {
+                    visit = Visit::Moved(DirtySource::Entry);
+                }
             }
             (false, BarrierState::ReadyUnsynced) => {
                 // Reached the barrier-region exit before synchronization:
@@ -847,11 +1062,11 @@ impl Machine {
                 self.procs[i].stats.stall_events += 1;
                 self.procs[i].stall_started = Some(cycle);
                 self.trace.record(cycle, i, EventKind::StallStart);
-                return Ok(());
+                return Ok(Visit::Parked);
             }
             (false, BarrierState::Stalled) => {
                 self.procs[i].stats.stall_cycles += 1;
-                return Ok(());
+                return Ok(Visit::Parked);
             }
             (false, BarrierState::Synced) => {
                 // Crossing the barrier: first non-barrier instruction after
@@ -875,10 +1090,15 @@ impl Machine {
         } else {
             self.procs[i].busy_until = cycle + latency;
         }
-        Ok(())
+        // A handler's `ret` lands a stalled processor back at its exit.
+        if matches!(op.instr, Instr::Ret) && self.is_parked(i) {
+            visit = Visit::Parked;
+        }
+        Ok(visit)
     }
 
     /// Executes one instruction functionally, returning its latency.
+    #[inline(always)]
     fn execute(&mut self, i: usize, instr: Instr, cycle: u64) -> Result<u64, SimError> {
         let mem_err = |source: OutOfBounds| SimError::Memory {
             proc: i,
@@ -1682,6 +1902,34 @@ mod tests {
             "interrupt should resolve the stall: {out:?}"
         );
         assert!(out.cycles() >= 30);
+    }
+
+    #[test]
+    fn interrupt_for_a_halted_processor_does_not_defer_deadlock() {
+        // Same stall, but the pending interrupt is addressed to the
+        // partner that halted at once: it can never be delivered, stays
+        // in the queue, and must not keep the machine "not yet deadlocked"
+        // until the cycle budget runs out.
+        let mut b0 = StreamBuilder::new();
+        b0.fuzzy(Instr::Nop);
+        b0.plain(Instr::Halt);
+        let mut b1 = StreamBuilder::new();
+        b1.plain(Instr::Halt);
+        let p = Program::new(vec![b0.finish().unwrap(), b1.finish().unwrap()]);
+        let mut plain = Machine::new(p.clone(), config()).unwrap();
+        let expected = plain.run(1_000_000).unwrap();
+        assert_eq!(expected, RunOutcome::Deadlock { cycle: 2 });
+        let mut m = Machine::new(p, config()).unwrap();
+        m.schedule_interrupt(1, 50, 0);
+        assert_eq!(m.run(1_000_000).unwrap(), expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "interrupt target out of range")]
+    fn interrupt_for_a_processor_that_does_not_exist_is_refused() {
+        let mut b = StreamBuilder::new();
+        b.plain(Instr::Halt);
+        single(b.finish().unwrap()).schedule_interrupt(1, 0, 0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Stepwise-vs-`run` equivalence: [`Machine::run`] skips idle cycles, and
-//! nothing a caller can observe may tell.
+//! Stepwise-vs-`run` equivalence: [`Machine::run`] visits, evaluates and
+//! charges only where something can have changed, and nothing a caller
+//! can observe may tell.
 //!
-//! The reference is the loop `run` used to be — one [`Machine::step`] and
+//! The reference is the loop `run` once was — one [`Machine::step`] and
 //! one deadlock probe per simulated cycle. Both sides start from machines
 //! built identically, and everything observable is compared afterwards.
 //! The suite lives under `machine` because the probe and the mutation
@@ -17,7 +18,8 @@ use crate::encoding::decode_program;
 use crate::fault::ReadyFault;
 use crate::isa::Op;
 use crate::memory::MemStats;
-use crate::program::Stream;
+use crate::program::{Stream, StreamBuilder};
+use crate::softbarrier::{emit_soft_barrier, SoftBarrierRegs};
 use crate::trace::Event;
 use fuzzy_compiler::driver::{compile_nest, CompileOptions};
 use fuzzy_compiler::fuzzy_sim::encoding::encode_program;
@@ -37,7 +39,7 @@ struct Setup {
     watchdog: Option<u64>,
     /// `(processor, cycle)` of a scheduled interrupt.
     interrupt: Option<(usize, u64)>,
-    forgotten: Option<EventSource>,
+    forgotten: Option<Forgotten>,
 }
 
 impl Setup {
@@ -60,6 +62,14 @@ impl Setup {
             watchdog: None,
             interrupt: None,
             forgotten: None,
+        }
+    }
+
+    /// This setup with the mutation hook set.
+    fn forgetting(&self, forgotten: Forgotten) -> Setup {
+        Setup {
+            forgotten: Some(forgotten),
+            ..self.clone()
         }
     }
 
@@ -99,7 +109,7 @@ impl Setup {
     }
 }
 
-/// `Machine::run` as it was before event skipping.
+/// `Machine::run` as it was before it had events.
 fn run_stepwise(m: &mut Machine, max_cycles: u64) -> Result<RunOutcome, SimError> {
     while m.cycle < max_cycles {
         if !m.step()? {
@@ -291,8 +301,38 @@ fn adopt(program: &fuzzy_compiler::fuzzy_sim::Program) -> Program {
     decode_program(&encode_program(program).expect("encodes")).expect("decodes")
 }
 
-/// Every `demos/*.fasm`, the compiled `demos/poisson.fc`, and each fuzz
-/// corpus case compiled for its full processor count.
+/// Three streams meeting three times at the shared-variable barrier of
+/// Sec. 1 — fetch-and-add, then a spin on the generation word — with a
+/// `trap` on the way: no barrier hardware at all, every processor issuing
+/// until it halts.
+fn soft_barrier_program() -> Program {
+    let streams = (0..3)
+        .map(|p| {
+            let mut b = StreamBuilder::new();
+            b.plain(Instr::Li { rd: 24, imm: 0 });
+            for round in 0..3 {
+                for word in 0..=p {
+                    b.plain(Instr::Store {
+                        rs: 24,
+                        rb: 24,
+                        offset: 16 + word,
+                    });
+                }
+                if round == 1 {
+                    b.plain(Instr::Trap { cause: 7 });
+                }
+                emit_soft_barrier(&mut b, 3, round, SoftBarrierRegs::default());
+            }
+            b.plain(Instr::Halt);
+            b.finish().expect("builds")
+        })
+        .collect();
+    Program::new(streams)
+}
+
+/// Every `demos/*.fasm`, the compiled `demos/poisson.fc`, the software
+/// barrier, and each fuzz corpus case compiled for its full processor
+/// count.
 fn programs() -> Vec<(String, Setup)> {
     let demos = repo_root().join("demos");
     let mut out = Vec::new();
@@ -323,6 +363,11 @@ fn programs() -> Vec<(String, Setup)> {
         Setup::new(&adopt(&compiled.program), parsed.data),
     ));
 
+    out.push((
+        "softbarrier".into(),
+        Setup::new(&soft_barrier_program(), Vec::new()),
+    ));
+
     let corpus = fuzzy_fuzz::corpus::load_dir(&fuzzy_fuzz::corpus::default_dir()).expect("loads");
     assert!(corpus.len() >= 3, "fuzz corpus went missing");
     for (name, case) in corpus {
@@ -343,14 +388,16 @@ fn run_equals_stepping_on_every_program_under_the_whole_matrix() {
     }
 }
 
+fn two_streams(first: &str, second: &str) -> Program {
+    let src = format!(".stream\n{first}.stream\n{second}");
+    crate::assembler::assemble_program(&src).expect("assembles")
+}
+
 /// The deadlock probe asks about the cycle to come, so it sees a fault
 /// change one cycle before the broadcast does. With both processors
 /// stalled behind a delay that could still heal, the line going dead for
 /// good at cycle 100 is a deadlock *at* 100, not at 101.
-#[test]
-fn a_line_severed_during_an_outage_deadlocks_the_cycle_it_dies() {
-    let src = ".stream\nB: nop\nhalt\n.stream\nB: nop\nhalt\n";
-    let program = crate::assembler::assemble_program(src).expect("assembles");
+fn line_severed_during_an_outage(forgotten: Option<Forgotten>) -> Result<(), String> {
     let fault = |onset, fault| FaultPlan {
         victim: 1,
         onset,
@@ -361,19 +408,26 @@ fn a_line_severed_during_an_outage_deadlocks_the_cycle_it_dies() {
             fault(0, ReadyFault::Delay { cycles: 200 }),
             fault(100, ReadyFault::Stall),
         ],
-        ..Setup::new(&program, Vec::new())
+        forgotten,
+        ..Setup::new(&two_streams("B: nop\nhalt\n", "B: nop\nhalt\n"), Vec::new())
     };
-    let mut m = setup.machine();
-    assert_eq!(m.run(1_000).unwrap(), RunOutcome::Deadlock { cycle: 100 });
-    check(&|| setup.machine(), 1_000, &[50, 99, 100]).unwrap();
+    let outcome = setup.machine().run(1_000).unwrap();
+    if outcome != (RunOutcome::Deadlock { cycle: 100 }) {
+        return Err(format!("{outcome:?}"));
+    }
+    check(&|| setup.machine(), 1_000, &[50, 99, 100])
+}
+
+#[test]
+fn a_line_severed_during_an_outage_deadlocks_the_cycle_it_dies() {
+    line_severed_during_an_outage(None).unwrap();
 }
 
 /// An eviction rewrites masks after its cycle's broadcast, so the next
 /// cycle's evaluation can fire with no processor having acted. Here two
 /// watchdogs evict each other over a tag mismatch, which leaves nobody's
 /// register running — and frees a bystander that waited on both.
-#[test]
-fn mutual_eviction_frees_a_bystander_in_the_next_cycle() {
+fn mutual_eviction(forgotten: Option<Forgotten>) -> Result<(), String> {
     let src = ".stream\nB: nop\nhalt\n".repeat(3);
     let program = crate::assembler::assemble_program(&src).expect("assembles");
     let build = || {
@@ -386,23 +440,157 @@ fn mutual_eviction_frees_a_bystander_in_the_next_cycle() {
             trace: true,
             ..MachineConfig::default()
         };
-        Machine::with_units(program.clone(), cfg, units).expect("loads")
+        let mut m = Machine::with_units(program.clone(), cfg, units).expect("loads");
+        m.forgotten = forgotten;
+        m
     };
     let mut m = build();
-    assert!(
-        m.run(1_000).unwrap().is_deadlock(),
-        "the evicted pair idles"
-    );
+    let outcome = m.run(1_000).unwrap();
+    let sync = m.trace().of_kind(EventKind::Sync).next();
+    let freed = m.evictions().first().map(|ev| (2, ev.fired_at + 1));
+    if !outcome.is_deadlock()
+        || m.evictions().len() != 2
+        || freed.is_none()
+        || sync.map(|e| (e.proc, e.cycle)) != freed
+        || !m.procs()[2].halted
+    {
+        return Err(format!("{outcome:?}, evictions {:?}", m.evictions()));
+    }
     let fired_at = m.evictions()[0].fired_at;
-    assert_eq!(m.evictions().len(), 2);
-    let sync = m.trace().of_kind(EventKind::Sync).next().expect("synced");
-    assert_eq!((sync.proc, sync.cycle), (2, fired_at + 1));
-    assert!(m.procs()[2].halted);
-    check(&build, 1_000, &[fired_at, fired_at + 1, fired_at + 2]).unwrap();
+    check(&build, 1_000, &[fired_at, fired_at + 1, fired_at + 2])
 }
 
-/// The suite must bite: a `run` that forgets any one event source has to
-/// come out different from stepping (or die trying) on some program.
+#[test]
+fn mutual_eviction_frees_a_bystander_in_the_next_cycle() {
+    mutual_eviction(None).unwrap();
+}
+
+/// An interrupt addressed to a processor that has halted is never
+/// delivered, so it never leaves the queue — and must not keep the
+/// deadlock probe waiting for it: stream 0 stalls on a partner that halted
+/// at once, and that is a deadlock at cycle 2 with or without the stray
+/// interrupt.
+fn interrupt_for_a_halted_processor(forgotten: Option<Forgotten>) -> Result<(), String> {
+    let setup = Setup {
+        interrupt: Some((1, 50)),
+        forgotten,
+        ..Setup::new(&two_streams("B: nop\nhalt\n", "halt\n"), Vec::new())
+    };
+    let mut m = setup.machine();
+    let outcome = m.run(1_000_000).unwrap();
+    if outcome != (RunOutcome::Deadlock { cycle: 2 }) || m.interrupts.len() != 1 {
+        return Err(format!("{outcome:?}, queue {:?}", m.interrupts));
+    }
+    check(&|| setup.machine(), 1_000, &[1, 2, 60])
+}
+
+#[test]
+fn an_interrupt_for_a_halted_processor_does_not_hide_a_deadlock() {
+    interrupt_for_a_halted_processor(None).unwrap();
+}
+
+/// A processor that halts inside its barrier region takes its ready line
+/// down with it: the watchdog register that was counting stops, in that
+/// very cycle, although no instruction touched tag, mask or region.
+fn halt_inside_a_region(forgotten: Option<Forgotten>) -> Result<(), String> {
+    let setup = Setup {
+        forgotten,
+        ..Setup::new(
+            &two_streams("B: nop\nB: nop\nB: halt\n", "halt\n"),
+            Vec::new(),
+        )
+    };
+    let mut m = setup.machine();
+    let outcome = m.run(1_000).unwrap();
+    if !outcome.is_halted() || m.procs()[0].unit.waiting != 0 {
+        return Err(format!(
+            "{outcome:?}, waiting {}",
+            m.procs()[0].unit.waiting
+        ));
+    }
+    check(&|| setup.machine(), 1_000, &[1, 2])
+}
+
+#[test]
+fn halting_inside_a_region_stops_the_watchdog_register() {
+    halt_inside_a_region(None).unwrap();
+}
+
+/// A failed visit ends the run in the middle of a cycle, and what `run`
+/// had put off must come out as if every cycle had been stepped: the
+/// processors below the failing one are through that cycle, those above
+/// are not. One stream loads out of bounds after `pad` instructions while
+/// another is busy with loads that miss and a third sits parked, its
+/// stall cycles and watchdog register owed since cycle 1 — on either side
+/// of the failing stream, serial and pipelined, `pad` swept so that the
+/// failure meets the busy stream in every phase of a miss.
+fn failed_visit(forgotten: Option<Forgotten>) -> Result<(), String> {
+    let busy = "li r2, 40\nloop: ld r3, [r1+8]\nld r4, [r1+9]\naddi r1, r1, 1\nblt r1, r2, loop\nB: nop\nhalt\n";
+    let parked = "ld r1, [r0+3]\nB: nop\nhalt\n";
+    let (mut mid_miss, mut owed) = (0, 0);
+    for pad in 0..64 {
+        let failing = format!("{}ld r1, [r0-5]\nhalt\n", "nop\n".repeat(pad));
+        for streams in [[busy, &failing, parked], [parked, &failing, busy]] {
+            let src: String = streams.iter().map(|s| format!(".stream\n{s}")).collect();
+            let program = crate::assembler::assemble_program(&src).expect("assembles");
+            for pipelined in [false, true] {
+                let setup = Setup {
+                    pipelined,
+                    watchdog: Some(1_000),
+                    forgotten,
+                    ..Setup::new(&program, Vec::new())
+                };
+                let mut m = setup.machine();
+                let err = m.run(1_000).expect_err("the load is out of bounds");
+                if !matches!(err, SimError::Memory { proc: 1, .. }) {
+                    return Err(format!("pad {pad}: {err}"));
+                }
+                let (busy_proc, parked_proc) = if streams[0] == busy { (0, 2) } else { (2, 0) };
+                mid_miss += usize::from(m.procs()[busy_proc].busy_until > m.cycle() + 1);
+                owed += usize::from(m.procs()[parked_proc].unit.is_stalled());
+                check(&|| setup.machine(), 1_000, &[])
+                    .map_err(|d| format!("pad {pad} pipelined={pipelined}: {d}"))?;
+            }
+        }
+    }
+    assert!(
+        mid_miss >= 8,
+        "only {mid_miss} failures met a miss in flight"
+    );
+    assert!(owed >= 8, "only {owed} failures met a parked processor");
+    Ok(())
+}
+
+#[test]
+fn a_failed_visit_settles_what_run_put_off() {
+    failed_visit(None).unwrap();
+}
+
+/// A scenario above, run with the hook set.
+type Scenario = fn(Option<Forgotten>) -> Result<(), String>;
+
+/// Whether the suite — the matrix over every program, then the scenarios
+/// above — notices a `run` that overlooks `forgotten`: it has to come out
+/// different from stepping (or die trying) somewhere.
+fn caught(programs: &[(String, Setup)], forgotten: Forgotten) -> bool {
+    let fails = |verdict: &dyn Fn() -> Result<(), String>| {
+        catch_unwind(AssertUnwindSafe(verdict)).map_or(true, |verdict| verdict.is_err())
+    };
+    let scenarios: [Scenario; 5] = [
+        line_severed_during_an_outage,
+        mutual_eviction,
+        interrupt_for_a_halted_processor,
+        halt_inside_a_region,
+        failed_visit,
+    ];
+    scenarios.iter().any(|s| fails(&|| s(Some(forgotten))))
+        || programs
+            .iter()
+            .any(|(name, setup)| fails(&|| check_matrix(name, &setup.forgetting(forgotten))))
+}
+
+/// The suite must bite: a `run` whose jump forgets any one event source
+/// is noticed.
 #[test]
 fn forgetting_any_event_source_fails_the_suite() {
     let programs = programs();
@@ -414,17 +602,49 @@ fn forgetting_any_event_source_fails_the_suite() {
         EventSource::Watchdog,
         EventSource::Limit,
     ] {
-        let caught = programs.iter().any(|(name, setup)| {
-            let mutant = Setup {
-                forgotten: Some(source),
-                ..setup.clone()
-            };
-            catch_unwind(AssertUnwindSafe(|| check_matrix(name, &mutant)))
-                .map_or(true, |verdict| verdict.is_err())
-        });
         assert!(
-            caught,
+            caught(&programs, Forgotten::Event(source)),
             "a run that ignores {source:?} events went unnoticed"
+        );
+    }
+}
+
+/// Likewise a `run` whose dirty bit misses any one way the network's
+/// inputs change: it skips an evaluation that stepping performs.
+#[test]
+fn forgetting_any_dirty_source_fails_the_suite() {
+    let programs = programs();
+    for source in [
+        DirtySource::Entry,
+        DirtySource::SetTag,
+        DirtySource::SetMask,
+        DirtySource::Halt,
+        DirtySource::Eviction,
+        DirtySource::Unveto,
+        DirtySource::Fault,
+        DirtySource::Watchdog,
+    ] {
+        assert!(
+            caught(&programs, Forgotten::Dirty(source)),
+            "a run that evaluates without regard to {source:?} went unnoticed"
+        );
+    }
+}
+
+/// And a `run` that returns without settling what it put off — at a cycle
+/// limit (the matrix cuts every program at three) and after a failed
+/// visit, each on its own.
+#[test]
+fn returning_unsettled_fails_the_suite() {
+    let programs = programs();
+    for unsettled in [Forgotten::SettleCharged, Forgotten::SettleWaiting] {
+        let at_a_limit = programs
+            .iter()
+            .any(|(name, setup)| check_matrix(name, &setup.forgetting(unsettled)).is_err());
+        assert!(at_a_limit, "{unsettled:?} at a cycle limit went unnoticed");
+        assert!(
+            failed_visit(Some(unsettled)).is_err(),
+            "{unsettled:?} after a failed visit went unnoticed"
         );
     }
 }

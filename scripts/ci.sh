@@ -29,7 +29,9 @@
 #                (mutant caught, stock backends clean), then the
 #                exp_fault_recovery export
 #   fuzz-smoke   differential fuzzer: 200 nests at a fixed seed, zero
-#                divergences required, stats export schema-validated
+#                divergences required, stats export schema-validated;
+#                then the simulator's stepwise-vs-run equivalence suite
+#                and 500 more nests against the release build
 #   chaos-smoke  reconfig mutants must be caught (and the real barrier
 #                must survive the same schedules), then exp_chaos_churn
 #                --quick across every backend on both runtimes, schema
@@ -231,6 +233,10 @@ fault_smoke() {
 # stall regression, pipeline panic) fails the stage; the campaign summary
 # is schema-validated like every other telemetry export. The checked-in
 # regression corpus is replayed separately by `cargo test` (stage test).
+# Then the simulator's exactness referee against the build the ledger
+# measures: the stepwise-vs-run equivalence suite (mutants included) and
+# a longer fuzz campaign, both in release — stage test runs them in debug
+# only, and overflow checks and inlining differ between the two.
 fuzz_smoke() {
     out="$(mktemp)" || return 1
     status=1
@@ -241,7 +247,12 @@ fuzz_smoke() {
         status=$?
     fi
     rm -f "$out"
-    return $status
+    [ "$status" -eq 0 ] || return "$status"
+    filtered_tests "--release -p fuzzy-sim --lib" equivalence || return 1
+    campaign="$(cargo run -q --release -p fuzzy-fuzz --bin fuzz -- \
+        --seed 7 --iters 500 2>&1)" || return 1
+    echo "$campaign"
+    echo "$campaign" | grep -q ' 0 divergent'
 }
 
 # Chaos smoke: the dynamic-membership gate. First the model checker's
