@@ -47,7 +47,7 @@ use crate::scenario::{AsyncArrival, AsyncFrontend, ReconfigOps};
 use crate::shadow::ShadowSync;
 use fuzzy_barrier::centralized::Central;
 use fuzzy_barrier::stats::StatsSnapshot;
-use fuzzy_barrier::sync::{Atomic, SyncOps, TicketLock};
+use fuzzy_barrier::sync::{Atomic, Lock, SyncOps};
 use fuzzy_barrier::{
     ArrivalToken, Barrier, BarrierError, CentralBarrier, Cx, Deadline, FlatProtocol, JoinTicket,
     MemberHandle, Protocol, ReconfigBarrier, SplitBarrier, StallPolicy, WaitOutcome,
@@ -746,7 +746,7 @@ impl AsyncFrontend for MutantNoDrain {
         self.inner.participants()
     }
 
-    fn arrive_future(self: Arc<Self>, id: usize) -> AsyncArrival {
+    fn arrive_future(&self, id: usize) -> AsyncArrival<'_> {
         let token = self.inner.arrive(id);
         let episode = token.episode();
         drop(token);
@@ -758,13 +758,13 @@ impl AsyncFrontend for MutantNoDrain {
     }
 }
 
-struct NoDrainFuture {
-    owner: Arc<MutantNoDrain>,
+struct NoDrainFuture<'a> {
+    owner: &'a MutantNoDrain,
     id: usize,
     episode: u64,
 }
 
-impl Future for NoDrainFuture {
+impl Future for NoDrainFuture<'_> {
     type Output = Result<WaitOutcome, BarrierError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
@@ -860,7 +860,7 @@ const COMPLETER_SKIPS_DRAIN: u8 = 1;
 
 /// A replica of the real [`fuzzy_barrier::AsyncBarrier`]'s release-word
 /// fast paths over the stock [`CentralBarrier`] — the probe lock is the
-/// same [`TicketLock`], an arrival that reads the release word at or
+/// same shadow-domain lock, an arrival that reads the release word at or
 /// below its own episode skips the drain, a poll that reads it above its
 /// episode resolves without the lock — with one of the two obligations of
 /// the frontend's lost-wakeup argument dropped, chosen by `BUG`. Use it
@@ -868,9 +868,8 @@ const COMPLETER_SKIPS_DRAIN: u8 = 1;
 #[derive(Debug)]
 pub struct FastPathReplica<const BUG: u8> {
     inner: CentralBarrier<ShadowSync>,
-    probe: TicketLock<ShadowSync>,
-    /// Only touched with `probe` held, so this mutex never blocks.
-    parked: Mutex<Vec<(usize, u64, Waker)>>,
+    /// The parked waiters under the probe lock.
+    parked: <ShadowSync as SyncOps>::Mutex<Vec<(usize, u64, Waker)>>,
 }
 
 /// [`FastPathReplica`] whose poll **parks on the lock-free read**: it takes
@@ -894,8 +893,7 @@ impl<const BUG: u8> FastPathReplica<BUG> {
     pub fn new(n: usize) -> Self {
         FastPathReplica {
             inner: CentralBarrier::with_policy_in(n, StallPolicy::Spin),
-            probe: TicketLock::new(),
-            parked: Mutex::new(Vec::new()),
+            parked: Lock::new(Vec::new()),
         }
     }
 
@@ -905,14 +903,14 @@ impl<const BUG: u8> FastPathReplica<BUG> {
             .expect("central has a release word")
     }
 
-    /// With the probe lock held: removes the waiters parked below
-    /// `released`, then registers `park` if given. Returns the removed
-    /// waiters' wakers.
-    fn settle(&self, released: u64, park: Option<(usize, u64, &Waker)>) -> Vec<Waker> {
-        let mut parked = self
-            .parked
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+    /// Removes from `parked`, held under the probe lock, the waiters
+    /// parked below `released`, then registers `park` if given. Returns
+    /// the removed waiters' wakers.
+    fn settle(
+        parked: &mut Vec<(usize, u64, Waker)>,
+        released: u64,
+        park: Option<(usize, u64, &Waker)>,
+    ) -> Vec<Waker> {
         let (woken, mut kept): (Vec<_>, Vec<_>) =
             parked.drain(..).partition(|entry| entry.1 < released);
         if let Some((id, episode, waker)) = park {
@@ -929,7 +927,7 @@ impl<const BUG: u8> AsyncFrontend for FastPathReplica<BUG> {
         self.inner.participants()
     }
 
-    fn arrive_future(self: Arc<Self>, id: usize) -> AsyncArrival {
+    fn arrive_future(&self, id: usize) -> AsyncArrival<'_> {
         let token = self.inner.arrive(id);
         let episode = token.episode();
         drop(token);
@@ -937,9 +935,9 @@ impl<const BUG: u8> AsyncFrontend for FastPathReplica<BUG> {
         // `k <= e`; one more lets the completing arrival through.
         let slack = u64::from(BUG == COMPLETER_SKIPS_DRAIN);
         if self.released() > episode + slack {
-            let ticket = self.probe.acquire();
-            let wakers = self.settle(self.released(), None);
-            drop(ticket);
+            let mut parked = self.parked.acquire();
+            let wakers = Self::settle(&mut parked, self.released(), None);
+            drop(parked);
             wakers.into_iter().for_each(Waker::wake);
         }
         Box::pin(FastPathFuture {
@@ -950,21 +948,21 @@ impl<const BUG: u8> AsyncFrontend for FastPathReplica<BUG> {
     }
 }
 
-struct FastPathFuture<const BUG: u8> {
-    owner: Arc<FastPathReplica<BUG>>,
+struct FastPathFuture<'a, const BUG: u8> {
+    owner: &'a FastPathReplica<BUG>,
     id: usize,
     episode: u64,
 }
 
-impl<const BUG: u8> Future for FastPathFuture<BUG> {
+impl<const BUG: u8> Future for FastPathFuture<'_, BUG> {
     type Output = Result<WaitOutcome, BarrierError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = Pin::into_inner(self);
-        let owner = &this.owner;
+        let owner = this.owner;
         let mut released = owner.released();
         if released <= this.episode {
-            let ticket = owner.probe.acquire();
+            let mut parked = owner.parked.acquire();
             // BUG (seeded, `MutantUnlockedPark`): the real frontend reads
             // the release word again here, under the lock, and parks on
             // that answer only.
@@ -972,8 +970,8 @@ impl<const BUG: u8> Future for FastPathFuture<BUG> {
                 released = owner.released();
             }
             let park = (released <= this.episode).then_some((this.id, this.episode, cx.waker()));
-            let wakers = owner.settle(released, park);
-            drop(ticket);
+            let wakers = FastPathReplica::<BUG>::settle(&mut parked, released, park);
+            drop(parked);
             wakers.into_iter().for_each(Waker::wake);
         }
         if released <= this.episode {

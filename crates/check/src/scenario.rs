@@ -1256,7 +1256,9 @@ fn evict_race_body(barrier: &dyn SplitBarrier, refused: &AtomicU64, id: usize) {
 // ---------------------------------------------------------------------------
 
 /// Boxed split-phase arrival future, the unit the async scenario polls.
-pub type AsyncArrival = Pin<Box<dyn Future<Output = Result<WaitOutcome, BarrierError>> + Send>>;
+/// It borrows the frontend it arrived on.
+pub type AsyncArrival<'a> =
+    Pin<Box<dyn Future<Output = Result<WaitOutcome, BarrierError>> + Send + 'a>>;
 
 /// Abstraction over an async barrier frontend, so the waker-handoff
 /// scenario can drive both the real [`fuzzy_barrier::AsyncBarrier`] and
@@ -1267,7 +1269,7 @@ pub trait AsyncFrontend: Send + Sync {
 
     /// Eagerly arrives `id` (the split-phase arrival half) and returns the
     /// future whose completion is the release half.
-    fn arrive_future(self: Arc<Self>, id: usize) -> AsyncArrival;
+    fn arrive_future(&self, id: usize) -> AsyncArrival<'_>;
 }
 
 impl AsyncFrontend for AsyncBarrier<Arc<dyn SplitBarrier>, ShadowSync> {
@@ -1275,7 +1277,7 @@ impl AsyncFrontend for AsyncBarrier<Arc<dyn SplitBarrier>, ShadowSync> {
         SplitBarrier::participants(self)
     }
 
-    fn arrive_future(self: Arc<Self>, id: usize) -> AsyncArrival {
+    fn arrive_future(&self, id: usize) -> AsyncArrival<'_> {
         Box::pin(self.arrive_async(id))
     }
 }
@@ -1383,7 +1385,7 @@ fn async_body(frontend: &Arc<dyn AsyncFrontend>, ledger: &Ledger, id: usize, epi
             return;
         }
         ledger.begin(id);
-        let mut future = Arc::clone(frontend).arrive_future(id);
+        let mut future = frontend.arrive_future(id);
         ledger.enter_wait(id, e);
         let result = loop {
             // Reset *before* polling so a wake delivered during the poll

@@ -13,12 +13,17 @@
 //! reads the scheduler's write generation *before* probing the predicate
 //! and blocks only until a write lands past that generation. A write racing
 //! with the probe therefore re-runs the probe instead of being lost.
+//!
+//! [`ShadowMutex`], the domain's lock, is built the same way: a ticket
+//! lock over shadow words, whose acquisition is a descheduling wait.
 
 use crate::ctx;
 use crate::sched::OpKind;
 use fuzzy_barrier::spin::{self, SpinReport, StallPolicy};
-use fuzzy_barrier::sync::{Atomic, SyncOps};
+use fuzzy_barrier::sync::{Atomic, Lock, SyncOps, TicketGuard, TicketLock};
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Atomic `u32` that yields to the scheduler before every access.
@@ -69,6 +74,60 @@ impl_shadow_atomic!(u32, ShadowU32, AtomicU32);
 impl_shadow_atomic!(u64, ShadowU64, AtomicU64);
 impl_shadow_atomic!(usize, ShadowUsize, AtomicUsize);
 
+/// The shadow domain's lock: a [`TicketLock`] over shadow words, so an
+/// acquirer that finds it held is descheduled until the release RMW, and
+/// a `std` mutex that carries the value. The mutex is only ever taken with
+/// the ticket held, so it never contends and never blocks a virtual
+/// thread out of the scheduler's sight.
+#[derive(Debug)]
+pub struct ShadowMutex<T> {
+    ticket: TicketLock<ShadowSync>,
+    value: Mutex<T>,
+}
+
+/// The held [`ShadowMutex`]. Fields drop in declaration order: the value's
+/// mutex first, then the ticket.
+pub struct ShadowMutexGuard<'a, T> {
+    value: MutexGuard<'a, T>,
+    _ticket: TicketGuard<'a, ShadowSync>,
+}
+
+impl<T: Send> Lock<T> for ShadowMutex<T> {
+    type Guard<'a>
+        = ShadowMutexGuard<'a, T>
+    where
+        Self: 'a;
+
+    fn new(value: T) -> Self {
+        ShadowMutex {
+            ticket: TicketLock::new(),
+            value: Mutex::new(value),
+        }
+    }
+
+    fn acquire(&self) -> ShadowMutexGuard<'_, T> {
+        let ticket = self.ticket.acquire();
+        ShadowMutexGuard {
+            value: self.value.lock().unwrap_or_else(PoisonError::into_inner),
+            _ticket: ticket,
+        }
+    }
+}
+
+impl<T> Deref for ShadowMutexGuard<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
+impl<T> DerefMut for ShadowMutexGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.value
+    }
+}
+
 /// The checker's [`SyncOps`]: instantiate any backend as e.g.
 /// `CentralBarrier::<ShadowSync>::with_policy_in(..)` and its every atomic
 /// access becomes a scheduling decision.
@@ -79,6 +138,7 @@ impl SyncOps for ShadowSync {
     type AtomicU32 = ShadowU32;
     type AtomicU64 = ShadowU64;
     type AtomicUsize = ShadowUsize;
+    type Mutex<T: Send> = ShadowMutex<T>;
 
     fn wait_until(policy: StallPolicy, mut pred: impl FnMut() -> bool) -> SpinReport {
         if ctx::write_gen().is_none() {

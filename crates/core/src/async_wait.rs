@@ -14,11 +14,13 @@
 //! The parked waiters live in a registry (`(id, episode, Waker)` triples,
 //! indexed by participant id — a participant has at most one arrival in
 //! flight — so park, waker refresh and un-park are O(1)) guarded by a
-//! **probe lock**: the shared [`crate::sync::TicketLock`] over the
-//! [`SyncOps`] domain, *not* a `std` mutex, so the `fuzzy-check` model
-//! checker can observe (and deschedule through) the lock's spin in its
-//! instrumented domain. Who takes that lock, and when, is the backend's
-//! property, read at run time from [`SplitBarrier::release_epoch`].
+//! **probe lock**: the [`SyncOps`] domain's lock, [`SyncOps::Mutex`].
+//! In production that is one `std` mutex, one acquisition per park and
+//! per drain; in the `fuzzy-check` shadow domain it is a ticket lock over
+//! instrumented words, so the model checker can observe (and deschedule
+//! through) the acquisition. Who takes that lock, and when, is the
+//! backend's property, read at run time from
+//! [`SplitBarrier::release_epoch`].
 //!
 //! **Uniform-release backends** (central, counting, tree) publish one
 //! release word `k`: every arrival for an episode below `k` is released,
@@ -130,14 +132,13 @@ use crate::error::BarrierError;
 use crate::failure::Deadline;
 use crate::fuzzy::SplitBarrier;
 use crate::stats::{self, AsyncSnapshot, StatsSnapshot, TelemetrySnapshot};
-use crate::sync::{RealSync, SyncOps, TicketGuard, TicketLock};
+use crate::sync::{Lock, RealSync, SyncOps};
 use crate::token::{ArrivalToken, WaitOutcome};
 use fuzzy_util::CachePadded;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
@@ -269,13 +270,6 @@ struct FutureCounts {
     resumed: AtomicU64,
 }
 
-/// The held probe lock and the registry it guards. Fields drop in
-/// declaration order: the registry mutex first, then the ticket.
-struct Probe<'a, S: SyncOps> {
-    registry: MutexGuard<'a, Registry>,
-    _ticket: TicketGuard<'a, S>,
-}
-
 /// An async frontend over any [`SplitBarrier`] backend.
 ///
 /// Wraps a backend and adds [`AsyncBarrier::arrive_async`], which returns
@@ -290,30 +284,32 @@ struct Probe<'a, S: SyncOps> {
 ///
 /// # Examples
 ///
-/// ```
-/// use fuzzy_barrier::{AsyncBarrier, CentralBarrier, SplitBarrier};
-/// use std::future::Future;
-/// use std::sync::Arc;
+/// A [`BarrierFuture`] borrows its barrier, which may live on the stack:
 ///
-/// let barrier = Arc::new(AsyncBarrier::new(CentralBarrier::new(1)));
-/// let mut future = barrier.arrive_async(0);
-/// // Single participant: the episode is already complete on first poll.
-/// let waker = std::task::Waker::noop();
-/// let mut cx = std::task::Context::from_waker(waker);
-/// match std::pin::Pin::new(&mut future).poll(&mut cx) {
-///     std::task::Poll::Ready(Ok(outcome)) => assert_eq!(outcome.episode, 0),
-///     other => panic!("expected Ready(Ok(_)), got {other:?}"),
+/// ```
+/// use fuzzy_barrier::{AsyncBarrier, CentralBarrier};
+/// use std::future::Future;
+/// use std::pin::Pin;
+/// use std::task::{Context, Poll, Waker};
+///
+/// let barrier = AsyncBarrier::new(CentralBarrier::new(2));
+/// let mut cx = Context::from_waker(Waker::noop());
+/// let mut first = barrier.arrive_async(0);
+/// // Participant 1 has not arrived: the first future parks.
+/// assert!(Pin::new(&mut first).poll(&mut cx).is_pending());
+/// let mut last = barrier.arrive_async(1);
+/// for future in [&mut first, &mut last] {
+///     match Pin::new(future).poll(&mut cx) {
+///         Poll::Ready(Ok(outcome)) => assert_eq!(outcome.episode, 0),
+///         other => panic!("expected Ready(Ok(_)), got {other:?}"),
+///     }
 /// }
 /// ```
 pub struct AsyncBarrier<B: SplitBarrier, S: SyncOps = RealSync> {
     inner: B,
-    /// The probe lock: the shared spin-then-yield ticket lock from
-    /// [`crate::sync`], whose release RMW re-wakes shadow acquirers.
-    probe: TicketLock<S>,
-    /// Parked waiters. Only ever accessed while holding the probe lock, so
-    /// this std mutex never contends (and never blocks a checker vthread
-    /// invisibly).
-    registry: Mutex<Registry>,
+    /// The parked waiters under the probe lock: the `S` domain's lock, so
+    /// a checker vthread blocked on it is descheduled, never hidden.
+    registry: S::Mutex<Registry>,
     /// Upper bound on help-driving enablement chain length on cooperative
     /// backends; see module docs. 0 means a single no-progress sweep ends
     /// the drain.
@@ -345,8 +341,7 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
         let help_rounds = (usize::BITS - (n - 1).leading_zeros()) as usize;
         AsyncBarrier {
             inner,
-            probe: TicketLock::new(),
-            registry: Mutex::new(Registry::new(n)),
+            registry: Lock::new(Registry::new(n)),
             help_rounds,
             future_counts: (0..n).map(|_| CachePadded::default()).collect(),
             stray_counts: FutureCounts::default(),
@@ -376,7 +371,7 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
     /// share when it does.
     #[must_use]
     pub fn async_stats(&self) -> AsyncSnapshot {
-        let mut total = self.probe_lock().registry.counts;
+        let mut total = self.registry.acquire().counts;
         let cells = self.future_counts.iter().map(|cell| &**cell);
         for counts in cells.chain([&self.stray_counts]) {
             total.polls += counts.polls.load(Ordering::Relaxed);
@@ -405,30 +400,18 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
     /// the protocol's every-arrival-waits rule); dropping it mid-episode
     /// counts as an abort and poisons the barrier so peers are not left
     /// hanging on a cancelled participant.
-    pub fn arrive_async(self: &Arc<Self>, id: usize) -> BarrierFuture<B, S> {
-        let token = SplitBarrier::arrive(self.as_ref(), id);
+    pub fn arrive_async(&self, id: usize) -> BarrierFuture<'_, B, S> {
+        let token = SplitBarrier::arrive(self, id);
         let episode = token.episode();
         drop(token);
         BarrierFuture {
-            barrier: Arc::clone(self),
+            barrier: self,
             id,
             episode,
             parked: false,
             polls: 0,
             first_pending: None,
             done: false,
-        }
-    }
-
-    /// Acquires the probe lock — a [`TicketLock`] over the `S` domain, so
-    /// blocked acquirers deschedule properly under the model checker — and
-    /// the registry it guards.
-    fn probe_lock(&self) -> Probe<'_, S> {
-        let ticket = self.probe.acquire();
-        let registry = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
-        Probe {
-            registry,
-            _ticket: ticket,
         }
     }
 
@@ -510,9 +493,9 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
     /// Drain + wake, used by the completion-producing [`SplitBarrier`]
     /// hooks (arrive, every wait return, poison, evict).
     fn drain_and_wake(&self) {
-        let mut probe = self.probe_lock();
-        let (wakers, _) = self.drain_locked(&mut probe.registry, None);
-        drop(probe);
+        let mut registry = self.registry.acquire();
+        let (wakers, _) = self.drain_locked(&mut registry, None);
+        drop(registry);
         wake_all(wakers);
     }
 }
@@ -623,8 +606,8 @@ impl<B: SplitBarrier, S: SyncOps> SplitBarrier for AsyncBarrier<B, S> {
 /// others, the way a blocking wait arms no clock before its stall costs a
 /// context switch: the two clock reads cost about what a whole poll does.
 #[must_use = "an async arrival must be polled to completion"]
-pub struct BarrierFuture<B: SplitBarrier, S: SyncOps = RealSync> {
-    barrier: Arc<AsyncBarrier<B, S>>,
+pub struct BarrierFuture<'a, B: SplitBarrier, S: SyncOps = RealSync> {
+    barrier: &'a AsyncBarrier<B, S>,
     id: usize,
     episode: u64,
     /// True once a waker has been registered (we parked at least once).
@@ -637,7 +620,7 @@ pub struct BarrierFuture<B: SplitBarrier, S: SyncOps = RealSync> {
     done: bool,
 }
 
-impl<B: SplitBarrier, S: SyncOps> BarrierFuture<B, S> {
+impl<B: SplitBarrier, S: SyncOps> BarrierFuture<'_, B, S> {
     /// The participant id this future waits for.
     #[must_use]
     pub fn participant(&self) -> usize {
@@ -651,7 +634,7 @@ impl<B: SplitBarrier, S: SyncOps> BarrierFuture<B, S> {
     }
 }
 
-impl<B: SplitBarrier, S: SyncOps> fmt::Debug for BarrierFuture<B, S> {
+impl<B: SplitBarrier, S: SyncOps> fmt::Debug for BarrierFuture<'_, B, S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BarrierFuture")
             .field("id", &self.id)
@@ -662,11 +645,11 @@ impl<B: SplitBarrier, S: SyncOps> fmt::Debug for BarrierFuture<B, S> {
     }
 }
 
-impl<B: SplitBarrier, S: SyncOps> Future for BarrierFuture<B, S> {
+impl<B: SplitBarrier, S: SyncOps> Future for BarrierFuture<'_, B, S> {
     type Output = Result<WaitOutcome, BarrierError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        // All fields are Unpin (Arc + plain data), so the future is too.
+        // All fields are Unpin (a reference + plain data), so the future is too.
         let this = Pin::into_inner(self);
         assert!(!this.done, "BarrierFuture polled after completion");
         this.polls += 1;
@@ -679,10 +662,9 @@ impl<B: SplitBarrier, S: SyncOps> Future for BarrierFuture<B, S> {
             Some(Ok(()))
         } else {
             let own = ArrivalToken::new(this.id, this.episode);
-            let mut probe = this.barrier.probe_lock();
-            let registry = &mut *probe.registry;
+            let mut registry = this.barrier.registry.acquire();
             // Re-reads the release word under the lock.
-            let (wakers, own_done) = this.barrier.drain_locked(registry, Some(&own));
+            let (wakers, own_done) = this.barrier.drain_locked(&mut registry, Some(&own));
             let resolved = if own_done {
                 // The drain may have collected our own entry already;
                 // deregistering again is a harmless no-op.
@@ -700,7 +682,7 @@ impl<B: SplitBarrier, S: SyncOps> Future for BarrierFuture<B, S> {
                 }
                 None
             };
-            drop(probe);
+            drop(registry);
             // Cascaded completions are woken outside the lock: in the
             // checker domain a wake is itself a scheduling point.
             wake_all(wakers);
@@ -725,7 +707,7 @@ impl<B: SplitBarrier, S: SyncOps> Future for BarrierFuture<B, S> {
     }
 }
 
-impl<B: SplitBarrier, S: SyncOps> Drop for BarrierFuture<B, S> {
+impl<B: SplitBarrier, S: SyncOps> Drop for BarrierFuture<'_, B, S> {
     fn drop(&mut self) {
         if self.done {
             return;
@@ -735,18 +717,18 @@ impl<B: SplitBarrier, S: SyncOps> Drop for BarrierFuture<B, S> {
     }
 }
 
-impl<B: SplitBarrier, S: SyncOps> BarrierFuture<B, S> {
+impl<B: SplitBarrier, S: SyncOps> BarrierFuture<'_, B, S> {
     /// Drop path: deregister, and poison if the episode had not completed
     /// — an arrival that will never be waited on would otherwise hang its
     /// peers on the next episode (mirrors [`SplitBarrier::abort`]).
     fn probe_and_deregister(&self) {
         let own = ArrivalToken::new(self.id, self.episode);
-        let mut probe = self.barrier.probe_lock();
-        probe.registry.deregister(self.id, self.episode);
+        let mut registry = self.barrier.registry.acquire();
+        registry.deregister(self.id, self.episode);
         let complete = self.barrier.inner.is_complete(&own);
-        drop(probe);
+        drop(registry);
         if !complete {
-            SplitBarrier::poison(self.barrier.as_ref());
+            SplitBarrier::poison(self.barrier);
         }
     }
 }
@@ -759,17 +741,18 @@ mod tests {
     use crate::dissemination::DisseminationBarrier;
     use crate::hier::HierBarrier;
     use crate::tree::TreeBarrier;
+    use std::sync::Arc;
     use std::task::Wake;
 
     fn poll_with<B: SplitBarrier, S: SyncOps>(
-        fut: &mut BarrierFuture<B, S>,
+        fut: &mut BarrierFuture<'_, B, S>,
         waker: &Waker,
     ) -> Poll<Result<WaitOutcome, BarrierError>> {
         Pin::new(fut).poll(&mut Context::from_waker(waker))
     }
 
     fn poll_once<B: SplitBarrier, S: SyncOps>(
-        fut: &mut BarrierFuture<B, S>,
+        fut: &mut BarrierFuture<'_, B, S>,
     ) -> Poll<Result<WaitOutcome, BarrierError>> {
         poll_with(fut, Waker::noop())
     }
@@ -1150,7 +1133,7 @@ mod tests {
         drop(inner.arrive(2)); // completes episode 0 behind the frontend's back
         drop(inner.arrive(2)); // ... and is first to arrive for episode 1
         let mut fast = BarrierFuture {
-            barrier: Arc::clone(&b),
+            barrier: &b,
             id: 2,
             episode: 1,
             parked: false,
@@ -1220,13 +1203,15 @@ mod tests {
 
     #[test]
     fn pending_until_last_arrival_then_woken() {
-        let b = Arc::new(AsyncBarrier::new(CentralBarrier::new(2)));
+        // On the stack: the future borrows the barrier, no `Arc` needed.
+        let b = AsyncBarrier::new(CentralBarrier::new(2));
+        let (woken, waker) = Woken::new();
         let mut fut = b.arrive_async(0);
-        assert!(poll_once(&mut fut).is_pending());
+        assert!(poll_with(&mut fut, &waker).is_pending());
         assert_eq!(b.async_stats().parked, 1);
         // The last arrival drains the registry and hands out the waker.
-        let token = SplitBarrier::arrive(b.as_ref(), 1);
-        assert_eq!(b.async_stats().wakes, 1);
+        let token = SplitBarrier::arrive(&b, 1);
+        assert_eq!((b.async_stats().wakes, woken.count()), (1, 1));
         match poll_once(&mut fut) {
             Poll::Ready(Ok(outcome)) => {
                 assert_eq!(outcome.episode, 0);
@@ -1236,7 +1221,7 @@ mod tests {
             other => panic!("expected Ready(Ok(_)), got {other:?}"),
         }
         assert_eq!(b.async_stats().resumed, 1);
-        let outcome = SplitBarrier::wait(b.as_ref(), token);
+        let outcome = SplitBarrier::wait(&b, token);
         assert_eq!(outcome.episode, 0);
     }
 

@@ -118,7 +118,7 @@ pub use stats::{
     AdaptiveSnapshot, AsyncSnapshot, HistogramSnapshot, NetSnapshot, NetStats, ParticipantSnapshot,
     PeerLinkSnapshot, SpreadSnapshot, StallHistogram, StatsSnapshot, TelemetrySnapshot,
 };
-pub use sync::{Atomic, RealSync, SyncOps, TicketGuard, TicketLock};
+pub use sync::{Atomic, Lock, RealSync, SyncOps, TicketGuard, TicketLock};
 pub use tag::Tag;
 pub use token::{ArrivalToken, WaitOutcome};
 pub use tree::TreeBarrier;
@@ -139,7 +139,7 @@ mod send_sync_tests {
         assert_send_sync::<SubsetBarrier>();
         assert_send_sync::<FuzzyBarrier>();
         assert_send_sync::<AsyncBarrier<CentralBarrier>>();
-        assert_send_sync::<BarrierFuture<CentralBarrier>>();
+        assert_send_sync::<BarrierFuture<'static, CentralBarrier>>();
         assert_send_sync::<GroupRegistry>();
         assert_send_sync::<BarrierError>();
         assert_send_sync::<ReconfigBarrier>();

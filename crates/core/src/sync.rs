@@ -2,9 +2,11 @@
 //! written against.
 //!
 //! Every spin point and every shared atomic word in the episode core and
-//! the five backend protocols behind it goes through [`SyncOps`]. In production code the only implementation that
-//! exists is [`RealSync`], whose associated types are the `std::sync::atomic`
-//! types themselves and whose [`SyncOps::wait_until`] is
+//! the five backend protocols behind it goes through [`SyncOps`], and so
+//! does the async frontend's probe lock ([`SyncOps::Mutex`]). In
+//! production code the only implementation that exists is [`RealSync`],
+//! whose associated types are the `std::sync::atomic` types and
+//! `std::sync::Mutex` themselves and whose [`SyncOps::wait_until`] is
 //! [`crate::spin::wait_until`] — the abstraction monomorphizes away entirely
 //! and the release hot path is byte-for-byte what it was before the
 //! abstraction existed.
@@ -17,7 +19,9 @@
 
 use crate::spin::{self, SpinReport, StallPolicy};
 use std::fmt::Debug;
+use std::ops::DerefMut;
 use std::sync::atomic::{self, Ordering};
+use std::sync::{MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// An atomic cell holding a value of type `T`.
@@ -41,6 +45,18 @@ pub trait Atomic<T: Copy>: Send + Sync + Debug {
     fn fetch_max(&self, value: T, order: Ordering) -> T;
 }
 
+/// A mutual-exclusion lock over a value of type `T`.
+pub trait Lock<T>: Send + Sync {
+    /// Holds the lock, and the value, until dropped.
+    type Guard<'a>: DerefMut<Target = T>
+    where
+        Self: 'a;
+    /// Creates an unlocked lock over `value`.
+    fn new(value: T) -> Self;
+    /// Acquires the lock.
+    fn acquire(&self) -> Self::Guard<'_>;
+}
+
 /// A family of synchronization primitives: atomic words plus the blocking
 /// wait primitive.
 ///
@@ -54,6 +70,9 @@ pub trait SyncOps: Send + Sync + Debug + 'static {
     type AtomicU64: Atomic<u64>;
     /// The `usize`-valued atomic word.
     type AtomicUsize: Atomic<usize>;
+    /// The lock: one acquisition guards the value, and an instrumented
+    /// domain can deschedule a blocked acquirer.
+    type Mutex<T: Send>: Lock<T>;
 
     /// Waits until `pred` returns true, following `policy`.
     ///
@@ -116,9 +135,28 @@ impl_real_atomic!(u32, atomic::AtomicU32);
 impl_real_atomic!(u64, atomic::AtomicU64);
 impl_real_atomic!(usize, atomic::AtomicUsize);
 
-/// The production [`SyncOps`]: real `std::sync::atomic` words and the
-/// [`crate::spin`] stall machinery. Zero-cost — everything inlines to the
-/// pre-abstraction code.
+/// Poison is ignored: the lock's users leave the value valid at every
+/// step, so a panicking holder leaves nothing half-updated.
+impl<T: Send> Lock<T> for std::sync::Mutex<T> {
+    type Guard<'a>
+        = MutexGuard<'a, T>
+    where
+        Self: 'a;
+
+    #[inline(always)]
+    fn new(value: T) -> Self {
+        std::sync::Mutex::new(value)
+    }
+
+    #[inline(always)]
+    fn acquire(&self) -> MutexGuard<'_, T> {
+        self.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The production [`SyncOps`]: real `std::sync::atomic` words, the `std`
+/// mutex and the [`crate::spin`] stall machinery. Zero-cost — everything
+/// inlines to the pre-abstraction code.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RealSync;
 
@@ -126,6 +164,7 @@ impl SyncOps for RealSync {
     type AtomicU32 = atomic::AtomicU32;
     type AtomicU64 = atomic::AtomicU64;
     type AtomicUsize = atomic::AtomicUsize;
+    type Mutex<T: Send> = std::sync::Mutex<T>;
 
     #[inline(always)]
     fn wait_until(policy: StallPolicy, pred: impl FnMut() -> bool) -> SpinReport {
@@ -144,19 +183,17 @@ impl SyncOps for RealSync {
 
 /// A ticket lock over the `S` domain with spin-then-yield acquisition.
 ///
-/// This is the one shared home for the acquisition loop that used to be
-/// duplicated between the async frontend's probe lock and the stall
-/// machinery: take a ticket with an RMW, then — only if the lock is held —
-/// wait for the serving word with [`StallPolicy::yielding`]. Never pure
-/// spin: the holder may be another worker thread on the same core, and a
-/// pure spinner would burn its whole OS timeslice while the holder sits
-/// descheduled. Release is a `fetch_add` (an RMW, not a plain store) so
-/// the `fuzzy-check` shadow domain sees a write-generation bump that
-/// re-wakes descheduled acquirers.
+/// Acquisition takes a ticket with an RMW, then — only if the lock is
+/// held — waits for the serving word with [`StallPolicy::yielding`].
+/// Never pure spin: the holder may be another worker thread on the same
+/// core, and a pure spinner would burn its whole OS timeslice while the
+/// holder sits descheduled. Release is a `fetch_add` (an RMW, not a plain
+/// store) so the `fuzzy-check` shadow domain sees a write-generation bump
+/// that re-wakes descheduled acquirers.
 ///
 /// The lock guards no data of its own; callers pair it with state that is
-/// only touched while a [`TicketGuard`] is alive (the async frontend's
-/// waker registry, for example).
+/// only touched while a [`TicketGuard`] is alive (the episode core's
+/// membership, for example).
 #[derive(Debug)]
 pub struct TicketLock<S: SyncOps = RealSync> {
     ticket: S::AtomicU64,

@@ -42,15 +42,26 @@ type TaskFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
 /// One spawned task: its future plus the wake-state machine.
 struct Task {
-    /// The future, taken out on completion. Only the worker that moved the
-    /// task to `RUNNING` touches this, so the mutex never contends.
-    future: Mutex<Option<TaskFuture>>,
+    /// The future and its waker, taken out together when the task ends.
+    /// Only the worker that moved the task to `RUNNING` touches this, so
+    /// the mutex never contends.
+    future: Mutex<Option<Running>>,
     state: AtomicU8,
     /// Run queue the task is (re-)enqueued on.
     home: usize,
     /// Where the pool's [`Live`] list holds this task until it completes.
     slot: usize,
     shared: Arc<Shared>,
+}
+
+/// What an unfinished task owns. The waker is built on the first poll
+/// and handed to every poll after it, instead of an `Arc<Task>` cloned
+/// and dropped per poll. It points back at the task that holds it; every
+/// place that ends a task — completion, panic, pool drop — drops this
+/// whole, which breaks the cycle.
+struct Running {
+    future: TaskFuture,
+    waker: Option<Waker>,
 }
 
 impl Wake for Task {
@@ -92,18 +103,24 @@ struct Shared {
     /// [`AsyncExecutor::wait_idle`]'s condvar.
     live: Mutex<Live>,
     idle_cv: Condvar,
-    /// Worker parking lot. No wake is lost: a worker re-scans the queues
-    /// and counts itself into `sleepers` under this lock, in one critical
-    /// section ending in `park_cv.wait`; an enqueuer pushes first and
-    /// reads `sleepers` under the same lock afterwards. If the worker's
-    /// section comes first, the enqueuer reads a non-zero count and
-    /// notifies; if the enqueuer's does, the worker's re-scan sees the
-    /// pushed task and does not sleep. A worker counts itself out only
-    /// once it holds the lock again, so the count covers every worker
-    /// that a notification could still be for — an enqueue that reads
-    /// zero has nobody to wake and skips the `futex` call.
-    park: Mutex<Park>,
+    /// Worker parking lot: the mutex `park_cv` waits on, guarding the
+    /// shutdown flag.
+    park: Mutex<bool>,
     park_cv: Condvar,
+    /// Workers in (or waking up from) `park_cv.wait`, counted in and out
+    /// with the park mutex held. No wake is lost: a worker counts itself
+    /// in and then re-scans every queue under that queue's lock, in the
+    /// park critical section that ends in `park_cv.wait`; an enqueuer
+    /// reads the count under the lock of the queue it pushed to. That
+    /// queue lock orders the two (which is why `Relaxed` suffices): if
+    /// the worker's scan of the queue comes first, its count-in
+    /// happened-before the enqueuer's read, which sees a sleeper and takes
+    /// the park mutex to notify — only once the worker is inside
+    /// `park_cv.wait`, since the worker holds that mutex until then; if
+    /// the enqueuer's push comes first, the re-scan finds the task and the
+    /// worker does not sleep. An enqueue that reads zero has nobody to
+    /// wake and takes no park lock.
+    sleepers: AtomicUsize,
     /// Tasks taken from a sibling's run queue.
     steals: AtomicU64,
     next_home: AtomicUsize,
@@ -129,24 +146,19 @@ impl Live {
     }
 }
 
-#[derive(Default)]
-struct Park {
-    shutdown: bool,
-    /// Workers in (or waking up from) `park_cv.wait`.
-    sleepers: usize,
-}
-
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Shared {
     fn enqueue(&self, task: Arc<Task>) {
-        let home = task.home;
-        lock(&self.queues[home]).push_back(task);
-        // See `Shared::park` for why reading zero here loses no wake.
-        let sleepers = lock(&self.park).sleepers;
+        let mut queue = lock(&self.queues[task.home]);
+        queue.push_back(task);
+        // Under the queue lock: see `Shared::sleepers`.
+        let sleepers = self.sleepers.load(Ordering::Relaxed);
+        drop(queue);
         if sleepers > 0 {
+            let _park = lock(&self.park);
             self.park_cv.notify_one();
         }
     }
@@ -190,9 +202,9 @@ impl Shared {
 /// the steal counter). Dropping the executor shuts the workers down;
 /// unfinished tasks — queued or parked on a waker — are dropped, which —
 /// for barrier futures — counts as cancellation and poisons their
-/// barrier. A task that panics is dropped the same way and counts as
-/// finished; its worker carries on, and [`AsyncExecutor::wait_idle`]
-/// re-raises the panic.
+/// barrier, and a waker that outlives the pool wakes nothing. A task that
+/// panics is dropped the same way and counts as finished; its worker
+/// carries on, and [`AsyncExecutor::wait_idle`] re-raises the panic.
 ///
 /// # Examples
 ///
@@ -241,6 +253,7 @@ impl AsyncExecutor {
             idle_cv: Condvar::new(),
             park: Mutex::default(),
             park_cv: Condvar::new(),
+            sleepers: AtomicUsize::new(0),
             steals: AtomicU64::new(0),
             next_home: AtomicUsize::new(0),
         });
@@ -266,7 +279,10 @@ impl AsyncExecutor {
             live.tasks.len() - 1
         });
         let task = Arc::new(Task {
-            future: Mutex::new(Some(future)),
+            future: Mutex::new(Some(Running {
+                future,
+                waker: None,
+            })),
             state: AtomicU8::new(QUEUED),
             home,
             slot,
@@ -319,19 +335,23 @@ impl AsyncExecutor {
 
 impl Drop for AsyncExecutor {
     fn drop(&mut self) {
-        lock(&self.shared.park).shutdown = true;
+        *lock(&self.shared.park) = true;
         self.shared.park_cv.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
         // Cancel every unfinished task, queued or parked, by dropping its
-        // future. The future is dropped with no lock held: a barrier
-        // future's drop poisons its barrier, which wakes (re-enqueues)
-        // peers.
+        // future (and waker). Marked done first, so that a wake coming
+        // later — from a peer's cancelled barrier future, or from a waker
+        // held outside any barrier — is coalesced instead of queueing the
+        // task on a pool nobody serves, a `queues → Task → Shared` cycle.
+        // The future is dropped with no lock held: a barrier future's drop
+        // poisons its barrier, which wakes peers.
         let unfinished = std::mem::take(&mut *lock(&self.shared.live));
         for task in unfinished.tasks.into_iter().flatten() {
-            let future = lock(&task.future).take();
-            drop(future);
+            task.state.store(DONE, Ordering::Release);
+            let running = lock(&task.future).take();
+            drop(running);
         }
         for queue in &self.shared.queues {
             lock(queue).clear();
@@ -342,21 +362,21 @@ impl Drop for AsyncExecutor {
 fn worker_loop(shared: &Arc<Shared>, me: usize) {
     loop {
         let Some(task) = shared.find_task(me) else {
-            // Park: re-scan under the lock so an enqueue between the
-            // failed scan and the wait cannot be lost.
+            // Park: count in, then re-scan, so an enqueue between the
+            // failed scan and the wait cannot be lost (`Shared::sleepers`).
             let mut park = lock(&shared.park);
-            if park.shutdown {
+            if *park {
                 return;
             }
+            shared.sleepers.fetch_add(1, Ordering::Relaxed);
             let busy_elsewhere = shared.queues.iter().any(|q| !lock(q).is_empty());
             if !busy_elsewhere {
-                park.sleepers += 1;
                 park = shared
                     .park_cv
                     .wait(park)
                     .unwrap_or_else(PoisonError::into_inner);
-                park.sleepers -= 1;
             }
+            shared.sleepers.fetch_sub(1, Ordering::Relaxed);
             continue;
         };
         run_task(shared, task);
@@ -365,14 +385,18 @@ fn worker_loop(shared: &Arc<Shared>, me: usize) {
 
 fn run_task(shared: &Shared, task: Arc<Task>) {
     task.state.store(RUNNING, Ordering::Release);
-    let waker = Waker::from(Arc::clone(&task));
-    let mut cx = Context::from_waker(&waker);
     let mut future = lock(&task.future);
     let polled = match future.as_mut() {
         // A panicking task must cost neither its worker nor `wait_idle`'s
         // count. Nothing of the task is looked at again after an unwind:
         // its future is dropped, unpolled, just below.
-        Some(future) => catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(&mut cx))),
+        Some(running) => {
+            let waker = running
+                .waker
+                .get_or_insert_with(|| Waker::from(Arc::clone(&task)));
+            let mut cx = Context::from_waker(waker);
+            catch_unwind(AssertUnwindSafe(|| running.future.as_mut().poll(&mut cx)))
+        }
         // Already taken: the task completed (or was cancelled) before.
         None => {
             task.state.store(DONE, Ordering::Release);
@@ -404,8 +428,7 @@ fn run_task(shared: &Shared, task: Arc<Task>) {
             {
                 // Woken mid-poll (NOTIFIED): run again later.
                 task.state.store(QUEUED, Ordering::Release);
-                let shared_ref = Arc::clone(&task.shared);
-                shared_ref.enqueue(task);
+                shared.enqueue(task);
             }
         }
     }
@@ -482,7 +505,7 @@ pub fn run_async_episodes(
 mod tests {
     use super::*;
     use fuzzy_barrier::{BarrierError, CentralBarrier, Deadline, TopLevel};
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Weak};
 
     #[test]
     fn plain_tasks_run_to_completion() {
@@ -615,8 +638,14 @@ mod tests {
                 }
                 for (round, signal) in signals.iter().enumerate() {
                     // The worker that polled counted itself out before the
-                    // poll, so a full count now means it went back to sleep.
-                    while !signal.has_waiter() || lock(&pool.shared.park).sleepers < workers {
+                    // poll, and a worker holds the park mutex from its
+                    // count-in to its wait: a full count read under that
+                    // mutex means every worker is asleep.
+                    let asleep = || {
+                        let _park = lock(&pool.shared.park);
+                        pool.shared.sleepers.load(Ordering::Relaxed)
+                    };
+                    while !signal.has_waiter() || asleep() < workers {
                         std::thread::yield_now();
                     }
                     assert_eq!(reached.load(Ordering::Acquire), round);
@@ -827,5 +856,66 @@ mod tests {
         assert_eq!(outcome.map(|o| o.episode), Ok(0));
         let err = wait(SplitBarrier::arrive(barrier.as_ref(), 1)).unwrap_err();
         assert_eq!(err, BarrierError::Poisoned { episode: 1 });
+    }
+
+    #[test]
+    fn a_dropped_pool_is_freed_however_its_task_ended() {
+        // Each row ends one task its own way and hands back the pool's
+        // shared state once the pool is gone — for the last row, once a
+        // waker held outside the pool has fired too. Still alive means a
+        // cycle: through the task's cached waker (`Task → waker → Task →
+        // Shared`), or through the run queue a late wake pushed it onto.
+        fn completes() -> Weak<Shared> {
+            let pool = AsyncExecutor::new(1);
+            pool.spawn(async {});
+            pool.wait_idle();
+            Arc::downgrade(&pool.shared)
+        }
+        fn panics() -> Weak<Shared> {
+            let pool = AsyncExecutor::new(1);
+            pool.spawn(async { panic!("the task failed") });
+            assert_eq!(re_raised(&pool), "the task failed");
+            Arc::downgrade(&pool.shared)
+        }
+        fn dropped_while_parked() -> Weak<Shared> {
+            let barrier = Arc::new(AsyncBarrier::new(CentralBarrier::new(2)));
+            let pool = AsyncExecutor::new(1);
+            let parked = Arc::clone(&barrier);
+            pool.spawn(async move {
+                let _ = parked.arrive_async(0).await;
+            });
+            while barrier.async_stats().parked == 0 {
+                std::thread::yield_now();
+            }
+            Arc::downgrade(&pool.shared)
+        }
+        fn woken_after_drop() -> Weak<Shared> {
+            let signal = Arc::new(Signal::default());
+            let pool = AsyncExecutor::new(1);
+            let awaited = Arc::clone(&signal);
+            pool.spawn(async move {
+                let signal: &Signal = &awaited;
+                signal.await;
+            });
+            while !signal.has_waiter() {
+                std::thread::yield_now();
+            }
+            let shared = Arc::downgrade(&pool.shared);
+            drop(pool);
+            signal.fire();
+            shared
+        }
+        type Ending = fn() -> Weak<Shared>;
+        let rows: [(&str, Ending); 4] = [
+            ("completes", completes),
+            ("panics", panics),
+            ("dropped while parked", dropped_while_parked),
+            ("woken after drop", woken_after_drop),
+        ];
+        for (name, row) in rows {
+            with_watchdog(Duration::from_secs(60), move || {
+                assert!(row().upgrade().is_none(), "{name}: the pool leaked");
+            });
+        }
     }
 }

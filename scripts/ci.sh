@@ -22,7 +22,9 @@
 #                (no drain, early release word, park on an unlocked read,
 #                completer skips its drain) must still be caught by the
 #                model checker while the real frontend survives; a
-#                panicking task must neither wedge nor shrink the pool
+#                panicking task must neither wedge nor shrink the pool,
+#                a foreign wake must reach a sleeping worker, and a
+#                dropped pool must cancel its parked tasks and be freed
 #   fault-smoke  check --scenario poison and --scenario evict (both
 #                eviction shapes: one member leaves, all members race to
 #                evict themselves), the racy-evict-guard mutant pair
@@ -179,9 +181,12 @@ bench_smoke() {
 # arrive that skips the drain it owes: each seeded bug must be caught
 # and the real frontend must survive the same schedule space — and the
 # backend whose release word runs one arrival early, which must be caught
-# through the real frontend. Last, the executor's panicking-task tests: a
-# task that panics is re-raised by wait_idle, poisons the barrier it was
-# parked on, and costs the pool no worker.
+# through the real frontend. Last, in release, the executor tests that
+# guard its wake and lifetime protocols: a task that panics is re-raised
+# by wait_idle, poisons the barrier it was parked on, and costs the pool
+# no worker; a wake from a foreign thread reaches a worker asleep on the
+# condvar; dropping the pool cancels a task parked on a barrier; and a
+# dropped pool is freed however its task ended, a late wake included.
 async_smoke() {
     out="$(mktemp)" || return 1
     status=1
@@ -191,7 +196,8 @@ async_smoke() {
             --schema async_scale "$out"; then
             filtered_tests "-p fuzzy-check --test mutants" no_drain \
                 async_early_epoch unlocked_park completer_skips_drain &&
-                filtered_tests "-p fuzzy-sched" panicking
+                filtered_tests "--release -p fuzzy-sched" panicking \
+                    foreign_wake dropping_the_pool a_dropped_pool
             status=$?
         fi
     fi
