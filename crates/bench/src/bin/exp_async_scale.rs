@@ -23,17 +23,10 @@
 //!
 //! ```text
 //! exp_async_scale [--quick] [--stats-json <path>]
-//! exp_async_scale --compare <fresh.json> --baseline <base.json>
-//!                 [--tolerance <x>]
 //! ```
-//!
-//! Compare mode re-reads two exports and fails (exit 1) if any fresh
-//! `polls_per_arrival` exceeds its baseline row by more than the
-//! multiplicative tolerance (elapsed time is held to `4×` the tolerance —
-//! wall clock on a shared box is far noisier than poll counts).
 
 use fuzzy_barrier::StallPolicy;
-use fuzzy_bench::{banner, StatsExport, Table};
+use fuzzy_bench::{banner, quick_arg, StatsExport, Table};
 use fuzzy_sched::{run_async_episodes, AsyncRunReport, BarrierChoice};
 use fuzzy_util::Json;
 
@@ -49,11 +42,6 @@ const SCALE_WORKERS: usize = 2;
 /// Runs per side of the scale check; the fastest counts (two workers on a
 /// shared two-core host convoy on the probe lock now and then).
 const SCALE_REPEATS: usize = 3;
-/// Poll-count slack added on top of the ratio check so near-minimal
-/// baselines (every future ready on first poll) cannot fail on noise.
-const POLL_SLACK: f64 = 4.0;
-/// Elapsed-time slack, milliseconds.
-const ELAPSED_SLACK_MS: f64 = 500.0;
 
 struct Row {
     tasks: usize,
@@ -135,66 +123,8 @@ fn row_json(r: &Row) -> Json {
         .field("elapsed_ms", r.elapsed_ms)
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: exp_async_scale [--quick] [--stats-json <path>]\n\
-         \x20      exp_async_scale --compare <fresh.json> --baseline <base.json>\n\
-         \x20                      [--tolerance <x>]"
-    );
-    std::process::exit(2);
-}
-
 fn main() {
-    let mut quick = false;
-    let mut compare: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut tolerance = 8.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("exp_async_scale: {name} needs a value");
-                usage();
-            })
-        };
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--compare" => compare = Some(value("--compare")),
-            "--baseline" => baseline = Some(value("--baseline")),
-            "--tolerance" => {
-                tolerance = value("--tolerance").parse().unwrap_or_else(|_| {
-                    eprintln!("exp_async_scale: --tolerance wants a number");
-                    usage();
-                });
-            }
-            "--stats-json" => {
-                let _ = value("--stats-json"); // consumed again by StatsExport
-            }
-            other if other.starts_with("--stats-json=") => {}
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("exp_async_scale: unknown argument {other:?}");
-                usage();
-            }
-        }
-    }
-
-    if let Some(fresh) = compare {
-        let Some(base) = baseline else {
-            eprintln!("exp_async_scale: --compare needs --baseline");
-            usage();
-        };
-        std::process::exit(run_compare(&fresh, &base, tolerance));
-    }
-    if baseline.is_some() {
-        eprintln!("exp_async_scale: --baseline only makes sense with --compare");
-        usage();
-    }
-
-    run_sweep(quick);
-}
-
-fn run_sweep(quick: bool) {
+    let quick = quick_arg("exp_async_scale");
     let mut export = StatsExport::from_env("async_scale");
     banner(
         "E17: async frontend scale — M logical participants over N workers",
@@ -298,99 +228,4 @@ fn run_sweep(quick: bool) {
             .field("parked_equals_resumed", true),
     );
     export.finish();
-}
-
-// ---------------------------------------------------------------------------
-// Compare mode (the perf gate)
-// ---------------------------------------------------------------------------
-
-fn load_sweep(path: &str) -> Result<Vec<Json>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{path}: malformed JSON: {e}"))?;
-    let sweep = doc
-        .get("sweep")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{path}: no `sweep` array"))?;
-    Ok(sweep.to_vec())
-}
-
-fn row_key(row: &Json) -> Option<(u64, u64)> {
-    let tasks = row.get("tasks").and_then(Json::as_f64)? as u64;
-    let workers = row.get("workers").and_then(Json::as_f64)? as u64;
-    Some((tasks, workers))
-}
-
-fn metric(row: &Json, key: &str) -> Option<f64> {
-    row.get(key).and_then(Json::as_f64)
-}
-
-fn run_compare(fresh_path: &str, base_path: &str, tolerance: f64) -> i32 {
-    let (fresh, base) = match (load_sweep(fresh_path), load_sweep(base_path)) {
-        (Ok(f), Ok(b)) => (f, b),
-        (f, b) => {
-            for err in [f.err(), b.err()].into_iter().flatten() {
-                eprintln!("exp_async_scale: {err}");
-            }
-            return 1;
-        }
-    };
-    // (metric, multiplicative tolerance, absolute slack) — elapsed time is
-    // held to a looser bound because wall clock on a shared box swings far
-    // more than poll counts do.
-    let checks = [
-        ("polls_per_arrival", tolerance, POLL_SLACK),
-        ("elapsed_ms", tolerance * 4.0, ELAPSED_SLACK_MS),
-    ];
-    let mut failures = 0usize;
-    let mut compared = 0usize;
-    for fresh_row in &fresh {
-        let Some(key) = row_key(fresh_row) else {
-            eprintln!("exp_async_scale: {fresh_path}: malformed sweep row");
-            failures += 1;
-            continue;
-        };
-        let Some(base_row) = base.iter().find(|r| row_key(r).as_ref() == Some(&key)) else {
-            // The baseline is the full sweep; a quick fresh run must be a
-            // subset of it.
-            eprintln!(
-                "exp_async_scale: no baseline row for M={} N={} — regenerate the baseline",
-                key.0, key.1
-            );
-            failures += 1;
-            continue;
-        };
-        compared += 1;
-        for (name, tol, slack) in checks {
-            let (Some(f), Some(b)) = (metric(fresh_row, name), metric(base_row, name)) else {
-                eprintln!(
-                    "exp_async_scale: missing metric {name} for M={} N={}",
-                    key.0, key.1
-                );
-                failures += 1;
-                continue;
-            };
-            let allowed = b * tol + slack;
-            if f > allowed {
-                eprintln!(
-                    "REGRESSION M={} N={} {name}: fresh {f:.2} > allowed {allowed:.2} \
-                     (baseline {b:.2} x{tol:.1} + {slack:.0})",
-                    key.0, key.1
-                );
-                failures += 1;
-            }
-        }
-    }
-    if compared == 0 {
-        eprintln!("exp_async_scale: nothing compared — empty sweep?");
-        return 1;
-    }
-    if failures == 0 {
-        println!(
-            "exp_async_scale: {compared} row(s) within tolerance x{tolerance:.1} of {base_path}"
-        );
-        0
-    } else {
-        eprintln!("exp_async_scale: {failures} gate failure(s)");
-        1
-    }
 }

@@ -12,24 +12,17 @@
 //! policy collapses its spin budget and the hierarchy's sharded arrival
 //! words keep the remaining probes off any single hot line.
 //!
-//! Invariant asserted on the default sweep (and recorded in the export):
-//! at every `N >= 16` the best hierarchical configuration spends strictly
+//! Invariant asserted on both sweeps (and recorded in the export): at
+//! every `N >= 16` the best hierarchical configuration spends strictly
 //! fewer probes per episode than both `CentralBarrier` and
 //! `CountingBarrier`.
 //!
 //! ```text
 //! exp_backend_faceoff [--quick] [--stats-json <path>]
-//! exp_backend_faceoff --compare <fresh.json> --baseline <base.json>
-//!                     [--tolerance <x>]
 //! ```
-//!
-//! Compare mode re-reads two exports and fails (exit 1) if any fresh
-//! `probes_per_episode` exceeds its baseline row by more than the
-//! multiplicative tolerance (arrival spread is held to `4×` the
-//! tolerance — wall-clock spread is far noisier than probe counts).
 
 use fuzzy_barrier::{StallPolicy, TopLevel};
-use fuzzy_bench::{banner, StatsExport, Table};
+use fuzzy_bench::{banner, quick_arg, StatsExport, Table};
 use fuzzy_sched::static_sched::block;
 use fuzzy_sched::{executor::Strategy, run_threaded_with, BarrierChoice, ThreadReport};
 use fuzzy_util::Json;
@@ -45,11 +38,6 @@ const QUICK_EPISODES: usize = 512;
 const MIN_SPREAD_SAMPLES: u64 = 8;
 const ITER_COST: u64 = 8;
 const REGION_UNITS: u64 = 4;
-/// Probe-count slack added on top of the ratio check so near-zero
-/// baselines (instant episodes) cannot fail on absolute noise.
-const PROBE_SLACK: f64 = 1024.0;
-/// Arrival-spread slack, nanoseconds.
-const SPREAD_SLACK_NS: f64 = 200_000.0;
 
 /// One backend configuration in the sweep.
 struct Contender {
@@ -168,66 +156,8 @@ fn row_json(r: &Row) -> Json {
         .field("elapsed_ms", r.elapsed_ms)
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: exp_backend_faceoff [--quick] [--stats-json <path>]\n\
-         \x20      exp_backend_faceoff --compare <fresh.json> --baseline <base.json>\n\
-         \x20                          [--tolerance <x>]"
-    );
-    std::process::exit(2);
-}
-
 fn main() {
-    let mut quick = false;
-    let mut compare: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut tolerance = 8.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("exp_backend_faceoff: {name} needs a value");
-                usage();
-            })
-        };
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--compare" => compare = Some(value("--compare")),
-            "--baseline" => baseline = Some(value("--baseline")),
-            "--tolerance" => {
-                tolerance = value("--tolerance").parse().unwrap_or_else(|_| {
-                    eprintln!("exp_backend_faceoff: --tolerance wants a number");
-                    usage();
-                });
-            }
-            "--stats-json" => {
-                let _ = value("--stats-json"); // consumed again by StatsExport
-            }
-            other if other.starts_with("--stats-json=") => {}
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("exp_backend_faceoff: unknown argument {other:?}");
-                usage();
-            }
-        }
-    }
-
-    if let Some(fresh) = compare {
-        let Some(base) = baseline else {
-            eprintln!("exp_backend_faceoff: --compare needs --baseline");
-            usage();
-        };
-        std::process::exit(run_compare(&fresh, &base, tolerance));
-    }
-    if baseline.is_some() {
-        eprintln!("exp_backend_faceoff: --baseline only makes sense with --compare");
-        usage();
-    }
-
-    run_sweep(quick);
-}
-
-fn run_sweep(quick: bool) {
+    let quick = quick_arg("exp_backend_faceoff");
     let mut export = StatsExport::from_env("backend_faceoff");
     banner(
         "E15: backend face-off — hierarchical sharding + adaptive stalls",
@@ -326,102 +256,4 @@ fn run_sweep(quick: bool) {
             .field("hier_beats_central", beats_central),
     );
     export.finish();
-}
-
-// ---------------------------------------------------------------------------
-// Compare mode (the perf gate)
-// ---------------------------------------------------------------------------
-
-fn load_sweep(path: &str) -> Result<Vec<Json>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{path}: malformed JSON: {e}"))?;
-    let sweep = doc
-        .get("sweep")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{path}: no `sweep` array"))?;
-    Ok(sweep.to_vec())
-}
-
-fn row_key(row: &Json) -> Option<(String, u64)> {
-    let backend = match row.get("backend") {
-        Some(Json::Str(s)) => s.clone(),
-        _ => return None,
-    };
-    let procs = row.get("procs").and_then(Json::as_f64)? as u64;
-    Some((backend, procs))
-}
-
-fn metric(row: &Json, key: &str) -> Option<f64> {
-    row.get(key).and_then(Json::as_f64)
-}
-
-fn run_compare(fresh_path: &str, base_path: &str, tolerance: f64) -> i32 {
-    let (fresh, base) = match (load_sweep(fresh_path), load_sweep(base_path)) {
-        (Ok(f), Ok(b)) => (f, b),
-        (f, b) => {
-            for err in [f.err(), b.err()].into_iter().flatten() {
-                eprintln!("exp_backend_faceoff: {err}");
-            }
-            return 1;
-        }
-    };
-    // (metric, multiplicative tolerance, absolute slack) — spread is held
-    // to a looser bound because wall-clock interarrival times on a shared
-    // box swing far more than probe counts do.
-    let checks = [
-        ("probes_per_episode", tolerance, PROBE_SLACK),
-        ("spread_mean_ns", tolerance * 4.0, SPREAD_SLACK_NS),
-    ];
-    let mut failures = 0usize;
-    let mut compared = 0usize;
-    for fresh_row in &fresh {
-        let Some(key) = row_key(fresh_row) else {
-            eprintln!("exp_backend_faceoff: {fresh_path}: malformed sweep row");
-            failures += 1;
-            continue;
-        };
-        let Some(base_row) = base.iter().find(|r| row_key(r).as_ref() == Some(&key)) else {
-            // The baseline is the full sweep; a quick fresh run must be a
-            // subset of it.
-            eprintln!(
-                "exp_backend_faceoff: no baseline row for {}@{} — regenerate the baseline",
-                key.0, key.1
-            );
-            failures += 1;
-            continue;
-        };
-        compared += 1;
-        for (name, tol, slack) in checks {
-            let (Some(f), Some(b)) = (metric(fresh_row, name), metric(base_row, name)) else {
-                eprintln!(
-                    "exp_backend_faceoff: missing metric {name} for {}@{}",
-                    key.0, key.1
-                );
-                failures += 1;
-                continue;
-            };
-            let allowed = b * tol + slack;
-            if f > allowed {
-                eprintln!(
-                    "REGRESSION {}@{} {name}: fresh {f:.1} > allowed {allowed:.1} \
-                     (baseline {b:.1} x{tol:.1} + {slack:.0})",
-                    key.0, key.1
-                );
-                failures += 1;
-            }
-        }
-    }
-    if compared == 0 {
-        eprintln!("exp_backend_faceoff: nothing compared — empty sweep?");
-        return 1;
-    }
-    if failures == 0 {
-        println!(
-            "exp_backend_faceoff: {compared} row(s) within tolerance x{tolerance:.1} of {base_path}"
-        );
-        0
-    } else {
-        eprintln!("exp_backend_faceoff: {failures} gate failure(s)");
-        1
-    }
 }

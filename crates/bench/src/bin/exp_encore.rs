@@ -8,9 +8,10 @@
 //! the loop body. The cost of barrier synchronization is mainly due to
 //! context saves and restores for the tasks that must be stalled."
 //!
-//! Reproduction (see DESIGN.md substitutions): the host running this
-//! reproduction has a single CPU core, so a 4-thread wall-clock
-//! measurement would only time-slice. Instead the experiment runs on the
+//! Reproduction (see DESIGN.md substitutions): the paper measured four
+//! processors, and four threads on a host with fewer free cores than that
+//! would time-slice, timing the OS scheduler rather than the barrier.
+//! Instead the experiment runs on the
 //! simulated 4-way multiprocessor: the Encore-style **software**
 //! split-phase barrier (shared counter + generation word) is compiled to
 //! ISA code, the loop body carries cache-miss drift, and the barrier

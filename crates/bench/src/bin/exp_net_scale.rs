@@ -9,11 +9,12 @@
 //! * **loopback sweep** — N in-process endpoints over the deterministic
 //!   [`LoopbackMesh`], N from 2 to 16, with and without jittered fuzzy
 //!   regions. The metric is `frames_per_arrival` (total frames sent per
-//!   endpoint-episode), which for the dissemination protocol should track
-//!   `ceil(log2 N)` — the gate catches any protocol change that inflates
-//!   frame traffic. Every row asserts zero retries and zero decode
-//!   errors: the loopback fabric is lossless, so any recovery traffic is
-//!   a protocol bug, not noise.
+//!   endpoint-episode): the dissemination protocol sends one frame a
+//!   round, so every row asserts exactly `ceil(log2 N)` of them, and a
+//!   protocol change that inflates frame traffic fails the run. Every row
+//!   also asserts zero retries and zero decode errors: the loopback
+//!   fabric is lossless, so any recovery traffic is a protocol bug, not
+//!   noise.
 //! * **multi-process UDS sweep** — the acceptance scenario: five seeds of
 //!   an 8-worker mesh, each worker a *real OS process* (re-executions of
 //!   this binary via [`fuzzy_sched::multiproc`]) over Unix-domain
@@ -23,18 +24,10 @@
 //!
 //! ```text
 //! exp_net_scale [--quick] [--stats-json <path>]
-//! exp_net_scale --compare <fresh.json> --baseline <base.json>
-//!               [--tolerance <x>]
 //! ```
-//!
-//! Compare mode re-reads two exports and fails (exit 1) if any fresh
-//! `frames_per_arrival` exceeds its baseline row by more than the
-//! multiplicative tolerance (elapsed time is held to `4×` the tolerance —
-//! wall clock is far noisier than frame counts). Only the loopback sweep
-//! is gated: process spawn times swing too much on shared runners.
 
 use fuzzy_barrier::{Deadline, SplitBarrier, StallPolicy};
-use fuzzy_bench::{banner, StatsExport, Table};
+use fuzzy_bench::{banner, quick_arg, StatsExport, Table};
 use fuzzy_net::{LoopbackMesh, NetBarrier, NetConfig};
 use fuzzy_sched::multiproc::{maybe_run_worker, run_multiproc, MultiprocConfig, WorkerFate};
 use fuzzy_util::{Json, SplitMix64};
@@ -49,11 +42,6 @@ const MULTIPROC_EPISODES: u64 = 25;
 const QUICK_MULTIPROC_NODES: usize = 4;
 const QUICK_MULTIPROC_SEEDS: u64 = 2;
 const QUICK_MULTIPROC_EPISODES: u64 = 10;
-/// Frame-count slack added on top of the ratio check so the smallest
-/// meshes (one round, one frame per arrival) cannot fail on rounding.
-const FRAME_SLACK: f64 = 2.0;
-/// Elapsed-time slack, milliseconds.
-const ELAPSED_SLACK_MS: f64 = 500.0;
 
 struct Row {
     nodes: usize,
@@ -143,6 +131,13 @@ fn measure(nodes: usize, region_us: u64, episodes: u64, seed: u64) -> Row {
         frames_sent, frames_received,
         "the loopback fabric drops nothing, so every send must arrive"
     );
+    let rounds = u64::from(nodes.next_power_of_two().trailing_zeros());
+    assert_eq!(
+        frames_sent,
+        nodes as u64 * episodes * rounds,
+        "N={nodes}: every arrival sends exactly one frame per dissemination round \
+         (ceil(log2 N) = {rounds})"
+    );
     Row {
         nodes,
         region_us,
@@ -213,70 +208,11 @@ fn measure_multiproc(seed: u64, nodes: usize, episodes: u64) -> ProcRow {
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: exp_net_scale [--quick] [--stats-json <path>]\n\
-         \x20      exp_net_scale --compare <fresh.json> --baseline <base.json>\n\
-         \x20                    [--tolerance <x>]"
-    );
-    std::process::exit(2);
-}
-
 fn main() {
     // Worker re-executions of this binary are hijacked here — they run
     // the episode loop and exit without ever reaching the experiment.
     maybe_run_worker();
-
-    let mut quick = false;
-    let mut compare: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut tolerance = 8.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("exp_net_scale: {name} needs a value");
-                usage();
-            })
-        };
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--compare" => compare = Some(value("--compare")),
-            "--baseline" => baseline = Some(value("--baseline")),
-            "--tolerance" => {
-                tolerance = value("--tolerance").parse().unwrap_or_else(|_| {
-                    eprintln!("exp_net_scale: --tolerance wants a number");
-                    usage();
-                });
-            }
-            "--stats-json" => {
-                let _ = value("--stats-json"); // consumed again by StatsExport
-            }
-            other if other.starts_with("--stats-json=") => {}
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("exp_net_scale: unknown argument {other:?}");
-                usage();
-            }
-        }
-    }
-
-    if let Some(fresh) = compare {
-        let Some(base) = baseline else {
-            eprintln!("exp_net_scale: --compare needs --baseline");
-            usage();
-        };
-        std::process::exit(run_compare(&fresh, &base, tolerance));
-    }
-    if baseline.is_some() {
-        eprintln!("exp_net_scale: --baseline only makes sense with --compare");
-        usage();
-    }
-
-    run_sweep(quick);
-}
-
-fn run_sweep(quick: bool) {
+    let quick = quick_arg("exp_net_scale");
     let mut export = StatsExport::from_env("net_scale");
     banner(
         "E19: fuzzy-net scale — message-passing barriers across endpoints",
@@ -291,7 +227,8 @@ fn run_sweep(quick: bool) {
     println!(
         "\n{episodes} episodes per configuration over the loopback mesh; fuzzy\n\
          region busy time jittered in [r/2, r] us. Every row asserts zero\n\
-         retries, zero decode errors, and send == receive.\n"
+         retries, zero decode errors, send == receive, and ceil(log2 N)\n\
+         frames per arrival.\n"
     );
 
     let mut t = Table::new([
@@ -382,99 +319,4 @@ fn run_sweep(quick: bool) {
             .field("zero_retries", true),
     );
     export.finish();
-}
-
-// ---------------------------------------------------------------------------
-// Compare mode (the perf gate)
-// ---------------------------------------------------------------------------
-
-fn load_sweep(path: &str) -> Result<Vec<Json>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{path}: malformed JSON: {e}"))?;
-    let sweep = doc
-        .get("sweep")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{path}: no `sweep` array"))?;
-    Ok(sweep.to_vec())
-}
-
-fn row_key(row: &Json) -> Option<(u64, u64)> {
-    let nodes = row.get("nodes").and_then(Json::as_f64)? as u64;
-    let region = row.get("region_us").and_then(Json::as_f64)? as u64;
-    Some((nodes, region))
-}
-
-fn metric(row: &Json, key: &str) -> Option<f64> {
-    row.get(key).and_then(Json::as_f64)
-}
-
-fn run_compare(fresh_path: &str, base_path: &str, tolerance: f64) -> i32 {
-    let (fresh, base) = match (load_sweep(fresh_path), load_sweep(base_path)) {
-        (Ok(f), Ok(b)) => (f, b),
-        (f, b) => {
-            for err in [f.err(), b.err()].into_iter().flatten() {
-                eprintln!("exp_net_scale: {err}");
-            }
-            return 1;
-        }
-    };
-    // (metric, multiplicative tolerance, absolute slack) — elapsed time
-    // is held to a looser bound because wall clock on a shared box swings
-    // far more than frame counts do.
-    let checks = [
-        ("frames_per_arrival", tolerance, FRAME_SLACK),
-        ("elapsed_ms", tolerance * 4.0, ELAPSED_SLACK_MS),
-    ];
-    let mut failures = 0usize;
-    let mut compared = 0usize;
-    for fresh_row in &fresh {
-        let Some(key) = row_key(fresh_row) else {
-            eprintln!("exp_net_scale: {fresh_path}: malformed sweep row");
-            failures += 1;
-            continue;
-        };
-        let Some(base_row) = base.iter().find(|r| row_key(r).as_ref() == Some(&key)) else {
-            // The baseline is the full sweep; a quick fresh run must be a
-            // subset of it.
-            eprintln!(
-                "exp_net_scale: no baseline row for N={} region={}us — regenerate the baseline",
-                key.0, key.1
-            );
-            failures += 1;
-            continue;
-        };
-        compared += 1;
-        for (name, tol, slack) in checks {
-            let (Some(f), Some(b)) = (metric(fresh_row, name), metric(base_row, name)) else {
-                eprintln!(
-                    "exp_net_scale: missing metric {name} for N={} region={}us",
-                    key.0, key.1
-                );
-                failures += 1;
-                continue;
-            };
-            let allowed = b * tol + slack;
-            if f > allowed {
-                eprintln!(
-                    "REGRESSION N={} region={}us {name}: fresh {f:.2} > allowed {allowed:.2} \
-                     (baseline {b:.2} x{tol:.1} + {slack:.0})",
-                    key.0, key.1
-                );
-                failures += 1;
-            }
-        }
-    }
-    if compared == 0 {
-        eprintln!("exp_net_scale: nothing compared — empty sweep?");
-        return 1;
-    }
-    if failures == 0 {
-        println!(
-            "exp_net_scale: {compared} row(s) within tolerance x{tolerance:.1} of {base_path}"
-        );
-        0
-    } else {
-        eprintln!("exp_net_scale: {failures} gate failure(s)");
-        1
-    }
 }

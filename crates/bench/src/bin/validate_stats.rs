@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! validate_stats <file.json>
-//!                [--schema encore|fault_recovery|backend_faceoff|fuzz_campaign|async_scale|net_scale|chaos_churn]
+//!                [--schema encore|fault_recovery|fuzz_campaign|chaos_churn]
 //! ```
 //!
 //! Parses the file with the in-tree JSON parser and validates key names
@@ -11,16 +11,14 @@
 //! 2 = usage error.
 
 use fuzzy_bench::schema::{
-    async_scale_shape, backend_faceoff_shape, chaos_churn_shape, encore_shape,
-    fault_recovery_shape, fuzz_campaign_shape, net_scale_shape, validate, Shape,
+    chaos_churn_shape, encore_shape, fault_recovery_shape, fuzz_campaign_shape, validate, Shape,
 };
 use fuzzy_util::Json;
 
 fn usage() -> ! {
     eprintln!(
         "usage: validate_stats <file.json> \
-         [--schema encore|fault_recovery|backend_faceoff|fuzz_campaign|async_scale|net_scale|\
-         chaos_churn]"
+         [--schema encore|fault_recovery|fuzz_campaign|chaos_churn]"
     );
     std::process::exit(2);
 }
@@ -29,10 +27,7 @@ fn shape_for(name: &str) -> Option<Shape> {
     match name {
         "encore" => Some(encore_shape()),
         "fault_recovery" => Some(fault_recovery_shape()),
-        "backend_faceoff" => Some(backend_faceoff_shape()),
         "fuzz_campaign" => Some(fuzz_campaign_shape()),
-        "async_scale" => Some(async_scale_shape()),
-        "net_scale" => Some(net_scale_shape()),
         "chaos_churn" => Some(chaos_churn_shape()),
         _ => None,
     }
@@ -61,8 +56,7 @@ fn main() {
     let Some(shape) = shape_for(&schema_name) else {
         eprintln!(
             "validate_stats: unknown schema {schema_name:?} \
-             (have: encore, fault_recovery, backend_faceoff, fuzz_campaign, async_scale, \
-             net_scale, chaos_churn)"
+             (have: encore, fault_recovery, fuzz_campaign, chaos_churn)"
         );
         usage();
     };

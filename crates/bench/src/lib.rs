@@ -209,6 +209,37 @@ pub fn stats_json_arg_from_env() -> Option<PathBuf> {
     stats_json_arg(std::env::args().skip(1))
 }
 
+/// Reads the `[--quick] [--stats-json <path>]` command line of a sweep
+/// binary and returns whether `--quick` was given. `--help`, an unknown
+/// argument or a `--stats-json` without its path prints the usage line and
+/// exits 2; the path itself is read again by [`StatsExport::from_env`].
+#[must_use]
+pub fn quick_arg(bin: &str) -> bool {
+    fn usage(bin: &str) -> ! {
+        eprintln!("usage: {bin} [--quick] [--stats-json <path>]");
+        std::process::exit(2);
+    }
+    let mut quick = false;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--stats-json" => {
+                if args.next().is_none() {
+                    usage(bin);
+                }
+            }
+            other if other.starts_with("--stats-json=") => {}
+            "--help" | "-h" => usage(bin),
+            other => {
+                eprintln!("{bin}: unknown argument {other:?}");
+                usage(bin);
+            }
+        }
+    }
+    quick
+}
+
 /// Accumulates the machine-readable output of one experiment run and
 /// writes it to the `--stats-json` path, if one was given.
 ///

@@ -2,7 +2,7 @@
 //!
 //! A [`Shape`] describes the key set and value types a telemetry file must
 //! have; [`validate`] walks a parsed [`Json`] tree against it and collects
-//! every mismatch with a JSON-pointer-style path. CI's bench-smoke stage
+//! every mismatch with a JSON-pointer-style path. `tests/encore_exact.rs`
 //! uses [`encore_shape`] to pin the `exp_encore` export format, so a field
 //! rename or type drift fails the build instead of silently breaking
 //! downstream plotting scripts.
@@ -232,48 +232,6 @@ pub fn encore_shape() -> Shape {
     ])
 }
 
-/// The full `exp_backend_faceoff --stats-json` document shape.
-#[must_use]
-pub fn backend_faceoff_shape() -> Shape {
-    let sweep_row = obj([
-        ("backend", Shape::Str),
-        ("shard_size", Shape::Num),
-        ("procs", Shape::Num),
-        ("episodes", Shape::Num),
-        ("probes_per_episode", Shape::Num),
-        ("stalls", Shape::Num),
-        ("stall_ns", Shape::Num),
-        ("spread_mean_ns", Shape::Num),
-        ("elapsed_ms", Shape::Num),
-    ]);
-    obj([
-        ("experiment", Shape::Str),
-        (
-            "config",
-            obj([
-                ("episodes", Shape::Num),
-                ("region_units", Shape::Num),
-                ("quick", Shape::Bool),
-            ]),
-        ),
-        ("sweep", arr_of(sweep_row)),
-        (
-            "verdict",
-            obj([
-                (
-                    "asserted_at",
-                    Shape::Arr {
-                        elem: Box::new(Shape::Num),
-                        min_len: 0,
-                    },
-                ),
-                ("hier_beats_counting", Shape::Bool),
-                ("hier_beats_central", Shape::Bool),
-            ]),
-        ),
-    ])
-}
-
 /// Summary block shared by the single-run sections of the fault-recovery
 /// export.
 fn fault_run_summary() -> Shape {
@@ -303,91 +261,6 @@ pub fn fault_recovery_shape() -> Shape {
         ("stall_sweep", arr_of(sweep_row)),
         ("transient_delay", fault_run_summary()),
         ("stutter", fault_run_summary()),
-    ])
-}
-
-/// The full `exp_async_scale --stats-json` document shape.
-#[must_use]
-pub fn async_scale_shape() -> Shape {
-    let sweep_row = obj([
-        ("tasks", Shape::Num),
-        ("workers", Shape::Num),
-        ("episodes", Shape::Num),
-        ("arrivals", Shape::Num),
-        ("parked", Shape::Num),
-        ("resumed", Shape::Num),
-        ("steals", Shape::Num),
-        ("polls", Shape::Num),
-        ("wakes", Shape::Num),
-        ("drains", Shape::Num),
-        ("polls_per_arrival", Shape::Num),
-        ("elapsed_ms", Shape::Num),
-    ]);
-    obj([
-        ("experiment", Shape::Str),
-        (
-            "config",
-            obj([
-                ("episodes", Shape::Num),
-                ("region_units", Shape::Num),
-                ("quick", Shape::Bool),
-                ("liveness_seeds", Shape::Num),
-            ]),
-        ),
-        ("sweep", arr_of(sweep_row)),
-        (
-            "verdict",
-            obj([
-                ("deadlock_free_seeds", Shape::Num),
-                ("parked_equals_resumed", Shape::Bool),
-            ]),
-        ),
-    ])
-}
-
-/// The full `exp_net_scale --stats-json` document shape.
-#[must_use]
-pub fn net_scale_shape() -> Shape {
-    let sweep_row = obj([
-        ("nodes", Shape::Num),
-        ("region_us", Shape::Num),
-        ("episodes", Shape::Num),
-        ("frames_sent", Shape::Num),
-        ("frames_received", Shape::Num),
-        ("retries", Shape::Num),
-        ("nacks", Shape::Num),
-        ("frames_per_arrival", Shape::Num),
-        ("elapsed_ms", Shape::Num),
-    ]);
-    let multiproc_row = obj([
-        ("seed", Shape::Num),
-        ("nodes", Shape::Num),
-        ("episodes", Shape::Num),
-        ("released", Shape::Num),
-        ("elapsed_ms", Shape::Num),
-    ]);
-    obj([
-        ("experiment", Shape::Str),
-        (
-            "config",
-            obj([
-                ("episodes", Shape::Num),
-                ("quick", Shape::Bool),
-                ("multiproc_nodes", Shape::Num),
-                ("multiproc_seeds", Shape::Num),
-                ("multiproc_episodes", Shape::Num),
-            ]),
-        ),
-        ("sweep", arr_of(sweep_row)),
-        ("multiproc", arr_of(multiproc_row)),
-        (
-            "verdict",
-            obj([
-                ("wedge_free_seeds", Shape::Num),
-                ("all_released", Shape::Bool),
-                ("zero_retries", Shape::Bool),
-            ]),
-        ),
     ])
 }
 
@@ -526,87 +399,6 @@ mod tests {
             .field("flag", true);
         let errors = validate(&doc, &sample_shape());
         assert!(errors[0].contains("at least 1 element"), "{}", errors[0]);
-    }
-
-    #[test]
-    fn checked_in_faceoff_export_conforms() {
-        let text = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_faceoff.json"
-        ))
-        .expect("BENCH_faceoff.json present in repo root");
-        let doc = Json::parse(&text).expect("reference export parses");
-        assert_eq!(
-            validate(&doc, &backend_faceoff_shape()),
-            Vec::<String>::new()
-        );
-        // The baseline must have been generated from the *default* sweep
-        // with its verdict asserted — a quick run is not a valid baseline.
-        assert_eq!(
-            doc.get("config").unwrap().get("quick"),
-            Some(&Json::Bool(false))
-        );
-        assert_eq!(
-            doc.get("verdict").unwrap().get("hier_beats_counting"),
-            Some(&Json::Bool(true))
-        );
-        assert_eq!(
-            doc.get("verdict").unwrap().get("hier_beats_central"),
-            Some(&Json::Bool(true))
-        );
-    }
-
-    #[test]
-    fn checked_in_async_export_conforms() {
-        let text = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_async.json"
-        ))
-        .expect("BENCH_async.json present in repo root");
-        let doc = Json::parse(&text).expect("reference export parses");
-        assert_eq!(validate(&doc, &async_scale_shape()), Vec::<String>::new());
-        // The baseline must come from the *default* sweep with all five
-        // liveness seeds completed — a quick run is not a valid baseline.
-        assert_eq!(
-            doc.get("config").unwrap().get("quick"),
-            Some(&Json::Bool(false))
-        );
-        assert_eq!(
-            doc.get("verdict").unwrap().get("deadlock_free_seeds"),
-            Some(&Json::Num(5.0))
-        );
-        assert_eq!(
-            doc.get("verdict").unwrap().get("parked_equals_resumed"),
-            Some(&Json::Bool(true))
-        );
-    }
-
-    #[test]
-    fn checked_in_net_export_conforms() {
-        let text =
-            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json"))
-                .expect("BENCH_net.json present in repo root");
-        let doc = Json::parse(&text).expect("reference export parses");
-        assert_eq!(validate(&doc, &net_scale_shape()), Vec::<String>::new());
-        // The baseline must come from the *default* sweep with all five
-        // multi-process seeds wedge-free — a quick run is not a valid
-        // baseline.
-        assert_eq!(
-            doc.get("config").unwrap().get("quick"),
-            Some(&Json::Bool(false))
-        );
-        assert_eq!(
-            doc.get("verdict").unwrap().get("wedge_free_seeds"),
-            Some(&Json::Num(5.0))
-        );
-        assert_eq!(
-            doc.get("verdict").unwrap().get("all_released"),
-            Some(&Json::Bool(true))
-        );
-        assert_eq!(
-            doc.get("verdict").unwrap().get("zero_retries"),
-            Some(&Json::Bool(true))
-        );
     }
 
     #[test]

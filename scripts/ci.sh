@@ -6,25 +6,20 @@
 #   scripts/ci.sh --list     # print the stage roster, one per line
 #
 # Naming a stage that does not exist is an error: the script exits 1
-# listing the valid stages instead of silently running nothing.
+# listing the valid stages instead of silently running nothing. The
+# roster lives here only: .github/workflows/ci.yml runs this script once
+# with no arguments.
 #
 # Stages, in order:
 #
 #   fmt          cargo fmt --check (formatting is normative)
 #   build        cargo build --workspace --all-targets
 #   clippy       cargo clippy, warnings as errors, all targets
-#   test         cargo test -q --workspace
+#   test         cargo test -q --workspace (fuzzy-bench's encore_exact
+#                requires exp_encore's simulator rows to equal
+#                BENCH_encore.json exactly)
 #   tier1        the repo's tier-1 gate, verbatim from ROADMAP.md
 #   check-smoke  fuzzy-check: 10k DFS schedules per backend at N=3
-#   bench-smoke  exp_encore --stats-json + schema validation
-#   async-smoke  exp_async_scale quick sweep (asserts who takes the
-#                probe lock) + schema validation; the four async mutants
-#                (no drain, early release word, park on an unlocked read,
-#                completer skips its drain) must still be caught by the
-#                model checker while the real frontend survives; a
-#                panicking task must neither wedge nor shrink the pool,
-#                a foreign wake must reach a sleeping worker, and a
-#                dropped pool must cancel its parked tasks and be freed
 #   fault-smoke  check --scenario poison and --scenario evict (both
 #                eviction shapes: one member leaves, all members race to
 #                evict themselves), the racy-evict-guard mutant pair
@@ -38,17 +33,13 @@
 #                must survive the same schedules), then exp_chaos_churn
 #                --quick across every backend on both runtimes, schema
 #                validated
-#   net-smoke    the forged-round transport mutant must be caught (and
-#                the real NetBarrier must survive the same schedules),
-#                the multi-process harness tests (including the
-#                kill-a-worker poison scenario) must pass, then the
-#                quick exp_net_scale sweep, schema validated
-#   perf-gate    exp_backend_faceoff + exp_async_scale + exp_net_scale
-#                quick sweeps vs the checked-in baselines
 #   ledger-smoke the performance ledger (benchmark/): its own tests, then
 #                all six workloads untraced and traced at --seed 7
-#                --seconds 1; any failed operation, missing metric or
-#                non-zero exit fails the stage
+#                --seconds 1; then each quick sweep that asserts a
+#                performance shape in-run (exp_backend_faceoff,
+#                exp_async_scale, exp_net_scale); then the async and net
+#                mutants, the executor's wake and lifetime tests and the
+#                multi-process harness tests
 #   doc          cargo doc --no-deps (rustdoc warnings are errors)
 #
 # Each stage prints `ci: stage <name> PASS|FAIL (N.Ns)`; the script stops
@@ -59,7 +50,7 @@ set -u
 
 cd "$(dirname "$0")/.."
 
-STAGES="fmt build clippy test tier1 check-smoke bench-smoke async-smoke fault-smoke fuzz-smoke chaos-smoke net-smoke perf-gate ledger-smoke doc"
+STAGES="fmt build clippy test tier1 check-smoke fault-smoke fuzz-smoke chaos-smoke ledger-smoke doc"
 
 SELECTED=""
 for arg in "$@"; do
@@ -158,53 +149,6 @@ check_smoke() {
             --participants 3 --episodes 2 --mode dfs --schedules 10000
 }
 
-# Telemetry smoke: run the encore experiment with --stats-json and verify
-# the export parses and matches the pinned schema (key names and types).
-bench_smoke() {
-    out="$(mktemp)" || return 1
-    status=1
-    if cargo run -q --release -p fuzzy-bench --bin exp_encore -- \
-        --stats-json "$out" >/dev/null; then
-        cargo run -q --release -p fuzzy-bench --bin validate_stats -- \
-            --schema encore "$out"
-        status=$?
-    fi
-    rm -f "$out"
-    return $status
-}
-
-# Async smoke: the quick exp_async_scale sweep (every row asserts
-# parked == resumed, full completion, and that only polls and completing
-# arrives took the probe lock), schema-validated, followed by the model
-# checker's three lost-wakeup mutant pairs — no drain at all, a park
-# decided on a release word read outside the probe lock, a completing
-# arrive that skips the drain it owes: each seeded bug must be caught
-# and the real frontend must survive the same schedule space — and the
-# backend whose release word runs one arrival early, which must be caught
-# through the real frontend. Last, in release, the executor tests that
-# guard its wake and lifetime protocols: a task that panics is re-raised
-# by wait_idle, poisons the barrier it was parked on, and costs the pool
-# no worker; a wake from a foreign thread reaches a worker asleep on the
-# condvar; dropping the pool cancels a task parked on a barrier; and a
-# dropped pool is freed however its task ended, a late wake included.
-async_smoke() {
-    out="$(mktemp)" || return 1
-    status=1
-    if cargo run -q --release -p fuzzy-bench --bin exp_async_scale -- \
-        --quick --stats-json "$out" >/dev/null; then
-        if cargo run -q --release -p fuzzy-bench --bin validate_stats -- \
-            --schema async_scale "$out"; then
-            filtered_tests "-p fuzzy-check --test mutants" no_drain \
-                async_early_epoch unlocked_park completer_skips_drain &&
-                filtered_tests "--release -p fuzzy-sched" panicking \
-                    foreign_wake dropping_the_pool a_dropped_pool
-            status=$?
-        fi
-    fi
-    rm -f "$out"
-    return $status
-}
-
 # Fault smoke: the poisoning and eviction scenarios on the model checker
 # (1k DFS schedules per backend and shape at N=3; beyond this stage,
 # eviction is explored only inside the 21-25-minute check-smoke), then the
@@ -282,37 +226,6 @@ chaos_smoke() {
     return $status
 }
 
-# Net smoke: the distributed gate. First the model checker's net mutant
-# pair — the transport that forges the higher dissemination rounds must
-# be caught as a fuzzy violation, and the real NetBarrier must survive
-# the same schedule space; then the multi-process harness tests (a real
-# UDS worker mesh completing every episode, and the acceptance scenario:
-# killing one worker mid-episode poisons, not hangs, all survivors);
-# finally the quick exp_net_scale sweep — in-process loopback mesh plus
-# forked UDS worker processes — with its export schema-validated.
-net_smoke() {
-    filtered_tests "-p fuzzy-check --test mutants" \
-        net_skip_round real_net_barrier || return 1
-    cargo test -q -p fuzzy-sched --test multiproc || return 1
-    out="$(mktemp)" || return 1
-    status=1
-    if cargo run -q --release -p fuzzy-bench --bin exp_net_scale -- \
-        --quick --stats-json "$out" >/dev/null; then
-        cargo run -q --release -p fuzzy-bench --bin validate_stats -- \
-            --schema net_scale "$out"
-        status=$?
-    fi
-    rm -f "$out"
-    return $status
-}
-
-# Perf gate: quick backend-faceoff and async-scale sweeps, each
-# schema-validated and compared against its checked-in baseline (see
-# scripts/perf_gate.sh for the tolerance model).
-perf_gate() {
-    sh scripts/perf_gate.sh
-}
-
 # Ledger smoke: benchmark/ is a package of its own (own workspace, own
 # lock file), so no stage above builds or runs it, and a ledger run that
 # fails would first be seen by whoever referees a performance claim. Its
@@ -322,10 +235,38 @@ perf_gate() {
 # check, the net counters, the simulated result), leaves a declared
 # metric unreported, or exits non-zero itself; what went wrong is on
 # stderr. The numbers of a one-second run mean nothing and are dropped.
+#
+# Then the quick sweeps, each of which fails itself on a broken shape:
+# exp_backend_faceoff asserts hier beats central and counting on stall
+# probes at N = 16; exp_async_scale asserts parked == resumed and
+# drains <= polls + episodes x workers on every row (only polls and
+# completing arrives take the probe lock); exp_net_scale asserts exactly
+# ceil(log2 N) frames per arrival with zero retries on every loopback row
+# and a wedge-free UDS process mesh.
+#
+# Last, the model checker's async mutants (no drain, a backend whose
+# release word runs one arrival early, a park decided on an unlocked
+# read, a completing arrive that skips its drain) and its forged-round
+# transport mutant must each be caught while the real frontend and
+# NetBarrier survive the same schedules; in release, a task that panics
+# must neither wedge nor shrink the executor's pool, a foreign wake must
+# reach a sleeping worker, and a dropped pool must cancel its parked
+# tasks and be freed; and the multi-process harness tests (a real UDS
+# worker mesh, and killing one worker mid-episode poisons, not hangs,
+# the survivors) must pass.
 ledger_smoke() {
     cargo test -q --offline --manifest-path benchmark/Cargo.toml || return 1
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-        --seed 7 --seconds 1 >/dev/null
+        --seed 7 --seconds 1 >/dev/null || return 1
+    for bin in exp_backend_faceoff exp_async_scale exp_net_scale; do
+        cargo run -q --release -p fuzzy-bench --bin "$bin" -- --quick >/dev/null ||
+            return 1
+    done
+    filtered_tests "-p fuzzy-check --test mutants" no_drain async_early_epoch \
+        unlocked_park completer_skips_drain net_skip_round real_net_barrier &&
+        filtered_tests "--release -p fuzzy-sched" panicking \
+            foreign_wake dropping_the_pool a_dropped_pool &&
+        cargo test -q -p fuzzy-sched --test multiproc
 }
 
 want fmt && run_stage fmt cargo fmt --check
@@ -334,13 +275,9 @@ want clippy && run_stage clippy cargo clippy --workspace --all-targets -- -D war
 want test && run_stage test cargo test -q --workspace
 want tier1 && run_stage tier1 tier1_gate
 want check-smoke && run_stage check-smoke check_smoke
-want bench-smoke && run_stage bench-smoke bench_smoke
-want async-smoke && run_stage async-smoke async_smoke
 want fault-smoke && run_stage fault-smoke fault_smoke
 want fuzz-smoke && run_stage fuzz-smoke fuzz_smoke
 want chaos-smoke && run_stage chaos-smoke chaos_smoke
-want net-smoke && run_stage net-smoke net_smoke
-want perf-gate && run_stage perf-gate perf_gate
 want ledger-smoke && run_stage ledger-smoke ledger_smoke
 want doc && run_stage doc env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

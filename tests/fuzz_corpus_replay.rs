@@ -1,6 +1,7 @@
 //! Replays the checked-in fuzz regression corpus through the full
 //! differential harness. Every case in `crates/fuzz/corpus` once exposed
-//! a real compiler or calibration bug (root causes in CHANGELOG.md);
+//! a real compiler or calibration bug (root causes in CHANGES.md's PR 6
+//! entry);
 //! this test keeps those bugs fixed.
 
 use fuzzy_fuzz::corpus;
