@@ -23,7 +23,6 @@
 //! and a recovery-latency histogram (event injection to the next epoch
 //! turnover) exported in the standard `stall_hist` JSON format.
 
-use fuzzy_barrier::TopLevel;
 use fuzzy_bench::{banner, histogram_json, StatsExport, Table};
 use fuzzy_sched::{run_chaos, BarrierChoice, ChaosConfig, ChaosMode, ChaosReport};
 use fuzzy_util::Json;
@@ -34,13 +33,7 @@ const BACKENDS: [(&str, BarrierChoice); 5] = [
     ("counting", BarrierChoice::Counting),
     ("dissemination", BarrierChoice::Dissemination),
     ("tree", BarrierChoice::Tree { fan_in: 2 }),
-    (
-        "hier",
-        BarrierChoice::Hier {
-            shard_size: 2,
-            top: TopLevel::Dissemination,
-        },
-    ),
+    ("hier", BarrierChoice::Hier { shard_size: 2 }),
 ];
 
 /// Worker threads backing the async runs.

@@ -392,7 +392,7 @@ impl<S: SyncOps> Protocol<S> for MutantEarlyRelease<S> {
 /// violation, invisible to deadlock detection (every wait returns) and
 /// caught only by the ledger check. The stock
 /// [`fuzzy_barrier::HierBarrier`] guards exactly this edge: a shard epoch
-/// may only advance after the shard's leader rounds complete.
+/// may only advance to a goal its global episode word has reached.
 #[derive(Debug)]
 pub struct MutantLeaderEarlyRelease<S: SyncOps = ShadowSync> {
     shards: Vec<MutantShard<S>>,

@@ -19,7 +19,7 @@ use fuzzy_barrier::sync::{Atomic, SyncOps};
 use fuzzy_barrier::{
     AsyncBarrier, BarrierError, CentralBarrier, CountingBarrier, Deadline, DisseminationBarrier,
     GroupRegistry, HierBarrier, JoinTicket, MemberHandle, ProcMask, ReconfigBarrier, SplitBarrier,
-    StallPolicy, SubsetBarrier, Tag, TopLevel, TreeBarrier, WaitOutcome,
+    StallPolicy, SubsetBarrier, Tag, TreeBarrier, WaitOutcome,
 };
 use fuzzy_net::{LoopbackMesh, NetBarrier, NetConfig};
 use std::future::Future;
@@ -39,8 +39,8 @@ pub enum BackendKind {
     Dissemination,
     /// Combining tree, fan-in 2.
     Tree,
-    /// Hierarchical barrier: arrival shards of two members with a
-    /// dissemination top level over the shard leaders.
+    /// Hierarchical barrier: arrival shards of two members whose leaders
+    /// sign in to a combining tree.
     Hier,
 }
 
@@ -89,15 +89,10 @@ impl BackendKind {
                 DisseminationBarrier::<ShadowSync>::with_policy_in(n, policy),
             ),
             BackendKind::Tree => Arc::new(TreeBarrier::<ShadowSync>::with_fan_in_in(n, 2, policy)),
-            // Shards of two with a dissemination top keep the hierarchy
-            // non-trivial (multiple shards, leader rounds) at the small n
-            // the explorer can exhaust.
-            BackendKind::Hier => Arc::new(HierBarrier::<ShadowSync>::with_shards_in(
-                n,
-                2,
-                TopLevel::Dissemination,
-                policy,
-            )),
+            // Shards of two keep the hierarchy non-trivial (several shards,
+            // a real tree root over their leaders) at the small n the
+            // explorer can exhaust.
+            BackendKind::Hier => Arc::new(HierBarrier::<ShadowSync>::with_shards_in(n, 2, policy)),
         }
     }
 }

@@ -58,22 +58,11 @@ fn central_survives_four_participants() {
 }
 
 #[test]
-fn hier_with_tree_top_exhausts() {
-    // BackendKind::Hier pins the dissemination top; cover the tree top
-    // explicitly. n=3, shard size 2 → two shards ({0,1}, {2}) and a real
-    // root node combining the leaders.
-    use fuzzy_barrier::{HierBarrier, SplitBarrier, StallPolicy, TopLevel};
-    use fuzzy_check::{protocol_with, ShadowSync};
-    use std::sync::Arc;
-    let scenario = protocol_with("protocol/hier-tree/n3/e2", 3, 2, || {
-        Arc::new(HierBarrier::<ShadowSync>::with_shards_in(
-            3,
-            2,
-            TopLevel::Tree,
-            StallPolicy::Spin,
-        )) as Arc<dyn SplitBarrier>
-    });
-    must_exhaust(scenario, 1);
+fn hier_exhausts_three_participants_two_episodes() {
+    // n=3, shard size 2 → two shards ({0,1}, {2}) and a real root node
+    // combining the leaders, over two episodes so the re-armed shard and
+    // tree counters are exercised too.
+    must_exhaust(protocol(BackendKind::Hier, 3, 2), 1);
 }
 
 #[test]

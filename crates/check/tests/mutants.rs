@@ -496,9 +496,10 @@ fn async_early_epoch_is_caught_as_fuzzy_violation() {
 
 #[test]
 fn real_async_frontend_survives_the_early_epoch_scenario_on_every_backend() {
-    // Same scenario over the stock backends: the three that publish a
-    // release word take the watermark drain, the two cooperative ones the
-    // fixpoint sweep; neither may lose a wakeup or release early. A tenth
+    // Same scenario over the stock backends: the four that publish a
+    // release word take the watermark drain, the cooperative one
+    // (dissemination) the fixpoint sweep; neither may lose a wakeup or
+    // release early. A tenth
     // of the mutant's budget here; `scripts/ci.sh check-smoke` runs this
     // very exploration (`check --scenario async`) to the full 10k.
     for backend in fuzzy_check::BackendKind::ALL {

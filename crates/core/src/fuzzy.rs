@@ -96,7 +96,7 @@ pub trait SplitBarrier: Send + Sync {
     ///
     /// `None` (the default) means completion is per participant —
     /// cooperative backends whose `is_complete` help-drives the probed
-    /// id's rounds (dissemination, hier, the network barrier) — or that
+    /// id's rounds (dissemination, the network barrier) — or that
     /// the type is a wrapper with bookkeeping of its own; callers must
     /// then fall back to `is_complete` per token.
     fn release_epoch(&self) -> Option<u64> {

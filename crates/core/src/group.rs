@@ -12,11 +12,6 @@ use crate::tag::Tag;
 use crate::token::{ArrivalToken, WaitOutcome};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A fault-tolerant barrier group: a [`SubsetBarrier`] under its canonical
-/// name when used for dynamic membership (arrivals gated on the live mask,
-/// [`SubsetBarrier::evict`] shrinking it).
-pub type BarrierGroup<B = CentralBarrier> = SubsetBarrier<B>;
-
 /// A split-phase barrier over a subset of global participants, identified
 /// by a [`Tag`].
 ///
@@ -397,7 +392,7 @@ mod tests {
     #[test]
     fn eviction_shrinks_group_and_survivors_resync() {
         let mask: ProcMask = [2, 5, 9].into_iter().collect();
-        let g = Arc::new(BarrierGroup::new(tag(3), mask).unwrap());
+        let g = Arc::new(SubsetBarrier::new(tag(3), mask).unwrap());
         // Full-strength episode 0.
         std::thread::scope(|s| {
             for id in [2usize, 5, 9] {
@@ -432,7 +427,7 @@ mod tests {
 
     #[test]
     fn evict_guards_and_live_mask_restore() {
-        let g = BarrierGroup::new(tag(1), ProcMask::first_n(2)).unwrap();
+        let g = SubsetBarrier::new(tag(1), ProcMask::first_n(2)).unwrap();
         assert_eq!(
             g.evict(7).unwrap_err(),
             BarrierError::NotAParticipant { id: 7 }
@@ -484,14 +479,14 @@ mod tests {
             }
         }
         let mask: ProcMask = [0, 1].into_iter().collect();
-        let g = BarrierGroup::from_backend(tag(1), mask, NoEvict(CentralBarrier::new(2))).unwrap();
+        let g = SubsetBarrier::from_backend(tag(1), mask, NoEvict(CentralBarrier::new(2))).unwrap();
         assert_eq!(g.evict(0).unwrap_err(), BarrierError::EvictionUnsupported);
         assert!(g.live_mask().contains(0), "live bit restored on refusal");
     }
 
     #[test]
     fn poison_flows_through_group() {
-        let g = Arc::new(BarrierGroup::new(tag(2), ProcMask::first_n(2)).unwrap());
+        let g = Arc::new(SubsetBarrier::new(tag(2), ProcMask::first_n(2)).unwrap());
         std::thread::scope(|s| {
             let g0 = Arc::clone(&g);
             s.spawn(move || {

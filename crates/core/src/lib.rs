@@ -52,9 +52,9 @@
 //! * [`DisseminationBarrier`] — O(log n) rounds, no single hot word,
 //! * [`TreeBarrier`] — combining tree with configurable fan-in,
 //! * [`HierBarrier`] — topology-aware hierarchy: cache-line-sharded
-//!   arrival words, a configurable leader protocol over shards
-//!   (dissemination or tree), per-shard release broadcast, and an
-//!   adaptive stall policy by default.
+//!   arrival words, shard leaders signing in to a combining tree over
+//!   shards, per-shard release broadcast, and an adaptive stall policy by
+//!   default.
 //!
 //! All five are type aliases of one generic episode core,
 //! [`episode::Barrier`], over a small [`episode::Protocol`] — how an
@@ -106,8 +106,8 @@ pub use episode::{Barrier, Cx, FlatProtocol, Protocol};
 pub use error::BarrierError;
 pub use failure::Deadline;
 pub use fuzzy::{FuzzyBarrier, SplitBarrier};
-pub use group::{BarrierGroup, SubsetBarrier};
-pub use hier::{HierBarrier, TopLevel};
+pub use group::SubsetBarrier;
+pub use hier::HierBarrier;
 pub use mask::ProcMask;
 pub use reconfig::{
     ActivationFuture, JoinTicket, MemberHandle, ReconfigBarrier, ReconfigFuture, ReconfigToken,

@@ -6,7 +6,7 @@
 //! `join` and `leave` requests are **staged in a lock-free pending set**
 //! and applied **atomically at episode boundaries** — the last arriver of
 //! epoch *e* (the winner of a monotone `fetch_max` claim, the same RMW
-//! idiom the eviction packing and the hierarchical leader election use)
+//! idiom the eviction flags and the dissemination completion word use)
 //! installs the new membership for epoch *e+1* before anyone can arrive
 //! for it.
 //!
@@ -508,8 +508,8 @@ impl<S: SyncOps> ReconfigBarrier<S> {
         deadline: Deadline,
     ) -> Result<WaitOutcome, BarrierError> {
         let e = token.epoch;
-        // No `epoch > e` fast path here, deliberately. On cooperative
-        // backends (dissemination, hier) a member's later-round signals
+        // No `epoch > e` fast path here, deliberately. On a cooperative
+        // backend (dissemination) a member's later-round signals
         // are sent only by its own wait probes; peers block on them. A
         // wait that returned on the publication alone — reachable when a
         // bounded wait times out mid-rounds and the retry lands after the
@@ -836,7 +836,7 @@ impl<S: SyncOps> Future for ReconfigFuture<S> {
                     return Poll::Pending;
                 }
             } else {
-                // Cooperative backends (dissemination, hier) advance this
+                // A cooperative backend (dissemination) advances this
                 // member's rounds only through its own probes; parking now
                 // — possibly with every peer parked too — would deadlock.
                 // Yield through the executor instead: the re-poll probes
@@ -920,7 +920,7 @@ mod tests {
     use super::*;
     use crate::centralized::CentralBarrier;
     use crate::dissemination::DisseminationBarrier;
-    use crate::hier::{HierBarrier, TopLevel};
+    use crate::hier::HierBarrier;
 
     fn central_factory(n: usize) -> Arc<dyn SplitBarrier> {
         Arc::new(CentralBarrier::with_policy(n, StallPolicy::yielding()))
@@ -1120,7 +1120,7 @@ mod tests {
     }
 
     #[test]
-    fn works_over_cooperative_backends() {
+    fn works_over_dissemination_and_hier() {
         for factory in [
             (|n| {
                 Arc::new(DisseminationBarrier::with_policy(
@@ -1128,14 +1128,7 @@ mod tests {
                     StallPolicy::yielding(),
                 )) as _
             }) as fn(usize) -> Arc<dyn SplitBarrier>,
-            |n| {
-                Arc::new(HierBarrier::with_shards(
-                    n,
-                    2,
-                    TopLevel::Dissemination,
-                    StallPolicy::yielding(),
-                )) as _
-            },
+            |n| Arc::new(HierBarrier::with_shards(n, 2, StallPolicy::yielding())) as _,
         ] {
             let (b, handles) = ReconfigBarrier::new(6, 3, factory);
             let b = Arc::new(b);

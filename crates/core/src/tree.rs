@@ -38,7 +38,7 @@ pub struct Tree<S: SyncOps> {
 }
 
 /// The tree of count-down nodes itself, over `n` contributors: the
-/// participants here, the shards under [`crate::HierBarrier`]'s tree top.
+/// participants here, the shards under [`crate::HierBarrier`].
 /// The root's last arriver publishes into an episode word its owner keeps.
 #[derive(Debug)]
 pub(crate) struct CombiningTree<S: SyncOps> {

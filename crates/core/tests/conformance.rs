@@ -12,7 +12,7 @@
 use fuzzy_barrier::{
     ArrivalToken, AsyncBarrier, Barrier, BarrierError, CentralBarrier, CountingBarrier, Cx,
     Deadline, DisseminationBarrier, FlatProtocol, HierBarrier, Protocol, RealSync, SplitBarrier,
-    StallPolicy, TopLevel, TreeBarrier,
+    StallPolicy, TreeBarrier,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -65,8 +65,8 @@ impl FlatProtocol<RealSync> for Flags {
     }
 }
 
-/// Every backend and shape: both tree fan-ins; both hier tops at shard
-/// size 1 (pure top level), 2 and ≥ n (one centralized shard); the worked
+/// Every backend and shape: both tree fan-ins; hier at shard size 1 (a
+/// pure tree over shards), 2 and ≥ n (one centralized shard); the worked
 /// example; and the async frontend, driven through the sync trait only,
 /// over a uniform-release and a cooperative backend.
 const SHAPES: &[(&str, Build)] = &[
@@ -85,28 +85,14 @@ const SHAPES: &[(&str, Build)] = &[
     ("tree/k3", |n, p| {
         Arc::new(TreeBarrier::with_fan_in(n, 3, p))
     }),
-    ("hier/dissemination/s1", |n, p| {
-        Arc::new(HierBarrier::with_shards(n, 1, TopLevel::Dissemination, p))
+    ("hier/s1", |n, p| {
+        Arc::new(HierBarrier::with_shards(n, 1, p))
     }),
-    ("hier/dissemination/s2", |n, p| {
-        Arc::new(HierBarrier::with_shards(n, 2, TopLevel::Dissemination, p))
+    ("hier/s2", |n, p| {
+        Arc::new(HierBarrier::with_shards(n, 2, p))
     }),
-    ("hier/dissemination/sn", |n, p| {
-        Arc::new(HierBarrier::with_shards(
-            n,
-            usize::MAX,
-            TopLevel::Dissemination,
-            p,
-        ))
-    }),
-    ("hier/tree/s1", |n, p| {
-        Arc::new(HierBarrier::with_shards(n, 1, TopLevel::Tree, p))
-    }),
-    ("hier/tree/s2", |n, p| {
-        Arc::new(HierBarrier::with_shards(n, 2, TopLevel::Tree, p))
-    }),
-    ("hier/tree/sn", |n, p| {
-        Arc::new(HierBarrier::with_shards(n, usize::MAX, TopLevel::Tree, p))
+    ("hier/sn", |n, p| {
+        Arc::new(HierBarrier::with_shards(n, usize::MAX, p))
     }),
     ("example/flags", |n, p| {
         Arc::new(Barrier::<Flags>::with_policy(n, p))
@@ -137,9 +123,10 @@ fn panic_message(what: &str, f: impl FnOnce()) -> String {
         .unwrap_or_default()
 }
 
-/// Probes the tokens round-robin until every one reports completion. The
-/// cooperative backends advance a participant's rounds only inside that
-/// participant's own probes, so a single thread standing in for all of
+/// Probes the tokens round-robin until every one reports completion. A
+/// cooperative backend (dissemination) advances a participant's rounds
+/// only inside that participant's own probes, so a single thread standing
+/// in for all of
 /// them must keep sweeping; a complete episode is found within a few
 /// sweeps on every backend.
 fn probe_until_complete(name: &str, b: &dyn SplitBarrier, tokens: &[ArrivalToken]) {
@@ -414,9 +401,7 @@ fn leave_counts_as_an_arrival_and_shrinks_the_barrier() {
     check_leave("dissemination", &DisseminationBarrier::with_policy(3, p));
     check_leave("tree", &TreeBarrier::with_fan_in(3, 2, p));
     check_leave("example/flags", &Barrier::<Flags>::with_policy(3, p));
-    for top in [TopLevel::Dissemination, TopLevel::Tree] {
-        check_leave("hier", &HierBarrier::with_shards(3, 2, top, p));
-    }
+    check_leave("hier", &HierBarrier::with_shards(3, 2, p));
 }
 
 /// Regression: the eviction guard under concurrent evictions. All `n`

@@ -6,7 +6,7 @@
 
 use fuzzy_barrier::{
     CentralBarrier, CountingBarrier, DisseminationBarrier, GroupRegistry, HierBarrier, ProcMask,
-    SplitBarrier, StallPolicy, Tag, TopLevel, TreeBarrier,
+    SplitBarrier, StallPolicy, Tag, TreeBarrier,
 };
 use fuzzy_util::SplitMix64;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,11 +106,11 @@ fn tree_barrier_is_safe() {
 
 #[test]
 fn hier_barrier_is_safe() {
-    // Random non-power-of-two group sizes and shard sizes, both top
-    // levels, both stall policies — including the degenerate shapes:
-    // shard size 1 (every participant its own leader: the hierarchy
-    // collapses to the pure top-level protocol) and shard size >= n (one
-    // shard: the top level collapses to a no-op release).
+    // Random non-power-of-two group sizes and shard sizes, both stall
+    // policies — including the degenerate shapes: shard size 1 (every
+    // participant its own leader: the hierarchy collapses to a pure
+    // combining tree) and shard size >= n (one shard: the tree collapses
+    // to a single root node).
     let mut rng = SplitMix64::seed_from_u64(0x41E2);
     for case in 0..16 {
         let (n, delays) = random_case(&mut rng);
@@ -119,18 +119,13 @@ fn hier_barrier_is_safe() {
             1 => n, // single-shard degenerate
             _ => 1 + rng.below(n.max(1)),
         };
-        let top = if rng.chance(0.5) {
-            TopLevel::Dissemination
-        } else {
-            TopLevel::Tree
-        };
         let policy = if rng.chance(0.5) {
             StallPolicy::adaptive()
         } else {
             StallPolicy::default()
         };
         exercise_backend(
-            HierBarrier::with_shards(n, shard_size, top, policy),
+            HierBarrier::with_shards(n, shard_size, policy),
             n,
             40,
             &delays,
@@ -230,12 +225,7 @@ fn backends_agree_on_episode_counts() {
         Box::new(DisseminationBarrier::new(n)),
         Box::new(TreeBarrier::new(n)),
         Box::new(HierBarrier::new(n)),
-        Box::new(HierBarrier::with_shards(
-            n,
-            2,
-            TopLevel::Tree,
-            StallPolicy::default(),
-        )),
+        Box::new(HierBarrier::with_shards(n, 2, StallPolicy::default())),
     ];
     for b in &backends {
         let b = &**b;

@@ -1,12 +1,12 @@
 //! The [`SplitBarrier::release_epoch`] contract: `Some(k)` means that for
 //! every participant id `is_complete(token(id, e)) == (e < k)`. Checked at
 //! every quiescent point of a single-threaded walk through arrivals,
-//! eviction, `leave` and poison on the three backends that publish a
-//! release word; the cooperative backends and the wrappers must say `None`.
+//! eviction, `leave` and poison on the four backends that publish a
+//! release word; the cooperative backend and the wrappers must say `None`.
 
 use fuzzy_barrier::{
     ArrivalToken, AsyncBarrier, CentralBarrier, CountingBarrier, DisseminationBarrier,
-    FuzzyBarrier, HierBarrier, SplitBarrier, TreeBarrier,
+    FuzzyBarrier, HierBarrier, SplitBarrier, StallPolicy, TreeBarrier,
 };
 use std::sync::Arc;
 
@@ -89,6 +89,18 @@ fn release_word_agrees_with_is_complete_on_uniform_release_backends() {
         walk("central", &CentralBarrier::new(n));
         walk("counting", &CountingBarrier::new(n));
         walk("tree", &TreeBarrier::new(n));
+        walk("hier", &HierBarrier::new(n));
+        // At n = 5 the shards are {0,1},{2,3},{4}: evicting 4 empties
+        // its shard, which the tree then shrinks out.
+        walk(
+            "hier/2",
+            &HierBarrier::with_shards(n, 2, StallPolicy::default()),
+        );
+        // Singleton shards: every eviction empties one.
+        walk(
+            "hier/1",
+            &HierBarrier::with_shards(n, 1, StallPolicy::default()),
+        );
         walk("fuzzy(central)", &FuzzyBarrier::new(n));
         let shared: Arc<dyn SplitBarrier> = Arc::new(CountingBarrier::new(n));
         walk("arc(counting)", &shared);
@@ -114,7 +126,6 @@ fn release_word_survives_central_leave() {
 fn cooperative_backends_and_wrappers_publish_no_release_word() {
     let n = 4;
     assert_eq!(DisseminationBarrier::new(n).release_epoch(), None);
-    assert_eq!(HierBarrier::new(n).release_epoch(), None);
     let shared: Arc<dyn SplitBarrier> = Arc::new(DisseminationBarrier::new(n));
     assert_eq!(shared.release_epoch(), None);
     // A wrapper with bookkeeping of its own keeps `None` even over a

@@ -7,7 +7,7 @@ use fuzzy_barrier::reconfig::ReconfigBarrier;
 use fuzzy_barrier::stats::SPREAD_SAMPLE_PERIOD;
 use fuzzy_barrier::{
     CentralBarrier, CountingBarrier, DisseminationBarrier, FuzzyBarrier, HierBarrier, SplitBarrier,
-    StallPolicy, TelemetrySnapshot, TopLevel, TreeBarrier,
+    StallPolicy, TelemetrySnapshot, TreeBarrier,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -91,19 +91,7 @@ fn all_backends_report_identical_episode_and_arrival_counts() {
             ("dissemination", Box::new(DisseminationBarrier::new(n))),
             ("tree", Box::new(TreeBarrier::new(n))),
             ("hier", Box::new(HierBarrier::new(n))),
-            (
-                "hier/2 dissemination top",
-                Box::new(HierBarrier::with_shards(
-                    n,
-                    2,
-                    TopLevel::Dissemination,
-                    yielding,
-                )),
-            ),
-            (
-                "hier/2 tree top",
-                Box::new(HierBarrier::with_shards(n, 2, TopLevel::Tree, yielding)),
-            ),
+            ("hier/2", Box::new(HierBarrier::with_shards(n, 2, yielding))),
             ("fuzzy", Box::new(FuzzyBarrier::new(n))),
         ];
         for (name, b) in &backends {

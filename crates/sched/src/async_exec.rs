@@ -504,7 +504,7 @@ pub fn run_async_episodes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fuzzy_barrier::{BarrierError, CentralBarrier, Deadline, TopLevel};
+    use fuzzy_barrier::{BarrierError, CentralBarrier, Deadline};
     use std::sync::{mpsc, Weak};
 
     #[test]
@@ -545,14 +545,7 @@ mod tests {
             BarrierChoice::Counting,
             BarrierChoice::Dissemination,
             BarrierChoice::Tree { fan_in: 2 },
-            BarrierChoice::Hier {
-                shard_size: 4,
-                top: TopLevel::Dissemination,
-            },
-            BarrierChoice::Hier {
-                shard_size: 4,
-                top: TopLevel::Tree,
-            },
+            BarrierChoice::Hier { shard_size: 4 },
         ];
         for choice in choices {
             let report = run_async_episodes(3, 16, 2, 2, choice, StallPolicy::Spin, 11);

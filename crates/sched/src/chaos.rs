@@ -827,7 +827,6 @@ pub fn run_net_chaos(config: NetChaosConfig) -> NetChaosReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fuzzy_barrier::TopLevel;
 
     #[test]
     fn threaded_smoke_survives_churn() {
@@ -916,10 +915,7 @@ mod tests {
     fn tree_and_hier_backends_survive_smoke() {
         for backend in [
             BarrierChoice::Tree { fan_in: 2 },
-            BarrierChoice::Hier {
-                shard_size: 2,
-                top: TopLevel::Dissemination,
-            },
+            BarrierChoice::Hier { shard_size: 2 },
         ] {
             let r = run_chaos(ChaosConfig::smoke(backend, ChaosMode::Threaded, 3));
             assert!(r.agreement, "{backend:?}");

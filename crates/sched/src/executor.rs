@@ -10,7 +10,7 @@ use crate::self_sched::{ChunkPolicy, WorkQueue};
 use crate::static_sched::Assignment;
 use fuzzy_barrier::{
     CentralBarrier, CountingBarrier, DisseminationBarrier, HierBarrier, SplitBarrier, StallPolicy,
-    TopLevel, TreeBarrier,
+    TreeBarrier,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -175,8 +175,6 @@ pub enum BarrierChoice {
     Hier {
         /// Participants per arrival shard (≥ 1).
         shard_size: usize,
-        /// Leader protocol across shards.
-        top: TopLevel,
     },
 }
 
@@ -198,8 +196,8 @@ impl BarrierChoice {
             BarrierChoice::Tree { fan_in } => {
                 Arc::new(TreeBarrier::with_fan_in(procs, fan_in, policy))
             }
-            BarrierChoice::Hier { shard_size, top } => {
-                Arc::new(HierBarrier::with_shards(procs, shard_size, top, policy))
+            BarrierChoice::Hier { shard_size } => {
+                Arc::new(HierBarrier::with_shards(procs, shard_size, policy))
             }
         }
     }
@@ -383,14 +381,7 @@ mod tests {
             BarrierChoice::Counting,
             BarrierChoice::Dissemination,
             BarrierChoice::Tree { fan_in: 2 },
-            BarrierChoice::Hier {
-                shard_size: 2,
-                top: TopLevel::Dissemination,
-            },
-            BarrierChoice::Hier {
-                shard_size: 2,
-                top: TopLevel::Tree,
-            },
+            BarrierChoice::Hier { shard_size: 2 },
         ];
         for choice in choices {
             let report = run_threaded_with(
