@@ -6,22 +6,22 @@
 //! every split-phase backend over the processor count and measures what
 //! that cost actually looks like on a real (oversubscribed) thread
 //! library: mean stall probes per episode, total stall time and arrival
-//! spread. The [`fuzzy_barrier::HierBarrier`] rows run with the adaptive
-//! stall policy (its default), the flat rows with `StallPolicy::default()`.
+//! spread. The [`fuzzy_barrier::HierBarrier`] rows spin
+//! [`HIER_SPIN_LIMIT`] (32) probes before yielding, the flat rows
+//! `StallPolicy::default()`'s 1,024.
 //!
 //! Invariant asserted on both sweeps (and recorded in the export): at
 //! every `N >= 16` the best hierarchical configuration spends strictly
 //! fewer probes per episode than both `CentralBarrier` and
 //! `CountingBarrier`.
 //!
-//! What that gap measures is the **spin budget, not the sharding**. On an
-//! oversubscribed host most waits are long, so the adaptive budget sits
-//! at its floor of 32 probes before yielding, while the flat default
-//! spins 1,024. With both hier contenders switched to
-//! `StallPolicy::default()` (2-core host, three `--quick` runs), best hier
-//! at N = 16 read 15,568 / 15,597 / 15,736 probes per episode against
-//! central's 15,566 / 15,502 / 15,913, and the assertion failed in two of
-//! the three runs. The rule that sizes the budget is ROADMAP item 4.
+//! What that gap measures is **a 32-probe spin budget against 1,024, not
+//! the sharding**. On an oversubscribed host most waits are long, so every
+//! probe spent spinning before the yield is wasted. With both hier
+//! contenders on `StallPolicy::default()` (2-core host, three `--quick`
+//! runs), best hier at N = 16 read 15,568 / 15,597 / 15,736 probes per
+//! episode against central's 15,566 / 15,502 / 15,913, and the assertion
+//! failed in two of the three runs.
 //!
 //! ```text
 //! exp_backend_faceoff [--quick] [--stats-json <path>]
@@ -44,6 +44,8 @@ const QUICK_EPISODES: usize = 512;
 const MIN_SPREAD_SAMPLES: u64 = 8;
 const ITER_COST: u64 = 8;
 const REGION_UNITS: u64 = 4;
+/// Spin probes before yielding for the hier rows.
+const HIER_SPIN_LIMIT: u32 = 32;
 
 /// One backend configuration in the sweep.
 struct Contender {
@@ -56,6 +58,9 @@ struct Contender {
 
 fn contenders() -> Vec<Contender> {
     let flat = StallPolicy::default();
+    let short = StallPolicy::SpinYield {
+        spin_limit: HIER_SPIN_LIMIT,
+    };
     vec![
         Contender {
             label: "central",
@@ -85,13 +90,13 @@ fn contenders() -> Vec<Contender> {
             label: "hier/4",
             shard_size: 4,
             choice: BarrierChoice::Hier { shard_size: 4 },
-            policy: StallPolicy::adaptive(),
+            policy: short,
         },
         Contender {
             label: "hier/8",
             shard_size: 8,
             choice: BarrierChoice::Hier { shard_size: 8 },
-            policy: StallPolicy::adaptive(),
+            policy: short,
         },
     ]
 }
@@ -160,7 +165,7 @@ fn main() {
     let quick = quick_arg("exp_backend_faceoff");
     let mut export = StatsExport::from_env("backend_faceoff");
     banner(
-        "E15: backend face-off — hierarchical sharding + adaptive stalls",
+        "E15: backend face-off — hierarchical sharding on a 32-probe spin budget",
         "Sec. 1 cost claims of Gupta, ASPLOS 1989",
     );
     let (ns, episodes): (&[usize], usize) = if quick {
@@ -170,7 +175,8 @@ fn main() {
     };
     println!(
         "\n{episodes} episodes per configuration, {} work units + {REGION_UNITS} region units\n\
-         per processor per episode; hier rows use the adaptive stall policy.\n",
+         per processor per episode; hier rows spin {HIER_SPIN_LIMIT} probes before yielding,\n\
+         the flat rows 1,024.\n",
         ITER_COST
     );
 
@@ -201,8 +207,8 @@ fn main() {
     }
     println!("{}", t.render());
 
-    // The gap is the adaptive spin budget's, not the sharding's (module
-    // doc).
+    // The gap is the spin budget's, 32 probes against 1,024, not the
+    // sharding's (module doc).
     let mut asserted_at: Vec<usize> = Vec::new();
     let mut beats_counting = true;
     let mut beats_central = true;

@@ -328,12 +328,9 @@ impl<P: Protocol<S>, S: SyncOps> SplitBarrier for Barrier<P, S> {
         token: ArrivalToken,
         deadline: Deadline,
     ) -> Result<WaitOutcome, BarrierError> {
-        // Adaptive policies become a concrete budget sized by this
-        // participant's wait-cost history; everything else passes through.
-        let policy = self.shared.stats.resolve_policy(token.id, self.policy);
         let cx = self.cx(token.id);
         let result = failure::guarded_wait::<S>(
-            policy,
+            self.policy,
             deadline,
             token.episode,
             || self.protocol.released(token.id, token.episode, &cx),

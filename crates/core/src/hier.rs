@@ -56,11 +56,11 @@ struct Shard<S: SyncOps> {
 /// only when full, so the root completes an episode only after every live
 /// member of every live shard has arrived for it.
 ///
-/// [`HierBarrier::new`] pairs the hierarchy with
-/// [`StallPolicy::adaptive`], whose budget stops paying long spins when
-/// waits are long anyway. On an oversubscribed host that budget, not the
-/// sharding, is what puts hier ahead of the flat backends on stall probes
-/// (EXPERIMENTS.md E15).
+/// [`HierBarrier::new`] waits under [`StallPolicy::default`], like every
+/// other backend. On an oversubscribed host the spin budget, not the
+/// sharding, decides stall probes: E15's face-off runs hier on 32 probes
+/// against the flat backends' 1,024, and on equal budgets the two read
+/// alike (EXPERIMENTS.md E15).
 ///
 /// # Examples
 ///
@@ -93,15 +93,14 @@ impl HierBarrier {
     pub const DEFAULT_SHARD_SIZE: usize = 8;
 
     /// Creates a hierarchical barrier for `n` participants with the
-    /// default shard size and — unlike the flat backends —
-    /// [`StallPolicy::adaptive`], this backend's canonical configuration.
+    /// default shard size and the default [`StallPolicy`].
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        Self::with_policy(n, StallPolicy::adaptive())
+        Self::with_policy(n, StallPolicy::default())
     }
 
     /// Creates a barrier with an explicit [`StallPolicy`] (default shard
@@ -285,9 +284,9 @@ mod tests {
     }
 
     #[test]
-    fn default_configuration_is_adaptive() {
+    fn default_configuration_uses_the_default_policy() {
         let b = HierBarrier::new(20);
-        assert!(matches!(b.policy(), StallPolicy::Adaptive { .. }));
+        assert_eq!(b.policy(), StallPolicy::default());
         assert_eq!(b.shard_size(), HierBarrier::DEFAULT_SHARD_SIZE);
         assert_eq!(b.shard_count(), 3);
         assert_eq!(b.release_epoch(), Some(0));
@@ -347,28 +346,6 @@ mod tests {
             assert_eq!(s.arrivals, episodes * n as u64);
             assert_eq!(s.waits, episodes * n as u64);
         }
-    }
-
-    #[test]
-    fn adaptive_policy_end_to_end() {
-        // The default (adaptive) configuration, multi-threaded: budgets
-        // resolve per wait from live history without disturbing counts.
-        let n = 6;
-        let b = Arc::new(HierBarrier::with_shards(n, 2, StallPolicy::adaptive()));
-        std::thread::scope(|s| {
-            for id in 0..n {
-                let b = Arc::clone(&b);
-                s.spawn(move || {
-                    for e in 0..100u64 {
-                        let t = b.arrive(id);
-                        assert_eq!(b.wait(t).episode, e);
-                    }
-                });
-            }
-        });
-        let t = b.telemetry();
-        assert_eq!(t.base.episodes, 100);
-        assert_eq!(t.adaptive.observations, 100 * n as u64);
     }
 
     #[test]

@@ -53,8 +53,7 @@
 //! * [`TreeBarrier`] — combining tree with configurable fan-in,
 //! * [`HierBarrier`] — topology-aware hierarchy: cache-line-sharded
 //!   arrival words, shard leaders signing in to a combining tree over
-//!   shards, per-shard release broadcast, and an adaptive stall policy by
-//!   default.
+//!   shards, and per-shard release broadcast.
 //!
 //! All five are type aliases of one generic episode core,
 //! [`episode::Barrier`], over a small [`episode::Protocol`] — how an
@@ -113,10 +112,10 @@ pub use reconfig::{
     ActivationFuture, JoinTicket, MemberHandle, ReconfigBarrier, ReconfigFuture, ReconfigToken,
 };
 pub use registry::GroupRegistry;
-pub use spin::{AdaptiveSpin, StallPolicy};
+pub use spin::StallPolicy;
 pub use stats::{
-    AdaptiveSnapshot, AsyncSnapshot, HistogramSnapshot, NetSnapshot, NetStats, ParticipantSnapshot,
-    PeerLinkSnapshot, SpreadSnapshot, StallHistogram, StatsSnapshot, TelemetrySnapshot,
+    AsyncSnapshot, HistogramSnapshot, NetSnapshot, NetStats, ParticipantSnapshot, PeerLinkSnapshot,
+    SpreadSnapshot, StallHistogram, StatsSnapshot, TelemetrySnapshot,
 };
 pub use sync::{Atomic, Lock, RealSync, SyncOps, TicketGuard, TicketLock};
 pub use tag::Tag;

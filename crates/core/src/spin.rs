@@ -3,11 +3,12 @@
 //! The paper's Sec. 8 observes that on the Encore Multimax "the cost of
 //! barrier synchronization is mainly due to context saves and restores for
 //! the tasks that must be stalled". [`StallPolicy`] lets experiments model
-//! that spectrum: pure spinning (cheap stall, the hardware-like case),
-//! spin-then-yield, and spin-then-park (expensive stall, the Encore-like
-//! case where a stall implies a context switch).
+//! that spectrum with three policies: pure spinning (cheap stall, the
+//! hardware-like case), spin-then-yield, and spin-then-park (expensive
+//! stall, the Encore-like case where a stall implies a context switch).
+//! A wait runs exactly the policy its barrier was built with; no history
+//! of earlier waits sizes the budget.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// How a participant waits once it has exhausted its barrier region and
@@ -33,30 +34,11 @@ pub enum StallPolicy {
         /// How long each park slice lasts.
         park_interval: Duration,
     },
-    /// Size the spin budget from an EWMA of recent wait costs: spin when
-    /// recent waits have been short (the budget grows to cover them),
-    /// escalate to yielding almost immediately when they have been long
-    /// (spinning through a wait that dwarfs a context switch buys
-    /// nothing — the Sec. 8 trade-off, decided per participant at
-    /// runtime).
-    ///
-    /// The history lives in one [`AdaptiveSpin`] accumulator per
-    /// participant, in the barrier's statistics; backends resolve this
-    /// variant against the waiter's own history to a concrete `SpinYield`
-    /// budget before each wait. Passed directly to
-    /// [`wait_until_budget`] (no accumulator in sight) it degrades to
-    /// `SpinYield { spin_limit: max_spin }`.
-    Adaptive {
-        /// Smallest spin budget the EWMA may shrink the policy to.
-        min_spin: u32,
-        /// Largest spin budget the EWMA may grow the policy to; also the
-        /// optimistic budget used before any wait has been observed.
-        max_spin: u32,
-    },
 }
 
 impl StallPolicy {
-    /// A spin-then-yield policy with a reasonable default spin budget.
+    /// A spin-then-yield policy that spins 1,024 probes before yielding:
+    /// the [`Default`] policy.
     #[must_use]
     pub fn yielding() -> Self {
         StallPolicy::SpinYield {
@@ -73,23 +55,11 @@ impl StallPolicy {
             park_interval: Duration::from_micros(50),
         }
     }
-
-    /// An adaptive policy with a reasonable budget range: between 32 and
-    /// 4096 spin probes, sized per wait by the barrier's recent history.
-    #[must_use]
-    pub fn adaptive() -> Self {
-        StallPolicy::Adaptive {
-            min_spin: 1 << 5,
-            max_spin: 1 << 12,
-        }
-    }
 }
 
 impl Default for StallPolicy {
     fn default() -> Self {
-        StallPolicy::SpinYield {
-            spin_limit: 1 << 10,
-        }
+        Self::yielding()
     }
 }
 
@@ -193,14 +163,7 @@ pub fn wait_until_budget(
     loop {
         match policy {
             StallPolicy::Spin => std::hint::spin_loop(),
-            StallPolicy::SpinYield { spin_limit }
-            | StallPolicy::Adaptive {
-                // No accumulator here: fall back to the policy's widest
-                // (most optimistic) budget and let yielding bound the
-                // damage, exactly a `SpinYield { spin_limit: max_spin }`.
-                max_spin: spin_limit,
-                ..
-            } => {
+            StallPolicy::SpinYield { spin_limit } => {
                 if probes < u64::from(spin_limit) {
                     std::hint::spin_loop();
                 } else {
@@ -248,133 +211,6 @@ pub fn wait_until_budget(
         descheduled,
         waited: start.map_or(Duration::ZERO, |s| s.elapsed()),
         timed_out,
-    }
-}
-
-/// Wait-cost history backing [`StallPolicy::Adaptive`]: integer EWMAs of
-/// recent per-wait probe counts and descheduled stall time, updated by the
-/// statistics layer after every completed wait and consulted by backends
-/// to size the *next* wait's spin budget.
-///
-/// Each participant owns one (inside its statistics cell), so a history
-/// describes the waits of the participant whose budget it sizes and has a
-/// single writer. Every update is therefore a plain load and store, never
-/// a read-modify-write. Shared between threads — the participant-blind
-/// fallback — concurrent observers may fold against the same previous
-/// value and lose one update, count included. That is deliberate: this is
-/// a sizing heuristic, not synchronization, and it sits outside the
-/// `SyncOps` model so the shadow-sync model checker never schedules
-/// against it.
-#[derive(Debug, Default)]
-pub struct AdaptiveSpin {
-    /// EWMA of per-wait predicate probes (weight 1/2^[`Self::EWMA_SHIFT`]),
-    /// stored in fixed-point: the real value shifted left by
-    /// [`Self::EWMA_SHIFT`]. Keeping the fractional bits matters: folding
-    /// in integer units would drop any sample below `2^EWMA_SHIFT` on the
-    /// way in *and* leave the decay term `prev >> EWMA_SHIFT` stuck at zero
-    /// once the average fell below `2^EWMA_SHIFT`, freezing short-wait
-    /// history.
-    ewma_probes: AtomicU64,
-    /// EWMA of per-wait stall time in nanoseconds, same weight and same
-    /// fixed-point representation.
-    ewma_stall_nanos: AtomicU64,
-    /// Number of waits folded in so far.
-    observations: AtomicU64,
-}
-
-impl AdaptiveSpin {
-    /// EWMA weight: each new sample contributes 1/8, so the history spans
-    /// roughly the last dozen waits — long enough to smooth jitter, short
-    /// enough to track a phase change within an episode or two.
-    pub const EWMA_SHIFT: u32 = 3;
-
-    /// Stalls longer than this (50 µs — context-switch scale) are not
-    /// worth covering by spinning at all: the budget collapses to
-    /// `min_spin` so the waiter deschedules almost immediately.
-    pub const SPIN_WORTH_NANOS: u64 = 50_000;
-
-    /// A fresh accumulator with no history.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one completed wait (its probe count and stall time) into the
-    /// history. The first observation seeds the EWMAs directly so the
-    /// policy does not spend its warm-up decaying from zero.
-    pub fn observe(&self, probes: u64, stall_nanos: u64) {
-        let seen = self.observations.load(Ordering::Relaxed);
-        self.observations
-            .store(seen.wrapping_add(1), Ordering::Relaxed);
-        if seen == 0 {
-            self.ewma_probes
-                .store(probes << Self::EWMA_SHIFT, Ordering::Relaxed);
-            self.ewma_stall_nanos
-                .store(stall_nanos << Self::EWMA_SHIFT, Ordering::Relaxed);
-            return;
-        }
-        // In fixed-point (value × 2^EWMA_SHIFT) the fold
-        //   next = prev − prev/2^s + sample
-        // is exactly next_real = (1 − 1/2^s)·prev_real + sample/2^s with
-        // the fractional bits retained, so a run of small samples decays
-        // the average all the way down instead of freezing at 2^s.
-        let fold = |cell: &AtomicU64, sample: u64| {
-            let prev = cell.load(Ordering::Relaxed);
-            let shifted = prev - (prev >> Self::EWMA_SHIFT) + sample;
-            cell.store(shifted, Ordering::Relaxed);
-        };
-        fold(&self.ewma_probes, probes);
-        fold(&self.ewma_stall_nanos, stall_nanos);
-    }
-
-    /// Current probe-count EWMA.
-    #[must_use]
-    pub fn ewma_probes(&self) -> u64 {
-        self.ewma_probes.load(Ordering::Relaxed) >> Self::EWMA_SHIFT
-    }
-
-    /// Current stall-time EWMA.
-    #[must_use]
-    pub fn ewma_stall(&self) -> Duration {
-        Duration::from_nanos(self.ewma_stall_nanos.load(Ordering::Relaxed) >> Self::EWMA_SHIFT)
-    }
-
-    /// Number of waits observed so far.
-    #[must_use]
-    pub fn observations(&self) -> u64 {
-        self.observations.load(Ordering::Relaxed)
-    }
-
-    /// The spin budget the history recommends, clamped to
-    /// `[min_spin, max_spin]`: optimistic (`max_spin`) before any wait has
-    /// been seen, `min_spin` once stalls run past
-    /// [`Self::SPIN_WORTH_NANOS`], and twice the probe EWMA in between
-    /// (enough headroom to absorb a typical wait without descheduling).
-    #[must_use]
-    pub fn spin_budget(&self, min_spin: u32, max_spin: u32) -> u32 {
-        if self.observations() == 0 {
-            return max_spin;
-        }
-        if self.ewma_stall_nanos.load(Ordering::Relaxed) >> Self::EWMA_SHIFT
-            > Self::SPIN_WORTH_NANOS
-        {
-            return min_spin;
-        }
-        let want = self.ewma_probes().saturating_mul(2);
-        want.clamp(u64::from(min_spin), u64::from(max_spin)) as u32
-    }
-
-    /// Resolves a policy against the history: `Adaptive` becomes a
-    /// concrete `SpinYield` sized by [`Self::spin_budget`]; every other
-    /// variant passes through untouched.
-    #[must_use]
-    pub fn resolve(&self, policy: StallPolicy) -> StallPolicy {
-        match policy {
-            StallPolicy::Adaptive { min_spin, max_spin } => StallPolicy::SpinYield {
-                spin_limit: self.spin_budget(min_spin, max_spin),
-            },
-            other => other,
-        }
     }
 }
 
@@ -460,10 +296,10 @@ mod tests {
 
     #[test]
     fn default_policy_is_spin_yield() {
-        assert!(matches!(
+        assert_eq!(
             StallPolicy::default(),
-            StallPolicy::SpinYield { .. }
-        ));
+            StallPolicy::SpinYield { spin_limit: 1_024 }
+        );
     }
 
     #[test]
@@ -499,79 +335,6 @@ mod tests {
         h.join().unwrap();
         assert!(r.descheduled);
         assert!(r.waited > Duration::ZERO, "timed from first park: {r:?}");
-    }
-
-    #[test]
-    fn adaptive_without_history_falls_back_to_max_spin() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let f2 = Arc::clone(&flag);
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(5));
-            f2.store(true, Ordering::Release);
-        });
-        let policy = StallPolicy::Adaptive {
-            min_spin: 2,
-            max_spin: 8,
-        };
-        let r = wait_until(policy, || flag.load(Ordering::Acquire));
-        h.join().unwrap();
-        // An 8-probe budget cannot cover a multi-millisecond wait: the
-        // stateless fallback must have escalated to yielding.
-        assert!(r.descheduled, "{r:?}");
-        assert!(r.probes >= 8);
-    }
-
-    #[test]
-    fn adaptive_history_sizes_the_budget() {
-        let adaptive = AdaptiveSpin::new();
-        // No history yet: optimistic.
-        assert_eq!(adaptive.spin_budget(32, 4096), 4096);
-        // Short waits (40 probes, negligible stall): budget covers twice
-        // the EWMA.
-        adaptive.observe(40, 100);
-        assert_eq!(adaptive.observations(), 1);
-        assert_eq!(adaptive.spin_budget(32, 4096), 80);
-        // Clamped at both ends.
-        assert_eq!(adaptive.spin_budget(100, 4096), 100);
-        assert_eq!(adaptive.spin_budget(8, 64), 64);
-        // Long stalls: collapse to the floor and deschedule early.
-        for _ in 0..32 {
-            adaptive.observe(10_000, 2 * AdaptiveSpin::SPIN_WORTH_NANOS);
-        }
-        assert_eq!(adaptive.spin_budget(32, 4096), 32);
-        assert!(adaptive.ewma_stall() > Duration::from_micros(50));
-    }
-
-    #[test]
-    fn short_wait_history_decays_to_min_spin() {
-        // Regression: the integer-unit fold dropped samples < 2^EWMA_SHIFT
-        // on the way in and could not decay the average below 2^EWMA_SHIFT,
-        // so a long run of 1-probe waits left the budget stuck above
-        // `min_spin`. In fixed-point the average must converge to ~1 and
-        // the budget to the floor.
-        let adaptive = AdaptiveSpin::new();
-        adaptive.observe(10_000, 0);
-        assert_eq!(adaptive.spin_budget(32, 4096), 4096);
-        for _ in 0..200 {
-            adaptive.observe(1, 1);
-        }
-        assert!(
-            adaptive.ewma_probes() <= 2,
-            "probe EWMA should decay to the sample value, got {}",
-            adaptive.ewma_probes()
-        );
-        assert_eq!(
-            adaptive.spin_budget(32, 4096),
-            32,
-            "budget must reach min_spin's neighborhood"
-        );
-        // And tiny stall samples are not discarded: the stall EWMA tracks
-        // a steady 4 ns signal instead of freezing at zero.
-        let steady = AdaptiveSpin::new();
-        for _ in 0..200 {
-            steady.observe(1, 4);
-        }
-        assert_eq!(steady.ewma_stall(), Duration::from_nanos(4));
     }
 
     #[test]
@@ -624,24 +387,5 @@ mod tests {
             "timeout latency {elapsed:?} overshot the 5 ms deadline by most \
              of a 200 ms park slice"
         );
-    }
-
-    #[test]
-    fn adaptive_resolves_to_spin_yield_and_passes_others_through() {
-        let adaptive = AdaptiveSpin::new();
-        adaptive.observe(10, 0);
-        let resolved = adaptive.resolve(StallPolicy::Adaptive {
-            min_spin: 4,
-            max_spin: 256,
-        });
-        assert_eq!(resolved, StallPolicy::SpinYield { spin_limit: 20 });
-        assert_eq!(
-            adaptive.resolve(StallPolicy::Spin),
-            StallPolicy::Spin,
-            "non-adaptive policies must pass through untouched"
-        );
-        assert_eq!(adaptive.resolve(StallPolicy::parking()), {
-            StallPolicy::parking()
-        });
     }
 }

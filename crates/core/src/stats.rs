@@ -16,10 +16,9 @@
 //!   participant-private, cache-line-padded *cell* with a plain load and
 //!   store: no read-modify-write, no line another participant writes, and
 //!   no clock read except on a sampled arrival (below). Each cell holds
-//!   every per-event counter, the participant's own power-of-two stall
+//!   every per-event counter and the participant's own power-of-two stall
 //!   histogram ([`StallHistogram`]: bucket `i` counts stalls with
-//!   `2^i <= ns < 2^(i+1)`, bucket 0 also absorbs zero) and its own
-//!   [`AdaptiveSpin`] wait-cost history.
+//!   `2^i <= ns < 2^(i+1)`, bucket 0 also absorbs zero).
 //! * **Reporting** ([`BarrierStats::snapshot`], [`BarrierStats::telemetry`])
 //!   folds the cells into the public snapshot types: totals are the shared
 //!   block plus the sum over cells, histograms are merged. A snapshot is
@@ -39,7 +38,7 @@
 //! range, and recorders that are not a participant's thread
 //! ([`BarrierStats::NOT_A_PARTICIPANT`]). Nothing on either path allocates.
 
-use crate::spin::{AdaptiveSpin, SpinReport, StallPolicy};
+use crate::spin::SpinReport;
 use crate::token::WaitOutcome;
 use fuzzy_util::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -247,8 +246,6 @@ struct Counters {
     stall_nanos: AtomicU64,
     probes: AtomicU64,
     stall_hist: StallHistogram,
-    /// Wait-cost EWMAs feeding [`StallPolicy::Adaptive`] budget sizing.
-    adaptive: AdaptiveSpin,
 }
 
 impl Counters {
@@ -277,11 +274,6 @@ impl Counters {
         TelemetrySnapshot {
             base: self.snapshot(),
             stall_hist: self.stall_hist.snapshot(),
-            adaptive: AdaptiveSnapshot {
-                observations: self.adaptive.observations(),
-                ewma_probes: self.adaptive.ewma_probes(),
-                ewma_stall: self.adaptive.ewma_stall(),
-            },
             ..TelemetrySnapshot::default()
         }
     }
@@ -478,16 +470,13 @@ impl BarrierStats {
     }
 
     /// Records one completed wait by participant `id`: stall/deschedule
-    /// counters, the stall histogram and the adaptive budget history.
+    /// counters and the stall histogram.
     pub fn record_wait(&self, id: usize, outcome: &WaitOutcome) {
         let (counters, sole_writer) = self.counters(id);
         add(&counters.waits, 1, sole_writer);
-        let nanos = saturating_nanos(outcome.stall_time);
-        // Every completed wait — including the instant ones, which pull
-        // the EWMAs toward zero — feeds the adaptive budget history.
-        counters.adaptive.observe(outcome.probes, nanos);
         if outcome.stalled {
             add(&counters.stalls, 1, sole_writer);
+            let nanos = saturating_nanos(outcome.stall_time);
             counters.record_stall(outcome.probes, nanos, sole_writer);
         }
         if outcome.descheduled {
@@ -505,9 +494,7 @@ impl BarrierStats {
     pub fn record_timeout(&self, id: usize, report: &SpinReport) {
         self.shared.timeouts.fetch_add(1, Ordering::Relaxed);
         let (counters, sole_writer) = self.counters(id);
-        let nanos = saturating_nanos(report.waited);
-        counters.adaptive.observe(report.probes, nanos);
-        counters.record_stall(report.probes, nanos, sole_writer);
+        counters.record_stall(report.probes, saturating_nanos(report.waited), sole_writer);
         if report.descheduled {
             add(&counters.deschedules, 1, sole_writer);
         }
@@ -522,25 +509,6 @@ impl BarrierStats {
     /// clear counts).
     pub fn record_poisoning(&self) {
         self.shared.poisonings.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Participant `id`'s adaptive wait-cost history, fed by each of its
-    /// recorded waits and timeouts (the shared history for an id without a
-    /// cell).
-    #[must_use]
-    pub fn adaptive(&self, id: usize) -> &AdaptiveSpin {
-        &self.counters(id).0.adaptive
-    }
-
-    /// Resolves a stall policy for participant `id`'s next wait:
-    /// [`StallPolicy::Adaptive`] is sized from that participant's own
-    /// wait-cost history — the fast participants that actually stall are
-    /// not talked out of spinning by a slow one's instant waits —
-    /// everything else passes through unchanged. Backends call this at the
-    /// top of their wait path.
-    #[must_use]
-    pub fn resolve_policy(&self, id: usize, policy: StallPolicy) -> StallPolicy {
-        self.adaptive(id).resolve(policy)
     }
 
     /// Folds the flat counters: the shared block plus every cell. Fields
@@ -564,9 +532,9 @@ impl BarrierStats {
         }
     }
 
-    /// Takes the full telemetry snapshot: flat counters, stall histogram
-    /// and adaptive history folded over the cells as in
-    /// [`Self::snapshot`], the arrival spread, and one row per cell.
+    /// Takes the full telemetry snapshot: flat counters and stall
+    /// histogram folded over the cells as in [`Self::snapshot`], the
+    /// arrival spread, and one row per cell.
     #[must_use]
     pub fn telemetry(&self) -> TelemetrySnapshot {
         let shared = &self.shared;
@@ -691,20 +659,6 @@ pub struct ParticipantSnapshot {
     pub stall_time: Duration,
     /// Probes performed while stalled.
     pub probes: u64,
-}
-
-/// A point-in-time copy of the adaptive wait-cost history backing
-/// [`StallPolicy::Adaptive`] budget sizing. Each participant keeps its own
-/// history; a barrier's snapshot reports the sum of their observations and
-/// the largest of their EWMAs (the participant that waits hardest).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdaptiveSnapshot {
-    /// Waits folded into the EWMAs so far.
-    pub observations: u64,
-    /// EWMA of per-wait predicate probes.
-    pub ewma_probes: u64,
-    /// EWMA of per-wait stall time.
-    pub ewma_stall: Duration,
 }
 
 /// Counters of the async (poll-based) barrier frontend.
@@ -880,7 +834,7 @@ pub struct PeerLinkSnapshot {
 }
 
 /// The full telemetry picture: flat counters, stall histogram, arrival
-/// spread, adaptive-policy state, and per-participant counters.
+/// spread, and per-participant counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
     /// The flat counters (same values as [`BarrierStats::snapshot`]).
@@ -889,8 +843,6 @@ pub struct TelemetrySnapshot {
     pub stall_hist: HistogramSnapshot,
     /// Per-episode first-to-last arrival gap summary.
     pub spread: SpreadSnapshot,
-    /// Wait-cost EWMAs driving [`StallPolicy::Adaptive`] budget sizing.
-    pub adaptive: AdaptiveSnapshot,
     /// Per-participant counters; empty for participant-blind stats.
     pub per_participant: Vec<ParticipantSnapshot>,
 }
@@ -908,11 +860,10 @@ impl TelemetrySnapshot {
     }
 
     /// Adds another snapshot into this one (for aggregation across
-    /// barriers or participants): flat counters, spread totals and adaptive
-    /// observations add, histograms merge, spread `max` and the adaptive
-    /// EWMAs keep the larger side, and spread `last` follows `other` when
-    /// it measured anything. `per_participant` is left alone: rows of
-    /// different barriers do not line up.
+    /// barriers or participants): flat counters and spread totals add,
+    /// histograms merge, spread `max` keeps the larger side, and spread
+    /// `last` follows `other` when it measured anything. `per_participant`
+    /// is left alone: rows of different barriers do not line up.
     pub fn merge(&mut self, other: &TelemetrySnapshot) {
         self.base.merge(&other.base);
         self.stall_hist.merge(&other.stall_hist);
@@ -923,12 +874,6 @@ impl TelemetrySnapshot {
             spread.max = spread.max.max(other.spread.max);
             spread.last = other.spread.last;
         }
-        let adaptive = &mut self.adaptive;
-        adaptive.observations = adaptive
-            .observations
-            .saturating_add(other.adaptive.observations);
-        adaptive.ewma_probes = adaptive.ewma_probes.max(other.adaptive.ewma_probes);
-        adaptive.ewma_stall = adaptive.ewma_stall.max(other.adaptive.ewma_stall);
     }
 }
 
@@ -1224,7 +1169,6 @@ mod tests {
         let shared = stats.shared.counters.telemetry();
         assert_eq!(shared.base, StatsSnapshot::default());
         assert!(shared.stall_hist.is_empty());
-        assert_eq!(shared.adaptive, AdaptiveSnapshot::default());
         // ... and the fold still reports every event.
         let t = stats.telemetry();
         assert_eq!(t.base, stats.snapshot());
@@ -1235,7 +1179,6 @@ mod tests {
         assert_eq!(t.base.probes, 12_000);
         assert_eq!(t.base.episodes, 1_000);
         assert_eq!(t.stall_hist.total(), 4_000);
-        assert_eq!(t.adaptive.observations, 4_000);
         assert_eq!(t.per_participant.len(), 4);
         assert!(t.per_participant.iter().all(|p| p.arrivals == 1_000));
     }
@@ -1312,13 +1255,26 @@ mod tests {
         assert_eq!((total.base.evictions, total.base.poisonings), (1, 1));
         assert_eq!(total.stall_hist.total(), 3);
         assert_eq!(total.spread.episodes, 2);
-        assert_eq!(total.adaptive.observations, 3);
-        assert_eq!(total.adaptive.ewma_probes, 40);
-        assert_eq!(total.adaptive.ewma_stall, Duration::from_nanos(900));
         assert_eq!(total.per_participant, ta.per_participant, "rows untouched");
         let mut flat = ta.base;
         flat.merge(&tb.base);
         assert_eq!(flat, total.base);
+        // The spread maximum keeps the larger side; `last` follows the
+        // side merged in.
+        let wide = Duration::from_millis(5);
+        let mut spread = TelemetrySnapshot {
+            spread: SpreadSnapshot {
+                episodes: 1,
+                total: wide,
+                max: wide,
+                last: wide,
+            },
+            ..TelemetrySnapshot::default()
+        };
+        spread.merge(&total);
+        assert_eq!(spread.spread.episodes, 3);
+        assert_eq!(spread.spread.max, wide);
+        assert_eq!(spread.spread.last, total.spread.last);
     }
 
     #[test]
@@ -1374,98 +1330,6 @@ mod tests {
         // not a panic.
         stats.record_wait(9, &WaitOutcome::default());
         assert_eq!(stats.snapshot().waits, 3);
-    }
-
-    #[test]
-    fn waits_feed_the_adaptive_history() {
-        let stats = BarrierStats::with_participants(2);
-        stats.record_wait(
-            0,
-            &WaitOutcome {
-                episode: 0,
-                stalled: true,
-                descheduled: false,
-                probes: 64,
-                stall_time: Duration::from_nanos(400),
-            },
-        );
-        let t = stats.telemetry();
-        assert_eq!(t.adaptive.observations, 1);
-        assert_eq!(t.adaptive.ewma_probes, 64);
-        assert_eq!(t.adaptive.ewma_stall, Duration::from_nanos(400));
-        // Short recorded waits produce a budget near twice the EWMA, so an
-        // adaptive policy resolves to a concrete SpinYield in that range —
-        // for the participant that waited. Its peer has no history yet and
-        // gets the optimistic budget.
-        let resolved = stats.resolve_policy(0, StallPolicy::adaptive());
-        assert_eq!(resolved, StallPolicy::SpinYield { spin_limit: 128 });
-        let fresh = stats.resolve_policy(1, StallPolicy::adaptive());
-        assert_eq!(
-            fresh,
-            StallPolicy::SpinYield {
-                spin_limit: 1 << 12
-            }
-        );
-        // Non-adaptive policies are untouched.
-        assert_eq!(
-            stats.resolve_policy(0, StallPolicy::Spin),
-            StallPolicy::Spin
-        );
-        // Timeouts count as (expensive) waits in the history too.
-        stats.record_timeout(
-            0,
-            &crate::spin::SpinReport {
-                probes: 1_000,
-                descheduled: true,
-                waited: Duration::from_millis(10),
-                timed_out: true,
-            },
-        );
-        assert_eq!(stats.telemetry().adaptive.observations, 2);
-        assert!(stats.adaptive(0).ewma_stall() > Duration::from_nanos(400));
-        assert_eq!(stats.adaptive(1).observations(), 0);
-    }
-
-    #[test]
-    fn adaptive_budget_is_sized_by_the_waiters_own_history() {
-        // The slow participant arrives last and never waits; the fast one
-        // stalls for ~500 probes every episode. One shared EWMA let the
-        // hundred instant waits pull the staller's budget down to a
-        // fraction of its typical wait (2 * 500/8 = 125 probes, so it
-        // descheduled every time); per-participant histories keep them
-        // apart.
-        let stats = BarrierStats::with_participants(2);
-        for _ in 0..100 {
-            stats.record_wait(0, &WaitOutcome::default());
-        }
-        stats.record_wait(
-            1,
-            &WaitOutcome {
-                episode: 0,
-                stalled: true,
-                descheduled: false,
-                probes: 500,
-                stall_time: Duration::from_micros(2),
-            },
-        );
-        let policy = StallPolicy::adaptive();
-        let alone = AdaptiveSpin::new();
-        alone.observe(500, 2_000);
-        assert_eq!(stats.resolve_policy(1, policy), alone.resolve(policy));
-        assert_eq!(
-            stats.resolve_policy(1, policy),
-            StallPolicy::SpinYield { spin_limit: 1_000 }
-        );
-        assert_eq!(
-            stats.resolve_policy(0, policy),
-            StallPolicy::SpinYield { spin_limit: 1 << 5 },
-            "instant waits need no spin budget"
-        );
-        // The snapshot reports every observation and the hardest waiter.
-        let adaptive = stats.telemetry().adaptive;
-        assert_eq!(adaptive.observations, 101);
-        assert_eq!(adaptive.ewma_probes, 500);
-        assert_eq!(adaptive.ewma_stall, Duration::from_micros(2));
     }
 
     #[test]

@@ -106,8 +106,8 @@ fn tree_barrier_is_safe() {
 
 #[test]
 fn hier_barrier_is_safe() {
-    // Random non-power-of-two group sizes and shard sizes, both stall
-    // policies — including the degenerate shapes: shard size 1 (every
+    // Random non-power-of-two group sizes and shard sizes, a short and the
+    // default spin budget — including the degenerate shapes: shard size 1 (every
     // participant its own leader: the hierarchy collapses to a pure
     // combining tree) and shard size >= n (one shard: the tree collapses
     // to a single root node).
@@ -120,7 +120,7 @@ fn hier_barrier_is_safe() {
             _ => 1 + rng.below(n.max(1)),
         };
         let policy = if rng.chance(0.5) {
-            StallPolicy::adaptive()
+            StallPolicy::SpinYield { spin_limit: 32 }
         } else {
             StallPolicy::default()
         };

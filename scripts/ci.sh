@@ -237,8 +237,9 @@ chaos_smoke() {
 # stderr. The numbers of a one-second run mean nothing and are dropped.
 #
 # Then the quick sweeps, each of which fails itself on a broken shape:
-# exp_backend_faceoff asserts hier beats central and counting on stall
-# probes at N = 16; exp_async_scale asserts parked == resumed and
+# exp_backend_faceoff asserts that a 32-probe spin budget (the hier rows)
+# beats the default 1,024 (central and counting) on stall probes at
+# N = 16; exp_async_scale asserts parked == resumed and
 # drains <= polls + episodes x workers on every row (only polls and
 # completing arrives take the probe lock); exp_net_scale asserts exactly
 # ceil(log2 N) frames per arrival with zero retries on every loopback row
