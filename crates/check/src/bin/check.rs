@@ -2,26 +2,90 @@
 //!
 //! ```text
 //! check [--backend central|counting|dissemination|tree|hier|all]
-//!       [--scenario protocol|subset|registry|poison|evict|async|reconfig|net|all]
-//!       [-n/--participants N] [--episodes E]
+//!       [--scenario FAMILY|all] [-n/--participants N] [--episodes E]
 //!       [--mode dfs|random] [--schedules N] [--seed S]
 //!       [--preemptions N|unlimited]
 //!       [--replay T0,T1,...] [--trace]
 //! ```
 //!
-//! Exit codes: 0 = all explorations passed, 1 = a violation was found,
-//! 2 = usage error.
+//! `check --help` lists the scenario families. A failure prints the flags
+//! that replay it. Exit codes: 0 = all explorations passed, 1 = a
+//! violation was found, 2 = usage error.
 
 use fuzzy_check::{
-    explore_dfs, explore_random, replay, BackendKind, ExploreOptions, Outcome, Scenario,
+    async_handoff, evict, evict_race, explore_dfs, explore_random, join_evict_race,
+    join_mid_episode, net_round, poison, protocol, registry, replay, stale_generation,
+    subset_overlap, subset_pair, BackendKind, ExploreOptions, Outcome, Scenario,
     DEFAULT_STEP_LIMIT,
 };
 use std::time::Instant;
 
+/// A `--scenario` family: its name and how its runs are built.
+#[derive(Debug)]
+struct Family {
+    name: &'static str,
+    runs: Runs,
+}
+
+/// How a family's scenarios are built from `(backend,) n, episodes`.
+#[derive(Debug)]
+enum Runs {
+    /// One set per selected backend: `--backend` picks among them.
+    PerBackend(fn(BackendKind, usize, u64) -> Vec<Scenario>),
+    /// One set, whatever `--backend` says: the family pins its backends.
+    Fixed(fn(usize, u64) -> Vec<Scenario>),
+}
+
+/// Every scenario family, in the order `--scenario all` runs them.
+const FAMILIES: [Family; 8] = [
+    Family {
+        name: "protocol",
+        runs: Runs::PerBackend(|b, n, e| vec![protocol(b, n, e)]),
+    },
+    // The subset and registry scenarios pin their own thread counts (they
+    // encode specific mask topologies); -n is intentionally ignored for
+    // them.
+    Family {
+        name: "subset",
+        runs: Runs::Fixed(|_, e| vec![subset_pair(e), subset_overlap(e)]),
+    },
+    Family {
+        name: "registry",
+        runs: Runs::Fixed(|_, e| vec![registry(e)]),
+    },
+    Family {
+        name: "poison",
+        runs: Runs::PerBackend(|b, n, _| vec![poison(b, n)]),
+    },
+    // Both eviction shapes: one member leaves after a full-strength
+    // episode, and all members race to evict themselves.
+    Family {
+        name: "evict",
+        runs: Runs::PerBackend(|b, n, e| vec![evict(b, n, e), evict_race(b, n)]),
+    },
+    Family {
+        name: "async",
+        runs: Runs::PerBackend(|b, n, e| vec![async_handoff(b, n, e)]),
+    },
+    // The reconfig scenarios pin their own membership shapes (founders +
+    // joiner, leaver + reuser, evictee + joiner); -n and --backend are
+    // intentionally ignored for them.
+    Family {
+        name: "reconfig",
+        runs: Runs::Fixed(|_, _| vec![join_mid_episode(), stale_generation(), join_evict_race()]),
+    },
+    // The net scenario pins its own backend (a NetBarrier per loopback
+    // endpoint); --backend is intentionally ignored.
+    Family {
+        name: "net",
+        runs: Runs::Fixed(|n, e| vec![net_round(n, e)]),
+    },
+];
+
 #[derive(Debug, Clone)]
 struct Config {
     backends: Vec<BackendKind>,
-    scenarios: Vec<String>,
+    families: Vec<&'static Family>,
     participants: usize,
     episodes: u64,
     mode: Mode,
@@ -42,7 +106,7 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             backends: BackendKind::ALL.to_vec(),
-            scenarios: vec!["protocol".into()],
+            families: vec![&FAMILIES[0]],
             participants: 3,
             episodes: 2,
             mode: Mode::Dfs,
@@ -56,20 +120,22 @@ impl Default for Config {
 }
 
 fn usage() -> ! {
+    let families: Vec<&str> = FAMILIES.iter().map(|f| f.name).collect();
     eprintln!(
         "usage: check [--backend central|counting|dissemination|tree|hier|all]\n\
-         \x20            [--scenario protocol|subset|registry|poison|evict|async|reconfig|net|all]\n\
+         \x20            [--scenario {}|all]\n\
          \x20            [-n|--participants N] [--episodes E]\n\
          \x20            [--mode dfs|random] [--schedules N] [--seed S]\n\
          \x20            [--preemptions N|unlimited]\n\
-         \x20            [--replay T0,T1,...] [--trace]"
+         \x20            [--replay T0,T1,...] [--trace]",
+        families.join("|")
     );
     std::process::exit(2);
 }
 
-fn parse_args() -> Config {
+fn parse_args(args: impl IntoIterator<Item = String>) -> Config {
     let mut cfg = Config::default();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         let mut value = |name: &str| -> String {
             args.next().unwrap_or_else(|| {
@@ -94,28 +160,17 @@ fn parse_args() -> Config {
             }
             "--scenario" => {
                 let v = value("--scenario");
-                match v.as_str() {
-                    "all" => {
-                        cfg.scenarios = vec![
-                            "protocol".into(),
-                            "subset".into(),
-                            "registry".into(),
-                            "poison".into(),
-                            "evict".into(),
-                            "async".into(),
-                            "reconfig".into(),
-                            "net".into(),
-                        ];
+                cfg.families = if v == "all" {
+                    FAMILIES.iter().collect()
+                } else {
+                    match FAMILIES.iter().find(|f| f.name == v) {
+                        Some(family) => vec![family],
+                        None => {
+                            eprintln!("check: unknown scenario {v:?}");
+                            usage();
+                        }
                     }
-                    "protocol" | "subset" | "registry" | "poison" | "evict" | "async"
-                    | "reconfig" | "net" => {
-                        cfg.scenarios = vec![v];
-                    }
-                    _ => {
-                        eprintln!("check: unknown scenario {v:?}");
-                        usage();
-                    }
-                }
+                };
             }
             "-n" | "--participants" => {
                 cfg.participants = parse_num(&value("--participants"));
@@ -133,7 +188,13 @@ fn parse_args() -> Config {
                     usage();
                 }
             },
-            "--schedules" => cfg.schedules = parse_num(&value("--schedules")),
+            "--schedules" => {
+                cfg.schedules = parse_num(&value("--schedules"));
+                if cfg.schedules == 0 {
+                    eprintln!("check: need at least one schedule");
+                    usage();
+                }
+            }
             "--seed" => cfg.seed = parse_num(&value("--seed")) as u64,
             "--preemptions" => {
                 let v = value("--preemptions");
@@ -175,69 +236,48 @@ fn parse_num(s: &str) -> usize {
     })
 }
 
-/// Builds the scenario list the config selects.
-fn scenarios(cfg: &Config) -> Vec<Scenario> {
+/// One scenario the config selects, with the flags that select it again.
+struct Run {
+    scenario: Scenario,
+    flags: String,
+}
+
+/// Builds the runs the config selects.
+fn runs(cfg: &Config) -> Vec<Run> {
+    let (n, episodes) = (cfg.participants, cfg.episodes);
+    let sizing = format!("-n {n} --episodes {episodes}");
     let mut out = Vec::new();
-    for name in &cfg.scenarios {
-        match name.as_str() {
-            "protocol" => {
-                for backend in &cfg.backends {
-                    out.push(fuzzy_check::protocol(
-                        *backend,
-                        cfg.participants,
-                        cfg.episodes,
-                    ));
+    for family in &cfg.families {
+        let mut push = |scenarios: Vec<Scenario>, flags: String| {
+            out.extend(scenarios.into_iter().map(|scenario| Run {
+                scenario,
+                flags: flags.clone(),
+            }));
+        };
+        match family.runs {
+            Runs::PerBackend(build) => {
+                for &backend in &cfg.backends {
+                    let flags = format!(
+                        "--scenario {} --backend {} {sizing}",
+                        family.name,
+                        backend.name()
+                    );
+                    push(build(backend, n, episodes), flags);
                 }
             }
-            // The subset and registry scenarios pin their own thread
-            // counts (they encode specific mask topologies); -n is
-            // intentionally ignored for them.
-            "subset" => {
-                out.push(fuzzy_check::subset_pair(cfg.episodes));
-                out.push(fuzzy_check::subset_overlap(cfg.episodes));
+            Runs::Fixed(build) => {
+                push(
+                    build(n, episodes),
+                    format!("--scenario {} {sizing}", family.name),
+                );
             }
-            "registry" => out.push(fuzzy_check::registry(cfg.episodes)),
-            "poison" => {
-                for backend in &cfg.backends {
-                    out.push(fuzzy_check::poison(*backend, cfg.participants));
-                }
-            }
-            // Both eviction shapes: one member leaves after a full-strength
-            // episode, and all members race to evict themselves.
-            "evict" => {
-                for backend in &cfg.backends {
-                    out.push(fuzzy_check::evict(*backend, cfg.participants, cfg.episodes));
-                    out.push(fuzzy_check::evict_race(*backend, cfg.participants));
-                }
-            }
-            "async" => {
-                for backend in &cfg.backends {
-                    out.push(fuzzy_check::async_handoff(
-                        *backend,
-                        cfg.participants,
-                        cfg.episodes,
-                    ));
-                }
-            }
-            // The reconfig scenarios pin their own membership shapes
-            // (founders + joiner, leaver + reuser, evictee + joiner);
-            // -n and --backend are intentionally ignored for them.
-            "reconfig" => {
-                out.push(fuzzy_check::join_mid_episode());
-                out.push(fuzzy_check::stale_generation());
-                out.push(fuzzy_check::join_evict_race());
-            }
-            // The net scenario pins its own backend (a NetBarrier per
-            // loopback endpoint); --backend is intentionally ignored.
-            "net" => out.push(fuzzy_check::net_round(cfg.participants, cfg.episodes)),
-            _ => unreachable!("validated in parse_args"),
         }
     }
     out
 }
 
 fn main() {
-    let cfg = parse_args();
+    let cfg = parse_args(std::env::args().skip(1));
 
     if let Some(schedule) = cfg.replay_schedule.clone() {
         std::process::exit(run_replay(&cfg, schedule));
@@ -248,18 +288,22 @@ fn main() {
         step_limit: DEFAULT_STEP_LIMIT,
         preemption_bound: cfg.preemptions,
     };
+    let mode = match cfg.mode {
+        Mode::Dfs => "dfs".to_string(),
+        Mode::Random => format!("random(seed={})", cfg.seed),
+    };
     let mut failed = false;
-    for mut scenario in scenarios(&cfg) {
+    for Run {
+        mut scenario,
+        flags,
+    } in runs(&cfg)
+    {
         let start = Instant::now();
         let outcome = match cfg.mode {
             Mode::Dfs => explore_dfs(&mut scenario, &opts),
             Mode::Random => explore_random(&mut scenario, &opts, cfg.seed),
         };
         let elapsed = start.elapsed();
-        let mode = match cfg.mode {
-            Mode::Dfs => "dfs",
-            Mode::Random => format!("random(seed={})", cfg.seed).leak(),
-        };
         match outcome {
             Outcome::Pass {
                 schedules,
@@ -284,8 +328,7 @@ fn main() {
                 );
                 println!("  {violation}");
                 println!(
-                    "  replay: check --scenario {} --replay {}",
-                    summary_scenario_flag(&scenario.name),
+                    "  replay: check {flags} --replay {}",
                     violation
                         .schedule
                         .iter()
@@ -299,24 +342,12 @@ fn main() {
     std::process::exit(i32::from(failed));
 }
 
-/// Best-effort `--scenario`/`--backend` flags for the replay hint.
-fn summary_scenario_flag(name: &str) -> String {
-    let mut parts = name.split('/');
-    let scenario = parts.next().unwrap_or("protocol");
-    match parts.next() {
-        Some(backend) if scenario == "protocol" => {
-            format!("protocol --backend {backend}")
-        }
-        _ => scenario.to_string(),
-    }
-}
-
 /// Replays `schedule` against every selected scenario in turn (a family
 /// like `evict` or `subset` selects several; the recording fits the one
 /// whose name the failure printed, and merely diverges on the others).
 fn run_replay(cfg: &Config, schedule: Vec<usize>) -> i32 {
     let mut status = 0;
-    for mut scenario in scenarios(cfg) {
+    for Run { mut scenario, .. } in runs(cfg) {
         println!(
             "check: replaying {} ({} grants)",
             scenario.name,
@@ -349,4 +380,44 @@ fn run_replay(cfg: &Config, schedule: Vec<usize>) -> i32 {
         }
     }
     status
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flags: &str) -> Config {
+        parse_args(flags.split_whitespace().map(String::from))
+    }
+
+    fn names<'a>(runs: impl IntoIterator<Item = &'a Run>) -> Vec<&'a str> {
+        runs.into_iter().map(|r| r.scenario.name.as_str()).collect()
+    }
+
+    #[test]
+    fn replay_flags_select_exactly_the_runs_that_print_them() {
+        // Every family on every backend, sized away from the defaults so a
+        // hint that drops -n or --episodes selects other scenarios.
+        let all = runs(&parse("--scenario all --backend all -n 2 --episodes 3"));
+        assert!(all.len() > FAMILIES.len());
+        for run in &all {
+            let again = runs(&parse(&run.flags));
+            let want = names(all.iter().filter(|other| other.flags == run.flags));
+            assert_eq!(names(&again), want, "{}: {}", run.scenario.name, run.flags);
+        }
+    }
+
+    #[test]
+    fn replay_flags_name_backend_and_sizing() {
+        let poison = runs(&parse("--scenario poison --backend hier -n 2"));
+        assert_eq!(names(&poison), ["poison/hier/n2"]);
+        assert_eq!(
+            poison[0].flags,
+            "--scenario poison --backend hier -n 2 --episodes 2"
+        );
+        let reconfig = runs(&parse("--scenario reconfig"));
+        assert!(reconfig
+            .iter()
+            .all(|r| r.flags == "--scenario reconfig -n 3 --episodes 2"));
+    }
 }

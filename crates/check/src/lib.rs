@@ -3,9 +3,10 @@
 //! A dependency-free, loom-lite **model checker** for the fuzzy-barrier
 //! backends. It runs the *real* backend code — `CentralBarrier`,
 //! `CountingBarrier`, `DisseminationBarrier`, `TreeBarrier`,
-//! `HierBarrier`, plus the mask/tag/registry layers — on virtual threads
-//! under a deterministic
-//! scheduler, and explores the interleavings of their atomic operations:
+//! `HierBarrier`, plus the mask/tag/registry layers, the async frontend,
+//! `ReconfigBarrier` and `NetBarrier` — on virtual threads under a
+//! deterministic scheduler, and explores the interleavings of their
+//! atomic operations:
 //! exhaustively (bounded-preemption DFS) or by seeded random sampling.
 //!
 //! ## How it works
@@ -28,6 +29,14 @@
 //!   participant's `arrive()` for the token's episode;
 //! * **protocol errors**, **panics**, and **step-limit** blowups
 //!   (livelock suspicion).
+//!
+//! The [`scenario`] module holds the workloads: the plain `protocol` on
+//! every backend, masked/tagged `subset` barriers, `registry` churn,
+//! `poison`, both `evict` shapes, the `async` frontend's waker hand-off,
+//! `reconfig` membership changes and `net` endpoints over a loopback
+//! mesh. Every body synchronizes through one checked step — the
+//! [`Ledger`]'s arrival half and wait half — and one constructor owns the
+//! per-schedule plumbing, so the contract is stated once.
 //!
 //! What it does **not** explore: weak-memory reorderings. Shadow atomics
 //! execute sequentially consistently regardless of the `Ordering`

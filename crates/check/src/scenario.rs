@@ -10,6 +10,14 @@
 //! always implies a visible `begun` — the check can never false-positive,
 //! and any schedule in which a `wait` returns past a participant that has
 //! not even begun is a genuine semantics violation.
+//!
+//! The contract is stated once: every body synchronizes through the
+//! ledger's checked step — an arrival half (`begin`, then arrive) and a
+//! wait half (`enter_wait`, wait, `exit_wait`, the released episode
+//! checked, then the fuzzy property) — and every scenario is built by one
+//! constructor that owns the per-schedule plumbing. Ledger updates and
+//! abort checks are not scheduling points, so the explored schedule tree
+//! is exactly that of the barrier calls the bodies make.
 
 use crate::ctx;
 use crate::explore::{Job, Scenario, ScheduleRun};
@@ -17,9 +25,9 @@ use crate::sched::Defect;
 use crate::shadow::{ShadowSync, ShadowU32};
 use fuzzy_barrier::sync::{Atomic, SyncOps};
 use fuzzy_barrier::{
-    AsyncBarrier, BarrierError, CentralBarrier, CountingBarrier, Deadline, DisseminationBarrier,
-    GroupRegistry, HierBarrier, JoinTicket, MemberHandle, ProcMask, ReconfigBarrier, SplitBarrier,
-    StallPolicy, SubsetBarrier, Tag, TreeBarrier, WaitOutcome,
+    ArrivalToken, AsyncBarrier, BarrierError, CentralBarrier, CountingBarrier, Deadline,
+    DisseminationBarrier, GroupRegistry, HierBarrier, JoinTicket, MemberHandle, ProcMask,
+    ReconfigBarrier, SplitBarrier, StallPolicy, SubsetBarrier, Tag, TreeBarrier, WaitOutcome,
 };
 use fuzzy_net::{LoopbackMesh, NetBarrier, NetConfig};
 use std::future::Future;
@@ -98,7 +106,7 @@ impl BackendKind {
 }
 
 // ---------------------------------------------------------------------------
-// Ledger
+// Ledger and the checked step
 // ---------------------------------------------------------------------------
 
 /// Ground-truth arrival record for one barrier, kept in *real* atomics so
@@ -176,6 +184,111 @@ impl Ledger {
         let target = self.wait_target[rank].load(Ordering::Relaxed);
         (0..self.members.len()).all(|j| self.begun[j].load(Ordering::Relaxed) > target)
     }
+
+    /// The arrival half of a checked episode: marks `rank` begun, then
+    /// runs `arrive` and hands back its token. `None` once the body should
+    /// stop: the run aborted, or the arrival failed (reported as a defect).
+    fn arrive<T>(
+        &self,
+        rank: usize,
+        arrive: impl FnOnce() -> Result<T, BarrierError>,
+    ) -> Option<T> {
+        live()?;
+        self.begin(rank);
+        match arrive() {
+            Ok(token) => Some(token),
+            Err(err) => self.fail(rank, "arrive", &err),
+        }
+    }
+
+    /// The wait half of a checked episode: `rank` runs `wait`, which
+    /// returns the episode the barrier released. That must be `release`,
+    /// and the fuzzy property must hold for `episode` — the same episode
+    /// in this ledger's own, possibly re-based, numbering. `None` once the
+    /// body should stop; `Some(Err)` hands a failed wait to the caller,
+    /// which decides whether it is a defect.
+    fn wait(
+        &self,
+        rank: usize,
+        episode: u64,
+        release: u64,
+        wait: impl FnOnce() -> Result<u64, BarrierError>,
+    ) -> Option<Result<(), BarrierError>> {
+        self.enter_wait(rank, episode);
+        let result = wait();
+        // On abort the drain protocol fakes the wait's return; leave
+        // `in_wait` intact so `classify` sees the stuck state.
+        live()?;
+        self.exit_wait(rank);
+        match result {
+            Ok(released) if released == release => {
+                self.check_fuzzy(rank, episode);
+                live()?;
+                Some(Ok(()))
+            }
+            Ok(released) => protocol_error(
+                self.members[rank],
+                format!(
+                    "wait at {:?}: expected episode {release}, released {released}",
+                    self.members
+                ),
+            ),
+            Err(err) => Some(Err(err)),
+        }
+    }
+
+    /// One checked episode: the arrival half, then the wait half on the
+    /// arrival's token, with an error from either a defect.
+    fn episode<T>(
+        &self,
+        rank: usize,
+        episode: u64,
+        release: u64,
+        arrive: impl FnOnce() -> Result<T, BarrierError>,
+        wait: impl FnOnce(T) -> Result<u64, BarrierError>,
+    ) -> Option<()> {
+        let token = self.arrive(rank, arrive)?;
+        match self.wait(rank, episode, release, || wait(token))? {
+            Ok(()) => Some(()),
+            Err(err) => self.fail(rank, "wait", &err),
+        }
+    }
+
+    /// [`Self::episode`] on a [`SplitBarrier`]: member `rank` arrives, then
+    /// waits without a deadline.
+    fn split_episode(
+        &self,
+        barrier: &(impl SplitBarrier + ?Sized),
+        rank: usize,
+        episode: u64,
+        release: u64,
+    ) -> Option<()> {
+        let id = self.members[rank];
+        let arrive = || Ok(barrier.arrive(id));
+        self.episode(rank, episode, release, arrive, |t| wait_never(barrier, t))
+    }
+
+    /// [`Self::episode`] on a subset barrier, under its own tag.
+    fn subset_episode(
+        &self,
+        barrier: &Subset,
+        rank: usize,
+        episode: u64,
+        release: u64,
+    ) -> Option<()> {
+        let id = self.members[rank];
+        let arrive = || barrier.arrive(id, barrier.tag());
+        self.episode(rank, episode, release, arrive, |t| subset_wait(barrier, t))
+    }
+
+    /// Reports `err` from `rank`'s `what` on this ledger's barrier.
+    fn fail<T>(&self, rank: usize, what: &str, err: &BarrierError) -> Option<T> {
+        report_err(
+            self.members[rank],
+            &format!("{what} at {:?}", self.members),
+            err,
+        )
+    }
 }
 
 /// Upgrades a [`Defect::Deadlock`] to [`Defect::LostWakeup`] when every
@@ -199,6 +312,97 @@ pub fn classify(ledgers: &[Arc<Ledger>], defect: Option<Defect>) -> Option<Defec
     }
 }
 
+/// `Some` while the run is live; `None` — the body stops — once it
+/// aborted.
+fn live() -> Option<()> {
+    (!ctx::aborted()).then_some(())
+}
+
+/// Reports a scenario-level invariant failure on `thread`; the `None` it
+/// returns stops the body.
+fn protocol_error<T>(thread: usize, message: String) -> Option<T> {
+    ctx::report(Defect::ProtocolError { thread, message });
+    None
+}
+
+/// Reports an unexpected error from `thread`'s `what`.
+fn report_err<T>(thread: usize, what: &str, err: &BarrierError) -> Option<T> {
+    protocol_error(thread, format!("{what}: unexpected error {err:?}"))
+}
+
+/// `result`'s value, or `None` after reporting its error.
+fn ok_or_report<T>(thread: usize, what: &str, result: Result<T, BarrierError>) -> Option<T> {
+    result.map_or_else(|err| report_err(thread, what, &err), Some)
+}
+
+/// An unbounded wait, released episode out. It goes through
+/// `wait_deadline`, not the derived `wait`: when the run aborts, the drain
+/// fakes the wakeup and the wait comes back [`BarrierError::Timeout`],
+/// which the wait half stops on — `wait` would panic on it instead.
+fn wait_never(
+    barrier: &(impl SplitBarrier + ?Sized),
+    token: ArrivalToken,
+) -> Result<u64, BarrierError> {
+    barrier
+        .wait_deadline(token, Deadline::never())
+        .map(|outcome| outcome.episode)
+}
+
+/// [`wait_never`] on a subset barrier.
+fn subset_wait(barrier: &Subset, token: ArrivalToken) -> Result<u64, BarrierError> {
+    barrier
+        .wait_deadline(token, Deadline::never())
+        .map(|outcome| outcome.episode)
+}
+
+/// What a scenario-level park hands the wait half once the run aborted:
+/// the [`BarrierError::Timeout`] a drained shadow wait gives every
+/// backend. The wait half stops on the abort before it reads it.
+fn drained(episode: u64) -> Result<u64, BarrierError> {
+    Err(BarrierError::Timeout { episode })
+}
+
+/// The plumbing every scenario shares. For each schedule `setup` builds
+/// fresh state for the bodies to share, plus the ledgers [`classify`]
+/// consults; virtual thread `id` then runs `body(&state, id)` (`None`: it
+/// stopped early, on an abort or a reported defect). After a schedule with
+/// no defect, `after` checks invariants of the final state.
+fn scenario<S: Send + Sync + 'static>(
+    name: impl Into<String>,
+    threads: usize,
+    mut setup: impl FnMut() -> (S, Vec<Arc<Ledger>>) + 'static,
+    body: impl Fn(&S, usize) -> Option<()> + Copy + Send + 'static,
+    after: fn(&S) -> Option<Defect>,
+) -> Scenario {
+    Scenario {
+        name: name.into(),
+        threads,
+        build: Box::new(move || {
+            let (state, ledgers) = setup();
+            let state = Arc::new(state);
+            let bodies = (0..threads)
+                .map(|id| {
+                    let state = Arc::clone(&state);
+                    Box::new(move || {
+                        body(&state, id);
+                    }) as Job
+                })
+                .collect();
+            ScheduleRun {
+                bodies,
+                finish: Box::new(move |defect| {
+                    classify(&ledgers, defect).or_else(|| after(&state))
+                }),
+            }
+        }),
+    }
+}
+
+/// A fresh ledger over members `0..n`.
+fn ledger(n: usize) -> Arc<Ledger> {
+    Arc::new(Ledger::new((0..n).collect()))
+}
+
 // ---------------------------------------------------------------------------
 // Protocol scenario
 // ---------------------------------------------------------------------------
@@ -215,29 +419,20 @@ pub fn protocol_with(
     episodes: u64,
     mut factory: impl FnMut() -> Arc<dyn SplitBarrier> + 'static,
 ) -> Scenario {
-    Scenario {
-        name: name.into(),
-        threads: n,
-        build: Box::new(move || {
+    scenario(
+        name,
+        n,
+        move || {
             let barrier = factory();
             assert_eq!(barrier.participants(), n, "factory/participant mismatch");
-            let ledger = Arc::new(Ledger::new((0..n).collect()));
-            let bodies: Vec<Job> = (0..n)
-                .map(|id| {
-                    let barrier = Arc::clone(&barrier);
-                    let ledger = Arc::clone(&ledger);
-                    Box::new(move || {
-                        protocol_body(&*barrier, &ledger, id, episodes);
-                    }) as Job
-                })
-                .collect();
-            let ledgers = vec![Arc::clone(&ledger)];
-            ScheduleRun {
-                bodies,
-                finish: Box::new(move |defect| classify(&ledgers, defect)),
-            }
-        }),
-    }
+            let ledger = ledger(n);
+            ((barrier, Arc::clone(&ledger)), vec![ledger])
+        },
+        move |(barrier, ledger), id| {
+            (0..episodes).try_for_each(|e| ledger.split_episode(barrier, id, e, e))
+        },
+        |_| None,
+    )
 }
 
 /// [`protocol_with`] over a stock backend.
@@ -249,35 +444,6 @@ pub fn protocol(backend: BackendKind, n: usize, episodes: u64) -> Scenario {
         episodes,
         move || backend.build_shadow(n),
     )
-}
-
-fn protocol_body(barrier: &dyn SplitBarrier, ledger: &Ledger, id: usize, episodes: u64) {
-    for e in 0..episodes {
-        if ctx::aborted() {
-            return;
-        }
-        ledger.begin(id);
-        let token = barrier.arrive(id);
-        ledger.enter_wait(id, e);
-        let outcome = barrier.wait(token);
-        // On abort the drain protocol fakes wait's return; leave the
-        // ledger's `in_wait` intact so `classify` sees the stuck state.
-        if ctx::aborted() {
-            return;
-        }
-        ledger.exit_wait(id);
-        if outcome.episode != e {
-            ctx::report(Defect::ProtocolError {
-                thread: id,
-                message: format!("expected episode {e}, wait returned {}", outcome.episode),
-            });
-            return;
-        }
-        ledger.check_fuzzy(id, e);
-        if ctx::aborted() {
-            return;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -303,30 +469,18 @@ pub fn net_round_with(
     episodes: u64,
     mut factory: impl FnMut() -> Vec<Arc<dyn SplitBarrier>> + 'static,
 ) -> Scenario {
-    Scenario {
-        name: name.into(),
-        threads: nodes,
-        build: Box::new(move || {
+    scenario(
+        name,
+        nodes,
+        move || {
             let barriers = factory();
             assert_eq!(barriers.len(), nodes, "factory/endpoint mismatch");
-            let ledger = Arc::new(Ledger::new((0..nodes).collect()));
-            let bodies: Vec<Job> = barriers
-                .into_iter()
-                .enumerate()
-                .map(|(rank, barrier)| {
-                    let ledger = Arc::clone(&ledger);
-                    Box::new(move || {
-                        net_round_body(&*barrier, &ledger, rank, episodes);
-                    }) as Job
-                })
-                .collect();
-            let ledgers = vec![Arc::clone(&ledger)];
-            ScheduleRun {
-                bodies,
-                finish: Box::new(move |defect| classify(&ledgers, defect)),
-            }
-        }),
-    }
+            let ledger = ledger(nodes);
+            ((barriers, Arc::clone(&ledger)), vec![ledger])
+        },
+        move |(barriers, ledger), rank| net_round_body(&*barriers[rank], ledger, rank, episodes),
+        |_| None,
+    )
 }
 
 /// [`net_round_with`] over the real loopback transport and `NetBarrier`.
@@ -359,38 +513,34 @@ pub fn net_round(nodes: usize, episodes: u64) -> Scenario {
     )
 }
 
-fn net_round_body(barrier: &dyn SplitBarrier, ledger: &Ledger, rank: usize, episodes: u64) {
+fn net_round_body(
+    barrier: &dyn SplitBarrier,
+    ledger: &Ledger,
+    rank: usize,
+    episodes: u64,
+) -> Option<()> {
     for e in 0..episodes {
-        if ctx::aborted() {
-            return;
-        }
-        ledger.begin(rank);
-        let token = barrier.arrive(0);
-        ledger.enter_wait(rank, e);
-        // Block at scenario level on `is_complete` rather than inside
-        // `wait`: NetBarrier's wait loop re-checks its own predicate
-        // around the shadow wait, so the drain protocol's faked wakeups
-        // would never unwind it after an abort. `is_complete` also pumps
-        // `drive()`, so probing here makes the same protocol progress a
-        // real waiter would.
-        ShadowSync::wait_until(StallPolicy::Spin, || barrier.is_complete(&token));
-        if ctx::aborted() {
-            return;
-        }
-        let outcome = barrier.wait(token);
-        ledger.exit_wait(rank);
-        if outcome.episode != e {
-            ctx::report(Defect::ProtocolError {
-                thread: rank,
-                message: format!("expected episode {e}, wait returned {}", outcome.episode),
-            });
-            return;
-        }
-        ledger.check_fuzzy(rank, e);
-        if ctx::aborted() {
-            return;
-        }
+        ledger.episode(
+            rank,
+            e,
+            e,
+            || Ok(barrier.arrive(0)),
+            |token| {
+                // Block at scenario level on `is_complete` rather than
+                // inside `wait`: NetBarrier's wait loop re-checks its own
+                // predicate around the shadow wait, so the drain protocol's
+                // faked wakeups would never unwind it after an abort.
+                // `is_complete` also pumps `drive()`, so probing here makes
+                // the same protocol progress a real waiter would.
+                ShadowSync::wait_until(StallPolicy::Spin, || barrier.is_complete(&token));
+                if ctx::aborted() {
+                    return drained(e);
+                }
+                wait_never(barrier, token)
+            },
+        )?;
     }
+    Some(())
 }
 
 // ---------------------------------------------------------------------------
@@ -399,17 +549,10 @@ fn net_round_body(barrier: &dyn SplitBarrier, ledger: &Ledger, rank: usize, epis
 
 type Subset = SubsetBarrier<CentralBarrier<ShadowSync>>;
 
-fn subset(tag: u16, mask: &[usize]) -> Arc<Subset> {
+fn subset(tag: u16, mask: &[usize]) -> Subset {
     let tag = Tag::new(tag).expect("non-zero tag");
     let mask: ProcMask = mask.iter().copied().collect();
-    Arc::new(SubsetBarrier::with_policy_in(tag, mask, StallPolicy::Spin).expect("non-empty mask"))
-}
-
-fn report_err(id: usize, what: &str, err: &BarrierError) {
-    ctx::report(Defect::ProtocolError {
-        thread: id,
-        message: format!("{what}: unexpected error {err:?}"),
-    });
+    SubsetBarrier::with_policy_in(tag, mask, StallPolicy::Spin).expect("non-empty mask")
 }
 
 /// Masked/tagged synchronization over every non-empty subset of two
@@ -419,108 +562,50 @@ fn report_err(id: usize, what: &str, err: &BarrierError) {
 /// cross-barrier synchronization (the paper's Fig. 6 bug).
 #[must_use]
 pub fn subset_pair(episodes: u64) -> Scenario {
-    Scenario {
-        name: format!("subset/pair/e{episodes}"),
-        threads: 2,
-        build: Box::new(move || {
-            let shared = subset(3, &[0, 1]);
+    scenario(
+        format!("subset/pair/e{episodes}"),
+        2,
+        || {
             let privates = [subset(1, &[0]), subset(2, &[1])];
-            let ledger = Arc::new(Ledger::new(vec![0, 1]));
-            let bodies: Vec<Job> = (0..2)
-                .map(|id| {
-                    let shared = Arc::clone(&shared);
-                    let private = Arc::clone(&privates[id]);
-                    let ledger = Arc::clone(&ledger);
-                    Box::new(move || {
-                        subset_pair_body(&shared, &private, &ledger, id, episodes);
-                    }) as Job
-                })
-                .collect();
-            let ledgers = vec![Arc::clone(&ledger)];
-            ScheduleRun {
-                bodies,
-                finish: Box::new(move |defect| classify(&ledgers, defect)),
-            }
-        }),
-    }
+            let ledger = ledger(2);
+            (
+                (subset(3, &[0, 1]), privates, Arc::clone(&ledger)),
+                vec![ledger],
+            )
+        },
+        move |(shared, privates, ledger), id| {
+            subset_pair_body(shared, &privates[id], ledger, id, episodes)
+        },
+        |_| None,
+    )
 }
 
-fn subset_pair_body(shared: &Subset, private: &Subset, ledger: &Ledger, id: usize, episodes: u64) {
-    let my_tag = private.tag();
-    let shared_tag = shared.tag();
+fn subset_pair_body(
+    shared: &Subset,
+    private: &Subset,
+    ledger: &Ledger,
+    id: usize,
+    episodes: u64,
+) -> Option<()> {
     // Presenting the private tag at the shared barrier must be rejected —
     // tags are what keep Fig. 6's P3-at-B1 from synchronizing with
     // P1-at-B2. The error path touches no shadow state, so this probe is
     // deterministic and free.
-    match shared.arrive(id, my_tag) {
+    match shared.arrive(id, private.tag()) {
         Err(BarrierError::TagMismatch { .. }) => {}
-        Ok(_) => {
-            ctx::report(Defect::ProtocolError {
-                thread: id,
-                message: "wrong tag accepted by shared barrier".into(),
-            });
-            return;
-        }
-        Err(err) => {
-            report_err(id, "wrong-tag probe", &err);
-            return;
-        }
+        Ok(_) => return protocol_error(id, "wrong tag accepted by shared barrier".into()),
+        Err(err) => return report_err(id, "wrong-tag probe", &err),
     }
+    // The private barrier's ledger is this thread's own; `classify` never
+    // sees it.
+    let solo = Ledger::new(vec![id]);
     for e in 0..episodes {
-        if ctx::aborted() {
-            return;
-        }
         // Solo synchronization on the private singleton barrier.
-        match private.point(id, my_tag) {
-            Ok(outcome) if outcome.episode == e => {}
-            Ok(outcome) => {
-                ctx::report(Defect::ProtocolError {
-                    thread: id,
-                    message: format!(
-                        "private barrier: expected episode {e}, got {}",
-                        outcome.episode
-                    ),
-                });
-                return;
-            }
-            Err(err) => {
-                report_err(id, "private point", &err);
-                return;
-            }
-        }
-        if ctx::aborted() {
-            return;
-        }
+        solo.subset_episode(private, 0, e, e)?;
         // Shared fuzzy synchronization.
-        ledger.begin(id);
-        let token = match shared.arrive(id, shared_tag) {
-            Ok(t) => t,
-            Err(err) => {
-                report_err(id, "shared arrive", &err);
-                return;
-            }
-        };
-        ledger.enter_wait(id, e);
-        let outcome = shared.wait(token);
-        if ctx::aborted() {
-            return;
-        }
-        ledger.exit_wait(id);
-        if outcome.episode != e {
-            ctx::report(Defect::ProtocolError {
-                thread: id,
-                message: format!(
-                    "shared barrier: expected episode {e}, got {}",
-                    outcome.episode
-                ),
-            });
-            return;
-        }
-        ledger.check_fuzzy(id, e);
-        if ctx::aborted() {
-            return;
-        }
+        ledger.subset_episode(shared, id, e, e)?;
     }
+    Some(())
 }
 
 /// Fig. 6 stream-merge topology: three threads, two *overlapping* masked
@@ -531,133 +616,48 @@ fn subset_pair_body(shared: &Subset, private: &Subset, ledger: &Ledger, id: usiz
 /// own mask.
 #[must_use]
 pub fn subset_overlap(episodes: u64) -> Scenario {
-    Scenario {
-        name: format!("subset/overlap/e{episodes}"),
-        threads: 3,
-        build: Box::new(move || {
-            let a = subset(1, &[0, 1]);
-            let b = subset(2, &[1, 2]);
+    scenario(
+        format!("subset/overlap/e{episodes}"),
+        3,
+        || {
             let ledger_a = Arc::new(Ledger::new(vec![0, 1]));
             let ledger_b = Arc::new(Ledger::new(vec![1, 2]));
-            let mut bodies: Vec<Job> = Vec::new();
-            {
-                let a = Arc::clone(&a);
-                let ledger_a = Arc::clone(&ledger_a);
-                bodies.push(Box::new(move || {
-                    edge_body(&a, &ledger_a, 0, 0, episodes);
-                }));
-            }
-            {
-                let a = Arc::clone(&a);
-                let b = Arc::clone(&b);
-                let ledger_a = Arc::clone(&ledger_a);
-                let ledger_b = Arc::clone(&ledger_b);
-                bodies.push(Box::new(move || {
-                    middle_body(&a, &b, &ledger_a, &ledger_b, episodes);
-                }));
-            }
-            {
-                let b = Arc::clone(&b);
-                let ledger_b = Arc::clone(&ledger_b);
-                bodies.push(Box::new(move || {
-                    edge_body(&b, &ledger_b, 2, 1, episodes);
-                }));
-            }
             let ledgers = vec![Arc::clone(&ledger_a), Arc::clone(&ledger_b)];
-            ScheduleRun {
-                bodies,
-                finish: Box::new(move |defect| classify(&ledgers, defect)),
-            }
-        }),
-    }
+            let a = subset(1, &[0, 1]);
+            let b = subset(2, &[1, 2]);
+            ((a, b, ledger_a, ledger_b), ledgers)
+        },
+        // Threads 0 and 2 each belong to exactly one masked barrier.
+        move |(a, b, ledger_a, ledger_b), id| match id {
+            0 => (0..episodes).try_for_each(|e| ledger_a.subset_episode(a, 0, e, e)),
+            1 => middle_body(a, b, ledger_a, ledger_b, episodes),
+            _ => (0..episodes).try_for_each(|e| ledger_b.subset_episode(b, 1, e, e)),
+        },
+        |_| None,
+    )
 }
 
-/// Body for a thread that belongs to exactly one masked barrier.
-fn edge_body(barrier: &Subset, ledger: &Ledger, id: usize, rank: usize, episodes: u64) {
-    let tag = barrier.tag();
-    for e in 0..episodes {
-        if ctx::aborted() {
-            return;
-        }
-        ledger.begin(rank);
-        let token = match barrier.arrive(id, tag) {
-            Ok(t) => t,
-            Err(err) => {
-                report_err(id, "arrive", &err);
-                return;
-            }
-        };
-        ledger.enter_wait(rank, e);
-        let outcome = barrier.wait(token);
-        if ctx::aborted() {
-            return;
-        }
-        ledger.exit_wait(rank);
-        if outcome.episode != e {
-            ctx::report(Defect::ProtocolError {
-                thread: id,
-                message: format!("expected episode {e}, got {}", outcome.episode),
-            });
-            return;
-        }
-        ledger.check_fuzzy(rank, e);
-        if ctx::aborted() {
-            return;
-        }
-    }
-}
-
-/// Body for the thread in both barriers: arrive at both, then wait both.
-fn middle_body(a: &Subset, b: &Subset, ledger_a: &Ledger, ledger_b: &Ledger, episodes: u64) {
+/// Body for the thread in both barriers: arrive at both, then wait on
+/// both. It is rank 1 of A's ledger and rank 0 of B's.
+fn middle_body(
+    a: &Subset,
+    b: &Subset,
+    ledger_a: &Ledger,
+    ledger_b: &Ledger,
+    episodes: u64,
+) -> Option<()> {
     let id = 1usize;
     for e in 0..episodes {
-        if ctx::aborted() {
-            return;
+        let token_a = ledger_a.arrive(1, || a.arrive(id, a.tag()))?;
+        let token_b = ledger_b.arrive(0, || b.arrive(id, b.tag()))?;
+        if let Err(err) = ledger_b.wait(0, e, e, || subset_wait(b, token_b))? {
+            return ledger_b.fail(0, "wait", &err);
         }
-        ledger_a.begin(1);
-        let token_a = match a.arrive(id, a.tag()) {
-            Ok(t) => t,
-            Err(err) => {
-                report_err(id, "arrive A", &err);
-                return;
-            }
-        };
-        ledger_b.begin(0);
-        let token_b = match b.arrive(id, b.tag()) {
-            Ok(t) => t,
-            Err(err) => {
-                report_err(id, "arrive B", &err);
-                return;
-            }
-        };
-        ledger_b.enter_wait(0, e);
-        let outcome_b = b.wait(token_b);
-        if ctx::aborted() {
-            return;
-        }
-        ledger_b.exit_wait(0);
-        ledger_a.enter_wait(1, e);
-        let outcome_a = a.wait(token_a);
-        if ctx::aborted() {
-            return;
-        }
-        ledger_a.exit_wait(1);
-        if outcome_a.episode != e || outcome_b.episode != e {
-            ctx::report(Defect::ProtocolError {
-                thread: id,
-                message: format!(
-                    "expected episode {e}, got A={} B={}",
-                    outcome_a.episode, outcome_b.episode
-                ),
-            });
-            return;
-        }
-        ledger_b.check_fuzzy(0, e);
-        ledger_a.check_fuzzy(1, e);
-        if ctx::aborted() {
-            return;
+        if let Err(err) = ledger_a.wait(1, e, e, || subset_wait(a, token_a))? {
+            return ledger_a.fail(1, "wait", &err);
         }
     }
+    Some(())
 }
 
 // ---------------------------------------------------------------------------
@@ -679,43 +679,20 @@ fn middle_body(a: &Subset, b: &Subset, ledger_a: &Ledger, ledger_b: &Ledger, epi
 /// write.
 #[must_use]
 pub fn registry(episodes: u64) -> Scenario {
-    Scenario {
-        name: format!("registry/e{episodes}"),
-        threads: 2,
-        build: Box::new(move || {
-            let reg = Arc::new(GroupRegistry::<ShadowSync>::with_policy_in(
-                4,
-                StallPolicy::Spin,
-            ));
-            let shared_tag = Tag::new(7).expect("non-zero");
+    scenario(
+        format!("registry/e{episodes}"),
+        2,
+        || {
+            let reg = GroupRegistry::<ShadowSync>::with_policy_in(4, StallPolicy::Spin);
             let shared = reg
-                .allocate_tagged(shared_tag, [0, 1].into_iter().collect())
+                .allocate_tagged(Tag::new(7).expect("non-zero"), [0, 1].into_iter().collect())
                 .expect("fresh registry has room");
-            let ledger = Arc::new(Ledger::new(vec![0, 1]));
-            let bodies: Vec<Job> = (0..2)
-                .map(|id| {
-                    let reg = Arc::clone(&reg);
-                    let shared = Arc::clone(&shared);
-                    let ledger = Arc::clone(&ledger);
-                    Box::new(move || {
-                        registry_body(&reg, &shared, &ledger, id, episodes);
-                    }) as Job
-                })
-                .collect();
-            let ledgers = vec![Arc::clone(&ledger)];
-            let reg = Arc::clone(&reg);
-            ScheduleRun {
-                bodies,
-                finish: Box::new(move |defect| {
-                    let defect = classify(&ledgers, defect);
-                    if defect.is_some() {
-                        return defect;
-                    }
-                    registry_capacity_check(&reg)
-                }),
-            }
-        }),
-    }
+            let ledger = ledger(2);
+            ((reg, shared, Arc::clone(&ledger)), vec![ledger])
+        },
+        move |(reg, shared, ledger), id| registry_body(reg, shared, ledger, id, episodes),
+        |(reg, _, _)| registry_capacity_check(reg),
+    )
 }
 
 fn registry_body(
@@ -724,89 +701,40 @@ fn registry_body(
     ledger: &Ledger,
     id: usize,
     episodes: u64,
-) {
+) -> Option<()> {
     let private_tag = Tag::new(10 + id as u16).expect("non-zero");
-    let shared_tag = shared.tag();
+    // Each episode's private barrier is freshly allocated, so it always
+    // completes *its* episode 0. Its ledger is this thread's own;
+    // `classify` never sees it.
+    let solo = Ledger::new(vec![id]);
     for e in 0..episodes {
-        if ctx::aborted() {
-            return;
-        }
+        live()?;
         // Allocate a private singleton barrier under an explicitly reused
         // tag. Capacity is 3 (shared + one private per thread), so this
         // must succeed in every interleaving.
-        let private = match reg.allocate_tagged(private_tag, ProcMask::single(id)) {
-            Ok(b) => b,
-            Err(err) => {
-                report_err(id, "allocate private", &err);
-                return;
-            }
-        };
+        let private = ok_or_report(
+            id,
+            "allocate private",
+            reg.allocate_tagged(private_tag, ProcMask::single(id)),
+        )?;
         if reg.live_barriers() > reg.capacity() {
-            ctx::report(Defect::ProtocolError {
-                thread: id,
-                message: format!(
+            return protocol_error(
+                id,
+                format!(
                     "N-1 bound violated: {} live barriers > capacity {}",
                     reg.live_barriers(),
                     reg.capacity()
                 ),
-            });
-            return;
+            );
         }
         // Solo sync on the private barrier (never blocks: one member).
-        // The barrier is freshly allocated each episode, so it always
-        // completes *its* episode 0.
-        match private.point(id, private_tag) {
-            Ok(outcome) if outcome.episode == 0 => {}
-            Ok(outcome) => {
-                ctx::report(Defect::ProtocolError {
-                    thread: id,
-                    message: format!(
-                        "fresh private barrier completed episode {}",
-                        outcome.episode
-                    ),
-                });
-                return;
-            }
-            Err(err) => {
-                report_err(id, "private point", &err);
-                return;
-            }
-        }
-        if ctx::aborted() {
-            return;
-        }
+        solo.subset_episode(&private, 0, e, 0)?;
         // Fuzzy sync with the peer stream on the long-lived shared barrier.
-        ledger.begin(id);
-        let token = match shared.arrive(id, shared_tag) {
-            Ok(t) => t,
-            Err(err) => {
-                report_err(id, "shared arrive", &err);
-                return;
-            }
-        };
-        ledger.enter_wait(id, e);
-        let outcome = shared.wait(token);
-        if ctx::aborted() {
-            return;
-        }
-        ledger.exit_wait(id);
-        if outcome.episode != e {
-            ctx::report(Defect::ProtocolError {
-                thread: id,
-                message: format!("shared episode {e} != {}", outcome.episode),
-            });
-            return;
-        }
-        ledger.check_fuzzy(id, e);
-        if ctx::aborted() {
-            return;
-        }
+        ledger.subset_episode(shared, id, e, e)?;
         // Release the slot; next episode re-allocates the same tag.
-        if let Err(err) = reg.release(private_tag) {
-            report_err(id, "release private", &err);
-            return;
-        }
+        ok_or_report(id, "release private", reg.release(private_tag))?;
     }
+    Some(())
 }
 
 /// Post-run invariant: the registry must refuse the N-th barrier. Runs on
@@ -872,33 +800,24 @@ pub fn poison_with(
     mut factory: impl FnMut() -> Arc<dyn SplitBarrier> + 'static,
 ) -> Scenario {
     assert!(n >= 2, "the poison scenario needs a survivor");
-    Scenario {
-        name: name.into(),
-        threads: n,
-        build: Box::new(move || {
+    scenario(
+        name,
+        n,
+        move || {
             let barrier = factory();
             assert_eq!(barrier.participants(), n, "factory/participant mismatch");
-            let ledger = Arc::new(Ledger::new((0..n).collect()));
-            let bodies: Vec<Job> = (0..n)
-                .map(|id| {
-                    let barrier = Arc::clone(&barrier);
-                    let ledger = Arc::clone(&ledger);
-                    Box::new(move || {
-                        if id == n - 1 {
-                            aborter_body(&*barrier, &ledger, id);
-                        } else {
-                            poison_survivor_body(&*barrier, &ledger, id);
-                        }
-                    }) as Job
-                })
-                .collect();
-            let ledgers = vec![Arc::clone(&ledger)];
-            ScheduleRun {
-                bodies,
-                finish: Box::new(move |defect| classify(&ledgers, defect)),
+            let ledger = ledger(n);
+            ((barrier, Arc::clone(&ledger)), vec![ledger])
+        },
+        move |(barrier, ledger), id| {
+            if id == n - 1 {
+                aborter_body(&**barrier, ledger, id)
+            } else {
+                poison_survivor_body(&**barrier, ledger, id)
             }
-        }),
-    }
+        },
+        |_| None,
+    )
 }
 
 /// [`poison_with`] over a stock backend.
@@ -909,76 +828,36 @@ pub fn poison(backend: BackendKind, n: usize) -> Scenario {
     })
 }
 
-fn aborter_body(barrier: &dyn SplitBarrier, ledger: &Ledger, id: usize) {
-    ledger.begin(id);
-    let token = barrier.arrive(id);
-    if ctx::aborted() {
-        return;
-    }
+fn aborter_body(barrier: &dyn SplitBarrier, ledger: &Ledger, id: usize) -> Option<()> {
+    let token = ledger.arrive(id, || Ok(barrier.arrive(id)))?;
+    live()?;
     // Panic path: the arrival stands, the token is consumed, peers are
     // released with `Poisoned` instead of hanging on the next episode.
     barrier.abort(token);
+    Some(())
 }
 
-fn poison_survivor_body(barrier: &dyn SplitBarrier, ledger: &Ledger, id: usize) {
+fn poison_survivor_body(barrier: &dyn SplitBarrier, ledger: &Ledger, id: usize) -> Option<()> {
     // Episode 0: everyone (including the aborter) arrives, so either
     // completion or poisoning can win the race.
-    ledger.begin(id);
-    let token = barrier.arrive(id);
-    ledger.enter_wait(id, 0);
-    let result = barrier.wait_deadline(token, Deadline::never());
-    if ctx::aborted() {
-        return;
-    }
-    match result {
-        Ok(outcome) => {
-            ledger.exit_wait(id);
-            if outcome.episode != 0 {
-                ctx::report(Defect::ProtocolError {
-                    thread: id,
-                    message: format!("expected episode 0, wait returned {}", outcome.episode),
-                });
-                return;
-            }
-            ledger.check_fuzzy(id, 0);
-        }
-        Err(BarrierError::Poisoned { .. }) => {
-            ledger.exit_wait(id);
-            // Poison won before episode 0 completed; nothing further to
-            // assert — the wait did not hang and did not return Ok early.
-            return;
-        }
-        Err(err) => {
-            report_err(id, "episode-0 wait", &err);
-            return;
-        }
-    }
-    if ctx::aborted() {
-        return;
+    let token = ledger.arrive(id, || Ok(barrier.arrive(id)))?;
+    match ledger.wait(id, 0, 0, || wait_never(barrier, token))? {
+        Ok(()) => {}
+        // Poison won before episode 0 completed; nothing further to
+        // assert — the wait did not hang and did not return Ok early.
+        Err(BarrierError::Poisoned { .. }) => return Some(()),
+        Err(err) => return ledger.fail(id, "episode-0 wait", &err),
     }
     // Episode 1: the aborter never re-arrives, so completion is
-    // impossible; the only legal exit from an unbounded wait is Poisoned.
-    ledger.begin(id);
-    let token = barrier.arrive(id);
-    ledger.enter_wait(id, 1);
-    let result = barrier.wait_deadline(token, Deadline::never());
-    if ctx::aborted() {
-        return;
-    }
-    match result {
-        Err(BarrierError::Poisoned { .. }) => {
-            ledger.exit_wait(id);
-        }
-        Ok(outcome) => {
-            ctx::report(Defect::ProtocolError {
-                thread: id,
-                message: format!(
-                    "episode 1 completed (episode {}) without the aborter",
-                    outcome.episode
-                ),
-            });
-        }
-        Err(err) => report_err(id, "episode-1 wait", &err),
+    // impossible (the wait half reports a release as the fuzzy violation
+    // it is); the only legal exit from an unbounded wait is Poisoned.
+    let token = ledger.arrive(id, || Ok(barrier.arrive(id)))?;
+    match ledger.wait(id, 1, 1, || wait_never(barrier, token))? {
+        Err(BarrierError::Poisoned { .. }) => Some(()),
+        other => protocol_error(
+            id,
+            format!("episode 1 without the aborter ended {other:?}, not Poisoned"),
+        ),
     }
 }
 
@@ -1005,38 +884,29 @@ pub fn evict_with(
     mut factory: impl FnMut() -> Arc<dyn SplitBarrier> + 'static,
 ) -> Scenario {
     assert!(n >= 2, "the evict scenario needs a survivor");
-    Scenario {
-        name: name.into(),
-        threads: n,
-        build: Box::new(move || {
+    scenario(
+        name,
+        n,
+        move || {
             let barrier = factory();
             assert_eq!(barrier.participants(), n, "factory/participant mismatch");
-            let full = Arc::new(Ledger::new((0..n).collect()));
+            let full = ledger(n);
             // Post-eviction episodes are tracked against the survivors
             // only, re-numbered from zero (ledger episode = barrier
             // episode − 1).
-            let survivors = Arc::new(Ledger::new((0..n - 1).collect()));
-            let bodies: Vec<Job> = (0..n)
-                .map(|id| {
-                    let barrier = Arc::clone(&barrier);
-                    let full = Arc::clone(&full);
-                    let survivors = Arc::clone(&survivors);
-                    Box::new(move || {
-                        if id == n - 1 {
-                            evictee_body(&*barrier, &full, id);
-                        } else {
-                            evict_survivor_body(&*barrier, &full, &survivors, id, episodes);
-                        }
-                    }) as Job
-                })
-                .collect();
+            let survivors = ledger(n - 1);
             let ledgers = vec![Arc::clone(&full), Arc::clone(&survivors)];
-            ScheduleRun {
-                bodies,
-                finish: Box::new(move |defect| classify(&ledgers, defect)),
+            ((barrier, full, survivors), ledgers)
+        },
+        move |(barrier, full, survivors), id| {
+            if id == n - 1 {
+                evictee_body(&**barrier, full, id)
+            } else {
+                evict_survivor_body(&**barrier, full, survivors, id, episodes)
             }
-        }),
-    }
+        },
+        |_| None,
+    )
 }
 
 /// [`evict_with`] over a stock backend.
@@ -1050,39 +920,11 @@ pub fn evict(backend: BackendKind, n: usize, episodes: u64) -> Scenario {
     )
 }
 
-fn evictee_body(barrier: &dyn SplitBarrier, full: &Ledger, id: usize) {
-    full.begin(id);
-    let token = barrier.arrive(id);
-    full.enter_wait(id, 0);
-    let result = barrier.wait_deadline(token, Deadline::never());
-    if ctx::aborted() {
-        return;
-    }
-    match result {
-        Ok(outcome) if outcome.episode == 0 => {
-            full.exit_wait(id);
-            full.check_fuzzy(id, 0);
-        }
-        Ok(outcome) => {
-            ctx::report(Defect::ProtocolError {
-                thread: id,
-                message: format!("expected episode 0, wait returned {}", outcome.episode),
-            });
-            return;
-        }
-        Err(err) => {
-            report_err(id, "evictee episode-0 wait", &err);
-            return;
-        }
-    }
-    if ctx::aborted() {
-        return;
-    }
+fn evictee_body(barrier: &dyn SplitBarrier, full: &Ledger, id: usize) -> Option<()> {
+    full.split_episode(barrier, id, 0, 0)?;
     // Contract honored: the evictee has not arrived for the in-flight
     // episode (it only ever arrived for the completed episode 0).
-    if let Err(err) = barrier.evict(id) {
-        report_err(id, "self-evict", &err);
-    }
+    ok_or_report(id, "self-evict", barrier.evict(id))
 }
 
 fn evict_survivor_body(
@@ -1091,63 +933,12 @@ fn evict_survivor_body(
     survivors: &Ledger,
     id: usize,
     episodes: u64,
-) {
+) -> Option<()> {
     // Episode 0 at full strength.
-    full.begin(id);
-    let token = barrier.arrive(id);
-    full.enter_wait(id, 0);
-    let result = barrier.wait_deadline(token, Deadline::never());
-    if ctx::aborted() {
-        return;
-    }
-    match result {
-        Ok(outcome) if outcome.episode == 0 => {
-            full.exit_wait(id);
-            full.check_fuzzy(id, 0);
-        }
-        Ok(outcome) => {
-            ctx::report(Defect::ProtocolError {
-                thread: id,
-                message: format!("expected episode 0, wait returned {}", outcome.episode),
-            });
-            return;
-        }
-        Err(err) => {
-            report_err(id, "episode-0 wait", &err);
-            return;
-        }
-    }
+    full.split_episode(barrier, id, 0, 0)?;
     // Post-eviction episodes: the evictee's ghost must keep the barrier
     // completing for the survivors alone.
-    for e in 1..=episodes {
-        if ctx::aborted() {
-            return;
-        }
-        survivors.begin(id);
-        let token = barrier.arrive(id);
-        survivors.enter_wait(id, e - 1);
-        let result = barrier.wait_deadline(token, Deadline::never());
-        if ctx::aborted() {
-            return;
-        }
-        match result {
-            Ok(outcome) if outcome.episode == e => {
-                survivors.exit_wait(id);
-                survivors.check_fuzzy(id, e - 1);
-            }
-            Ok(outcome) => {
-                ctx::report(Defect::ProtocolError {
-                    thread: id,
-                    message: format!("expected episode {e}, wait returned {}", outcome.episode),
-                });
-                return;
-            }
-            Err(err) => {
-                report_err(id, "survivor wait", &err);
-                return;
-            }
-        }
-    }
+    (1..=episodes).try_for_each(|e| survivors.split_episode(barrier, id, e - 1, e))
 }
 
 /// Evict-race scenario: all `n` members evict themselves before anyone
@@ -1171,39 +962,29 @@ pub fn evict_race_with(
     mut factory: impl FnMut() -> Arc<dyn SplitBarrier> + 'static,
 ) -> Scenario {
     assert!(n >= 2, "the evict-race scenario needs two evictors");
-    Scenario {
-        name: name.into(),
-        threads: n,
-        build: Box::new(move || {
+    scenario(
+        name,
+        n,
+        move || {
             let barrier = factory();
             assert_eq!(barrier.participants(), n, "factory/participant mismatch");
-            let refused = Arc::new(AtomicU64::new(0));
-            let bodies: Vec<Job> = (0..n)
-                .map(|id| {
-                    let barrier = Arc::clone(&barrier);
-                    let refused = Arc::clone(&refused);
-                    Box::new(move || evict_race_body(&*barrier, &refused, id)) as Job
-                })
-                .collect();
-            // No fuzzy ledger: the survivor synchronizes alone, so a hang
-            // is reported as the deadlock it is.
-            ScheduleRun {
-                bodies,
-                finish: Box::new(move |defect| {
-                    let refused = refused.load(Ordering::Relaxed);
-                    defect.or_else(|| {
-                        (refused != 1).then(|| Defect::ProtocolError {
-                            thread: 0,
-                            message: format!(
-                                "{refused} of {n} concurrent self-evictions were refused with \
-                                 EmptyGroup; exactly one must be"
-                            ),
-                        })
-                    })
-                }),
-            }
-        }),
-    }
+            // No fuzzy ledger for `classify`: the survivor synchronizes
+            // alone, so a hang is reported as the deadlock it is.
+            ((barrier, AtomicU64::new(0)), Vec::new())
+        },
+        |(barrier, refused), id| evict_race_body(&**barrier, refused, id),
+        |(barrier, refused)| {
+            let refused = refused.load(Ordering::Relaxed);
+            let n = barrier.participants();
+            (refused != 1).then(|| Defect::ProtocolError {
+                thread: 0,
+                message: format!(
+                    "{refused} of {n} concurrent self-evictions were refused with \
+                     EmptyGroup; exactly one must be"
+                ),
+            })
+        },
+    )
 }
 
 /// [`evict_race_with`] over a stock backend.
@@ -1216,34 +997,17 @@ pub fn evict_race(backend: BackendKind, n: usize) -> Scenario {
     )
 }
 
-fn evict_race_body(barrier: &dyn SplitBarrier, refused: &AtomicU64, id: usize) {
+fn evict_race_body(barrier: &dyn SplitBarrier, refused: &AtomicU64, id: usize) -> Option<()> {
     match barrier.evict(id) {
-        Ok(()) => return,
+        Ok(()) => return Some(()),
         Err(BarrierError::EmptyGroup) => {
             refused.fetch_add(1, Ordering::Relaxed);
         }
-        Err(err) => {
-            report_err(id, "self-evict", &err);
-            return;
-        }
+        Err(err) => return report_err(id, "self-evict", &err),
     }
-    if ctx::aborted() {
-        return;
-    }
-    // The survivor: its arrival joins the evictees' stand-ins.
-    let token = barrier.arrive(id);
-    let result = barrier.wait_deadline(token, Deadline::never());
-    if ctx::aborted() {
-        return;
-    }
-    match result {
-        Ok(outcome) if outcome.episode == 0 => {}
-        Ok(outcome) => ctx::report(Defect::ProtocolError {
-            thread: id,
-            message: format!("expected episode 0, wait returned {}", outcome.episode),
-        }),
-        Err(err) => report_err(id, "survivor wait", &err),
-    }
+    // The survivor: its arrival joins the evictees' stand-ins, under a
+    // ledger of its own.
+    Ledger::new(vec![id]).split_episode(barrier, 0, 0, 0)
 }
 
 // ---------------------------------------------------------------------------
@@ -1328,29 +1092,18 @@ pub fn async_handoff_with(
     episodes: u64,
     mut factory: impl FnMut() -> Arc<dyn AsyncFrontend> + 'static,
 ) -> Scenario {
-    Scenario {
-        name: name.into(),
-        threads: n,
-        build: Box::new(move || {
+    scenario(
+        name,
+        n,
+        move || {
             let frontend = factory();
             assert_eq!(frontend.participants(), n, "factory/participant mismatch");
-            let ledger = Arc::new(Ledger::new((0..n).collect()));
-            let bodies: Vec<Job> = (0..n)
-                .map(|id| {
-                    let frontend = Arc::clone(&frontend);
-                    let ledger = Arc::clone(&ledger);
-                    Box::new(move || {
-                        async_body(&frontend, &ledger, id, episodes);
-                    }) as Job
-                })
-                .collect();
-            let ledgers = vec![Arc::clone(&ledger)];
-            ScheduleRun {
-                bodies,
-                finish: Box::new(move |defect| classify(&ledgers, defect)),
-            }
-        }),
-    }
+            let ledger = ledger(n);
+            ((frontend, Arc::clone(&ledger)), vec![ledger])
+        },
+        move |(frontend, ledger), id| async_body(&**frontend, ledger, id, episodes),
+        |_| None,
+    )
 }
 
 /// [`async_handoff_with`] over the real [`AsyncBarrier`] frontend on a
@@ -1369,59 +1122,44 @@ pub fn async_handoff(backend: BackendKind, n: usize, episodes: u64) -> Scenario 
     )
 }
 
-fn async_body(frontend: &Arc<dyn AsyncFrontend>, ledger: &Ledger, id: usize, episodes: u64) {
+fn async_body(
+    frontend: &dyn AsyncFrontend,
+    ledger: &Ledger,
+    id: usize,
+    episodes: u64,
+) -> Option<()> {
     // One flag per participant, reset before every poll. The waker handed
     // to the frontend is stable across polls of one future, matching how
     // an executor reuses a task's waker.
     let flag = Arc::new(WakeFlag::new());
     let waker = Waker::from(Arc::clone(&flag));
     for e in 0..episodes {
-        if ctx::aborted() {
-            return;
-        }
-        ledger.begin(id);
-        let mut future = frontend.arrive_future(id);
-        ledger.enter_wait(id, e);
-        let result = loop {
-            // Reset *before* polling so a wake delivered during the poll
-            // itself is observed by the park below rather than lost.
-            flag.reset();
-            let mut cx = Context::from_waker(&waker);
-            match future.as_mut().poll(&mut cx) {
-                Poll::Ready(result) => break result,
-                Poll::Pending => {
-                    // Park until woken: a blocked shadow wait, visible to
-                    // the deadlock detector.
-                    ShadowSync::wait_until(StallPolicy::Spin, || flag.is_set());
-                    if ctx::aborted() {
-                        return;
+        ledger.episode(
+            id,
+            e,
+            e,
+            || Ok(frontend.arrive_future(id)),
+            |mut future| loop {
+                // Reset *before* polling so a wake delivered during the
+                // poll itself is observed by the park below rather than
+                // lost.
+                flag.reset();
+                let mut cx = Context::from_waker(&waker);
+                match future.as_mut().poll(&mut cx) {
+                    Poll::Ready(result) => break result.map(|outcome| outcome.episode),
+                    Poll::Pending => {
+                        // Park until woken: a blocked shadow wait, visible
+                        // to the deadlock detector.
+                        ShadowSync::wait_until(StallPolicy::Spin, || flag.is_set());
+                        if ctx::aborted() {
+                            break drained(e);
+                        }
                     }
                 }
-            }
-        };
-        if ctx::aborted() {
-            return;
-        }
-        ledger.exit_wait(id);
-        match result {
-            Ok(outcome) if outcome.episode == e => {}
-            Ok(outcome) => {
-                ctx::report(Defect::ProtocolError {
-                    thread: id,
-                    message: format!("expected episode {e}, future resolved {}", outcome.episode),
-                });
-                return;
-            }
-            Err(err) => {
-                report_err(id, "async arrival", &err);
-                return;
-            }
-        }
-        ledger.check_fuzzy(id, e);
-        if ctx::aborted() {
-            return;
-        }
+            },
+        )?;
     }
+    Some(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1509,52 +1247,29 @@ fn shadow_group(capacity: usize, initial: usize) -> Arc<dyn ReconfigOps> {
     Arc::new(group)
 }
 
-/// One checked episode through a [`ReconfigOps`] group: ledger `begin`
-/// before the arrival, fuzzy check after the release, release epoch
-/// asserted against `epoch`. Returns `false` once the body should stop
-/// (abort or reported defect). `id` is both the global thread id and the
-/// member's rank in `ledger`; `ledger_episode` is the episode number in
-/// the ledger's own (possibly re-based) numbering.
+/// One checked episode through a [`ReconfigOps`] group under the
+/// `(slot, generation)` credential, released at wrapper epoch `epoch`;
+/// `episode` numbers it in `ledger`, where `id` is both the global thread
+/// id and the member's rank.
 ///
-/// `enter_wait` brackets the whole combined call — the arrival half is
-/// gate-bounded and never blocks on peers, so treating the span as "in
-/// wait" keeps the lost-wakeup classification sound.
-fn reconfig_sync_checked(
+/// `sync` is the whole episode, so the wait half brackets it: its arrival
+/// half is gate-bounded and never blocks on peers, so treating the span
+/// as "in wait" keeps the lost-wakeup classification sound.
+fn reconfig_episode(
     group: &dyn ReconfigOps,
     ledger: &Ledger,
     id: usize,
-    ledger_episode: u64,
+    episode: u64,
     epoch: u64,
-    slot: usize,
-    generation: u64,
-) -> bool {
-    if ctx::aborted() {
-        return false;
-    }
-    ledger.begin(id);
-    ledger.enter_wait(id, ledger_episode);
-    let result = group.sync(slot, generation);
-    if ctx::aborted() {
-        return false;
-    }
-    match result {
-        Ok(e) if e == epoch => {
-            ledger.exit_wait(id);
-            ledger.check_fuzzy(id, ledger_episode);
-            !ctx::aborted()
-        }
-        Ok(e) => {
-            ctx::report(Defect::ProtocolError {
-                thread: id,
-                message: format!("expected release at epoch {epoch}, sync returned {e}"),
-            });
-            false
-        }
-        Err(err) => {
-            report_err(id, "membership sync", &err);
-            false
-        }
-    }
+    (slot, generation): (usize, u64),
+) -> Option<()> {
+    ledger.episode(
+        id,
+        episode,
+        epoch,
+        || Ok(()),
+        |()| group.sync(slot, generation),
+    )
 }
 
 /// Join-during-episode scenario: two founders and one joiner over a
@@ -1569,36 +1284,25 @@ pub fn join_mid_episode_with(
     name: impl Into<String>,
     mut factory: impl FnMut() -> Arc<dyn ReconfigOps> + 'static,
 ) -> Scenario {
-    Scenario {
-        name: name.into(),
-        threads: 3,
-        build: Box::new(move || {
+    scenario(
+        name,
+        3,
+        move || {
             let group = factory();
-            let joined = Arc::new(ShadowU32::new(0));
             let founders = Arc::new(Ledger::new(vec![0, 1]));
-            let grown = Arc::new(Ledger::new(vec![0, 1, 2]));
-            let bodies: Vec<Job> = (0..3)
-                .map(|id| {
-                    let group = Arc::clone(&group);
-                    let joined = Arc::clone(&joined);
-                    let founders = Arc::clone(&founders);
-                    let grown = Arc::clone(&grown);
-                    Box::new(move || {
-                        if id == 2 {
-                            join_mid_episode_joiner(&*group, &joined, &grown);
-                        } else {
-                            join_mid_episode_founder(&*group, &joined, &founders, &grown, id);
-                        }
-                    }) as Job
-                })
-                .collect();
+            let grown = ledger(3);
             let ledgers = vec![Arc::clone(&founders), Arc::clone(&grown)];
-            ScheduleRun {
-                bodies,
-                finish: Box::new(move |defect| classify(&ledgers, defect)),
+            ((group, ShadowU32::new(0), founders, grown), ledgers)
+        },
+        |(group, joined, founders, grown), id| {
+            if id == 2 {
+                join_mid_episode_joiner(&**group, joined, grown)
+            } else {
+                join_mid_episode_founder(&**group, joined, founders, grown, id)
             }
-        }),
-    }
+        },
+        |_| None,
+    )
 }
 
 /// [`join_mid_episode_with`] over the real shadow-domain group.
@@ -1613,52 +1317,37 @@ fn join_mid_episode_founder(
     founders: &Ledger,
     grown: &Ledger,
     id: usize,
-) {
+) -> Option<()> {
     // Hold epoch 0 until the join is staged: the installer at the first
     // boundary then sees the pending join on every schedule.
     ShadowSync::wait_until(StallPolicy::Spin, || joined.load(Ordering::Acquire) == 1);
-    if ctx::aborted() {
-        return;
-    }
     // Epoch 0 at the founding pair; founders hold slot `id`, generation 0.
-    if !reconfig_sync_checked(group, founders, id, 0, 0, id, 0) {
-        return;
-    }
+    reconfig_episode(group, founders, id, 0, 0, (id, 0))?;
     // Epoch 1 at the grown trio (the grown ledger numbers from zero).
-    reconfig_sync_checked(group, grown, id, 0, 1, id, 0);
+    reconfig_episode(group, grown, id, 0, 1, (id, 0))
 }
 
-fn join_mid_episode_joiner(group: &dyn ReconfigOps, joined: &ShadowU32, grown: &Ledger) {
-    let (slot, generation) = match group.join() {
-        Ok(credential) => credential,
-        Err(err) => {
-            report_err(2, "join", &err);
-            return;
-        }
-    };
+fn join_mid_episode_joiner(
+    group: &dyn ReconfigOps,
+    joined: &ShadowU32,
+    grown: &Ledger,
+) -> Option<()> {
+    let (slot, generation) = ok_or_report(2, "join", group.join())?;
     joined.store(1, Ordering::Release);
-    if ctx::aborted() {
-        return;
-    }
+    live()?;
     group.wait_active(slot, generation);
-    if ctx::aborted() {
-        return;
-    }
     // The joiner's first episode is the grown trio's epoch 1.
-    if !reconfig_sync_checked(group, grown, 2, 0, 1, slot, generation) {
-        return;
-    }
+    reconfig_episode(group, grown, 2, 0, 1, (slot, generation))?;
     // The staged join must actually have landed: three live members.
     let members = group.members();
-    if ctx::aborted() {
-        return;
-    }
+    live()?;
     if members != 3 {
-        ctx::report(Defect::ProtocolError {
-            thread: 2,
-            message: format!("expected 3 members after activation, found {members}"),
-        });
+        return protocol_error(
+            2,
+            format!("expected 3 members after activation, found {members}"),
+        );
     }
+    Some(())
 }
 
 /// Stale-generation scenario over a two-slot group: member A leaves, its
@@ -1674,37 +1363,22 @@ pub fn stale_generation_with(
     name: impl Into<String>,
     mut factory: impl FnMut() -> Arc<dyn ReconfigOps> + 'static,
 ) -> Scenario {
-    Scenario {
-        name: name.into(),
-        threads: 3,
-        build: Box::new(move || {
-            let group = factory();
-            let joined = Arc::new(ShadowU32::new(0));
-            let a_done = Arc::new(ShadowU32::new(0));
-            let j_done = Arc::new(ShadowU32::new(0));
-            let pump = Arc::new(ShadowU32::new(0));
-            let bodies: Vec<Job> = (0..3)
-                .map(|id| {
-                    let group = Arc::clone(&group);
-                    let joined = Arc::clone(&joined);
-                    let a_done = Arc::clone(&a_done);
-                    let j_done = Arc::clone(&j_done);
-                    let pump = Arc::clone(&pump);
-                    Box::new(move || match id {
-                        0 => stale_generation_leaver(&*group, &joined, &a_done, &pump),
-                        1 => stale_generation_driver(&*group, &j_done, &pump),
-                        _ => stale_generation_reuser(&*group, &joined, &a_done, &j_done, &pump),
-                    }) as Job
-                })
-                .collect();
+    scenario(
+        name,
+        3,
+        move || {
+            let flags = || ShadowU32::new(0);
             // No fuzzy ledger: this scenario checks the credential
             // lifecycle, so a hang is reported as the deadlock it is.
-            ScheduleRun {
-                bodies,
-                finish: Box::new(|defect| defect),
-            }
-        }),
-    }
+            ((factory(), flags(), flags(), flags(), flags()), Vec::new())
+        },
+        |(group, joined, a_done, j_done, pump), id| match id {
+            0 => stale_generation_leaver(&**group, joined, a_done, pump),
+            1 => stale_generation_driver(&**group, j_done, pump),
+            _ => stale_generation_reuser(&**group, joined, a_done, j_done, pump),
+        },
+        |_| None,
+    )
 }
 
 /// [`stale_generation_with`] over the real shadow-domain group.
@@ -1713,48 +1387,43 @@ pub fn stale_generation() -> Scenario {
     stale_generation_with("reconfig/stale-generation", || shadow_group(2, 2))
 }
 
+/// Thread `thread`'s full-strength `sync` under `credential`, which must
+/// release wrapper epoch 0.
+fn sync_epoch_zero(
+    group: &dyn ReconfigOps,
+    thread: usize,
+    what: &str,
+    (slot, generation): (usize, u64),
+) -> Option<()> {
+    match ok_or_report(thread, what, group.sync(slot, generation))? {
+        0 => Some(()),
+        e => protocol_error(
+            thread,
+            format!("expected release at epoch 0, sync returned {e}"),
+        ),
+    }
+}
+
 fn stale_generation_leaver(
     group: &dyn ReconfigOps,
     joined: &ShadowU32,
     a_done: &ShadowU32,
     pump: &ShadowU32,
-) {
+) -> Option<()> {
     // Epoch 0 at full strength, then depart. The departure bumps the slot
     // generation immediately, so the retained (0, 0) credential is stale
     // from here on.
-    match group.sync(0, 0) {
-        Ok(0) => {}
-        Ok(e) => {
-            ctx::report(Defect::ProtocolError {
-                thread: 0,
-                message: format!("expected release at epoch 0, sync returned {e}"),
-            });
-            return;
-        }
-        Err(err) => {
-            report_err(0, "pre-leave sync", &err);
-            return;
-        }
-    }
-    if ctx::aborted() {
-        return;
-    }
-    if let Err(err) = group.leave(0, 0) {
-        report_err(0, "leave", &err);
-        return;
-    }
+    sync_epoch_zero(group, 0, "pre-leave sync", (0, 0))?;
+    live()?;
+    ok_or_report(0, "leave", group.leave(0, 0))?;
     // The freed slot installs at the next boundary: ask the driver for
     // one.
     pump.fetch_add(1, Ordering::AcqRel);
-    if ctx::aborted() {
-        return;
-    }
+    live()?;
     // Probe only once the slot has been re-claimed, so the stale arrival
     // races a live re-occupant rather than an empty slot.
     ShadowSync::wait_until(StallPolicy::Spin, || joined.load(Ordering::Acquire) == 1);
-    if ctx::aborted() {
-        return;
-    }
+    live()?;
     match group.sync(0, 0) {
         Err(BarrierError::StaleGeneration {
             slot,
@@ -1762,61 +1431,51 @@ fn stale_generation_leaver(
             current,
         }) if slot == 0 && held == 0 && current >= 1 => {}
         Ok(e) => {
-            ctx::report(Defect::ProtocolError {
-                thread: 0,
-                message: format!("stale credential accepted; released at epoch {e}"),
-            });
-            return;
+            return protocol_error(
+                0,
+                format!("stale credential accepted; released at epoch {e}"),
+            )
         }
-        Err(err) => {
-            report_err(0, "stale probe", &err);
-            return;
-        }
+        Err(err) => return report_err(0, "stale probe", &err),
     }
     a_done.store(1, Ordering::Release);
+    Some(())
 }
 
-fn stale_generation_driver(group: &dyn ReconfigOps, j_done: &ShadowU32, pump: &ShadowU32) {
+fn stale_generation_driver(
+    group: &dyn ReconfigOps,
+    j_done: &ShadowU32,
+    pump: &ShadowU32,
+) -> Option<()> {
     // Epoch 0 at full strength alongside the leaver.
-    match group.sync(1, 0) {
-        Ok(0) => {}
-        Ok(e) => {
-            ctx::report(Defect::ProtocolError {
-                thread: 1,
-                message: format!("expected release at epoch 0, sync returned {e}"),
-            });
-            return;
-        }
-        Err(err) => {
-            report_err(1, "driver sync", &err);
-            return;
-        }
-    }
-    // Drive one boundary per request so departures free, joins install,
-    // and the reuser activates. Each pump is *requested* (the driver
-    // blocks between them): an ungated loop would spin solo boundaries
-    // forever and never yield the schedule to the other threads.
+    sync_epoch_zero(group, 1, "driver sync", (1, 0))?;
+    serve_boundaries(group, j_done, pump)
+}
+
+/// The driver (thread 1, credential `(1, 0)`) drives one boundary per
+/// request on `pump` — so departures free, joins install, and a joiner
+/// activates and finds a partner — until the joiner sets `j_done`. Each
+/// pump is *requested* (the driver blocks between them): an ungated loop
+/// would spin solo boundaries forever and never yield the schedule to the
+/// other threads.
+fn serve_boundaries(group: &dyn ReconfigOps, j_done: &ShadowU32, pump: &ShadowU32) -> Option<()> {
     let mut served = 0u32;
     let mut next_epoch = 1u64;
     loop {
         ShadowSync::wait_until(StallPolicy::Spin, || {
             j_done.load(Ordering::Acquire) == 1 || pump.load(Ordering::Acquire) > served
         });
-        if ctx::aborted() || j_done.load(Ordering::Acquire) == 1 {
-            return;
+        live()?;
+        if j_done.load(Ordering::Acquire) == 1 {
+            return Some(());
         }
-        match group.sync(1, 0) {
-            Ok(e) if e >= next_epoch => next_epoch = e + 1,
-            Ok(e) => {
-                ctx::report(Defect::ProtocolError {
-                    thread: 1,
-                    message: format!("release epoch went backwards: {e} < {next_epoch}"),
-                });
-                return;
-            }
-            Err(err) => {
-                report_err(1, "driver sync", &err);
-                return;
+        match ok_or_report(1, "driver sync", group.sync(1, 0))? {
+            e if e >= next_epoch => next_epoch = e + 1,
+            e => {
+                return protocol_error(
+                    1,
+                    format!("release epoch went backwards: {e} < {next_epoch}"),
+                )
             }
         }
         served += 1;
@@ -1829,61 +1488,39 @@ fn stale_generation_reuser(
     a_done: &ShadowU32,
     j_done: &ShadowU32,
     pump: &ShadowU32,
-) {
+) -> Option<()> {
     // The departed slot frees at the boundary after the leave: epoch 2
     // implies the installer processed it, so the join below cannot see
     // GroupFull.
     ShadowSync::wait_until(StallPolicy::Spin, || group.epoch() >= 2);
-    if ctx::aborted() {
-        return;
-    }
-    let (slot, generation) = match group.join() {
-        Ok(credential) => credential,
-        Err(err) => {
-            report_err(2, "reuse join", &err);
-            return;
-        }
-    };
+    live()?;
+    let (slot, generation) = ok_or_report(2, "reuse join", group.join())?;
     if slot != 0 || generation == 0 {
-        ctx::report(Defect::ProtocolError {
-            thread: 2,
-            message: format!(
+        return protocol_error(
+            2,
+            format!(
                 "expected to reuse slot 0 at a bumped generation, got slot {slot} \
                  generation {generation}"
             ),
-        });
-        return;
+        );
     }
     joined.store(1, Ordering::Release);
     // Activation installs at the boundary after the staging: request it.
     pump.fetch_add(1, Ordering::AcqRel);
-    if ctx::aborted() {
-        return;
-    }
+    live()?;
     group.wait_active(slot, generation);
-    if ctx::aborted() {
-        return;
-    }
+    live()?;
     // The sync below needs the driver as a partner: request a boundary.
     pump.fetch_add(1, Ordering::AcqRel);
-    if let Err(err) = group.sync(slot, generation) {
-        report_err(2, "reuser sync", &err);
-        return;
-    }
-    if ctx::aborted() {
-        return;
-    }
+    ok_or_report(2, "reuser sync", group.sync(slot, generation))?;
+    live()?;
     // Leave only after the stale probe resolved, so the probe always
     // races a live re-occupant.
     ShadowSync::wait_until(StallPolicy::Spin, || a_done.load(Ordering::Acquire) == 1);
-    if ctx::aborted() {
-        return;
-    }
-    if let Err(err) = group.leave(slot, generation) {
-        report_err(2, "reuse leave", &err);
-        return;
-    }
+    live()?;
+    ok_or_report(2, "reuse leave", group.leave(slot, generation))?;
     j_done.store(1, Ordering::Release);
+    Some(())
 }
 
 /// Join/evict-race scenario: a joiner stages into a three-slot group with
@@ -1894,40 +1531,29 @@ fn stale_generation_reuser(
 /// departs cleanly, and the group converges to the driver alone.
 #[must_use]
 pub fn join_evict_race() -> Scenario {
-    Scenario {
-        name: "reconfig/join-evict-race".into(),
-        threads: 3,
-        build: Box::new(|| {
-            let group = shadow_group(3, 2);
-            let j_done = Arc::new(ShadowU32::new(0));
-            let pump = Arc::new(ShadowU32::new(0));
-            let full = Arc::new(Ledger::new(vec![0, 1]));
-            let bodies: Vec<Job> = (0..3)
-                .map(|id| {
-                    let group = Arc::clone(&group);
-                    let j_done = Arc::clone(&j_done);
-                    let pump = Arc::clone(&pump);
-                    let full = Arc::clone(&full);
-                    Box::new(move || match id {
-                        0 => {
-                            // The evictee synchronizes once and goes
-                            // silent; the driver removes it. Arriving only
-                            // for the completed epoch 0 honors the
-                            // eviction contract on every schedule.
-                            reconfig_sync_checked(&*group, &full, 0, 0, 0, 0, 0);
-                        }
-                        1 => join_evict_race_driver(&*group, &full, &j_done, &pump),
-                        _ => join_evict_race_joiner(&*group, &j_done, &pump),
-                    }) as Job
-                })
-                .collect();
-            let ledgers = vec![Arc::clone(&full)];
-            ScheduleRun {
-                bodies,
-                finish: Box::new(move |defect| classify(&ledgers, defect)),
-            }
-        }),
-    }
+    scenario(
+        "reconfig/join-evict-race",
+        3,
+        || {
+            let full = ledger(2);
+            let state = (
+                shadow_group(3, 2),
+                ShadowU32::new(0),
+                ShadowU32::new(0),
+                Arc::clone(&full),
+            );
+            (state, vec![full])
+        },
+        |(group, j_done, pump, full), id| match id {
+            // The evictee synchronizes once and goes silent; the driver
+            // removes it. Arriving only for the completed epoch 0 honors
+            // the eviction contract on every schedule.
+            0 => reconfig_episode(&**group, full, 0, 0, 0, (0, 0)),
+            1 => join_evict_race_driver(&**group, full, j_done, pump),
+            _ => join_evict_race_joiner(&**group, j_done, pump),
+        },
+        |_| None,
+    )
 }
 
 fn join_evict_race_driver(
@@ -1935,95 +1561,46 @@ fn join_evict_race_driver(
     full: &Ledger,
     j_done: &ShadowU32,
     pump: &ShadowU32,
-) {
-    if !reconfig_sync_checked(group, full, 1, 0, 0, 1, 0) {
-        return;
-    }
+) -> Option<()> {
+    reconfig_episode(group, full, 1, 0, 0, (1, 0))?;
     // Epoch 0 is complete, so the founder's last arrival is behind the
     // in-flight epoch and the eviction contract holds.
-    if let Err(err) = group.evict(0, 0) {
-        report_err(1, "evict", &err);
-        return;
-    }
-    // Drive one boundary per joiner request (activation, then
-    // partnership) until the joiner has activated, synchronized, and
-    // departed; the eviction's stand-in covers the founder's arrival.
-    // Gating each pump on a request keeps the driver blocked between
-    // boundaries — an ungated loop would spin solo epochs forever
-    // without ever yielding the schedule to the joiner.
-    let mut served = 0u32;
-    let mut next_epoch = 1u64;
-    loop {
-        ShadowSync::wait_until(StallPolicy::Spin, || {
-            j_done.load(Ordering::Acquire) == 1 || pump.load(Ordering::Acquire) > served
-        });
-        if ctx::aborted() {
-            return;
-        }
-        if j_done.load(Ordering::Acquire) == 1 {
-            break;
-        }
-        match group.sync(1, 0) {
-            Ok(e) if e >= next_epoch => next_epoch = e + 1,
-            Ok(e) => {
-                ctx::report(Defect::ProtocolError {
-                    thread: 1,
-                    message: format!("release epoch went backwards: {e} < {next_epoch}"),
-                });
-                return;
-            }
-            Err(err) => {
-                report_err(1, "driver sync", &err);
-                return;
-            }
-        }
-        served += 1;
-    }
-    if ctx::aborted() {
-        return;
-    }
+    ok_or_report(1, "evict", group.evict(0, 0))?;
+    // One boundary per joiner request (activation, then partnership)
+    // until the joiner has activated, synchronized, and departed; the
+    // eviction's stand-in covers the founder's arrival.
+    serve_boundaries(group, j_done, pump)?;
+    live()?;
     // Convergence: the evictee is gone and the joiner left — the driver
     // must be alone, on every schedule.
     let members = group.members();
-    if ctx::aborted() {
-        return;
-    }
+    live()?;
     if members != 1 {
-        ctx::report(Defect::ProtocolError {
-            thread: 1,
-            message: format!("expected 1 member after convergence, found {members}"),
-        });
+        return protocol_error(
+            1,
+            format!("expected 1 member after convergence, found {members}"),
+        );
     }
+    Some(())
 }
 
-fn join_evict_race_joiner(group: &dyn ReconfigOps, j_done: &ShadowU32, pump: &ShadowU32) {
+fn join_evict_race_joiner(
+    group: &dyn ReconfigOps,
+    j_done: &ShadowU32,
+    pump: &ShadowU32,
+) -> Option<()> {
     // No gating: the join races the founders' epoch 0 and the eviction
     // across schedules. Slot 2 is free on every one of them.
-    let (slot, generation) = match group.join() {
-        Ok(credential) => credential,
-        Err(err) => {
-            report_err(2, "race join", &err);
-            return;
-        }
-    };
+    let (slot, generation) = ok_or_report(2, "race join", group.join())?;
     // Activation installs at the boundary after the staging: request one.
     pump.fetch_add(1, Ordering::AcqRel);
     group.wait_active(slot, generation);
-    if ctx::aborted() {
-        return;
-    }
+    live()?;
     // The sync below needs the driver as a partner: request a boundary.
     pump.fetch_add(1, Ordering::AcqRel);
-    if let Err(err) = group.sync(slot, generation) {
-        report_err(2, "joiner sync", &err);
-        return;
-    }
-    if ctx::aborted() {
-        return;
-    }
-    if let Err(err) = group.leave(slot, generation) {
-        report_err(2, "joiner leave", &err);
-        return;
-    }
+    ok_or_report(2, "joiner sync", group.sync(slot, generation))?;
+    live()?;
+    ok_or_report(2, "joiner leave", group.leave(slot, generation))?;
     j_done.store(1, Ordering::Release);
+    Some(())
 }

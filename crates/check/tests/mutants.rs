@@ -15,7 +15,7 @@ use fuzzy_check::mutants::{
 };
 use fuzzy_check::{
     evict_with, explore_dfs, explore_random, poison_with, protocol_with, replay, Defect,
-    ExploreOptions, Outcome, ShadowSync,
+    ExploreOptions, Outcome, Scenario, ShadowSync,
 };
 use std::sync::Arc;
 
@@ -27,18 +27,15 @@ fn opts(bound: usize) -> ExploreOptions {
     }
 }
 
-/// Explores `factory`'s barrier under the protocol scenario and asserts a
-/// defect matching `want` is found; returns the violation for follow-ups.
+/// Explores `scenario` under DFS and asserts a defect matching `want` is
+/// found; returns the violation for follow-ups.
 fn must_catch(
-    name: &str,
-    n: usize,
-    episodes: u64,
-    bound: usize,
-    factory: impl Fn() -> Arc<dyn SplitBarrier> + 'static,
+    mut scenario: Scenario,
+    opts: ExploreOptions,
     want: fn(&Defect) -> bool,
 ) -> fuzzy_check::Violation {
-    let mut scenario = protocol_with(name.to_string(), n, episodes, move || factory());
-    match explore_dfs(&mut scenario, &opts(bound)) {
+    let name = scenario.name.clone();
+    match explore_dfs(&mut scenario, &opts) {
         Outcome::Fail {
             violation,
             schedules,
@@ -60,8 +57,32 @@ fn must_catch(
     }
 }
 
+/// Explores `scenario` under DFS and asserts no schedule provokes a
+/// defect; returns the schedules explored.
+fn must_survive(mut scenario: Scenario, opts: ExploreOptions) -> usize {
+    match explore_dfs(&mut scenario, &opts) {
+        Outcome::Pass { schedules, .. } => {
+            eprintln!("{} clean over {schedules} schedules", scenario.name);
+            schedules
+        }
+        Outcome::Fail { violation, .. } => panic!("{}: {violation}", scenario.name),
+    }
+}
+
 fn is_lost_signal(defect: &Defect) -> bool {
     matches!(defect, Defect::LostWakeup { .. } | Defect::Deadlock { .. })
+}
+
+fn is_lost_wakeup(defect: &Defect) -> bool {
+    matches!(defect, Defect::LostWakeup { .. })
+}
+
+fn is_fuzzy_violation(defect: &Defect) -> bool {
+    matches!(defect, Defect::FuzzyViolation { .. })
+}
+
+fn is_protocol_error(defect: &Defect) -> bool {
+    matches!(defect, Defect::ProtocolError { .. })
 }
 
 #[test]
@@ -72,40 +93,23 @@ fn central_publish_before_rearm_is_caught() {
     // live-count read are scheduling points too: caught after 100
     // schedules at bound 2 (48 as a hand-written barrier), of the 100,000
     // `opts` allows.
-    let v = must_catch(
-        "mutant/central",
-        2,
-        2,
-        2,
-        || Arc::new(MutantCentral::<ShadowSync>::new(2)),
-        is_lost_signal,
-    );
+    //
     // The precise classification: every stuck waiter's episode had fully
     // arrived, so this is a lost wakeup, not a mere deadlock.
-    assert!(
-        matches!(v.defect, Defect::LostWakeup { .. }),
-        "expected LostWakeup, got {:?}",
-        v.defect
-    );
+    let scenario = protocol_with("mutant/central", 2, 2, || {
+        Arc::new(MutantCentral::<ShadowSync>::new(2))
+    });
+    must_catch(scenario, opts(2), is_lost_wakeup);
 }
 
 #[test]
 fn counting_torn_increment_is_caught() {
     // One episode is enough: two torn increments lose a count. Caught
     // after 8 schedules at bound 1 (6 as a hand-written barrier).
-    let v = must_catch(
-        "mutant/counting",
-        2,
-        1,
-        1,
-        || Arc::new(MutantCounting::<ShadowSync>::new(2)),
-        is_lost_signal,
-    );
-    assert!(
-        matches!(v.defect, Defect::LostWakeup { .. }),
-        "expected LostWakeup, got {:?}",
-        v.defect
-    );
+    let scenario = protocol_with("mutant/counting", 2, 1, || {
+        Arc::new(MutantCounting::<ShadowSync>::new(2))
+    });
+    must_catch(scenario, opts(1), is_lost_wakeup);
 }
 
 #[test]
@@ -113,27 +117,19 @@ fn dissemination_exact_match_is_caught() {
     // The fast partner completes episode 0 and re-arrives (episode 1)
     // before the slow waiter probes its flag; the overwritten slot never
     // compares equal again — on the first schedule, before and after.
-    must_catch(
-        "mutant/dissemination",
-        2,
-        2,
-        2,
-        || Arc::new(MutantDissemination::<ShadowSync>::new(2)),
-        is_lost_signal,
-    );
+    let scenario = protocol_with("mutant/dissemination", 2, 2, || {
+        Arc::new(MutantDissemination::<ShadowSync>::new(2))
+    });
+    must_catch(scenario, opts(2), is_lost_signal);
 }
 
 #[test]
 fn tree_propagate_before_rearm_is_caught() {
     // Caught after 89 schedules at bound 2 (48 as a hand-written barrier).
-    must_catch(
-        "mutant/tree",
-        2,
-        2,
-        2,
-        || Arc::new(MutantTree::<ShadowSync>::new(2)),
-        is_lost_signal,
-    );
+    let scenario = protocol_with("mutant/tree", 2, 2, || {
+        Arc::new(MutantTree::<ShadowSync>::new(2))
+    });
+    must_catch(scenario, opts(2), is_lost_signal);
 }
 
 #[test]
@@ -141,28 +137,20 @@ fn tree_mutant_is_caught_at_n3_too() {
     // At n=3 the tree has real internal nodes, so the same bug also races
     // on a non-root node. Caught after 10,829 schedules at bound 2 (6,817
     // as a hand-written barrier).
-    must_catch(
-        "mutant/tree/n3",
-        3,
-        2,
-        2,
-        || Arc::new(MutantTree::<ShadowSync>::new(3)),
-        is_lost_signal,
-    );
+    let scenario = protocol_with("mutant/tree/n3", 3, 2, || {
+        Arc::new(MutantTree::<ShadowSync>::new(3))
+    });
+    must_catch(scenario, opts(2), is_lost_signal);
 }
 
 #[test]
 fn early_release_fuzzy_violation_is_caught() {
     // No deadlock, no panic — the barrier simply fails to barrier. Only
     // the ledger's fuzzy-property check can see this.
-    must_catch(
-        "mutant/early-release",
-        2,
-        1,
-        0,
-        || Arc::new(MutantEarlyRelease::<ShadowSync>::new(2)),
-        |d| matches!(d, Defect::FuzzyViolation { .. }),
-    );
+    let scenario = protocol_with("mutant/early-release", 2, 1, || {
+        Arc::new(MutantEarlyRelease::<ShadowSync>::new(2))
+    });
+    must_catch(scenario, opts(0), is_fuzzy_violation);
 }
 
 #[test]
@@ -172,14 +160,10 @@ fn hier_leader_early_release_is_caught() {
     // members of the full shard return from wait while participant 2 has
     // not even begun — a fuzzy violation visible on the very first
     // sequential schedule, no preemption needed.
-    must_catch(
-        "mutant/hier-leader-early-release",
-        3,
-        1,
-        0,
-        || Arc::new(MutantLeaderEarlyRelease::<ShadowSync>::new(3)),
-        |d| matches!(d, Defect::FuzzyViolation { .. }),
-    );
+    let scenario = protocol_with("mutant/hier-leader-early-release", 3, 1, || {
+        Arc::new(MutantLeaderEarlyRelease::<ShadowSync>::new(3))
+    });
+    must_catch(scenario, opts(0), is_fuzzy_violation);
 }
 
 #[test]
@@ -210,28 +194,8 @@ fn forgotten_poison_is_caught() {
     // the survivors never learn episode 1 can't complete and hang forever
     // in wait_deadline(never). Episode 1 is not fully arrived (the aborter
     // quit), so this classifies as a plain deadlock, not a lost wakeup.
-    let mut scenario = poison_with("mutant/no-poison".to_string(), 3, || {
-        Arc::new(MutantNoPoison::new(3)) as Arc<dyn SplitBarrier>
-    });
-    match explore_dfs(&mut scenario, &opts(2)) {
-        Outcome::Fail {
-            violation,
-            schedules,
-        } => {
-            assert!(
-                is_lost_signal(&violation.defect),
-                "mutant/no-poison: wrong defect class: {:?}",
-                violation.defect
-            );
-            eprintln!(
-                "mutant/no-poison: caught after {schedules} schedules: {}",
-                violation.defect
-            );
-        }
-        Outcome::Pass { schedules, .. } => {
-            panic!("mutant/no-poison survived {schedules} schedules")
-        }
-    }
+    let scenario = poison_with("mutant/no-poison", 3, || Arc::new(MutantNoPoison::new(3)));
+    must_catch(scenario, opts(2), is_lost_signal);
 }
 
 #[test]
@@ -240,28 +204,10 @@ fn eviction_without_mask_update_is_caught() {
     // shrinking the expected mask. The first post-evict episode completes
     // on the free arrival; the second strands the survivors with a fully
     // arrived survivor ledger — a lost wakeup. Needs episodes >= 2.
-    let mut scenario = evict_with("mutant/evict-no-mask".to_string(), 3, 2, || {
-        Arc::new(MutantEvictNoMask::new(3)) as Arc<dyn SplitBarrier>
+    let scenario = evict_with("mutant/evict-no-mask", 3, 2, || {
+        Arc::new(MutantEvictNoMask::new(3))
     });
-    match explore_dfs(&mut scenario, &opts(2)) {
-        Outcome::Fail {
-            violation,
-            schedules,
-        } => {
-            assert!(
-                is_lost_signal(&violation.defect),
-                "mutant/evict-no-mask: wrong defect class: {:?}",
-                violation.defect
-            );
-            eprintln!(
-                "mutant/evict-no-mask: caught after {schedules} schedules: {}",
-                violation.defect
-            );
-        }
-        Outcome::Pass { schedules, .. } => {
-            panic!("mutant/evict-no-mask survived {schedules} schedules")
-        }
-    }
+    must_catch(scenario, opts(2), is_lost_signal);
 }
 
 #[test]
@@ -272,29 +218,10 @@ fn racy_evict_guard_is_caught() {
     // same. Nobody was refused: the barrier is empty. The check-smoke
     // exploration (unbounded DFS) must find that within 100 schedules.
     use fuzzy_check::mutants::MutantRacyEvictGuard;
-    let mut scenario =
-        fuzzy_check::evict_race_with("mutant/racy-evict-guard".to_string(), 2, || {
-            Arc::new(MutantRacyEvictGuard::<ShadowSync>::new(2)) as Arc<dyn SplitBarrier>
-        });
-    match explore_dfs(&mut scenario, &smoke_dfs(100)) {
-        Outcome::Fail {
-            violation,
-            schedules,
-        } => {
-            assert!(
-                matches!(violation.defect, Defect::ProtocolError { .. }),
-                "mutant/racy-evict-guard: expected ProtocolError, got {:?}",
-                violation.defect
-            );
-            eprintln!(
-                "mutant/racy-evict-guard: caught after {schedules} schedules: {}",
-                violation.defect
-            );
-        }
-        Outcome::Pass { schedules, .. } => {
-            panic!("mutant/racy-evict-guard survived {schedules} schedules")
-        }
-    }
+    let scenario = fuzzy_check::evict_race_with("mutant/racy-evict-guard", 2, || {
+        Arc::new(MutantRacyEvictGuard::<ShadowSync>::new(2))
+    });
+    must_catch(scenario, smoke_dfs(100), is_protocol_error);
 }
 
 #[test]
@@ -303,34 +230,19 @@ fn racy_evict_guard_is_gone_from_every_stock_backend() {
     // one of three racing self-evictions is refused, nothing panics or
     // livelocks, and the survivor synchronizes alone.
     for backend in fuzzy_check::BackendKind::ALL {
-        let mut scenario = fuzzy_check::evict_race(backend, 3);
-        match explore_dfs(&mut scenario, &smoke_dfs(1_000)) {
-            Outcome::Pass { schedules, .. } => {
-                eprintln!(
-                    "evict/race/{} clean over {schedules} schedules",
-                    backend.name()
-                );
-            }
-            Outcome::Fail { violation, .. } => {
-                panic!("evict race on {}: {violation}", backend.name())
-            }
-        }
+        must_survive(fuzzy_check::evict_race(backend, 3), smoke_dfs(1_000));
     }
 }
 
 #[test]
 fn failing_schedule_replays_to_the_same_defect() {
+    let counting = || Arc::new(MutantCounting::<ShadowSync>::new(2)) as Arc<dyn SplitBarrier>;
     let v = must_catch(
-        "mutant/counting/replay",
-        2,
-        1,
-        1,
-        || Arc::new(MutantCounting::<ShadowSync>::new(2)),
+        protocol_with("mutant/counting/replay", 2, 1, counting),
+        opts(1),
         is_lost_signal,
     );
-    let mut scenario = protocol_with("mutant/counting/replay2", 2, 1, move || {
-        Arc::new(MutantCounting::<ShadowSync>::new(2)) as Arc<dyn SplitBarrier>
-    });
+    let mut scenario = protocol_with("mutant/counting/replay2", 2, 1, counting);
     let (result, diverged) = replay(&mut scenario, v.schedule.clone(), 20_000);
     assert!(!diverged, "replay of a recorded schedule must not diverge");
     let replayed = result.violation.expect("replay must reproduce the defect");
@@ -351,40 +263,17 @@ fn must_lose_a_wakeup(
     (n, episodes, bound): (usize, u64, usize),
     factory: impl FnMut() -> Arc<dyn fuzzy_check::AsyncFrontend> + 'static,
 ) {
-    let mut scenario = fuzzy_check::async_handoff_with(name.to_string(), n, episodes, factory);
-    match explore_dfs(&mut scenario, &opts(bound)) {
-        Outcome::Fail {
-            violation,
-            schedules,
-        } => {
-            assert!(
-                matches!(violation.defect, Defect::LostWakeup { .. }),
-                "{name}: expected LostWakeup, got {:?}",
-                violation.defect
-            );
-            eprintln!(
-                "{name}: caught after {schedules} schedules: {}",
-                violation.defect
-            );
-        }
-        Outcome::Pass { schedules, .. } => panic!("{name} survived {schedules} schedules"),
-    }
+    let scenario = fuzzy_check::async_handoff_with(name, n, episodes, factory);
+    must_catch(scenario, opts(bound), is_lost_wakeup);
 }
 
 /// The schedule space of [`must_lose_a_wakeup`] over the *real*
 /// `AsyncBarrier` frontend on the central backend, which must exhaust
 /// clean.
 fn real_async_frontend_survives((n, episodes, bound): (usize, u64, usize)) {
-    let mut scenario = fuzzy_check::async_handoff(fuzzy_check::BackendKind::Central, n, episodes);
-    match explore_dfs(&mut scenario, &opts(bound)) {
-        Outcome::Pass { schedules, .. } => {
-            assert!(schedules < opts(bound).max_schedules, "space not exhausted");
-            eprintln!("async/central/n{n}/e{episodes} clean over {schedules} schedules");
-        }
-        Outcome::Fail { violation, .. } => {
-            panic!("real async frontend failed: {}", violation)
-        }
-    }
+    let scenario = fuzzy_check::async_handoff(fuzzy_check::BackendKind::Central, n, episodes);
+    let schedules = must_survive(scenario, opts(bound));
+    assert!(schedules < opts(bound).max_schedules, "space not exhausted");
 }
 
 /// (tasks, episodes, preemption bound) of each mutant / real-frontend pair.
@@ -469,29 +358,11 @@ fn async_early_epoch_is_caught_as_fuzzy_violation() {
     use fuzzy_barrier::AsyncBarrier;
     use fuzzy_check::mutants::MutantEarlyEpoch;
     use fuzzy_check::{async_handoff_with, AsyncFrontend};
-    let mut scenario = async_handoff_with("mutant/early-epoch".to_string(), 3, 2, || {
+    let scenario = async_handoff_with("mutant/early-epoch", 3, 2, || {
         let backend: Arc<dyn SplitBarrier> = Arc::new(MutantEarlyEpoch::<ShadowSync>::new(3));
         Arc::new(AsyncBarrier::<_, ShadowSync>::new_in(backend)) as Arc<dyn AsyncFrontend>
     });
-    match explore_dfs(&mut scenario, &smoke_dfs(10_000)) {
-        Outcome::Fail {
-            violation,
-            schedules,
-        } => {
-            assert!(
-                matches!(violation.defect, Defect::FuzzyViolation { .. }),
-                "mutant/early-epoch: expected FuzzyViolation, got {:?}",
-                violation.defect
-            );
-            eprintln!(
-                "mutant/early-epoch: caught after {schedules} schedules: {}",
-                violation.defect
-            );
-        }
-        Outcome::Pass { schedules, .. } => {
-            panic!("mutant/early-epoch survived {schedules} schedules")
-        }
-    }
+    must_catch(scenario, smoke_dfs(10_000), is_fuzzy_violation);
 }
 
 #[test]
@@ -503,15 +374,7 @@ fn real_async_frontend_survives_the_early_epoch_scenario_on_every_backend() {
     // of the mutant's budget here; `scripts/ci.sh check-smoke` runs this
     // very exploration (`check --scenario async`) to the full 10k.
     for backend in fuzzy_check::BackendKind::ALL {
-        let mut scenario = fuzzy_check::async_handoff(backend, 3, 2);
-        match explore_dfs(&mut scenario, &smoke_dfs(1_000)) {
-            Outcome::Pass { schedules, .. } => {
-                eprintln!("async/{} clean over {schedules} schedules", backend.name());
-            }
-            Outcome::Fail { violation, .. } => {
-                panic!("real async frontend on {}: {violation}", backend.name())
-            }
-        }
+        must_survive(fuzzy_check::async_handoff(backend, 3, 2), smoke_dfs(1_000));
     }
 }
 
@@ -526,23 +389,10 @@ fn join_mid_epoch_mutant_is_caught() {
     // means the checker saw the boundary discipline break.
     use fuzzy_check::mutants::MutantJoinMidEpoch;
     use fuzzy_check::{join_mid_episode_with, ReconfigOps};
-    let mut scenario = join_mid_episode_with("mutant/join-mid-epoch".to_string(), || {
+    let scenario = join_mid_episode_with("mutant/join-mid-epoch", || {
         Arc::new(MutantJoinMidEpoch::<ShadowSync>::new(3, 2)) as Arc<dyn ReconfigOps>
     });
-    match explore_dfs(&mut scenario, &opts(2)) {
-        Outcome::Fail {
-            violation,
-            schedules,
-        } => {
-            eprintln!(
-                "mutant/join-mid-epoch: caught after {schedules} schedules: {}",
-                violation.defect
-            );
-        }
-        Outcome::Pass { schedules, .. } => {
-            panic!("mutant/join-mid-epoch survived {schedules} schedules")
-        }
-    }
+    must_catch(scenario, opts(2), |_| true);
 }
 
 #[test]
@@ -556,28 +406,10 @@ fn stale_generation_mutant_is_caught() {
     // demands, deterministically, on the very first sequential schedule.
     use fuzzy_check::mutants::MutantStaleGeneration;
     use fuzzy_check::{stale_generation_with, ReconfigOps};
-    let mut scenario = stale_generation_with("mutant/stale-generation".to_string(), || {
+    let scenario = stale_generation_with("mutant/stale-generation", || {
         Arc::new(MutantStaleGeneration::new(2, 2)) as Arc<dyn ReconfigOps>
     });
-    match explore_dfs(&mut scenario, &opts(0)) {
-        Outcome::Fail {
-            violation,
-            schedules,
-        } => {
-            assert!(
-                matches!(violation.defect, Defect::ProtocolError { .. }),
-                "mutant/stale-generation: expected ProtocolError, got {:?}",
-                violation.defect
-            );
-            eprintln!(
-                "mutant/stale-generation: caught after {schedules} schedules: {}",
-                violation.defect
-            );
-        }
-        Outcome::Pass { schedules, .. } => {
-            panic!("mutant/stale-generation survived {schedules} schedules")
-        }
-    }
+    must_catch(scenario, opts(0), is_protocol_error);
 }
 
 /// DFS options for the real-implementation reconfig pass runs: the
@@ -595,47 +427,17 @@ fn reconfig_pass_opts() -> ExploreOptions {
 
 #[test]
 fn real_reconfig_survives_join_mid_episode_schedules() {
-    let mut scenario = fuzzy_check::join_mid_episode();
-    match explore_dfs(&mut scenario, &reconfig_pass_opts()) {
-        Outcome::Pass { schedules, .. } => {
-            eprintln!("reconfig/join-mid-episode clean over {schedules} schedules");
-        }
-        Outcome::Fail { violation, .. } => {
-            panic!(
-                "real ReconfigBarrier failed join-mid-episode: {}",
-                violation
-            )
-        }
-    }
+    must_survive(fuzzy_check::join_mid_episode(), reconfig_pass_opts());
 }
 
 #[test]
 fn real_reconfig_survives_stale_generation_schedules() {
-    let mut scenario = fuzzy_check::stale_generation();
-    match explore_dfs(&mut scenario, &reconfig_pass_opts()) {
-        Outcome::Pass { schedules, .. } => {
-            eprintln!("reconfig/stale-generation clean over {schedules} schedules");
-        }
-        Outcome::Fail { violation, .. } => {
-            panic!(
-                "real ReconfigBarrier failed stale-generation: {}",
-                violation
-            )
-        }
-    }
+    must_survive(fuzzy_check::stale_generation(), reconfig_pass_opts());
 }
 
 #[test]
 fn real_reconfig_survives_join_evict_race_schedules() {
-    let mut scenario = fuzzy_check::join_evict_race();
-    match explore_dfs(&mut scenario, &reconfig_pass_opts()) {
-        Outcome::Pass { schedules, .. } => {
-            eprintln!("reconfig/join-evict-race clean over {schedules} schedules");
-        }
-        Outcome::Fail { violation, .. } => {
-            panic!("real ReconfigBarrier failed join-evict-race: {}", violation)
-        }
-    }
+    must_survive(fuzzy_check::join_evict_race(), reconfig_pass_opts());
 }
 
 #[test]
@@ -648,7 +450,7 @@ fn net_skip_round_forged_release_is_caught() {
     use fuzzy_check::mutants::MutantNetSkipRound;
     use fuzzy_check::net_round_with;
     use fuzzy_net::{LoopbackMesh, NetBarrier, NetConfig};
-    let mut scenario = net_round_with("mutant/net-skip-round".to_string(), 3, 1, move || {
+    let scenario = net_round_with("mutant/net-skip-round", 3, 1, move || {
         let mesh = LoopbackMesh::new(3);
         mesh.endpoints()
             .into_iter()
@@ -662,46 +464,17 @@ fn net_skip_round_forged_release_is_caught() {
             })
             .collect()
     });
-    match explore_dfs(&mut scenario, &opts(1)) {
-        Outcome::Fail {
-            violation,
-            schedules,
-        } => {
-            assert!(
-                matches!(violation.defect, Defect::FuzzyViolation { .. }),
-                "mutant/net-skip-round: expected FuzzyViolation, got {:?}",
-                violation.defect
-            );
-            eprintln!(
-                "mutant/net-skip-round: caught after {schedules} schedules: {}",
-                violation.defect
-            );
-        }
-        Outcome::Pass { schedules, .. } => {
-            panic!("mutant/net-skip-round survived {schedules} schedules")
-        }
-    }
+    must_catch(scenario, opts(1), is_fuzzy_violation);
 }
 
 #[test]
 fn real_net_barrier_survives_the_skip_round_schedule_space() {
     // The same mesh shape over the *real* transport must stay clean: the
     // per-round inbound waits are exactly what the mutant short-circuits.
-    let mut scenario = fuzzy_check::net_round(3, 1);
     let options = ExploreOptions {
         max_schedules: 5_000,
         step_limit: 20_000,
         preemption_bound: Some(1),
     };
-    match explore_dfs(&mut scenario, &options) {
-        Outcome::Pass { schedules, .. } => {
-            eprintln!("net/loopback clean over {schedules} schedules");
-        }
-        Outcome::Fail { violation, .. } => {
-            panic!(
-                "real NetBarrier failed the net-round scenario: {}",
-                violation
-            )
-        }
-    }
+    must_survive(fuzzy_check::net_round(3, 1), options);
 }

@@ -19,7 +19,7 @@
 #                requires exp_encore's simulator rows to equal
 #                BENCH_encore.json exactly)
 #   tier1        the repo's tier-1 gate, verbatim from ROADMAP.md
-#   check-smoke  fuzzy-check: 10k DFS schedules per backend at N=3
+#   check-smoke  fuzzy-check: 10k DFS schedules per scenario at N=3 (~7 min)
 #   fault-smoke  check --scenario poison and --scenario evict (both
 #                eviction shapes: one member leaves, all members race to
 #                evict themselves), the racy-evict-guard mutant pair
@@ -140,7 +140,7 @@ tier1_gate() {
     sh -c 'cargo build --release && cargo test -q'
 }
 
-# Model-checker smoke: explore 10k schedules per backend at N=3 with the
+# Model-checker smoke: explore 10k schedules per scenario at N=3 with the
 # release binary (DFS, unbounded preemptions). A violation fails CI and
 # prints a replayable schedule.
 check_smoke() {
@@ -151,7 +151,7 @@ check_smoke() {
 
 # Fault smoke: the poisoning and eviction scenarios on the model checker
 # (1k DFS schedules per backend and shape at N=3; beyond this stage,
-# eviction is explored only inside the 21-25-minute check-smoke), then the
+# eviction is explored only inside the ~7-minute check-smoke), then the
 # eviction-guard mutant pair: the check-then-act guard the backends used
 # to hand-copy must be caught racing two self-evictions, and the episode
 # core's serialised guard must survive three on every stock backend. Last,
