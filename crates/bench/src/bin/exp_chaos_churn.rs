@@ -2,8 +2,8 @@
 //!
 //! The paper's barrier hardware assumes a fixed processor set for the
 //! life of a program. The `ReconfigBarrier` drops that assumption:
-//! members join and leave between episodes, crashes are evicted, and the
-//! membership install happens atomically at epoch boundaries. This
+//! members join and leave between episodes, crashes are evicted, and a
+//! join takes effect at an episode boundary nobody has arrived past. This
 //! experiment stress-drives that machinery with the real-thread chaos
 //! harness (`fuzzy_sched::chaos`): a seeded driver injects thousands of
 //! mixed events — joins, leaves, crashes, stutter delays, spurious

@@ -68,11 +68,13 @@ const FAMILIES: [Family; 8] = [
         runs: Runs::PerBackend(|b, n, e| vec![async_handoff(b, n, e)]),
     },
     // The reconfig scenarios pin their own membership shapes (founders +
-    // joiner, leaver + reuser, evictee + joiner); -n and --backend are
+    // joiner, leaver + reuser, evictee + joiner) over each backend; -n is
     // intentionally ignored for them.
     Family {
         name: "reconfig",
-        runs: Runs::Fixed(|_, _| vec![join_mid_episode(), stale_generation(), join_evict_race()]),
+        runs: Runs::PerBackend(|b, _, _| {
+            vec![join_mid_episode(b), stale_generation(b), join_evict_race(b)]
+        }),
     },
     // The net scenario pins its own backend (a NetBarrier per loopback
     // endpoint); --backend is intentionally ignored.
@@ -415,9 +417,17 @@ mod tests {
             poison[0].flags,
             "--scenario poison --backend hier -n 2 --episodes 2"
         );
-        let reconfig = runs(&parse("--scenario reconfig"));
+        let reconfig = runs(&parse("--scenario reconfig --backend dissemination"));
+        assert_eq!(
+            names(&reconfig),
+            [
+                "reconfig/dissemination/join-mid-episode",
+                "reconfig/dissemination/stale-generation",
+                "reconfig/dissemination/join-evict-race"
+            ]
+        );
         assert!(reconfig
             .iter()
-            .all(|r| r.flags == "--scenario reconfig -n 3 --episodes 2"));
+            .all(|r| r.flags == "--scenario reconfig --backend dissemination -n 3 --episodes 2"));
     }
 }

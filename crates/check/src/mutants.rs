@@ -35,22 +35,23 @@
 //! replicas of the real frontend's release-word fast paths, each with one
 //! of the two obligations that keep them wakeup-safe dropped: a waiter
 //! that parks on a release word read *outside* the probe lock, and a
-//! completer whose skip-the-drain test is off by one. Two
-//! *dynamic-membership* bugs: a join admitted mid-episode instead of at
-//! the boundary, and a credential check that forgets the slot generation
-//! — caught by the reconfig scenarios. And a *distributed* bug: a
+//! completer whose skip-the-drain test is off by one. Three
+//! *dynamic-membership* bugs: a membership layer that widens the group
+//! mid-episode instead of at a boundary, an inner barrier whose admission
+//! stamps the joiner into the in-flight episode, and a credential check
+//! that forgets the slot generation — caught by the reconfig scenarios. And a *distributed* bug: a
 //! transport wrapper that forges the higher dissemination rounds from the
 //! round-0 signal, releasing a `NetBarrier` endpoint on first contact —
 //! caught by the net-round scenario's cross-mesh fuzzy check.
 
-use crate::scenario::{AsyncArrival, AsyncFrontend, ReconfigOps};
+use crate::scenario::{AsyncArrival, AsyncFrontend, ReconfigArrival, ReconfigOps};
 use crate::shadow::ShadowSync;
 use fuzzy_barrier::centralized::Central;
 use fuzzy_barrier::stats::StatsSnapshot;
 use fuzzy_barrier::sync::{Atomic, Lock, SyncOps};
 use fuzzy_barrier::{
-    ArrivalToken, Barrier, BarrierError, CentralBarrier, Cx, Deadline, FlatProtocol, JoinTicket,
-    MemberHandle, Protocol, ReconfigBarrier, SplitBarrier, StallPolicy, WaitOutcome,
+    ArrivalToken, Barrier, BarrierError, CentralBarrier, Cx, Deadline, FlatProtocol, Protocol,
+    ReconfigBarrier, SplitBarrier, StallPolicy, WaitOutcome,
 };
 use fuzzy_net::{DecodeError, FrameSink, Message, NetError, Transport};
 use std::future::Future;
@@ -62,6 +63,11 @@ use std::task::{Context, Poll, Waker};
 /// `retire` of a protocol mutant whose scenarios never remove anyone.
 fn no_removals() -> ! {
     unreachable!("the protocol scenarios neither evict nor leave")
+}
+
+/// `admit` of a protocol mutant: no scenario of theirs admits anyone.
+fn no_admissions() -> ! {
+    unreachable!("the protocol mutants' scenarios never admit")
 }
 
 // ---------------------------------------------------------------------------
@@ -117,6 +123,10 @@ impl<S: SyncOps> Protocol<S> for MutantCentral<S> {
     fn retire(&self, id: usize, cx: &Cx<'_, S>) {
         self.arrive(id, 0, cx);
     }
+
+    fn admit(&self, _id: usize, _cx: &Cx<'_, S>) {
+        no_admissions()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -161,6 +171,10 @@ impl<S: SyncOps> Protocol<S> for MutantCounting<S> {
 
     fn retire(&self, _id: usize, _cx: &Cx<'_, S>) {
         no_removals()
+    }
+
+    fn admit(&self, _id: usize, _cx: &Cx<'_, S>) {
+        no_admissions()
     }
 }
 
@@ -240,6 +254,10 @@ impl<S: SyncOps> Protocol<S> for MutantDissemination<S> {
 
     fn retire(&self, _id: usize, _cx: &Cx<'_, S>) {
         no_removals()
+    }
+
+    fn admit(&self, _id: usize, _cx: &Cx<'_, S>) {
+        no_admissions()
     }
 }
 
@@ -333,6 +351,10 @@ impl<S: SyncOps> Protocol<S> for MutantTree<S> {
     fn retire(&self, _id: usize, _cx: &Cx<'_, S>) {
         no_removals()
     }
+
+    fn admit(&self, _id: usize, _cx: &Cx<'_, S>) {
+        no_admissions()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -374,6 +396,10 @@ impl<S: SyncOps> Protocol<S> for MutantEarlyRelease<S> {
 
     fn retire(&self, id: usize, cx: &Cx<'_, S>) {
         self.inner.retire(id, cx);
+    }
+
+    fn admit(&self, _id: usize, _cx: &Cx<'_, S>) {
+        no_admissions()
     }
 }
 
@@ -453,6 +479,10 @@ impl<S: SyncOps> Protocol<S> for MutantLeaderEarlyRelease<S> {
 
     fn retire(&self, _id: usize, _cx: &Cx<'_, S>) {
         no_removals()
+    }
+
+    fn admit(&self, _id: usize, _cx: &Cx<'_, S>) {
+        no_admissions()
     }
 }
 
@@ -848,6 +878,10 @@ impl<S: SyncOps> Protocol<S> for MutantEarlyEpoch<S> {
     fn retire(&self, id: usize, cx: &Cx<'_, S>) {
         self.inner.retire(id, cx);
     }
+
+    fn admit(&self, _id: usize, _cx: &Cx<'_, S>) {
+        no_admissions()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -997,9 +1031,9 @@ impl<const BUG: u8> Future for FastPathFuture<'_, BUG> {
 /// releasing waiters past a member that never began (the fuzzy
 /// violation) — or the re-armed countdown expects an arrival the episode
 /// never gets, and every later waiter hangs. This is exactly the bug the
-/// real [`ReconfigBarrier`]'s install protocol exists to prevent: the
-/// last arriver of epoch *e* installs the membership for *e + 1*, so no
-/// episode ever runs at a width it was not armed for.
+/// episode core's staged admission exists to prevent: a completer applies
+/// it where nobody has arrived yet, so no episode ever runs at a width it
+/// was not armed for.
 #[derive(Debug)]
 pub struct MutantJoinMidEpoch<S: SyncOps = ShadowSync> {
     capacity: usize,
@@ -1035,9 +1069,9 @@ impl<S: SyncOps> ReconfigOps for MutantJoinMidEpoch<S> {
         for slot in 0..self.capacity {
             if self.reserved[slot].fetch_add(1, Ordering::AcqRel) == 0 {
                 // BUG (seeded): the real protocol stages the join and
-                // lets the boundary installer activate it. Widening the
-                // group here changes the width under the in-flight
-                // episode, whose countdown was armed at the old width.
+                // lets an episode boundary apply it. Widening the group
+                // here changes the width under the in-flight episode,
+                // whose countdown was armed at the old width.
                 self.members.fetch_add(1, Ordering::AcqRel);
                 return Ok((slot, 0));
             }
@@ -1048,21 +1082,29 @@ impl<S: SyncOps> ReconfigOps for MutantJoinMidEpoch<S> {
         })
     }
 
-    fn wait_active(&self, _slot: usize, _generation: u64) {
+    fn is_active(&self, _slot: usize, _generation: u64) -> bool {
         // Part of the same bug: the member was admitted on join, so there
         // is no boundary to wait for.
+        true
     }
 
-    fn sync(&self, _slot: usize, _generation: u64) -> Result<u64, BarrierError> {
+    fn wait_active(&self, _slot: usize, _generation: u64) {}
+
+    fn arrive(&self, slot: usize, _generation: u64) -> Result<ReconfigArrival, BarrierError> {
         let e = self.epoch.load(Ordering::Acquire);
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.remaining
                 .store(self.members.load(Ordering::Acquire), Ordering::Release);
             self.epoch.fetch_add(1, Ordering::AcqRel);
-        } else {
-            S::wait_until(StallPolicy::Spin, || self.epoch.load(Ordering::Acquire) > e);
         }
-        Ok(e)
+        Ok(ReconfigArrival::untracked(slot, e))
+    }
+
+    fn wait(&self, arrival: ReconfigArrival) -> Result<u64, BarrierError> {
+        S::wait_until(StallPolicy::Spin, || {
+            self.epoch.load(Ordering::Acquire) > arrival.epoch
+        });
+        Ok(arrival.epoch)
     }
 
     fn leave(&self, slot: usize, _generation: u64) -> Result<(), BarrierError> {
@@ -1079,9 +1121,131 @@ impl<S: SyncOps> ReconfigOps for MutantJoinMidEpoch<S> {
     fn members(&self) -> usize {
         self.members.load(Ordering::Acquire)
     }
+}
 
-    fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+// ---------------------------------------------------------------------------
+// MutantAdmitInFlight: admission stamped into the in-flight episode
+// ---------------------------------------------------------------------------
+
+/// A centralized barrier whose `admit` **counts the joiner in the
+/// in-flight episode** instead of staging it for a completer: it stamps
+/// the joiner's token with the episode now running and raises that
+/// episode's countdown.
+///
+/// It runs behind the real [`ReconfigBarrier`], so only the inner
+/// admission is wrong. The episode the joiner lands in was armed, and may
+/// be partly arrived, at the old width: the joiner is released at an
+/// epoch its peers' membership never included it in, or completes an
+/// episode a founder has not begun, or the countdown it raised waits for
+/// an arrival that never comes. The real core applies an admission only
+/// where nobody has arrived for or probed the joiner's first episode
+/// (`Cx::admit_staged`).
+#[derive(Debug)]
+pub struct MutantAdmitInFlight<S: SyncOps = ShadowSync> {
+    count: S::AtomicUsize,
+    live: S::AtomicUsize,
+    episode: S::AtomicU64,
+    /// Per participant: next episode to arrive for, and membership.
+    local: Vec<S::AtomicU64>,
+    member: Vec<S::AtomicU32>,
+}
+
+impl<S: SyncOps> MutantAdmitInFlight<S> {
+    /// The mutant barrier for `n` participants, all members.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        MutantAdmitInFlight {
+            count: S::AtomicUsize::new(n),
+            live: S::AtomicUsize::new(n),
+            episode: S::AtomicU64::new(0),
+            local: (0..n).map(|_| S::AtomicU64::new(0)).collect(),
+            member: (0..n).map(|_| S::AtomicU32::new(1)).collect(),
+        }
+    }
+
+    fn count_down(&self) {
+        if self.count.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.count
+                .store(self.live.load(Ordering::Acquire), Ordering::Release);
+            self.episode.fetch_add(1, Ordering::AcqRel);
+        }
+    }
+}
+
+impl MutantAdmitInFlight {
+    /// A three-slot, two-founder group over the mutant.
+    #[must_use]
+    pub fn group() -> Arc<dyn ReconfigOps> {
+        let (group, _founders) =
+            ReconfigBarrier::<ShadowSync>::with_policy_in(3, 2, StallPolicy::Spin, |n| {
+                Arc::new(Self::new(n)) as Arc<dyn SplitBarrier>
+            });
+        Arc::new(group)
+    }
+}
+
+impl<S: SyncOps> SplitBarrier for MutantAdmitInFlight<S> {
+    fn arrive(&self, id: usize) -> ArrivalToken {
+        let episode = self.local[id].fetch_add(1, Ordering::AcqRel);
+        self.count_down();
+        ArrivalToken::new(id, episode)
+    }
+
+    fn is_complete(&self, token: &ArrivalToken) -> bool {
+        self.episode.load(Ordering::Acquire) > token.episode()
+    }
+
+    fn wait_deadline(
+        &self,
+        token: ArrivalToken,
+        _deadline: Deadline,
+    ) -> Result<WaitOutcome, BarrierError> {
+        S::wait_until(StallPolicy::Spin, || self.is_complete(&token));
+        Ok(WaitOutcome {
+            episode: token.episode(),
+            ..WaitOutcome::default()
+        })
+    }
+
+    /// Never poisoned: the reconfig scenarios do not poison.
+    fn poison(&self) {}
+
+    fn clear_poison(&self) {}
+
+    fn is_poisoned(&self) -> bool {
+        false
+    }
+
+    fn participants(&self) -> usize {
+        self.local.len()
+    }
+
+    fn stats(&self) -> StatsSnapshot {
+        StatsSnapshot::default()
+    }
+
+    fn release_epoch(&self) -> Option<u64> {
+        Some(self.episode.load(Ordering::Acquire))
+    }
+
+    fn evict(&self, id: usize) -> Result<(), BarrierError> {
+        self.member[id].store(0, Ordering::Release);
+        self.live.fetch_sub(1, Ordering::AcqRel);
+        self.count_down();
+        Ok(())
+    }
+
+    fn admit(&self, id: usize) -> Result<(), BarrierError> {
+        // BUG (seeded): counted at once, in the episode now in flight.
+        self.local[id].store(self.episode.load(Ordering::Acquire), Ordering::Release);
+        self.live.fetch_add(1, Ordering::AcqRel);
+        self.count.fetch_add(1, Ordering::AcqRel);
+        self.member[id].store(1, Ordering::Release);
+        Ok(())
+    }
+
+    fn is_member(&self, id: usize) -> bool {
+        self.member[id].load(Ordering::Acquire) != 0
     }
 }
 
@@ -1129,42 +1293,40 @@ impl MutantStaleGeneration {
 
 impl ReconfigOps for MutantStaleGeneration {
     fn join(&self) -> Result<(usize, u64), BarrierError> {
-        let ticket = self.inner.join()?;
-        Ok((ticket.slot(), ticket.generation()))
+        ReconfigOps::join(&*self.inner)
+    }
+
+    fn is_active(&self, slot: usize, generation: u64) -> bool {
+        ReconfigOps::is_active(&*self.inner, slot, generation)
     }
 
     fn wait_active(&self, slot: usize, generation: u64) {
-        let _ = self
-            .inner
-            .wait_active(&JoinTicket::from_parts(slot, generation));
+        ReconfigOps::wait_active(&*self.inner, slot, generation);
     }
 
-    fn sync(&self, slot: usize, _generation: u64) -> Result<u64, BarrierError> {
+    fn arrive(&self, slot: usize, _generation: u64) -> Result<ReconfigArrival, BarrierError> {
         // BUG (seeded): the held generation is dropped on the floor and
         // rebuilt from the slot's current one, so the stale-credential
         // check can never fire and a departed member's handle arrives
         // into whoever occupies the slot now.
         let current = self.inner.generation_of(slot);
-        let token = self
-            .inner
-            .arrive(&MemberHandle::from_parts(slot, current))?;
-        self.inner.wait(&token).map(|outcome| outcome.episode)
+        ReconfigOps::arrive(&*self.inner, slot, current)
+    }
+
+    fn wait(&self, arrival: ReconfigArrival) -> Result<u64, BarrierError> {
+        ReconfigOps::wait(&*self.inner, arrival)
     }
 
     fn leave(&self, slot: usize, generation: u64) -> Result<(), BarrierError> {
-        self.inner.leave(MemberHandle::from_parts(slot, generation))
+        ReconfigOps::leave(&*self.inner, slot, generation)
     }
 
     fn evict(&self, slot: usize, generation: u64) -> Result<(), BarrierError> {
-        self.inner.evict(slot, generation)
+        ReconfigOps::evict(&*self.inner, slot, generation)
     }
 
     fn members(&self) -> usize {
         self.inner.members()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.inner.epoch()
     }
 }
 

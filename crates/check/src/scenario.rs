@@ -22,12 +22,13 @@
 use crate::ctx;
 use crate::explore::{Job, Scenario, ScheduleRun};
 use crate::sched::Defect;
-use crate::shadow::{ShadowSync, ShadowU32};
+use crate::shadow::{ShadowSync, ShadowU32, ShadowU64};
 use fuzzy_barrier::sync::{Atomic, SyncOps};
 use fuzzy_barrier::{
     ArrivalToken, AsyncBarrier, BarrierError, CentralBarrier, CountingBarrier, Deadline,
     DisseminationBarrier, GroupRegistry, HierBarrier, JoinTicket, MemberHandle, ProcMask,
-    ReconfigBarrier, SplitBarrier, StallPolicy, SubsetBarrier, Tag, TreeBarrier, WaitOutcome,
+    ReconfigBarrier, ReconfigToken, SplitBarrier, StallPolicy, SubsetBarrier, Tag, TreeBarrier,
+    WaitOutcome,
 };
 use fuzzy_net::{LoopbackMesh, NetBarrier, NetConfig};
 use std::future::Future;
@@ -1166,24 +1167,49 @@ fn async_body(
 // Dynamic-membership (reconfig) scenarios
 // ---------------------------------------------------------------------------
 
+/// One arrival through a [`ReconfigOps`] group: the slot, the epoch it
+/// arrived for, and — from the real group — the token its wait needs.
+#[derive(Debug)]
+pub struct ReconfigArrival {
+    /// The slot that arrived.
+    pub slot: usize,
+    /// The epoch it arrived for.
+    pub epoch: u64,
+    token: Option<ReconfigToken>,
+}
+
+impl ReconfigArrival {
+    /// An arrival without a token, for a group that waits on the epoch.
+    #[must_use]
+    pub fn untracked(slot: usize, epoch: u64) -> Self {
+        ReconfigArrival {
+            slot,
+            epoch,
+            token: None,
+        }
+    }
+}
+
 /// Object-safe view of a dynamic-membership barrier, so the reconfig
 /// scenarios can drive the real [`ReconfigBarrier`] and seeded mutants
 /// like [`crate::mutants::MutantJoinMidEpoch`] through one interface.
-///
-/// Credentials travel as plain `(slot, generation)` pairs, and `sync`
-/// performs one whole episode (arrive, then wait for release). The
-/// checker interleaves at shadow-atomic granularity, so a combined call
-/// explores exactly the same membership races as split arrive/wait.
+/// Credentials travel as plain `(slot, generation)` pairs, arrivals as
+/// [`ReconfigArrival`]s.
 pub trait ReconfigOps: Send + Sync {
     /// Stages a join; returns the claimed `(slot, generation)`.
     fn join(&self) -> Result<(usize, u64), BarrierError>;
 
-    /// Blocks until the staged join activates at an episode boundary.
+    /// True once the staged join's admission has taken effect.
+    fn is_active(&self, slot: usize, generation: u64) -> bool;
+
+    /// Blocks until the staged join is active, then redeems it.
     fn wait_active(&self, slot: usize, generation: u64);
 
-    /// One full episode under the credential: arrive, then wait. Returns
-    /// the wrapper epoch the release happened for.
-    fn sync(&self, slot: usize, generation: u64) -> Result<u64, BarrierError>;
+    /// Arrives under the credential.
+    fn arrive(&self, slot: usize, generation: u64) -> Result<ReconfigArrival, BarrierError>;
+
+    /// Waits without a deadline on `arrival`; returns the epoch released.
+    fn wait(&self, arrival: ReconfigArrival) -> Result<u64, BarrierError>;
 
     /// Voluntary departure.
     fn leave(&self, slot: usize, generation: u64) -> Result<(), BarrierError>;
@@ -1194,8 +1220,11 @@ pub trait ReconfigOps: Send + Sync {
     /// Live member count.
     fn members(&self) -> usize;
 
-    /// Completed wrapper epochs.
-    fn epoch(&self) -> u64;
+    /// One whole episode under the credential: arrive, then wait.
+    fn sync(&self, slot: usize, generation: u64) -> Result<u64, BarrierError> {
+        let arrival = self.arrive(slot, generation)?;
+        self.wait(arrival)
+    }
 }
 
 impl ReconfigOps for ReconfigBarrier<ShadowSync> {
@@ -1204,15 +1233,30 @@ impl ReconfigOps for ReconfigBarrier<ShadowSync> {
         Ok((ticket.slot(), ticket.generation()))
     }
 
+    fn is_active(&self, slot: usize, generation: u64) -> bool {
+        ReconfigBarrier::is_active(self, &JoinTicket::from_parts(slot, generation))
+    }
+
     fn wait_active(&self, slot: usize, generation: u64) {
         let handle = ReconfigBarrier::wait_active(self, &JoinTicket::from_parts(slot, generation));
         debug_assert_eq!(handle.slot(), slot);
     }
 
-    fn sync(&self, slot: usize, generation: u64) -> Result<u64, BarrierError> {
-        let handle = MemberHandle::from_parts(slot, generation);
-        let token = self.arrive(&handle)?;
-        self.wait(&token).map(|outcome| outcome.episode)
+    fn arrive(&self, slot: usize, generation: u64) -> Result<ReconfigArrival, BarrierError> {
+        let token = ReconfigBarrier::arrive(self, &MemberHandle::from_parts(slot, generation))?;
+        Ok(ReconfigArrival {
+            slot,
+            epoch: token.epoch(),
+            token: Some(token),
+        })
+    }
+
+    fn wait(&self, arrival: ReconfigArrival) -> Result<u64, BarrierError> {
+        let token = arrival
+            .token
+            .expect("an arrival at this group carries its token");
+        self.wait_deadline(&token, Deadline::never())
+            .map(|outcome| outcome.episode)
     }
 
     fn leave(&self, slot: usize, generation: u64) -> Result<(), BarrierError> {
@@ -1226,35 +1270,36 @@ impl ReconfigOps for ReconfigBarrier<ShadowSync> {
     fn members(&self) -> usize {
         ReconfigBarrier::members(self)
     }
+}
 
-    fn epoch(&self) -> u64 {
-        ReconfigBarrier::epoch(self)
+impl BackendKind {
+    /// Episodes from the one an admission is staged in to the joiner's
+    /// first, when nothing else delays it: 1 where a completer runs before
+    /// it publishes the next episode (central, tree, hier), 2 where the
+    /// next episode may already be under way (counting, dissemination).
+    #[must_use]
+    pub fn admission_lag(self) -> u64 {
+        match self {
+            BackendKind::Central | BackendKind::Tree | BackendKind::Hier => 1,
+            BackendKind::Counting | BackendKind::Dissemination => 2,
+        }
     }
 }
 
-/// The default shadow-domain group: a [`ReconfigBarrier`] whose factory
-/// rebuilds a shadow central backend at every growth boundary. The
-/// membership protocol under test is the wrapper's own; the inner
-/// backend just needs to be a correct barrier.
-fn shadow_group(capacity: usize, initial: usize) -> Arc<dyn ReconfigOps> {
+/// The shadow-domain group over `backend`: one inner barrier for all
+/// `capacity` slots, the slots from `initial` on evicted from the start.
+fn shadow_group(backend: BackendKind, capacity: usize, initial: usize) -> Arc<dyn ReconfigOps> {
     let (group, _founders) =
         ReconfigBarrier::<ShadowSync>::with_policy_in(capacity, initial, StallPolicy::Spin, |n| {
-            Arc::new(CentralBarrier::<ShadowSync>::with_policy_in(
-                n,
-                StallPolicy::Spin,
-            )) as Arc<dyn SplitBarrier>
+            backend.build_shadow(n)
         });
     Arc::new(group)
 }
 
 /// One checked episode through a [`ReconfigOps`] group under the
-/// `(slot, generation)` credential, released at wrapper epoch `epoch`;
-/// `episode` numbers it in `ledger`, where `id` is both the global thread
-/// id and the member's rank.
-///
-/// `sync` is the whole episode, so the wait half brackets it: its arrival
-/// half is gate-bounded and never blocks on peers, so treating the span
-/// as "in wait" keeps the lost-wakeup classification sound.
+/// `(slot, generation)` credential, released at epoch `epoch`; `episode`
+/// numbers it in `ledger`, where `id` is both the global thread id and the
+/// member's rank.
 fn reconfig_episode(
     group: &dyn ReconfigOps,
     ledger: &Ledger,
@@ -1267,21 +1312,24 @@ fn reconfig_episode(
         id,
         episode,
         epoch,
-        || Ok(()),
-        |()| group.sync(slot, generation),
+        || group.arrive(slot, generation),
+        |arrival| group.wait(arrival),
     )
 }
 
 /// Join-during-episode scenario: two founders and one joiner over a
 /// three-slot group. The founders hold epoch 0 until the join is staged,
-/// so on **every** schedule the membership the installer sees at the
-/// first boundary is the same: epoch 0 must run at the founding pair and
-/// epoch 1 at the grown trio. A protocol that admits the joiner
-/// mid-episode ([`crate::mutants::MutantJoinMidEpoch`]) either releases
-/// a founder past its peer (fuzzy violation) or skews the arrival
-/// counts into a deadlock.
+/// so on **every** schedule the completers see the staged join at the
+/// same point: epochs `0..lag` must run at the founding pair and epoch
+/// `lag` at the grown trio, `lag` being the backend's
+/// [`BackendKind::admission_lag`]. A protocol that admits the joiner into
+/// the in-flight episode ([`crate::mutants::MutantJoinMidEpoch`],
+/// [`crate::mutants::MutantAdmitInFlight`]) releases someone at the wrong
+/// epoch, releases a founder past its peer (fuzzy violation), or skews the
+/// arrival counts into a deadlock.
 pub fn join_mid_episode_with(
     name: impl Into<String>,
+    lag: u64,
     mut factory: impl FnMut() -> Arc<dyn ReconfigOps> + 'static,
 ) -> Scenario {
     scenario(
@@ -1294,11 +1342,11 @@ pub fn join_mid_episode_with(
             let ledgers = vec![Arc::clone(&founders), Arc::clone(&grown)];
             ((group, ShadowU32::new(0), founders, grown), ledgers)
         },
-        |(group, joined, founders, grown), id| {
+        move |(group, joined, founders, grown), id| {
             if id == 2 {
-                join_mid_episode_joiner(&**group, joined, grown)
+                join_mid_episode_joiner(&**group, joined, grown, lag)
             } else {
-                join_mid_episode_founder(&**group, joined, founders, grown, id)
+                join_mid_episode_founder(&**group, joined, founders, grown, id, lag)
             }
         },
         |_| None,
@@ -1307,8 +1355,12 @@ pub fn join_mid_episode_with(
 
 /// [`join_mid_episode_with`] over the real shadow-domain group.
 #[must_use]
-pub fn join_mid_episode() -> Scenario {
-    join_mid_episode_with("reconfig/join-mid-episode", || shadow_group(3, 2))
+pub fn join_mid_episode(backend: BackendKind) -> Scenario {
+    join_mid_episode_with(
+        format!("reconfig/{}/join-mid-episode", backend.name()),
+        backend.admission_lag(),
+        move || shadow_group(backend, 3, 2),
+    )
 }
 
 fn join_mid_episode_founder(
@@ -1317,27 +1369,31 @@ fn join_mid_episode_founder(
     founders: &Ledger,
     grown: &Ledger,
     id: usize,
+    lag: u64,
 ) -> Option<()> {
-    // Hold epoch 0 until the join is staged: the installer at the first
-    // boundary then sees the pending join on every schedule.
+    // Hold epoch 0 until the join is staged: its completer then sees the
+    // staged join on every schedule.
     ShadowSync::wait_until(StallPolicy::Spin, || joined.load(Ordering::Acquire) == 1);
-    // Epoch 0 at the founding pair; founders hold slot `id`, generation 0.
-    reconfig_episode(group, founders, id, 0, 0, (id, 0))?;
-    // Epoch 1 at the grown trio (the grown ledger numbers from zero).
-    reconfig_episode(group, grown, id, 0, 1, (id, 0))
+    // Epochs before the joiner's first at the founding pair; founders hold
+    // slot `id`, generation 0.
+    for epoch in 0..lag {
+        reconfig_episode(group, founders, id, epoch, epoch, (id, 0))?;
+    }
+    // Then the grown trio (the grown ledger numbers from zero).
+    reconfig_episode(group, grown, id, 0, lag, (id, 0))
 }
 
 fn join_mid_episode_joiner(
     group: &dyn ReconfigOps,
     joined: &ShadowU32,
     grown: &Ledger,
+    lag: u64,
 ) -> Option<()> {
     let (slot, generation) = ok_or_report(2, "join", group.join())?;
     joined.store(1, Ordering::Release);
     live()?;
     group.wait_active(slot, generation);
-    // The joiner's first episode is the grown trio's epoch 1.
-    reconfig_episode(group, grown, 2, 0, 1, (slot, generation))?;
+    reconfig_episode(group, grown, 2, 0, lag, (slot, generation))?;
     // The staged join must actually have landed: three live members.
     let members = group.members();
     live()?;
@@ -1348,6 +1404,80 @@ fn join_mid_episode_joiner(
         );
     }
     Some(())
+}
+
+/// Episodes on request from a serving member: a body that needs the group
+/// to move asks for it, and the server syncs only then. An ungated server
+/// would spin solo episodes forever and never yield the schedule to the
+/// other threads.
+struct Pump {
+    /// Epochs the server is asked to complete.
+    target: ShadowU64,
+    /// Epochs the server has completed.
+    done: ShadowU64,
+}
+
+impl Pump {
+    /// The server starts serving after it completed epoch 0 with everyone.
+    fn new() -> Self {
+        Pump {
+            target: ShadowU64::new(1),
+            done: ShadowU64::new(1),
+        }
+    }
+
+    /// Asks for one epoch past those completed so far, and waits for it.
+    fn one_more(&self) -> Option<()> {
+        let done = self.done.load(Ordering::Acquire);
+        self.target.fetch_max(done + 1, Ordering::AcqRel);
+        ShadowSync::wait_until(StallPolicy::Spin, || {
+            self.done.load(Ordering::Acquire) > done
+        });
+        live()
+    }
+
+    /// Asks the server to run through `epoch`.
+    fn through(&self, epoch: u64) {
+        self.target.fetch_max(epoch + 1, Ordering::AcqRel);
+    }
+
+    /// The server (thread 1, credential `(1, 0)`): syncs every requested
+    /// epoch, until the joiner sets `j_done`.
+    fn serve(&self, group: &dyn ReconfigOps, j_done: &ShadowU32) -> Option<()> {
+        let mut next = 1;
+        loop {
+            ShadowSync::wait_until(StallPolicy::Spin, || {
+                j_done.load(Ordering::Acquire) == 1 || self.target.load(Ordering::Acquire) > next
+            });
+            live()?;
+            if j_done.load(Ordering::Acquire) == 1 {
+                return Some(());
+            }
+            match ok_or_report(1, "server sync", group.sync(1, 0))? {
+                e if e == next => next = e + 1,
+                e => return protocol_error(1, format!("server released {e}, expected {next}")),
+            }
+            self.done.store(next, Ordering::Release);
+        }
+    }
+
+    /// A joiner's way in: epochs on request until its admission has taken
+    /// effect, then one synchronized epoch with the server.
+    fn activate_and_sync(
+        &self,
+        group: &dyn ReconfigOps,
+        thread: usize,
+        (slot, generation): (usize, u64),
+    ) -> Option<()> {
+        while !group.is_active(slot, generation) {
+            self.one_more()?;
+        }
+        group.wait_active(slot, generation);
+        let arrival = ok_or_report(thread, "joiner arrive", group.arrive(slot, generation))?;
+        self.through(arrival.epoch);
+        ok_or_report(thread, "joiner wait", group.wait(arrival))?;
+        live()
+    }
 }
 
 /// Stale-generation scenario over a two-slot group: member A leaves, its
@@ -1367,15 +1497,19 @@ pub fn stale_generation_with(
         name,
         3,
         move || {
-            let flags = || ShadowU32::new(0);
+            let flag = || ShadowU32::new(0);
             // No fuzzy ledger: this scenario checks the credential
             // lifecycle, so a hang is reported as the deadlock it is.
-            ((factory(), flags(), flags(), flags(), flags()), Vec::new())
+            let state = (factory(), flag(), flag(), flag(), flag(), Pump::new());
+            (state, Vec::new())
         },
-        |(group, joined, a_done, j_done, pump), id| match id {
-            0 => stale_generation_leaver(&**group, joined, a_done, pump),
-            1 => stale_generation_driver(&**group, j_done, pump),
-            _ => stale_generation_reuser(&**group, joined, a_done, j_done, pump),
+        |(group, left, joined, a_done, j_done, pump), id| match id {
+            0 => stale_generation_leaver(&**group, left, joined, a_done),
+            1 => {
+                sync_epoch_zero(&**group, 1, "server sync", (1, 0))?;
+                pump.serve(&**group, j_done)
+            }
+            _ => stale_generation_reuser(&**group, (left, joined, a_done, j_done), pump),
         },
         |_| None,
     )
@@ -1383,12 +1517,15 @@ pub fn stale_generation_with(
 
 /// [`stale_generation_with`] over the real shadow-domain group.
 #[must_use]
-pub fn stale_generation() -> Scenario {
-    stale_generation_with("reconfig/stale-generation", || shadow_group(2, 2))
+pub fn stale_generation(backend: BackendKind) -> Scenario {
+    stale_generation_with(
+        format!("reconfig/{}/stale-generation", backend.name()),
+        move || shadow_group(backend, 2, 2),
+    )
 }
 
 /// Thread `thread`'s full-strength `sync` under `credential`, which must
-/// release wrapper epoch 0.
+/// release epoch 0.
 fn sync_epoch_zero(
     group: &dyn ReconfigOps,
     thread: usize,
@@ -1406,20 +1543,17 @@ fn sync_epoch_zero(
 
 fn stale_generation_leaver(
     group: &dyn ReconfigOps,
+    left: &ShadowU32,
     joined: &ShadowU32,
     a_done: &ShadowU32,
-    pump: &ShadowU32,
 ) -> Option<()> {
     // Epoch 0 at full strength, then depart. The departure bumps the slot
-    // generation immediately, so the retained (0, 0) credential is stale
-    // from here on.
+    // generation and frees the slot, so the retained (0, 0) credential is
+    // stale from here on.
     sync_epoch_zero(group, 0, "pre-leave sync", (0, 0))?;
     live()?;
     ok_or_report(0, "leave", group.leave(0, 0))?;
-    // The freed slot installs at the next boundary: ask the driver for
-    // one.
-    pump.fetch_add(1, Ordering::AcqRel);
-    live()?;
+    left.store(1, Ordering::Release);
     // Probe only once the slot has been re-claimed, so the stale arrival
     // races a live re-occupant rather than an empty slot.
     ShadowSync::wait_until(StallPolicy::Spin, || joined.load(Ordering::Acquire) == 1);
@@ -1442,57 +1576,14 @@ fn stale_generation_leaver(
     Some(())
 }
 
-fn stale_generation_driver(
-    group: &dyn ReconfigOps,
-    j_done: &ShadowU32,
-    pump: &ShadowU32,
-) -> Option<()> {
-    // Epoch 0 at full strength alongside the leaver.
-    sync_epoch_zero(group, 1, "driver sync", (1, 0))?;
-    serve_boundaries(group, j_done, pump)
-}
-
-/// The driver (thread 1, credential `(1, 0)`) drives one boundary per
-/// request on `pump` — so departures free, joins install, and a joiner
-/// activates and finds a partner — until the joiner sets `j_done`. Each
-/// pump is *requested* (the driver blocks between them): an ungated loop
-/// would spin solo boundaries forever and never yield the schedule to the
-/// other threads.
-fn serve_boundaries(group: &dyn ReconfigOps, j_done: &ShadowU32, pump: &ShadowU32) -> Option<()> {
-    let mut served = 0u32;
-    let mut next_epoch = 1u64;
-    loop {
-        ShadowSync::wait_until(StallPolicy::Spin, || {
-            j_done.load(Ordering::Acquire) == 1 || pump.load(Ordering::Acquire) > served
-        });
-        live()?;
-        if j_done.load(Ordering::Acquire) == 1 {
-            return Some(());
-        }
-        match ok_or_report(1, "driver sync", group.sync(1, 0))? {
-            e if e >= next_epoch => next_epoch = e + 1,
-            e => {
-                return protocol_error(
-                    1,
-                    format!("release epoch went backwards: {e} < {next_epoch}"),
-                )
-            }
-        }
-        served += 1;
-    }
-}
-
 fn stale_generation_reuser(
     group: &dyn ReconfigOps,
-    joined: &ShadowU32,
-    a_done: &ShadowU32,
-    j_done: &ShadowU32,
-    pump: &ShadowU32,
+    (left, joined, a_done, j_done): (&ShadowU32, &ShadowU32, &ShadowU32, &ShadowU32),
+    pump: &Pump,
 ) -> Option<()> {
-    // The departed slot frees at the boundary after the leave: epoch 2
-    // implies the installer processed it, so the join below cannot see
-    // GroupFull.
-    ShadowSync::wait_until(StallPolicy::Spin, || group.epoch() >= 2);
+    // The departure freed slot 0 before it returned, so the join below
+    // cannot see GroupFull.
+    ShadowSync::wait_until(StallPolicy::Spin, || left.load(Ordering::Acquire) == 1);
     live()?;
     let (slot, generation) = ok_or_report(2, "reuse join", group.join())?;
     if slot != 0 || generation == 0 {
@@ -1505,15 +1596,7 @@ fn stale_generation_reuser(
         );
     }
     joined.store(1, Ordering::Release);
-    // Activation installs at the boundary after the staging: request it.
-    pump.fetch_add(1, Ordering::AcqRel);
-    live()?;
-    group.wait_active(slot, generation);
-    live()?;
-    // The sync below needs the driver as a partner: request a boundary.
-    pump.fetch_add(1, Ordering::AcqRel);
-    ok_or_report(2, "reuser sync", group.sync(slot, generation))?;
-    live()?;
+    pump.activate_and_sync(group, 2, (slot, generation))?;
     // Leave only after the stale probe resolved, so the probe always
     // races a live re-occupant.
     ShadowSync::wait_until(StallPolicy::Spin, || a_done.load(Ordering::Acquire) == 1);
@@ -1524,54 +1607,61 @@ fn stale_generation_reuser(
 }
 
 /// Join/evict-race scenario: a joiner stages into a three-slot group with
-/// no ordering constraints while the driver evicts the idle founder, so
-/// the pending join and the pending free race into the same (or
-/// adjacent) boundary installs across schedules. Liveness and final
-/// agreement are asserted: every sync returns, the joiner activates and
-/// departs cleanly, and the group converges to the driver alone.
+/// no ordering constraints while the server evicts the idle founder, so
+/// the staged admission and the removal race into the same (or adjacent)
+/// boundaries across schedules. Liveness and final agreement are asserted:
+/// every sync returns, the joiner activates and departs cleanly, and the
+/// group converges to the server alone.
 #[must_use]
-pub fn join_evict_race() -> Scenario {
+pub fn join_evict_race(backend: BackendKind) -> Scenario {
     scenario(
-        "reconfig/join-evict-race",
+        format!("reconfig/{}/join-evict-race", backend.name()),
         3,
-        || {
+        move || {
             let full = ledger(2);
             let state = (
-                shadow_group(3, 2),
+                shadow_group(backend, 3, 2),
                 ShadowU32::new(0),
-                ShadowU32::new(0),
+                Pump::new(),
                 Arc::clone(&full),
             );
             (state, vec![full])
         },
         |(group, j_done, pump, full), id| match id {
-            // The evictee synchronizes once and goes silent; the driver
+            // The evictee synchronizes once and goes silent; the server
             // removes it. Arriving only for the completed epoch 0 honors
             // the eviction contract on every schedule.
             0 => reconfig_episode(&**group, full, 0, 0, 0, (0, 0)),
-            1 => join_evict_race_driver(&**group, full, j_done, pump),
-            _ => join_evict_race_joiner(&**group, j_done, pump),
+            1 => join_evict_race_server(&**group, full, j_done, pump),
+            _ => {
+                // No gating: the join races the founders' epoch 0 and the
+                // eviction across schedules. Slot 2 is free on every one.
+                let credential = ok_or_report(2, "race join", group.join())?;
+                pump.activate_and_sync(&**group, 2, credential)?;
+                ok_or_report(2, "joiner leave", group.leave(credential.0, credential.1))?;
+                j_done.store(1, Ordering::Release);
+                Some(())
+            }
         },
         |_| None,
     )
 }
 
-fn join_evict_race_driver(
+fn join_evict_race_server(
     group: &dyn ReconfigOps,
     full: &Ledger,
     j_done: &ShadowU32,
-    pump: &ShadowU32,
+    pump: &Pump,
 ) -> Option<()> {
     reconfig_episode(group, full, 1, 0, 0, (1, 0))?;
     // Epoch 0 is complete, so the founder's last arrival is behind the
     // in-flight epoch and the eviction contract holds.
     ok_or_report(1, "evict", group.evict(0, 0))?;
-    // One boundary per joiner request (activation, then partnership)
-    // until the joiner has activated, synchronized, and departed; the
-    // eviction's stand-in covers the founder's arrival.
-    serve_boundaries(group, j_done, pump)?;
+    // Epochs on request until the joiner has activated, synchronized and
+    // departed; the eviction's stand-in covers the founder's arrival.
+    pump.serve(group, j_done)?;
     live()?;
-    // Convergence: the evictee is gone and the joiner left — the driver
+    // Convergence: the evictee is gone and the joiner left — the server
     // must be alone, on every schedule.
     let members = group.members();
     live()?;
@@ -1581,26 +1671,5 @@ fn join_evict_race_driver(
             format!("expected 1 member after convergence, found {members}"),
         );
     }
-    Some(())
-}
-
-fn join_evict_race_joiner(
-    group: &dyn ReconfigOps,
-    j_done: &ShadowU32,
-    pump: &ShadowU32,
-) -> Option<()> {
-    // No gating: the join races the founders' epoch 0 and the eviction
-    // across schedules. Slot 2 is free on every one of them.
-    let (slot, generation) = ok_or_report(2, "race join", group.join())?;
-    // Activation installs at the boundary after the staging: request one.
-    pump.fetch_add(1, Ordering::AcqRel);
-    group.wait_active(slot, generation);
-    live()?;
-    // The sync below needs the driver as a partner: request a boundary.
-    pump.fetch_add(1, Ordering::AcqRel);
-    ok_or_report(2, "joiner sync", group.sync(slot, generation))?;
-    live()?;
-    ok_or_report(2, "joiner leave", group.leave(slot, generation))?;
-    j_done.store(1, Ordering::Release);
     Some(())
 }

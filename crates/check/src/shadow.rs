@@ -20,7 +20,7 @@
 use crate::ctx;
 use crate::sched::OpKind;
 use fuzzy_barrier::spin::{self, SpinReport, StallPolicy};
-use fuzzy_barrier::sync::{Atomic, Lock, SyncOps, TicketGuard, TicketLock};
+use fuzzy_barrier::sync::{Atomic, Lock, SyncOps};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -74,14 +74,65 @@ impl_shadow_atomic!(u32, ShadowU32, AtomicU32);
 impl_shadow_atomic!(u64, ShadowU64, AtomicU64);
 impl_shadow_atomic!(usize, ShadowUsize, AtomicUsize);
 
-/// The shadow domain's lock: a [`TicketLock`] over shadow words, so an
+/// A FIFO ticket lock over shadow words. An acquirer that finds it held
+/// is descheduled until the release, which is an RMW so the scheduler sees
+/// the write that re-wakes it.
+#[derive(Debug)]
+struct TicketLock {
+    ticket: ShadowU64,
+    serving: ShadowU64,
+}
+
+/// Releases its [`TicketLock`] when dropped.
+struct TicketGuard<'a> {
+    lock: &'a TicketLock,
+}
+
+impl TicketLock {
+    fn new() -> Self {
+        TicketLock {
+            ticket: ShadowU64::new(0),
+            serving: ShadowU64::new(0),
+        }
+    }
+
+    fn acquire(&self) -> TicketGuard<'_> {
+        let ticket = self.ticket.fetch_add(1, Ordering::AcqRel);
+        if self.serving.load(Ordering::Acquire) != ticket {
+            ShadowSync::wait_until(StallPolicy::yielding(), || {
+                self.serving.load(Ordering::Acquire) == ticket
+            });
+        }
+        TicketGuard { lock: self }
+    }
+
+    /// Takes the next ticket only if it is being served. Tickets only grow,
+    /// so `fetch_max(next + 1)` returning `next` is a compare-and-swap
+    /// that won; a larger return took nothing.
+    fn try_acquire(&self) -> Option<TicketGuard<'_>> {
+        let next = self.ticket.load(Ordering::Acquire);
+        if self.serving.load(Ordering::Acquire) != next {
+            return None;
+        }
+        (self.ticket.fetch_max(next + 1, Ordering::AcqRel) == next)
+            .then(|| TicketGuard { lock: self })
+    }
+}
+
+impl Drop for TicketGuard<'_> {
+    fn drop(&mut self) {
+        self.lock.serving.fetch_add(1, Ordering::Release);
+    }
+}
+
+/// The shadow domain's lock: a ticket lock over shadow words, so an
 /// acquirer that finds it held is descheduled until the release RMW, and
 /// a `std` mutex that carries the value. The mutex is only ever taken with
 /// the ticket held, so it never contends and never blocks a virtual
 /// thread out of the scheduler's sight.
 #[derive(Debug)]
 pub struct ShadowMutex<T> {
-    ticket: TicketLock<ShadowSync>,
+    ticket: TicketLock,
     value: Mutex<T>,
 }
 
@@ -89,7 +140,7 @@ pub struct ShadowMutex<T> {
 /// mutex first, then the ticket.
 pub struct ShadowMutexGuard<'a, T> {
     value: MutexGuard<'a, T>,
-    _ticket: TicketGuard<'a, ShadowSync>,
+    _ticket: TicketGuard<'a>,
 }
 
 impl<T: Send> Lock<T> for ShadowMutex<T> {
@@ -111,6 +162,14 @@ impl<T: Send> Lock<T> for ShadowMutex<T> {
             value: self.value.lock().unwrap_or_else(PoisonError::into_inner),
             _ticket: ticket,
         }
+    }
+
+    fn try_acquire(&self) -> Option<ShadowMutexGuard<'_, T>> {
+        let ticket = self.ticket.try_acquire()?;
+        Some(ShadowMutexGuard {
+            value: self.value.lock().unwrap_or_else(PoisonError::into_inner),
+            _ticket: ticket,
+        })
     }
 }
 
@@ -191,6 +250,21 @@ mod tests {
         assert_eq!(a.fetch_sub(1, Ordering::AcqRel), 7);
         assert_eq!(a.fetch_max(100, Ordering::AcqRel), 6);
         assert_eq!(a.load(Ordering::Acquire), 100);
+    }
+
+    #[test]
+    fn ticket_lock_is_exclusive_and_try_acquire_never_waits() {
+        let lock = ShadowMutex::new(0u32);
+        {
+            let mut held = lock.acquire();
+            *held += 1;
+            assert!(lock.try_acquire().is_none(), "held");
+        }
+        *lock.try_acquire().expect("free") += 1;
+        assert_eq!(*lock.acquire(), 2);
+        // Three acquisitions, three tickets served.
+        assert_eq!(lock.ticket.ticket.load(Ordering::Acquire), 3);
+        assert_eq!(lock.ticket.serving.load(Ordering::Acquire), 3);
     }
 
     #[test]

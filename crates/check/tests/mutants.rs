@@ -14,8 +14,8 @@ use fuzzy_check::mutants::{
     MutantLeaderEarlyRelease, MutantNoPoison, MutantTree,
 };
 use fuzzy_check::{
-    evict_with, explore_dfs, explore_random, poison_with, protocol_with, replay, Defect,
-    ExploreOptions, Outcome, Scenario, ShadowSync,
+    evict_with, explore_dfs, explore_random, poison_with, protocol_with, replay, BackendKind,
+    Defect, ExploreOptions, Outcome, Scenario, ShadowSync,
 };
 use std::sync::Arc;
 
@@ -389,10 +389,23 @@ fn join_mid_epoch_mutant_is_caught() {
     // means the checker saw the boundary discipline break.
     use fuzzy_check::mutants::MutantJoinMidEpoch;
     use fuzzy_check::{join_mid_episode_with, ReconfigOps};
-    let scenario = join_mid_episode_with("mutant/join-mid-epoch", || {
+    let scenario = join_mid_episode_with("mutant/join-mid-epoch", 1, || {
         Arc::new(MutantJoinMidEpoch::<ShadowSync>::new(3, 2)) as Arc<dyn ReconfigOps>
     });
     must_catch(scenario, opts(2), |_| true);
+}
+
+#[test]
+fn admit_in_flight_mutant_is_caught() {
+    // The inner barrier counts the joiner in the episode already running,
+    // behind the real ReconfigBarrier. The founders hold epoch 0 until the
+    // join is staged, so the joiner lands in epoch 0 and is released there
+    // instead of at epoch 1 with the grown trio: a protocol error, on the
+    // very first sequential schedule.
+    use fuzzy_check::join_mid_episode_with;
+    use fuzzy_check::mutants::MutantAdmitInFlight;
+    let scenario = join_mid_episode_with("mutant/admit-in-flight", 1, MutantAdmitInFlight::group);
+    must_catch(scenario, opts(0), is_protocol_error);
 }
 
 #[test]
@@ -400,10 +413,11 @@ fn stale_generation_mutant_is_caught() {
     // The mutant looks up the slot's *current* generation instead of
     // checking the credential it was handed, so a departed member's stale
     // handle is accepted — it either completes an episode it has no right
-    // to join (protocol error: "stale credential accepted") or trips the
-    // honest inner barrier's rank check (also a protocol error). Either
-    // way the probe never sees the StaleGeneration rejection the scenario
-    // demands, deterministically, on the very first sequential schedule.
+    // to join (protocol error: "stale credential accepted") or is refused
+    // as no participant while the re-occupant's join is unredeemed (also
+    // a protocol error). Either way the probe never sees the
+    // StaleGeneration rejection the scenario demands, deterministically,
+    // on the very first sequential schedule.
     use fuzzy_check::mutants::MutantStaleGeneration;
     use fuzzy_check::{stale_generation_with, ReconfigOps};
     let scenario = stale_generation_with("mutant/stale-generation", || {
@@ -412,11 +426,10 @@ fn stale_generation_mutant_is_caught() {
     must_catch(scenario, opts(0), is_protocol_error);
 }
 
-/// DFS options for the real-implementation reconfig pass runs: the
-/// scenarios have three threads and membership churn, so the schedule
-/// space is deep — 10k schedules at bound 2 keeps the suite fast while
-/// still covering every join/arrive and depart/arrive race the mutants
-/// fail under.
+/// DFS options for the real-implementation reconfig pass runs, once per
+/// backend: the scenarios have three threads and membership churn, so the
+/// schedule space is deep — 10k schedules at bound 2 per backend, as
+/// `check-smoke` explores them.
 fn reconfig_pass_opts() -> ExploreOptions {
     ExploreOptions {
         max_schedules: 10_000,
@@ -427,17 +440,23 @@ fn reconfig_pass_opts() -> ExploreOptions {
 
 #[test]
 fn real_reconfig_survives_join_mid_episode_schedules() {
-    must_survive(fuzzy_check::join_mid_episode(), reconfig_pass_opts());
+    for backend in BackendKind::ALL {
+        must_survive(fuzzy_check::join_mid_episode(backend), reconfig_pass_opts());
+    }
 }
 
 #[test]
 fn real_reconfig_survives_stale_generation_schedules() {
-    must_survive(fuzzy_check::stale_generation(), reconfig_pass_opts());
+    for backend in BackendKind::ALL {
+        must_survive(fuzzy_check::stale_generation(backend), reconfig_pass_opts());
+    }
 }
 
 #[test]
 fn real_reconfig_survives_join_evict_race_schedules() {
-    must_survive(fuzzy_check::join_evict_race(), reconfig_pass_opts());
+    for backend in BackendKind::ALL {
+        must_survive(fuzzy_check::join_evict_race(backend), reconfig_pass_opts());
+    }
 }
 
 #[test]

@@ -576,6 +576,15 @@ impl<B: SplitBarrier, S: SyncOps> SplitBarrier for AsyncBarrier<B, S> {
         result
     }
 
+    /// An admission applies at a completion, which drains.
+    fn admit(&self, id: usize) -> Result<(), BarrierError> {
+        self.inner.admit(id)
+    }
+
+    fn is_member(&self, id: usize) -> bool {
+        self.inner.is_member(id)
+    }
+
     fn participants(&self) -> usize {
         self.inner.participants()
     }

@@ -62,12 +62,19 @@ impl<S: SyncOps> Central<S> {
     /// because participants may have left or been evicted: the core
     /// shrinks it BEFORE the departure's stand-in decrement, and the RMW
     /// chain on `count` orders that shrink before this read.
+    ///
+    /// The last one runs before it publishes *e + 1*, so it applies staged
+    /// admissions at *e + 1*; the core raises the live count it re-arms with.
+    /// The publication is `SeqCst` for `wake_parked`, which follows it (the
+    /// same instruction as `Release` on x86).
     #[inline]
     fn count_down(&self, cx: &Cx<'_, S>) {
         if self.count.fetch_sub(1, Ordering::AcqRel) == 1 {
+            cx.admit_staged(self, || self.episode.load(Ordering::Relaxed) + 1);
             self.count.store(cx.live(), Ordering::Release);
-            let completed = self.episode.fetch_add(1, Ordering::Release);
+            let completed = self.episode.fetch_add(1, Ordering::SeqCst);
             cx.record_episode(completed);
+            cx.wake_parked();
         }
     }
 }
@@ -93,6 +100,10 @@ impl<S: SyncOps> Protocol<S> for Central<S> {
     fn retire(&self, _id: usize, cx: &Cx<'_, S>) {
         self.count_down(cx);
     }
+
+    /// Nothing to do: the completer re-arms the counter with the live
+    /// count, which the core raises for the joiner.
+    fn admit(&self, _id: usize, _cx: &Cx<'_, S>) {}
 }
 
 #[cfg(test)]

@@ -89,7 +89,9 @@ impl<S: SyncOps> Counting<S> {
     fn add_and_settle(&self, mut delta: u64, cx: &Cx<'_, S>) {
         let n = self.n;
         loop {
-            let before = self.arrivals.fetch_add(delta, Ordering::AcqRel);
+            // `SeqCst` for `wake_parked` after a crossing (the same
+            // instruction as `AcqRel` on x86).
+            let before = self.arrivals.fetch_add(delta, Ordering::SeqCst);
             let after = before + delta;
             // Each step adds at most n − 1 to the count (one arrival, or
             // one ghost per evicted participant), so at most one boundary
@@ -97,7 +99,15 @@ impl<S: SyncOps> Counting<S> {
             if count(after) / n == count(before) / n {
                 return;
             }
-            cx.record_episode(count(after) / n - 1);
+            let completed = count(after) / n - 1;
+            cx.record_episode(completed);
+            cx.wake_parked();
+            // Arrivals for `completed + 1` may already be in, and the
+            // counter does not say whose; a participant crosser has not
+            // arrived for it yet, so nobody reaches `completed + 2` first.
+            if !cx.is_removal() {
+                cx.admit_staged(self, || completed + 2);
+            }
             let ghosts = dead(after);
             if ghosts == 0 {
                 return;
@@ -132,6 +142,14 @@ impl<S: SyncOps> Protocol<S> for Counting<S> {
     /// atomically, because both fields travel in the same word.
     fn retire(&self, _id: usize, cx: &Cx<'_, S>) {
         self.add_and_settle((1u64 << DEAD_SHIFT) | 1, cx);
+    }
+
+    /// Unregisters one ghost. The crosser that admits applied it after
+    /// paying the next episode's ghosts, so the joiner stays a ghost for
+    /// that episode and the following crosser pays one fewer.
+    fn admit(&self, _id: usize, _cx: &Cx<'_, S>) {
+        self.arrivals
+            .fetch_sub(1u64 << DEAD_SHIFT, Ordering::AcqRel);
     }
 }
 

@@ -123,17 +123,20 @@ impl<S: SyncOps> Dissemination<S> {
 
     /// True once the round-`round` signal aimed at `receiver` is available
     /// for goal `goal` (= episode + 1): either actually stored in the flag
-    /// slot, or *deducible* because the sender was evicted.
+    /// slot, or *deducible* because the sender is not counted in the
+    /// episode.
     ///
-    /// Eviction leaves the signalling pattern untouched — no slot is ever
-    /// written on the evicted participant's behalf. Instead, receivers
-    /// close over the ghost: an evicted sender's arrival is waived (it is
-    /// no longer part of the surviving set), so its round-`r` signal counts
-    /// as sent once every signal *it* would have needed for rounds `0..r`
-    /// is itself available, recursively. The recursion strictly decreases
-    /// the round, so it terminates; every input (flag slots, eviction
-    /// flags) is monotone, so the predicate is monotone and a probe that
-    /// once returned true can never regress — no wakeup can be lost.
+    /// Membership leaves the signalling pattern untouched — no slot is ever
+    /// written on a removed or not-yet-admitted participant's behalf.
+    /// Instead, receivers close over the ghost: a non-member's arrival is
+    /// waived, so its round-`r` signal counts as sent once every signal
+    /// *it* would have needed for rounds `0..r` is itself available,
+    /// recursively. The recursion strictly decreases the round, so it
+    /// terminates. Flag slots only grow, and a window only changes for
+    /// episodes nobody has probed yet (closed from the first episode its
+    /// owner has not arrived for, opened at one nobody has reached), so a
+    /// probe that once returned true never regresses — no wakeup can be
+    /// lost.
     fn flag_ready(&self, receiver: usize, round: u32, goal: u64, cx: &Cx<'_, S>) -> bool {
         if self.flags[round as usize * self.n + receiver].load(Ordering::Acquire) >= goal {
             return true;
@@ -142,21 +145,25 @@ impl<S: SyncOps> Dissemination<S> {
         self.ghost_sent(sender, round, goal, cx)
     }
 
-    /// Would the evicted `sender` have sent its round-`round` signal for
-    /// `goal`? False for live senders.
+    /// Would `sender`, not counted in episode `goal - 1`, have sent its
+    /// round-`round` signal for `goal`? False for members.
     fn ghost_sent(&self, sender: usize, round: u32, goal: u64, cx: &Cx<'_, S>) -> bool {
-        if !cx.is_evicted(sender) {
+        if cx.is_member(sender, goal - 1) {
             return false;
         }
         (0..round).all(|r| self.flag_ready(sender, r, goal, cx))
     }
 
     /// Records `episode`'s completion once globally, by whichever
-    /// participant finishes its rounds first.
+    /// participant finishes its rounds first. Others may still be probing
+    /// `episode + 1`, but nobody reaches `episode + 2` before this
+    /// participant arrives for `episode + 1`: staged admissions apply
+    /// there.
     fn record_completion(&self, episode: u64, cx: &Cx<'_, S>) {
         let goal = episode + 1;
         if self.completed.fetch_max(goal, Ordering::AcqRel) < goal {
             cx.record_episode(episode);
+            cx.admit_staged(self, || episode + 2);
         }
     }
 
@@ -205,12 +212,17 @@ impl<S: SyncOps> Protocol<S> for Dissemination<S> {
         self.try_progress(id, episode, cx)
     }
 
-    /// Nothing to do: the core's claim of the eviction flag (an RMW, so
-    /// blocked checker waiters re-probe) flips every survivor's
-    /// ghost-closure predicate — see `Dissemination::flag_ready`. The
-    /// evicted participant's pending arrival for the in-flight episode is
-    /// waived vacuously, and no flag slot gains a second writer.
+    /// Nothing to do: the core's closing of the membership window (a
+    /// shadow write, so blocked checker waiters re-probe) flips every
+    /// survivor's ghost-closure predicate — see `Dissemination::flag_ready`.
+    /// The removed participant's pending arrival for the in-flight episode
+    /// is waived vacuously, and no flag slot gains a second writer.
     fn retire(&self, _id: usize, _cx: &Cx<'_, S>) {}
+
+    /// Nothing to do either: the opened window ends the ghost closure from
+    /// the joiner's first episode on, and its signals for that episode carry
+    /// a goal above any its slot held before.
+    fn admit(&self, _id: usize, _cx: &Cx<'_, S>) {}
 }
 
 #[cfg(test)]

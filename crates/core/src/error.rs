@@ -73,10 +73,12 @@ pub enum BarrierError {
     },
     /// The backend does not implement participant eviction.
     EvictionUnsupported,
+    /// The backend cannot admit a participant back into the barrier.
+    AdmitUnsupported,
     /// A reconfigurable group (see [`crate::reconfig::ReconfigBarrier`])
-    /// has no free membership slot for a joiner. Slots free up when the
-    /// departure of a leaver or evictee is applied at the next episode
-    /// boundary, so callers may back off and retry.
+    /// has no free membership slot for a joiner. A leaver's or evictee's
+    /// slot frees when its departure returns, so callers may back off and
+    /// retry.
     GroupFull {
         /// The fixed slot capacity of the group.
         capacity: usize,
@@ -147,6 +149,9 @@ impl fmt::Display for BarrierError {
             }
             BarrierError::EvictionUnsupported => {
                 write!(f, "this backend does not support participant eviction")
+            }
+            BarrierError::AdmitUnsupported => {
+                write!(f, "this backend does not support admitting participants")
             }
             BarrierError::GroupFull { capacity } => {
                 write!(f, "group full: all {capacity} membership slots are claimed")

@@ -5,6 +5,7 @@ use crate::error::BarrierError;
 use crate::failure::Deadline;
 use crate::stats::{StatsSnapshot, TelemetrySnapshot};
 use crate::token::{ArrivalToken, WaitOutcome};
+use std::task::Waker;
 
 /// A barrier whose synchronization is split into an *arrive* phase and a
 /// *wait* phase.
@@ -26,7 +27,7 @@ use crate::token::{ArrivalToken, WaitOutcome};
 ///
 /// # Implementing
 ///
-/// An implementor decides eight things and may answer three more
+/// An implementor decides eight things and may answer six more
 /// differently from the defaults; [`Self::wait`], [`Self::abort`],
 /// [`Self::point`] and [`Self::fuzzy`] are derived from those here and are
 /// not meant to be overridden. DESIGN.md, "The `SplitBarrier` surface", has
@@ -120,6 +121,41 @@ pub trait SplitBarrier: Send + Sync {
     /// the `id`.
     fn evict(&self, _id: usize) -> Result<(), BarrierError> {
         Err(BarrierError::EvictionUnsupported)
+    }
+
+    /// Stages participant `id`'s return to the barrier — the dual of
+    /// [`Self::evict`], and the paper's Sec. 5 mask update growing the
+    /// mask instead of shrinking it. The admission takes effect at an
+    /// episode boundary nobody has arrived past: `id` is counted from some
+    /// later episode on, and [`Self::is_member`] turns true once its next
+    /// `arrive` is counted. Admitting a member or an already staged id
+    /// does nothing.
+    ///
+    /// The default reports [`BarrierError::AdmitUnsupported`], whatever
+    /// the `id`.
+    fn admit(&self, _id: usize) -> Result<(), BarrierError> {
+        Err(BarrierError::AdmitUnsupported)
+    }
+
+    /// True if participant `id`'s next `arrive` is counted: it was never
+    /// removed, or its latest [`Self::admit`] has taken effect. The
+    /// default says every id in range is a member.
+    fn is_member(&self, id: usize) -> bool {
+        id < self.participants()
+    }
+
+    /// Parks `waker` until the next episode completes or the barrier is
+    /// poisoned, and returns true; or returns false, and the caller must
+    /// poll instead. Whatever the caller waits for — a token's completion,
+    /// [`Self::is_member`] — it re-checks after a `true`: a completion that
+    /// landed before the registration wakes nobody. Each registration is
+    /// woken once, possibly for a completion the caller did not wait for.
+    ///
+    /// The default says false. The stock backends with a release word park
+    /// (the completer wakes them after it publishes); dissemination does
+    /// not, because its waiters drive their own rounds.
+    fn register_waker(&self, _waker: &Waker) -> bool {
+        false
     }
 
     /// Full telemetry snapshot: flat counters plus stall histogram,
@@ -226,6 +262,18 @@ impl<B: SplitBarrier + ?Sized> SplitBarrier for std::sync::Arc<B> {
 
     fn evict(&self, id: usize) -> Result<(), BarrierError> {
         (**self).evict(id)
+    }
+
+    fn admit(&self, id: usize) -> Result<(), BarrierError> {
+        (**self).admit(id)
+    }
+
+    fn is_member(&self, id: usize) -> bool {
+        (**self).is_member(id)
+    }
+
+    fn register_waker(&self, waker: &Waker) -> bool {
+        (**self).register_waker(waker)
     }
 
     fn telemetry(&self) -> TelemetrySnapshot {

@@ -27,7 +27,7 @@
 use crate::episode::{Barrier, Cx, Protocol};
 use crate::spin::StallPolicy;
 use crate::sync::{Atomic, RealSync, SyncOps};
-use crate::tree::CombiningTree;
+use crate::tree::{self, CombiningTree};
 use fuzzy_util::CachePadded;
 use std::sync::atomic::Ordering;
 
@@ -38,7 +38,8 @@ struct Shard<S: SyncOps> {
     /// Remaining arrivals in the shard's current episode (counts down
     /// from `expected`).
     count: S::AtomicUsize,
-    /// Live members of the shard (shrinks on eviction; 0 = dead shard).
+    /// Live members of the shard (shrinks on removal, grows on admission;
+    /// 0 = dead shard).
     expected: S::AtomicUsize,
     /// Highest episode goal broadcast to this shard's waiters — the
     /// shard-local release word. Only ever raised to a goal the global
@@ -194,7 +195,9 @@ impl<S: SyncOps> Hier<S> {
             // evicted meanwhile.
             let expected = shard.expected.load(Ordering::Acquire);
             shard.count.store(expected, Ordering::Release);
-            self.tree.arrive(k, &self.episode, cx);
+            if self.tree.arrive(k) {
+                tree::complete(self, &self.episode, cx);
+            }
         }
     }
 }
@@ -244,9 +247,25 @@ impl<S: SyncOps> Protocol<S> for Hier<S> {
             // `expected >= 1`: waiters are live members.) The core's
             // eviction guard keeps at least one participant, and
             // therefore one live shard for the tree's walk to stop at.
-            self.tree.retire(k, &self.episode, cx);
+            if self.tree.retire(k) {
+                tree::complete(self, &self.episode, cx);
+            }
         } else {
             self.shard_arrival(k, cx);
+        }
+    }
+
+    /// The dual of `retire`, while the shards are quiescent: a live shard
+    /// expects one more arrival; a dead one revives expecting exactly the
+    /// joiner and signs in to the tree again.
+    fn admit(&self, id: usize, _cx: &Cx<'_, S>) {
+        let k = self.shard_of(id);
+        let shard = &self.shards[k];
+        if shard.expected.fetch_add(1, Ordering::AcqRel) > 0 {
+            shard.count.fetch_add(1, Ordering::AcqRel);
+        } else {
+            shard.count.store(1, Ordering::Release);
+            self.tree.admit(k);
         }
     }
 }

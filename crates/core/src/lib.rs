@@ -59,7 +59,8 @@
 //! [`episode::Barrier`], over a small [`episode::Protocol`] — how an
 //! arrival is signalled and what one condition a waiter polls. The core
 //! owns everything else, once: ids and tokens, the stall policy, deadline
-//! waits, poisoning, the (race-free) eviction guard, and the
+//! waits, poisoning, membership (the race-free removal guard and its dual,
+//! admission), and the
 //! [`stats::BarrierStats`] that let experiments observe how often waits
 //! actually stalled. Writing a sixth backend means writing a `Protocol`.
 //!
@@ -117,7 +118,7 @@ pub use stats::{
     AsyncSnapshot, HistogramSnapshot, NetSnapshot, NetStats, ParticipantSnapshot, PeerLinkSnapshot,
     SpreadSnapshot, StallHistogram, StatsSnapshot, TelemetrySnapshot,
 };
-pub use sync::{Atomic, Lock, RealSync, SyncOps, TicketGuard, TicketLock};
+pub use sync::{Atomic, Lock, RealSync, SyncOps};
 pub use tag::Tag;
 pub use token::{ArrivalToken, WaitOutcome};
 pub use tree::TreeBarrier;
@@ -143,6 +144,5 @@ mod send_sync_tests {
         assert_send_sync::<BarrierError>();
         assert_send_sync::<ReconfigBarrier>();
         assert_send_sync::<ReconfigToken>();
-        assert_send_sync::<TicketLock>();
     }
 }

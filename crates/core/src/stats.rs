@@ -360,7 +360,8 @@ struct Shared {
 /// hand-off already synchronizes: an async task migrates through the
 /// executor's run-queue mutex and is probed by other tasks only under the
 /// frontend's probe lock; a reconfigurable barrier's slot changes owner
-/// through the boundary install (gate lock, then the epoch publication);
+/// when a departure frees it, with a release the next joiner's claim
+/// acquires;
 /// a supervisor re-admits a crashed member through the same join path. So
 /// the next writer always observes the previous writer's last store. A
 /// recorder that is *not* the driving thread — a supervisor running

@@ -3,7 +3,8 @@
 //!
 //! Every spin point and every shared atomic word in the episode core and
 //! the five backend protocols behind it goes through [`SyncOps`], and so
-//! does the async frontend's probe lock ([`SyncOps::Mutex`]). In
+//! do the episode core's membership lock and the async frontend's probe
+//! lock ([`SyncOps::Mutex`]). In
 //! production code the only implementation that exists is [`RealSync`],
 //! whose associated types are the `std::sync::atomic` types and
 //! `std::sync::Mutex` themselves and whose [`SyncOps::wait_until`] is
@@ -21,7 +22,7 @@ use crate::spin::{self, SpinReport, StallPolicy};
 use std::fmt::Debug;
 use std::ops::DerefMut;
 use std::sync::atomic::{self, Ordering};
-use std::sync::{MutexGuard, PoisonError};
+use std::sync::{MutexGuard, PoisonError, TryLockError};
 use std::time::Instant;
 
 /// An atomic cell holding a value of type `T`.
@@ -55,6 +56,8 @@ pub trait Lock<T>: Send + Sync {
     fn new(value: T) -> Self;
     /// Acquires the lock.
     fn acquire(&self) -> Self::Guard<'_>;
+    /// Acquires the lock if nobody holds it; never waits.
+    fn try_acquire(&self) -> Option<Self::Guard<'_>>;
 }
 
 /// A family of synchronization primitives: atomic words plus the blocking
@@ -152,6 +155,15 @@ impl<T: Send> Lock<T> for std::sync::Mutex<T> {
     fn acquire(&self) -> MutexGuard<'_, T> {
         self.lock().unwrap_or_else(PoisonError::into_inner)
     }
+
+    #[inline(always)]
+    fn try_acquire(&self) -> Option<MutexGuard<'_, T>> {
+        match self.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
 }
 
 /// The production [`SyncOps`]: real `std::sync::atomic` words, the `std`
@@ -178,66 +190,6 @@ impl SyncOps for RealSync {
         pred: impl FnMut() -> bool,
     ) -> SpinReport {
         spin::wait_until_budget(policy, deadline, pred)
-    }
-}
-
-/// A ticket lock over the `S` domain with spin-then-yield acquisition.
-///
-/// Acquisition takes a ticket with an RMW, then — only if the lock is
-/// held — waits for the serving word with [`StallPolicy::yielding`].
-/// Never pure spin: the holder may be another worker thread on the same
-/// core, and a pure spinner would burn its whole OS timeslice while the
-/// holder sits descheduled. Release is a `fetch_add` (an RMW, not a plain
-/// store) so the `fuzzy-check` shadow domain sees a write-generation bump
-/// that re-wakes descheduled acquirers.
-///
-/// The lock guards no data of its own; callers pair it with state that is
-/// only touched while a [`TicketGuard`] is alive (the episode core's
-/// membership, for example).
-#[derive(Debug)]
-pub struct TicketLock<S: SyncOps = RealSync> {
-    ticket: S::AtomicU64,
-    serving: S::AtomicU64,
-}
-
-impl<S: SyncOps> Default for TicketLock<S> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<S: SyncOps> TicketLock<S> {
-    /// Creates an unlocked ticket lock.
-    #[must_use]
-    pub fn new() -> Self {
-        TicketLock {
-            ticket: S::AtomicU64::new(0),
-            serving: S::AtomicU64::new(0),
-        }
-    }
-
-    /// Acquires the lock, FIFO-fair by ticket order.
-    #[must_use]
-    pub fn acquire(&self) -> TicketGuard<'_, S> {
-        let ticket = self.ticket.fetch_add(1, Ordering::AcqRel);
-        if self.serving.load(Ordering::Acquire) != ticket {
-            S::wait_until(StallPolicy::yielding(), || {
-                self.serving.load(Ordering::Acquire) == ticket
-            });
-        }
-        TicketGuard { lock: self }
-    }
-}
-
-/// RAII release of a [`TicketLock`].
-#[derive(Debug)]
-pub struct TicketGuard<'a, S: SyncOps> {
-    lock: &'a TicketLock<S>,
-}
-
-impl<S: SyncOps> Drop for TicketGuard<'_, S> {
-    fn drop(&mut self) {
-        self.lock.serving.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -274,37 +226,11 @@ mod tests {
     }
 
     #[test]
-    fn ticket_lock_is_reentrant_free_and_sequential() {
-        let lock: TicketLock = TicketLock::new();
-        for _ in 0..3 {
-            let guard = lock.acquire();
-            drop(guard);
-        }
-        // After three acquire/release pairs the words agree again.
-        assert_eq!(lock.ticket.load(Ordering::Acquire), 3);
-        assert_eq!(lock.serving.load(Ordering::Acquire), 3);
-    }
-
-    #[test]
-    fn ticket_lock_excludes_concurrent_holders() {
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::Arc;
-        let lock: Arc<TicketLock> = Arc::new(TicketLock::new());
-        let inside = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let lock = Arc::clone(&lock);
-                let inside = Arc::clone(&inside);
-                s.spawn(move || {
-                    for _ in 0..200 {
-                        let guard = lock.acquire();
-                        assert_eq!(inside.fetch_add(1, Ordering::AcqRel), 0, "lock held twice");
-                        inside.fetch_sub(1, Ordering::AcqRel);
-                        drop(guard);
-                    }
-                });
-            }
-        });
-        assert_eq!(inside.load(Ordering::Acquire), 0);
+    fn try_acquire_fails_only_while_held() {
+        let lock: <RealSync as SyncOps>::Mutex<()> = Lock::new(());
+        let held = lock.acquire();
+        assert!(lock.try_acquire().is_none());
+        drop(held);
+        assert!(lock.try_acquire().is_some());
     }
 }

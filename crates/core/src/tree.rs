@@ -38,8 +38,8 @@ pub struct Tree<S: SyncOps> {
 }
 
 /// The tree of count-down nodes itself, over `n` contributors: the
-/// participants here, the shards under [`crate::HierBarrier`].
-/// The root's last arriver publishes into an episode word its owner keeps.
+/// participants here, the shards under [`crate::HierBarrier`]. A call that
+/// completes the root returns `true`; its owner then completes the episode.
 #[derive(Debug)]
 pub(crate) struct CombiningTree<S: SyncOps> {
     nodes: Vec<CachePadded<Node<S>>>,
@@ -50,8 +50,9 @@ pub(crate) struct CombiningTree<S: SyncOps> {
 #[derive(Debug)]
 struct Node<S: SyncOps> {
     count: S::AtomicUsize,
-    /// Arrivals this node expects per episode. Atomic because eviction
-    /// shrinks it at runtime; the completer re-reads it when re-arming.
+    /// Arrivals this node expects per episode. Atomic because removal
+    /// and admission change it at runtime; the completer re-reads it when
+    /// re-arming.
     expected: S::AtomicUsize,
     parent: Option<usize>,
 }
@@ -146,35 +147,33 @@ impl<S: SyncOps> CombiningTree<S> {
         }
     }
 
-    /// One arrival by contributor `id`; the root's last arriver publishes
-    /// the completed episode into `episode`.
-    pub(crate) fn arrive(&self, id: usize, episode: &S::AtomicU64, cx: &Cx<'_, S>) {
-        self.signal_node(self.leaf_of[id], episode, cx);
+    /// One arrival by contributor `id`; true if it completed the root.
+    pub(crate) fn arrive(&self, id: usize) -> bool {
+        self.signal_node(self.leaf_of[id])
     }
 
     /// One arrival at node `index`.
-    fn signal_node(&self, index: usize, episode: &S::AtomicU64, cx: &Cx<'_, S>) {
+    fn signal_node(&self, index: usize) -> bool {
         let node = &self.nodes[index];
-        if node.count.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Re-arm this node *before* propagating, so participants released
-            // by the eventual episode bump find a full counter. The
-            // expectation is re-read because eviction may have shrunk it
-            // (the shrink is ordered before this read by the RMW chain on
-            // `count`, exactly like the centralized barrier's live count).
-            node.count
-                .store(node.expected.load(Ordering::Acquire), Ordering::Release);
-            match node.parent {
-                Some(parent) => self.signal_node(parent, episode, cx),
-                None => {
-                    let completed = episode.fetch_add(1, Ordering::Release);
-                    cx.record_episode(completed);
-                }
-            }
+        if node.count.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return false;
+        }
+        // Re-arm this node *before* propagating, so participants released
+        // by the eventual episode bump find a full counter. The expectation
+        // is re-read because eviction may have shrunk it (the shrink is
+        // ordered before this read by the RMW chain on `count`, exactly
+        // like the centralized barrier's live count).
+        node.count
+            .store(node.expected.load(Ordering::Acquire), Ordering::Release);
+        match node.parent {
+            Some(parent) => self.signal_node(parent),
+            None => true,
         }
     }
 
     /// Removes contributor `id`, which must not have arrived for the
-    /// in-flight episode, while another contributor survives.
+    /// in-flight episode, while another contributor survives; true if its
+    /// stand-in completed the root.
     ///
     /// Walks its leaf-to-root path. At each node, shrink the expectation
     /// first (the completer re-reads it when re-arming); then:
@@ -184,14 +183,13 @@ impl<S: SyncOps> CombiningTree<S> {
     ///  - if the node's expectation dropped to zero, the node is retired
     ///    (nothing will ever signal it again) and the removal moves up:
     ///    the parent must stop expecting the retired node's signal.
-    pub(crate) fn retire(&self, id: usize, episode: &S::AtomicU64, cx: &Cx<'_, S>) {
+    pub(crate) fn retire(&self, id: usize) -> bool {
         let mut index = self.leaf_of[id];
         loop {
             let node = &self.nodes[index];
             let prev = node.expected.fetch_sub(1, Ordering::AcqRel);
             if prev > 1 {
-                self.signal_node(index, episode, cx);
-                return;
+                return self.signal_node(index);
             }
             match node.parent {
                 Some(parent) => index = parent,
@@ -206,6 +204,44 @@ impl<S: SyncOps> CombiningTree<S> {
             }
         }
     }
+
+    /// Counts contributor `id` again, the dual of [`Self::retire`]. Runs
+    /// while the tree is quiescent — the root's completer, before it
+    /// publishes — so every live node's counter equals its expectation.
+    /// Walks up from `id`'s leaf: a live node expects one more arrival; a
+    /// retired one revives expecting exactly the new contributor, and its
+    /// parent must expect the revived node again.
+    pub(crate) fn admit(&self, id: usize) {
+        let mut index = self.leaf_of[id];
+        loop {
+            let node = &self.nodes[index];
+            if node.expected.fetch_add(1, Ordering::AcqRel) > 0 {
+                node.count.fetch_add(1, Ordering::AcqRel);
+                return;
+            }
+            node.count.store(1, Ordering::Release);
+            match node.parent {
+                Some(parent) => index = parent,
+                None => return,
+            }
+        }
+    }
+}
+
+/// What the call that completed a [`CombiningTree`]'s root does for its
+/// owner `protocol`: applies staged admissions while every node is
+/// quiescent, publishes the episode into `episode` (`SeqCst`, for
+/// `wake_parked`), then wakes whoever parked.
+#[inline]
+pub(crate) fn complete<S: SyncOps>(
+    protocol: &impl Protocol<S>,
+    episode: &S::AtomicU64,
+    cx: &Cx<'_, S>,
+) {
+    cx.admit_staged(protocol, || episode.load(Ordering::Relaxed) + 1);
+    let completed = episode.fetch_add(1, Ordering::SeqCst);
+    cx.record_episode(completed);
+    cx.wake_parked();
 }
 
 fn members_of_group(total: usize, fan_in: usize, group: usize) -> usize {
@@ -216,7 +252,9 @@ fn members_of_group(total: usize, fan_in: usize, group: usize) -> usize {
 impl<S: SyncOps> Protocol<S> for Tree<S> {
     #[inline]
     fn arrive(&self, id: usize, _episode: u64, cx: &Cx<'_, S>) {
-        self.tree.arrive(id, &self.episode, cx);
+        if self.tree.arrive(id) {
+            complete(self, &self.episode, cx);
+        }
     }
 
     #[inline]
@@ -230,7 +268,13 @@ impl<S: SyncOps> Protocol<S> for Tree<S> {
     }
 
     fn retire(&self, id: usize, cx: &Cx<'_, S>) {
-        self.tree.retire(id, &self.episode, cx);
+        if self.tree.retire(id) {
+            complete(self, &self.episode, cx);
+        }
+    }
+
+    fn admit(&self, id: usize, _cx: &Cx<'_, S>) {
+        self.tree.admit(id);
     }
 }
 

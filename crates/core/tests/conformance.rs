@@ -3,9 +3,10 @@
 //! and shape instead of in uneven per-backend copies: id validation,
 //! episode order, phase separation, the timeout → evict → resynchronise
 //! story, poison, the derived `wait` and `abort`, the eviction guard's
-//! error order — and that guard under concurrent evictions, which it must
-//! serialise. The `async/*` rows put the same contract through a wrapper
-//! that overrides what `wait` and `abort` are derived from.
+//! error order, a removed participant's admission back — and the guard
+//! under concurrent evictions, which it must serialise. The `async/*` rows
+//! put the same contract through a wrapper that overrides what `wait` and
+//! `abort` are derived from.
 //! What is specific to one backend (tree shapes, ghost pre-payment, shard
 //! death, …) stays in that backend's own unit tests.
 
@@ -42,18 +43,27 @@ impl Protocol<RealSync> for Flags {
     }
 
     fn released(&self, _id: usize, episode: u64, cx: &Cx<'_, RealSync>) -> bool {
-        // Monotone: arrival words only grow, eviction flags only get set.
-        let all = (0..self.arrived.len())
-            .all(|id| self.arrived[id].load(Ordering::Acquire) > episode || cx.is_evicted(id));
+        // Monotone: arrival words only grow, and a window only changes for
+        // episodes nobody has probed yet.
+        let all = (0..self.arrived.len()).all(|peer| {
+            self.arrived[peer].load(Ordering::Acquire) > episode || !cx.is_member(peer, episode)
+        });
         if all && self.recorded.fetch_max(episode + 1, Ordering::AcqRel) <= episode {
-            cx.record_episode(episode); // first to see it complete
+            // First to see it complete. The prober has not arrived for
+            // `episode + 1`, so nobody reaches `episode + 2` before it does.
+            cx.record_episode(episode);
+            cx.admit_staged(self, || episode + 2);
         }
         all
     }
 
-    /// Nothing to do: the flag the core claimed is the stand-in — every
-    /// scan skips an evicted participant from now on.
+    /// Nothing to do: the window the core closed is the stand-in — every
+    /// scan skips a removed participant from then on.
     fn retire(&self, _id: usize, _cx: &Cx<'_, RealSync>) {}
+
+    /// Nothing to do either: the window the core opens brings the joiner
+    /// back into every scan from its first episode on.
+    fn admit(&self, _id: usize, _cx: &Cx<'_, RealSync>) {}
 }
 
 impl FlatProtocol<RealSync> for Flags {
@@ -65,7 +75,7 @@ impl FlatProtocol<RealSync> for Flags {
     }
 }
 
-/// Every backend and shape: both tree fan-ins; hier at shard size 1 (a
+/// Every backend and shape: tree fan-ins 2, 3 and 4; hier at shard size 1 (a
 /// pure tree over shards), 2 and ≥ n (one centralized shard); the worked
 /// example; and the async frontend, driven through the sync trait only,
 /// over a uniform-release and a cooperative backend.
@@ -84,6 +94,9 @@ const SHAPES: &[(&str, Build)] = &[
     }),
     ("tree/k3", |n, p| {
         Arc::new(TreeBarrier::with_fan_in(n, 3, p))
+    }),
+    ("tree/k4", |n, p| {
+        Arc::new(TreeBarrier::with_fan_in(n, 4, p))
     }),
     ("hier/s1", |n, p| {
         Arc::new(HierBarrier::with_shards(n, 1, p))
@@ -367,6 +380,217 @@ fn stall_detection_sees_the_late_arriver() {
         });
         assert!(b.stats().stalls >= 1, "{name}: the early thread stalls");
     });
+}
+
+/// A participant removed before episode 0 and admitted back while its
+/// peers run is counted from exactly one episode on: one or two past the
+/// episode its admission was staged in (the completer's rule, see
+/// `Cx::admit_staged`), never earlier. Before every arrival each
+/// participant writes its cell, and after every wait it must read the
+/// writes of everyone counted in that episode.
+#[test]
+fn retire_then_admit_round_trip() {
+    const N: usize = 4;
+    const JOINER: usize = N - 1;
+    const EPISODES: u64 = 40;
+    const STAGE_AT: u64 = 10;
+    for_each_shape(N, |name, b| {
+        b.evict(JOINER).unwrap();
+        assert!(!b.is_member(JOINER), "{name}");
+        let cells: Vec<AtomicU64> = (0..N).map(|_| AtomicU64::new(0)).collect();
+        // The joiner's first episode, published once it has arrived.
+        let first = AtomicU64::new(u64::MAX);
+        std::thread::scope(|s| {
+            for id in 0..JOINER {
+                let (b, cells, first) = (&b, &cells, &first);
+                s.spawn(move || {
+                    for e in 0..EPISODES {
+                        if id == 0 && e == STAGE_AT {
+                            b.admit(JOINER).unwrap();
+                            assert!(!b.is_member(JOINER), "{name}: staged, not applied");
+                        }
+                        cells[id].store(e + 1, Ordering::Release);
+                        let t = b.arrive(id);
+                        assert_eq!(t.episode(), e, "{name}");
+                        assert_eq!(b.wait(t).episode, e, "{name}");
+                        for (peer, cell) in cells.iter().enumerate() {
+                            if peer == JOINER && e < first.load(Ordering::Acquire) {
+                                continue;
+                            }
+                            assert!(
+                                cell.load(Ordering::Acquire) > e,
+                                "{name}: {id} left episode {e} before {peer} arrived"
+                            );
+                        }
+                    }
+                });
+            }
+            let (b, cells, first) = (&b, &cells, &first);
+            s.spawn(move || {
+                while !b.is_member(JOINER) {
+                    std::thread::yield_now();
+                }
+                // Its first episode is not known before it arrives: a
+                // value no episode exceeds stands for that write.
+                cells[JOINER].store(EPISODES, Ordering::Release);
+                let mut t = b.arrive(JOINER);
+                let f = t.episode();
+                first.store(f, Ordering::Release);
+                assert!(
+                    (STAGE_AT + 1..=STAGE_AT + 2).contains(&f),
+                    "{name}: admitted into episode {f}, staged in {STAGE_AT}"
+                );
+                loop {
+                    let e = b.wait(t).episode;
+                    for cell in &cells[..JOINER] {
+                        assert!(cell.load(Ordering::Acquire) > e, "{name}");
+                    }
+                    if e + 1 == EPISODES {
+                        break;
+                    }
+                    cells[JOINER].store(e + 2, Ordering::Release);
+                    t = b.arrive(JOINER);
+                    assert_eq!(t.episode(), e + 1, "{name}");
+                }
+            });
+        });
+        assert!(b.is_member(JOINER), "{name}");
+        let s = b.stats();
+        assert_eq!((s.episodes, s.evictions), (EPISODES, 1), "{name}");
+        // The window closes again: the joiner leaves, the others go on.
+        b.evict(JOINER).unwrap();
+        assert!(!b.is_member(JOINER), "{name}");
+        let tokens: Vec<_> = (0..JOINER).map(|id| b.arrive(id)).collect();
+        probe_until_complete(name, &*b, &tokens);
+    });
+}
+
+/// A joiner removed after its admission applied but before its first
+/// episode. Where the window has not begun (counting, whose completer
+/// admits two episodes ahead) the removal is refused until it has;
+/// elsewhere it goes through. Either way no survivor leaves an episode
+/// before its peer has arrived: a stand-in must never land in an episode
+/// that does not count the joiner.
+#[test]
+fn evicting_an_admitted_joiner_before_its_first_episode() {
+    const JOINER: usize = 2;
+    for_each_shape(3, |name, b| {
+        b.evict(JOINER).unwrap();
+        b.admit(JOINER).unwrap();
+        // Episode 0's completer applies the admission.
+        let tokens = [b.arrive(0), b.arrive(1)];
+        probe_until_complete(name, &*b, &tokens);
+        let mut removed_in = None;
+        for e in 1..4u64 {
+            if removed_in.is_none() {
+                match b.evict(JOINER) {
+                    Ok(()) => removed_in = Some(e),
+                    Err(BarrierError::NotAParticipant { id: JOINER }) => {}
+                    Err(err) => panic!("{name}: {err}"),
+                }
+            }
+            let t0 = b.arrive(0);
+            assert_eq!(t0.episode(), e, "{name}");
+            assert!(
+                !b.is_complete(&t0),
+                "{name}: episode {e} left before 1 arrived"
+            );
+            let t1 = b.arrive(1);
+            probe_until_complete(name, &*b, &[t0, t1]);
+        }
+        assert!(
+            removed_in.is_some_and(|e| e <= 2),
+            "{name}: removed in {removed_in:?}"
+        );
+        assert!(!b.is_member(JOINER), "{name}");
+        assert_eq!(b.stats().evictions, 2, "{name}");
+    });
+}
+
+/// A waker parked through `register_waker` is woken by the next
+/// completion, and again, once re-registered, by poison. Barriers without
+/// a release word (dissemination, the worked example, the async frontend)
+/// say false.
+#[test]
+fn a_parked_waker_is_woken_by_the_next_completion_and_by_poison() {
+    struct Count(AtomicUsize);
+    impl std::task::Wake for Count {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    for_each_shape(2, |name, b| {
+        let count = Arc::new(Count(AtomicUsize::new(0)));
+        let waker = std::task::Waker::from(Arc::clone(&count));
+        let woken = || count.0.load(Ordering::Relaxed);
+        let parks = b.register_waker(&waker);
+        assert_eq!(parks, b.release_epoch().is_some(), "{name}");
+        if !parks {
+            return;
+        }
+        let t0 = b.arrive(0);
+        assert_eq!(woken(), 0, "{name}: nothing completed yet");
+        let t1 = b.arrive(1);
+        assert_eq!(woken(), 1, "{name}: the completer wakes once");
+        probe_until_complete(name, &*b, &[t0, t1]);
+        assert!(b.register_waker(&waker), "{name}");
+        b.poison();
+        assert_eq!(woken(), 2, "{name}: poison wakes too");
+    });
+}
+
+/// The trait's default refuses an admission, whatever the id, and the
+/// `Arc` blanket impl forwards `admit` and `is_member` to the backend.
+#[test]
+fn admit_defaults_and_forwarding() {
+    struct Fixed(CentralBarrier);
+    impl SplitBarrier for Fixed {
+        fn arrive(&self, id: usize) -> ArrivalToken {
+            self.0.arrive(id)
+        }
+        fn is_complete(&self, token: &ArrivalToken) -> bool {
+            self.0.is_complete(token)
+        }
+        fn wait_deadline(
+            &self,
+            token: ArrivalToken,
+            deadline: Deadline,
+        ) -> Result<fuzzy_barrier::WaitOutcome, BarrierError> {
+            self.0.wait_deadline(token, deadline)
+        }
+        fn poison(&self) {}
+        fn clear_poison(&self) {}
+        fn is_poisoned(&self) -> bool {
+            false
+        }
+        fn participants(&self) -> usize {
+            self.0.participants()
+        }
+        fn stats(&self) -> fuzzy_barrier::StatsSnapshot {
+            self.0.stats()
+        }
+    }
+    let fixed = Arc::new(Fixed(CentralBarrier::new(2)));
+    assert_eq!(fixed.admit(1), Err(BarrierError::AdmitUnsupported));
+    assert!(fixed.is_member(1) && !fixed.is_member(2));
+
+    let b = Arc::new(CentralBarrier::new(2));
+    b.evict(1).unwrap();
+    assert!(!SplitBarrier::is_member(&b, 1));
+    assert_eq!(
+        SplitBarrier::admit(&b, 2),
+        Err(BarrierError::InvalidParticipant { id: 2, capacity: 2 })
+    );
+    SplitBarrier::admit(&b, 1).unwrap();
+    let t = b.arrive(0);
+    assert_eq!(b.wait(t).episode, 0);
+    assert!(
+        SplitBarrier::is_member(&b, 1),
+        "the completer of 0 admitted 1"
+    );
+    let tokens = [b.arrive(0), b.arrive(1)];
+    assert_eq!(tokens[1].episode(), 1);
+    probe_until_complete("arc/central", &*b, &tokens);
 }
 
 /// `leave` is the core's, so every backend has it: the departure counts as

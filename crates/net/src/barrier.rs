@@ -600,6 +600,15 @@ mod tests {
     }
 
     #[test]
+    fn membership_is_fixed_at_start() {
+        let (_mesh, bs) = mesh_barriers(2, NetConfig::new());
+        for b in &bs {
+            assert_eq!(b.admit(0), Err(BarrierError::AdmitUnsupported));
+            assert!(b.is_member(0) && !b.is_member(b.participants()));
+        }
+    }
+
+    #[test]
     fn two_nodes_complete_episodes_in_lockstep() {
         let (_mesh, bs) = mesh_barriers(2, NetConfig::new());
         std::thread::scope(|s| {

@@ -48,8 +48,8 @@ pub enum ChaosMode {
     /// One OS thread per member.
     Threaded,
     /// Members are tasks on the M:N [`AsyncExecutor`]; joiners await
-    /// their activation future, so the executor parks the *task* — not a
-    /// thread — until the join's epoch activates.
+    /// their activation future, so the executor holds the *task* — not a
+    /// thread — until the join takes effect.
     Async {
         /// Worker threads backing the executor.
         workers: usize,
@@ -70,7 +70,7 @@ impl ChaosMode {
 /// Configuration for one chaos run.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosConfig {
-    /// Backend the [`ReconfigBarrier`] rebuilds at every growth boundary.
+    /// The inner backend of the [`ReconfigBarrier`], built once at capacity.
     pub backend: BarrierChoice,
     /// Members alive at the start (at least 2).
     pub initial: usize,
@@ -289,8 +289,9 @@ fn member_body(rb: &Arc<ReconfigBarrier>, h: MemberHandle, ctl: &MemberCtl, stop
 }
 
 /// The async twin of [`member_body`]: waits are `wait_future` awaits, so
-/// a member blocked on a boundary parks its task instead of a worker
-/// thread — `M ≫ N` members multiplex over `N` workers without deadlock.
+/// a member waiting on its peers yields its worker to other tasks instead
+/// of pinning it — `M ≫ N` members multiplex over `N` workers without
+/// deadlock.
 async fn member_body_async(
     rb: Arc<ReconfigBarrier>,
     h: MemberHandle,
@@ -396,8 +397,8 @@ fn spawn_member<'scope>(
             exec.spawn(async move {
                 let h = match role {
                     Role::Founder(h) => h,
-                    // The integration under test: the executor parks this
-                    // task until the join's epoch activates.
+                    // The integration under test: the executor holds this
+                    // task until the join takes effect.
                     Role::Joiner(ticket) => rb.activation_future(&ticket).await,
                 };
                 ctl.publish(&h);
@@ -439,7 +440,7 @@ pub fn run_chaos(config: ChaosConfig) -> ChaosReport {
     let backend = config.backend;
     let policy = config.policy;
     let (rb, handles) =
-        ReconfigBarrier::with_policy(config.capacity, config.initial, policy, move |n| {
+        ReconfigBarrier::with_policy_in(config.capacity, config.initial, policy, move |n| {
             backend.build(n, policy)
         });
     let rb = Arc::new(rb);
@@ -528,9 +529,8 @@ pub fn run_chaos(config: ChaosConfig) -> ChaosReport {
             let e0 = rb.epoch();
             let injected_at = Instant::now();
             if kind == CMD_RUN {
-                // A leave frees its slot only at the next boundary, so a
-                // join racing a fresh departure can transiently see the
-                // group full; retry under the watchdog.
+                // A full group frees a slot only when a member departs;
+                // retry under the watchdog.
                 let ticket = {
                     let deadline = Instant::now() + config.watchdog;
                     loop {
@@ -623,8 +623,8 @@ pub fn run_chaos(config: ChaosConfig) -> ChaosReport {
         );
 
         // Teardown: everyone but one designated survivor leaves; the
-        // survivor keeps episodes flowing so every leave's boundary
-        // applies, and is stopped only once it is alone.
+        // survivor keeps episodes flowing through the departures' stand-in
+        // arrivals, and is stopped only once it is alone.
         let mut live = live;
         let survivor = live.pop().expect("at least the survivor is live");
         for &i in &live {

@@ -19,7 +19,7 @@
 #                requires exp_encore's simulator rows to equal
 #                BENCH_encore.json exactly)
 #   tier1        the repo's tier-1 gate, verbatim from ROADMAP.md
-#   check-smoke  fuzzy-check: 10k DFS schedules per scenario at N=3 (~7 min)
+#   check-smoke  fuzzy-check: 10k DFS schedules per scenario at N=3 (~20 min)
 #   fault-smoke  check --scenario poison and --scenario evict (both
 #                eviction shapes: one member leaves, all members race to
 #                evict themselves), the racy-evict-guard mutant pair
@@ -151,7 +151,7 @@ check_smoke() {
 
 # Fault smoke: the poisoning and eviction scenarios on the model checker
 # (1k DFS schedules per backend and shape at N=3; beyond this stage,
-# eviction is explored only inside the ~7-minute check-smoke), then the
+# eviction is explored only inside the ~20-minute check-smoke), then the
 # eviction-guard mutant pair: the check-then-act guard the backends used
 # to hand-copy must be caught racing two self-evictions, and the episode
 # core's serialised guard must survive three on every stock backend. Last,
@@ -213,7 +213,7 @@ fuzz_smoke() {
 # churn — with its telemetry export schema-validated.
 chaos_smoke() {
     filtered_tests "-p fuzzy-check --test mutants" \
-        join_mid_epoch stale_generation_mutant real_reconfig || return 1
+        join_mid_epoch admit_in_flight stale_generation_mutant real_reconfig || return 1
     out="$(mktemp)" || return 1
     status=1
     if cargo run -q --release -p fuzzy-bench --bin exp_chaos_churn -- \
