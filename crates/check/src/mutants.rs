@@ -47,6 +47,7 @@
 use crate::scenario::{AsyncArrival, AsyncFrontend, ReconfigArrival, ReconfigOps};
 use crate::shadow::ShadowSync;
 use fuzzy_barrier::centralized::Central;
+use fuzzy_barrier::dissemination;
 use fuzzy_barrier::stats::StatsSnapshot;
 use fuzzy_barrier::sync::{Atomic, Lock, SyncOps};
 use fuzzy_barrier::{
@@ -203,7 +204,7 @@ impl<S: SyncOps> MutantDissemination<S> {
     #[must_use]
     pub fn new(n: usize) -> Barrier<Self, S> {
         assert!(n > 1, "the bug needs a partner");
-        let rounds = usize::BITS - (n - 1).leading_zeros();
+        let rounds = dissemination::rounds(n);
         let protocol = MutantDissemination {
             n,
             rounds,
@@ -216,7 +217,7 @@ impl<S: SyncOps> MutantDissemination<S> {
     }
 
     fn signal(&self, from: usize, round: u32, episode_plus_one: u64) {
-        let target = (from + (1usize << round)) % self.n;
+        let target = dissemination::partner(from, round, self.n);
         self.flags[round as usize][target].store(episode_plus_one, Ordering::Release);
     }
 }
@@ -1373,16 +1374,6 @@ impl MutantNetSkipRound {
             forger: Mutex::new(None),
         }
     }
-
-    /// Dissemination rounds of the wrapped mesh.
-    fn rounds(&self) -> u32 {
-        let nodes = self.inner.nodes();
-        if nodes <= 1 {
-            0
-        } else {
-            usize::BITS - (nodes - 1).leading_zeros()
-        }
-    }
 }
 
 impl Transport for MutantNetSkipRound {
@@ -1403,7 +1394,7 @@ impl Transport for MutantNetSkipRound {
         // this transport, and a strong reference back would cycle.
         let forger = Arc::new(ForgingSink {
             inner: Arc::downgrade(&sink),
-            rounds: self.rounds(),
+            rounds: dissemination::rounds(self.inner.nodes()),
         });
         *self.forger.lock().expect("forger lock") = Some(Arc::clone(&forger));
         self.inner.start(forger);

@@ -479,7 +479,18 @@ pub fn net_round_with(
             let ledger = ledger(nodes);
             ((barriers, Arc::clone(&ledger)), vec![ledger])
         },
-        move |(barriers, ledger), rank| net_round_body(&*barriers[rank], ledger, rank, episodes),
+        move |(barriers, ledger), rank| {
+            let barrier = &*barriers[rank];
+            (0..episodes).try_for_each(|e| {
+                ledger.episode(
+                    rank,
+                    e,
+                    e,
+                    || Ok(barrier.arrive(0)),
+                    |t| wait_never(barrier, t),
+                )
+            })
+        },
         |_| None,
     )
 }
@@ -512,36 +523,6 @@ pub fn net_round(nodes: usize, episodes: u64) -> Scenario {
                 .collect()
         },
     )
-}
-
-fn net_round_body(
-    barrier: &dyn SplitBarrier,
-    ledger: &Ledger,
-    rank: usize,
-    episodes: u64,
-) -> Option<()> {
-    for e in 0..episodes {
-        ledger.episode(
-            rank,
-            e,
-            e,
-            || Ok(barrier.arrive(0)),
-            |token| {
-                // Block at scenario level on `is_complete` rather than
-                // inside `wait`: NetBarrier's wait loop re-checks its own
-                // predicate around the shadow wait, so the drain protocol's
-                // faked wakeups would never unwind it after an abort.
-                // `is_complete` also pumps `drive()`, so probing here makes
-                // the same protocol progress a real waiter would.
-                ShadowSync::wait_until(StallPolicy::Spin, || barrier.is_complete(&token));
-                if ctx::aborted() {
-                    return drained(e);
-                }
-                wait_never(barrier, token)
-            },
-        )?;
-    }
-    Some(())
 }
 
 // ---------------------------------------------------------------------------

@@ -336,9 +336,9 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
     #[must_use]
     pub fn new_in(inner: B) -> Self {
         let n = inner.participants().max(1);
-        // ceil(log2(n)): an upper bound on the round count of any stock
-        // cooperative backend (dissemination rounds).
-        let help_rounds = (usize::BITS - (n - 1).leading_zeros()) as usize;
+        // An upper bound on the round count of any stock cooperative
+        // backend.
+        let help_rounds = crate::dissemination::rounds(n) as usize;
         AsyncBarrier {
             inner,
             registry: Lock::new(Registry::new(n)),

@@ -5,6 +5,28 @@ use crate::sync::{Atomic, RealSync, SyncOps};
 use fuzzy_util::CachePadded;
 use std::sync::atomic::Ordering;
 
+/// Signalling rounds per episode among `n` participants: ⌈log₂ n⌉, and 0
+/// for a single participant (or none).
+#[must_use]
+pub fn rounds(n: usize) -> u32 {
+    usize::BITS - n.saturating_sub(1).leading_zeros()
+}
+
+/// Whom participant `id` of `n` signals in round `round`: `(id + 2^round)
+/// mod n`.
+#[must_use]
+pub fn partner(id: usize, round: u32, n: usize) -> usize {
+    (id + (1usize << round)) % n
+}
+
+/// Inverse of [`partner`]: the participant whose round-`round` signal is
+/// aimed at `id`. (`2^round < n` holds for every valid round, so the
+/// subtraction cannot underflow modulo `n`.)
+#[must_use]
+pub fn source(id: usize, round: u32, n: usize) -> usize {
+    (id + n - (1usize << round)) % n
+}
+
 /// A dissemination barrier with a split-phase interface.
 ///
 /// In round *r* participant *i* signals participant *(i + 2^r) mod n* and
@@ -80,7 +102,7 @@ pub struct Dissemination<S: SyncOps> {
 
 impl<S: SyncOps> FlatProtocol<S> for Dissemination<S> {
     fn for_participants(n: usize) -> Self {
-        let rounds = usize::BITS - (n - 1).leading_zeros(); // ceil(log2 n); 0 for n == 1
+        let rounds = rounds(n);
         let flags = (0..rounds as usize * n)
             .map(|_| CachePadded::new(S::AtomicU64::new(0)))
             .collect();
@@ -105,19 +127,8 @@ impl<S: SyncOps> DisseminationBarrier<S> {
 }
 
 impl<S: SyncOps> Dissemination<S> {
-    fn partner(&self, id: usize, round: u32) -> usize {
-        (id + (1usize << round)) % self.n
-    }
-
-    /// Inverse of [`Self::partner`]: the participant whose round-`round`
-    /// signal is aimed at `id`. (`2^round < n` holds for every valid round,
-    /// so the subtraction cannot underflow modulo `n`.)
-    fn source(&self, id: usize, round: u32) -> usize {
-        (id + self.n - (1usize << round)) % self.n
-    }
-
     fn signal(&self, from: usize, round: u32, episode_plus_one: u64) {
-        let target = self.partner(from, round);
+        let target = partner(from, round, self.n);
         self.flags[round as usize * self.n + target].store(episode_plus_one, Ordering::Release);
     }
 
@@ -141,7 +152,7 @@ impl<S: SyncOps> Dissemination<S> {
         if self.flags[round as usize * self.n + receiver].load(Ordering::Acquire) >= goal {
             return true;
         }
-        let sender = self.source(receiver, round);
+        let sender = source(receiver, round, self.n);
         self.ghost_sent(sender, round, goal, cx)
     }
 
@@ -244,12 +255,18 @@ mod tests {
 
     #[test]
     fn partners_wrap_around() {
-        let b = DisseminationBarrier::new(5);
-        let b = b.protocol();
-        assert_eq!(b.partner(3, 0), 4);
-        assert_eq!(b.partner(4, 0), 0);
-        assert_eq!(b.partner(3, 1), 0);
-        assert_eq!(b.partner(2, 2), 1);
+        assert_eq!(partner(3, 0, 5), 4);
+        assert_eq!(partner(4, 0, 5), 0);
+        assert_eq!(partner(3, 1, 5), 0);
+        assert_eq!(partner(2, 2, 5), 1);
+        for n in 1..=9 {
+            for id in 0..n {
+                for round in 0..rounds(n) {
+                    assert_eq!(source(partner(id, round, n), round, n), id);
+                }
+            }
+        }
+        assert_eq!(rounds(0), 0);
     }
 
     #[test]

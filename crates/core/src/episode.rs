@@ -9,6 +9,9 @@
 //! guard, admission and the live count), and the statistics. The five stock
 //! backends are type aliases of it (`CentralBarrier<S> = Barrier<Central<S>,
 //! S>` and so on), and it is the only `impl SplitBarrier` they have.
+//! `fuzzy-net`'s message-passing endpoint runs on it too: its protocol's
+//! `released` pumps a transport, and the core's wait is the only wait loop
+//! in the repository.
 //!
 //! Membership is a window per participant: `id` is counted in episode *e*
 //! iff `active_from ≤ e < absent_from`. A removal closes the window at the
@@ -51,6 +54,9 @@ const NEVER: u64 = u64::MAX;
 ///   [`Cx::admit_staged`] with the first episode a joiner may be counted in.
 ///   A protocol with a release word also calls [`Cx::wake_parked`] once it
 ///   has published the completion with a `SeqCst` write.
+/// * A protocol that learns of a fault no participant can recover from (a
+///   dead peer) calls [`Cx::poison`]. Threads that drive the protocol on
+///   nobody's behalf reach it through [`Barrier::drive`].
 /// * The `Acquire`/`Release` pairing that carries writes made before
 ///   `arrive(e)` to readers after `released(e)` is the protocol's own.
 ///
@@ -115,7 +121,7 @@ pub trait FlatProtocol<S: SyncOps>: Protocol<S> {
 }
 
 /// What the core lends a [`Protocol`] call: who is recording, and the
-/// membership and statistics the core owns.
+/// membership, poison word and statistics the core owns.
 #[derive(Debug)]
 pub struct Cx<'a, S: SyncOps> {
     who: usize,
@@ -144,6 +150,8 @@ struct Shared<S: SyncOps> {
     /// parks a waker, and an instrumented load would add a scheduling
     /// point to every completion.
     parked_count: CachePadded<AtomicUsize>,
+    /// Non-zero once the barrier is poisoned (see [`SplitBarrier::poison`]).
+    poisoned: CachePadded<S::AtomicU32>,
     stats: BarrierStats,
 }
 
@@ -198,9 +206,9 @@ type MembershipGuard<'a, S> = <<S as SyncOps>::Mutex<()> as Lock<()>>::Guard<'a>
 
 impl<S: SyncOps> Cx<'_, S> {
     /// Records the completion of `episode` under this call's statistics
-    /// recorder: the arriving or probing participant, or
-    /// [`BarrierStats::NOT_A_PARTICIPANT`] for an evictor, which is not the
-    /// evicted participant's thread.
+    /// recorder: the arriving or probing participant, or nobody's cell for
+    /// an evictor (not the evicted participant's thread) and for a
+    /// [`Barrier::drive`] caller.
     #[inline]
     pub fn record_episode(&self, episode: u64) {
         self.shared.stats.record_episode(self.who, episode);
@@ -237,6 +245,18 @@ impl<S: SyncOps> Cx<'_, S> {
     #[inline]
     pub fn wake_parked(&self) {
         self.shared.wake_parked();
+    }
+
+    /// Poisons the barrier, as [`SplitBarrier::poison`] does. Returns true
+    /// for the call that set the word, so a protocol that must tell others
+    /// (a peer-death broadcast) tells them once per poisoning.
+    pub fn poison(&self) -> bool {
+        let first = self.shared.poisoned.fetch_max(1, Ordering::SeqCst) == 0;
+        if first {
+            self.shared.stats.record_poisoning();
+        }
+        self.shared.wake_parked();
+        first
     }
 
     /// Applies the staged admissions, each joiner counted from episode
@@ -296,8 +316,6 @@ pub struct Barrier<P, S: SyncOps = RealSync> {
     n: usize,
     policy: StallPolicy,
     protocol: P,
-    /// Non-zero once the barrier is poisoned (see [`SplitBarrier::poison`]).
-    poisoned: CachePadded<S::AtomicU32>,
     shared: Shared<S>,
 }
 
@@ -351,7 +369,6 @@ impl<P: Protocol<S>, S: SyncOps> Barrier<P, S> {
             n,
             policy,
             protocol,
-            poisoned: CachePadded::new(S::AtomicU32::new(0)),
             shared: Shared {
                 local_episode: (0..n)
                     .map(|_| CachePadded::new(S::AtomicU64::new(0)))
@@ -368,14 +385,24 @@ impl<P: Protocol<S>, S: SyncOps> Barrier<P, S> {
                 membership: Lock::new(()),
                 parked: Lock::new(Vec::new()),
                 parked_count: CachePadded::new(AtomicUsize::new(0)),
+                poisoned: CachePadded::new(S::AtomicU32::new(0)),
                 stats: BarrierStats::with_participants(n),
             },
         }
     }
 
-    /// The protocol state, for the aliases' shape accessors.
-    pub(crate) fn protocol(&self) -> &P {
+    /// The protocol state.
+    #[must_use]
+    pub fn protocol(&self) -> &P {
         &self.protocol
+    }
+
+    /// Runs `f` over the protocol with a [`Cx`] that belongs to no
+    /// participant: for a thread that drives the protocol on nobody's
+    /// behalf, such as a transport delivering a frame. A completion it
+    /// records lands in no participant's statistics cell.
+    pub fn drive<R>(&self, f: impl FnOnce(&P, &Cx<'_, S>) -> R) -> R {
+        f(&self.protocol, &self.cx(BarrierStats::NOT_A_PARTICIPANT))
     }
 
     /// The stall policy waits use.
@@ -524,7 +551,7 @@ impl<P: Protocol<S>, S: SyncOps> SplitBarrier for Barrier<P, S> {
             deadline,
             token.episode,
             || self.protocol.released(token.id, token.episode, &cx),
-            || self.poisoned.load(Ordering::Acquire) != 0,
+            || self.is_poisoned(),
         );
         match result {
             Ok(outcome) => {
@@ -541,18 +568,15 @@ impl<P: Protocol<S>, S: SyncOps> SplitBarrier for Barrier<P, S> {
     }
 
     fn poison(&self) {
-        if self.poisoned.fetch_max(1, Ordering::SeqCst) == 0 {
-            self.shared.stats.record_poisoning();
-        }
-        self.shared.wake_parked();
+        self.drive(|_, cx| cx.poison());
     }
 
     fn clear_poison(&self) {
-        self.poisoned.store(0, Ordering::Release);
+        self.shared.poisoned.store(0, Ordering::Release);
     }
 
     fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire) != 0
+        self.shared.poisoned.load(Ordering::Acquire) != 0
     }
 
     /// Safe to call concurrently, for the same or different ids: exactly

@@ -60,9 +60,10 @@
 //! arrival is signalled and what one condition a waiter polls. The core
 //! owns everything else, once: ids and tokens, the stall policy, deadline
 //! waits, poisoning, membership (the race-free removal guard and its dual,
-//! admission), and the
-//! [`stats::BarrierStats`] that let experiments observe how often waits
-//! actually stalled. Writing a sixth backend means writing a `Protocol`.
+//! admission), and the statistics ([`SplitBarrier::stats`],
+//! [`SplitBarrier::telemetry`]) that let experiments observe how often
+//! waits actually stalled. Writing a sixth backend means writing a
+//! `Protocol`; `fuzzy-net`'s endpoint is one more.
 //!
 //! ## Masks, tags and groups (multiple barriers, Sec. 5)
 //!

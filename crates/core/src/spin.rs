@@ -107,30 +107,10 @@ const DEADLINE_CHECK_MASK: u64 = (1 << 6) - 1;
 /// overshooting `deadline`: the full `interval` when no deadline is armed
 /// or it is far away, the remaining budget when the deadline is nearer,
 /// and zero once it has passed.
-///
-/// This is the overshoot clamp for any sleep the waiting machinery takes
-/// against a deadline, so that arithmetic lives in exactly one place.
-/// Today its one caller is [`wait_until_budget`]'s park slice; `fuzzy-net`
-/// never sleeps against a deadline (its waits are `wait_until_budget`
-/// probes that poll the socket, and its sweeper's nap has no deadline).
-#[must_use]
-pub fn clamped_nap(deadline: Option<Instant>, interval: Duration) -> Duration {
+fn clamped_nap(deadline: Option<Instant>, interval: Duration) -> Duration {
     deadline.map_or(interval, |d| {
         d.saturating_duration_since(Instant::now()).min(interval)
     })
-}
-
-/// The nearer of two optional deadlines; `None` means unbounded.
-///
-/// Used to combine an outer wait deadline with a per-round receive budget
-/// (a bounded `wait_deadline` must win over a longer round timeout, and
-/// vice versa) without re-deriving `Instant` comparisons at each call site.
-#[must_use]
-pub fn nearest_deadline(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    }
 }
 
 /// Bounded variant of [`wait_until`]: waits until `pred` returns true *or*
@@ -342,8 +322,7 @@ mod tests {
         // Regression for the extraction: the helper must reproduce the
         // Park-arm arithmetic exactly — full slice without a deadline,
         // remaining budget when the deadline is nearer than the slice,
-        // zero once it has passed — so callers outside this module (the
-        // fuzzy-net receive loops) cannot drift from `wait_until_budget`.
+        // zero once it has passed.
         let slice = Duration::from_millis(50);
         assert_eq!(clamped_nap(None, slice), slice);
         let far = Instant::now() + Duration::from_secs(60);
@@ -353,18 +332,6 @@ mod tests {
         assert!(nap <= Duration::from_millis(5), "nap {nap:?} overshoots");
         let past = Instant::now() - Duration::from_millis(1);
         assert_eq!(clamped_nap(Some(past), slice), Duration::ZERO);
-    }
-
-    #[test]
-    fn nearest_deadline_prefers_the_sooner_bound() {
-        let now = Instant::now();
-        let soon = now + Duration::from_millis(1);
-        let late = now + Duration::from_secs(1);
-        assert_eq!(nearest_deadline(None, None), None);
-        assert_eq!(nearest_deadline(Some(soon), None), Some(soon));
-        assert_eq!(nearest_deadline(None, Some(late)), Some(late));
-        assert_eq!(nearest_deadline(Some(soon), Some(late)), Some(soon));
-        assert_eq!(nearest_deadline(Some(late), Some(soon)), Some(soon));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   every per-event counter and the participant's own power-of-two stall
 //!   histogram ([`StallHistogram`]: bucket `i` counts stalls with
 //!   `2^i <= ns < 2^(i+1)`, bucket 0 also absorbs zero).
-//! * **Reporting** ([`BarrierStats::snapshot`], [`BarrierStats::telemetry`])
+//! * **Reporting** (`BarrierStats::snapshot`, `BarrierStats::telemetry`)
 //!   folds the cells into the public snapshot types: totals are the shared
 //!   block plus the sum over cells, histograms are merged. A snapshot is
 //!   O(participants); it is the cold side, taken a few times a run, and
@@ -36,7 +36,7 @@
 //! counters (timeouts, evictions, poisonings, spread totals), and as the
 //! read-modify-write fallback for participant-blind statistics, ids out of
 //! range, and recorders that are not a participant's thread
-//! ([`BarrierStats::NOT_A_PARTICIPANT`]). Nothing on either path allocates.
+//! (`BarrierStats::NOT_A_PARTICIPANT`). Nothing on either path allocates.
 
 use crate::spin::SpinReport;
 use crate::token::WaitOutcome;
@@ -346,7 +346,7 @@ struct Shared {
 /// split between recording and reporting.
 ///
 /// Construct with [`BarrierStats::with_participants`] to give each
-/// participant a private cell; the plain [`BarrierStats::new`] is
+/// participant a private cell; the [`Default`] block is
 /// participant-blind and records everything into the shared block (it
 /// therefore measures no arrival spread — there is no cell to stamp).
 ///
@@ -370,7 +370,7 @@ struct Shared {
 /// shared block's read-modify-write instead; two writers on one cell would
 /// lose counts. Snapshots read cells with relaxed loads from any thread.
 #[derive(Debug)]
-pub struct BarrierStats {
+pub(crate) struct BarrierStats {
     /// One padded cell per participant; empty when participant-blind.
     cells: Box<[CachePadded<Cell>]>,
     shared: Shared,
@@ -389,12 +389,6 @@ impl BarrierStats {
     /// (see the single-writer rule on the type): out of every range, so
     /// the record lands in the shared block.
     pub const NOT_A_PARTICIPANT: usize = usize::MAX;
-
-    /// Creates a zeroed, participant-blind statistics block.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
 
     /// Creates a statistics block with a private cell for each of the
     /// participants `0..n`. All storage is allocated here; recording never
@@ -565,7 +559,7 @@ impl BarrierStats {
     }
 }
 
-/// A point-in-time copy of [`BarrierStats`]' flat counters.
+/// A point-in-time copy of a barrier's flat counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Completed barrier episodes.
@@ -664,9 +658,10 @@ pub struct ParticipantSnapshot {
 
 /// Counters of the async (poll-based) barrier frontend.
 ///
-/// Tracked separately from [`BarrierStats`] on purpose: the flat
-/// [`StatsSnapshot`] feeds schema-pinned experiment exports, so async-only
-/// counters have a shape of their own rather than widening a frozen one.
+/// Tracked separately from the barrier's own statistics on purpose: the
+/// flat [`StatsSnapshot`] feeds schema-pinned experiment exports, so
+/// async-only counters have a shape of their own rather than widening a
+/// frozen one.
 /// The parking-protocol counts come from
 /// [`crate::AsyncBarrier::async_stats`], which folds them at snapshot time
 /// (there is no shared counter block to bump on the poll path); `steals`
@@ -703,9 +698,9 @@ impl AsyncSnapshot {
 /// Per-peer link counters for a message-passing barrier (the `fuzzy-net`
 /// crate).
 ///
-/// Like [`AsyncSnapshot`], this lives beside [`BarrierStats`] rather than
-/// inside it: the flat [`StatsSnapshot`] feeds schema-pinned experiment
-/// exports, so transport-only counters get their own block. One instance
+/// Like [`AsyncSnapshot`], this lives beside the barrier's statistics
+/// rather than inside them: the flat [`StatsSnapshot`] feeds schema-pinned
+/// experiment exports, so transport-only counters get their own block. One instance
 /// covers one mesh endpoint; the `per-peer` rows are indexed by mesh rank
 /// (the local rank's row stays zero).
 #[derive(Debug)]
@@ -838,7 +833,7 @@ pub struct PeerLinkSnapshot {
 /// spread, and per-participant counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
-    /// The flat counters (same values as [`BarrierStats::snapshot`]).
+    /// The flat counters (same values as [`crate::SplitBarrier::stats`]).
     pub base: StatsSnapshot,
     /// Power-of-two-nanosecond histogram of individual stall durations.
     pub stall_hist: HistogramSnapshot,
@@ -884,7 +879,7 @@ mod tests {
 
     #[test]
     fn snapshot_of_fresh_stats_is_zero() {
-        let s = BarrierStats::new().snapshot();
+        let s = BarrierStats::default().snapshot();
         assert_eq!(s, StatsSnapshot::default());
         assert_eq!(s.stall_rate(), 0.0);
         assert_eq!(s.mean_stall_per_wait(), Duration::ZERO);
@@ -892,7 +887,7 @@ mod tests {
 
     #[test]
     fn record_wait_accumulates() {
-        let stats = BarrierStats::new();
+        let stats = BarrierStats::default();
         stats.record_arrival(0, 0);
         stats.record_wait(
             0,
@@ -916,7 +911,7 @@ mod tests {
 
     #[test]
     fn mean_stall_divides_by_waits() {
-        let stats = BarrierStats::new();
+        let stats = BarrierStats::default();
         for _ in 0..4 {
             stats.record_wait(
                 0,
@@ -1128,7 +1123,7 @@ mod tests {
         }
         // Participant-blind statistics have no cell to stamp: arrivals and
         // episodes count, spread stays unmeasured even on a sampled episode.
-        let blind = BarrierStats::new();
+        let blind = BarrierStats::default();
         blind.record_arrival(0, sampled(0));
         blind.record_episode(0, sampled(0));
         let t = blind.telemetry();

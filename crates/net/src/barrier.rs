@@ -7,19 +7,23 @@
 //! release is a *wait*, and the fuzzy region between them is exactly the
 //! slack that hides a network round-trip instead of a cache miss.
 //!
+//! The endpoint is the episode core ([`fuzzy_barrier::Barrier`]) running
+//! one more [`Protocol`], `NetRounds`: the core stamps tokens, owns the
+//! poison word, the statistics and the one wait loop, and the protocol
+//! says how an arrival is signalled and when an episode is released.
+//!
 //! # Protocol
 //!
 //! Per episode `e`, an endpoint first aggregates its `locals` local
-//! arrivals (a shared-memory counter), then runs `⌈log₂ nodes⌉`
-//! dissemination rounds: in round `r` it sends `Signal { e, r }` to rank
-//! `(rank + 2^r) mod nodes` and waits for the mirror-image signal from
-//! `(rank − 2^r) mod nodes`. All protocol state is **monotone** — per-round
-//! `seen`/`sent` words hold `episode + 1` and only advance via `fetch_max`
-//! — so duplicated, reordered, and re-transmitted frames are harmless by
-//! construction, and any thread (a waiter, an `is_complete` probe, the
-//! transport's sweeper delivering a frame) can *drive* the protocol
-//! forward idempotently. Receive is part of the same pump: `arrive`,
-//! `is_complete` and every probe of a stalled `wait` first
+//! arrivals (a shared-memory counter), then runs the `⌈log₂ nodes⌉` rounds
+//! of [`fuzzy_barrier::dissemination`]'s schedule over ranks, one
+//! `Signal { e, r }` frame per round. All protocol state is **monotone** —
+//! per-round `seen`/`sent` words hold `episode + 1` and only advance via
+//! `fetch_max` — so duplicated, reordered, and re-transmitted frames are
+//! harmless by construction, and any thread (a waiter, an `is_complete`
+//! probe, the transport's sweeper delivering a frame) can *drive* the
+//! protocol forward idempotently. Receive is part of the same pump:
+//! `arrive` and every probe of a pending episode first
 //! [`Transport::poll`] — deliver, on their own thread, whatever has
 //! already arrived — and then drive, so the waiter itself reads the frame
 //! that releases it and the barrier region hides the round-trip without a
@@ -30,31 +34,26 @@
 //!
 //! # Failure model
 //!
-//! * **Lost frames** are recovered receiver-side: a waiter whose round
-//!   stalls past [`NetConfig::round_timeout`] re-sends its own claimed
-//!   rounds and `Nack`s the round's source, which re-transmits.
+//! * **Lost frames** are recovered receiver-side: a probe that finds its
+//!   episode pending past [`NetConfig::round_timeout`] re-sends the
+//!   endpoint's claimed rounds and `Nack`s the source of the first missing
+//!   round, which re-transmits. This recovery step is part of the
+//!   protocol's release check, so every wait and every probe runs it.
 //! * **Peer death** — a non-graceful `link_down`, a send failure, or
 //!   [`NetConfig::resend_limit`] exhausted round recoveries — poisons the
 //!   local endpoint and broadcasts a `Poison` frame, so every survivor's
 //!   wait returns [`BarrierError::Poisoned`] instead of wedging.
-//! * **Deadlines**: `wait_deadline` reuses the overshoot-clamped deadline
-//!   arithmetic of `fuzzy_barrier::spin` (the outer deadline and the
-//!   per-round receive budget are combined with `nearest_deadline`), and
-//!   expiry surfaces as [`BarrierError::Timeout`] exactly like the
-//!   in-memory backends.
 
-use crate::error::NetError;
 use crate::transport::{FrameSink, Transport};
 use crate::wire::{DecodeError, Message};
-use fuzzy_barrier::spin::{nearest_deadline, SpinReport};
-use fuzzy_barrier::stats::BarrierStats;
+use fuzzy_barrier::dissemination::{partner, rounds, source};
 use fuzzy_barrier::sync::Atomic;
 use fuzzy_barrier::{
-    ArrivalToken, BarrierError, Deadline, NetSnapshot, NetStats, RealSync, SplitBarrier,
-    StallPolicy, StatsSnapshot, SyncOps, TelemetrySnapshot, WaitOutcome,
+    ArrivalToken, Barrier, BarrierError, Cx, Deadline, NetSnapshot, NetStats, Protocol, RealSync,
+    SplitBarrier, StallPolicy, StatsSnapshot, SyncOps, TelemetrySnapshot, WaitOutcome,
 };
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Construction-time configuration for a [`NetBarrier`].
@@ -64,7 +63,7 @@ pub struct NetConfig {
     pub locals: usize,
     /// Stall policy for local waits.
     pub policy: StallPolicy,
-    /// Receive budget per dissemination round before the recovery path
+    /// How long an episode may stay pending before the recovery step
     /// (retransmit own rounds, nack the stalled source) runs. `None`
     /// disables recovery: waits block until completion, poison, or their
     /// own deadline.
@@ -130,21 +129,36 @@ impl NetConfig {
 /// `peer + 1`).
 const NO_DEAD_PEER: usize = 0;
 
+/// Pending probes per clock read of the recovery step: the cadence at
+/// which the core's spin loop polices a deadline, so a probe that spins
+/// reads the clock no more often than a bounded wait's own spin does.
+const RECOVERY_CLOCK_PERIOD: u32 = 64;
+
 /// A [`SplitBarrier`] whose episodes are completed by message passing
-/// across a [`Transport`] mesh. See the module docs for the protocol and
-/// failure model.
+/// across a [`Transport`] mesh: the episode core over the `NetRounds`
+/// protocol, plus the frame sink the transport delivers into. See the
+/// module docs for the protocol and failure model.
+///
+/// Membership is fixed at start: the endpoint keeps the trait's refusing
+/// `evict` and `admit`.
 #[derive(Debug)]
 pub struct NetBarrier<S: SyncOps = RealSync> {
+    core: Barrier<NetRounds<S>, S>,
+    /// Dissemination rounds per episode, ⌈log₂ nodes⌉.
+    rounds: u32,
+}
+
+/// One endpoint's dissemination rounds, as a [`Protocol`] of the episode
+/// core.
+#[derive(Debug)]
+struct NetRounds<S: SyncOps> {
     transport: Arc<dyn Transport>,
     rank: usize,
     nodes: usize,
     locals: usize,
     rounds: u32,
-    policy: StallPolicy,
     round_timeout: Option<Duration>,
     resend_limit: u32,
-    /// Per local participant: episodes arrived (the next token's episode).
-    member_episode: Vec<S::AtomicU64>,
     /// Total local arrivals ever; the endpoint has entered episode `e`
     /// once this reaches `locals * (e + 1)`. Monotone, so it needs no
     /// per-episode reset.
@@ -155,12 +169,24 @@ pub struct NetBarrier<S: SyncOps = RealSync> {
     sent: Vec<S::AtomicU64>,
     /// Episodes completed at this endpoint.
     completed: S::AtomicU64,
-    /// Nonzero once poisoned; doubles as the broadcast-once guard.
-    poisoned: S::AtomicU32,
     /// `peer + 1` of a peer declared dead ([`NO_DEAD_PEER`] = none).
     dead_peer: S::AtomicUsize,
-    stats: BarrierStats,
+    /// Pending probes seen by the recovery step, which reads the clock on
+    /// one in [`RECOVERY_CLOCK_PERIOD`]. Racy by design, and plain like the
+    /// lock below: recovery is wall-clock driven, so the checker disarms it.
+    pending_probes: AtomicU32,
+    recovery: Mutex<Recovery>,
     net: NetStats,
+}
+
+/// The episode the recovery step is timing: its goal word (`episode +
+/// 1`), when it was first seen pending or last recovered, and the
+/// recoveries run for it.
+#[derive(Debug)]
+struct Recovery {
+    goal: u64,
+    since: Instant,
+    runs: u32,
 }
 
 impl NetBarrier<RealSync> {
@@ -186,104 +212,97 @@ impl<S: SyncOps> NetBarrier<S> {
     #[must_use]
     pub fn start_in(transport: Arc<dyn Transport>, config: NetConfig) -> Arc<Self> {
         assert!(config.locals > 0, "an endpoint needs at least one local");
-        let rank = transport.rank();
-        let nodes = transport.nodes();
-        let rounds = if nodes <= 1 {
-            0
-        } else {
-            usize::BITS - (nodes - 1).leading_zeros()
-        };
-        let barrier = Arc::new(NetBarrier {
+        let (rank, nodes) = (transport.rank(), transport.nodes());
+        let rounds = rounds(nodes);
+        let protocol = NetRounds {
             transport,
             rank,
             nodes,
             locals: config.locals,
             rounds,
-            policy: config.policy,
             round_timeout: config.round_timeout,
             resend_limit: config.resend_limit,
-            member_episode: (0..config.locals).map(|_| S::AtomicU64::new(0)).collect(),
             local_count: S::AtomicU64::new(0),
             seen: (0..rounds).map(|_| S::AtomicU64::new(0)).collect(),
             sent: (0..rounds).map(|_| S::AtomicU64::new(0)).collect(),
             completed: S::AtomicU64::new(0),
-            poisoned: S::AtomicU32::new(0),
             dead_peer: S::AtomicUsize::new(NO_DEAD_PEER),
-            stats: BarrierStats::with_participants(config.locals),
+            pending_probes: AtomicU32::new(0),
+            recovery: Mutex::new(Recovery {
+                goal: 0,
+                since: Instant::now(),
+                runs: 0,
+            }),
             net: NetStats::new(nodes),
+        };
+        let barrier = Arc::new(NetBarrier {
+            rounds,
+            core: Barrier::from_protocol(config.locals, config.policy, protocol),
         });
         let sink: Arc<dyn FrameSink> = Arc::clone(&barrier) as Arc<dyn FrameSink>;
-        barrier.transport.start(sink);
+        barrier.core.protocol().transport.start(sink);
         barrier
     }
 
     /// This endpoint's mesh rank.
     #[must_use]
     pub fn rank(&self) -> usize {
-        self.rank
+        self.core.protocol().rank
     }
 
     /// Number of mesh endpoints.
     #[must_use]
     pub fn nodes(&self) -> usize {
-        self.nodes
+        self.core.protocol().nodes
+    }
+
+    /// Dissemination rounds per episode, ⌈log₂ nodes⌉: the signal frames
+    /// one episode sends from this endpoint.
+    #[must_use]
+    pub fn rounds(&self) -> u32 {
+        self.rounds
     }
 
     /// Transport telemetry: per-peer frame counts, retries, decode errors.
     #[must_use]
     pub fn net_stats(&self) -> NetSnapshot {
-        self.net.snapshot()
+        self.core.protocol().net.snapshot()
     }
 
     /// The peer this endpoint declared dead, if any.
     #[must_use]
     pub fn dead_peer(&self) -> Option<usize> {
-        let v = self.dead_peer.load(Ordering::Acquire);
+        let v = self.core.protocol().dead_peer.load(Ordering::Acquire);
         (v != NO_DEAD_PEER).then(|| v - 1)
     }
 
     /// Says goodbye and stops frame delivery. After this the barrier can
     /// complete no further episodes.
     pub fn shutdown(&self) {
-        self.transport.shutdown();
+        self.core.protocol().transport.shutdown();
     }
+}
 
-    fn out_partner(&self, round: u32) -> usize {
-        (self.rank + (1usize << round)) % self.nodes
-    }
-
-    fn in_partner(&self, round: u32) -> usize {
-        let step = (1usize << round) % self.nodes;
-        (self.rank + self.nodes - step) % self.nodes
-    }
-
+impl<S: SyncOps> NetRounds<S> {
     fn locally_entered(&self, goal: u64) -> bool {
         self.local_count.load(Ordering::Acquire) >= self.locals as u64 * goal
     }
 
-    fn is_poisoned_now(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire) != 0
-    }
-
-    /// The full pump, for a thread entering the barrier on behalf of local
-    /// participant `who`: receive what has arrived, then [`Self::drive`].
+    /// The full pump, for a thread entering the barrier on behalf of a
+    /// local participant: receive what has arrived, then [`Self::drive`].
     /// Delivery itself drives (see [`FrameSink::deliver`] below) but never
     /// polls, so the pump does not re-enter the transport.
-    fn pump(&self, who: usize) {
+    fn pump(&self, cx: &Cx<'_, S>) {
         self.transport.poll();
-        self.drive(who);
+        self.drive(cx);
     }
 
     /// Non-blocking protocol pump: sends every round that is due for the
     /// lowest incomplete episode and advances completion. Idempotent and
     /// callable from any thread — waiters, probes, and whoever delivers a
-    /// frame all drive. `who` is the statistics recorder pumping: the local
-    /// participant whose arrival, probe or wait this is, or
-    /// [`BarrierStats::NOT_A_PARTICIPANT`] for a delivering thread — it may
-    /// be the transport's sweeper or another participant's poll, so a
-    /// completion it observes must not be counted in some participant's
-    /// single-writer cell.
-    fn drive(&self, who: usize) {
+    /// frame all drive; `cx` records a completion under the participant
+    /// whose arrival or probe this is, or under nobody for a deliverer.
+    fn drive(&self, cx: &Cx<'_, S>) {
         loop {
             let goal = self.completed.load(Ordering::Acquire) + 1;
             if !self.locally_entered(goal) {
@@ -294,7 +313,7 @@ impl<S: SyncOps> NetBarrier<S> {
                 if due > 0 && self.seen[due as usize - 1].load(Ordering::Acquire) < goal {
                     break;
                 }
-                self.send_round(goal, due);
+                self.send_round(goal, due, cx);
                 due += 1;
             }
             // Release needs every round's inbound signal — the transitive
@@ -307,7 +326,7 @@ impl<S: SyncOps> NetBarrier<S> {
                 return;
             }
             if self.completed.fetch_max(goal, Ordering::AcqRel) < goal {
-                self.stats.record_episode(who, goal - 1);
+                cx.record_episode(goal - 1);
                 // The next episode's arrivals may already be in; keep
                 // pumping until nothing more is due.
                 continue;
@@ -318,65 +337,55 @@ impl<S: SyncOps> NetBarrier<S> {
 
     /// Sends round `round` of the episode with goal word `goal` exactly
     /// once (the `sent` fetch_max is the claim).
-    fn send_round(&self, goal: u64, round: u32) {
+    fn send_round(&self, goal: u64, round: u32, cx: &Cx<'_, S>) {
         // Cheap pre-check before the RMW claim: `drive` re-walks every due
-        // round on each pump, and polling paths (`is_complete` loops)
-        // would otherwise hammer a no-op `fetch_max` per probe.
+        // round on each pump, and every probe of a pending episode pumps.
         if self.sent[round as usize].load(Ordering::Acquire) >= goal {
             return;
         }
         if self.sent[round as usize].fetch_max(goal, Ordering::AcqRel) >= goal {
             return;
         }
-        let to = self.out_partner(round);
-        self.transmit(
-            to,
-            Message::Signal {
-                episode: goal - 1,
-                round,
-            },
-        );
-    }
-
-    fn transmit(&self, to: usize, msg: Message) {
-        match self.transport.send(to, &msg) {
-            Ok(()) => self.net.record_send(to),
-            Err(err) => self.on_send_failure(to, &err),
+        let to = partner(self.rank, round, self.nodes);
+        let episode = goal - 1;
+        if self.send(to, &Message::Signal { episode, round }, cx) {
+            self.net.record_send(to);
         }
     }
 
-    fn on_send_failure(&self, to: usize, err: &NetError) {
-        let peer = err.peer().unwrap_or(to);
-        self.mark_peer_dead(peer);
+    /// Sends `msg` to `to`; a failed send declares the peer dead.
+    fn send(&self, to: usize, msg: &Message, cx: &Cx<'_, S>) -> bool {
+        let sent = self.transport.send(to, msg);
+        if let Err(err) = &sent {
+            self.mark_peer_dead(err.peer().unwrap_or(to), cx);
+        }
+        sent.is_ok()
     }
 
     /// Declares `peer` dead: survivors poison and release instead of
     /// wedging on signals that will never come.
-    fn mark_peer_dead(&self, peer: usize) {
+    fn mark_peer_dead(&self, peer: usize, cx: &Cx<'_, S>) {
         self.dead_peer.fetch_max(peer + 1, Ordering::AcqRel);
-        self.poison_and_broadcast();
+        self.poison(cx);
     }
 
-    /// Poisons locally and (on the first transition only) tells every
+    /// Poisons the endpoint and, on the first transition only, tells every
     /// peer, so one endpoint's fault releases the whole mesh.
-    fn poison_and_broadcast(&self) {
-        if self.poisoned.fetch_max(1, Ordering::AcqRel) != 0 {
+    fn poison(&self, cx: &Cx<'_, S>) {
+        if !cx.poison() {
             return;
         }
-        self.stats.record_poisoning();
         self.net.record_poison_frame();
         let episode = self.completed.load(Ordering::Acquire);
-        for peer in 0..self.nodes {
-            if peer != self.rank {
-                // Best effort: an unreachable peer is already released by
-                // its own link-down observation.
-                if self
-                    .transport
-                    .send(peer, &Message::Poison { episode })
-                    .is_ok()
-                {
-                    self.net.record_send(peer);
-                }
+        for peer in (0..self.nodes).filter(|&peer| peer != self.rank) {
+            // Best effort: an unreachable peer is already released by its
+            // own link-down observation.
+            if self
+                .transport
+                .send(peer, &Message::Poison { episode })
+                .is_ok()
+            {
+                self.net.record_send(peer);
             }
         }
     }
@@ -386,152 +395,70 @@ impl<S: SyncOps> NetBarrier<S> {
         (0..self.rounds).find(|&r| self.seen[r as usize].load(Ordering::Acquire) < goal)
     }
 
-    /// Round-timeout recovery: re-send every claimed round of the stalled
-    /// episode (our signal may have been dropped) and nack the source of
-    /// the first missing inbound round (its signal may have been).
-    fn retransmit(&self, goal: u64) {
+    /// The round-recovery step of a probe that found `goal` pending. Once
+    /// the endpoint has entered it locally (a slow local region is not a
+    /// network fault) and it has been pending past `timeout`, re-sends our
+    /// claimed rounds and nacks the source of the first missing one; past
+    /// `resend_limit` recoveries, declares that source dead.
+    fn recover(&self, goal: u64, timeout: Duration, cx: &Cx<'_, S>) {
+        if !self.locally_entered(goal) {
+            return;
+        }
+        let probes = self.pending_probes.load(Ordering::Relaxed).wrapping_add(1);
+        self.pending_probes.store(probes, Ordering::Relaxed);
+        if !probes.is_multiple_of(RECOVERY_CLOCK_PERIOD) {
+            return;
+        }
+        let now = Instant::now();
+        let runs = {
+            let mut recovery = self.recovery.lock().unwrap_or_else(PoisonError::into_inner);
+            if recovery.goal != goal {
+                (recovery.goal, recovery.since, recovery.runs) = (goal, now, 0);
+                return;
+            }
+            if now.saturating_duration_since(recovery.since) < timeout {
+                return;
+            }
+            recovery.since = now;
+            recovery.runs += 1;
+            recovery.runs
+        };
+        let stalled = self.first_unseen_round(goal);
+        if runs > self.resend_limit {
+            match stalled {
+                Some(round) => self.mark_peer_dead(source(self.rank, round, self.nodes), cx),
+                None => self.poison(cx),
+            }
+            return;
+        }
         let episode = goal - 1;
         for round in 0..self.rounds {
             if self.sent[round as usize].load(Ordering::Acquire) < goal {
                 break;
             }
-            let to = self.out_partner(round);
-            if self
-                .transport
-                .send(to, &Message::Signal { episode, round })
-                .is_ok()
-            {
-                self.net.record_retry(to);
-            } else {
-                self.mark_peer_dead(to);
+            let to = partner(self.rank, round, self.nodes);
+            if !self.send(to, &Message::Signal { episode, round }, cx) {
                 return;
             }
+            self.net.record_retry(to);
         }
-        if let Some(round) = self.first_unseen_round(goal) {
-            let source = self.in_partner(round);
-            if self
-                .transport
-                .send(source, &Message::Nack { episode, round })
-                .is_ok()
-            {
+        if let Some(round) = stalled {
+            let from = source(self.rank, round, self.nodes);
+            if self.send(from, &Message::Nack { episode, round }, cx) {
                 self.net.record_nack();
-                self.net.record_send(source);
-            } else {
-                self.mark_peer_dead(source);
+                self.net.record_send(from);
             }
         }
     }
-}
 
-impl<S: SyncOps> SplitBarrier for NetBarrier<S> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
-        assert!(
-            id < self.locals,
-            "participant id {id} out of range for {} locals",
-            self.locals
-        );
-        let episode = self.member_episode[id].fetch_add(1, Ordering::AcqRel);
-        self.stats.record_arrival(id, episode);
-        self.local_count.fetch_add(1, Ordering::AcqRel);
-        self.pump(id);
-        ArrivalToken::new(id, episode)
-    }
-
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
-        self.pump(token.participant());
-        self.completed.load(Ordering::Acquire) > token.episode()
-    }
-
-    fn wait_deadline(
-        &self,
-        token: ArrivalToken,
-        deadline: Deadline,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let episode = token.episode();
-        let goal = episode + 1;
-        let outer = deadline.instant();
-        let mut total = SpinReport::default();
-        let mut recoveries = 0u32;
-        loop {
-            self.pump(token.participant());
-            if self.completed.load(Ordering::Acquire) >= goal {
-                let outcome = WaitOutcome::from_report(episode, total);
-                self.stats.record_wait(token.participant(), &outcome);
-                return Ok(outcome);
-            }
-            if self.is_poisoned_now() {
-                return Err(BarrierError::Poisoned { episode });
-            }
-            let round_budget = self.round_timeout.map(|t| Instant::now() + t);
-            let slice = nearest_deadline(outer, round_budget);
-            let report = S::wait_until_budget(self.policy, slice, || {
-                // Each probe receives; a delivered signal drives the
-                // protocol itself, so completion needs no second step.
-                self.transport.poll();
-                self.completed.load(Ordering::Acquire) >= goal || self.is_poisoned_now()
-            });
-            total.probes += report.probes;
-            total.waited += report.waited;
-            total.descheduled |= report.descheduled;
-            if !report.timed_out {
-                continue; // the predicate held; resolve at the top
-            }
-            if outer.is_some_and(|d| Instant::now() >= d) {
-                total.timed_out = true;
-                self.stats.record_timeout(token.participant(), &total);
-                return Err(BarrierError::Timeout { episode });
-            }
-            // A round budget expired. Recovery only applies when we are
-            // stalled on the *network*; a slow local barrier region is
-            // not a fault.
-            if !self.locally_entered(goal) {
-                continue;
-            }
-            recoveries += 1;
-            if recoveries > self.resend_limit {
-                match self.first_unseen_round(goal) {
-                    Some(round) => self.mark_peer_dead(self.in_partner(round)),
-                    None => self.poison_and_broadcast(),
-                }
-                continue; // resolves as Poisoned (or completion) above
-            }
-            self.retransmit(goal);
-        }
-    }
-
-    fn poison(&self) {
-        self.poison_and_broadcast();
-    }
-
-    fn clear_poison(&self) {
-        self.poisoned.store(0, Ordering::Release);
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.is_poisoned_now()
-    }
-
-    fn participants(&self) -> usize {
-        self.locals
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn telemetry(&self) -> TelemetrySnapshot {
-        self.stats.telemetry()
-    }
-}
-
-impl<S: SyncOps> FrameSink for NetBarrier<S> {
-    fn deliver(&self, from: usize, msg: Message) {
+    /// Handles one frame from `from`, on whichever thread delivers it.
+    fn deliver(&self, from: usize, msg: Message, cx: &Cx<'_, S>) {
         self.net.record_recv(from);
         match msg {
             Message::Signal { episode, round } => {
                 if (round as usize) < self.seen.len() {
                     self.seen[round as usize].fetch_max(episode + 1, Ordering::AcqRel);
-                    self.drive(BarrierStats::NOT_A_PARTICIPANT);
+                    self.drive(cx);
                 }
                 // An out-of-range round is a peer bug, not ours: ignore.
             }
@@ -540,7 +467,7 @@ impl<S: SyncOps> FrameSink for NetBarrier<S> {
                 // we have in fact claimed it.
                 if (round as usize) < self.sent.len()
                     && self.sent[round as usize].load(Ordering::Acquire) > episode
-                    && self.out_partner(round) == from
+                    && partner(self.rank, round, self.nodes) == from
                     && self
                         .transport
                         .send(from, &Message::Signal { episode, round })
@@ -552,21 +479,104 @@ impl<S: SyncOps> FrameSink for NetBarrier<S> {
             Message::Poison { .. } => {
                 self.net.record_poison_frame();
                 // Local only: the origin already told everyone.
-                if self.poisoned.fetch_max(1, Ordering::AcqRel) == 0 {
-                    self.stats.record_poisoning();
-                }
+                cx.poison();
             }
             Message::Hello { .. } | Message::Bye => {}
         }
     }
+}
+
+impl<S: SyncOps> Protocol<S> for NetRounds<S> {
+    fn arrive(&self, _id: usize, _episode: u64, cx: &Cx<'_, S>) {
+        self.local_count.fetch_add(1, Ordering::AcqRel);
+        self.pump(cx);
+    }
+
+    /// A completed episode costs one load. A pending one pumps the
+    /// transport, re-reads `completed`, and runs the recovery step when
+    /// recovery is armed.
+    fn released(&self, _id: usize, episode: u64, cx: &Cx<'_, S>) -> bool {
+        if self.completed.load(Ordering::Acquire) > episode {
+            return true;
+        }
+        self.pump(cx);
+        if self.completed.load(Ordering::Acquire) > episode {
+            return true;
+        }
+        if let Some(timeout) = self.round_timeout {
+            self.recover(episode + 1, timeout, cx);
+        }
+        false
+    }
+
+    /// Never reached: [`NetBarrier`] does not forward `evict`, so an
+    /// endpoint's membership is fixed at start.
+    fn retire(&self, _id: usize, _cx: &Cx<'_, S>) {
+        unreachable!("a mesh endpoint never retires a participant")
+    }
+
+    /// Never reached: [`NetBarrier`] does not forward `admit`.
+    fn admit(&self, _id: usize, _cx: &Cx<'_, S>) {
+        unreachable!("a mesh endpoint never admits a participant")
+    }
+}
+
+/// Forwards to the core; `poison` also broadcasts the `Poison` frame.
+impl<S: SyncOps> SplitBarrier for NetBarrier<S> {
+    fn arrive(&self, id: usize) -> ArrivalToken {
+        self.core.arrive(id)
+    }
+
+    fn is_complete(&self, token: &ArrivalToken) -> bool {
+        self.core.is_complete(token)
+    }
+
+    fn wait_deadline(
+        &self,
+        token: ArrivalToken,
+        deadline: Deadline,
+    ) -> Result<WaitOutcome, BarrierError> {
+        self.core.wait_deadline(token, deadline)
+    }
+
+    fn poison(&self) {
+        self.core.drive(|rounds, cx| rounds.poison(cx));
+    }
+
+    fn clear_poison(&self) {
+        self.core.clear_poison();
+    }
+
+    fn is_poisoned(&self) -> bool {
+        self.core.is_poisoned()
+    }
+
+    fn participants(&self) -> usize {
+        self.core.participants()
+    }
+
+    fn stats(&self) -> StatsSnapshot {
+        self.core.stats()
+    }
+
+    fn telemetry(&self) -> TelemetrySnapshot {
+        self.core.telemetry()
+    }
+}
+
+impl<S: SyncOps> FrameSink for NetBarrier<S> {
+    fn deliver(&self, from: usize, msg: Message) {
+        self.core.drive(|rounds, cx| rounds.deliver(from, msg, cx));
+    }
 
     fn decode_failure(&self, _from: usize, _err: DecodeError) {
-        self.net.record_decode_error();
+        self.core.protocol().net.record_decode_error();
     }
 
     fn link_down(&self, peer: usize, graceful: bool) {
         if !graceful {
-            self.mark_peer_dead(peer);
+            self.core
+                .drive(|rounds, cx| rounds.mark_peer_dead(peer, cx));
         }
     }
 }
@@ -870,6 +880,57 @@ mod tests {
         assert!(counts.drops > 0, "the plan must actually have dropped");
         let recovered: u64 = bs.iter().map(|b| b.net_stats().retries).sum();
         assert!(recovered > 0, "drops must have forced retransmissions");
+    }
+
+    #[test]
+    fn exhausted_round_recoveries_poison_every_endpoint() {
+        // Every frame is dropped, so no endpoint ever hears from its
+        // round-0 source and no poison broadcast lands either: each one
+        // must give up on its own after `resend_limit` recoveries, naming
+        // the silent source, well inside its own deadline.
+        use crate::loopback::FaultPlan;
+        let plan = FaultPlan {
+            seed: 7,
+            drop_permille: 1000,
+            dup_permille: 0,
+            delay_permille: 0,
+            reorder_permille: 0,
+        };
+        let nodes = 3;
+        let mesh = LoopbackMesh::with_faults(nodes, plan);
+        let config = NetConfig::new()
+            .round_timeout(Some(Duration::from_millis(5)))
+            .resend_limit(3);
+        let bs: Vec<Arc<NetBarrier>> = mesh
+            .endpoints()
+            .into_iter()
+            .map(|t| NetBarrier::start(Arc::new(t), config))
+            .collect();
+        std::thread::scope(|s| {
+            for b in &bs {
+                s.spawn(move || {
+                    let began = Instant::now();
+                    let t = b.arrive(0);
+                    let result = b.wait_deadline(t, Deadline::after(Duration::from_secs(5)));
+                    assert_eq!(result, Err(BarrierError::Poisoned { episode: 0 }));
+                    assert!(
+                        began.elapsed() < Duration::from_secs(1),
+                        "{:?}",
+                        began.elapsed()
+                    );
+                });
+            }
+        });
+        for (rank, b) in bs.iter().enumerate() {
+            assert_eq!(
+                b.dead_peer(),
+                Some((rank + nodes - 1) % nodes),
+                "rank {rank}"
+            );
+            let net = b.net_stats();
+            assert!(net.retries > 0 && net.nacks > 0, "rank {rank}: {net:?}");
+        }
+        assert!(mesh.fault_counts().drops > 0);
     }
 
     #[test]
