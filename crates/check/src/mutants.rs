@@ -1400,8 +1400,13 @@ impl Transport for MutantNetSkipRound {
         self.inner.start(forger);
     }
 
-    fn poll(&self) -> usize {
-        self.inner.poll()
+    /// A caller's poll forges too: the frames it reads go through the
+    /// same `Forger`, over the sink the caller hands in.
+    fn poll(&self, sink: &dyn FrameSink) -> usize {
+        self.inner.poll(&Forger {
+            sink,
+            rounds: dissemination::rounds(self.inner.nodes()),
+        })
     }
 
     fn shutdown(&self) {
@@ -1409,7 +1414,39 @@ impl Transport for MutantNetSkipRound {
     }
 }
 
-/// The delivery-path half of [`MutantNetSkipRound`].
+/// The delivery-path half of [`MutantNetSkipRound`], over one sink.
+struct Forger<'a> {
+    sink: &'a dyn FrameSink,
+    rounds: u32,
+}
+
+impl FrameSink for Forger<'_> {
+    fn deliver(&self, from: usize, msg: Message) {
+        let forge = match msg {
+            Message::Signal { episode, round: 0 } => Some(episode),
+            _ => None,
+        };
+        self.sink.deliver(from, msg);
+        if let Some(episode) = forge {
+            // BUG (seeded): claim every higher round's signal is already
+            // in, so the barrier releases on first contact.
+            for round in 1..self.rounds {
+                self.sink.deliver(from, Message::Signal { episode, round });
+            }
+        }
+    }
+
+    fn decode_failure(&self, from: usize, err: DecodeError) {
+        self.sink.decode_failure(from, err);
+    }
+
+    fn link_down(&self, peer: usize, graceful: bool) {
+        self.sink.link_down(peer, graceful);
+    }
+}
+
+/// The started sink of [`MutantNetSkipRound`]: a [`Forger`] over the
+/// barrier's sink, held weakly.
 struct ForgingSink {
     inner: Weak<dyn FrameSink>,
     rounds: u32,
@@ -1417,20 +1454,12 @@ struct ForgingSink {
 
 impl FrameSink for ForgingSink {
     fn deliver(&self, from: usize, msg: Message) {
-        let Some(sink) = self.inner.upgrade() else {
-            return;
-        };
-        let forge = match msg {
-            Message::Signal { episode, round: 0 } => Some(episode),
-            _ => None,
-        };
-        sink.deliver(from, msg);
-        if let Some(episode) = forge {
-            // BUG (seeded): claim every higher round's signal is already
-            // in, so the barrier releases on first contact.
-            for round in 1..self.rounds {
-                sink.deliver(from, Message::Signal { episode, round });
+        if let Some(sink) = self.inner.upgrade() {
+            Forger {
+                sink: &*sink,
+                rounds: self.rounds,
             }
+            .deliver(from, msg);
         }
     }
 

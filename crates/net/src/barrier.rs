@@ -22,15 +22,18 @@
 //! `fetch_max` — so duplicated, reordered, and re-transmitted frames are
 //! harmless by construction, and any thread (a waiter, an `is_complete`
 //! probe, the transport's sweeper delivering a frame) can *drive* the
-//! protocol forward idempotently. Receive is part of the same pump:
-//! `arrive` and every probe of a pending episode first
-//! [`Transport::poll`] — deliver, on their own thread, whatever has
-//! already arrived — and then drive, so the waiter itself reads the frame
-//! that releases it and the barrier region hides the round-trip without a
-//! hand-off from a reader thread. That drive-from-anywhere property is
-//! what lets the [`fuzzy_barrier::AsyncBarrier`] frontend run unmodified
-//! on top: its polls call [`SplitBarrier::is_complete`], which pumps both
-//! directions.
+//! protocol forward idempotently. Receive is part of the same pump, on the
+//! participant's own thread and into a sink over its own call: `arrive`
+//! signals first — it drives, which puts every round already due on the
+//! wire — and only then [`Transport::poll`]s, so the signal never waits
+//! behind a read; every probe of a pending episode polls and then drives.
+//! Delivery drives too, so a frame that `arrive`'s poll reads still sends
+//! the rounds it makes due before `arrive` returns, and the waiter itself
+//! reads the frame that releases it: the barrier region hides the
+//! round-trip without a hand-off from a reader thread. That
+//! drive-from-anywhere property is what lets the
+//! [`fuzzy_barrier::AsyncBarrier`] frontend run unmodified on top: its
+//! polls call [`SplitBarrier::is_complete`], which pumps both directions.
 //!
 //! # Failure model
 //!
@@ -288,13 +291,11 @@ impl<S: SyncOps> NetRounds<S> {
         self.local_count.load(Ordering::Acquire) >= self.locals as u64 * goal
     }
 
-    /// The full pump, for a thread entering the barrier on behalf of a
-    /// local participant: receive what has arrived, then [`Self::drive`].
-    /// Delivery itself drives (see [`FrameSink::deliver`] below) but never
-    /// polls, so the pump does not re-enter the transport.
-    fn pump(&self, cx: &Cx<'_, S>) {
-        self.transport.poll();
-        self.drive(cx);
+    /// Receives on this thread whatever the transport already holds,
+    /// delivering it under `cx` through a sink on the stack. Delivery
+    /// drives but never polls, so this does not re-enter the transport.
+    fn poll(&self, cx: &Cx<'_, S>) {
+        self.transport.poll(&Probe { rounds: self, cx });
     }
 
     /// Non-blocking protocol pump: sends every round that is due for the
@@ -486,20 +487,49 @@ impl<S: SyncOps> NetRounds<S> {
     }
 }
 
-impl<S: SyncOps> Protocol<S> for NetRounds<S> {
-    fn arrive(&self, _id: usize, _episode: u64, cx: &Cx<'_, S>) {
-        self.local_count.fetch_add(1, Ordering::AcqRel);
-        self.pump(cx);
+/// The sink a participant's own poll delivers into: the protocol and the
+/// participant's context, borrowed for one call, so a probe takes no lock
+/// and no reference count to find its sink. A completion it sees is
+/// recorded in that participant's statistics cell.
+struct Probe<'a, S: SyncOps> {
+    rounds: &'a NetRounds<S>,
+    cx: &'a Cx<'a, S>,
+}
+
+impl<S: SyncOps> FrameSink for Probe<'_, S> {
+    fn deliver(&self, from: usize, msg: Message) {
+        self.rounds.deliver(from, msg, self.cx);
     }
 
-    /// A completed episode costs one load. A pending one pumps the
-    /// transport, re-reads `completed`, and runs the recovery step when
-    /// recovery is armed.
+    fn decode_failure(&self, _from: usize, _err: DecodeError) {
+        self.rounds.net.record_decode_error();
+    }
+
+    fn link_down(&self, peer: usize, graceful: bool) {
+        if !graceful {
+            self.rounds.mark_peer_dead(peer, self.cx);
+        }
+    }
+}
+
+impl<S: SyncOps> Protocol<S> for NetRounds<S> {
+    /// Signal, then listen: the rounds already due go on the wire before
+    /// the poll, whose deliveries drive the rest.
+    fn arrive(&self, _id: usize, _episode: u64, cx: &Cx<'_, S>) {
+        self.local_count.fetch_add(1, Ordering::AcqRel);
+        self.drive(cx);
+        self.poll(cx);
+    }
+
+    /// A completed episode costs one load. A pending one polls the
+    /// transport, drives, re-reads `completed`, and runs the recovery step
+    /// when recovery is armed.
     fn released(&self, _id: usize, episode: u64, cx: &Cx<'_, S>) -> bool {
         if self.completed.load(Ordering::Acquire) > episode {
             return true;
         }
-        self.pump(cx);
+        self.poll(cx);
+        self.drive(cx);
         if self.completed.load(Ordering::Acquire) > episode {
             return true;
         }
@@ -564,20 +594,22 @@ impl<S: SyncOps> SplitBarrier for NetBarrier<S> {
     }
 }
 
+/// The started sink, for the transport's own deliveries: a `Probe`
+/// under nobody's context.
 impl<S: SyncOps> FrameSink for NetBarrier<S> {
     fn deliver(&self, from: usize, msg: Message) {
-        self.core.drive(|rounds, cx| rounds.deliver(from, msg, cx));
+        self.core
+            .drive(|rounds, cx| Probe { rounds, cx }.deliver(from, msg));
     }
 
-    fn decode_failure(&self, _from: usize, _err: DecodeError) {
-        self.core.protocol().net.record_decode_error();
+    fn decode_failure(&self, from: usize, err: DecodeError) {
+        self.core
+            .drive(|rounds, cx| Probe { rounds, cx }.decode_failure(from, err));
     }
 
     fn link_down(&self, peer: usize, graceful: bool) {
-        if !graceful {
-            self.core
-                .drive(|rounds, cx| rounds.mark_peer_dead(peer, cx));
-        }
+        self.core
+            .drive(|rounds, cx| Probe { rounds, cx }.link_down(peer, graceful));
     }
 }
 
@@ -585,6 +617,7 @@ impl<S: SyncOps> FrameSink for NetBarrier<S> {
 mod tests {
     use super::*;
     use crate::loopback::LoopbackMesh;
+    use crate::SocketTransport;
 
     fn mesh_barriers(nodes: usize, config: NetConfig) -> (LoopbackMesh, Vec<Arc<NetBarrier>>) {
         let mesh = LoopbackMesh::new(nodes);
@@ -594,6 +627,126 @@ mod tests {
             .map(|t| NetBarrier::start(Arc::new(t), config))
             .collect();
         (mesh, barriers)
+    }
+
+    /// A call a [`Spy`] saw, in order.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Call {
+        Send(usize, Message),
+        Poll,
+    }
+
+    /// A transport that logs the calls made on it and forwards them to a
+    /// real one. A spy that is not `sweeping` keeps the real endpoint's
+    /// `start` to itself: only a caller's poll then reads its socket.
+    #[derive(Debug)]
+    struct Spy {
+        inner: Arc<dyn Transport>,
+        sweeping: bool,
+        calls: Mutex<Vec<Call>>,
+    }
+
+    impl Spy {
+        fn over(inner: impl Transport + 'static, sweeping: bool) -> Arc<Self> {
+            Arc::new(Spy {
+                inner: Arc::new(inner),
+                sweeping,
+                calls: Mutex::default(),
+            })
+        }
+
+        fn take_calls(&self) -> Vec<Call> {
+            std::mem::take(&mut self.calls.lock().unwrap())
+        }
+    }
+
+    impl Transport for Spy {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+
+        fn nodes(&self) -> usize {
+            self.inner.nodes()
+        }
+
+        fn send(&self, to: usize, msg: &Message) -> Result<(), crate::NetError> {
+            self.calls.lock().unwrap().push(Call::Send(to, *msg));
+            self.inner.send(to, msg)
+        }
+
+        fn start(&self, sink: Arc<dyn FrameSink>) {
+            if self.sweeping {
+                self.inner.start(sink);
+            }
+        }
+
+        fn poll(&self, sink: &dyn FrameSink) -> usize {
+            self.calls.lock().unwrap().push(Call::Poll);
+            self.inner.poll(sink)
+        }
+
+        fn shutdown(&self) {
+            self.inner.shutdown();
+        }
+    }
+
+    #[test]
+    fn arrive_signals_before_it_listens() {
+        let mesh = LoopbackMesh::new(2);
+        let spy = Spy::over(mesh.endpoint(0), true);
+        let b = NetBarrier::start(Arc::clone(&spy) as Arc<dyn Transport>, NetConfig::new());
+        spy.take_calls();
+        let _token = b.arrive(0);
+        let calls = spy.take_calls();
+        let signal = Call::Send(
+            1,
+            Message::Signal {
+                episode: 0,
+                round: 0,
+            },
+        );
+        assert_eq!(calls.first(), Some(&signal), "{calls:?}");
+        assert!(
+            calls.contains(&Call::Poll),
+            "arrive still listens: {calls:?}"
+        );
+    }
+
+    #[test]
+    fn arrive_sends_every_round_already_due() {
+        // Rank 0 of three runs two rounds. Its round-0 source, rank 2, has
+        // already signalled, and no sweeper reads rank 0's socket, so the
+        // frame waits there for rank 0's own poll: the one `arrive` must
+        // send round 0, read the frame, and send round 1 before it returns.
+        let nodes = 3;
+        let dir = std::env::temp_dir().join(format!("fuzzy-net-cascade-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let peers: Vec<_> = (1..nodes)
+            .map(|rank| {
+                let dir = dir.clone();
+                std::thread::spawn(move || SocketTransport::unix(rank, nodes, &dir).unwrap())
+            })
+            .collect();
+        let own = Spy::over(SocketTransport::unix(0, nodes, &dir).unwrap(), false);
+        let b0 = NetBarrier::start(own, NetConfig::new());
+        let [b1, b2]: [Arc<NetBarrier>; 2] = peers
+            .into_iter()
+            .map(|t| NetBarrier::start(Arc::new(t.join().unwrap()), NetConfig::new()))
+            .collect::<Vec<_>>()
+            .try_into()
+            .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(b0.rounds(), 2);
+        let t2 = b2.arrive(0);
+        let before = b0.net_stats().frames_sent;
+        let t0 = b0.arrive(0);
+        assert_eq!(b0.net_stats().frames_sent - before, 2);
+        let t1 = b1.arrive(0);
+        for (b, t) in [(&b0, t0), (&b1, t1), (&b2, t2)] {
+            let outcome = b.wait_deadline(t, Deadline::after(Duration::from_secs(10)));
+            assert_eq!(outcome.map(|o| o.episode), Ok(0));
+            b.shutdown();
+        }
     }
 
     #[test]

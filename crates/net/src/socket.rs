@@ -37,14 +37,20 @@
 //! connection is dropped: framing is lost). Either way the link is then
 //! closed and later polls are silent about it.
 //!
-//! Two drivers call that one path. Threads already inside the barrier
-//! (`arrive`, `is_complete`, every probe of a stalled `wait`) poll as part
-//! of the protocol pump, so the waiter reads the frame that releases it
-//! itself. And [`Transport::start`] spawns **one** sweeper thread per
-//! endpoint — not per link — that loops the same `poll` and naps 1 ms
+//! Two drivers call that one path, each with its own sink. Threads
+//! already inside the barrier poll as part of the protocol pump — `arrive`
+//! after it has sent its signal, every probe of a pending episode before
+//! it drives — and pass a sink over their own call, so the waiter reads
+//! the frame that releases it itself and takes no lock to do so. And
+//! [`Transport::start`] spawns **one** sweeper thread per endpoint — not
+//! per link — that upgrades the started sink once per sweep (the only
+//! code that touches it), loops the same `poll` into it, and naps 1 ms
 //! (`SWEEP_NAP`) after a sweep that found nothing: it is what delivers
 //! while every local thread is outside the barrier, so a `Poison`, a
 //! peer's death or a completing signal is seen even if nobody pumps.
+//!
+//! A frame is written from a stack buffer ([`Message::encode_into`]):
+//! a send allocates nothing.
 //!
 //! Frames are delivered with the link's receive lock held, and delivery
 //! may send (the barrier's pump answers a signal with the next round's).
@@ -53,7 +59,7 @@
 
 use crate::error::NetError;
 use crate::transport::{Backoff, FrameSink, Transport};
-use crate::wire::{self, DecodeError, Message, HEADER_LEN, MAX_PAYLOAD};
+use crate::wire::{self, DecodeError, Message, HEADER_LEN, MAX_ENCODED, MAX_PAYLOAD};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -467,37 +473,39 @@ impl Rx {
 
 impl Inner {
     /// The one receive path; see [`Transport::poll`].
-    fn poll(&self) -> usize {
+    fn poll(&self, sink: &dyn FrameSink) -> usize {
         if self.shutdown.load(Ordering::Acquire) {
             return 0;
         }
-        let sink = self
-            .sink
-            .lock()
-            .expect("sink lock")
-            .as_ref()
-            .and_then(Weak::upgrade);
-        let Some(sink) = sink else { return 0 };
         let mut delivered = 0;
         for (peer, link) in self.links.iter().enumerate() {
             let Some(link) = link else { continue };
             // One pumper per link keeps its frames in order; the loser's
             // frames are being delivered for it.
             if let Ok(mut rx) = link.rx.try_lock() {
-                delivered += rx.pump(peer, &*sink, &self.shutdown);
+                delivered += rx.pump(peer, sink, &self.shutdown);
             }
         }
-        // `sink` drops here, after every receive lock: if it was the last
-        // handle, the barrier — and this transport — shut down on this
-        // thread.
         delivered
     }
 }
 
-/// The endpoint's background driver of `poll`, for when no caller is.
+/// The endpoint's background driver of `poll`, for when no caller is: one
+/// upgrade of the started sink per sweep.
 fn sweeper_loop(inner: &Inner) {
     while !inner.shutdown.load(Ordering::Acquire) {
-        if inner.poll() == 0 {
+        let sink = inner
+            .sink
+            .lock()
+            .expect("sink lock")
+            .as_ref()
+            .and_then(Weak::upgrade);
+        let delivered = sink.as_deref().map_or(0, |sink| inner.poll(sink));
+        // `sink` drops here, after every receive lock: if it was the last
+        // handle, the barrier — and this transport — shut down on this
+        // thread.
+        drop(sink);
+        if delivered == 0 {
             std::thread::sleep(SWEEP_NAP);
         }
     }
@@ -523,11 +531,12 @@ impl Transport for SocketTransport {
             .get(to)
             .and_then(Option::as_ref)
             .ok_or(NetError::PeerDown { peer: to })?;
-        let frame = msg.encode();
+        let mut frame = [0; MAX_ENCODED];
+        let len = msg.encode_into(&mut frame);
         // Held across the whole frame: a partial write must be finished by
         // the sender that started it.
         let mut writer = link.writer.lock().expect("writer lock");
-        let mut rest = &frame[..];
+        let mut rest = &frame[..len];
         while !rest.is_empty() {
             match writer.write(rest) {
                 Ok(0) => return Err(NetError::io(to, io::ErrorKind::WriteZero.into())),
@@ -566,18 +575,20 @@ impl Transport for SocketTransport {
         }
     }
 
-    fn poll(&self) -> usize {
-        self.inner.poll()
+    fn poll(&self, sink: &dyn FrameSink) -> usize {
+        self.inner.poll(sink)
     }
 
     fn shutdown(&self) {
         if self.inner.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
+        let mut bye = [0; MAX_ENCODED];
+        let len = Message::Bye.encode_into(&mut bye);
         for link in self.inner.links.iter().flatten() {
             // A sender stalled on back-pressure sees the flag and lets go.
             let mut writer = link.writer.lock().expect("writer lock");
-            let _ = writer.write_all(&Message::Bye.encode());
+            let _ = writer.write_all(&bye[..len]);
             writer.shutdown_both();
         }
         let sweeper = self.inner.sweeper.lock().expect("sweeper lock").take();

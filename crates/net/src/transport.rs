@@ -2,29 +2,32 @@
 //!
 //! A [`Transport`] is one endpoint of a fully connected mesh of `nodes`
 //! endpoints, addressed by dense ranks `0..nodes`. It moves [`Message`]s;
-//! it knows nothing about barriers. The barrier layer hands it a
-//! [`FrameSink`] at [`Transport::start`]; every inbound frame (and every
-//! link state change) is pushed into that sink, by one of two drivers of
+//! it knows nothing about barriers. Every inbound frame (and every link
+//! state change) is pushed into a [`FrameSink`], by one of two drivers of
 //! the same receive path:
 //!
 //! * **the caller**: [`Transport::poll`] delivers, on the calling thread
-//!   and without blocking, whatever has already arrived. The barrier polls
-//!   wherever it already pumps its protocol (`arrive`, `is_complete`, each
-//!   probe of a stalled `wait`), so a waiter reads its own socket and the
-//!   frame that releases it costs no thread hand-off. Waiters still stall
-//!   on their own spin/yield machinery (`SyncOps::wait_until_budget`),
-//!   never inside a read on one connection.
-//! * **the transport**: after `start` an attached sink receives frames
-//!   even if nobody polls — that is what notices a `Poison` or a dead peer
-//!   while every local participant is deep in its barrier region. Socket
-//!   transports keep one background sweeper per endpoint that loops the
-//!   same `poll`; loopback delivers on the sender's thread at `send` time
-//!   and has nothing left to poll.
+//!   and without blocking, whatever has already arrived, into the sink the
+//!   caller passes. The barrier polls wherever it already pumps its
+//!   protocol (after `arrive` has sent its signal, and in each probe of a
+//!   pending episode) and passes a sink over its own call, so a waiter
+//!   reads its own socket, the frame that releases it costs no thread
+//!   hand-off, and the probe takes no lock to find a sink. Waiters still
+//!   stall on their own spin/yield machinery
+//!   (`SyncOps::wait_until_budget`), never inside a read on one
+//!   connection.
+//! * **the transport**: after [`Transport::start`] the sink attached there
+//!   receives frames even if nobody polls — that is what notices a
+//!   `Poison` or a dead peer while every local participant is deep in its
+//!   barrier region. Socket transports keep one background sweeper per
+//!   endpoint that loops the same `poll`; loopback delivers on the
+//!   sender's thread at `send` time and has nothing left to poll.
 //!
-//! Transports hold the sink **weakly**: the barrier owns the transport, so
-//! a strong reference back would cycle and leak both. A delivering thread
-//! upgrades the sink for the length of one `poll`; when the upgrade fails
-//! the barrier is gone and there is nobody to deliver to.
+//! Transports hold the started sink **weakly**: the barrier owns the
+//! transport, so a strong reference back would cycle and leak both. The
+//! sweeper upgrades it once per sweep, and is the only code that does;
+//! when the upgrade fails the barrier is gone and there is nobody to
+//! deliver to.
 
 use crate::error::NetError;
 use crate::wire::{DecodeError, Message};
@@ -72,16 +75,21 @@ pub trait Transport: Send + Sync + Debug {
     /// anyone calls [`Transport::poll`].
     fn start(&self, sink: Arc<dyn FrameSink>);
 
-    /// Delivers to the sink, on the calling thread, every frame that has
+    /// Delivers to `sink`, on the calling thread, every frame that has
     /// already arrived, and returns how many. Never blocks and never waits
     /// for data; callable from any thread, concurrently. Frames of one
     /// link are delivered in order, by one thread at a time: a caller that
     /// finds a link being pumped skips it, so `0` means "nothing for
     /// *you* to do", not "nothing arrived" — re-check your predicate.
     ///
+    /// The frames go to `sink`, not to the started one: the caller owns
+    /// the endpoint the frames are for and hands in a sink over its own
+    /// call, so a poll takes no lock and no reference count.
+    ///
     /// The default is for transports that deliver at `send` time and so
     /// never hold an undelivered frame.
-    fn poll(&self) -> usize {
+    fn poll(&self, sink: &dyn FrameSink) -> usize {
+        let _ = sink;
         0
     }
 

@@ -37,6 +37,10 @@ pub const HEADER_LEN: usize = 8;
 /// the slack leaves room for format growth while keeping a corrupt length
 /// harmless.
 pub const MAX_PAYLOAD: usize = 256;
+/// The longest frame this version encodes: a header and the 12-byte
+/// `Signal` / `Nack` payload. [`Message::encode_into`] writes into a
+/// buffer of this size.
+pub const MAX_ENCODED: usize = HEADER_LEN + 12;
 
 /// A protocol message, the unit every [`crate::Transport`] sends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,33 +104,39 @@ impl Message {
     /// Encodes the message as one complete frame (header + payload).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(16);
-        match *self {
+        let mut frame = [0u8; MAX_ENCODED];
+        let len = self.encode_into(&mut frame);
+        frame[..len].to_vec()
+    }
+
+    /// Encodes the message as one complete frame into the front of `buf`
+    /// and returns the frame's length: the allocation-free encoder that
+    /// [`Message::encode`] wraps.
+    pub fn encode_into(&self, buf: &mut [u8; MAX_ENCODED]) -> usize {
+        let payload = &mut buf[HEADER_LEN..];
+        let len = match *self {
             Message::Hello { rank, nodes } => {
-                payload.extend_from_slice(&rank.to_le_bytes());
-                payload.extend_from_slice(&nodes.to_le_bytes());
+                payload[..4].copy_from_slice(&rank.to_le_bytes());
+                payload[4..8].copy_from_slice(&nodes.to_le_bytes());
+                8
             }
             Message::Signal { episode, round } | Message::Nack { episode, round } => {
-                payload.extend_from_slice(&episode.to_le_bytes());
-                payload.extend_from_slice(&round.to_le_bytes());
+                payload[..8].copy_from_slice(&episode.to_le_bytes());
+                payload[8..12].copy_from_slice(&round.to_le_bytes());
+                12
             }
             Message::Poison { episode } => {
-                payload.extend_from_slice(&episode.to_le_bytes());
+                payload[..8].copy_from_slice(&episode.to_le_bytes());
+                8
             }
-            Message::Bye => {}
-        }
-        let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-        frame.push(MAGIC);
-        frame.push(VERSION);
-        frame.push(self.kind());
-        frame.push(0); // flags, reserved
-        frame.extend_from_slice(
-            &u32::try_from(payload.len())
-                .unwrap_or(u32::MAX)
-                .to_le_bytes(),
-        );
-        frame.extend_from_slice(&payload);
-        frame
+            Message::Bye => 0,
+        };
+        buf[0] = MAGIC;
+        buf[1] = VERSION;
+        buf[2] = self.kind();
+        buf[3] = 0; // flags, reserved
+        buf[4..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+        HEADER_LEN + len
     }
 }
 
@@ -308,6 +318,52 @@ mod tests {
             let (decoded, used) = decode(&bytes).expect("roundtrip");
             assert_eq!(decoded, msg);
             assert_eq!(used, bytes.len());
+        }
+    }
+
+    #[test]
+    fn encode_into_writes_the_golden_frames() {
+        // At 0 and at the maximum every payload byte is 0x00 or 0xFF, so a
+        // golden frame is its header followed by `len` copies of `fill`.
+        for (word, wide, fill) in [(0u32, 0u64, 0x00u8), (u32::MAX, u64::MAX, 0xFF)] {
+            let cases = [
+                (
+                    Message::Hello {
+                        rank: word,
+                        nodes: word,
+                    },
+                    1,
+                    8,
+                ),
+                (
+                    Message::Signal {
+                        episode: wide,
+                        round: word,
+                    },
+                    2,
+                    12,
+                ),
+                (Message::Poison { episode: wide }, 3, 8),
+                (
+                    Message::Nack {
+                        episode: wide,
+                        round: word,
+                    },
+                    4,
+                    12,
+                ),
+                (Message::Bye, 5, 0),
+            ];
+            for (msg, kind, len) in cases {
+                let mut golden = vec![MAGIC, VERSION, kind, 0, len, 0, 0, 0];
+                golden.resize(HEADER_LEN + usize::from(len), fill);
+                // A dirty buffer: every byte of the frame must be written.
+                let mut buf = [0xAA; MAX_ENCODED];
+                let used = msg.encode_into(&mut buf);
+                assert_eq!(&buf[..used], &golden[..], "{msg:?}");
+                assert_eq!(msg.encode(), golden, "{msg:?}");
+                assert_eq!(decode(&buf[..used]), Ok((msg, used)), "{msg:?}");
+            }
         }
     }
 

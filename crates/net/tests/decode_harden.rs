@@ -319,7 +319,7 @@ fn endpoint_with_raw_peer(tag: &str) -> (SocketTransport, UnixStream, Arc<Log>) 
 fn poll_until(endpoint: &SocketTransport, log: &Log, count: usize) -> Vec<Event> {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        endpoint.poll();
+        endpoint.poll(log);
         let events = log.events();
         if events.len() >= count {
             return events;
@@ -335,9 +335,9 @@ fn poll_until(endpoint: &SocketTransport, log: &Log, count: usize) -> Vec<Event>
 
 /// Lets both drivers run long enough that anything still to be said about
 /// the link would have been.
-fn settle(endpoint: &SocketTransport) {
+fn settle(endpoint: &SocketTransport, log: &Log) {
     for _ in 0..20 {
-        endpoint.poll();
+        endpoint.poll(log);
         std::thread::sleep(Duration::from_millis(1));
     }
 }
@@ -353,16 +353,16 @@ fn a_frame_arriving_a_byte_at_a_time_is_delivered_exactly_once() {
     let (last, head) = frame.split_last().unwrap();
     for byte in head {
         peer.write_all(&[*byte]).unwrap();
-        assert_eq!(endpoint.poll(), 0, "a partial frame is not a frame");
+        assert_eq!(endpoint.poll(&*log), 0, "a partial frame is not a frame");
     }
-    settle(&endpoint);
+    settle(&endpoint, &log);
     assert_eq!(log.events(), vec![], "nothing until the last byte is in");
     peer.write_all(&[*last]).unwrap();
     assert_eq!(
         poll_until(&endpoint, &log, 1),
         vec![Event::Frame(1, signal(41))]
     );
-    settle(&endpoint);
+    settle(&endpoint, &log);
     assert_eq!(log.events().len(), 1, "and never again");
     endpoint.shutdown();
 }
@@ -381,7 +381,7 @@ fn many_frames_in_one_write_all_deliver_in_order() {
     });
     let events = poll_until(&endpoint, &log, FRAMES as usize);
     let _peer = writer.join().unwrap();
-    settle(&endpoint);
+    settle(&endpoint, &log);
     assert_eq!(log.events().len() as u64, FRAMES, "each frame exactly once");
     for (episode, event) in events.iter().enumerate() {
         assert_eq!(*event, Event::Frame(1, signal(episode as u64)));
@@ -398,7 +398,7 @@ fn a_frame_then_a_close_delivers_the_frame_before_the_death() {
         poll_until(&endpoint, &log, 2),
         vec![Event::Frame(1, signal(7)), Event::Down(1, false)]
     );
-    settle(&endpoint);
+    settle(&endpoint, &log);
     assert_eq!(log.events().len(), 2, "a link dies once");
     endpoint.shutdown();
 }
@@ -412,7 +412,7 @@ fn a_bye_is_one_graceful_link_down_and_then_silence() {
     peer.write_all(&bytes).unwrap();
     assert_eq!(poll_until(&endpoint, &log, 1), vec![Event::Down(1, true)]);
     drop(peer);
-    settle(&endpoint);
+    settle(&endpoint, &log);
     assert_eq!(log.events(), vec![Event::Down(1, true)]);
     endpoint.shutdown();
 }
@@ -437,7 +437,44 @@ fn lost_framing_is_reported_and_drops_the_connection() {
     peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let mut byte = [0u8; 1];
     assert_eq!(std::io::Read::read(&mut peer, &mut byte).unwrap(), 0);
-    settle(&endpoint);
+    settle(&endpoint, &log);
     assert_eq!(log.events().len(), 3);
+    endpoint.shutdown();
+}
+
+#[test]
+fn poll_delivers_into_the_sink_it_is_handed() {
+    let (endpoint, mut peer, started) = endpoint_with_raw_peer("reasm-sink");
+    let handed = Log::default();
+    // The sweeper delivers into the started sink; whatever a poll reports
+    // having delivered is in the handed one.
+    let mut polled = 0;
+    for episode in 0..20 {
+        peer.write_all(&signal(episode).encode()).unwrap();
+        let frame = Event::Frame(1, signal(episode));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            polled += endpoint.poll(&handed);
+            let (in_handed, in_started) = (
+                handed.events().contains(&frame),
+                started.events().contains(&frame),
+            );
+            if in_handed || in_started {
+                assert!(!(in_handed && in_started), "{frame:?} delivered twice");
+                break;
+            }
+            assert!(Instant::now() < deadline, "{frame:?} never delivered");
+            std::thread::yield_now();
+        }
+        assert_eq!(handed.events().len(), polled);
+    }
+    assert!(polled > 0, "the sweeper won every frame");
+    assert_eq!(started.events().len() + polled, 20);
+    // With the started sink gone the sweeper has nowhere to deliver; a
+    // poll still does.
+    drop(started);
+    peer.write_all(&signal(20).encode()).unwrap();
+    let events = poll_until(&endpoint, &handed, polled + 1);
+    assert_eq!(events.last(), Some(&Event::Frame(1, signal(20))));
     endpoint.shutdown();
 }

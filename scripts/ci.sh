@@ -252,9 +252,10 @@ chaos_smoke() {
 # NetBarrier survive the same schedules; in release, a task that panics
 # must neither wedge nor shrink the executor's pool, a foreign wake must
 # reach a sleeping worker, and a dropped pool must cancel its parked
-# tasks and be freed; and the multi-process harness tests (a real UDS
-# worker mesh, and killing one worker mid-episode poisons, not hangs,
-# the survivors) must pass.
+# tasks and be freed; a NetBarrier arrive must put its signal on the wire
+# before it polls, and still send every round that poll makes due; and
+# the multi-process harness tests (a real UDS worker mesh, and killing
+# one worker mid-episode poisons, not hangs, the survivors) must pass.
 ledger_smoke() {
     cargo test -q --offline --manifest-path benchmark/Cargo.toml || return 1
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
@@ -267,6 +268,8 @@ ledger_smoke() {
         unlocked_park completer_skips_drain net_skip_round real_net_barrier &&
         filtered_tests "--release -p fuzzy-sched" panicking \
             foreign_wake dropping_the_pool a_dropped_pool &&
+        filtered_tests "--release -p fuzzy-net" arrive_signals_before_it_listens \
+            arrive_sends_every_round_already_due &&
         cargo test -q -p fuzzy-sched --test multiproc
 }
 
