@@ -23,7 +23,7 @@
 //! and a recovery-latency histogram (event injection to the next epoch
 //! turnover) exported in the standard `stall_hist` JSON format.
 
-use fuzzy_bench::{banner, histogram_json, StatsExport, Table};
+use fuzzy_bench::{banner, StatsExport, Table};
 use fuzzy_sched::{run_chaos, BarrierChoice, ChaosConfig, ChaosMode, ChaosReport};
 use fuzzy_util::Json;
 
@@ -124,7 +124,7 @@ fn run_json(name: &str, report: &ChaosReport) -> Json {
         .field("agreement", report.agreement)
         .field("spurious_hits", report.spurious_hits)
         .field("elapsed_ms", report.elapsed.as_millis() as u64)
-        .field("recovery", histogram_json(&report.recovery.buckets, "ns"))
+        .field("recovery", report.recovery.to_json("ns"))
 }
 
 fn main() {

@@ -24,7 +24,7 @@
 use fuzzy_barrier::{
     CentralBarrier, CountingBarrier, DisseminationBarrier, SplitBarrier, StallPolicy, TreeBarrier,
 };
-use fuzzy_bench::{banner, sim_stats_json, speedup, telemetry_json, StatsExport, Table};
+use fuzzy_bench::{banner, speedup, StatsExport, Table};
 use fuzzy_sim::builder::MachineBuilder;
 use fuzzy_sim::isa::{Cond, Instr};
 use fuzzy_sim::program::{Program, Stream, StreamBuilder};
@@ -317,14 +317,14 @@ fn main() {
                         Json::obj()
                             .field("region_pct", *pct)
                             .field("total_stall_cycles", hw.total_stall_cycles())
-                            .field("machine", sim_stats_json(hw))
+                            .field("machine", hw.to_json())
                     })
                     .collect(),
             ),
         );
         let mut backends = Json::obj();
         for (name, telemetry) in backend_telemetry(200) {
-            backends = backends.field(name, telemetry_json(&telemetry));
+            backends = backends.field(name, telemetry.to_json());
         }
         export.section("backends", backends);
     }

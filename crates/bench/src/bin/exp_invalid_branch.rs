@@ -111,13 +111,13 @@ fn main() {
             "invalid_run",
             Json::obj()
                 .field("deadlocked", true)
-                .field("machine", fuzzy_bench::sim_stats_json(&deadlock_stats)),
+                .field("machine", deadlock_stats.to_json()),
         );
         export.section(
             "tagged_run",
             Json::obj()
                 .field("deadlocked", false)
-                .field("machine", fuzzy_bench::sim_stats_json(&m.stats())),
+                .field("machine", m.stats().to_json()),
         );
     }
     export.finish();

@@ -14,7 +14,7 @@
 //!    independently.
 
 use fuzzy_barrier::{GroupRegistry, ProcMask};
-use fuzzy_bench::{banner, telemetry_json, StatsExport, Table};
+use fuzzy_bench::{banner, StatsExport, Table};
 use fuzzy_sim::assembler::assemble_program;
 use fuzzy_sim::builder::MachineBuilder;
 use fuzzy_util::Json;
@@ -216,12 +216,12 @@ fn main() {
         let (total, per_barrier) = registry.aggregate_telemetry();
         let mut per = Json::obj();
         for (tag, telemetry) in &per_barrier {
-            per = per.field(&tag.to_string(), telemetry_json(telemetry));
+            per = per.field(&tag.to_string(), telemetry.to_json());
         }
         export.section(
             "registry",
             Json::obj()
-                .field("total", telemetry_json(&total))
+                .field("total", total.to_json())
                 .field("per_barrier", per),
         );
     }

@@ -1,12 +1,12 @@
 //! `validate_stats` — checks a `--stats-json` export against its schema.
 //!
 //! ```text
-//! validate_stats <file.json>
-//!                [--schema encore|fault_recovery|fuzz_campaign|chaos_churn]
+//! validate_stats <file.json> [--schema <name>]
 //! ```
 //!
 //! Parses the file with the in-tree JSON parser and validates key names
-//! and value types against the expected export shape. Exit codes:
+//! and value types against the expected export shape (`encore` by
+//! default; the usage line lists every schema name). Exit codes:
 //! 0 = conforms, 1 = schema violations or unreadable/unparsable input,
 //! 2 = usage error.
 
@@ -15,22 +15,34 @@ use fuzzy_bench::schema::{
 };
 use fuzzy_util::Json;
 
+/// A schema's `--schema` name and its shape.
+type Schema = (&'static str, fn() -> Shape);
+
+/// Every schema `--schema` can name.
+const SCHEMAS: [Schema; 4] = [
+    ("encore", encore_shape),
+    ("fault_recovery", fault_recovery_shape),
+    ("fuzz_campaign", fuzz_campaign_shape),
+    ("chaos_churn", chaos_churn_shape),
+];
+
+fn schema_names(separator: &str) -> String {
+    SCHEMAS.map(|(name, _)| name).join(separator)
+}
+
 fn usage() -> ! {
     eprintln!(
-        "usage: validate_stats <file.json> \
-         [--schema encore|fault_recovery|fuzz_campaign|chaos_churn]"
+        "usage: validate_stats <file.json> [--schema {}]",
+        schema_names("|")
     );
     std::process::exit(2);
 }
 
 fn shape_for(name: &str) -> Option<Shape> {
-    match name {
-        "encore" => Some(encore_shape()),
-        "fault_recovery" => Some(fault_recovery_shape()),
-        "fuzz_campaign" => Some(fuzz_campaign_shape()),
-        "chaos_churn" => Some(chaos_churn_shape()),
-        _ => None,
-    }
+    SCHEMAS
+        .iter()
+        .find(|(known, _)| *known == name)
+        .map(|(_, shape)| shape())
 }
 
 fn main() {
@@ -55,8 +67,8 @@ fn main() {
     let Some(path) = file else { usage() };
     let Some(shape) = shape_for(&schema_name) else {
         eprintln!(
-            "validate_stats: unknown schema {schema_name:?} \
-             (have: encore, fault_recovery, fuzz_campaign, chaos_churn)"
+            "validate_stats: unknown schema {schema_name:?} (have: {})",
+            schema_names(", ")
         );
         usage();
     };

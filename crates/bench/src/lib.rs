@@ -10,8 +10,6 @@
 
 pub mod schema;
 
-use fuzzy_barrier::{HistogramSnapshot, StallHistogram, TelemetrySnapshot};
-use fuzzy_sim::MachineStats;
 use fuzzy_util::Json;
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
@@ -109,83 +107,6 @@ impl Table {
                 .collect(),
         )
     }
-}
-
-/// Converts a 64-bucket power-of-two histogram into JSON: only non-empty
-/// buckets are listed, each with its inclusive `[lo, hi]` value range in
-/// `unit` (`"ns"` for the thread library, `"cycles"` for the simulator).
-#[must_use]
-pub fn histogram_json(buckets: &[u64], unit: &str) -> Json {
-    let entries: Vec<Json> = buckets
-        .iter()
-        .enumerate()
-        .filter(|(_, &count)| count > 0)
-        .map(|(i, &count)| {
-            let (lo, hi) = StallHistogram::bucket_bounds(i);
-            Json::obj()
-                .field("bucket", i)
-                .field("lo", lo)
-                .field("hi", hi)
-                .field("count", count)
-        })
-        .collect();
-    Json::obj()
-        .field("unit", unit)
-        .field("total", buckets.iter().sum::<u64>())
-        .field("buckets", Json::Arr(entries))
-}
-
-/// Converts a barrier [`TelemetrySnapshot`] (thread library, nanoseconds)
-/// into the JSON schema documented in README.md's Telemetry section.
-#[must_use]
-pub fn telemetry_json(t: &TelemetrySnapshot) -> Json {
-    let hist: &HistogramSnapshot = &t.stall_hist;
-    Json::obj()
-        .field("episodes", t.base.episodes)
-        .field("arrivals", t.base.arrivals)
-        .field("waits", t.base.waits)
-        .field("stalls", t.base.stalls)
-        .field("deschedules", t.base.deschedules)
-        .field("probes", t.base.probes)
-        .field("timeouts", t.base.timeouts)
-        .field("evictions", t.base.evictions)
-        .field("poisonings", t.base.poisonings)
-        .field("stall_ns", t.base.stall_time.as_nanos() as u64)
-        .field("stall_hist", histogram_json(&hist.buckets, "ns"))
-        .field(
-            "spread",
-            Json::obj()
-                .field("episodes", t.spread.episodes)
-                .field("total_ns", t.spread.total.as_nanos() as u64)
-                .field("max_ns", t.spread.max.as_nanos() as u64)
-                .field("last_ns", t.spread.last.as_nanos() as u64)
-                .field("mean_ns", t.spread.mean().as_nanos() as u64),
-        )
-        .field(
-            "per_participant",
-            Json::Arr(
-                t.per_participant
-                    .iter()
-                    .map(|p| {
-                        Json::obj()
-                            .field("arrivals", p.arrivals)
-                            .field("waits", p.waits)
-                            .field("stalls", p.stalls)
-                            .field("stall_ns", p.stall_time.as_nanos() as u64)
-                            .field("probes", p.probes)
-                    })
-                    .collect(),
-            ),
-        )
-}
-
-/// Converts simulator [`MachineStats`] (cycle domain) into the same JSON
-/// shape, with `"cycles"` as the histogram unit. Delegates to
-/// [`MachineStats::to_json`] so `fsim` (which cannot depend on this
-/// crate) and the `exp_*` binaries share one schema.
-#[must_use]
-pub fn sim_stats_json(s: &MachineStats) -> Json {
-    s.to_json()
 }
 
 /// Extracts the `--stats-json <path>` (or `--stats-json=<path>`) argument
@@ -395,43 +316,6 @@ mod tests {
         let row = &j.as_arr().unwrap()[0];
         assert_eq!(row.get("name"), Some(&Json::Str("alpha".into())));
         assert_eq!(row.get("value").and_then(Json::as_f64), Some(1.5));
-    }
-
-    #[test]
-    fn histogram_json_lists_only_nonempty_buckets() {
-        let mut buckets = [0u64; 64];
-        buckets[0] = 2;
-        buckets[5] = 1;
-        let j = histogram_json(&buckets, "cycles");
-        assert_eq!(j.get("unit"), Some(&Json::Str("cycles".into())));
-        assert_eq!(j.get("total").and_then(Json::as_f64), Some(3.0));
-        let entries = j.get("buckets").unwrap().as_arr().unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[1].get("lo").and_then(Json::as_f64), Some(32.0));
-        assert_eq!(entries[1].get("hi").and_then(Json::as_f64), Some(63.0));
-    }
-
-    #[test]
-    fn telemetry_json_has_schema_fields() {
-        use fuzzy_barrier::{CentralBarrier, SplitBarrier};
-        let b = CentralBarrier::new(2);
-        std::thread::scope(|s| {
-            for id in 0..2 {
-                let b = &b;
-                s.spawn(move || {
-                    for _ in 0..3 {
-                        let t = b.arrive(id);
-                        b.wait(t);
-                    }
-                });
-            }
-        });
-        let j = telemetry_json(&b.telemetry());
-        assert_eq!(j.get("episodes").and_then(Json::as_f64), Some(3.0));
-        assert_eq!(j.get("arrivals").and_then(Json::as_f64), Some(6.0));
-        assert!(j.get("stall_hist").is_some());
-        assert!(j.get("spread").unwrap().get("mean_ns").is_some());
-        assert_eq!(j.get("per_participant").unwrap().as_arr().unwrap().len(), 2);
     }
 
     #[test]

@@ -2,12 +2,17 @@
 //!
 //! A [`Shape`] describes the key set and value types a telemetry file must
 //! have; [`validate`] walks a parsed [`Json`] tree against it and collects
-//! every mismatch with a JSON-pointer-style path. `tests/encore_exact.rs`
-//! uses [`encore_shape`] to pin the `exp_encore` export format, so a field
-//! rename or type drift fails the build instead of silently breaking
-//! downstream plotting scripts.
+//! every mismatch with a JSON-pointer-style path. The telemetry blocks'
+//! shapes are built from the key lists their writers export with (a
+//! `counter_set!`'s `KEYS`, the histogram's and the spread's), so only the
+//! document-level shapes are written out here. What pins the format is
+//! the checked-in `BENCH_encore.json`: it must validate against
+//! [`encore_shape`], so a key rename or type drift fails the build instead
+//! of silently breaking downstream plotting scripts.
 
-use fuzzy_util::Json;
+use fuzzy_barrier::{ParticipantSnapshot, SpreadSnapshot, StatsSnapshot, TelemetrySnapshot};
+use fuzzy_sim::{MachineStats, ProcStats, SyncTelemetry};
+use fuzzy_util::{Histogram, Json};
 
 /// A structural type for one JSON value.
 #[derive(Debug, Clone)]
@@ -108,73 +113,50 @@ fn walk(value: &Json, shape: &Shape, path: &str, errors: &mut Vec<String>) {
     }
 }
 
-/// One bucket row of a stall histogram export.
-fn hist_bucket() -> Shape {
-    obj([
-        ("bucket", Shape::Num),
-        ("lo", Shape::Num),
-        ("hi", Shape::Num),
-        ("count", Shape::Num),
-    ])
+/// An object of numbers, one per key: the shape of a counter set's
+/// `to_json` and of the other all-number blocks.
+fn numbers(keys: &[&'static str]) -> Vec<(&'static str, Shape)> {
+    keys.iter().map(|&key| (key, Shape::Num)).collect()
 }
 
-/// A `stall_hist` section: unit label, total count, bucket rows. Buckets
-/// may be empty (a run can finish without a single recorded stall).
+/// A histogram export ([`Histogram::to_json`]). Buckets may be empty (a
+/// run can finish without a single recorded stall).
 fn stall_hist() -> Shape {
+    let [unit, total, buckets] = Histogram::KEYS;
     obj([
-        ("unit", Shape::Str),
-        ("total", Shape::Num),
+        (unit, Shape::Str),
+        (total, Shape::Num),
         (
-            "buckets",
+            buckets,
             Shape::Arr {
-                elem: Box::new(hist_bucket()),
+                elem: Box::new(Shape::Obj(numbers(&Histogram::BUCKET_KEYS))),
                 min_len: 0,
             },
         ),
     ])
 }
 
-/// An interarrival-spread section with the given field names (the
-/// software path reports nanoseconds, the simulated machine cycles).
-fn spread(count_key: &'static str, keys: [&'static str; 4]) -> Shape {
-    let [total, max, last, mean] = keys;
-    obj([
-        (count_key, Shape::Num),
-        (total, Shape::Num),
-        (max, Shape::Num),
-        (last, Shape::Num),
-        (mean, Shape::Num),
-    ])
+/// Per-backend telemetry block ([`TelemetrySnapshot::to_json`]).
+fn backend_telemetry() -> Shape {
+    let [hist, spread, rows] = TelemetrySnapshot::KEYS;
+    let mut fields = numbers(StatsSnapshot::KEYS);
+    fields.extend([
+        (hist, stall_hist()),
+        (spread, Shape::Obj(numbers(&SpreadSnapshot::KEYS))),
+        (rows, arr_of(Shape::Obj(numbers(ParticipantSnapshot::KEYS)))),
+    ]);
+    Shape::Obj(fields)
 }
 
-/// Per-backend telemetry block as exported by `telemetry_json`.
-fn backend_telemetry() -> Shape {
+/// A simulated machine's block ([`MachineStats::to_json`]).
+fn machine() -> Shape {
+    let [cycles, sync_events, hist, spread, procs] = MachineStats::KEYS;
     obj([
-        ("episodes", Shape::Num),
-        ("arrivals", Shape::Num),
-        ("waits", Shape::Num),
-        ("stalls", Shape::Num),
-        ("deschedules", Shape::Num),
-        ("probes", Shape::Num),
-        ("timeouts", Shape::Num),
-        ("evictions", Shape::Num),
-        ("poisonings", Shape::Num),
-        ("stall_ns", Shape::Num),
-        ("stall_hist", stall_hist()),
-        (
-            "spread",
-            spread("episodes", ["total_ns", "max_ns", "last_ns", "mean_ns"]),
-        ),
-        (
-            "per_participant",
-            arr_of(obj([
-                ("arrivals", Shape::Num),
-                ("waits", Shape::Num),
-                ("stalls", Shape::Num),
-                ("stall_ns", Shape::Num),
-                ("probes", Shape::Num),
-            ])),
-        ),
+        (cycles, Shape::Num),
+        (sync_events, Shape::Num),
+        (hist, stall_hist()),
+        (spread, Shape::Obj(numbers(&SyncTelemetry::SPREAD_KEYS))),
+        (procs, arr_of(Shape::Obj(numbers(ProcStats::KEYS)))),
     ])
 }
 
@@ -188,33 +170,10 @@ pub fn encore_shape() -> Shape {
         ("ctx switches", Shape::Num),
         ("sync cost/barrier (cycles)", Shape::Num),
     ]);
-    let machine = obj([
-        ("cycles", Shape::Num),
-        ("sync_events", Shape::Num),
-        ("stall_hist", stall_hist()),
-        (
-            "spread",
-            spread(
-                "events",
-                ["total_cycles", "max_cycles", "last_cycles", "mean_cycles"],
-            ),
-        ),
-        (
-            "procs",
-            arr_of(obj([
-                ("instructions", Shape::Num),
-                ("stall_cycles", Shape::Num),
-                ("stall_events", Shape::Num),
-                ("busy_cycles", Shape::Num),
-                ("barrier_entries", Shape::Num),
-                ("syncs", Shape::Num),
-            ])),
-        ),
-    ]);
     let hw_row = obj([
         ("region_pct", Shape::Num),
         ("total_stall_cycles", Shape::Num),
-        ("machine", machine),
+        ("machine", machine()),
     ]);
     obj([
         ("experiment", Shape::Str),
@@ -403,9 +362,9 @@ mod tests {
 
     #[test]
     fn checked_in_encore_export_conforms() {
-        // The committed reference export must always match the schema; if
-        // an exporter change shifts the format, regenerate the file and
-        // update `encore_shape` together.
+        // The committed reference export must always match the schema: a
+        // renamed key in a writer's declaration fails here until the file
+        // is regenerated on purpose.
         let text = std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../BENCH_encore.json"

@@ -116,8 +116,8 @@ pub use reconfig::{
 pub use registry::GroupRegistry;
 pub use spin::StallPolicy;
 pub use stats::{
-    AsyncSnapshot, HistogramSnapshot, NetSnapshot, NetStats, ParticipantSnapshot, PeerLinkSnapshot,
-    SpreadSnapshot, StallHistogram, StatsSnapshot, TelemetrySnapshot,
+    AsyncSnapshot, HistogramSnapshot, ParticipantSnapshot, SpreadSnapshot, StallHistogram,
+    StatsSnapshot, TelemetrySnapshot,
 };
 pub use sync::{Atomic, Lock, RealSync, SyncOps};
 pub use tag::Tag;

@@ -40,12 +40,13 @@
 
 use crate::spin::SpinReport;
 use crate::token::WaitOutcome;
-use fuzzy_util::CachePadded;
+use fuzzy_util::{counter_set, CachePadded, Json, HISTOGRAM_BUCKETS, SHARED_SECTION_KEYS};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Number of histogram buckets: one per power of two of a `u64` value.
-pub const HISTOGRAM_BUCKETS: usize = 64;
+/// A point-in-time copy of a [`StallHistogram`]: the power-of-two
+/// histogram the simulator's stall cycles are reported in too.
+pub use fuzzy_util::Histogram as HistogramSnapshot;
 
 /// Arrival spread is measured on every `SPREAD_SAMPLE_PERIOD`-th episode —
 /// the last of each period: episodes 63, 127, … One in 64 keeps the clock
@@ -98,12 +99,9 @@ pub(crate) fn add(counter: &AtomicU64, n: u64, sole_writer: bool) {
     }
 }
 
-/// A lock-free fixed-bucket histogram over power-of-two ranges.
-///
-/// Bucket `i` counts recorded values `v` with `floor(log2(v)) == i`
-/// (bucket 0 also counts `v == 0`). For barrier stalls the recorded value
-/// is nanoseconds, so bucket 10 ≈ 1–2 µs, bucket 20 ≈ 1–2 ms, and so on;
-/// `u64::MAX` saturates into the last bucket.
+/// A lock-free recorder of a [`HistogramSnapshot`]: the same
+/// power-of-two buckets, one atomic counter each. For barrier stalls the
+/// recorded value is nanoseconds.
 #[derive(Debug)]
 pub struct StallHistogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -124,35 +122,8 @@ impl StallHistogram {
         Self::default()
     }
 
-    /// The bucket index a value lands in: `floor(log2(v))`, with 0 for 0.
-    #[must_use]
-    pub fn bucket_index(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            (63 - value.leading_zeros()) as usize
-        }
-    }
-
-    /// Inclusive lower and upper bound of bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= HISTOGRAM_BUCKETS`.
-    #[must_use]
-    pub fn bucket_bounds(i: usize) -> (u64, u64) {
-        assert!(i < HISTOGRAM_BUCKETS);
-        let lo = if i == 0 { 0 } else { 1u64 << i };
-        let hi = if i == 63 {
-            u64::MAX
-        } else {
-            (1u64 << (i + 1)) - 1
-        };
-        (lo, hi)
-    }
-
     fn bucket(&self, value: u64) -> &AtomicU64 {
-        &self.buckets[Self::bucket_index(value)]
+        &self.buckets[HistogramSnapshot::bucket_index(value)]
     }
 
     /// Records one observation of `value`. Safe from any number of threads.
@@ -165,69 +136,6 @@ impl StallHistogram {
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// A point-in-time copy of a [`StallHistogram`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Count per power-of-two bucket; see [`StallHistogram::bucket_bounds`].
-    pub buckets: [u64; HISTOGRAM_BUCKETS],
-}
-
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        HistogramSnapshot {
-            buckets: [0; HISTOGRAM_BUCKETS],
-        }
-    }
-}
-
-impl HistogramSnapshot {
-    /// Total number of recorded observations.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// True if nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.total() == 0
-    }
-
-    /// Index of the highest non-empty bucket, or `None` when empty.
-    #[must_use]
-    pub fn max_bucket(&self) -> Option<usize> {
-        self.buckets.iter().rposition(|&c| c > 0)
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile
-    /// (`0.0 <= q <= 1.0`) of the recorded values, or `None` when empty.
-    /// A coarse estimate — resolution is one power of two.
-    #[must_use]
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
-        let total = self.total();
-        if total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(StallHistogram::bucket_bounds(i).1);
-            }
-        }
-        Some(u64::MAX)
-    }
-
-    /// Adds another snapshot's counts into this one (for aggregation
-    /// across barriers or participants).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a = a.saturating_add(*b);
         }
     }
 }
@@ -559,29 +467,30 @@ impl BarrierStats {
     }
 }
 
-/// A point-in-time copy of a barrier's flat counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Completed barrier episodes.
-    pub episodes: u64,
-    /// Total arrivals across all participants and episodes.
-    pub arrivals: u64,
-    /// Total waits (should equal arrivals when the protocol is followed).
-    pub waits: u64,
-    /// Waits that found synchronization incomplete and had to stall.
-    pub stalls: u64,
-    /// Stalls that escalated to a yield or park (context switch analogue).
-    pub deschedules: u64,
-    /// Total wall-clock time spent stalled, summed over participants.
-    pub stall_time: Duration,
-    /// Total wait probes performed while stalled.
-    pub probes: u64,
-    /// Bounded waits that expired at their deadline.
-    pub timeouts: u64,
-    /// Participants evicted from the barrier (mask shrinks due to failure).
-    pub evictions: u64,
-    /// Poisoning transitions (unpoisoned barrier marked poisoned).
-    pub poisonings: u64,
+counter_set! {
+    /// A point-in-time copy of a barrier's flat counters.
+    pub struct StatsSnapshot {
+        /// Completed barrier episodes.
+        episodes: u64 => "episodes",
+        /// Total arrivals across all participants and episodes.
+        arrivals: u64 => "arrivals",
+        /// Total waits (should equal arrivals when the protocol is followed).
+        waits: u64 => "waits",
+        /// Waits that found synchronization incomplete and had to stall.
+        stalls: u64 => "stalls",
+        /// Stalls that escalated to a yield or park (context switch analogue).
+        deschedules: u64 => "deschedules",
+        /// Total wait probes performed while stalled.
+        probes: u64 => "probes",
+        /// Bounded waits that expired at their deadline.
+        timeouts: u64 => "timeouts",
+        /// Participants evicted from the barrier (mask shrinks due to failure).
+        evictions: u64 => "evictions",
+        /// Poisoning transitions (unpoisoned barrier marked poisoned).
+        poisonings: u64 => "poisonings",
+        /// Total wall-clock time spent stalled, summed over participants.
+        stall_time: Duration => "stall_ns",
+    }
 }
 
 impl StatsSnapshot {
@@ -602,21 +511,6 @@ impl StatsSnapshot {
     pub fn mean_stall_per_wait(&self) -> Duration {
         mean_duration(self.stall_time, self.waits)
     }
-
-    /// Adds another snapshot's counts into this one (for aggregation
-    /// across barriers or participants).
-    pub fn merge(&mut self, other: &StatsSnapshot) {
-        self.episodes = self.episodes.saturating_add(other.episodes);
-        self.arrivals = self.arrivals.saturating_add(other.arrivals);
-        self.waits = self.waits.saturating_add(other.waits);
-        self.stalls = self.stalls.saturating_add(other.stalls);
-        self.deschedules = self.deschedules.saturating_add(other.deschedules);
-        self.stall_time = self.stall_time.saturating_add(other.stall_time);
-        self.probes = self.probes.saturating_add(other.probes);
-        self.timeouts = self.timeouts.saturating_add(other.timeouts);
-        self.evictions = self.evictions.saturating_add(other.evictions);
-        self.poisonings = self.poisonings.saturating_add(other.poisonings);
-    }
 }
 
 /// Arrival-spread summary: per-episode gap between first and last arrival,
@@ -634,199 +528,70 @@ pub struct SpreadSnapshot {
 }
 
 impl SpreadSnapshot {
+    /// The keys of [`Self::to_json`]: `episodes`, `total`, `max`, `last`
+    /// and the derived mean, the durations in nanoseconds.
+    pub const KEYS: [&'static str; 5] = ["episodes", "total_ns", "max_ns", "last_ns", "mean_ns"];
+
     /// Mean spread per measured episode.
     #[must_use]
     pub fn mean(&self) -> Duration {
         mean_duration(self.total, self.episodes)
     }
-}
 
-/// One participant's view of the counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParticipantSnapshot {
-    /// Arrivals performed by this participant.
-    pub arrivals: u64,
-    /// Waits performed by this participant.
-    pub waits: u64,
-    /// Waits that stalled.
-    pub stalls: u64,
-    /// Total time this participant spent stalled.
-    pub stall_time: Duration,
-    /// Probes performed while stalled.
-    pub probes: u64,
-}
-
-/// Counters of the async (poll-based) barrier frontend.
-///
-/// Tracked separately from the barrier's own statistics on purpose: the
-/// flat [`StatsSnapshot`] feeds schema-pinned experiment exports, so
-/// async-only counters have a shape of their own rather than widening a
-/// frozen one.
-/// The parking-protocol counts come from
-/// [`crate::AsyncBarrier::async_stats`], which folds them at snapshot time
-/// (there is no shared counter block to bump on the poll path); `steals`
-/// is `fuzzy-sched`'s executor's.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AsyncSnapshot {
-    /// Waiters that registered a waker (first pending poll).
-    pub parked: u64,
-    /// Previously parked waiters that completed their episode.
-    pub resumed: u64,
-    /// Drain sweeps over the parked-waiter registry.
-    pub drains: u64,
-    /// Wakers invoked by drains.
-    pub wakes: u64,
-    /// Barrier-future polls.
-    pub polls: u64,
-    /// Tasks stolen from another worker's run queue.
-    pub steals: u64,
-}
-
-impl AsyncSnapshot {
-    /// Adds another snapshot's counts into this one (for aggregation
-    /// across barriers or executors).
-    pub fn merge(&mut self, other: &AsyncSnapshot) {
-        self.parked = self.parked.saturating_add(other.parked);
-        self.resumed = self.resumed.saturating_add(other.resumed);
-        self.drains = self.drains.saturating_add(other.drains);
-        self.wakes = self.wakes.saturating_add(other.wakes);
-        self.polls = self.polls.saturating_add(other.polls);
-        self.steals = self.steals.saturating_add(other.steals);
-    }
-}
-
-/// Per-peer link counters for a message-passing barrier (the `fuzzy-net`
-/// crate).
-///
-/// Like [`AsyncSnapshot`], this lives beside the barrier's statistics
-/// rather than inside them: the flat [`StatsSnapshot`] feeds schema-pinned
-/// experiment exports, so transport-only counters get their own block. One instance
-/// covers one mesh endpoint; the `per-peer` rows are indexed by mesh rank
-/// (the local rank's row stays zero).
-#[derive(Debug)]
-pub struct NetStats {
-    retries: AtomicU64,
-    decode_errors: AtomicU64,
-    poison_frames: AtomicU64,
-    nacks: AtomicU64,
-    per_peer: Vec<LinkCounters>,
-}
-
-#[derive(Debug, Default)]
-struct LinkCounters {
-    sent: AtomicU64,
-    received: AtomicU64,
-    retries: AtomicU64,
-}
-
-impl NetStats {
-    /// Creates a zeroed counter block for a mesh of `nodes` endpoints.
+    /// JSON form, keyed by [`Self::KEYS`].
     #[must_use]
-    pub fn new(nodes: usize) -> Self {
-        NetStats {
-            retries: AtomicU64::new(0),
-            decode_errors: AtomicU64::new(0),
-            poison_frames: AtomicU64::new(0),
-            nacks: AtomicU64::new(0),
-            per_peer: (0..nodes).map(|_| LinkCounters::default()).collect(),
-        }
-    }
-
-    /// Records one frame sent to `peer`. Out-of-range ranks are counted in
-    /// the aggregate only (snapshot totals still add up).
-    pub fn record_send(&self, peer: usize) {
-        if let Some(link) = self.per_peer.get(peer) {
-            link.sent.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one frame received from `peer`.
-    pub fn record_recv(&self, peer: usize) {
-        if let Some(link) = self.per_peer.get(peer) {
-            link.received.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one retransmission (send retry or nack-triggered resend)
-    /// toward `peer`.
-    pub fn record_retry(&self, peer: usize) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-        if let Some(link) = self.per_peer.get(peer) {
-            link.retries.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a frame that failed to decode (bad magic/version/length).
-    pub fn record_decode_error(&self) {
-        self.decode_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a poison frame sent or delivered.
-    pub fn record_poison_frame(&self) {
-        self.poison_frames.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a nack frame sent (a receiver asking for a retransmission).
-    pub fn record_nack(&self) {
-        self.nacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a point-in-time copy of the counters.
-    #[must_use]
-    pub fn snapshot(&self) -> NetSnapshot {
-        let per_peer: Vec<PeerLinkSnapshot> = self
-            .per_peer
-            .iter()
-            .enumerate()
-            .map(|(peer, link)| PeerLinkSnapshot {
-                peer,
-                sent: link.sent.load(Ordering::Relaxed),
-                received: link.received.load(Ordering::Relaxed),
-                retries: link.retries.load(Ordering::Relaxed),
-            })
-            .collect();
-        NetSnapshot {
-            frames_sent: per_peer.iter().map(|p| p.sent).sum(),
-            frames_received: per_peer.iter().map(|p| p.received).sum(),
-            retries: self.retries.load(Ordering::Relaxed),
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-            poison_frames: self.poison_frames.load(Ordering::Relaxed),
-            nacks: self.nacks.load(Ordering::Relaxed),
-            per_peer,
-        }
+    pub fn to_json(&self) -> Json {
+        let [episodes, total, max, last, mean] = Self::KEYS;
+        Json::obj()
+            .field(episodes, self.episodes)
+            .field(total, saturating_nanos(self.total))
+            .field(max, saturating_nanos(self.max))
+            .field(last, saturating_nanos(self.last))
+            .field(mean, saturating_nanos(self.mean()))
     }
 }
 
-/// A point-in-time copy of [`NetStats`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NetSnapshot {
-    /// Total frames sent across all links.
-    pub frames_sent: u64,
-    /// Total frames received across all links.
-    pub frames_received: u64,
-    /// Retransmissions (send retries plus nack-triggered resends).
-    pub retries: u64,
-    /// Frames that failed to decode.
-    pub decode_errors: u64,
-    /// Poison frames sent or delivered.
-    pub poison_frames: u64,
-    /// Nack frames sent.
-    pub nacks: u64,
-    /// Per-peer link rows, indexed by mesh rank.
-    pub per_peer: Vec<PeerLinkSnapshot>,
+counter_set! {
+    /// One participant's view of the counters.
+    pub struct ParticipantSnapshot {
+        /// Arrivals performed by this participant.
+        arrivals: u64 => "arrivals",
+        /// Waits performed by this participant.
+        waits: u64 => "waits",
+        /// Waits that stalled.
+        stalls: u64 => "stalls",
+        /// Total time this participant spent stalled.
+        stall_time: Duration => "stall_ns",
+        /// Probes performed while stalled.
+        probes: u64 => "probes",
+    }
 }
 
-/// One peer's row in a [`NetSnapshot`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PeerLinkSnapshot {
-    /// The peer's mesh rank.
-    pub peer: usize,
-    /// Frames sent to this peer.
-    pub sent: u64,
-    /// Frames received from this peer.
-    pub received: u64,
-    /// Retransmissions toward this peer.
-    pub retries: u64,
+counter_set! {
+    /// Counters of the async (poll-based) barrier frontend.
+    ///
+    /// Tracked separately from the barrier's own statistics on purpose: the
+    /// flat [`StatsSnapshot`] feeds schema-pinned experiment exports, so
+    /// async-only counters have a shape of their own rather than widening a
+    /// frozen one.
+    /// The parking-protocol counts come from
+    /// [`crate::AsyncBarrier::async_stats`], which folds them at snapshot time
+    /// (there is no shared counter block to bump on the poll path); `steals`
+    /// is `fuzzy-sched`'s executor's.
+    pub struct AsyncSnapshot {
+        /// Waiters that registered a waker (first pending poll).
+        parked: u64 => "parked",
+        /// Previously parked waiters that completed their episode.
+        resumed: u64 => "resumed",
+        /// Drain sweeps over the parked-waiter registry.
+        drains: u64 => "drains",
+        /// Wakers invoked by drains.
+        wakes: u64 => "wakes",
+        /// Barrier-future polls.
+        polls: u64 => "polls",
+        /// Tasks stolen from another worker's run queue.
+        steals: u64 => "steals",
+    }
 }
 
 /// The full telemetry picture: flat counters, stall histogram, arrival
@@ -844,6 +609,15 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
+    /// The keys [`Self::to_json`] adds after the flat counters'
+    /// [`StatsSnapshot::KEYS`]: the stall histogram, the spread and the
+    /// per-participant rows.
+    pub const KEYS: [&'static str; 3] = [
+        SHARED_SECTION_KEYS[0],
+        SHARED_SECTION_KEYS[1],
+        "per_participant",
+    ];
+
     /// Wraps a flat snapshot with empty telemetry — the default
     /// [`crate::SplitBarrier::telemetry`] for backends that only track flat
     /// counters.
@@ -870,6 +644,23 @@ impl TelemetrySnapshot {
             spread.max = spread.max.max(other.spread.max);
             spread.last = other.spread.last;
         }
+    }
+
+    /// JSON form: the flat counters, then the sections named by
+    /// [`Self::KEYS`] — the `--stats-json` schema of README.md's
+    /// Telemetry section.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let [hist, spread, rows] = Self::KEYS;
+        let rows_json = self
+            .per_participant
+            .iter()
+            .map(ParticipantSnapshot::to_json);
+        self.base
+            .to_json()
+            .field(hist, self.stall_hist.to_json("ns"))
+            .field(spread, self.spread.to_json())
+            .field(rows, Json::Arr(rows_json.collect()))
     }
 }
 
@@ -929,62 +720,26 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bucket_boundaries() {
-        // Bucket 0 holds 0 and 1; bucket i holds [2^i, 2^(i+1)).
-        assert_eq!(StallHistogram::bucket_index(0), 0);
-        assert_eq!(StallHistogram::bucket_index(1), 0);
-        assert_eq!(StallHistogram::bucket_index(2), 1);
-        assert_eq!(StallHistogram::bucket_index(3), 1);
-        assert_eq!(StallHistogram::bucket_index(4), 2);
-        assert_eq!(StallHistogram::bucket_index(1023), 9);
-        assert_eq!(StallHistogram::bucket_index(1024), 10);
-        for i in 0..HISTOGRAM_BUCKETS {
-            let (lo, hi) = StallHistogram::bucket_bounds(i);
-            assert_eq!(StallHistogram::bucket_index(lo.max(1)), i);
-            assert_eq!(StallHistogram::bucket_index(hi), i);
-            if i > 0 {
-                let (_, prev_hi) = StallHistogram::bucket_bounds(i - 1);
-                assert_eq!(prev_hi + 1, lo, "buckets must tile the u64 range");
+    fn telemetry_json_has_schema_fields() {
+        use crate::{CentralBarrier, SplitBarrier};
+        let b = CentralBarrier::new(2);
+        std::thread::scope(|s| {
+            for id in 0..2 {
+                let b = &b;
+                s.spawn(move || {
+                    for _ in 0..3 {
+                        let t = b.arrive(id);
+                        b.wait(t);
+                    }
+                });
             }
-        }
-    }
-
-    #[test]
-    fn histogram_saturates_at_u64_max() {
-        let h = StallHistogram::new();
-        h.record(u64::MAX);
-        h.record(u64::MAX - 1);
-        let s = h.snapshot();
-        assert_eq!(s.buckets[HISTOGRAM_BUCKETS - 1], 2);
-        assert_eq!(s.total(), 2);
-        assert_eq!(s.max_bucket(), Some(HISTOGRAM_BUCKETS - 1));
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let h = StallHistogram::new();
-        for _ in 0..9 {
-            h.record(100); // bucket 6 (64..127)
-        }
-        h.record(1 << 20); // bucket 20
-        let s = h.snapshot();
-        assert_eq!(s.quantile_upper_bound(0.5), Some(127));
-        assert_eq!(s.quantile_upper_bound(1.0), Some((1 << 21) - 1));
-        assert_eq!(HistogramSnapshot::default().quantile_upper_bound(0.5), None);
-    }
-
-    #[test]
-    fn histogram_merge_adds_counts() {
-        let a = StallHistogram::new();
-        let b = StallHistogram::new();
-        a.record(10);
-        b.record(10);
-        b.record(1000);
-        let mut sa = a.snapshot();
-        sa.merge(&b.snapshot());
-        assert_eq!(sa.buckets[StallHistogram::bucket_index(10)], 2);
-        assert_eq!(sa.buckets[StallHistogram::bucket_index(1000)], 1);
-        assert_eq!(sa.total(), 3);
+        });
+        let j = b.telemetry().to_json();
+        assert_eq!(j.get("episodes").and_then(Json::as_f64), Some(3.0));
+        assert_eq!(j.get("arrivals").and_then(Json::as_f64), Some(6.0));
+        assert!(j.get("stall_hist").is_some());
+        assert!(j.get("spread").unwrap().get("mean_ns").is_some());
+        assert_eq!(j.get("per_participant").unwrap().as_arr().unwrap().len(), 2);
     }
 
     #[test]
@@ -1326,35 +1081,5 @@ mod tests {
         // not a panic.
         stats.record_wait(9, &WaitOutcome::default());
         assert_eq!(stats.snapshot().waits, 3);
-    }
-
-    #[test]
-    fn net_stats_aggregates_match_per_peer_rows() {
-        let net = NetStats::new(3);
-        net.record_send(1);
-        net.record_send(2);
-        net.record_send(2);
-        net.record_recv(1);
-        net.record_retry(2);
-        net.record_decode_error();
-        net.record_poison_frame();
-        net.record_nack();
-        let snap = net.snapshot();
-        assert_eq!(snap.frames_sent, 3);
-        assert_eq!(snap.frames_received, 1);
-        assert_eq!(snap.retries, 1);
-        assert_eq!(snap.decode_errors, 1);
-        assert_eq!(snap.poison_frames, 1);
-        assert_eq!(snap.nacks, 1);
-        assert_eq!(snap.per_peer.len(), 3);
-        assert_eq!(snap.per_peer[2].sent, 2);
-        assert_eq!(snap.per_peer[2].retries, 1);
-        assert_eq!(snap.per_peer[0].sent, 0);
-        // Out-of-range ranks never panic and never skew the per-peer rows.
-        net.record_send(99);
-        assert_eq!(
-            net.snapshot().per_peer.iter().map(|p| p.sent).sum::<u64>(),
-            3
-        );
     }
 }

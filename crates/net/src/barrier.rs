@@ -47,13 +47,14 @@
 //!   local endpoint and broadcasts a `Poison` frame, so every survivor's
 //!   wait returns [`BarrierError::Poisoned`] instead of wedging.
 
+use crate::stats::{NetSnapshot, NetStats};
 use crate::transport::{FrameSink, Transport};
 use crate::wire::{DecodeError, Message};
 use fuzzy_barrier::dissemination::{partner, rounds, source};
 use fuzzy_barrier::sync::Atomic;
 use fuzzy_barrier::{
-    ArrivalToken, Barrier, BarrierError, Cx, Deadline, NetSnapshot, NetStats, Protocol, RealSync,
-    SplitBarrier, StallPolicy, StatsSnapshot, SyncOps, TelemetrySnapshot, WaitOutcome,
+    ArrivalToken, Barrier, BarrierError, Cx, Deadline, Protocol, RealSync, SplitBarrier,
+    StallPolicy, StatsSnapshot, SyncOps, TelemetrySnapshot, WaitOutcome,
 };
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};

@@ -14,6 +14,8 @@
 //! * [`NetBarrier`] — a dissemination barrier over any transport, with
 //!   per-round receive timeouts, nack-driven retransmission, and
 //!   peer-death detection that poisons survivors instead of wedging them.
+//! * [`NetStats`] — the endpoint's frame and retransmission counters,
+//!   read through [`NetBarrier::net_stats`].
 //!
 //! The barrier region buys over the wire exactly what it buys over a
 //! cache hierarchy, scaled up: a network round-trip (microseconds to
@@ -52,6 +54,7 @@ pub mod barrier;
 pub mod error;
 pub mod loopback;
 pub mod socket;
+pub mod stats;
 pub mod transport;
 pub mod wire;
 
@@ -59,5 +62,6 @@ pub use barrier::{NetBarrier, NetConfig};
 pub use error::NetError;
 pub use loopback::{FaultCounts, FaultPlan, LoopbackMesh, LoopbackTransport};
 pub use socket::{unix_socket_path, SocketTransport};
+pub use stats::{NetSnapshot, NetStats, PeerLinkSnapshot};
 pub use transport::{Backoff, FrameSink, Transport};
 pub use wire::{DecodeError, Message};

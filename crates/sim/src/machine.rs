@@ -1529,7 +1529,7 @@ mod tests {
         assert_eq!(stats.sync.stall_hist.total(), 1);
         let stall = stats.procs[0].stall_cycles;
         assert!(stall > 0);
-        let bucket = crate::stats::CycleHistogram::bucket_index(stall);
+        let bucket = fuzzy_util::Histogram::bucket_index(stall);
         assert_eq!(
             stats.sync.stall_hist.buckets[bucket], 1,
             "stall of {stall} cycles must land in bucket {bucket}: {stats:?}"

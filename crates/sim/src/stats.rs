@@ -1,118 +1,18 @@
 //! Execution statistics collected by the machine.
 //!
-//! Mirrors the telemetry schema of the thread library
-//! (`fuzzy-barrier`'s `stats` module) with **cycles** in place of
-//! nanoseconds: a power-of-two-cycle stall histogram, per-sync-event
-//! arrival spread (first vs last barrier-region entry of the group), and
-//! per-processor counters.
+//! The thread library's telemetry schema (`fuzzy-barrier`'s `stats`
+//! module) with **cycles** in place of nanoseconds: the shared
+//! power-of-two stall histogram, per-sync-event arrival spread (first vs
+//! last barrier-region entry of the group), and per-processor counters.
 
-use fuzzy_util::Json;
-
-/// Number of histogram buckets: one per power of two of a `u64` value.
-pub const HISTOGRAM_BUCKETS: usize = 64;
-
-/// A fixed-bucket histogram over power-of-two cycle ranges — the
-/// single-threaded (simulator) twin of the thread library's
-/// `StallHistogram`. Bucket `i` counts values `v` with
-/// `floor(log2(v)) == i` (bucket 0 also absorbs 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CycleHistogram {
-    /// Count per power-of-two bucket.
-    pub buckets: [u64; HISTOGRAM_BUCKETS],
-}
-
-impl Default for CycleHistogram {
-    fn default() -> Self {
-        CycleHistogram {
-            buckets: [0; HISTOGRAM_BUCKETS],
-        }
-    }
-}
-
-impl CycleHistogram {
-    /// The bucket index a value lands in: `floor(log2(v))`, with 0 for 0.
-    #[must_use]
-    pub fn bucket_index(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            (63 - value.leading_zeros()) as usize
-        }
-    }
-
-    /// Inclusive lower and upper bound of bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= HISTOGRAM_BUCKETS`.
-    #[must_use]
-    pub fn bucket_bounds(i: usize) -> (u64, u64) {
-        assert!(i < HISTOGRAM_BUCKETS);
-        let lo = if i == 0 { 0 } else { 1u64 << i };
-        let hi = if i == 63 {
-            u64::MAX
-        } else {
-            (1u64 << (i + 1)) - 1
-        };
-        (lo, hi)
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_index(value)] += 1;
-    }
-
-    /// Total number of observations.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// True if nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.total() == 0
-    }
-
-    /// Adds another histogram's counts into this one.
-    pub fn merge(&mut self, other: &CycleHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a = a.saturating_add(*b);
-        }
-    }
-
-    /// JSON form: only non-empty buckets, each with its inclusive value
-    /// range, in the shared telemetry schema (`unit` is `"cycles"` here;
-    /// the thread library uses `"ns"`).
-    #[must_use]
-    pub fn to_json(&self, unit: &str) -> Json {
-        let entries: Vec<Json> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &count)| count > 0)
-            .map(|(i, &count)| {
-                let (lo, hi) = Self::bucket_bounds(i);
-                Json::obj()
-                    .field("bucket", i)
-                    .field("lo", lo)
-                    .field("hi", hi)
-                    .field("count", count)
-            })
-            .collect();
-        Json::obj()
-            .field("unit", unit)
-            .field("total", self.total())
-            .field("buckets", Json::Arr(entries))
-    }
-}
+use fuzzy_util::{counter_set, Histogram, Json, SHARED_SECTION_KEYS};
 
 /// Machine-level synchronization telemetry, in cycles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyncTelemetry {
     /// Histogram of individual stall durations (cycles a processor spent
     /// in state iv before its group synchronized).
-    pub stall_hist: CycleHistogram,
+    pub stall_hist: Histogram,
     /// Sync events with a measured arrival spread.
     pub spread_events: u64,
     /// Sum of per-event spreads (first-to-last barrier-region entry).
@@ -124,6 +24,16 @@ pub struct SyncTelemetry {
 }
 
 impl SyncTelemetry {
+    /// The keys of [`Self::spread_json`]: event count, total, maximum,
+    /// last and mean spread, in cycles.
+    pub const SPREAD_KEYS: [&'static str; 5] = [
+        "events",
+        "total_cycles",
+        "max_cycles",
+        "last_cycles",
+        "mean_cycles",
+    ];
+
     /// Records the arrival spread of one sync event.
     pub fn record_spread(&mut self, spread: u64) {
         self.spread_events += 1;
@@ -141,26 +51,39 @@ impl SyncTelemetry {
             self.spread_total_cycles as f64 / self.spread_events as f64
         }
     }
+
+    /// The spread summary as JSON, keyed by [`Self::SPREAD_KEYS`].
+    #[must_use]
+    pub fn spread_json(&self) -> Json {
+        let [events, total, max, last, mean] = Self::SPREAD_KEYS;
+        Json::obj()
+            .field(events, self.spread_events)
+            .field(total, self.spread_total_cycles)
+            .field(max, self.spread_max_cycles)
+            .field(last, self.spread_last_cycles)
+            .field(mean, self.mean_spread_cycles())
+    }
 }
 
-/// Per-processor counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProcStats {
-    /// Instructions issued (and, in this model, executed).
-    pub instructions: u64,
-    /// Cycles spent stalled at a barrier exit (state iv). This is the
-    /// quantity the fuzzy barrier exists to minimize.
-    pub stall_cycles: u64,
-    /// Distinct stall episodes (entries into state iv) — the cycle-domain
-    /// twin of the thread library's per-participant `stalls` counter.
-    pub stall_events: u64,
-    /// Cycles the processor was busy waiting on a multi-cycle instruction
-    /// (dominated by memory latency).
-    pub busy_cycles: u64,
-    /// Number of dynamic barrier-region entries.
-    pub barrier_entries: u64,
-    /// Number of synchronizations this processor took part in.
-    pub syncs: u64,
+counter_set! {
+    /// Per-processor counters.
+    pub struct ProcStats {
+        /// Instructions issued (and, in this model, executed).
+        instructions: u64 => "instructions",
+        /// Cycles spent stalled at a barrier exit (state iv). This is the
+        /// quantity the fuzzy barrier exists to minimize.
+        stall_cycles: u64 => "stall_cycles",
+        /// Distinct stall episodes (entries into state iv) — the cycle-domain
+        /// twin of the thread library's per-participant `stalls` counter.
+        stall_events: u64 => "stall_events",
+        /// Cycles the processor was busy waiting on a multi-cycle instruction
+        /// (dominated by memory latency).
+        busy_cycles: u64 => "busy_cycles",
+        /// Number of dynamic barrier-region entries.
+        barrier_entries: u64 => "barrier_entries",
+        /// Number of synchronizations this processor took part in.
+        syncs: u64 => "syncs",
+    }
 }
 
 impl ProcStats {
@@ -187,6 +110,16 @@ pub struct MachineStats {
 }
 
 impl MachineStats {
+    /// The keys of [`Self::to_json`]: the clock, the sync-event count, the
+    /// stall histogram, the spread summary and the per-processor rows.
+    pub const KEYS: [&'static str; 5] = [
+        "cycles",
+        "sync_events",
+        SHARED_SECTION_KEYS[0],
+        SHARED_SECTION_KEYS[1],
+        "procs",
+    ];
+
     /// Sum of stall cycles across processors — the headline cost metric in
     /// the experiments.
     #[must_use]
@@ -212,39 +145,18 @@ impl MachineStats {
     }
 
     /// JSON form of the whole snapshot in the shared telemetry schema
-    /// (the `--stats-json` output of `fsim` and the `exp_*` binaries).
+    /// (the `--stats-json` output of `fsim` and the `exp_*` binaries),
+    /// keyed by [`Self::KEYS`].
     #[must_use]
     pub fn to_json(&self) -> Json {
+        let [cycles, sync_events, hist, spread, procs] = Self::KEYS;
+        let procs_json = self.procs.iter().map(ProcStats::to_json);
         Json::obj()
-            .field("cycles", self.cycles)
-            .field("sync_events", self.sync_events)
-            .field("stall_hist", self.sync.stall_hist.to_json("cycles"))
-            .field(
-                "spread",
-                Json::obj()
-                    .field("events", self.sync.spread_events)
-                    .field("total_cycles", self.sync.spread_total_cycles)
-                    .field("max_cycles", self.sync.spread_max_cycles)
-                    .field("last_cycles", self.sync.spread_last_cycles)
-                    .field("mean_cycles", self.sync.mean_spread_cycles()),
-            )
-            .field(
-                "procs",
-                Json::Arr(
-                    self.procs
-                        .iter()
-                        .map(|p| {
-                            Json::obj()
-                                .field("instructions", p.instructions)
-                                .field("stall_cycles", p.stall_cycles)
-                                .field("stall_events", p.stall_events)
-                                .field("busy_cycles", p.busy_cycles)
-                                .field("barrier_entries", p.barrier_entries)
-                                .field("syncs", p.syncs)
-                        })
-                        .collect(),
-                ),
-            )
+            .field(cycles, self.cycles)
+            .field(sync_events, self.sync_events)
+            .field(hist, self.sync.stall_hist.to_json("cycles"))
+            .field(spread, self.sync.spread_json())
+            .field(procs, Json::Arr(procs_json.collect()))
     }
 }
 
@@ -279,44 +191,6 @@ mod tests {
     #[test]
     fn empty_stats_have_zero_stall_fraction() {
         assert_eq!(MachineStats::default().stall_fraction(), 0.0);
-    }
-
-    #[test]
-    fn cycle_histogram_buckets_tile_the_u64_range() {
-        let mut prev_hi = None;
-        for i in 0..HISTOGRAM_BUCKETS {
-            let (lo, hi) = CycleHistogram::bucket_bounds(i);
-            assert!(lo <= hi);
-            if let Some(p) = prev_hi {
-                assert_eq!(lo, p + 1, "gap before bucket {i}");
-            }
-            assert_eq!(CycleHistogram::bucket_index(lo.max(1)), i);
-            assert_eq!(CycleHistogram::bucket_index(hi), i);
-            prev_hi = Some(hi);
-        }
-        assert_eq!(prev_hi, Some(u64::MAX));
-        assert_eq!(CycleHistogram::bucket_index(0), 0);
-        assert_eq!(CycleHistogram::bucket_index(u64::MAX), 63);
-    }
-
-    #[test]
-    fn cycle_histogram_records_and_merges() {
-        let mut a = CycleHistogram::default();
-        a.record(0);
-        a.record(1);
-        a.record(7);
-        a.record(u64::MAX);
-        assert_eq!(a.total(), 4);
-        assert_eq!(a.buckets[0], 2);
-        assert_eq!(a.buckets[2], 1);
-        assert_eq!(a.buckets[63], 1);
-        let mut b = CycleHistogram::default();
-        b.record(7);
-        b.merge(&a);
-        assert_eq!(b.buckets[2], 2);
-        assert_eq!(b.total(), 5);
-        assert!(!b.is_empty());
-        assert!(CycleHistogram::default().is_empty());
     }
 
     #[test]
