@@ -99,7 +99,10 @@ enum Loc {
 struct RegAlloc {
     free: Vec<Reg>,
     loc: HashMap<Temp, Loc>,
-    in_reg: HashMap<Reg, Temp>,
+    /// Ordered by register, so that the spill victim's tie-break and the
+    /// order `expire` frees registers in — hence the whole program — are
+    /// the same on every compile.
+    in_reg: BTreeMap<Reg, Temp>,
     /// Remaining use positions per temp, ascending.
     uses: HashMap<Temp, Vec<usize>>,
     spill_base: i64,
@@ -120,7 +123,7 @@ impl RegAlloc {
         RegAlloc {
             free: (TEMP_POOL_START..TEMP_POOL_END).rev().collect(),
             loc: HashMap::new(),
-            in_reg: HashMap::new(),
+            in_reg: BTreeMap::new(),
             uses,
             spill_base,
             spill_slots: HashMap::new(),

@@ -9,14 +9,16 @@
 //! [`Machine::run`] reaches the same states by events instead: the barrier
 //! network is combinational logic over ready lines, tags and masks, so it
 //! is evaluated only in a cycle where one of those inputs changed, only
-//! the processors that can issue are visited, and the cycles in which
-//! nothing can happen — with a 120-cycle miss penalty, most of them — are
-//! jumped over and charged when somebody next looks, so that no simulated
-//! count differs from stepping through them.
+//! the processors that can issue are visited, a processor's straight-line
+//! register instructions — which nothing outside it reads — issue in one
+//! visit, and the cycles in which nothing can happen — with a 120-cycle
+//! miss penalty, most of them — are jumped over and charged when somebody
+//! next looks, so that no simulated count differs from stepping through
+//! them.
 
 use crate::barrier_hw::{bits, ready_lines, sync_set, wired, BarrierState, BarrierUnit, MAX_PROCS};
 use crate::fault::{EvictionEvent, FaultPlan, FaultState};
-use crate::isa::Instr;
+use crate::isa::{Instr, NUM_REGS};
 use crate::memory::{Memory, MemoryConfig, OutOfBounds};
 use crate::processor::Processor;
 use crate::program::{Program, ProgramError};
@@ -311,6 +313,29 @@ pub(crate) enum Forgotten {
     /// Returns leave the watchdog registers where the last evaluation
     /// put them.
     SettleWaiting,
+    /// A synchronization samples the region position an issue-ahead run
+    /// ends at, not the one its own cycle had reached.
+    AheadSample,
+    /// Returns leave instructions issued ahead past the return in place.
+    AheadRewind,
+    /// Issue-ahead runs past an interrupt that comes due for its
+    /// processor.
+    AheadInterrupt,
+    /// Issue-ahead is allowed where this would keep it off.
+    AheadExclusion(Exclusion),
+}
+
+/// Where [`Machine::run`] issues nothing ahead, because what it would
+/// issue could be observed early.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Exclusion {
+    /// Pipelined issue: a processor issues every cycle, and a
+    /// multi-cycle instruction in flight vetoes its ready line.
+    Pipelined,
+    /// An armed watchdog register that is counting, on a processor with a
+    /// trap handler: its eviction interrupt is raised for the cycle after
+    /// an evaluation, which can fall inside the run.
+    Watchdog,
 }
 
 /// The call-local state of [`Machine::run`]: who is worth a visit,
@@ -334,6 +359,37 @@ struct Schedule {
     /// Processors below this index are through the cycle `Machine::cycle`
     /// names, the rest are not: non-zero only when a visit failed.
     visited: usize,
+    /// The caller's cycle budget: nothing issues ahead into it.
+    limit: u64,
+    /// Per processor, its latest run of instructions issued ahead.
+    ahead: Vec<Ahead>,
+}
+
+/// A processor's register ops that [`Machine::run`] issued ahead of the
+/// clock, after the instruction a visit issued: what it needs to show the
+/// processor, to whoever looks before the clock gets there, as it was in
+/// the cycle they look from.
+#[derive(Debug, Default)]
+struct Ahead {
+    /// The cycle each one issues in, ascending.
+    cycles: Vec<u64>,
+    /// Whether each one counts in `region_progress`: the run is in a
+    /// barrier region, outside any handler.
+    in_region: bool,
+    /// Registers and program counter before the first one.
+    regs: [i64; NUM_REGS],
+    pc: usize,
+}
+
+impl Ahead {
+    /// How many of the run's instructions count in `region_progress` and
+    /// issue after `cycle`.
+    fn progress_after(&self, cycle: u64) -> u64 {
+        if !self.in_region {
+            return 0;
+        }
+        (self.cycles.len() - self.cycles.partition_point(|&at| at <= cycle)) as u64
+    }
 }
 
 impl Schedule {
@@ -682,7 +738,9 @@ impl Machine {
     ///
     /// Per processed cycle: (1) a parked processor whose interrupt has
     /// come due is un-parked; (2) the live processors that are not parked
-    /// get their turn, in index order; (3) the broadcast network —
+    /// get their turn, in index order, and one that issues goes on to
+    /// issue the register ops that follow at the cycles they issue in
+    /// (`issue_ahead`); (3) the broadcast network —
     /// combinational logic over ready lines, tags and masks — is
     /// evaluated **only if one of those inputs changed** (`DirtySource`)
     /// or it is the call's first cycle: an evaluation lowers the lines of
@@ -694,7 +752,8 @@ impl Machine {
     /// between issues, so nothing else can happen in between. What the
     /// cycles add where nobody looks — `stall_cycles` of the parked,
     /// `unit.waiting` of counting watchdog registers — accrues in
-    /// `Schedule` and is settled on every return, `Err` included.
+    /// `Schedule` and is settled on every return, `Err` included, where
+    /// instructions issued ahead past the return are also taken back.
     ///
     /// # Errors
     ///
@@ -715,6 +774,8 @@ impl Machine {
             evaluated: self.cycle,
             expiry: u64::MAX,
             visited: 0,
+            limit: max_cycles,
+            ahead: (0..n).map(|_| Ahead::default()).collect(),
         };
         let outcome = self.run_events(max_cycles, &mut s);
         self.settle(&s);
@@ -771,6 +832,10 @@ impl Machine {
                 next_issue = next_issue.min(p.busy_until);
                 continue;
             }
+            // Its last run's issue cycles have been charged as busy since.
+            let issued_ahead = &mut s.ahead[i].cycles;
+            p.stats.busy_cycles -= issued_ahead.len() as u64;
+            issued_ahead.clear();
             let visit = self.step_proc(i, cycle).inspect_err(|_| s.visited = i)?;
             match visit {
                 Visit::Quiet => {}
@@ -786,6 +851,7 @@ impl Machine {
                     continue;
                 }
             }
+            self.issue_ahead(i, s);
             next_issue = next_issue.min(self.procs[i].busy_until.max(cycle + 1));
         }
         if self.cfg.pipelined {
@@ -811,7 +877,17 @@ impl Machine {
             self.procs[i].unit.waiting += cycle - 1 - s.evaluated;
         }
         let evictions = self.evictions.len();
+        // A synchronization samples region positions as of `cycle`, not
+        // as far as a processor has issued ahead.
+        let sample = !self.forgets(Forgotten::AheadSample);
+        let ahead = |i: usize| u64::from(sample) * s.ahead[i].progress_after(cycle);
+        for (i, p) in self.procs.iter_mut().enumerate() {
+            p.region_progress -= ahead(i);
+        }
         let freed = self.broadcast(cycle) & s.parked;
+        for (i, p) in self.procs.iter_mut().enumerate() {
+            p.region_progress += ahead(i);
+        }
         for i in bits(freed) {
             s.unpark(&mut self.procs[i], cycle + 1);
         }
@@ -904,6 +980,84 @@ impl Machine {
             for i in bits(s.counting) {
                 self.procs[i].unit.waiting += self.cycle - 1 - s.evaluated;
             }
+        }
+        // Instructions issued ahead in a cycle stepped through were
+        // charged as busy; those past it are taken back.
+        let rewind = !self.forgets(Forgotten::AheadRewind);
+        for (i, (p, ahead)) in self.procs.iter_mut().zip(&s.ahead).enumerate() {
+            let stepped = self.cycle + u64::from(i < s.visited);
+            let kept = ahead.cycles.partition_point(|&at| at < stepped);
+            p.stats.busy_cycles -= kept as u64;
+            let Some(&next_issue) = ahead.cycles.get(kept).filter(|_| rewind) else {
+                continue;
+            };
+            (p.regs, p.pc) = (ahead.regs, ahead.pc);
+            let ops = self.program.streams()[i].ops();
+            for _ in 0..kept {
+                p.register_op(ops[p.pc].instr, self.cfg.mul_latency);
+            }
+            let undone = (ahead.cycles.len() - kept) as u64;
+            p.stats.instructions -= undone;
+            p.region_progress -= if ahead.in_region { undone } else { 0 };
+            p.busy_until = next_issue;
+        }
+    }
+
+    /// Issue-ahead: processor `i` issued an instruction in this visit, and
+    /// its register ops that follow — up to the first other instruction,
+    /// the first with the other region bit, the caller's limit, or an
+    /// interrupt coming due for it — issue now, each at the cycle `step`
+    /// would issue it in. They write only the processor's registers,
+    /// program counter and counts, which nobody reads before the clock
+    /// gets there but a synchronization (`evaluate` samples the region
+    /// position as of its cycle) and a return (`settle` takes back what
+    /// lies past it). `busy_until` ends past the last one, so the event
+    /// loop next wakes for this processor where it can do something else.
+    /// Nothing issues ahead where an [`Exclusion`] says it could be seen.
+    #[inline(always)]
+    fn issue_ahead(&mut self, i: usize, s: &mut Schedule) {
+        let p = &self.procs[i];
+        let excludes = |what| !self.forgets(Forgotten::AheadExclusion(what));
+        if self.cfg.pipelined && excludes(Exclusion::Pipelined)
+            || p.unit.watchdog.is_some()
+                && self.trap_handlers[i].is_some()
+                && p.counts_waiting()
+                && excludes(Exclusion::Watchdog)
+        {
+            return;
+        }
+        // In a handler no interrupt is delivered, and the handler's `ret`
+        // ends the run.
+        let due = if p.in_handler() || self.forgets(Forgotten::AheadInterrupt) {
+            u64::MAX
+        } else {
+            let due = self.interrupts.iter().filter(|&&(_, proc, _)| proc == i);
+            due.map(|&(at, _, _)| at).min().unwrap_or(u64::MAX)
+        };
+        let horizon = due.min(s.limit);
+        let ops = self.program.streams()[i].ops();
+        let p = &mut self.procs[i];
+        let ahead = &mut s.ahead[i];
+        let in_handler = p.in_handler();
+        let in_region = p.unit.state != BarrierState::NonBarrier;
+        ahead.in_region = in_region && !in_handler;
+        while let Some(op) = ops.get(p.pc) {
+            let at = p.busy_until;
+            // A region transition is `step_proc`'s (none happens in a
+            // handler).
+            if at >= horizon || op.barrier != in_region && !in_handler {
+                break;
+            }
+            if ahead.cycles.is_empty() {
+                (ahead.regs, ahead.pc) = (p.regs, p.pc);
+            }
+            let Some(latency) = p.register_op(op.instr, self.cfg.mul_latency) else {
+                break;
+            };
+            ahead.cycles.push(at);
+            p.stats.instructions += 1;
+            p.region_progress += u64::from(ahead.in_region);
+            p.busy_until = at + latency;
         }
     }
 
@@ -1105,53 +1259,11 @@ impl Machine {
             cycle,
             source,
         };
+        if let Some(latency) = self.procs[i].register_op(instr, self.cfg.mul_latency) {
+            return Ok(latency);
+        }
         let mut next_pc = self.procs[i].pc + 1;
         let latency = match instr {
-            Instr::Li { rd, imm } => {
-                self.procs[i].set_reg(rd, imm);
-                1
-            }
-            Instr::Mov { rd, rs } => {
-                let v = self.procs[i].reg(rs);
-                self.procs[i].set_reg(rd, v);
-                1
-            }
-            Instr::Add { rd, rs1, rs2 } => {
-                let v = self.procs[i].reg(rs1).wrapping_add(self.procs[i].reg(rs2));
-                self.procs[i].set_reg(rd, v);
-                1
-            }
-            Instr::Sub { rd, rs1, rs2 } => {
-                let v = self.procs[i].reg(rs1).wrapping_sub(self.procs[i].reg(rs2));
-                self.procs[i].set_reg(rd, v);
-                1
-            }
-            Instr::Mul { rd, rs1, rs2 } => {
-                let v = self.procs[i].reg(rs1).wrapping_mul(self.procs[i].reg(rs2));
-                self.procs[i].set_reg(rd, v);
-                self.cfg.mul_latency
-            }
-            Instr::Addi { rd, rs, imm } => {
-                let v = self.procs[i].reg(rs).wrapping_add(imm);
-                self.procs[i].set_reg(rd, v);
-                1
-            }
-            Instr::Muli { rd, rs, imm } => {
-                let v = self.procs[i].reg(rs).wrapping_mul(imm);
-                self.procs[i].set_reg(rd, v);
-                self.cfg.mul_latency
-            }
-            Instr::Divi { rd, rs, imm } => {
-                // Division by zero is defined to produce 0 rather than
-                // trapping (the simulated machine has no trap model).
-                let v = if imm == 0 {
-                    0
-                } else {
-                    self.procs[i].reg(rs).wrapping_div(imm)
-                };
-                self.procs[i].set_reg(rd, v);
-                self.cfg.mul_latency
-            }
             Instr::Load { rd, rs, offset } => {
                 let addr = self.procs[i].reg(rs).wrapping_add(offset);
                 let (v, lat) = self.memory.read(i, addr, cycle).map_err(mem_err)?;
@@ -1176,21 +1288,6 @@ impl Machine {
                     .map_err(mem_err)?;
                 self.procs[i].set_reg(rd, old);
                 lat
-            }
-            Instr::Jump { target } => {
-                next_pc = target;
-                1
-            }
-            Instr::Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                if cond.eval(self.procs[i].reg(rs1), self.procs[i].reg(rs2)) {
-                    next_pc = target;
-                }
-                1
             }
             Instr::SetMask { mask } => {
                 self.procs[i].unit.mask = mask;
@@ -1220,7 +1317,6 @@ impl Machine {
                 }
                 1
             }
-            Instr::Nop => 1,
             Instr::Call { target } => {
                 if self.procs[i].frames.len() >= crate::processor::MAX_CALL_DEPTH {
                     return Err(SimError::CallDepthExceeded { proc: i, cycle });
@@ -1269,6 +1365,7 @@ impl Machine {
                 self.trace.record(cycle, i, EventKind::Halt);
                 1
             }
+            _ => unreachable!("register ops return above"),
         };
         self.procs[i].pc = next_pc;
         Ok(latency)

@@ -520,42 +520,61 @@ fn halting_inside_a_region_stops_the_watchdog_register() {
 /// had put off must come out as if every cycle had been stepped: the
 /// processors below the failing one are through that cycle, those above
 /// are not. One stream loads out of bounds after `pad` instructions while
-/// another is busy with loads that miss and a third sits parked, its
-/// stall cycles and watchdog register owed since cycle 1 — on either side
-/// of the failing stream, serial and pipelined, `pad` swept so that the
-/// failure meets the busy stream in every phase of a miss.
+/// a neighbour works and a third sits parked, its stall cycles and
+/// watchdog register owed since cycle 1 — on either side of the failing
+/// stream, serial and pipelined, `pad` swept so that the failure meets
+/// the neighbour in every phase of its work. One neighbour is busy with
+/// loads that miss; the other is part-way through a loop of register ops,
+/// which its first visit issued ahead to the end.
 fn failed_visit(forgotten: Option<Forgotten>) -> Result<(), String> {
     let busy = "li r2, 40\nloop: ld r3, [r1+8]\nld r4, [r1+9]\naddi r1, r1, 1\nblt r1, r2, loop\nB: nop\nhalt\n";
+    let straight =
+        "li r2, 400\nloop: addi r1, r1, 1\nmul r3, r1, r1\nblt r1, r2, loop\nB: nop\nhalt\n";
     let parked = "ld r1, [r0+3]\nB: nop\nhalt\n";
-    let (mut mid_miss, mut owed) = (0, 0);
+    let (mut mid_miss, mut mid_run, mut owed) = (0, 0, 0);
     for pad in 0..64 {
         let failing = format!("{}ld r1, [r0-5]\nhalt\n", "nop\n".repeat(pad));
-        for streams in [[busy, &failing, parked], [parked, &failing, busy]] {
-            let src: String = streams.iter().map(|s| format!(".stream\n{s}")).collect();
-            let program = crate::assembler::assemble_program(&src).expect("assembles");
-            for pipelined in [false, true] {
-                let setup = Setup {
-                    pipelined,
-                    watchdog: Some(1_000),
-                    forgotten,
-                    ..Setup::new(&program, Vec::new())
-                };
-                let mut m = setup.machine();
-                let err = m.run(1_000).expect_err("the load is out of bounds");
-                if !matches!(err, SimError::Memory { proc: 1, .. }) {
-                    return Err(format!("pad {pad}: {err}"));
+        for neighbour in [busy, straight] {
+            for streams in [[neighbour, &failing, parked], [parked, &failing, neighbour]] {
+                let src: String = streams.iter().map(|s| format!(".stream\n{s}")).collect();
+                let program = crate::assembler::assemble_program(&src).expect("assembles");
+                for pipelined in [false, true] {
+                    let setup = Setup {
+                        pipelined,
+                        watchdog: Some(1_000),
+                        forgotten,
+                        ..Setup::new(&program, Vec::new())
+                    };
+                    let mut m = setup.machine();
+                    let err = m.run(1_000).expect_err("the load is out of bounds");
+                    if !matches!(err, SimError::Memory { proc: 1, .. }) {
+                        return Err(format!("pad {pad}: {err}"));
+                    }
+                    let (near, parked_proc) = if streams[0] == neighbour {
+                        (0, 2)
+                    } else {
+                        (2, 0)
+                    };
+                    let p = &m.procs()[near];
+                    if neighbour == busy {
+                        mid_miss += usize::from(p.busy_until > m.cycle() + 1);
+                    } else {
+                        mid_run += usize::from((1..400).contains(&p.reg(1)));
+                    }
+                    owed += usize::from(m.procs()[parked_proc].unit.is_stalled());
+                    check(&|| setup.machine(), 1_000, &[])
+                        .map_err(|d| format!("pad {pad} pipelined={pipelined}: {d}"))?;
                 }
-                let (busy_proc, parked_proc) = if streams[0] == busy { (0, 2) } else { (2, 0) };
-                mid_miss += usize::from(m.procs()[busy_proc].busy_until > m.cycle() + 1);
-                owed += usize::from(m.procs()[parked_proc].unit.is_stalled());
-                check(&|| setup.machine(), 1_000, &[])
-                    .map_err(|d| format!("pad {pad} pipelined={pipelined}: {d}"))?;
             }
         }
     }
     assert!(
         mid_miss >= 8,
         "only {mid_miss} failures met a miss in flight"
+    );
+    assert!(
+        mid_run >= 8,
+        "only {mid_run} failures met a run issued ahead"
     );
     assert!(owed >= 8, "only {owed} failures met a parked processor");
     Ok(())
@@ -564,6 +583,44 @@ fn failed_visit(forgotten: Option<Forgotten>) -> Result<(), String> {
 #[test]
 fn a_failed_visit_settles_what_run_put_off() {
     failed_visit(None).unwrap();
+}
+
+/// A watchdog register that runs out while its own processor is part-way
+/// through a loop of register ops in its barrier region: the eviction
+/// interrupt is raised for the next cycle, and stepping delivers it there,
+/// inside the loop. Stream 1 is busy with a loop of its own and arrives
+/// too late; once evicted, it stalls for good.
+fn eviction_inside_a_run(forgotten: Option<Forgotten>) -> Result<(), String> {
+    let waiter = "B: li r2, 300\nspin:\nB: addi r1, r1, 1\nB: blt r1, r2, spin\nhalt\n";
+    let late = "li r2, 300\nwork: addi r1, r1, 1\nblt r1, r2, work\nB: nop\nhalt\n";
+    let setup = Setup {
+        watchdog: Some(20),
+        forgotten,
+        ..Setup::new(&two_streams(waiter, late), Vec::new())
+    };
+    let mut m = setup.machine();
+    let outcome = m.run(10_000).unwrap();
+    let fired = m
+        .evictions()
+        .first()
+        .map(|ev| (ev.watchdog, ev.fired_at + 1));
+    let delivered = m.trace().of_kind(EventKind::Interrupt).next();
+    let halted = m.trace().of_kind(EventKind::Halt).find(|e| e.proc == 0);
+    let at = match (fired, delivered, halted) {
+        (Some(fired), Some(delivered), Some(halted))
+            if fired == (delivered.proc, delivered.cycle)
+                && delivered.cycle + 100 < halted.cycle =>
+        {
+            delivered.cycle
+        }
+        _ => return Err(format!("{outcome:?}, evictions {:?}", m.evictions())),
+    };
+    check(&|| setup.machine(), 10_000, &[at - 1, at, at + 1])
+}
+
+#[test]
+fn an_eviction_interrupt_lands_inside_its_processors_run() {
+    eviction_inside_a_run(None).unwrap();
 }
 
 /// A scenario above, run with the hook set.
@@ -576,12 +633,13 @@ fn caught(programs: &[(String, Setup)], forgotten: Forgotten) -> bool {
     let fails = |verdict: &dyn Fn() -> Result<(), String>| {
         catch_unwind(AssertUnwindSafe(verdict)).map_or(true, |verdict| verdict.is_err())
     };
-    let scenarios: [Scenario; 5] = [
+    let scenarios: [Scenario; 6] = [
         line_severed_during_an_outage,
         mutual_eviction,
         interrupt_for_a_halted_processor,
         halt_inside_a_region,
         failed_visit,
+        eviction_inside_a_run,
     ];
     scenarios.iter().any(|s| fails(&|| s(Some(forgotten))))
         || programs
@@ -645,6 +703,26 @@ fn returning_unsettled_fails_the_suite() {
         assert!(
             failed_visit(Some(unsettled)).is_err(),
             "{unsettled:?} after a failed visit went unnoticed"
+        );
+    }
+}
+
+/// And a `run` that issues ahead without one of the duties that keep it
+/// unobservable: the sample a synchronization takes, the rewind on a
+/// return, the interrupt horizon, and each exclusion.
+#[test]
+fn forgetting_any_issue_ahead_duty_fails_the_suite() {
+    let programs = programs();
+    for duty in [
+        Forgotten::AheadSample,
+        Forgotten::AheadRewind,
+        Forgotten::AheadInterrupt,
+        Forgotten::AheadExclusion(Exclusion::Pipelined),
+        Forgotten::AheadExclusion(Exclusion::Watchdog),
+    ] {
+        assert!(
+            caught(&programs, duty),
+            "a run that forgets {duty:?} went unnoticed"
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Processor execution context.
 
 use crate::barrier_hw::BarrierUnit;
-use crate::isa::NUM_REGS;
+use crate::isa::{Instr, NUM_REGS};
 use crate::stats::ProcStats;
 
 /// Maximum call/handler nesting depth per processor.
@@ -112,6 +112,85 @@ impl Processor {
     /// Writes a register.
     pub fn set_reg(&mut self, r: u8, value: i64) {
         self.regs[r as usize] = value;
+    }
+
+    /// Executes `instr` if it is a *register op* — one that reads and
+    /// writes nothing but this processor's registers and program counter —
+    /// and returns its latency; any other instruction is left alone and
+    /// answered `None`. This match is the one classification of [`Instr`]
+    /// by that property, and the one implementation of these instructions:
+    /// the machine executes them here whether it steps or issues ahead.
+    #[inline(always)]
+    pub(crate) fn register_op(&mut self, instr: Instr, mul_latency: u64) -> Option<u64> {
+        let mut next_pc = self.pc + 1;
+        let latency = match instr {
+            Instr::Li { rd, imm } => {
+                self.set_reg(rd, imm);
+                1
+            }
+            Instr::Mov { rd, rs } => {
+                self.set_reg(rd, self.reg(rs));
+                1
+            }
+            Instr::Add { rd, rs1, rs2 } => {
+                self.set_reg(rd, self.reg(rs1).wrapping_add(self.reg(rs2)));
+                1
+            }
+            Instr::Sub { rd, rs1, rs2 } => {
+                self.set_reg(rd, self.reg(rs1).wrapping_sub(self.reg(rs2)));
+                1
+            }
+            Instr::Mul { rd, rs1, rs2 } => {
+                self.set_reg(rd, self.reg(rs1).wrapping_mul(self.reg(rs2)));
+                mul_latency
+            }
+            Instr::Addi { rd, rs, imm } => {
+                self.set_reg(rd, self.reg(rs).wrapping_add(imm));
+                1
+            }
+            Instr::Muli { rd, rs, imm } => {
+                self.set_reg(rd, self.reg(rs).wrapping_mul(imm));
+                mul_latency
+            }
+            Instr::Divi { rd, rs, imm } => {
+                // Division by zero is defined to produce 0 rather than
+                // trapping (the simulated machine has no trap model).
+                let v = if imm == 0 {
+                    0
+                } else {
+                    self.reg(rs).wrapping_div(imm)
+                };
+                self.set_reg(rd, v);
+                mul_latency
+            }
+            Instr::Jump { target } => {
+                next_pc = target;
+                1
+            }
+            Instr::Branch {
+                cond,
+                rs1,
+                rs2,
+                target,
+            } => {
+                if cond.eval(self.reg(rs1), self.reg(rs2)) {
+                    next_pc = target;
+                }
+                1
+            }
+            Instr::Nop => 1,
+            Instr::Load { .. }
+            | Instr::Store { .. }
+            | Instr::FetchAdd { .. }
+            | Instr::SetMask { .. }
+            | Instr::SetTag { .. }
+            | Instr::Call { .. }
+            | Instr::Ret
+            | Instr::Trap { .. }
+            | Instr::Halt => return None,
+        };
+        self.pc = next_pc;
+        Some(latency)
     }
 
     /// Drops in-flight non-barrier instructions that have completed by

@@ -27,8 +27,9 @@
 #                exp_fault_recovery export
 #   fuzz-smoke   differential fuzzer: 200 nests at a fixed seed, zero
 #                divergences required, stats export schema-validated;
-#                then the simulator's stepwise-vs-run equivalence suite
-#                and 500 more nests against the release build
+#                then the compiler's determinism test, the simulator's
+#                stepwise-vs-run equivalence suite and 500 more nests
+#                against the release build
 #   chaos-smoke  reconfig mutants must be caught (and the real barrier
 #                must survive the same schedules), then exp_chaos_churn
 #                --quick across every backend on both runtimes, schema
@@ -183,8 +184,10 @@ fault_smoke() {
 # stall regression, pipeline panic) fails the stage; the campaign summary
 # is schema-validated like every other telemetry export. The checked-in
 # regression corpus is replayed separately by `cargo test` (stage test).
-# Then the simulator's exactness referee against the build the ledger
-# measures: the stepwise-vs-run equivalence suite (mutants included) and
+# Then the compiler's determinism test (the fuzzer's findings replay only
+# if a compile is a function of its input), and the simulator's exactness
+# referee against the build the ledger measures: the stepwise-vs-run
+# equivalence suite (mutants included) and
 # a longer fuzz campaign, both in release — stage test runs them in debug
 # only, and overflow checks and inlining differ between the two.
 fuzz_smoke() {
@@ -198,6 +201,8 @@ fuzz_smoke() {
     fi
     rm -f "$out"
     [ "$status" -eq 0 ] || return "$status"
+    filtered_tests "--release -p fuzzy-fuzz --test deterministic_codegen" \
+        compiling_twice_gives_identical_programs || return 1
     filtered_tests "--release -p fuzzy-sim --lib" equivalence || return 1
     campaign="$(cargo run -q --release -p fuzzy-fuzz --bin fuzz -- \
         --seed 7 --iters 500 2>&1)" || return 1
