@@ -6,8 +6,8 @@
 //! future (`arrive → region work → await release`) parked by waker
 //! registration instead of a spinning OS thread, so `M ≫ N` participants
 //! complete fuzzy episodes on a fixed worker pool. This sweep measures
-//! the frontend's bookkeeping cost — polls, parks, wakes, drains, steals,
-//! and wall-clock time per arrival — as M grows from 64 to 4096 over
+//! the frontend's bookkeeping cost — polls, yields, parks, wakes, drains,
+//! steals, and wall-clock time per arrival — as M grows from 64 to 4096 over
 //! pools of 2, 4 and 8 workers; the full sweep asserts that an arrival at
 //! M = 4096 costs at most [`SCALE_BOUND`]× one at M = 64 (the frontend is
 //! O(1) per participant, so the ratio is a shape, not a host speed); and
@@ -52,13 +52,17 @@ struct Row {
     resumed: u64,
     steals: u64,
     polls: u64,
+    yields: u64,
     wakes: u64,
     drains: u64,
-    polls_per_arrival: f64,
     elapsed_ms: f64,
 }
 
 impl Row {
+    fn per_arrival(&self, count: u64) -> f64 {
+        count as f64 / self.arrivals.max(1) as f64
+    }
+
     fn ns_per_arrival(&self) -> f64 {
         self.elapsed_ms * 1e6 / self.arrivals.max(1) as f64
     }
@@ -100,9 +104,9 @@ fn measure(tasks: usize, workers: usize, episodes: u64, seed: u64) -> Row {
         resumed: f.resumed,
         steals: f.steals,
         polls: f.polls,
+        yields: f.yields,
         wakes: f.wakes,
         drains: f.drains,
-        polls_per_arrival: f.polls as f64 / report.barrier.arrivals.max(1) as f64,
         elapsed_ms: report.elapsed.as_secs_f64() * 1e3,
     }
 }
@@ -117,9 +121,11 @@ fn row_json(r: &Row) -> Json {
         .field("resumed", r.resumed)
         .field("steals", r.steals)
         .field("polls", r.polls)
+        .field("yields", r.yields)
         .field("wakes", r.wakes)
         .field("drains", r.drains)
-        .field("polls_per_arrival", r.polls_per_arrival)
+        .field("polls_per_arrival", r.per_arrival(r.polls))
+        .field("yields_per_arrival", r.per_arrival(r.yields))
         .field("elapsed_ms", r.elapsed_ms)
 }
 
@@ -148,6 +154,7 @@ fn main() {
         "parked",
         "steals",
         "polls/arrival",
+        "yields/arrival",
         "wakes",
         "elapsed ms",
         "ns/arrival",
@@ -161,7 +168,8 @@ fn main() {
                 row.workers.to_string(),
                 row.parked.to_string(),
                 row.steals.to_string(),
-                format!("{:.2}", row.polls_per_arrival),
+                format!("{:.2}", row.per_arrival(row.polls)),
+                format!("{:.2}", row.per_arrival(row.yields)),
                 row.wakes.to_string(),
                 format!("{:.1}", row.elapsed_ms),
                 format!("{:.0}", row.ns_per_arrival()),

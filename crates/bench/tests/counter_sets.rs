@@ -97,12 +97,13 @@ fn every_counter_set_merges_saturates_and_exports_its_keys() {
         probes: 5, 10;
     });
     check!(AsyncSnapshot {
-        parked: 1, 7;
-        resumed: 2, 8;
-        drains: 3, 9;
-        wakes: 4, 10;
-        polls: 5, 11;
-        steals: 6, 12;
+        parked: 1, 8;
+        resumed: 2, 9;
+        drains: 3, 10;
+        wakes: 4, 11;
+        polls: 5, 12;
+        yields: 6, 13;
+        steals: 7, 14;
     });
     check!(ProcStats {
         instructions: 1, 7;

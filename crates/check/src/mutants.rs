@@ -31,11 +31,12 @@
 //!
 //! **Other layers.** An *async frontend* whose completion path forgets to
 //! drain the parked-waker registry — the canonical lost wakeup of
-//! poll-based waiting, caught by the waker-handoff scenario — and two
+//! poll-based waiting, caught by the waker-handoff scenario — and three
 //! replicas of the real frontend's release-word fast paths, each with one
-//! of the two obligations that keep them wakeup-safe dropped: a waiter
-//! that parks on a release word read *outside* the probe lock, and a
-//! completer whose skip-the-drain test is off by one. Three
+//! of the obligations that keep them wakeup-safe dropped: a waiter that
+//! parks on a release word read *outside* the probe lock, a completer
+//! whose skip-the-drain test is off by one, and a first pending poll that
+//! yields without waking its own task. Three
 //! *dynamic-membership* bugs: a membership layer that widens the group
 //! mid-episode instead of at a boundary, an inner barrier whose admission
 //! stamps the joiner into the in-flight episode, and a credential check
@@ -747,7 +748,9 @@ impl<S: SyncOps> SplitBarrier for MutantRacyEvictGuard<S> {
 ///
 /// Polling probes the poller's *own* token, so the task that happens to
 /// poll after the last arrival resolves fine — the frontend looks healthy
-/// in any single-task test. But a peer that parked earlier is woken by
+/// in any single-task test. Like the real frontend, a future's first
+/// pending poll yields (wakes itself, registers nothing) and only a later
+/// one parks. But a peer that parked earlier is woken by
 /// nobody: its episode fully arrived, its waker sits in the registry, and
 /// the flag it sleeps on is never set. The checker's deadlock detector
 /// sees the stuck shadow wait and the ledger upgrades it to a lost
@@ -785,6 +788,7 @@ impl AsyncFrontend for MutantNoDrain {
             owner: self,
             id,
             episode,
+            yielded: false,
         })
     }
 }
@@ -793,6 +797,7 @@ struct NoDrainFuture<'a> {
     owner: &'a MutantNoDrain,
     id: usize,
     episode: u64,
+    yielded: bool,
 }
 
 impl Future for NoDrainFuture<'_> {
@@ -809,6 +814,11 @@ impl Future for NoDrainFuture<'_> {
                 episode: this.episode,
                 ..WaitOutcome::default()
             }));
+        }
+        if !this.yielded {
+            this.yielded = true;
+            cx.waker().wake_by_ref();
+            return Poll::Pending;
         }
         // No shadow operations below this lock: the critical section can
         // never be descheduled while held, so a plain mutex is safe here.
@@ -886,20 +896,23 @@ impl<S: SyncOps> Protocol<S> for MutantEarlyEpoch<S> {
 }
 
 // ---------------------------------------------------------------------------
-// MutantUnlockedPark / MutantCompleterSkipsDrain: the release-word fast
-// paths, each short of one obligation
+// MutantUnlockedPark / MutantCompleterSkipsDrain / MutantYieldWithoutWake:
+// the release-word fast paths, each short of one obligation
 // ---------------------------------------------------------------------------
 
 const UNLOCKED_PARK: u8 = 0;
 const COMPLETER_SKIPS_DRAIN: u8 = 1;
+const YIELD_WITHOUT_WAKE: u8 = 2;
 
 /// A replica of the real [`fuzzy_barrier::AsyncBarrier`]'s release-word
 /// fast paths over the stock [`CentralBarrier`] — the probe lock is the
 /// same shadow-domain lock, an arrival that reads the release word at or
 /// below its own episode skips the drain, a poll that reads it above its
-/// episode resolves without the lock — with one of the two obligations of
-/// the frontend's lost-wakeup argument dropped, chosen by `BUG`. Use it
-/// through [`MutantUnlockedPark`] and [`MutantCompleterSkipsDrain`].
+/// episode resolves without the lock, a future's first pending poll
+/// yields (wakes itself, registers nothing) — with one of the obligations
+/// of the frontend's lost-wakeup argument dropped, chosen by `BUG`. Use it
+/// through [`MutantUnlockedPark`], [`MutantCompleterSkipsDrain`] and
+/// [`MutantYieldWithoutWake`].
 #[derive(Debug)]
 pub struct FastPathReplica<const BUG: u8> {
     inner: CentralBarrier<ShadowSync>,
@@ -921,6 +934,14 @@ pub type MutantUnlockedPark = FastPathReplica<UNLOCKED_PARK>;
 /// is the one that skips it, and every waiter parked for `e` is lost —
 /// on every schedule in which anyone parked.
 pub type MutantCompleterSkipsDrain = FastPathReplica<COMPLETER_SKIPS_DRAIN>;
+
+/// [`FastPathReplica`] whose first pending poll **yields without waking
+/// its own task**: it returns `Pending` having registered nothing, so no
+/// drain can ever find it, and nothing asks for the poll that would park.
+/// The task sleeps through the completion of an episode it has fully
+/// arrived for — a lost wakeup on the first schedule in which anyone's
+/// first poll finds the episode open.
+pub type MutantYieldWithoutWake = FastPathReplica<YIELD_WITHOUT_WAKE>;
 
 impl<const BUG: u8> FastPathReplica<BUG> {
     /// Creates the mutant for `n` participants.
@@ -979,6 +1000,7 @@ impl<const BUG: u8> AsyncFrontend for FastPathReplica<BUG> {
             owner: self,
             id,
             episode,
+            yielded: false,
         })
     }
 }
@@ -987,6 +1009,7 @@ struct FastPathFuture<'a, const BUG: u8> {
     owner: &'a FastPathReplica<BUG>,
     id: usize,
     episode: u64,
+    yielded: bool,
 }
 
 impl<const BUG: u8> Future for FastPathFuture<'_, BUG> {
@@ -996,6 +1019,15 @@ impl<const BUG: u8> Future for FastPathFuture<'_, BUG> {
         let this = Pin::into_inner(self);
         let owner = this.owner;
         let mut released = owner.released();
+        if released <= this.episode && !this.yielded {
+            this.yielded = true;
+            // BUG (seeded, `MutantYieldWithoutWake`): the real frontend
+            // wakes its own waker before it returns this `Pending`.
+            if BUG != YIELD_WITHOUT_WAKE {
+                cx.waker().wake_by_ref();
+            }
+            return Poll::Pending;
+        }
         if released <= this.episode {
             let mut parked = owner.parked.acquire();
             // BUG (seeded, `MutantUnlockedPark`): the real frontend reads

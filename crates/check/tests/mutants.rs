@@ -280,10 +280,12 @@ fn real_async_frontend_survives((n, episodes, bound): (usize, u64, usize)) {
 const NO_DRAIN_SPACE: (usize, u64, usize) = (2, 1, 2);
 const UNLOCKED_PARK_SPACE: (usize, u64, usize) = (2, 2, 2);
 const COMPLETER_SKIPS_SPACE: (usize, u64, usize) = (3, 1, 1);
+const YIELD_WITHOUT_WAKE_SPACE: (usize, u64, usize) = (2, 1, 1);
 
 #[test]
 fn async_no_drain_is_caught_as_lost_wakeup() {
-    // t0 arrives, polls Pending, parks its waker. t1 arrives (completing
+    // t0 arrives, polls Pending twice (a yield, then a park), parks its
+    // waker. t1 arrives (completing
     // the episode), polls its own token to Ready — and never drains the
     // registry. t0 sleeps on a flag nobody sets; its episode fully
     // arrived, so the checker must classify the hang as a lost wakeup.
@@ -337,6 +339,29 @@ fn async_completer_skips_drain_is_caught_as_lost_wakeup() {
 fn real_async_frontend_survives_the_completer_skips_drain_schedule_space() {
     // The real arrive skips on `k <= e` only: the completer always drains.
     real_async_frontend_survives(COMPLETER_SKIPS_SPACE);
+}
+
+#[test]
+fn async_yield_without_wake_is_caught_as_lost_wakeup() {
+    // t0 arrives and polls: the episode is open, so the poll yields — and
+    // wakes nobody. t0 sleeps on its flag with nothing registered. t1
+    // arrives, completes the episode, drains an empty registry and
+    // resolves. t0's episode fully arrived and nobody will poll it again:
+    // the first, sequential schedule already loses the wakeup. One
+    // episode: with two, t1 also sleeps in episode 1, which t0 never
+    // arrives for, and the hang is only a deadlock.
+    use fuzzy_check::mutants::MutantYieldWithoutWake;
+    must_lose_a_wakeup(
+        "mutant/yield-without-wake",
+        YIELD_WITHOUT_WAKE_SPACE,
+        || Arc::new(MutantYieldWithoutWake::new(2)),
+    );
+}
+
+#[test]
+fn real_async_frontend_survives_the_yield_without_wake_schedule_space() {
+    // The real yield wakes its own waker before it returns `Pending`.
+    real_async_frontend_survives(YIELD_WITHOUT_WAKE_SPACE);
 }
 
 /// Check-smoke's exploration — unbounded-preemption DFS — cut off after

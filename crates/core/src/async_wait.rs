@@ -37,14 +37,19 @@
 //!   watermark, a lower bound on the oldest parked episode, so a drain
 //!   that releases nobody is one load and one compare.
 //! * **Poll** reads `k` first, lock-free. `e < k`: `Ready`, with no lock
-//!   and no registry access (completion wins over poison). Otherwise the
-//!   poll takes the lock, **re-reads `k` under it**, drains as above, and
-//!   only then decides its own token from that second read: `Ready` and
-//!   un-park, `Err(Poisoned)` and un-park, or register its waker and
-//!   return `Pending`.
-//! * A fault-free task-episode therefore takes the lock once (its parking
-//!   poll) and the completer once more per episode; an episode of `M`
-//!   tasks costs `M` lock acquisitions and O(M) registry visits in total.
+//!   and no registry access (completion wins over poison). Otherwise, on
+//!   the future's first pending poll, it **yields**: it wakes its own
+//!   waker and returns `Pending`, with no lock, no registry entry and no
+//!   poison read — spin before you park, with a budget of one yield. Only
+//!   a later poll takes the lock, **re-reads `k` under it**, drains as
+//!   above, and only then decides its own token from that second read:
+//!   `Ready` and un-park, `Err(Poisoned)` and un-park, or register its
+//!   waker and return `Pending`.
+//! * A fault-free task-episode whose episode completes before its task is
+//!   polled again therefore takes no lock at all; one that parks takes it
+//!   once, and the completer once more per episode. An episode of `M`
+//!   tasks costs at most `M` lock acquisitions and O(M) registry visits in
+//!   total.
 //! * A future that resolves on the lock-free path does not un-park. If it
 //!   had parked and is polled again between the completing arrival and the
 //!   drain that arrival owes, its entry stays behind, **stale**. The next
@@ -83,10 +88,10 @@
 //! The frontend's counters follow the same rule as the barrier's own
 //! statistics (see [`crate::stats`]): nothing on the poll path bumps a
 //! shared word. `parked` / `drains` / `wakes` are plain fields of the
-//! registry, written only with the lock held; `polls` / `resumed` are
-//! counted in the future and folded into its participant's own padded
-//! cell when it resolves or drops; [`AsyncBarrier::async_stats`] adds
-//! them up.
+//! registry, written only with the lock held; `polls` / `yields` /
+//! `resumed` are counted in the future and folded into its participant's
+//! own padded cell when it resolves or drops;
+//! [`AsyncBarrier::async_stats`] adds them up.
 //!
 //! # Lost-wakeup freedom
 //!
@@ -121,6 +126,13 @@
 //!    has one slot, so a registration that did find it would overwrite
 //!    episode and waker there — the registry never describes anyone but
 //!    the id's latest waiter.
+//! 5. *A yield is `Pending` with its own wake already delivered.* It
+//!    decides nothing from the lock-free read but to be polled again, and
+//!    the executor owes a task woken during its poll another poll, so —
+//!    like `Ready` — it can strand nothing; the poll after it is an
+//!    ordinary parking poll. (`MutantYieldWithoutWake` returns `Pending`
+//!    without the wake: nobody has its waker, and it sleeps through the
+//!    completion.)
 //!
 //! The watermark is only ever a *lower* bound — raised solely by the scan
 //! that recomputes it exactly — so it can cost a wasted scan, never a
@@ -262,11 +274,12 @@ impl Registry {
     }
 }
 
-/// The `polls` / `resumed` counts of one participant's futures, folded in
-/// by each future when it resolves or drops.
+/// The `polls` / `yields` / `resumed` counts of one participant's
+/// futures, folded in by each future when it resolves or drops.
 #[derive(Debug, Default)]
 struct FutureCounts {
     polls: AtomicU64,
+    yields: AtomicU64,
     resumed: AtomicU64,
 }
 
@@ -295,7 +308,8 @@ struct FutureCounts {
 /// let barrier = AsyncBarrier::new(CentralBarrier::new(2));
 /// let mut cx = Context::from_waker(Waker::noop());
 /// let mut first = barrier.arrive_async(0);
-/// // Participant 1 has not arrived: the first future parks.
+/// // Participant 1 has not arrived: the first future yields, then parks.
+/// assert!(Pin::new(&mut first).poll(&mut cx).is_pending());
 /// assert!(Pin::new(&mut first).poll(&mut cx).is_pending());
 /// let mut last = barrier.arrive_async(1);
 /// for future in [&mut first, &mut last] {
@@ -365,16 +379,17 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
     }
 
     /// Snapshot of the async-frontend counters (parks, resumes, drains,
-    /// wakes, polls): the registry's counts, read under the probe lock,
-    /// plus the per-participant cells. `polls` and `resumed` cover the
-    /// futures that have resolved or dropped; one still in flight adds its
-    /// share when it does.
+    /// wakes, polls, yields): the registry's counts, read under the probe
+    /// lock, plus the per-participant cells. `polls`, `yields` and
+    /// `resumed` cover the futures that have resolved or dropped; one
+    /// still in flight adds its share when it does.
     #[must_use]
     pub fn async_stats(&self) -> AsyncSnapshot {
         let mut total = self.registry.acquire().counts;
         let cells = self.future_counts.iter().map(|cell| &**cell);
         for counts in cells.chain([&self.stray_counts]) {
             total.polls += counts.polls.load(Ordering::Relaxed);
+            total.yields += counts.yields.load(Ordering::Relaxed);
             total.resumed += counts.resumed.load(Ordering::Relaxed);
         }
         total
@@ -382,12 +397,13 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
 
     /// Folds a finished (resolved or dropped) future's counts into its
     /// participant's cell.
-    fn record_future(&self, id: usize, polls: u64, resumed: bool) {
+    fn record_future(&self, id: usize, polls: u64, yielded: bool, resumed: bool) {
         let (counts, sole_writer) = match self.future_counts.get(id) {
             Some(cell) => (&**cell, true),
             None => (&self.stray_counts, false),
         };
         stats::add(&counts.polls, polls, sole_writer);
+        stats::add(&counts.yields, u64::from(yielded), sole_writer);
         stats::add(&counts.resumed, u64::from(resumed), sole_writer);
     }
 
@@ -408,6 +424,7 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
             barrier: self,
             id,
             episode,
+            yielded: false,
             parked: false,
             polls: 0,
             first_pending: None,
@@ -607,6 +624,11 @@ impl<B: SplitBarrier, S: SyncOps> SplitBarrier for AsyncBarrier<B, S> {
 /// hold). Dropping an unresolved future poisons the barrier — the async
 /// form of [`SplitBarrier::abort`].
 ///
+/// On a backend with a [`SplitBarrier::release_epoch`], the first poll
+/// that finds the episode open **yields** instead of parking: it wakes
+/// the task's waker and returns `Pending`, so the executor polls it again
+/// soon. Only a later pending poll registers the waker.
+///
 /// The outcome's `stalled`, `descheduled` and `probes` are exact on every
 /// episode. Its `stall_time` — first `Pending` poll to resolution — is
 /// **sampled**: the future reads the clock only on the episodes whose
@@ -619,6 +641,9 @@ pub struct BarrierFuture<'a, B: SplitBarrier, S: SyncOps = RealSync> {
     barrier: &'a AsyncBarrier<B, S>,
     id: usize,
     episode: u64,
+    /// True once a pending poll has yielded instead of parking; only the
+    /// polls after it may take the probe lock (release-word backends).
+    yielded: bool,
     /// True once a waker has been registered (we parked at least once).
     parked: bool,
     /// This future's polls so far.
@@ -648,6 +673,7 @@ impl<B: SplitBarrier, S: SyncOps> fmt::Debug for BarrierFuture<'_, B, S> {
         f.debug_struct("BarrierFuture")
             .field("id", &self.id)
             .field("episode", &self.episode)
+            .field("yielded", &self.yielded)
             .field("parked", &self.parked)
             .field("done", &self.done)
             .finish()
@@ -669,6 +695,13 @@ impl<B: SplitBarrier, S: SyncOps> Future for BarrierFuture<'_, B, S> {
         let released = this.barrier.inner.release_epoch();
         let resolved = if released.is_some_and(|k| this.episode < k) {
             Some(Ok(()))
+        } else if released.is_some() && !this.yielded {
+            // Spin before you park: the first pending poll asks to be
+            // polled again instead of registering. Waking ourselves first
+            // is what makes this `Pending` safe without the lock.
+            this.yielded = true;
+            cx.waker().wake_by_ref();
+            None
         } else {
             let own = ArrivalToken::new(this.id, this.episode);
             let mut registry = this.barrier.registry.acquire();
@@ -705,7 +738,8 @@ impl<B: SplitBarrier, S: SyncOps> Future for BarrierFuture<'_, B, S> {
             return Poll::Pending;
         };
         this.done = true;
-        this.barrier.record_future(this.id, this.polls, this.parked);
+        this.barrier
+            .record_future(this.id, this.polls, this.yielded, this.parked);
         Poll::Ready(resolved.map(|()| WaitOutcome {
             episode: this.episode,
             stalled: this.polls > 1,
@@ -721,7 +755,8 @@ impl<B: SplitBarrier, S: SyncOps> Drop for BarrierFuture<'_, B, S> {
         if self.done {
             return;
         }
-        self.barrier.record_future(self.id, self.polls, false);
+        self.barrier
+            .record_future(self.id, self.polls, self.yielded, false);
         self.probe_and_deregister();
     }
 }
@@ -788,6 +823,27 @@ mod tests {
         }
     }
 
+    /// The `(id, episode)` of every registry entry, in slot order.
+    fn entries<B: SplitBarrier>(b: &AsyncBarrier<B>) -> Vec<(usize, u64)> {
+        let registry = b.registry.lock().unwrap();
+        registry.parked.iter().map(|p| (p.id, p.episode)).collect()
+    }
+
+    /// Polls a release-word future whose episode is still open for the
+    /// first time and asserts that the poll yields: `Pending`, its waker
+    /// woken once, and the registry, `drains` and `parked` untouched. The
+    /// caller's next poll is then the one that may park.
+    fn assert_yields<B: SplitBarrier>(fut: &mut BarrierFuture<'_, B>) {
+        let b = fut.barrier;
+        let (before, registered) = (b.async_stats(), entries(b));
+        let (woken, waker) = Woken::new();
+        assert!(poll_with(fut, &waker).is_pending());
+        assert_eq!(woken.count(), 1, "a yield wakes its own waker");
+        assert_eq!(entries(b), registered, "a yield registers nothing");
+        let after = b.async_stats();
+        assert_eq!((after.drains, after.parked), (before.drains, before.parked));
+    }
+
     /// Forwards to `B`, counting the completion probes the frontend makes:
     /// `is_complete` and `release_epoch` calls.
     struct Probed<B> {
@@ -849,14 +905,19 @@ mod tests {
     }
 
     /// Drives one full episode of `m` futures through the frontend — each
-    /// arrives and polls once (all but the last park), then every parked
-    /// future is polled until it resolves — and returns the backend probes
-    /// spent per task and the frontend's counters.
+    /// arrives and is polled until it parks (on a release-word backend all
+    /// but the last yield first, then park), then every parked future is
+    /// polled until it resolves — and returns the backend probes spent per
+    /// task and the frontend's counters.
     fn drive_episode<B: SplitBarrier>(backend: B, m: usize) -> (f64, AsyncSnapshot) {
+        let yields = backend.release_epoch().is_some();
         let b = Arc::new(AsyncBarrier::new(Probed::new(backend)));
         let mut parked = Vec::new();
         for id in 0..m {
             let mut fut = b.arrive_async(id);
+            if yields && id + 1 < m {
+                assert_yields(&mut fut);
+            }
             match poll_once(&mut fut) {
                 Poll::Pending => parked.push(fut),
                 Poll::Ready(result) => assert_eq!(result.expect("no faults").episode, 0),
@@ -887,11 +948,12 @@ mod tests {
 
     #[test]
     fn uniform_release_backends_lock_once_per_park_and_once_per_episode() {
-        // Backend probes per task: arrive and the resolving poll read the
-        // release word once, the parking poll twice (lock-free, then under
-        // the lock) — whatever the number of parked peers. Probe-lock
-        // acquisitions per episode: the M - 1 parking polls and the
-        // completer's arrive. No other arrive and no resolving poll locks.
+        // Backend probes per task: arrive, the yielding poll and the
+        // resolving poll read the release word once, the parking poll
+        // twice (lock-free, then under the lock) — whatever the number of
+        // parked peers. Probe-lock acquisitions per episode: the M - 1
+        // parking polls and the completer's arrive. No other arrive, no
+        // yield and no resolving poll locks.
         for m in [64, 1024] {
             let backends: [(&str, Arc<dyn SplitBarrier>); 4] = [
                 ("central", Arc::new(CentralBarrier::new(m))),
@@ -901,11 +963,12 @@ mod tests {
             ];
             for (name, backend) in backends {
                 let (per_task, stats) = drive_episode(backend, m);
-                assert!(per_task <= 4.0, "{name} M={m}: {per_task} probes per task");
+                assert!(per_task <= 5.0, "{name} M={m}: {per_task} probes per task");
                 assert_eq!(stats.drains, m as u64, "{name} M={m}: {stats:?}");
                 assert_eq!(stats.parked, m as u64 - 1, "{name} M={m}");
+                assert_eq!(stats.yields, stats.parked, "{name} M={m}");
                 assert_eq!(stats.wakes, stats.parked, "{name} M={m}");
-                assert_eq!(stats.polls, 2 * m as u64 - 1, "{name} M={m}");
+                assert_eq!(stats.polls, 3 * m as u64 - 2, "{name} M={m}");
             }
         }
     }
@@ -914,10 +977,12 @@ mod tests {
     fn cooperative_backends_still_sweep_on_every_arrive_and_poll() {
         // No `release_epoch`: polls alone walk every participant's rounds
         // (the harness asserts nobody is stranded), so every arrive and
-        // every poll takes the lock and drains.
+        // every poll takes the lock and drains. No poll yields: a poll
+        // here drives rounds.
         let m = 64;
         let (_, stats) = drive_episode(DisseminationBarrier::new(m), m);
         assert_eq!(stats.drains, m as u64 + stats.polls, "{stats:?}");
+        assert_eq!(stats.yields, 0, "{stats:?}");
     }
 
     #[test]
@@ -925,6 +990,7 @@ mod tests {
         let b = Arc::new(AsyncBarrier::new(CentralBarrier::new(2)));
         let (stale, stale_waker) = Woken::new();
         let mut fut = b.arrive_async(0);
+        assert_yields(&mut fut);
         assert!(poll_with(&mut fut, &stale_waker).is_pending());
         // Episode 0 completes behind the frontend's back — the completer
         // between its backend arrival and the drain it owes, frozen there:
@@ -948,6 +1014,7 @@ mod tests {
         // exactly episode 1's completing arrive.
         let (fresh, fresh_waker) = Woken::new();
         let mut fut = b.arrive_async(0);
+        assert_yields(&mut fut);
         assert!(poll_with(&mut fut, &fresh_waker).is_pending());
         assert_eq!(b.registry.lock().unwrap().parked[0].episode, 1);
         assert_eq!((stale.count(), fresh.count()), (1, 0));
@@ -975,6 +1042,7 @@ mod tests {
         let wakers: Vec<_> = (0..m).map(|_| Woken::new()).collect();
         let mut futures: Vec<_> = (0..m).map(|id| b.arrive_async(id)).collect();
         for (fut, (_, waker)) in futures.iter_mut().zip(&wakers) {
+            assert_yields(fut);
             assert!(poll_with(fut, waker).is_pending());
         }
         assert_eq!(b.async_stats().drains, m as u64, "no arrive has drained");
@@ -986,6 +1054,8 @@ mod tests {
         futures.push(b.arrive_async(m));
         assert!(wakers.iter().all(|(woken, _)| woken.count() == 1));
         assert!(b.registry.lock().unwrap().parked.is_empty());
+        // The late arriver's first poll yields, poison or not.
+        assert_yields(futures.last_mut().expect("just pushed"));
         for fut in &mut futures {
             assert!(matches!(
                 poll_once(fut),
@@ -1001,6 +1071,7 @@ mod tests {
         let b = Arc::new(AsyncBarrier::new(CentralBarrier::new(3)));
         let (woken, waker) = Woken::new();
         let mut parked = b.arrive_async(0);
+        assert_yields(&mut parked);
         assert!(poll_with(&mut parked, &waker).is_pending());
         let token = SplitBarrier::arrive(b.as_ref(), 1);
         // A fault raised below the frontend runs none of its hooks.
@@ -1026,8 +1097,9 @@ mod tests {
         let b = Arc::new(AsyncBarrier::new(CentralBarrier::new(2)));
         for episode in 0..2 * period {
             let mut fut = b.arrive_async(0);
-            assert!(poll_once(&mut fut).is_pending());
+            assert_yields(&mut fut);
             assert_eq!(fut.first_pending.is_some(), episode % period == period - 1);
+            assert!(poll_once(&mut fut).is_pending());
             if fut.first_pending.is_some() {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
@@ -1037,7 +1109,7 @@ mod tests {
             else {
                 panic!("episode {episode} did not release");
             };
-            assert!(waited.stalled && waited.descheduled && waited.probes == 2);
+            assert!(waited.stalled && waited.descheduled && waited.probes == 3);
             assert!(!instant.stalled && !instant.descheduled && instant.probes == 1);
             assert_eq!(
                 waited.stall_time >= std::time::Duration::from_millis(1),
@@ -1090,6 +1162,7 @@ mod tests {
         let (first, first_waker) = Woken::new();
         let (second, second_waker) = Woken::new();
         let mut fut = b.arrive_async(0);
+        assert_yields(&mut fut);
         assert!(poll_with(&mut fut, &first_waker).is_pending());
         assert!(poll_with(&mut fut, &second_waker).is_pending());
         assert_eq!(b.async_stats().parked, 1, "parked once, refreshed once");
@@ -1105,6 +1178,9 @@ mod tests {
         let (dropped, dropped_waker) = Woken::new();
         let mut doomed = b.arrive_async(0);
         let mut survivor = b.arrive_async(1);
+        for fut in [&mut doomed, &mut survivor] {
+            assert_yields(fut);
+        }
         assert!(poll_with(&mut doomed, &dropped_waker).is_pending());
         assert!(poll_with(&mut survivor, &kept_waker).is_pending());
         drop(doomed);
@@ -1132,6 +1208,7 @@ mod tests {
         let wakers: Vec<_> = (0..3).map(|_| Woken::new()).collect();
         let mut slow: Vec<_> = (0..2).map(|id| b.arrive_async(id)).collect();
         for (fut, (_, waker)) in slow.iter_mut().zip(&wakers) {
+            assert_yields(fut);
             assert!(poll_with(fut, waker).is_pending());
         }
         drop(inner.arrive(2)); // completes episode 0 behind the frontend's back
@@ -1140,11 +1217,13 @@ mod tests {
             barrier: &b,
             id: 2,
             episode: 1,
+            yielded: false,
             parked: false,
             polls: 0,
             first_pending: None,
             done: false,
         };
+        assert_yields(&mut fast);
         assert!(poll_with(&mut fast, &wakers[2].1).is_pending());
         let counts: Vec<u64> = wakers.iter().map(|(woken, _)| woken.count()).collect();
         assert_eq!(counts, [1, 1, 0]);
@@ -1174,6 +1253,7 @@ mod tests {
         let wakers: Vec<_> = (0..m).map(|_| Woken::new()).collect();
         let mut futures: Vec<_> = (0..m).map(|id| b.arrive_async(id)).collect();
         for (fut, (_, waker)) in futures.iter_mut().zip(&wakers) {
+            assert_yields(fut);
             assert!(poll_with(fut, waker).is_pending());
         }
         SplitBarrier::poison(b.as_ref());
@@ -1185,6 +1265,58 @@ mod tests {
                 Poll::Ready(Err(BarrierError::Poisoned { episode: 0 }))
             ));
         }
+    }
+
+    #[test]
+    fn first_pending_poll_yields_and_the_second_parks() {
+        let b = AsyncBarrier::new(Probed::new(CentralBarrier::new(2)));
+        let probes = || b.backend().probes.load(Ordering::Relaxed);
+        let (woken, waker) = Woken::new();
+        let mut fut = b.arrive_async(0);
+        // The yield: one release-word load, its own waker woken, no lock,
+        // no entry.
+        let before = probes();
+        assert!(poll_with(&mut fut, &waker).is_pending());
+        assert_eq!((probes() - before, woken.count()), (1, 1));
+        let stats = b.async_stats();
+        assert_eq!((stats.drains, stats.parked), (0, 0));
+        assert!(entries(&b).is_empty());
+        // The second pending poll parks and does not wake itself; a third
+        // refreshes the entry and does not yield again.
+        for drains in [1, 2] {
+            assert!(poll_with(&mut fut, &waker).is_pending());
+            assert_eq!(woken.count(), 1);
+            let stats = b.async_stats();
+            assert_eq!((stats.drains, stats.parked), (drains, 1));
+            assert_eq!(entries(&b), [(0, 0)]);
+        }
+        // The completer wakes it through the registry.
+        drop(SplitBarrier::arrive(&b, 1));
+        assert_eq!(woken.count(), 2);
+        match poll_with(&mut fut, &waker) {
+            Poll::Ready(Ok(outcome)) => {
+                assert_eq!(outcome.episode, 0);
+                assert!(outcome.stalled && outcome.descheduled);
+                assert_eq!(outcome.probes, 4);
+            }
+            other => panic!("expected Ready(Ok(_)), got {other:?}"),
+        }
+        let stats = b.async_stats();
+        assert_eq!((stats.polls, stats.yields, stats.resumed), (4, 1, 1));
+
+        // A yield reads no poison word: on a barrier poisoned below the
+        // frontend the first poll still yields, and the second, under the
+        // lock, reports the fault.
+        let b = AsyncBarrier::new(CentralBarrier::new(2));
+        let mut fut = b.arrive_async(0);
+        b.backend().poison();
+        assert_yields(&mut fut);
+        assert!(matches!(
+            poll_once(&mut fut),
+            Poll::Ready(Err(BarrierError::Poisoned { episode: 0 }))
+        ));
+        let stats = b.async_stats();
+        assert_eq!((stats.polls, stats.yields, stats.parked), (2, 1, 0));
     }
 
     #[test]
@@ -1201,8 +1333,8 @@ mod tests {
                 other => panic!("expected Ready(Ok(_)), got {other:?}"),
             }
         }
-        assert_eq!(b.async_stats().parked, 0);
-        assert_eq!(b.async_stats().polls, 3);
+        let stats = b.async_stats();
+        assert_eq!((stats.parked, stats.yields, stats.polls), (0, 0, 3));
     }
 
     #[test]
@@ -1211,6 +1343,7 @@ mod tests {
         let b = AsyncBarrier::new(CentralBarrier::new(2));
         let (woken, waker) = Woken::new();
         let mut fut = b.arrive_async(0);
+        assert_yields(&mut fut);
         assert!(poll_with(&mut fut, &waker).is_pending());
         assert_eq!(b.async_stats().parked, 1);
         // The last arrival drains the registry and hands out the waker.
@@ -1258,6 +1391,7 @@ mod tests {
     fn poison_releases_parked_waiters_with_err() {
         let b = Arc::new(AsyncBarrier::new(CentralBarrier::new(2)));
         let mut fut = b.arrive_async(0);
+        assert_yields(&mut fut);
         assert!(poll_once(&mut fut).is_pending());
         SplitBarrier::poison(b.as_ref());
         assert_eq!(b.async_stats().wakes, 1, "poison drains the registry");
@@ -1287,11 +1421,13 @@ mod tests {
         // and its polls are not lost with it.
         let b = Arc::new(AsyncBarrier::new(CentralBarrier::new(2)));
         let mut fut = b.arrive_async(0);
+        assert_yields(&mut fut);
         assert!(poll_once(&mut fut).is_pending());
         drop(fut);
         assert!(SplitBarrier::is_poisoned(b.as_ref()));
         let stats = b.async_stats();
-        assert_eq!((stats.polls, stats.parked, stats.resumed), (1, 1, 0));
+        assert_eq!((stats.polls, stats.parked, stats.resumed), (2, 1, 0));
+        assert_eq!(stats.yields, 1);
         assert!(b.registry.lock().unwrap().parked.is_empty());
     }
 

@@ -579,7 +579,8 @@ counter_set! {
     /// (there is no shared counter block to bump on the poll path); `steals`
     /// is `fuzzy-sched`'s executor's.
     pub struct AsyncSnapshot {
-        /// Waiters that registered a waker (first pending poll).
+        /// Waiters that registered a waker (on a release-word backend the
+        /// second pending poll, elsewhere the first).
         parked: u64 => "parked",
         /// Previously parked waiters that completed their episode.
         resumed: u64 => "resumed",
@@ -589,6 +590,9 @@ counter_set! {
         wakes: u64 => "wakes",
         /// Barrier-future polls.
         polls: u64 => "polls",
+        /// Futures whose first pending poll yielded (woke its own task)
+        /// instead of parking.
+        yields: u64 => "yields",
         /// Tasks stolen from another worker's run queue.
         steals: u64 => "steals",
     }

@@ -12,6 +12,12 @@
 //! Dependency-free by design (the container builds offline): tasks are
 //! `Pin<Box<dyn Future>>` behind a mutex, wakers come from
 //! [`std::task::Wake`], parking is a `Condvar`.
+//!
+//! A task woken while it is being polled — a future that yields, like a
+//! [`fuzzy_barrier::BarrierFuture`]'s first pending poll — is not put back
+//! on a run queue: its worker keeps it on a deferred list of its own and
+//! polls it again once the tasks that were queued ahead of it have run,
+//! with no lock taken to requeue it.
 
 use crate::executor::{busy, BarrierChoice};
 use fuzzy_barrier::stats::{AsyncSnapshot, StatsSnapshot};
@@ -33,7 +39,7 @@ const QUEUED: u8 = 0;
 const RUNNING: u8 = 1;
 /// Task returned `Pending` and waits for a wake.
 const WAITING: u8 = 2;
-/// Task was woken *while* being polled; the poller re-enqueues it.
+/// Task was woken *while* being polled; the worker polling it defers it.
 const NOTIFIED: u8 = 3;
 /// Task ran to completion, or panicked.
 const DONE: u8 = 4;
@@ -66,6 +72,12 @@ struct Running {
 
 impl Wake for Task {
     fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    /// A self-wake from inside a poll (a yield) is one CAS, with no
+    /// reference count touched; a waiting task's wake enqueues a clone.
+    fn wake_by_ref(self: &Arc<Self>) {
         loop {
             match self.state.load(Ordering::Acquire) {
                 WAITING => {
@@ -74,8 +86,7 @@ impl Wake for Task {
                         .compare_exchange(WAITING, QUEUED, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok()
                     {
-                        let shared = Arc::clone(&self.shared);
-                        shared.enqueue(self);
+                        self.shared.enqueue(Arc::clone(self));
                         return;
                     }
                 }
@@ -163,12 +174,16 @@ impl Shared {
         }
     }
 
-    /// Pops the next runnable task for worker `me`: own queue first, then
-    /// steal from the back of the busiest sibling.
-    fn find_task(&self, me: usize) -> Option<Arc<Task>> {
-        if let Some(task) = lock(&self.queues[me]).pop_front() {
-            return Some(task);
-        }
+    /// Pops the front of worker `me`'s own run queue, with the number of
+    /// tasks still queued behind it.
+    fn pop_own(&self, me: usize) -> Option<(Arc<Task>, usize)> {
+        let mut queue = lock(&self.queues[me]);
+        let task = queue.pop_front()?;
+        Some((task, queue.len()))
+    }
+
+    /// Steals a task from the back of a sibling's run queue.
+    fn steal(&self, me: usize) -> Option<Arc<Task>> {
         for offset in 1..self.queues.len() {
             let victim = (me + offset) % self.queues.len();
             if let Some(task) = lock(&self.queues[victim]).pop_back() {
@@ -340,8 +355,9 @@ impl Drop for AsyncExecutor {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        // Cancel every unfinished task, queued or parked, by dropping its
-        // future (and waker). Marked done first, so that a wake coming
+        // Cancel every unfinished task, queued, deferred (its worker has
+        // returned and dropped its list) or parked, by dropping its future
+        // (and waker). Marked done first, so that a wake coming
         // later — from a peer's cancelled barrier future, or from a waker
         // held outside any barrier — is coalesced instead of queueing the
         // task on a pool nobody serves, a `queues → Task → Shared` cycle.
@@ -359,9 +375,71 @@ impl Drop for AsyncExecutor {
     }
 }
 
+/// The tasks a worker's polls left `NOTIFIED` — woken while they ran,
+/// most often by themselves — which that worker alone runs again. Nobody
+/// else can see them: they cost no run-queue lock, no sleeper check and
+/// no reference count to requeue, and they cannot be stolen.
+#[derive(Default)]
+struct Deferred {
+    tasks: Vec<Arc<Task>>,
+    /// Own-queue pops left before `tasks` is due: the tasks queued ahead
+    /// of its first entry when it was deferred. A deferred task waits no
+    /// longer than it would have at the back of the run queue, so two
+    /// tasks that keep waking each other there cannot starve it.
+    ahead: usize,
+    /// `tasks`' spare buffer, so that running the list allocates nothing.
+    running: Vec<Arc<Task>>,
+}
+
+impl Deferred {
+    /// Defers `task`, which `queued` tasks of the own run queue are ahead
+    /// of.
+    fn push(&mut self, task: Arc<Task>, queued: usize) {
+        if self.tasks.is_empty() {
+            self.ahead = queued;
+        }
+        self.tasks.push(task);
+    }
+
+    /// True if the list must run before the next own-queue pop.
+    fn is_due(&self) -> bool {
+        !self.tasks.is_empty() && self.ahead == 0
+    }
+}
+
+/// A worker's order: its own run queue, its deferred list — once the
+/// tasks queued ahead of it have run, or the queue is empty — and only
+/// then a steal. It never sleeps with a task deferred.
 fn worker_loop(shared: &Arc<Shared>, me: usize) {
+    let mut deferred = Deferred::default();
     loop {
-        let Some(task) = shared.find_task(me) else {
+        if !deferred.is_due() {
+            if let Some((task, queued)) = shared.pop_own(me) {
+                deferred.ahead = deferred.ahead.saturating_sub(1);
+                if let Some(task) = run_task(shared, task) {
+                    deferred.push(task, queued);
+                }
+                continue;
+            }
+        }
+        if !deferred.tasks.is_empty() {
+            // A pool being dropped stops here: a task that yields on every
+            // poll would otherwise keep its worker from ever returning.
+            if *lock(&shared.park) {
+                return;
+            }
+            std::mem::swap(&mut deferred.tasks, &mut deferred.running);
+            for task in deferred.running.drain(..) {
+                if let Some(task) = run_task(shared, task) {
+                    deferred.tasks.push(task);
+                }
+            }
+            if !deferred.tasks.is_empty() {
+                deferred.ahead = lock(&shared.queues[me]).len();
+            }
+            continue;
+        }
+        let Some(task) = shared.steal(me) else {
             // Park: count in, then re-scan, so an enqueue between the
             // failed scan and the wait cannot be lost (`Shared::sleepers`).
             let mut park = lock(&shared.park);
@@ -379,11 +457,16 @@ fn worker_loop(shared: &Arc<Shared>, me: usize) {
             shared.sleepers.fetch_sub(1, Ordering::Relaxed);
             continue;
         };
-        run_task(shared, task);
+        if let Some(task) = run_task(shared, task) {
+            // The own queue was empty: nothing is ahead of it.
+            deferred.push(task, 0);
+        }
     }
 }
 
-fn run_task(shared: &Shared, task: Arc<Task>) {
+/// Polls `task` once. Returns it if it was woken while it ran, for the
+/// worker to defer.
+fn run_task(shared: &Shared, task: Arc<Task>) -> Option<Arc<Task>> {
     task.state.store(RUNNING, Ordering::Release);
     let mut future = lock(&task.future);
     let polled = match future.as_mut() {
@@ -400,7 +483,7 @@ fn run_task(shared: &Shared, task: Arc<Task>) {
         // Already taken: the task completed (or was cancelled) before.
         None => {
             task.state.store(DONE, Ordering::Release);
-            return;
+            return None;
         }
     };
     match polled {
@@ -408,6 +491,7 @@ fn run_task(shared: &Shared, task: Arc<Task>) {
             *future = None;
             drop(future);
             shared.retire(&task, None);
+            None
         }
         Err(payload) => {
             // Drop what the unwind left of the future, with no lock held:
@@ -418,18 +502,23 @@ fn run_task(shared: &Shared, task: Arc<Task>) {
             drop(future);
             drop(panicked);
             shared.retire(&task, Some(payload));
+            None
         }
         Ok(Poll::Pending) => {
             drop(future);
-            if task
-                .state
-                .compare_exchange(RUNNING, WAITING, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                // Woken mid-poll (NOTIFIED): run again later.
+            // Woken mid-poll. Only the polling worker moves a task out of
+            // `NOTIFIED`, so a yield — a self-wake, this very thread's
+            // store — is decided by a load; a wake from elsewhere may land
+            // up to the CAS.
+            let notified = task.state.load(Ordering::Acquire) == NOTIFIED
+                || task
+                    .state
+                    .compare_exchange(RUNNING, WAITING, Ordering::AcqRel, Ordering::Acquire)
+                    .is_err();
+            notified.then(|| {
                 task.state.store(QUEUED, Ordering::Release);
-                shared.enqueue(task);
-            }
+                task
+            })
         }
     }
 }
@@ -505,7 +594,22 @@ pub fn run_async_episodes(
 mod tests {
     use super::*;
     use fuzzy_barrier::{BarrierError, CentralBarrier, Deadline};
+    use std::future::poll_fn;
+    use std::sync::atomic::AtomicBool;
     use std::sync::{mpsc, Weak};
+
+    /// Returns `Pending` once, having woken its own task: a yield.
+    fn yield_now() -> impl Future<Output = ()> {
+        let mut yielded = false;
+        poll_fn(move |cx| {
+            if yielded {
+                return Poll::Ready(());
+            }
+            yielded = true;
+            cx.waker().wake_by_ref();
+            Poll::Pending
+        })
+    }
 
     #[test]
     fn plain_tasks_run_to_completion() {
@@ -570,6 +674,75 @@ mod tests {
             }
             Err(mpsc::RecvTimeoutError::Timeout) => panic!("no progress within {limit:?}"),
         }
+    }
+
+    #[test]
+    fn a_self_waking_task_cannot_starve_a_task_queued_behind_it() {
+        // One worker. The first task yields on every poll until the second
+        // has run: a worker that ran its deferred list before its run
+        // queue would never get to the second.
+        with_watchdog(Duration::from_secs(60), || {
+            let pool = AsyncExecutor::new(1);
+            let ran = Arc::new(AtomicBool::new(false));
+            let seen = Arc::clone(&ran);
+            pool.spawn(async move {
+                while !seen.load(Ordering::Acquire) {
+                    yield_now().await;
+                }
+            });
+            pool.spawn(async move { ran.store(true, Ordering::Release) });
+            pool.wait_idle();
+        });
+    }
+
+    #[test]
+    fn tasks_that_wake_each_other_cannot_starve_a_deferred_task() {
+        // One worker. Two tasks wake each other through the run queue
+        // until a third, which yields 100 times, has finished: the run
+        // queue is never empty, so a deferred list that waited for an
+        // empty queue would wait forever.
+        with_watchdog(Duration::from_secs(60), || {
+            let pool = AsyncExecutor::new(1);
+            let done = Arc::new(AtomicBool::new(false));
+            let slots: Arc<[Mutex<Option<Waker>>; 2]> = Arc::default();
+            for me in 0..2 {
+                let (done, slots) = (Arc::clone(&done), Arc::clone(&slots));
+                pool.spawn(poll_fn(move |cx| {
+                    if let Some(peer) = lock(&slots[1 - me]).take() {
+                        peer.wake();
+                    }
+                    if done.load(Ordering::Acquire) {
+                        return Poll::Ready(());
+                    }
+                    *lock(&slots[me]) = Some(cx.waker().clone());
+                    Poll::Pending
+                }));
+            }
+            pool.spawn(async move {
+                for _ in 0..100 {
+                    yield_now().await;
+                }
+                done.store(true, Ordering::Release);
+            });
+            pool.wait_idle();
+        });
+    }
+
+    #[test]
+    fn a_task_that_yields_a_thousand_times_finishes() {
+        with_watchdog(Duration::from_secs(60), || {
+            let pool = AsyncExecutor::new(1);
+            let yields = Arc::new(AtomicUsize::new(0));
+            let counted = Arc::clone(&yields);
+            pool.spawn(async move {
+                for _ in 0..1_000 {
+                    yield_now().await;
+                    counted.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            pool.wait_idle();
+            assert_eq!(yields.load(Ordering::Relaxed), 1_000);
+        });
     }
 
     /// A one-shot event: the awaiting task parks its waker here and a
@@ -858,6 +1031,7 @@ mod tests {
         // waker held outside the pool has fired too. Still alive means a
         // cycle: through the task's cached waker (`Task → waker → Task →
         // Shared`), or through the run queue a late wake pushed it onto.
+        // Not returning means a worker never left its deferred list.
         fn completes() -> Weak<Shared> {
             let pool = AsyncExecutor::new(1);
             pool.spawn(async {});
@@ -882,6 +1056,22 @@ mod tests {
             }
             Arc::downgrade(&pool.shared)
         }
+        fn dropped_while_deferred() -> Weak<Shared> {
+            let pool = AsyncExecutor::new(1);
+            let polls = Arc::new(AtomicUsize::new(0));
+            let counted = Arc::clone(&polls);
+            // Yields on every poll: between polls it is on its worker's
+            // deferred list, and there when the pool drops.
+            pool.spawn(poll_fn(move |cx| {
+                counted.fetch_add(1, Ordering::Relaxed);
+                cx.waker().wake_by_ref();
+                Poll::<()>::Pending
+            }));
+            while polls.load(Ordering::Relaxed) < 2 {
+                std::thread::yield_now();
+            }
+            Arc::downgrade(&pool.shared)
+        }
         fn woken_after_drop() -> Weak<Shared> {
             let signal = Arc::new(Signal::default());
             let pool = AsyncExecutor::new(1);
@@ -899,10 +1089,11 @@ mod tests {
             shared
         }
         type Ending = fn() -> Weak<Shared>;
-        let rows: [(&str, Ending); 4] = [
+        let rows: [(&str, Ending); 5] = [
             ("completes", completes),
             ("panics", panics),
             ("dropped while parked", dropped_while_parked),
+            ("dropped while deferred", dropped_while_deferred),
             ("woken after drop", woken_after_drop),
         ];
         for (name, row) in rows {

@@ -39,8 +39,8 @@
 #                --seconds 1; then each quick sweep that asserts a
 #                performance shape in-run (exp_backend_faceoff,
 #                exp_async_scale, exp_net_scale); then the async and net
-#                mutants, the executor's wake and lifetime tests and the
-#                multi-process harness tests
+#                mutants, the executor's wake, yield and lifetime tests
+#                and the multi-process harness tests
 #   doc          cargo doc --no-deps (rustdoc warnings are errors)
 #
 # Each stage prints `ci: stage <name> PASS|FAIL (N.Ns)`; the script stops
@@ -252,12 +252,15 @@ chaos_smoke() {
 #
 # Last, the model checker's async mutants (no drain, a backend whose
 # release word runs one arrival early, a park decided on an unlocked
-# read, a completing arrive that skips its drain) and its forged-round
-# transport mutant must each be caught while the real frontend and
-# NetBarrier survive the same schedules; in release, a task that panics
-# must neither wedge nor shrink the executor's pool, a foreign wake must
-# reach a sleeping worker, and a dropped pool must cancel its parked
-# tasks and be freed; a NetBarrier arrive must put its signal on the wire
+# read, a completing arrive that skips its drain, a first pending poll
+# that yields without waking its task) and its forged-round transport
+# mutant must each be caught while the real frontend and NetBarrier
+# survive the same schedules; in release, a task that panics must
+# neither wedge nor shrink the executor's pool, a foreign wake must
+# reach a sleeping worker, a dropped pool must cancel its parked and
+# deferred tasks and be freed, a task that yields on every poll must
+# starve nobody queued behind it and be starved by nobody queued ahead
+# of it, and a task that yields 1,000 times must finish; a NetBarrier arrive must put its signal on the wire
 # before it polls, and still send every round that poll makes due; and
 # the multi-process harness tests (a real UDS worker mesh, and killing
 # one worker mid-episode poisons, not hangs, the survivors) must pass.
@@ -270,9 +273,11 @@ ledger_smoke() {
             return 1
     done
     filtered_tests "-p fuzzy-check --test mutants" no_drain async_early_epoch \
-        unlocked_park completer_skips_drain net_skip_round real_net_barrier &&
+        unlocked_park completer_skips_drain yield_without_wake net_skip_round \
+        real_net_barrier &&
         filtered_tests "--release -p fuzzy-sched" panicking \
-            foreign_wake dropping_the_pool a_dropped_pool &&
+            foreign_wake dropping_the_pool a_dropped_pool cannot_starve \
+            yields_a_thousand_times &&
         filtered_tests "--release -p fuzzy-net" arrive_signals_before_it_listens \
             arrive_sends_every_round_already_due &&
         cargo test -q -p fuzzy-sched --test multiproc
