@@ -14,8 +14,8 @@
 
 use fuzzy_check::{
     async_handoff, evict, evict_race, explore_dfs, explore_random, join_evict_race,
-    join_mid_episode, net_round, poison, protocol, registry, replay, stale_generation,
-    subset_overlap, subset_pair, BackendKind, ExploreOptions, Outcome, Scenario,
+    join_mid_episode, net_round, poison, protocol, reconfig_future, registry, replay,
+    stale_generation, subset_overlap, subset_pair, BackendKind, ExploreOptions, Outcome, Scenario,
     DEFAULT_STEP_LIMIT,
 };
 use std::time::Instant;
@@ -68,12 +68,17 @@ const FAMILIES: [Family; 8] = [
         runs: Runs::PerBackend(|b, n, e| vec![async_handoff(b, n, e)]),
     },
     // The reconfig scenarios pin their own membership shapes (founders +
-    // joiner, leaver + reuser, evictee + joiner) over each backend; -n is
-    // intentionally ignored for them.
+    // joiner, leaver + reuser, evictee + joiner, an async waiter and its
+    // peer) over each backend; -n is intentionally ignored for them.
     Family {
         name: "reconfig",
         runs: Runs::PerBackend(|b, _, _| {
-            vec![join_mid_episode(b), stale_generation(b), join_evict_race(b)]
+            vec![
+                join_mid_episode(b),
+                stale_generation(b),
+                join_evict_race(b),
+                reconfig_future(b),
+            ]
         }),
     },
     // The net scenario pins its own backend (a NetBarrier per loopback
@@ -423,7 +428,8 @@ mod tests {
             [
                 "reconfig/dissemination/join-mid-episode",
                 "reconfig/dissemination/stale-generation",
-                "reconfig/dissemination/join-evict-race"
+                "reconfig/dissemination/join-evict-race",
+                "reconfig/dissemination/future"
             ]
         );
         assert!(reconfig

@@ -33,8 +33,8 @@
 //! The [`scenario`] module holds the workloads: the plain `protocol` on
 //! every backend, masked/tagged `subset` barriers, `registry` churn,
 //! `poison`, both `evict` shapes, the `async` frontend's waker hand-off,
-//! `reconfig` membership changes and `net` endpoints over a loopback
-//! mesh. Every body synchronizes through one checked step — the
+//! `reconfig` membership changes and a parked `wait_future`, and `net`
+//! endpoints over a loopback mesh. Every body synchronizes through one checked step — the
 //! [`Ledger`]'s arrival half and wait half — and one constructor owns the
 //! per-schedule plumbing, so the contract is stated once.
 //!
@@ -49,20 +49,22 @@
 //! cargo run -p fuzzy-check --bin check -- --backend all -n 3 --schedules 10000
 //! ```
 //!
-//! The [`mutants`] module carries sixteen seeded-bug backends the checker
-//! must catch. Seven are a [`fuzzy_barrier::Protocol`] holding nothing but
-//! the bug, run through the real episode core: six concurrency races
-//! (including a hierarchical shard leader that releases early) and a
-//! release word that runs one arrival early, which misleads the real
-//! async frontend. Three replace the core, because the bug is in what the
-//! core owns: a no-op poison, a mask-preserving eviction and a
-//! check-then-act eviction guard. Three are async frontends (one that
-//! forgets to drain its parked-waker registry on release, a waiter that
-//! parks on a release word read outside the probe lock, and a completing
-//! arrival that skips the drain it owes), two are dynamic-membership
-//! layers (a join admitted mid-episode and a forgotten generation check),
-//! and one is a transport that forges the higher dissemination rounds,
-//! releasing a `NetBarrier` endpoint on first contact;
+//! The [`mutants`] module carries eighteen seeded-bug backends the
+//! checker must catch. Nine are a [`fuzzy_barrier::Protocol`] holding
+//! nothing but the bug, run through the real episode core: six
+//! concurrency races (including a hierarchical shard leader that releases
+//! early), a release word that runs one arrival early, which misleads the
+//! real async frontend, and two completers that strand a waker parked in
+//! the core (one never wakes it, one looks before it publishes). Three
+//! replace the core, because the bug is in what the core owns: a no-op
+//! poison, a mask-preserving eviction and a check-then-act eviction
+//! guard. Two are async futures over the core's parking place (one parks
+//! without re-reading the release word, one yields without waking its
+//! task), three are dynamic-membership layers (a join admitted
+//! mid-episode, an admission into the in-flight episode and a forgotten
+//! generation check), and one is a transport that forges the higher
+//! dissemination rounds, releasing a `NetBarrier` endpoint on first
+//! contact;
 //! `cargo test -p fuzzy-check` proves the checker catches them all.
 
 #![forbid(unsafe_code)]
@@ -81,9 +83,9 @@ pub use explore::{
 pub use scenario::{
     async_handoff, async_handoff_with, classify, evict, evict_race, evict_race_with, evict_with,
     join_evict_race, join_mid_episode, join_mid_episode_with, net_round, net_round_with, poison,
-    poison_with, protocol, protocol_with, registry, stale_generation, stale_generation_with,
-    subset_overlap, subset_pair, AsyncArrival, AsyncFrontend, BackendKind, Ledger, ReconfigArrival,
-    ReconfigOps,
+    poison_with, protocol, protocol_with, reconfig_future, reconfig_future_with, registry,
+    stale_generation, stale_generation_with, subset_overlap, subset_pair, AsyncArrival,
+    AsyncFrontend, BackendKind, Ledger, ReconfigArrival, ReconfigOps,
 };
 pub use sched::{Defect, RunResult, Violation, DEFAULT_STEP_LIMIT};
 pub use shadow::ShadowSync;

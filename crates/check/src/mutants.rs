@@ -18,7 +18,12 @@
 //! before the top-level sync completes — are early-release fuzzy
 //! violations. [`MutantEarlyEpoch`]'s `release_epoch` runs one arrival
 //! ahead of `released`, which the async scenario catches as an early
-//! release through the real frontend.
+//! release through the real frontend. [`MutantNoWake`] and
+//! [`MutantWakeBeforePublish`] break the completer's wake of the core's
+//! parked set — it never wakes, or it looks before it publishes — and
+//! strand a future parked by the real frontend: the canonical lost wakeup
+//! of poll-based waiting, caught by the waker-handoff scenario and, as a
+//! `ReconfigBarrier`'s inner barrier, by the reconfig future scenario.
 //!
 //! **Replacements of the core.** A bug in what the core itself owns cannot
 //! be a protocol, so these implement [`SplitBarrier`] whole and spell out
@@ -29,14 +34,11 @@
 //! backends used to carry, which lets concurrent evictions empty the
 //! barrier and is caught by the evict-race scenario.
 //!
-//! **Other layers.** An *async frontend* whose completion path forgets to
-//! drain the parked-waker registry — the canonical lost wakeup of
-//! poll-based waiting, caught by the waker-handoff scenario — and three
-//! replicas of the real frontend's release-word fast paths, each with one
-//! of the obligations that keep them wakeup-safe dropped: a waiter that
-//! parks on a release word read *outside* the probe lock, a completer
-//! whose skip-the-drain test is off by one, and a first pending poll that
-//! yields without waking its own task. Three
+//! **Other layers.** Two replicas of the real *async frontend*'s future
+//! over the core's parking place, each with one of the obligations that
+//! keep it wakeup-safe dropped: a waiter that registers and returns
+//! `Pending` without re-reading the release word, and a first pending
+//! poll that yields without waking its own task. Three
 //! *dynamic-membership* bugs: a membership layer that widens the group
 //! mid-episode instead of at a boundary, an inner barrier whose admission
 //! stamps the joiner into the in-flight episode, and a credential check
@@ -50,7 +52,7 @@ use crate::shadow::ShadowSync;
 use fuzzy_barrier::centralized::Central;
 use fuzzy_barrier::dissemination;
 use fuzzy_barrier::stats::StatsSnapshot;
-use fuzzy_barrier::sync::{Atomic, Lock, SyncOps};
+use fuzzy_barrier::sync::{Atomic, SyncOps};
 use fuzzy_barrier::{
     ArrivalToken, Barrier, BarrierError, CentralBarrier, Cx, Deadline, FlatProtocol, Protocol,
     ReconfigBarrier, SplitBarrier, StallPolicy, WaitOutcome,
@@ -60,7 +62,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, Weak};
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
 /// `retire` of a protocol mutant whose scenarios never remove anyone.
 fn no_removals() -> ! {
@@ -740,95 +742,88 @@ impl<S: SyncOps> SplitBarrier for MutantRacyEvictGuard<S> {
 }
 
 // ---------------------------------------------------------------------------
-// MutantNoDrain: async frontend that forgets the release drain
+// MutantNoWake / MutantWakeBeforePublish: a completer that strands the
+// parked
 // ---------------------------------------------------------------------------
 
-/// An async-frontend replica over the stock [`CentralBarrier`] whose
-/// completion path **never drains the parked-waker registry**.
-///
-/// Polling probes the poller's *own* token, so the task that happens to
-/// poll after the last arrival resolves fine — the frontend looks healthy
-/// in any single-task test. Like the real frontend, a future's first
-/// pending poll yields (wakes itself, registers nothing) and only a later
-/// one parks. But a peer that parked earlier is woken by
-/// nobody: its episode fully arrived, its waker sits in the registry, and
-/// the flag it sleeps on is never set. The checker's deadlock detector
-/// sees the stuck shadow wait and the ledger upgrades it to a lost
-/// wakeup. This is the bug the real
-/// [`fuzzy_barrier::AsyncBarrier`] avoids by draining the registry under
-/// the probe lock on every completion path (arrive, poll, poison).
+const NO_WAKE: u8 = 0;
+const WAKE_BEFORE_PUBLISH: u8 = 1;
+
+/// The stock [`Central`] protocol, release word included, with the
+/// completer's wake of the core's parked set broken, chosen by `BUG`.
+/// Everything else — ids, tokens, the wait loop, poison, the parked set
+/// itself — is the real episode core's, and the frontend that parks on it
+/// is the real [`fuzzy_barrier::AsyncBarrier`] or `ReconfigBarrier`'s
+/// futures. Use it through [`MutantNoWake`] and
+/// [`MutantWakeBeforePublish`].
 #[derive(Debug)]
-pub struct MutantNoDrain {
-    inner: CentralBarrier<ShadowSync>,
-    /// Registered and then forgotten: nothing ever pops this.
-    parked: Mutex<Vec<(usize, u64, Waker)>>,
+pub struct CompleterWake<const BUG: u8, S: SyncOps = ShadowSync> {
+    count: S::AtomicUsize,
+    episode: S::AtomicU64,
 }
 
-impl MutantNoDrain {
-    /// Creates the mutant for `n` participants.
+/// [`CompleterWake`] whose completer **never calls
+/// [`Cx::wake_parked`]**. A thread-based waiter polls the release word and
+/// never notices; a parked future is woken by nobody: its episode fully
+/// arrived, its waker sits in the core, and the flag it sleeps on is
+/// never set — the canonical lost wakeup of poll-based waiting.
+pub type MutantNoWake<S = ShadowSync> = CompleterWake<NO_WAKE, S>;
+
+/// [`CompleterWake`] whose completer **wakes before it publishes**. A
+/// waiter that registers between the wake's look at the parked count and
+/// the publication re-reads a word that has not moved yet, and returns
+/// `Pending`; the publication then wakes nobody. One preemption, between
+/// two lines whose order looks free.
+pub type MutantWakeBeforePublish<S = ShadowSync> = CompleterWake<WAKE_BEFORE_PUBLISH, S>;
+
+impl<const BUG: u8, S: SyncOps> CompleterWake<BUG, S> {
+    /// Creates the mutant barrier for `n` participants: this protocol
+    /// behind the real [`Barrier`].
     #[must_use]
-    pub fn new(n: usize) -> Self {
-        MutantNoDrain {
-            inner: CentralBarrier::with_policy_in(n, StallPolicy::Spin),
-            parked: Mutex::new(Vec::new()),
+    pub fn new(n: usize) -> Barrier<Self, S> {
+        let protocol = CompleterWake {
+            count: S::AtomicUsize::new(n),
+            episode: S::AtomicU64::new(0),
+        };
+        Barrier::from_protocol(n, StallPolicy::Spin, protocol)
+    }
+
+    fn count_down(&self, cx: &Cx<'_, S>) {
+        if self.count.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let next = self.episode.load(Ordering::Relaxed) + 1;
+            cx.admit_staged(self, || next);
+            self.count.store(cx.live(), Ordering::Release);
+            // BUG (seeded): the stock completer wakes the parked set with
+            // the release it has just published, after publishing it.
+            if BUG == WAKE_BEFORE_PUBLISH {
+                cx.wake_parked(next);
+            }
+            let completed = self.episode.fetch_add(1, Ordering::SeqCst);
+            cx.record_episode(completed);
         }
     }
 }
 
-impl AsyncFrontend for MutantNoDrain {
-    fn participants(&self) -> usize {
-        self.inner.participants()
+impl<const BUG: u8, S: SyncOps> Protocol<S> for CompleterWake<BUG, S> {
+    fn arrive(&self, _id: usize, _episode: u64, cx: &Cx<'_, S>) {
+        self.count_down(cx);
     }
 
-    fn arrive_future(&self, id: usize) -> AsyncArrival<'_> {
-        let token = self.inner.arrive(id);
-        let episode = token.episode();
-        drop(token);
-        Box::pin(NoDrainFuture {
-            owner: self,
-            id,
-            episode,
-            yielded: false,
-        })
+    fn released(&self, _id: usize, episode: u64, _cx: &Cx<'_, S>) -> bool {
+        self.episode.load(Ordering::Acquire) > episode
     }
-}
 
-struct NoDrainFuture<'a> {
-    owner: &'a MutantNoDrain,
-    id: usize,
-    episode: u64,
-    yielded: bool,
-}
-
-impl Future for NoDrainFuture<'_> {
-    type Output = Result<WaitOutcome, BarrierError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = Pin::into_inner(self);
-        let probe = ArrivalToken::new(this.id, this.episode);
-        if this.owner.inner.is_complete(&probe) {
-            // BUG (seeded): the real frontend drains the parked-waker
-            // registry on every completion path; returning without the
-            // drain strands every earlier-parked peer.
-            return Poll::Ready(Ok(WaitOutcome {
-                episode: this.episode,
-                ..WaitOutcome::default()
-            }));
-        }
-        if !this.yielded {
-            this.yielded = true;
-            cx.waker().wake_by_ref();
-            return Poll::Pending;
-        }
-        // No shadow operations below this lock: the critical section can
-        // never be descheduled while held, so a plain mutex is safe here.
-        this.owner
-            .parked
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push((this.id, this.episode, cx.waker().clone()));
-        Poll::Pending
+    fn release_epoch(&self) -> Option<u64> {
+        Some(self.episode.load(Ordering::Acquire))
     }
+
+    fn retire(&self, _id: usize, cx: &Cx<'_, S>) {
+        self.count_down(cx);
+    }
+
+    /// Nothing to do, as for [`Central`]: the completer re-arms with the
+    /// live count.
+    fn admit(&self, _id: usize, _cx: &Cx<'_, S>) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -896,51 +891,40 @@ impl<S: SyncOps> Protocol<S> for MutantEarlyEpoch<S> {
 }
 
 // ---------------------------------------------------------------------------
-// MutantUnlockedPark / MutantCompleterSkipsDrain / MutantYieldWithoutWake:
-// the release-word fast paths, each short of one obligation
+// MutantParkWithoutRecheck / MutantYieldWithoutWake: a future short of one
+// obligation
 // ---------------------------------------------------------------------------
 
-const UNLOCKED_PARK: u8 = 0;
-const COMPLETER_SKIPS_DRAIN: u8 = 1;
-const YIELD_WITHOUT_WAKE: u8 = 2;
+const PARK_WITHOUT_RECHECK: u8 = 0;
+const YIELD_WITHOUT_WAKE: u8 = 1;
 
-/// A replica of the real [`fuzzy_barrier::AsyncBarrier`]'s release-word
-/// fast paths over the stock [`CentralBarrier`] — the probe lock is the
-/// same shadow-domain lock, an arrival that reads the release word at or
-/// below its own episode skips the drain, a poll that reads it above its
-/// episode resolves without the lock, a future's first pending poll
-/// yields (wakes itself, registers nothing) — with one of the obligations
-/// of the frontend's lost-wakeup argument dropped, chosen by `BUG`. Use it
-/// through [`MutantUnlockedPark`], [`MutantCompleterSkipsDrain`] and
+/// A replica of the real [`fuzzy_barrier::AsyncBarrier`]'s future over the
+/// stock [`CentralBarrier`] and its parking place in the core — a poll
+/// that reads the release word above its episode resolves, a future's
+/// first pending poll yields (wakes itself, registers nothing), a later
+/// one parks through [`SplitBarrier::register_waker`] — with one of the
+/// obligations of the frontend's lost-wakeup argument dropped, chosen by
+/// `BUG`. Use it through [`MutantParkWithoutRecheck`] and
 /// [`MutantYieldWithoutWake`].
 #[derive(Debug)]
 pub struct FastPathReplica<const BUG: u8> {
     inner: CentralBarrier<ShadowSync>,
-    /// The parked waiters under the probe lock.
-    parked: <ShadowSync as SyncOps>::Mutex<Vec<(usize, u64, Waker)>>,
 }
 
-/// [`FastPathReplica`] whose poll **parks on the lock-free read**: it takes
-/// the probe lock to register, but does not re-read the release word under
-/// it. The completer can arrive, find the registry empty and finish its
-/// drain between that read and the registration; the waiter then sleeps
-/// on an episode that has already released — a lost wakeup that needs one
-/// preemption, between two lines that look atomic.
-pub type MutantUnlockedPark = FastPathReplica<UNLOCKED_PARK>;
-
-/// [`FastPathReplica`] whose arrive gets the skip test **off by one**:
-/// `k <= e + 1` instead of `k <= e`. The arrival that completes episode
-/// `e` reads exactly `k = e + 1`, so the one arrival that owes the drain
-/// is the one that skips it, and every waiter parked for `e` is lost —
-/// on every schedule in which anyone parked.
-pub type MutantCompleterSkipsDrain = FastPathReplica<COMPLETER_SKIPS_DRAIN>;
+/// [`FastPathReplica`] whose poll **registers and returns `Pending`
+/// without re-reading the release word**. The completer can publish and
+/// find nothing parked between the poll's lock-free read and its
+/// registration; the waiter then sleeps on an episode that has already
+/// released — a lost wakeup that needs one preemption, between two lines
+/// that look atomic.
+pub type MutantParkWithoutRecheck = FastPathReplica<PARK_WITHOUT_RECHECK>;
 
 /// [`FastPathReplica`] whose first pending poll **yields without waking
 /// its own task**: it returns `Pending` having registered nothing, so no
-/// drain can ever find it, and nothing asks for the poll that would park.
-/// The task sleeps through the completion of an episode it has fully
-/// arrived for — a lost wakeup on the first schedule in which anyone's
-/// first poll finds the episode open.
+/// completer can ever find it, and nothing asks for the poll that would
+/// park. The task sleeps through the completion of an episode it has
+/// fully arrived for — a lost wakeup on the first schedule in which
+/// anyone's first poll finds the episode open.
 pub type MutantYieldWithoutWake = FastPathReplica<YIELD_WITHOUT_WAKE>;
 
 impl<const BUG: u8> FastPathReplica<BUG> {
@@ -949,32 +933,7 @@ impl<const BUG: u8> FastPathReplica<BUG> {
     pub fn new(n: usize) -> Self {
         FastPathReplica {
             inner: CentralBarrier::with_policy_in(n, StallPolicy::Spin),
-            parked: Lock::new(Vec::new()),
         }
-    }
-
-    fn released(&self) -> u64 {
-        self.inner
-            .release_epoch()
-            .expect("central has a release word")
-    }
-
-    /// Removes from `parked`, held under the probe lock, the waiters
-    /// parked below `released`, then registers `park` if given. Returns
-    /// the removed waiters' wakers.
-    fn settle(
-        parked: &mut Vec<(usize, u64, Waker)>,
-        released: u64,
-        park: Option<(usize, u64, &Waker)>,
-    ) -> Vec<Waker> {
-        let (woken, mut kept): (Vec<_>, Vec<_>) =
-            parked.drain(..).partition(|entry| entry.1 < released);
-        if let Some((id, episode, waker)) = park {
-            kept.retain(|entry| entry.0 != id);
-            kept.push((id, episode, waker.clone()));
-        }
-        *parked = kept;
-        woken.into_iter().map(|entry| entry.2).collect()
     }
 }
 
@@ -987,17 +946,8 @@ impl<const BUG: u8> AsyncFrontend for FastPathReplica<BUG> {
         let token = self.inner.arrive(id);
         let episode = token.episode();
         drop(token);
-        // BUG (seeded, `MutantCompleterSkipsDrain`): the real test is
-        // `k <= e`; one more lets the completing arrival through.
-        let slack = u64::from(BUG == COMPLETER_SKIPS_DRAIN);
-        if self.released() > episode + slack {
-            let mut parked = self.parked.acquire();
-            let wakers = Self::settle(&mut parked, self.released(), None);
-            drop(parked);
-            wakers.into_iter().for_each(Waker::wake);
-        }
-        Box::pin(FastPathFuture {
-            owner: self,
+        Box::pin(FastPathFuture::<BUG> {
+            inner: &self.inner,
             id,
             episode,
             yielded: false,
@@ -1006,7 +956,7 @@ impl<const BUG: u8> AsyncFrontend for FastPathReplica<BUG> {
 }
 
 struct FastPathFuture<'a, const BUG: u8> {
-    owner: &'a FastPathReplica<BUG>,
+    inner: &'a CentralBarrier<ShadowSync>,
     id: usize,
     episode: u64,
     yielded: bool,
@@ -1017,9 +967,15 @@ impl<const BUG: u8> Future for FastPathFuture<'_, BUG> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = Pin::into_inner(self);
-        let owner = this.owner;
-        let mut released = owner.released();
-        if released <= this.episode && !this.yielded {
+        let released = || this.inner.release_epoch().is_some_and(|k| this.episode < k);
+        let ready = Poll::Ready(Ok(WaitOutcome {
+            episode: this.episode,
+            ..WaitOutcome::default()
+        }));
+        if released() {
+            return ready;
+        }
+        if !this.yielded {
             this.yielded = true;
             // BUG (seeded, `MutantYieldWithoutWake`): the real frontend
             // wakes its own waker before it returns this `Pending`.
@@ -1028,26 +984,14 @@ impl<const BUG: u8> Future for FastPathFuture<'_, BUG> {
             }
             return Poll::Pending;
         }
-        if released <= this.episode {
-            let mut parked = owner.parked.acquire();
-            // BUG (seeded, `MutantUnlockedPark`): the real frontend reads
-            // the release word again here, under the lock, and parks on
-            // that answer only.
-            if BUG != UNLOCKED_PARK {
-                released = owner.released();
-            }
-            let park = (released <= this.episode).then_some((this.id, this.episode, cx.waker()));
-            let wakers = FastPathReplica::<BUG>::settle(&mut parked, released, park);
-            drop(parked);
-            wakers.into_iter().for_each(Waker::wake);
+        this.inner.register_waker(this.id, this.episode, cx.waker());
+        // BUG (seeded, `MutantParkWithoutRecheck`): the real frontend
+        // re-reads the release word here, after registering, and returns
+        // `Pending` on that answer only.
+        if BUG != PARK_WITHOUT_RECHECK && released() {
+            return ready;
         }
-        if released <= this.episode {
-            return Poll::Pending;
-        }
-        Poll::Ready(Ok(WaitOutcome {
-            episode: this.episode,
-            ..WaitOutcome::default()
-        }))
+        Poll::Pending
     }
 }
 

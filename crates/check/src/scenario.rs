@@ -1003,7 +1003,7 @@ pub type AsyncArrival<'a> =
 
 /// Abstraction over an async barrier frontend, so the waker-handoff
 /// scenario can drive both the real [`fuzzy_barrier::AsyncBarrier`] and
-/// seeded-bug replicas like [`crate::mutants::MutantNoDrain`].
+/// seeded-bug replicas like [`crate::mutants::MutantParkWithoutRecheck`].
 pub trait AsyncFrontend: Send + Sync {
     /// Number of participants.
     fn participants(&self) -> usize;
@@ -1023,34 +1023,52 @@ impl AsyncFrontend for AsyncBarrier<Arc<dyn SplitBarrier>, ShadowSync> {
     }
 }
 
-/// A checker-visible parking flag: `wake` performs a *shadow* store, so a
-/// task blocked in [`ShadowSync::wait_until`] on the flag is a genuine
-/// blocked thread to the deadlock detector, and a wake is a genuine
-/// scheduling event. A frontend that forgets to invoke the waker leaves
-/// the flag at zero forever — exactly a lost wakeup.
-struct WakeFlag(ShadowU32);
+/// A checker-visible parking flag: a peer's `wake` performs a *shadow*
+/// store, so a task blocked in [`ShadowSync::wait_until`] on the flag is a
+/// genuine blocked thread to the deadlock detector, and a wake is a
+/// genuine scheduling event. A frontend that forgets to invoke the waker
+/// leaves the flag at zero forever — exactly a lost wakeup. A wake from
+/// the owner's own poll is a yield, which nobody waits on: it sets a real
+/// atomic, not a scheduling point.
+struct WakeFlag {
+    word: ShadowU32,
+    /// The virtual thread that polls; its own wakes are yields.
+    owner: Option<usize>,
+    /// Set, instead of `word`, by a wake from the owner's own poll.
+    yielded: AtomicBool,
+}
 
 impl WakeFlag {
-    fn new() -> Self {
-        WakeFlag(ShadowU32::new(0))
+    /// A flag owned by the calling virtual thread.
+    fn new() -> Arc<Self> {
+        Arc::new(WakeFlag {
+            word: ShadowU32::new(0),
+            owner: ctx::tid(),
+            yielded: AtomicBool::new(false),
+        })
     }
 
     fn reset(&self) {
-        self.0.store(0, Ordering::Release);
+        self.yielded.store(false, Ordering::Relaxed);
+        self.word.store(0, Ordering::Release);
     }
 
     fn is_set(&self) -> bool {
-        self.0.load(Ordering::Acquire) != 0
+        self.word.load(Ordering::Acquire) != 0
     }
 }
 
 impl Wake for WakeFlag {
     fn wake(self: Arc<Self>) {
-        self.0.store(1, Ordering::Release);
+        self.wake_by_ref();
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        self.0.store(1, Ordering::Release);
+        if ctx::tid() == self.owner {
+            self.yielded.store(true, Ordering::Relaxed);
+        } else {
+            self.word.store(1, Ordering::Release);
+        }
     }
 }
 
@@ -1058,16 +1076,17 @@ impl Wake for WakeFlag {
 /// `episodes` split-phase episodes through an [`AsyncFrontend`], each
 /// parking on a checker-visible wake flag (a shadow word, so a parked
 /// task is a genuinely blocked thread to the detector) whenever its future
-/// returns `Pending`.
+/// returns `Pending` without waking itself.
 ///
-/// This model-checks the handoff the executor relies on: a `Pending` poll
-/// registers the task's waker against the episode word; whoever completes
-/// the episode must drain the registry and invoke those wakers. In
+/// This model-checks the handoff the executor relies on: a parking poll
+/// registers the task's waker against its episode — in the episode core
+/// on a backend with a release word, in the frontend's sweep registry on
+/// a cooperative one — and whoever completes the episode must wake it. In
 /// **every** interleaving each episode must complete with the fuzzy
-/// property intact. A frontend that completes an episode without draining
-/// — [`crate::mutants::MutantNoDrain`] — strands an earlier-parked peer
-/// whose episode has fully arrived, which the checker classifies as a
-/// lost wakeup.
+/// property intact. A completer that wakes nobody
+/// ([`crate::mutants::MutantNoWake`]) strands an earlier-parked peer whose
+/// episode has fully arrived, which the checker classifies as a lost
+/// wakeup.
 pub fn async_handoff_with(
     name: impl Into<String>,
     n: usize,
@@ -1110,38 +1129,60 @@ fn async_body(
     id: usize,
     episodes: u64,
 ) -> Option<()> {
-    // One flag per participant, reset before every poll. The waker handed
-    // to the frontend is stable across polls of one future, matching how
-    // an executor reuses a task's waker.
-    let flag = Arc::new(WakeFlag::new());
-    let waker = Waker::from(Arc::clone(&flag));
+    let flag = WakeFlag::new();
     for e in 0..episodes {
         ledger.episode(
             id,
             e,
             e,
             || Ok(frontend.arrive_future(id)),
-            |mut future| loop {
-                // Reset *before* polling so a wake delivered during the
-                // poll itself is observed by the park below rather than
-                // lost.
-                flag.reset();
-                let mut cx = Context::from_waker(&waker);
-                match future.as_mut().poll(&mut cx) {
-                    Poll::Ready(result) => break result.map(|outcome| outcome.episode),
-                    Poll::Pending => {
-                        // Park until woken: a blocked shadow wait, visible
-                        // to the deadlock detector.
-                        ShadowSync::wait_until(StallPolicy::Spin, || flag.is_set());
-                        if ctx::aborted() {
-                            break drained(e);
-                        }
-                    }
-                }
-            },
+            |mut future| poll_episode(future.as_mut(), &flag, e),
         )?;
     }
     Some(())
+}
+
+/// Polls `future` until it resolves, the way an executor polls a task
+/// whose waker sets `flag`, and returns the episode it released. A
+/// `Pending` that woke its own task is a yield, polled again at once —
+/// unless it is the second in a row: that poll drives rounds (a
+/// cooperative backend that cannot park) and would repeat itself until
+/// some write it has not seen, so it waits for one. Any other `Pending`
+/// parks: a blocked shadow wait, visible to the deadlock detector.
+fn poll_episode<F>(
+    mut future: Pin<&mut F>,
+    flag: &Arc<WakeFlag>,
+    episode: u64,
+) -> Result<u64, BarrierError>
+where
+    F: Future<Output = Result<WaitOutcome, BarrierError>> + ?Sized,
+{
+    // One waker for every poll of the future, as an executor reuses a
+    // task's.
+    let waker = Waker::from(Arc::clone(flag));
+    let mut cx = Context::from_waker(&waker);
+    let mut yielded = false;
+    loop {
+        // Reset *before* polling so a wake delivered during the poll
+        // itself is observed below rather than lost.
+        flag.reset();
+        let gen = ctx::write_gen().unwrap_or(0);
+        if let Poll::Ready(result) = future.as_mut().poll(&mut cx) {
+            return result.map(|outcome| outcome.episode);
+        }
+        if flag.yielded.load(Ordering::Relaxed) {
+            if yielded {
+                ctx::block_until_write_after(gen);
+            }
+            yielded = true;
+        } else {
+            yielded = false;
+            ShadowSync::wait_until(StallPolicy::Spin, || flag.is_set());
+        }
+        if ctx::aborted() {
+            return drained(episode);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1295,6 +1336,60 @@ fn reconfig_episode(
         epoch,
         || group.arrive(slot, generation),
         |arrival| group.wait(arrival),
+    )
+}
+
+/// Async reconfig scenario: member 0 of an `n`-member group waits on
+/// each of `episodes` episodes through [`ReconfigBarrier::wait_future`],
+/// polled the way [`async_handoff`] polls, while its peers arrive and wait.
+/// On a backend with a release word the future parks in the episode core
+/// ([`SplitBarrier::register_waker`]); on dissemination it re-polls, since
+/// its polls drive its rounds. An inner barrier whose completer wakes
+/// nobody ([`crate::mutants::MutantNoWake`]) strands the parked member
+/// with its episode fully arrived: a lost wakeup.
+pub fn reconfig_future_with(
+    name: impl Into<String>,
+    n: usize,
+    episodes: u64,
+    inner: impl Fn(usize) -> Arc<dyn SplitBarrier> + 'static,
+) -> Scenario {
+    scenario(
+        name,
+        n,
+        move || {
+            let (group, _founders) =
+                ReconfigBarrier::<ShadowSync>::with_policy_in(n, n, StallPolicy::Spin, &inner);
+            let ledger = ledger(n);
+            ((Arc::new(group), Arc::clone(&ledger)), vec![ledger])
+        },
+        move |(group, ledger), id| {
+            let flag = WakeFlag::new();
+            for e in 0..episodes {
+                // Every founder holds generation 0.
+                if id > 0 {
+                    reconfig_episode(&**group, ledger, id, e, e, (id, 0))?;
+                    continue;
+                }
+                let arrive = || group.arrive(&MemberHandle::from_parts(0, 0));
+                ledger.episode(0, e, e, arrive, |token| {
+                    poll_episode(Pin::new(&mut group.wait_future(token)), &flag, e)
+                })?;
+            }
+            Some(())
+        },
+        |_| None,
+    )
+}
+
+/// [`reconfig_future_with`] over a stock backend: two members, two
+/// episodes.
+#[must_use]
+pub fn reconfig_future(backend: BackendKind) -> Scenario {
+    reconfig_future_with(
+        format!("reconfig/{}/future", backend.name()),
+        2,
+        2,
+        move |n| backend.build_shadow(n),
     )
 }
 

@@ -8,14 +8,15 @@
 //! test says by how much (as a hand-written barrier → as a protocol), all
 //! far inside the 100,000 schedules `opts` allows.
 
-use fuzzy_barrier::SplitBarrier;
+use fuzzy_barrier::{AsyncBarrier, SplitBarrier};
 use fuzzy_check::mutants::{
     MutantCentral, MutantCounting, MutantDissemination, MutantEarlyRelease, MutantEvictNoMask,
     MutantLeaderEarlyRelease, MutantNoPoison, MutantTree,
 };
 use fuzzy_check::{
-    evict_with, explore_dfs, explore_random, poison_with, protocol_with, replay, BackendKind,
-    Defect, ExploreOptions, Outcome, Scenario, ShadowSync,
+    async_handoff, async_handoff_with, evict_with, explore_dfs, explore_random, poison_with,
+    protocol_with, reconfig_future_with, replay, AsyncFrontend, BackendKind, Defect,
+    ExploreOptions, Outcome, Scenario, ShadowSync,
 };
 use std::sync::Arc;
 
@@ -261,95 +262,113 @@ fn failing_schedule_replays_to_the_same_defect() {
 fn must_lose_a_wakeup(
     name: &str,
     (n, episodes, bound): (usize, u64, usize),
-    factory: impl FnMut() -> Arc<dyn fuzzy_check::AsyncFrontend> + 'static,
+    factory: impl FnMut() -> Arc<dyn AsyncFrontend> + 'static,
 ) {
-    let scenario = fuzzy_check::async_handoff_with(name, n, episodes, factory);
+    let scenario = async_handoff_with(name, n, episodes, factory);
     must_catch(scenario, opts(bound), is_lost_wakeup);
 }
 
+/// The real `AsyncBarrier` frontend over `backend`, in the checker's
+/// domain.
+fn real_frontend(backend: Arc<dyn SplitBarrier>) -> Arc<dyn AsyncFrontend> {
+    Arc::new(AsyncBarrier::<_, ShadowSync>::new_in(backend))
+}
+
+/// The backends that park in the episode core: those with a release word.
+const RELEASE_WORD: [BackendKind; 4] = [
+    BackendKind::Central,
+    BackendKind::Counting,
+    BackendKind::Tree,
+    BackendKind::Hier,
+];
+
 /// The schedule space of [`must_lose_a_wakeup`] over the *real*
-/// `AsyncBarrier` frontend on the central backend, which must exhaust
-/// clean.
+/// `AsyncBarrier` frontend on each backend with a release word, which must
+/// exhaust clean.
 fn real_async_frontend_survives((n, episodes, bound): (usize, u64, usize)) {
-    let scenario = fuzzy_check::async_handoff(fuzzy_check::BackendKind::Central, n, episodes);
-    let schedules = must_survive(scenario, opts(bound));
-    assert!(schedules < opts(bound).max_schedules, "space not exhausted");
+    for backend in RELEASE_WORD {
+        let scenario = async_handoff(backend, n, episodes);
+        let schedules = must_survive(scenario, opts(bound));
+        assert!(schedules < opts(bound).max_schedules, "space not exhausted");
+    }
 }
 
 /// (tasks, episodes, preemption bound) of each mutant / real-frontend pair.
-const NO_DRAIN_SPACE: (usize, u64, usize) = (2, 1, 2);
-const UNLOCKED_PARK_SPACE: (usize, u64, usize) = (2, 2, 2);
-const COMPLETER_SKIPS_SPACE: (usize, u64, usize) = (3, 1, 1);
+const NEVER_WAKES_SPACE: (usize, u64, usize) = (2, 1, 2);
+const PARK_WITHOUT_RECHECK_SPACE: (usize, u64, usize) = (2, 2, 2);
+const WAKE_BEFORE_PUBLISH_SPACE: (usize, u64, usize) = (3, 1, 1);
 const YIELD_WITHOUT_WAKE_SPACE: (usize, u64, usize) = (2, 1, 1);
 
 #[test]
-fn async_no_drain_is_caught_as_lost_wakeup() {
-    // t0 arrives, polls Pending twice (a yield, then a park), parks its
-    // waker. t1 arrives (completing
-    // the episode), polls its own token to Ready — and never drains the
-    // registry. t0 sleeps on a flag nobody sets; its episode fully
-    // arrived, so the checker must classify the hang as a lost wakeup.
-    use fuzzy_check::mutants::MutantNoDrain;
-    must_lose_a_wakeup("mutant/no-drain", NO_DRAIN_SPACE, || {
-        Arc::new(MutantNoDrain::new(2))
+fn completer_that_never_wakes_is_caught_as_lost_wakeup() {
+    // The real frontend over a central protocol whose completer never
+    // wakes the core's parked set. t0 arrives, yields, then parks in the
+    // core. t1 arrives (completing the episode) and polls its own token to
+    // Ready. t0 sleeps on a flag nobody sets; its episode fully arrived,
+    // so the checker must classify the hang as a lost wakeup.
+    use fuzzy_check::mutants::MutantNoWake;
+    must_lose_a_wakeup("mutant/never-wakes", NEVER_WAKES_SPACE, || {
+        real_frontend(Arc::new(MutantNoWake::<ShadowSync>::new(2)))
     });
 }
 
 #[test]
-fn real_async_frontend_survives_the_no_drain_schedule_space() {
-    // The same tiny configuration over the *real* AsyncBarrier frontend
-    // must exhaust clean: draining on every path that may have completed
-    // an episode is exactly what separates it from MutantNoDrain.
-    real_async_frontend_survives(NO_DRAIN_SPACE);
+fn real_async_frontend_survives_the_never_wakes_schedule_space() {
+    // The same tiny configuration over the stock backends must exhaust
+    // clean: a completer that wakes what is parked below the release it
+    // published is exactly what separates them from MutantNoWake.
+    real_async_frontend_survives(NEVER_WAKES_SPACE);
 }
 
 #[test]
-fn async_unlocked_park_is_caught_as_lost_wakeup() {
-    // t0 reads the release word lock-free: episode 0 is open. Preempted.
-    // t1 arrives, completes the episode, drains an empty registry. t0
-    // takes the lock and registers on the strength of the read it made
-    // outside it; nobody is left to wake it. Two episodes, so the first
-    // episode's lock-free resolutions are behind the second's parks.
-    use fuzzy_check::mutants::MutantUnlockedPark;
-    must_lose_a_wakeup("mutant/unlocked-park", UNLOCKED_PARK_SPACE, || {
-        Arc::new(MutantUnlockedPark::new(2))
-    });
-}
-
-#[test]
-fn real_async_frontend_survives_the_unlocked_park_schedule_space() {
-    // The real poll re-reads the word under the lock before it parks.
-    real_async_frontend_survives(UNLOCKED_PARK_SPACE);
-}
-
-#[test]
-fn async_completer_skips_drain_is_caught_as_lost_wakeup() {
-    // Three tasks: the first two arrivals read `k <= e` and rightly skip
-    // the drain; the third completes the episode, reads `k = e + 1`, and
-    // the off-by-one test lets it skip too. Whoever parked stays parked.
-    use fuzzy_check::mutants::MutantCompleterSkipsDrain;
+fn park_without_recheck_is_caught_as_lost_wakeup() {
+    // t0 reads the release word lock-free: its episode is open. Preempted.
+    // t1 arrives, completes the episode, finds nothing parked. t0
+    // registers and returns Pending on the strength of the read it made
+    // before; nobody is left to wake it.
+    use fuzzy_check::mutants::MutantParkWithoutRecheck;
     must_lose_a_wakeup(
-        "mutant/completer-skips-drain",
-        COMPLETER_SKIPS_SPACE,
-        || Arc::new(MutantCompleterSkipsDrain::new(3)),
+        "mutant/park-without-recheck",
+        PARK_WITHOUT_RECHECK_SPACE,
+        || Arc::new(MutantParkWithoutRecheck::new(2)),
     );
 }
 
 #[test]
-fn real_async_frontend_survives_the_completer_skips_drain_schedule_space() {
-    // The real arrive skips on `k <= e` only: the completer always drains.
-    real_async_frontend_survives(COMPLETER_SKIPS_SPACE);
+fn real_async_frontend_survives_the_park_without_recheck_schedule_space() {
+    // The real poll re-reads the word after it registers.
+    real_async_frontend_survives(PARK_WITHOUT_RECHECK_SPACE);
+}
+
+#[test]
+fn completer_that_wakes_before_it_publishes_is_caught_as_lost_wakeup() {
+    // The last arriver completes the episode and looks at the parked
+    // count before it publishes: nothing parked. Preempted. An earlier
+    // arriver registers, re-reads a word that has not moved, and parks.
+    // The completer publishes; nobody wakes the parked task.
+    use fuzzy_check::mutants::MutantWakeBeforePublish;
+    must_lose_a_wakeup(
+        "mutant/wake-before-publish",
+        WAKE_BEFORE_PUBLISH_SPACE,
+        || real_frontend(Arc::new(MutantWakeBeforePublish::<ShadowSync>::new(3))),
+    );
+}
+
+#[test]
+fn real_async_frontend_survives_the_wake_before_publish_schedule_space() {
+    // The stock completers publish, then look.
+    real_async_frontend_survives(WAKE_BEFORE_PUBLISH_SPACE);
 }
 
 #[test]
 fn async_yield_without_wake_is_caught_as_lost_wakeup() {
     // t0 arrives and polls: the episode is open, so the poll yields — and
     // wakes nobody. t0 sleeps on its flag with nothing registered. t1
-    // arrives, completes the episode, drains an empty registry and
-    // resolves. t0's episode fully arrived and nobody will poll it again:
-    // the first, sequential schedule already loses the wakeup. One
-    // episode: with two, t1 also sleeps in episode 1, which t0 never
-    // arrives for, and the hang is only a deadlock.
+    // arrives, completes the episode, finds nothing parked and resolves.
+    // t0's episode fully arrived and nobody will poll it again: the first,
+    // sequential schedule already loses the wakeup. One episode: with two,
+    // t1 also sleeps in episode 1, which t0 never arrives for, and the
+    // hang is only a deadlock.
     use fuzzy_check::mutants::MutantYieldWithoutWake;
     must_lose_a_wakeup(
         "mutant/yield-without-wake",
@@ -377,15 +396,12 @@ fn smoke_dfs(max_schedules: usize) -> ExploreOptions {
 #[test]
 fn async_early_epoch_is_caught_as_fuzzy_violation() {
     // The real frontend over a backend whose release word runs one
-    // arrival ahead: the registry drain trusts it, resolves a future with
-    // a peer still outside the barrier, and the ledger sees the early
-    // exit. This is what holds `release_epoch` to its contract.
-    use fuzzy_barrier::AsyncBarrier;
+    // arrival ahead: the poll's lock-free read trusts it, resolves a
+    // future with a peer still outside the barrier, and the ledger sees
+    // the early exit. This is what holds `release_epoch` to its contract.
     use fuzzy_check::mutants::MutantEarlyEpoch;
-    use fuzzy_check::{async_handoff_with, AsyncFrontend};
     let scenario = async_handoff_with("mutant/early-epoch", 3, 2, || {
-        let backend: Arc<dyn SplitBarrier> = Arc::new(MutantEarlyEpoch::<ShadowSync>::new(3));
-        Arc::new(AsyncBarrier::<_, ShadowSync>::new_in(backend)) as Arc<dyn AsyncFrontend>
+        real_frontend(Arc::new(MutantEarlyEpoch::<ShadowSync>::new(3)))
     });
     must_catch(scenario, smoke_dfs(10_000), is_fuzzy_violation);
 }
@@ -393,13 +409,13 @@ fn async_early_epoch_is_caught_as_fuzzy_violation() {
 #[test]
 fn real_async_frontend_survives_the_early_epoch_scenario_on_every_backend() {
     // Same scenario over the stock backends: the four that publish a
-    // release word take the watermark drain, the cooperative one
-    // (dissemination) the fixpoint sweep; neither may lose a wakeup or
-    // release early. A tenth
+    // release word park in the episode core, the cooperative one
+    // (dissemination) in the frontend's fixpoint sweep; neither may lose a
+    // wakeup or release early. A tenth
     // of the mutant's budget here; `scripts/ci.sh check-smoke` runs this
     // very exploration (`check --scenario async`) to the full 10k.
     for backend in fuzzy_check::BackendKind::ALL {
-        must_survive(fuzzy_check::async_handoff(backend, 3, 2), smoke_dfs(1_000));
+        must_survive(async_handoff(backend, 3, 2), smoke_dfs(1_000));
     }
 }
 
@@ -460,6 +476,27 @@ fn reconfig_pass_opts() -> ExploreOptions {
         max_schedules: 10_000,
         step_limit: 20_000,
         preemption_bound: Some(2),
+    }
+}
+
+#[test]
+fn reconfig_future_over_a_never_waking_completer_is_caught() {
+    // The member's wait_future parks on the inner barrier; the inner
+    // completer never wakes it, and the member sleeps through an episode
+    // its peer completed. One episode: with two, the peer also waits in
+    // episode 1, which the member never arrives for, and the hang is only
+    // a deadlock.
+    use fuzzy_check::mutants::MutantNoWake;
+    let scenario = reconfig_future_with("mutant/reconfig/never-wakes", 2, 1, |n| {
+        Arc::new(MutantNoWake::<ShadowSync>::new(n))
+    });
+    must_catch(scenario, opts(2), is_lost_wakeup);
+}
+
+#[test]
+fn real_reconfig_survives_future_schedules() {
+    for backend in BackendKind::ALL {
+        must_survive(fuzzy_check::reconfig_future(backend), reconfig_pass_opts());
     }
 }
 

@@ -4,141 +4,71 @@
 //! barrier region instead of stalling. The software analogue at high
 //! multiplexing is a **logical participant that parks without pinning an OS
 //! thread**: [`AsyncBarrier::arrive_async`] returns a [`BarrierFuture`]
-//! that registers a [`Waker`] against the episode instead of spinning, and
-//! the completing side drains the waker list on release. `M ≫ N` logical
-//! participants can then complete fuzzy episodes multiplexed over `N`
-//! worker threads (see `fuzzy-sched`'s episode executor).
+//! that parks a [`Waker`] against the episode instead of spinning, so
+//! `M ≫ N` logical participants complete fuzzy episodes multiplexed over
+//! `N` worker threads (see `fuzzy-sched`'s episode executor).
 //!
 //! # The waker protocol
 //!
-//! The parked waiters live in a registry (`(id, episode, Waker)` triples,
-//! indexed by participant id — a participant has at most one arrival in
-//! flight — so park, waker refresh and un-park are O(1)) guarded by a
-//! **probe lock**: the [`SyncOps`] domain's lock, [`SyncOps::Mutex`].
-//! In production that is one `std` mutex, one acquisition per park and
-//! per drain; in the `fuzzy-check` shadow domain it is a ticket lock over
-//! instrumented words, so the model checker can observe (and deschedule
-//! through) the acquisition. Who takes that lock, and when, is the
-//! backend's property, read at run time from
-//! [`SplitBarrier::release_epoch`].
+//! Where a task parks is the backend's property, read once at
+//! construction from [`SplitBarrier::release_epoch`] (DESIGN.md §13).
 //!
-//! **Uniform-release backends** (central, counting, tree, hier) publish one
-//! release word `k`: every arrival for an episode below `k` is released,
-//! no other is. The word alone answers most questions, so the lock is
-//! taken only to *park* and to *release the parked*:
-//!
-//! * **Arrive** (sync or async) reads `k` after the backend's arrival
-//!   returned its token for episode `e`. `k <= e` on an unpoisoned barrier
-//!   means this arrival completed nothing and owes nobody a wake: it
-//!   returns without the lock. Otherwise — by the trait's contract the
-//!   arrival that completes `e` reads `k > e` after its own arrival — it
-//!   **drains** under the lock: every entry parked for an episode below
-//!   `k` is removed and its waker collected. The registry keeps a
-//!   watermark, a lower bound on the oldest parked episode, so a drain
-//!   that releases nobody is one load and one compare.
-//! * **Poll** reads `k` first, lock-free. `e < k`: `Ready`, with no lock
-//!   and no registry access (completion wins over poison). Otherwise, on
-//!   the future's first pending poll, it **yields**: it wakes its own
-//!   waker and returns `Pending`, with no lock, no registry entry and no
-//!   poison read — spin before you park, with a budget of one yield. Only
-//!   a later poll takes the lock, **re-reads `k` under it**, drains as
-//!   above, and only then decides its own token from that second read:
-//!   `Ready` and un-park, `Err(Poisoned)` and un-park, or register its
-//!   waker and return `Pending`.
-//! * A fault-free task-episode whose episode completes before its task is
-//!   polled again therefore takes no lock at all; one that parks takes it
-//!   once, and the completer once more per episode. An episode of `M`
-//!   tasks costs at most `M` lock acquisitions and O(M) registry visits in
-//!   total.
-//! * A future that resolves on the lock-free path does not un-park. If it
-//!   had parked and is polled again between the completing arrival and the
-//!   drain that arrival owes, its entry stays behind, **stale**. The next
-//!   drain under the lock removes it — the completer's, or the one that
-//!   opens the id's own next parking poll — and wakes it: a task that has
-//!   moved on takes that as a spurious poll, which every future
-//!   tolerates. Registration does not lean on that order: finding an
-//!   older episode's entry under its id, it replaces it in place and
-//!   counts a fresh park.
+//! **Release-word backends** (central, counting, tree, hier) publish one
+//! word `k`: every arrival for an episode below `k` is released, no other
+//! is. Their futures park in the episode core, the one party that knows an
+//! episode has released. A poll for episode `e` reads `k` lock-free, and
+//! `e < k` is `Ready` (completion wins over poison). Otherwise the
+//! future's first pending poll **yields** — wakes its own waker, returns
+//! `Pending`, registers nothing and reads no poison word: spin before you
+//! park, with a budget of one yield. A later pending poll parks —
+//! [`SplitBarrier::register_waker`] with `(id, e, waker)` — then re-reads
+//! `k` and the poison word and decides from that second read. The
+//! completer that publishes `k` wakes what is parked below `k`, so an
+//! arrive takes no lock and owes nobody a wake.
 //!
 //! **Cooperative backends** (dissemination, the network barrier) return
-//! `None`: their [`SplitBarrier::is_complete`] help-drives the
-//! probed participant's rounds, so a poll may be the last event in the
-//! system and must push the whole registry to a **fixpoint**, not just
-//! itself. Every arrive and every poll — including polls that will return
-//! `Pending` — takes the lock and sweeps. Probing one waiter's token can
-//! enable another's (a dissemination probe that advances a round sends the
-//! next round's signal), and enablement chains ascend one round per sweep
-//! in the worst case, so the drain keeps sweeping every parked entry until
-//! `help_rounds + 1` consecutive sweeps make no progress (`help_rounds`
-//! defaults to `ceil(log2(participants))`, an upper bound on any backend's
-//! round count). "Every poll drains everything" is this path's rule, and
-//! only this path's.
+//! `None`: their [`SplitBarrier::is_complete`] help-drives the probed
+//! participant's rounds, so a poll may be the last event in the system
+//! and must push every parked waiter to a **fixpoint**. Their waiters park
+//! in this frontend's sweep registry (`(id, episode, Waker)`, indexed by
+//! participant id) under a **probe lock**, the [`SyncOps`] domain's
+//! [`SyncOps::Mutex`]. Every arrive and every poll takes the lock and
+//! sweeps every parked entry until `help_rounds + 1` consecutive sweeps
+//! make no progress (`help_rounds` defaults to `ceil(log2(participants))`,
+//! an upper bound on any backend's round count: an enablement chain
+//! ascends one round per sweep). `poison`, a successful `evict` and every
+//! `wait_deadline` return sweep too — and with them `abort` and plain
+//! `wait`, which the trait derives from those, so the sweep precedes
+//! `wait`'s poison panic. Collected wakers are invoked after the lock is
+//! released: in the checker's shadow domain a wake is a scheduling point.
 //!
-//! On **every** backend, `poison`, a successful `evict` and
-//! `wait_deadline` drain under the lock when they return — and with them
-//! `abort` and plain `wait`, which the trait derives from those, so the
-//! drain precedes `wait`'s poison panic. Parked waiters thus observe
-//! faults promptly instead of at their next (never-coming) wakeup. Poison
-//! wakes everyone.
-//!
-//! Collected wakers are invoked **after** the probe lock is released: in
-//! the checker's shadow domain a wake is itself a scheduling point, and no
-//! schedule may interleave inside the lock.
-//!
-//! The frontend's counters follow the same rule as the barrier's own
-//! statistics (see [`crate::stats`]): nothing on the poll path bumps a
-//! shared word. `parked` / `drains` / `wakes` are plain fields of the
-//! registry, written only with the lock held; `polls` / `yields` /
-//! `resumed` are counted in the future and folded into its participant's
-//! own padded cell when it resolves or drops;
-//! [`AsyncBarrier::async_stats`] adds them up.
+//! Nothing on the poll path bumps a shared counter (see [`crate::stats`]):
+//! `drains` / `wakes` are plain fields of the sweep registry, written with
+//! the probe lock held; `polls` / `yields` / `parked` / `resumed` go to
+//! the future's participant's own padded cell; [`AsyncBarrier::async_stats`]
+//! adds them up.
 //!
 //! # Lost-wakeup freedom
 //!
-//! The proof is the re-read under the lock. Sentence by sentence, with the
-//! `fuzzy-check` mutant that breaks each:
+//! On a release-word backend it is the core's `SeqCst` pair: a waiter
+//! stores the parked count, then re-reads the word and the poison; a
+//! completer publishes, then loads the count. One of the two sees the
+//! other. Each obligation has the `fuzzy-check` mutant that drops it:
 //!
-//! 1. *A waiter decides to park and registers in one critical section of
-//!    the probe lock, from a release word (or probe) read inside that
-//!    section.* The lock-free read may only ever say `Ready` — it
-//!    registers nothing, so it can strand nothing. (`MutantUnlockedPark`
-//!    parks on the strength of the lock-free read: the completer arrives
-//!    and drains an empty registry between that read and the
-//!    registration.)
-//! 2. *Every arrival that may have completed an episode drains, in a
-//!    critical section entered after its backend call returned.* The
-//!    skipped arrivals are exactly those that read `k <= e`, and the
-//!    completer of `e` reads `k > e`. (`MutantCompleterSkipsDrain` skips
-//!    on `k <= e + 1`; `MutantNoDrain` never drains.) That a word above
-//!    `e` means *released* is the trait's contract (`MutantEarlyEpoch`).
-//! 3. Two critical sections are ordered. If the waiter's runs first, the
-//!    completer's drain finds the registered entry — on the sweep path by
-//!    probing it complete; on the watermark path because registering
-//!    lowered `oldest` to at most the waiter's episode `e` and the
-//!    completer reads `k > e`, so `oldest < k` and the entry is removed
-//!    and woken. If the completer's runs first, the waiter's re-read of
-//!    the release word (or its own probe) happens-after the completing
-//!    arrival (lock release/acquire ordering) and observes completion
-//!    directly.
-//! 4. A stale entry (above) describes a waiter that needs no wake: its
-//!    future resolved. It sits below the release word, where the
-//!    watermark keeps pointing, so the next drain removes it; and an id
-//!    has one slot, so a registration that did find it would overwrite
-//!    episode and waker there — the registry never describes anyone but
-//!    the id's latest waiter.
-//! 5. *A yield is `Pending` with its own wake already delivered.* It
-//!    decides nothing from the lock-free read but to be polled again, and
-//!    the executor owes a task woken during its poll another poll, so —
-//!    like `Ready` — it can strand nothing; the poll after it is an
-//!    ordinary parking poll. (`MutantYieldWithoutWake` returns `Pending`
-//!    without the wake: nobody has its waker, and it sleeps through the
-//!    completion.)
+//! 1. *A waiter decides `Pending` only from a read made after its
+//!    registration*; the lock-free read may only say `Ready`.
+//!    (`MutantParkWithoutRecheck` parks on the lock-free read.)
+//! 2. *A completer wakes what is parked below the release it has just
+//!    published, after publishing it.* (`MutantNoWake` never wakes;
+//!    `MutantWakeBeforePublish` looks first.) That a word above `e` means
+//!    *released* is the trait's contract (`MutantEarlyEpoch`).
+//! 3. *A yield is `Pending` with its own wake already delivered*, so like
+//!    `Ready` it strands nothing. (`MutantYieldWithoutWake` omits the
+//!    wake.)
 //!
-//! The watermark is only ever a *lower* bound — raised solely by the scan
-//! that recomputes it exactly — so it can cost a wasted scan, never a
-//! skipped one. On cooperative backends, participants that arrived but
-//! have not yet polled are why every poll sweeps: they will probe — and
-//! help-drive — on their first poll.
+//! On a cooperative backend it is the probe lock: a waiter decides to park
+//! and registers in one critical section, from a probe made inside it, and
+//! every call that may have completed an episode sweeps in a later one.
 
 use crate::error::BarrierError;
 use crate::failure::Deadline;
@@ -154,7 +84,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
-/// A parked async waiter: which arrival it waits on and how to resume it.
+/// A waiter parked on a cooperative backend: which arrival it waits on
+/// and how to resume it.
 struct Parked {
     id: usize,
     episode: u64,
@@ -164,7 +95,7 @@ struct Parked {
 /// [`Registry::slot_of`] value of a participant that is not parked.
 const NOT_PARKED: usize = usize::MAX;
 
-/// The parked waiters, indexed by participant id.
+/// A cooperative backend's parked waiters, indexed by participant id.
 struct Registry {
     /// Parked waiters, dense and unordered.
     parked: Vec<Parked>,
@@ -172,12 +103,8 @@ struct Registry {
     /// slot per id suffices: a participant has at most one arrival in
     /// flight, so a second registration for an id replaces the first.
     slot_of: Vec<usize>,
-    /// Lower bound on the oldest parked episode; `u64::MAX` when nothing
-    /// is parked. See the module docs for why a lower bound is enough.
-    oldest: u64,
-    /// The `parked` / `drains` / `wakes` counts. Plain words: like the
-    /// rest of the registry they are only written with the probe lock
-    /// held.
+    /// The `drains` / `wakes` counts. Plain words: like the rest of the
+    /// registry they are only written with the probe lock held.
     counts: AsyncSnapshot,
 }
 
@@ -186,20 +113,15 @@ impl Registry {
         Registry {
             parked: Vec::new(),
             slot_of: vec![NOT_PARKED; participants],
-            oldest: u64::MAX,
             counts: AsyncSnapshot::default(),
         }
     }
 
-    /// Registers a parked waiter, or refreshes the waker of the one
-    /// already there. Returns true if the waiter was newly parked: its id
-    /// had no entry, or a stale one left by an older episode's future that
-    /// resolved without the lock.
-    fn register(&mut self, id: usize, episode: u64, waker: &Waker) -> bool {
+    /// Registers a parked waiter, or refreshes the one already there.
+    fn register(&mut self, id: usize, episode: u64, waker: &Waker) {
         if id >= self.slot_of.len() {
             self.slot_of.resize(id + 1, NOT_PARKED);
         }
-        self.oldest = self.oldest.min(episode);
         match self.slot_of[id] {
             NOT_PARKED => {
                 self.slot_of[id] = self.parked.len();
@@ -208,24 +130,19 @@ impl Registry {
                     episode,
                     waker: waker.clone(),
                 });
-                true
             }
             slot => {
                 let entry = &mut self.parked[slot];
-                let stale = entry.episode < episode;
                 entry.episode = episode;
                 entry.waker.clone_from(waker);
-                stale
             }
         }
     }
 
-    /// Removes the waiter's entry, if it is (still) parked.
-    fn deregister(&mut self, id: usize, episode: u64) {
+    /// Removes `id`'s entry, if it is parked.
+    fn deregister(&mut self, id: usize) {
         match self.slot_of.get(id) {
-            Some(&slot) if slot != NOT_PARKED && self.parked[slot].episode == episode => {
-                drop(self.remove_at(slot));
-            }
+            Some(&slot) if slot != NOT_PARKED => drop(self.remove_at(slot)),
             _ => {}
         }
     }
@@ -238,48 +155,17 @@ impl Registry {
         if let Some(moved) = self.parked.get(slot) {
             self.slot_of[moved.id] = slot;
         }
-        if self.parked.is_empty() {
-            self.oldest = u64::MAX;
-        }
         entry.waker
-    }
-
-    /// Removes every entry parked for an episode below `k` into `woken`
-    /// and recomputes the watermark. Walks from the back, so releasing
-    /// everything moves nothing.
-    fn release_below(&mut self, k: u64, woken: &mut Vec<Waker>) {
-        woken.reserve(self.parked.len());
-        let mut oldest = u64::MAX;
-        let mut slot = self.parked.len();
-        while slot > 0 {
-            slot -= 1;
-            let episode = self.parked[slot].episode;
-            if episode < k {
-                woken.push(self.remove_at(slot));
-            } else {
-                oldest = oldest.min(episode);
-            }
-        }
-        self.oldest = oldest;
-    }
-
-    /// Removes every entry into `woken` (poison releases everyone).
-    fn release_all(&mut self, woken: &mut Vec<Waker>) {
-        woken.reserve(self.parked.len());
-        for entry in self.parked.drain(..) {
-            self.slot_of[entry.id] = NOT_PARKED;
-            woken.push(entry.waker);
-        }
-        self.oldest = u64::MAX;
     }
 }
 
-/// The `polls` / `yields` / `resumed` counts of one participant's
-/// futures, folded in by each future when it resolves or drops.
+/// The `polls` / `yields` / `parked` / `resumed` counts of one
+/// participant's futures.
 #[derive(Debug, Default)]
 struct FutureCounts {
     polls: AtomicU64,
     yields: AtomicU64,
+    parked: AtomicU64,
     resumed: AtomicU64,
 }
 
@@ -321,8 +207,12 @@ struct FutureCounts {
 /// ```
 pub struct AsyncBarrier<B: SplitBarrier, S: SyncOps = RealSync> {
     inner: B,
-    /// The parked waiters under the probe lock: the `S` domain's lock, so
-    /// a checker vthread blocked on it is descheduled, never hidden.
+    /// True if the backend has no release word: its waiters park in
+    /// `registry` and every completion-producing call sweeps it.
+    cooperative: bool,
+    /// A cooperative backend's parked waiters under the probe lock: the
+    /// `S` domain's lock, so a checker vthread blocked on it is
+    /// descheduled, never hidden.
     registry: S::Mutex<Registry>,
     /// Upper bound on help-driving enablement chain length on cooperative
     /// backends; see module docs. 0 means a single no-progress sweep ends
@@ -354,6 +244,7 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
         // backend.
         let help_rounds = crate::dissemination::rounds(n) as usize;
         AsyncBarrier {
+            cooperative: inner.release_epoch().is_none(),
             inner,
             registry: Lock::new(Registry::new(n)),
             help_rounds,
@@ -379,8 +270,8 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
     }
 
     /// Snapshot of the async-frontend counters (parks, resumes, drains,
-    /// wakes, polls, yields): the registry's counts, read under the probe
-    /// lock, plus the per-participant cells. `polls`, `yields` and
+    /// wakes, polls, yields): the sweep registry's counts, read under the
+    /// probe lock, plus the per-participant cells. `polls`, `yields` and
     /// `resumed` cover the futures that have resolved or dropped; one
     /// still in flight adds its share when it does.
     #[must_use]
@@ -390,18 +281,24 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
         for counts in cells.chain([&self.stray_counts]) {
             total.polls += counts.polls.load(Ordering::Relaxed);
             total.yields += counts.yields.load(Ordering::Relaxed);
+            total.parked += counts.parked.load(Ordering::Relaxed);
             total.resumed += counts.resumed.load(Ordering::Relaxed);
         }
         total
     }
 
+    /// Participant `id`'s cell, and whether its writer is the only one.
+    fn counts(&self, id: usize) -> (&FutureCounts, bool) {
+        match self.future_counts.get(id) {
+            Some(cell) => (cell, true),
+            None => (&self.stray_counts, false),
+        }
+    }
+
     /// Folds a finished (resolved or dropped) future's counts into its
     /// participant's cell.
     fn record_future(&self, id: usize, polls: u64, yielded: bool, resumed: bool) {
-        let (counts, sole_writer) = match self.future_counts.get(id) {
-            Some(cell) => (&**cell, true),
-            None => (&self.stray_counts, false),
-        };
+        let (counts, sole_writer) = self.counts(id);
         stats::add(&counts.polls, polls, sole_writer);
         stats::add(&counts.yields, u64::from(yielded), sole_writer);
         stats::add(&counts.resumed, u64::from(resumed), sole_writer);
@@ -432,13 +329,11 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
         }
     }
 
-    /// Removes every released (or fault-released) waiter from `registry`
-    /// and decides the caller's own token, when given. Must be called with
+    /// The cooperative drain: probes every parked waiter — plus the
+    /// caller's own token, when given — to a fixpoint, since each probe may
+    /// help-drive rounds that enable another waiter. Must be called with
     /// the probe lock held. Returns the wakers of the removed waiters, to
     /// be invoked *after* the lock is dropped, and whether `own` completed.
-    ///
-    /// The release word is read here, under the lock: this read — not the
-    /// lock-free one a poll starts with — is the one a waiter may park on.
     fn drain_locked(
         &self,
         registry: &mut Registry,
@@ -446,30 +341,6 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
     ) -> (Vec<Waker>, bool) {
         registry.counts.drains += 1;
         let mut woken = Vec::new();
-        let own_done = match self.inner.release_epoch() {
-            None => self.sweep_locked(registry, own, &mut woken),
-            Some(released) => {
-                if !registry.parked.is_empty() && self.inner.is_poisoned() {
-                    registry.release_all(&mut woken);
-                } else if registry.oldest < released {
-                    registry.release_below(released, &mut woken);
-                }
-                own.is_some_and(|token| token.episode < released)
-            }
-        };
-        registry.counts.wakes += woken.len() as u64;
-        (woken, own_done)
-    }
-
-    /// The cooperative-backend drain: probes every parked waiter — plus
-    /// the caller's own token — to a fixpoint, since each probe may
-    /// help-drive rounds that enable another waiter.
-    fn sweep_locked(
-        &self,
-        registry: &mut Registry,
-        own: Option<&ArrivalToken>,
-        woken: &mut Vec<Waker>,
-    ) -> bool {
         let mut own_done = false;
         let mut stale = 0usize;
         loop {
@@ -504,12 +375,18 @@ impl<B: SplitBarrier, S: SyncOps> AsyncBarrier<B, S> {
                 }
             }
         }
-        own_done
+        registry.counts.wakes += woken.len() as u64;
+        (woken, own_done)
     }
 
-    /// Drain + wake, used by the completion-producing [`SplitBarrier`]
-    /// hooks (arrive, every wait return, poison, evict).
+    /// Drain + wake on a cooperative backend, used by the
+    /// completion-producing [`SplitBarrier`] hooks (arrive, every wait
+    /// return, poison, evict). A release-word backend's completer wakes
+    /// its own parked waiters.
     fn drain_and_wake(&self) {
+        if !self.cooperative {
+            return;
+        }
         let mut registry = self.registry.acquire();
         let (wakers, _) = self.drain_locked(&mut registry, None);
         drop(registry);
@@ -528,25 +405,20 @@ impl<B: SplitBarrier, S: SyncOps> fmt::Debug for AsyncBarrier<B, S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AsyncBarrier")
             .field("participants", &self.inner.participants())
+            .field("cooperative", &self.cooperative)
             .field("help_rounds", &self.help_rounds)
             .finish_non_exhaustive()
     }
 }
 
-/// Every [`SplitBarrier`] completion-producing path drains the parked
-/// waiters, so sync and async participants can share one
-/// [`AsyncBarrier`].
+/// Every [`SplitBarrier`] completion-producing path wakes the parked
+/// waiters — the core's completer on a release-word backend, this
+/// frontend's drain on a cooperative one — so sync and async participants
+/// can share one [`AsyncBarrier`].
 impl<B: SplitBarrier, S: SyncOps> SplitBarrier for AsyncBarrier<B, S> {
     fn arrive(&self, id: usize) -> ArrivalToken {
         let token = self.inner.arrive(id);
-        // A release word still at or below this arrival's episode says it
-        // completed nothing: the arrival that does complete the episode
-        // reads a higher word and drains (module docs). Poison is the one
-        // other thing a parked waiter may be owed by an arrival.
-        let left_open = matches!(self.inner.release_epoch(), Some(k) if k <= token.episode);
-        if !left_open || self.inner.is_poisoned() {
-            self.drain_and_wake();
-        }
+        self.drain_and_wake();
         token
     }
 
@@ -593,7 +465,7 @@ impl<B: SplitBarrier, S: SyncOps> SplitBarrier for AsyncBarrier<B, S> {
         result
     }
 
-    /// An admission applies at a completion, which drains.
+    /// An admission applies at a completion, which wakes.
     fn admit(&self, id: usize) -> Result<(), BarrierError> {
         self.inner.admit(id)
     }
@@ -642,7 +514,7 @@ pub struct BarrierFuture<'a, B: SplitBarrier, S: SyncOps = RealSync> {
     id: usize,
     episode: u64,
     /// True once a pending poll has yielded instead of parking; only the
-    /// polls after it may take the probe lock (release-word backends).
+    /// polls after it may park (release-word backends).
     yielded: bool,
     /// True once a waker has been registered (we parked at least once).
     parked: bool,
@@ -666,6 +538,83 @@ impl<B: SplitBarrier, S: SyncOps> BarrierFuture<'_, B, S> {
     pub fn episode(&self) -> u64 {
         self.episode
     }
+
+    /// Counts this future's first park, when it happens.
+    fn parked(&mut self) {
+        if !self.parked {
+            self.parked = true;
+            let (counts, sole_writer) = self.barrier.counts(self.id);
+            stats::add(&counts.parked, 1, sole_writer);
+        }
+    }
+
+    /// A poll on a release-word backend, given the word's lock-free read.
+    fn poll_release_word(
+        &mut self,
+        released: u64,
+        cx: &Context<'_>,
+    ) -> Option<Result<(), BarrierError>> {
+        // A word above our episode is final (the word is monotone); only
+        // this read's *other* answer is provisional.
+        if self.episode < released {
+            return Some(Ok(()));
+        }
+        if !self.yielded {
+            // Spin before you park: the first pending poll asks to be
+            // polled again instead of registering. Waking ourselves first
+            // is what makes this `Pending` safe without a registration.
+            self.yielded = true;
+            cx.waker().wake_by_ref();
+            return None;
+        }
+        let inner = &self.barrier.inner;
+        if inner.register_waker(self.id, self.episode, cx.waker()) {
+            self.parked();
+        } else {
+            // A release word but no parking place: poll again.
+            cx.waker().wake_by_ref();
+        }
+        // Re-read: a release or poison published before the registration
+        // woke nobody.
+        if inner.release_epoch().is_some_and(|k| self.episode < k) {
+            Some(Ok(()))
+        } else if inner.is_poisoned() {
+            Some(Err(BarrierError::Poisoned {
+                episode: self.episode,
+            }))
+        } else {
+            None
+        }
+    }
+
+    /// A poll on a cooperative backend: sweep under the probe lock, then
+    /// decide from the sweep's probe of our own token.
+    fn poll_sweep(&mut self, cx: &Context<'_>) -> Option<Result<(), BarrierError>> {
+        let barrier = self.barrier;
+        let own = ArrivalToken::new(self.id, self.episode);
+        let mut registry = barrier.registry.acquire();
+        let (wakers, own_done) = barrier.drain_locked(&mut registry, Some(&own));
+        let resolved = if own_done {
+            // The drain may have collected our own entry already;
+            // deregistering again is a harmless no-op.
+            registry.deregister(self.id);
+            Some(Ok(()))
+        } else if barrier.inner.is_poisoned() {
+            registry.deregister(self.id);
+            Some(Err(BarrierError::Poisoned {
+                episode: self.episode,
+            }))
+        } else {
+            registry.register(self.id, self.episode, cx.waker());
+            self.parked();
+            None
+        };
+        drop(registry);
+        // Cascaded completions are woken outside the lock: in the checker
+        // domain a wake is itself a scheduling point.
+        wake_all(wakers);
+        resolved
+    }
 }
 
 impl<B: SplitBarrier, S: SyncOps> fmt::Debug for BarrierFuture<'_, B, S> {
@@ -688,49 +637,10 @@ impl<B: SplitBarrier, S: SyncOps> Future for BarrierFuture<'_, B, S> {
         let this = Pin::into_inner(self);
         assert!(!this.done, "BarrierFuture polled after completion");
         this.polls += 1;
-
-        // Lock-free first: a release word above our episode is final (the
-        // word is monotone), and resolving needs nothing from the
-        // registry. Only this read's *other* answer is provisional.
-        let released = this.barrier.inner.release_epoch();
-        let resolved = if released.is_some_and(|k| this.episode < k) {
-            Some(Ok(()))
-        } else if released.is_some() && !this.yielded {
-            // Spin before you park: the first pending poll asks to be
-            // polled again instead of registering. Waking ourselves first
-            // is what makes this `Pending` safe without the lock.
-            this.yielded = true;
-            cx.waker().wake_by_ref();
-            None
-        } else {
-            let own = ArrivalToken::new(this.id, this.episode);
-            let mut registry = this.barrier.registry.acquire();
-            // Re-reads the release word under the lock.
-            let (wakers, own_done) = this.barrier.drain_locked(&mut registry, Some(&own));
-            let resolved = if own_done {
-                // The drain may have collected our own entry already;
-                // deregistering again is a harmless no-op.
-                registry.deregister(this.id, this.episode);
-                Some(Ok(()))
-            } else if this.barrier.inner.is_poisoned() {
-                registry.deregister(this.id, this.episode);
-                Some(Err(BarrierError::Poisoned {
-                    episode: this.episode,
-                }))
-            } else {
-                if registry.register(this.id, this.episode, cx.waker()) {
-                    registry.counts.parked += 1;
-                    this.parked = true;
-                }
-                None
-            };
-            drop(registry);
-            // Cascaded completions are woken outside the lock: in the
-            // checker domain a wake is itself a scheduling point.
-            wake_all(wakers);
-            resolved
+        let resolved = match this.barrier.inner.release_epoch() {
+            Some(released) => this.poll_release_word(released, cx),
+            None => this.poll_sweep(cx),
         };
-
         let Some(resolved) = resolved else {
             if this.first_pending.is_none() && stats::is_sampled(this.episode) {
                 this.first_pending = Some(Instant::now());
@@ -750,29 +660,34 @@ impl<B: SplitBarrier, S: SyncOps> Future for BarrierFuture<'_, B, S> {
     }
 }
 
+/// Dropping an unresolved future withdraws its registration and poisons
+/// the barrier if the episode had not completed — an arrival that will
+/// never be waited on would otherwise hang its peers on the next episode
+/// (mirrors [`SplitBarrier::abort`]).
 impl<B: SplitBarrier, S: SyncOps> Drop for BarrierFuture<'_, B, S> {
     fn drop(&mut self) {
         if self.done {
             return;
         }
-        self.barrier
-            .record_future(self.id, self.polls, self.yielded, false);
-        self.probe_and_deregister();
-    }
-}
-
-impl<B: SplitBarrier, S: SyncOps> BarrierFuture<'_, B, S> {
-    /// Drop path: deregister, and poison if the episode had not completed
-    /// — an arrival that will never be waited on would otherwise hang its
-    /// peers on the next episode (mirrors [`SplitBarrier::abort`]).
-    fn probe_and_deregister(&self) {
+        let barrier = self.barrier;
+        barrier.record_future(self.id, self.polls, self.yielded, false);
         let own = ArrivalToken::new(self.id, self.episode);
-        let mut registry = self.barrier.registry.acquire();
-        registry.deregister(self.id, self.episode);
-        let complete = self.barrier.inner.is_complete(&own);
-        drop(registry);
+        let complete = if barrier.cooperative {
+            let mut registry = barrier.registry.acquire();
+            registry.deregister(self.id);
+            barrier.inner.is_complete(&own)
+        } else {
+            if self.parked {
+                // Replaces our entry: the poison below must not wake the
+                // task that dropped us, nor keep its waker.
+                barrier
+                    .inner
+                    .register_waker(self.id, self.episode, Waker::noop());
+            }
+            barrier.inner.is_complete(&own)
+        };
         if !complete {
-            SplitBarrier::poison(self.barrier);
+            SplitBarrier::poison(barrier);
         }
     }
 }
@@ -823,32 +738,32 @@ mod tests {
         }
     }
 
-    /// The `(id, episode)` of every registry entry, in slot order.
-    fn entries<B: SplitBarrier>(b: &AsyncBarrier<B>) -> Vec<(usize, u64)> {
-        let registry = b.registry.lock().unwrap();
-        registry.parked.iter().map(|p| (p.id, p.episode)).collect()
+    /// True if the frontend's sweep registry is empty.
+    fn unregistered<B: SplitBarrier>(b: &AsyncBarrier<B>) -> bool {
+        b.registry.lock().unwrap().parked.is_empty()
     }
 
     /// Polls a release-word future whose episode is still open for the
     /// first time and asserts that the poll yields: `Pending`, its waker
-    /// woken once, and the registry, `drains` and `parked` untouched. The
-    /// caller's next poll is then the one that may park.
+    /// woken once, and `drains` and `parked` untouched. The caller's next
+    /// poll is then the one that may park.
     fn assert_yields<B: SplitBarrier>(fut: &mut BarrierFuture<'_, B>) {
         let b = fut.barrier;
-        let (before, registered) = (b.async_stats(), entries(b));
+        let before = b.async_stats();
         let (woken, waker) = Woken::new();
         assert!(poll_with(fut, &waker).is_pending());
         assert_eq!(woken.count(), 1, "a yield wakes its own waker");
-        assert_eq!(entries(b), registered, "a yield registers nothing");
+        assert!(!fut.parked, "a yield registers nothing");
         let after = b.async_stats();
         assert_eq!((after.drains, after.parked), (before.drains, before.parked));
     }
 
-    /// Forwards to `B`, counting the completion probes the frontend makes:
-    /// `is_complete` and `release_epoch` calls.
+    /// Forwards to `B`, counting the completion probes the frontend makes
+    /// (`is_complete` and `release_epoch` calls) and its registrations.
     struct Probed<B> {
         inner: B,
         probes: AtomicU64,
+        registrations: AtomicU64,
     }
 
     impl<B: SplitBarrier> Probed<B> {
@@ -856,6 +771,7 @@ mod tests {
             Probed {
                 inner,
                 probes: AtomicU64::new(0),
+                registrations: AtomicU64::new(0),
             }
         }
     }
@@ -873,6 +789,11 @@ mod tests {
         fn release_epoch(&self) -> Option<u64> {
             self.probes.fetch_add(1, Ordering::Relaxed);
             self.inner.release_epoch()
+        }
+
+        fn register_waker(&self, id: usize, episode: u64, waker: &Waker) -> bool {
+            self.registrations.fetch_add(1, Ordering::Relaxed);
+            self.inner.register_waker(id, episode, waker)
         }
 
         fn wait_deadline(
@@ -908,25 +829,30 @@ mod tests {
     /// arrives and is polled until it parks (on a release-word backend all
     /// but the last yield first, then park), then every parked future is
     /// polled until it resolves — and returns the backend probes spent per
-    /// task and the frontend's counters.
-    fn drive_episode<B: SplitBarrier>(backend: B, m: usize) -> (f64, AsyncSnapshot) {
+    /// task, the frontend's counters and how often each parked future's
+    /// waker was woken.
+    fn drive_episode<B: SplitBarrier>(backend: B, m: usize) -> (f64, AsyncSnapshot, Vec<u64>) {
         let yields = backend.release_epoch().is_some();
         let b = Arc::new(AsyncBarrier::new(Probed::new(backend)));
-        let mut parked = Vec::new();
+        let (mut parked, mut counters) = (Vec::new(), Vec::new());
         for id in 0..m {
             let mut fut = b.arrive_async(id);
             if yields && id + 1 < m {
                 assert_yields(&mut fut);
             }
-            match poll_once(&mut fut) {
-                Poll::Pending => parked.push(fut),
+            let (woken, waker) = Woken::new();
+            match poll_with(&mut fut, &waker) {
+                Poll::Pending => {
+                    parked.push((fut, waker));
+                    counters.push(woken);
+                }
                 Poll::Ready(result) => assert_eq!(result.expect("no faults").episode, 0),
             }
         }
         // A cooperative backend may need a few passes of polls to walk its
         // rounds; a uniform-release backend resolves everyone in one.
         for _ in 0..=m {
-            parked.retain_mut(|fut| match poll_once(fut) {
+            parked.retain_mut(|(fut, waker)| match poll_with(fut, waker) {
                 Poll::Pending => true,
                 Poll::Ready(result) => {
                     assert_eq!(result.expect("no faults").episode, 0);
@@ -941,19 +867,19 @@ mod tests {
         );
         let stats = b.async_stats();
         assert_eq!(stats.parked, stats.resumed);
-        assert!(b.registry.lock().unwrap().parked.is_empty());
+        assert!(unregistered(&b));
         let probes = b.backend().probes.load(Ordering::Relaxed);
-        (probes as f64 / m as f64, stats)
+        let woken = counters.iter().map(|woken| woken.count()).collect();
+        (probes as f64 / m as f64, stats, woken)
     }
 
     #[test]
-    fn uniform_release_backends_lock_once_per_park_and_once_per_episode() {
-        // Backend probes per task: arrive, the yielding poll and the
-        // resolving poll read the release word once, the parking poll
-        // twice (lock-free, then under the lock) — whatever the number of
-        // parked peers. Probe-lock acquisitions per episode: the M - 1
-        // parking polls and the completer's arrive. No other arrive, no
-        // yield and no resolving poll locks.
+    fn uniform_release_backends_take_no_probe_lock() {
+        // Backend probes per task: the yielding poll and the resolving
+        // poll read the release word once, the parking poll twice
+        // (lock-free, then after registering) — whatever the number of
+        // parked peers. Nothing drains: the core's completer wakes the
+        // M - 1 parked futures, each exactly once.
         for m in [64, 1024] {
             let backends: [(&str, Arc<dyn SplitBarrier>); 4] = [
                 ("central", Arc::new(CentralBarrier::new(m))),
@@ -962,12 +888,12 @@ mod tests {
                 ("hier", Arc::new(HierBarrier::new(m))),
             ];
             for (name, backend) in backends {
-                let (per_task, stats) = drive_episode(backend, m);
+                let (per_task, stats, woken) = drive_episode(backend, m);
                 assert!(per_task <= 5.0, "{name} M={m}: {per_task} probes per task");
-                assert_eq!(stats.drains, m as u64, "{name} M={m}: {stats:?}");
+                assert_eq!((stats.drains, stats.wakes), (0, 0), "{name} M={m}");
                 assert_eq!(stats.parked, m as u64 - 1, "{name} M={m}");
                 assert_eq!(stats.yields, stats.parked, "{name} M={m}");
-                assert_eq!(stats.wakes, stats.parked, "{name} M={m}");
+                assert_eq!(woken, vec![1; m - 1], "{name} M={m}: woken once each");
                 assert_eq!(stats.polls, 3 * m as u64 - 2, "{name} M={m}");
             }
         }
@@ -980,46 +906,36 @@ mod tests {
         // every poll takes the lock and drains. No poll yields: a poll
         // here drives rounds.
         let m = 64;
-        let (_, stats) = drive_episode(DisseminationBarrier::new(m), m);
+        let (_, stats, _) = drive_episode(DisseminationBarrier::new(m), m);
         assert_eq!(stats.drains, m as u64 + stats.polls, "{stats:?}");
         assert_eq!(stats.yields, 0, "{stats:?}");
     }
 
     #[test]
-    fn stale_entry_of_a_lock_free_resolution_is_swept_by_the_next_drain() {
+    fn a_completion_below_the_frontend_wakes_the_parked_future() {
         let b = Arc::new(AsyncBarrier::new(CentralBarrier::new(2)));
-        let (stale, stale_waker) = Woken::new();
+        let (first, first_waker) = Woken::new();
         let mut fut = b.arrive_async(0);
         assert_yields(&mut fut);
-        assert!(poll_with(&mut fut, &stale_waker).is_pending());
-        // Episode 0 completes behind the frontend's back — the completer
-        // between its backend arrival and the drain it owes, frozen there:
-        // no hook runs. A spurious poll of the parked future resolves on
-        // the lock-free path and leaves its entry where it was.
+        assert!(poll_with(&mut fut, &first_waker).is_pending());
+        // Episode 0 completes behind the frontend's back: no hook of its
+        // runs, and the core's completer wakes the parked future anyway.
         drop(b.backend().arrive(1));
-        match poll_with(&mut fut, &stale_waker) {
+        assert_eq!(first.count(), 1);
+        match poll_with(&mut fut, &first_waker) {
             Poll::Ready(Ok(outcome)) => assert!(outcome.descheduled && outcome.episode == 0),
             other => panic!("expected Ready(Ok(_)), got {other:?}"),
         }
-        {
-            let registry = b.registry.lock().unwrap();
-            assert_eq!(registry.slot_of, [0, NOT_PARKED]);
-            assert_eq!(registry.parked[0].episode, 0);
-            assert_eq!(registry.counts.drains, 1, "the resolving poll took no lock");
-        }
-        assert_eq!(stale.count(), 0);
         // Episode 1 runs through the frontend. Participant 0 parks afresh
-        // (the drain of its parking poll sweeps the stale entry out, waking
-        // the stale waker: one spurious poll, no more) and is woken by
-        // exactly episode 1's completing arrive.
-        let (fresh, fresh_waker) = Woken::new();
+        // and is woken by exactly episode 1's completing arrive; the first
+        // waker is not woken again.
+        let (second, second_waker) = Woken::new();
         let mut fut = b.arrive_async(0);
         assert_yields(&mut fut);
-        assert!(poll_with(&mut fut, &fresh_waker).is_pending());
-        assert_eq!(b.registry.lock().unwrap().parked[0].episode, 1);
-        assert_eq!((stale.count(), fresh.count()), (1, 0));
+        assert!(poll_with(&mut fut, &second_waker).is_pending());
+        assert_eq!((first.count(), second.count()), (1, 0));
         let mut last = b.arrive_async(1);
-        assert_eq!((stale.count(), fresh.count()), (1, 1));
+        assert_eq!((first.count(), second.count()), (1, 1));
         for fut in [&mut fut, &mut last] {
             match poll_once(fut) {
                 Poll::Ready(Ok(outcome)) => {
@@ -1030,13 +946,11 @@ mod tests {
             }
         }
         let stats = b.async_stats();
-        assert_eq!((stats.parked, stats.resumed), (2, 2), "{stats:?}");
-        assert!(stale.count() <= 1);
-        assert!(b.registry.lock().unwrap().parked.is_empty());
+        assert_eq!((stats.parked, stats.resumed, stats.drains), (2, 2, 0));
     }
 
     #[test]
-    fn arrive_on_a_poisoned_barrier_takes_no_fast_path() {
+    fn poison_below_the_frontend_wakes_every_parked_waiter() {
         let m = 8;
         let b = Arc::new(AsyncBarrier::new(CentralBarrier::new(m + 2)));
         let wakers: Vec<_> = (0..m).map(|_| Woken::new()).collect();
@@ -1045,16 +959,14 @@ mod tests {
             assert_yields(fut);
             assert!(poll_with(fut, waker).is_pending());
         }
-        assert_eq!(b.async_stats().drains, m as u64, "no arrive has drained");
         // Poisoned inside the backend (a timed-out inner wait does this):
-        // the frontend's poison hook never ran, nobody was woken.
+        // the frontend's poison hook never runs, and the core wakes
+        // everyone it parked.
         b.backend().poison();
-        assert!(wakers.iter().all(|(woken, _)| woken.count() == 0));
-        // The next arrival completes nothing, and still owes the wake.
-        futures.push(b.arrive_async(m));
         assert!(wakers.iter().all(|(woken, _)| woken.count() == 1));
-        assert!(b.registry.lock().unwrap().parked.is_empty());
-        // The late arriver's first poll yields, poison or not.
+        // A late arrival's first poll yields, poison or not; its second
+        // parks, then finds the poison.
+        futures.push(b.arrive_async(m));
         assert_yields(futures.last_mut().expect("just pushed"));
         for fut in &mut futures {
             assert!(matches!(
@@ -1063,15 +975,20 @@ mod tests {
             ));
         }
         let stats = b.async_stats();
-        assert_eq!((stats.parked, stats.resumed), (m as u64, m as u64));
+        let parked = m as u64 + 1;
+        assert_eq!(
+            (stats.parked, stats.resumed, stats.drains),
+            (parked, parked, 0)
+        );
     }
 
     #[test]
     fn plain_wait_drains_before_it_panics_on_poison() {
-        let b = Arc::new(AsyncBarrier::new(CentralBarrier::new(3)));
+        // A cooperative backend: its parked futures hear of a fault only
+        // from a frontend drain.
+        let b = Arc::new(AsyncBarrier::new(DisseminationBarrier::new(3)));
         let (woken, waker) = Woken::new();
         let mut parked = b.arrive_async(0);
-        assert_yields(&mut parked);
         assert!(poll_with(&mut parked, &waker).is_pending());
         let token = SplitBarrier::arrive(b.as_ref(), 1);
         // A fault raised below the frontend runs none of its hooks.
@@ -1082,7 +999,7 @@ mod tests {
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.wait(token)));
         assert!(unwound.is_err(), "plain wait panics on poison");
         assert_eq!(woken.count(), 1, "the drain must precede the panic");
-        assert!(b.registry.lock().unwrap().parked.is_empty());
+        assert!(unregistered(&b));
         assert!(matches!(
             poll_once(&mut parked),
             Poll::Ready(Err(BarrierError::Poisoned { episode: 0 }))
@@ -1122,37 +1039,26 @@ mod tests {
     }
 
     #[test]
-    fn registry_index_tracks_moves_and_the_watermark_is_a_lower_bound() {
+    fn registry_index_tracks_moves() {
         let waker = Waker::noop();
         let mut r = Registry::new(4);
-        assert_eq!(r.oldest, u64::MAX);
-        assert!(r.register(0, 7, waker));
-        assert!(r.register(1, 7, waker));
-        assert!(r.register(2, 8, waker));
-        assert!(
-            !r.register(1, 7, waker),
-            "a re-poll refreshes, not re-parks"
-        );
-        assert_eq!(r.oldest, 7);
+        r.register(0, 7, waker);
+        r.register(1, 7, waker);
+        r.register(2, 8, waker);
+        r.register(1, 7, waker); // a re-poll refreshes, not re-parks
+        assert_eq!(r.parked.len(), 3);
         // Removing the first entry moves the last into its place.
-        r.deregister(0, 7);
-        assert_eq!(r.slot_of[..3], [NOT_PARKED, 1, 0]);
-        r.deregister(2, 7); // wrong episode: somebody else's entry stays
+        r.deregister(0);
+        assert_eq!(r.slot_of, [NOT_PARKED, 1, 0, NOT_PARKED]);
+        r.deregister(3); // not parked: nothing to remove
         assert_eq!(r.parked.len(), 2);
-        // Two live episodes: releasing below 8 takes 7's entry only.
-        let mut woken = Vec::new();
-        r.release_below(8, &mut woken);
-        assert_eq!(woken.len(), 1);
-        assert_eq!((r.parked.len(), r.oldest), (1, 8));
-        assert_eq!(r.slot_of[..3], [NOT_PARKED, NOT_PARKED, 0]);
-        // Taking over an older episode's stale entry is a park, in place.
-        assert!(r.register(2, 9, waker));
-        assert!(!r.register(2, 9, waker));
-        assert_eq!((r.parked.len(), r.parked[0].episode, r.oldest), (1, 9, 8));
         // An id beyond the construction size grows the index.
-        assert!(r.register(9, 8, waker));
-        r.release_all(&mut woken);
-        assert_eq!((woken.len(), r.parked.len(), r.oldest), (3, 0, u64::MAX));
+        r.register(9, 8, waker);
+        assert_eq!((r.slot_of.len(), r.slot_of[9]), (10, 2));
+        for id in [1, 2, 9] {
+            r.deregister(id);
+        }
+        assert!(r.parked.is_empty());
         assert!(r.slot_of.iter().all(|&slot| slot == NOT_PARKED));
     }
 
@@ -1189,7 +1095,7 @@ mod tests {
         // first and whose registry reference is gone.
         assert_eq!((dropped.count(), kept.count()), (0, 1));
         assert_eq!(Arc::strong_count(&dropped), 2, "test + its Waker only");
-        assert!(b.registry.lock().unwrap().parked.is_empty());
+        assert!(unregistered(&b));
         assert!(matches!(
             poll_once(&mut survivor),
             Poll::Ready(Err(BarrierError::Poisoned { episode: 0 }))
@@ -1197,21 +1103,22 @@ mod tests {
     }
 
     #[test]
-    fn fast_task_parks_for_the_next_episode_while_the_last_one_drains() {
-        // The last arriver of episode 0 has advanced the backend's word
-        // but not yet drained (it is between `inner.arrive` and the probe
-        // lock); a fast participant is already waiting on episode 1. Its
-        // poll releases episode 0's entries and parks itself — one entry
-        // for episode 1 is left, and the watermark follows.
+    fn fast_task_parks_for_the_next_episode_while_the_last_one_completes() {
+        // The last arriver of episode 0 completes it below the frontend,
+        // and arrives first for episode 1, while a fast participant is
+        // already waiting on episode 1. The completion wakes episode 0's
+        // parked futures only; episode 1's completion wakes the fast one.
         let inner = Arc::new(CentralBarrier::new(3));
         let b = Arc::new(AsyncBarrier::new(Arc::clone(&inner)));
         let wakers: Vec<_> = (0..3).map(|_| Woken::new()).collect();
+        let counts = || -> Vec<u64> { wakers.iter().map(|(woken, _)| woken.count()).collect() };
         let mut slow: Vec<_> = (0..2).map(|id| b.arrive_async(id)).collect();
         for (fut, (_, waker)) in slow.iter_mut().zip(&wakers) {
             assert_yields(fut);
             assert!(poll_with(fut, waker).is_pending());
         }
         drop(inner.arrive(2)); // completes episode 0 behind the frontend's back
+        assert_eq!(counts(), [1, 1, 0]);
         drop(inner.arrive(2)); // ... and is first to arrive for episode 1
         let mut fast = BarrierFuture {
             barrier: &b,
@@ -1225,19 +1132,13 @@ mod tests {
         };
         assert_yields(&mut fast);
         assert!(poll_with(&mut fast, &wakers[2].1).is_pending());
-        let counts: Vec<u64> = wakers.iter().map(|(woken, _)| woken.count()).collect();
-        assert_eq!(counts, [1, 1, 0]);
-        {
-            let registry = b.registry.lock().unwrap();
-            assert_eq!((registry.parked.len(), registry.oldest), (1, 1));
-            assert_eq!(registry.slot_of, [NOT_PARKED, NOT_PARKED, 0]);
-        }
+        assert_eq!(counts(), [1, 1, 0]);
         for fut in &mut slow {
             assert!(poll_once(fut).is_ready());
         }
         // Episode 1 completes through the frontend and wakes the fast task.
         let mut rest: Vec<_> = (0..2).map(|id| b.arrive_async(id)).collect();
-        assert_eq!(wakers[2].0.count(), 1);
+        assert_eq!(counts(), [1, 1, 1]);
         for fut in rest.iter_mut().chain([&mut fast]) {
             match poll_once(fut) {
                 Poll::Ready(Ok(outcome)) => assert_eq!(outcome.episode, 1),
@@ -1258,7 +1159,7 @@ mod tests {
         }
         SplitBarrier::poison(b.as_ref());
         assert!(wakers.iter().all(|(woken, _)| woken.count() == 1));
-        assert!(b.registry.lock().unwrap().parked.is_empty());
+        assert!(unregistered(&b));
         for fut in &mut futures {
             assert!(matches!(
                 poll_once(fut),
@@ -1271,26 +1172,25 @@ mod tests {
     fn first_pending_poll_yields_and_the_second_parks() {
         let b = AsyncBarrier::new(Probed::new(CentralBarrier::new(2)));
         let probes = || b.backend().probes.load(Ordering::Relaxed);
+        let registrations = || b.backend().registrations.load(Ordering::Relaxed);
         let (woken, waker) = Woken::new();
         let mut fut = b.arrive_async(0);
-        // The yield: one release-word load, its own waker woken, no lock,
-        // no entry.
+        // The yield: one release-word load, its own waker woken, no
+        // registration.
         let before = probes();
         assert!(poll_with(&mut fut, &waker).is_pending());
         assert_eq!((probes() - before, woken.count()), (1, 1));
-        let stats = b.async_stats();
-        assert_eq!((stats.drains, stats.parked), (0, 0));
-        assert!(entries(&b).is_empty());
-        // The second pending poll parks and does not wake itself; a third
-        // refreshes the entry and does not yield again.
-        for drains in [1, 2] {
+        assert_eq!((registrations(), b.async_stats().parked), (0, 0));
+        // The second pending poll parks in the core and does not wake
+        // itself: a load, a registration, a re-read. A third refreshes the
+        // entry and does not yield again.
+        for parks in [1, 2] {
+            let before = probes();
             assert!(poll_with(&mut fut, &waker).is_pending());
-            assert_eq!(woken.count(), 1);
-            let stats = b.async_stats();
-            assert_eq!((stats.drains, stats.parked), (drains, 1));
-            assert_eq!(entries(&b), [(0, 0)]);
+            assert_eq!((probes() - before, woken.count()), (2, 1));
+            assert_eq!((registrations(), b.async_stats().parked), (parks, 1));
         }
-        // The completer wakes it through the registry.
+        // The core's completer wakes it, once.
         drop(SplitBarrier::arrive(&b, 1));
         assert_eq!(woken.count(), 2);
         match poll_with(&mut fut, &waker) {
@@ -1303,10 +1203,11 @@ mod tests {
         }
         let stats = b.async_stats();
         assert_eq!((stats.polls, stats.yields, stats.resumed), (4, 1, 1));
+        assert_eq!((stats.drains, stats.wakes), (0, 0));
 
         // A yield reads no poison word: on a barrier poisoned below the
-        // frontend the first poll still yields, and the second, under the
-        // lock, reports the fault.
+        // frontend the first poll still yields, and the second, after its
+        // registration, reports the fault.
         let b = AsyncBarrier::new(CentralBarrier::new(2));
         let mut fut = b.arrive_async(0);
         b.backend().poison();
@@ -1316,7 +1217,7 @@ mod tests {
             Poll::Ready(Err(BarrierError::Poisoned { episode: 0 }))
         ));
         let stats = b.async_stats();
-        assert_eq!((stats.polls, stats.yields, stats.parked), (2, 1, 0));
+        assert_eq!((stats.polls, stats.yields, stats.parked), (2, 1, 1));
     }
 
     #[test]
@@ -1346,9 +1247,9 @@ mod tests {
         assert_yields(&mut fut);
         assert!(poll_with(&mut fut, &waker).is_pending());
         assert_eq!(b.async_stats().parked, 1);
-        // The last arrival drains the registry and hands out the waker.
+        // The last arrival's completer hands out the waker, in the core.
         let token = SplitBarrier::arrive(&b, 1);
-        assert_eq!((b.async_stats().wakes, woken.count()), (1, 1));
+        assert_eq!((b.async_stats().wakes, woken.count()), (0, 1));
         match poll_once(&mut fut) {
             Poll::Ready(Ok(outcome)) => {
                 assert_eq!(outcome.episode, 0);
@@ -1390,11 +1291,12 @@ mod tests {
     #[test]
     fn poison_releases_parked_waiters_with_err() {
         let b = Arc::new(AsyncBarrier::new(CentralBarrier::new(2)));
+        let (woken, waker) = Woken::new();
         let mut fut = b.arrive_async(0);
         assert_yields(&mut fut);
-        assert!(poll_once(&mut fut).is_pending());
+        assert!(poll_with(&mut fut, &waker).is_pending());
         SplitBarrier::poison(b.as_ref());
-        assert_eq!(b.async_stats().wakes, 1, "poison drains the registry");
+        assert_eq!(woken.count(), 1, "poison wakes the parked");
         match poll_once(&mut fut) {
             Poll::Ready(Err(BarrierError::Poisoned { episode })) => assert_eq!(episode, 0),
             other => panic!("expected Ready(Err(Poisoned)), got {other:?}"),
@@ -1428,7 +1330,7 @@ mod tests {
         let stats = b.async_stats();
         assert_eq!((stats.polls, stats.parked, stats.resumed), (2, 1, 0));
         assert_eq!(stats.yields, 1);
-        assert!(b.registry.lock().unwrap().parked.is_empty());
+        assert!(unregistered(&b));
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl<S: SyncOps> Central<S> {
             self.count.store(cx.live(), Ordering::Release);
             let completed = self.episode.fetch_add(1, Ordering::SeqCst);
             cx.record_episode(completed);
-            cx.wake_parked();
+            cx.wake_parked(completed + 1);
         }
     }
 }

@@ -101,7 +101,7 @@ impl<S: SyncOps> Counting<S> {
             }
             let completed = count(after) / n - 1;
             cx.record_episode(completed);
-            cx.wake_parked();
+            cx.wake_parked(completed + 1);
             // Arrivals for `completed + 1` may already be in, and the
             // counter does not say whose; a participant crosser has not
             // arrived for it yet, so nobody reaches `completed + 2` first.

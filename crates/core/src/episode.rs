@@ -18,6 +18,11 @@
 //! first episode `id` has not arrived for; an admission opens a new one at
 //! an episode nobody has arrived for or probed yet (see
 //! [`Cx::admit_staged`]). Every participant starts with the window `[0, ∞)`.
+//!
+//! On a protocol with a release word the core is also the one place a
+//! task parks ([`SplitBarrier::register_waker`]): one `(episode, Waker)`
+//! entry per participant, woken by the completer that publishes a release
+//! past it ([`Cx::wake_parked`]).
 
 use crate::error::BarrierError;
 use crate::failure::{self, Deadline};
@@ -28,11 +33,14 @@ use crate::token::{ArrivalToken, WaitOutcome};
 use crate::SplitBarrier;
 use fuzzy_util::CachePadded;
 use std::fmt;
-use std::sync::atomic::{fence, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, Ordering};
 use std::task::Waker;
 
 /// The end of an open membership window.
 const NEVER: u64 = u64::MAX;
+
+/// A parked waker and the episode it waits on.
+type Parked = (u64, Waker);
 
 /// How one backend signals arrival and detects release.
 ///
@@ -52,8 +60,8 @@ const NEVER: u64 = u64::MAX;
 /// * **Whoever observes an episode's completion first calls
 ///   [`Cx::record_episode`] for it, exactly once per episode**, and
 ///   [`Cx::admit_staged`] with the first episode a joiner may be counted in.
-///   A protocol with a release word also calls [`Cx::wake_parked`] once it
-///   has published the completion with a `SeqCst` write.
+///   A protocol with a release word also calls [`Cx::wake_parked`] with
+///   the release it has just published with a `SeqCst` write.
 /// * A protocol that learns of a fault no participant can recover from (a
 ///   dead peer) calls [`Cx::poison`]. Threads that drive the protocol on
 ///   nobody's behalf reach it through [`Barrier::drive`].
@@ -143,40 +151,49 @@ struct Shared<S: SyncOps> {
     live: CachePadded<S::AtomicUsize>,
     /// Serialises membership changes; see `Barrier::claim`.
     membership: S::Mutex<()>,
-    /// Wakers registered through [`SplitBarrier::register_waker`].
-    parked: S::Mutex<Vec<Waker>>,
-    /// How many there are: the one word a completer reads after it
-    /// publishes. A plain atomic in every domain: no checker scenario
-    /// parks a waker, and an instrumented load would add a scheduling
-    /// point to every completion.
-    parked_count: CachePadded<AtomicUsize>,
+    /// Wakers registered through [`SplitBarrier::register_waker`]: entry
+    /// `id` is participant `id`'s.
+    parked: S::Mutex<Box<[Option<Parked>]>>,
+    /// How many entries are set: the one word a completer reads after it
+    /// publishes. Written only under the `parked` lock.
+    parked_count: CachePadded<S::AtomicUsize>,
     /// Non-zero once the barrier is poisoned (see [`SplitBarrier::poison`]).
     poisoned: CachePadded<S::AtomicU32>,
     stats: BarrierStats,
 }
 
 impl<S: SyncOps> Shared<S> {
-    /// Wakes every registered waker, if there is one. The caller has just
-    /// published a completion or the poison with a `SeqCst` write, and a
-    /// registration re-checks its condition after a `SeqCst` store of the
-    /// count, so either this load sees the registration or the re-check
-    /// sees the publication.
+    /// Wakes the entries parked for an episode below `released`, if there
+    /// is one. The caller has just published `released` or the poison with
+    /// a `SeqCst` write, and a registration re-checks its condition after
+    /// a `SeqCst` store of the count, so either this load sees the
+    /// registration or the re-check sees the publication.
     #[inline]
-    fn wake_parked(&self) {
+    fn wake_parked(&self, released: u64) {
         if self.parked_count.load(Ordering::SeqCst) != 0 {
-            self.wake_all();
+            self.wake_below(released);
         }
     }
 
     #[cold]
     #[inline(never)]
-    fn wake_all(&self) {
-        let wakers = {
+    fn wake_below(&self, released: u64) {
+        let mut woken = Vec::new();
+        {
             let mut parked = self.parked.acquire();
-            self.parked_count.store(0, Ordering::SeqCst);
-            std::mem::take(&mut *parked)
-        };
-        for waker in wakers {
+            let mut left = 0;
+            for entry in parked.iter_mut() {
+                match entry {
+                    Some((episode, _)) if *episode >= released => left += 1,
+                    Some(_) => woken.extend(entry.take().map(|(_, waker)| waker)),
+                    None => {}
+                }
+            }
+            self.parked_count.store(left, Ordering::SeqCst);
+        }
+        // Outside the lock: in the checker's domain a wake is itself a
+        // scheduling point.
+        for waker in woken {
             waker.wake();
         }
     }
@@ -238,13 +255,14 @@ impl<S: SyncOps> Cx<'_, S> {
         self.removing
     }
 
-    /// Wakes the wakers [`SplitBarrier::register_waker`] parked. The
-    /// completer of an episode on a protocol with a release word calls it
-    /// after publishing the completion with a `SeqCst` write. Costs one
-    /// load when nothing is parked.
+    /// Wakes the wakers [`SplitBarrier::register_waker`] parked for an
+    /// episode below `released` and keeps the others. The completer of an
+    /// episode on a protocol with a release word calls it with the release
+    /// it has just published with a `SeqCst` write. Costs one load when
+    /// nothing is parked.
     #[inline]
-    pub fn wake_parked(&self) {
-        self.shared.wake_parked();
+    pub fn wake_parked(&self, released: u64) {
+        self.shared.wake_parked(released);
     }
 
     /// Poisons the barrier, as [`SplitBarrier::poison`] does. Returns true
@@ -255,7 +273,7 @@ impl<S: SyncOps> Cx<'_, S> {
         if first {
             self.shared.stats.record_poisoning();
         }
-        self.shared.wake_parked();
+        self.shared.wake_parked(u64::MAX);
         first
     }
 
@@ -383,8 +401,8 @@ impl<P: Protocol<S>, S: SyncOps> Barrier<P, S> {
                 staged: CachePadded::new(S::AtomicUsize::new(0)),
                 live: CachePadded::new(S::AtomicUsize::new(n)),
                 membership: Lock::new(()),
-                parked: Lock::new(Vec::new()),
-                parked_count: CachePadded::new(AtomicUsize::new(0)),
+                parked: Lock::new((0..n).map(|_| None).collect()),
+                parked_count: CachePadded::new(S::AtomicUsize::new(0)),
                 poisoned: CachePadded::new(S::AtomicU32::new(0)),
                 stats: BarrierStats::with_participants(n),
             },
@@ -629,16 +647,24 @@ impl<P: Protocol<S>, S: SyncOps> SplitBarrier for Barrier<P, S> {
     }
 
     /// Parks `waker` on a protocol with a release word; see the trait.
-    fn register_waker(&self, waker: &Waker) -> bool {
+    fn register_waker(&self, id: usize, episode: u64, waker: &Waker) -> bool {
         if self.protocol.release_epoch().is_none() {
             return false;
         }
+        self.check_id(id);
         {
             let mut parked = self.shared.parked.acquire();
-            parked.push(waker.clone());
-            self.shared
-                .parked_count
-                .store(parked.len(), Ordering::SeqCst);
+            match &mut parked[id] {
+                Some((parked_for, parked_waker)) => {
+                    *parked_for = episode;
+                    parked_waker.clone_from(waker);
+                }
+                entry @ None => {
+                    *entry = Some((episode, waker.clone()));
+                    let count = self.shared.parked_count.load(Ordering::Relaxed);
+                    self.shared.parked_count.store(count + 1, Ordering::SeqCst);
+                }
+            }
         }
         // Orders the count's store before the caller's re-check; pairs with
         // the completer's `SeqCst` publication and load (`wake_parked`).

@@ -144,17 +144,19 @@ pub trait SplitBarrier: Send + Sync {
         id < self.participants()
     }
 
-    /// Parks `waker` until the next episode completes or the barrier is
-    /// poisoned, and returns true; or returns false, and the caller must
-    /// poll instead. Whatever the caller waits for — a token's completion,
-    /// [`Self::is_member`] — it re-checks after a `true`: a completion that
-    /// landed before the registration wakes nobody. Each registration is
-    /// woken once, possibly for a completion the caller did not wait for.
+    /// Parks participant `id`'s `waker` until the release word passes
+    /// `episode` or the barrier is poisoned, and returns true; or returns
+    /// false, and the caller must poll instead. Each id has one entry: a
+    /// new registration replaces the old one. Whatever the caller waits
+    /// for — a token's completion, [`Self::is_member`] — it re-checks after
+    /// a `true`: a completion that landed before the registration wakes
+    /// nobody. An entry is woken once, by the first completion past its
+    /// episode or by poison, and may outlive the future that made it.
     ///
     /// The default says false. The stock backends with a release word park
     /// (the completer wakes them after it publishes); dissemination does
     /// not, because its waiters drive their own rounds.
-    fn register_waker(&self, _waker: &Waker) -> bool {
+    fn register_waker(&self, _id: usize, _episode: u64, _waker: &Waker) -> bool {
         false
     }
 
@@ -272,8 +274,8 @@ impl<B: SplitBarrier + ?Sized> SplitBarrier for std::sync::Arc<B> {
         (**self).is_member(id)
     }
 
-    fn register_waker(&self, waker: &Waker) -> bool {
-        (**self).register_waker(waker)
+    fn register_waker(&self, id: usize, episode: u64, waker: &Waker) -> bool {
+        (**self).register_waker(id, episode, waker)
     }
 
     fn telemetry(&self) -> TelemetrySnapshot {

@@ -446,15 +446,21 @@ impl<S: SyncOps> fmt::Debug for ReconfigBarrier<S> {
 }
 
 /// Polls `ready`. While it is false, parks the task's waker on the inner
-/// barrier and looks again (a completion before the registration wakes
+/// barrier as participant `slot`'s, until the release word passes
+/// `episode`, and looks again (a completion before the registration wakes
 /// nobody). An inner barrier that cannot park — dissemination, where a
 /// poll is what sends the member's later rounds — gets the task re-queued
 /// instead, to poll again.
-fn poll_ready(inner: &dyn SplitBarrier, cx: &Context<'_>, ready: impl Fn() -> bool) -> bool {
+fn poll_ready(
+    inner: &dyn SplitBarrier,
+    cx: &Context<'_>,
+    (slot, episode): (usize, u64),
+    ready: impl Fn() -> bool,
+) -> bool {
     if ready() {
         return true;
     }
-    if !inner.register_waker(cx.waker()) {
+    if !inner.register_waker(slot, episode, cx.waker()) {
         cx.waker().wake_by_ref();
         return false;
     }
@@ -480,7 +486,7 @@ impl<S: SyncOps> Future for ReconfigFuture<S> {
         let this = Pin::into_inner(self);
         let inner = &*this.barrier.inner;
         let token = this.token.inner();
-        if !poll_ready(inner, cx, || {
+        if !poll_ready(inner, cx, (token.id, token.episode), || {
             inner.is_complete(&token) || inner.is_poisoned()
         }) {
             return Poll::Pending;
@@ -515,7 +521,10 @@ impl<S: SyncOps> Future for ActivationFuture<S> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = Pin::into_inner(self);
         let barrier = &this.barrier;
-        if poll_ready(&*barrier.inner, cx, || barrier.is_settled(&this.ticket)) {
+        // Parked until the next completion: an admission applies at one.
+        let release = barrier.inner.release_epoch().unwrap_or_default();
+        let ready = || barrier.is_settled(&this.ticket);
+        if poll_ready(&*barrier.inner, cx, (this.ticket.slot, release), ready) {
             Poll::Ready(barrier.wait_active(&this.ticket))
         } else {
             Poll::Pending

@@ -231,7 +231,7 @@ impl<S: SyncOps> CombiningTree<S> {
 /// What the call that completed a [`CombiningTree`]'s root does for its
 /// owner `protocol`: applies staged admissions while every node is
 /// quiescent, publishes the episode into `episode` (`SeqCst`, for
-/// `wake_parked`), then wakes whoever parked.
+/// `wake_parked`), then wakes whoever parked below it.
 #[inline]
 pub(crate) fn complete<S: SyncOps>(
     protocol: &impl Protocol<S>,
@@ -241,7 +241,7 @@ pub(crate) fn complete<S: SyncOps>(
     cx.admit_staged(protocol, || episode.load(Ordering::Relaxed) + 1);
     let completed = episode.fetch_add(1, Ordering::SeqCst);
     cx.record_episode(completed);
-    cx.wake_parked();
+    cx.wake_parked(completed + 1);
 }
 
 fn members_of_group(total: usize, fan_in: usize, group: usize) -> usize {

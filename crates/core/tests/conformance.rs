@@ -507,36 +507,97 @@ fn evicting_an_admitted_joiner_before_its_first_episode() {
     });
 }
 
-/// A waker parked through `register_waker` is woken by the next
-/// completion, and again, once re-registered, by poison. Barriers without
-/// a release word (dissemination, the worked example, the async frontend)
-/// say false.
-#[test]
-fn a_parked_waker_is_woken_by_the_next_completion_and_by_poison() {
-    struct Count(AtomicUsize);
-    impl std::task::Wake for Count {
-        fn wake(self: Arc<Self>) {
-            self.0.fetch_add(1, Ordering::Relaxed);
-        }
+/// A waker that counts its wakes.
+struct Count(AtomicUsize);
+
+impl std::task::Wake for Count {
+    fn wake(self: Arc<Self>) {
+        self.0.fetch_add(1, Ordering::Relaxed);
     }
-    for_each_shape(2, |name, b| {
+}
+
+impl Count {
+    fn new() -> (Arc<Count>, std::task::Waker) {
         let count = Arc::new(Count(AtomicUsize::new(0)));
         let waker = std::task::Waker::from(Arc::clone(&count));
-        let woken = || count.0.load(Ordering::Relaxed);
-        let parks = b.register_waker(&waker);
+        (count, waker)
+    }
+
+    fn woken(&self) -> usize {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A waker parked through `register_waker` for the episode in flight is
+/// woken by its completion, and again, once re-registered, by poison.
+/// Barriers without a release word (dissemination, the worked example,
+/// the async frontend) say false.
+#[test]
+fn a_parked_waker_is_woken_by_the_next_completion_and_by_poison() {
+    for_each_shape(2, |name, b| {
+        let (count, waker) = Count::new();
+        let parks = b.register_waker(0, 0, &waker);
         assert_eq!(parks, b.release_epoch().is_some(), "{name}");
         if !parks {
             return;
         }
         let t0 = b.arrive(0);
-        assert_eq!(woken(), 0, "{name}: nothing completed yet");
+        assert_eq!(count.woken(), 0, "{name}: nothing completed yet");
         let t1 = b.arrive(1);
-        assert_eq!(woken(), 1, "{name}: the completer wakes once");
+        assert_eq!(count.woken(), 1, "{name}: the completer wakes once");
         probe_until_complete(name, &*b, &[t0, t1]);
-        assert!(b.register_waker(&waker), "{name}");
+        assert!(b.register_waker(0, 1, &waker), "{name}");
         b.poison();
-        assert_eq!(woken(), 2, "{name}: poison wakes too");
+        assert_eq!(count.woken(), 2, "{name}: poison wakes too");
     });
+}
+
+/// The completer of episode *e* wakes the wakers parked for *e* and keeps
+/// the one parked for *e + 1*, which *e + 1*'s completer wakes.
+#[test]
+fn a_waker_parked_for_the_next_episode_sleeps_through_this_one() {
+    for_each_shape(2, |name, b| {
+        let (early, early_waker) = Count::new();
+        let (now, now_waker) = Count::new();
+        if !b.register_waker(0, 1, &early_waker) {
+            return;
+        }
+        assert!(b.register_waker(1, 0, &now_waker), "{name}");
+        let tokens = [b.arrive(0), b.arrive(1)];
+        probe_until_complete(name, &*b, &tokens);
+        assert_eq!((early.woken(), now.woken()), (0, 1), "{name}: episode 0");
+        let tokens = [b.arrive(0), b.arrive(1)];
+        probe_until_complete(name, &*b, &tokens);
+        assert_eq!((early.woken(), now.woken()), (1, 1), "{name}: episode 1");
+    });
+}
+
+/// A `ReconfigFuture` re-polled while its episode is open keeps one entry:
+/// the completion wakes its task once, however often it was polled.
+#[test]
+fn a_reconfig_future_polled_a_thousand_times_is_woken_once() {
+    use fuzzy_barrier::ReconfigBarrier;
+    use std::future::Future;
+    use std::pin::Pin;
+    use std::task::Context;
+    for (name, build) in SHAPES {
+        if build(2, StallPolicy::Spin).release_epoch().is_none() {
+            continue;
+        }
+        let (group, handles) = ReconfigBarrier::new(2, 2, |n| build(n, StallPolicy::yielding()));
+        let group = Arc::new(group);
+        let (count, waker) = Count::new();
+        let mut cx = Context::from_waker(&waker);
+        let mut future = group.wait_future(group.arrive(&handles[0]).expect("a member"));
+        for _ in 0..1_000 {
+            assert!(Pin::new(&mut future).poll(&mut cx).is_pending(), "{name}");
+        }
+        assert_eq!(count.woken(), 0, "{name}");
+        let last = group.arrive(&handles[1]).expect("a member");
+        assert_eq!(count.woken(), 1, "{name}: one entry, one wake");
+        assert!(Pin::new(&mut future).poll(&mut cx).is_ready(), "{name}");
+        assert_eq!(group.wait(&last).expect("released").episode, 0, "{name}");
+    }
 }
 
 /// The trait's default refuses an admission, whatever the id, and the

@@ -211,14 +211,16 @@ fuzz_smoke() {
 }
 
 # Chaos smoke: the dynamic-membership gate. First the model checker's
-# reconfig mutant pair (join-before-boundary and stale-generation depart
-# must both be caught) plus the real implementation surviving the same
+# reconfig mutants (join-before-boundary, admit-in-flight, stale-generation
+# depart, and a wait_future over an inner completer that never wakes must
+# all be caught) plus the real implementation surviving the same
 # schedule spaces; then the quick chaos-churn experiment — real threads,
 # every backend, both runtimes, seeded join/leave/crash/delay/spurious
 # churn — with its telemetry export schema-validated.
 chaos_smoke() {
     filtered_tests "-p fuzzy-check --test mutants" \
-        join_mid_epoch admit_in_flight stale_generation_mutant real_reconfig || return 1
+        join_mid_epoch admit_in_flight stale_generation_mutant reconfig_future \
+        real_reconfig || return 1
     out="$(mktemp)" || return 1
     status=1
     if cargo run -q --release -p fuzzy-bench --bin exp_chaos_churn -- \
@@ -244,16 +246,17 @@ chaos_smoke() {
 # Then the quick sweeps, each of which fails itself on a broken shape:
 # exp_backend_faceoff asserts that a 32-probe spin budget (the hier rows)
 # beats the default 1,024 (central and counting) on stall probes at
-# N = 16; exp_async_scale asserts parked == resumed and
-# drains <= polls + episodes x workers on every row (only polls and
-# completing arrives take the probe lock); exp_net_scale asserts exactly
+# N = 16; exp_async_scale asserts parked == resumed and drains == 0 on
+# every row (central's tasks park in the episode core, not behind the
+# frontend's probe lock); exp_net_scale asserts exactly
 # ceil(log2 N) frames per arrival with zero retries on every loopback row
 # and a wedge-free UDS process mesh.
 #
-# Last, the model checker's async mutants (no drain, a backend whose
-# release word runs one arrival early, a park decided on an unlocked
-# read, a completing arrive that skips its drain, a first pending poll
-# that yields without waking its task) and its forged-round transport
+# Last, the model checker's async mutants (a completer that never wakes
+# the parked, a backend whose release word runs one arrival early, a park
+# with no re-read after its registration, a completer that wakes before
+# it publishes, a first pending poll that yields without waking its task)
+# and its forged-round transport
 # mutant must each be caught while the real frontend and NetBarrier
 # survive the same schedules; in release, a task that panics must
 # neither wedge nor shrink the executor's pool, a foreign wake must
@@ -272,8 +275,8 @@ ledger_smoke() {
         cargo run -q --release -p fuzzy-bench --bin "$bin" -- --quick >/dev/null ||
             return 1
     done
-    filtered_tests "-p fuzzy-check --test mutants" no_drain async_early_epoch \
-        unlocked_park completer_skips_drain yield_without_wake net_skip_round \
+    filtered_tests "-p fuzzy-check --test mutants" never_wake async_early_epoch \
+        park_without_recheck wake_before_publish yield_without_wake net_skip_round \
         real_net_barrier &&
         filtered_tests "--release -p fuzzy-sched" panicking \
             foreign_wake dropping_the_pool a_dropped_pool cannot_starve \
