@@ -6,19 +6,16 @@
 //! future (`arrive → region work → await release`) parked by waker
 //! registration instead of a spinning OS thread, so `M ≫ N` participants
 //! complete fuzzy episodes on a fixed worker pool. This sweep measures
-//! the frontend's bookkeeping cost — polls, yields, parks, wakes, drains,
-//! steals, and wall-clock time per arrival — as M grows from 64 to 4096 over
+//! the frontend's bookkeeping cost — polls, yields, parks, steals, and
+//! wall-clock time per arrival — as M grows from 64 to 4096 over
 //! pools of 2, 4 and 8 workers; the full sweep asserts that an arrival at
 //! M = 4096 costs at most [`SCALE_BOUND`]× one at M = 64 (the frontend is
 //! O(1) per participant, so the ratio is a shape, not a host speed); and
 //! it proves liveness: the largest configuration is re-run under five
 //! different arrival-jitter seeds and must complete every episode with
 //! `parked == resumed` (every parked task was woken exactly once per
-//! park; a lost wakeup would hang the run instead). Every row also
-//! asserts that nobody took the frontend's probe lock: on the central
-//! backend a task parks in the episode core, whose completer wakes it, so
-//! `drains == 0`; a frontend that sweeps on a release-word backend fails
-//! it.
+//! park; a lost wakeup would hang the run instead). Every row asserts
+//! `parked == resumed`.
 //!
 //! ```text
 //! exp_async_scale [--quick] [--stats-json <path>]
@@ -52,8 +49,6 @@ struct Row {
     steals: u64,
     polls: u64,
     yields: u64,
-    wakes: u64,
-    drains: u64,
     elapsed_ms: f64,
 }
 
@@ -87,10 +82,6 @@ fn measure(tasks: usize, workers: usize, episodes: u64, seed: u64) -> Row {
         f.parked, f.resumed,
         "a parked task that never resumed is a lost wakeup"
     );
-    assert_eq!(
-        f.drains, 0,
-        "M={tasks} N={workers}: a release-word backend's tasks took the probe lock"
-    );
     Row {
         tasks,
         workers,
@@ -101,8 +92,6 @@ fn measure(tasks: usize, workers: usize, episodes: u64, seed: u64) -> Row {
         steals: f.steals,
         polls: f.polls,
         yields: f.yields,
-        wakes: f.wakes,
-        drains: f.drains,
         elapsed_ms: report.elapsed.as_secs_f64() * 1e3,
     }
 }
@@ -118,8 +107,6 @@ fn row_json(r: &Row) -> Json {
         .field("steals", r.steals)
         .field("polls", r.polls)
         .field("yields", r.yields)
-        .field("wakes", r.wakes)
-        .field("drains", r.drains)
         .field("polls_per_arrival", r.per_arrival(r.polls))
         .field("yields_per_arrival", r.per_arrival(r.yields))
         .field("elapsed_ms", r.elapsed_ms)
@@ -139,8 +126,7 @@ fn main() {
     };
     println!(
         "\n{episodes} episodes per configuration, central backend, region jitter in\n\
-         [0, {}] busy units per episode; every row asserts parked == resumed\n\
-         and drains == 0.\n",
+         [0, {}] busy units per episode; every row asserts parked == resumed.\n",
         2 * REGION_UNITS
     );
 
@@ -151,7 +137,6 @@ fn main() {
         "steals",
         "polls/arrival",
         "yields/arrival",
-        "wakes",
         "elapsed ms",
         "ns/arrival",
     ]);
@@ -166,7 +151,6 @@ fn main() {
                 row.steals.to_string(),
                 format!("{:.2}", row.per_arrival(row.polls)),
                 format!("{:.2}", row.per_arrival(row.yields)),
-                row.wakes.to_string(),
                 format!("{:.1}", row.elapsed_ms),
                 format!("{:.0}", row.ns_per_arrival()),
             ]);

@@ -97,13 +97,11 @@ fn every_counter_set_merges_saturates_and_exports_its_keys() {
         probes: 5, 10;
     });
     check!(AsyncSnapshot {
-        parked: 1, 8;
-        resumed: 2, 9;
-        drains: 3, 10;
-        wakes: 4, 11;
-        polls: 5, 12;
-        yields: 6, 13;
-        steals: 7, 14;
+        parked: 1, 6;
+        resumed: 2, 7;
+        polls: 3, 8;
+        yields: 4, 9;
+        steals: 5, 10;
     });
     check!(ProcStats {
         instructions: 1, 7;

@@ -34,11 +34,12 @@
 //! backends used to carry, which lets concurrent evictions empty the
 //! barrier and is caught by the evict-race scenario.
 //!
-//! **Other layers.** Two replicas of the real *async frontend*'s future
-//! over the core's parking place, each with one of the obligations that
-//! keep it wakeup-safe dropped: a waiter that registers and returns
-//! `Pending` without re-reading the release word, and a first pending
-//! poll that yields without waking its own task. Three
+//! **Other layers.** Three replicas of the real *async frontend*'s
+//! future, each with one of the obligations that keep it wakeup-safe
+//! dropped: a waiter that registers and returns `Pending` without
+//! re-reading the release word, a first pending poll that yields without
+//! waking its own task, and — over dissemination, which has no parking
+//! place — a later pending poll that re-queues nothing. Three
 //! *dynamic-membership* bugs: a membership layer that widens the group
 //! mid-episode instead of at a boundary, an inner barrier whose admission
 //! stamps the joiner into the in-flight episode, and a credential check
@@ -54,10 +55,11 @@ use fuzzy_barrier::dissemination;
 use fuzzy_barrier::stats::StatsSnapshot;
 use fuzzy_barrier::sync::{Atomic, SyncOps};
 use fuzzy_barrier::{
-    ArrivalToken, Barrier, BarrierError, CentralBarrier, Cx, Deadline, FlatProtocol, Protocol,
-    ReconfigBarrier, SplitBarrier, StallPolicy, WaitOutcome,
+    ArrivalToken, Barrier, BarrierError, CentralBarrier, Cx, Deadline, DisseminationBarrier,
+    FlatProtocol, Protocol, ReconfigBarrier, SplitBarrier, StallPolicy, WaitOutcome,
 };
 use fuzzy_net::{DecodeError, FrameSink, Message, NetError, Transport};
+use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::Ordering;
@@ -891,24 +893,34 @@ impl<S: SyncOps> Protocol<S> for MutantEarlyEpoch<S> {
 }
 
 // ---------------------------------------------------------------------------
-// MutantParkWithoutRecheck / MutantYieldWithoutWake: a future short of one
-// obligation
+// MutantParkWithoutRecheck / MutantYieldWithoutWake / MutantRequeueWithoutWake:
+// a future short of one obligation
 // ---------------------------------------------------------------------------
 
 const PARK_WITHOUT_RECHECK: u8 = 0;
 const YIELD_WITHOUT_WAKE: u8 = 1;
+const REQUEUE_WITHOUT_WAKE: u8 = 2;
 
-/// A replica of the real [`fuzzy_barrier::AsyncBarrier`]'s future over the
-/// stock [`CentralBarrier`] and its parking place in the core — a poll
-/// that reads the release word above its episode resolves, a future's
-/// first pending poll yields (wakes itself, registers nothing), a later
-/// one parks through [`SplitBarrier::register_waker`] — with one of the
-/// obligations of the frontend's lost-wakeup argument dropped, chosen by
-/// `BUG`. Use it through [`MutantParkWithoutRecheck`] and
-/// [`MutantYieldWithoutWake`].
-#[derive(Debug)]
+/// A replica of the real [`fuzzy_barrier::AsyncBarrier`]'s future — a
+/// poll that finds its episode released resolves, a future's first
+/// pending poll yields (wakes itself, registers nothing), a later one
+/// parks through [`SplitBarrier::register_waker`], or re-queues itself
+/// where the backend cannot park — with one of the obligations of the
+/// frontend's lost-wakeup argument dropped, chosen by `BUG`. Use it
+/// through [`MutantParkWithoutRecheck`] and [`MutantYieldWithoutWake`],
+/// over the stock [`CentralBarrier`] and its parking place in the core,
+/// and [`MutantRequeueWithoutWake`], over the stock dissemination barrier,
+/// which has none.
 pub struct FastPathReplica<const BUG: u8> {
-    inner: CentralBarrier<ShadowSync>,
+    inner: Box<dyn SplitBarrier>,
+}
+
+impl<const BUG: u8> fmt::Debug for FastPathReplica<BUG> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FastPathReplica")
+            .field("bug", &BUG)
+            .finish_non_exhaustive()
+    }
 }
 
 /// [`FastPathReplica`] whose poll **registers and returns `Pending`
@@ -927,13 +939,30 @@ pub type MutantParkWithoutRecheck = FastPathReplica<PARK_WITHOUT_RECHECK>;
 /// anyone's first poll finds the episode open.
 pub type MutantYieldWithoutWake = FastPathReplica<YIELD_WITHOUT_WAKE>;
 
+/// [`FastPathReplica`] over dissemination whose pending polls after the
+/// yield **return `Pending` without waking their own task**. The backend
+/// refuses the registration — its waiters drive their own rounds, so
+/// nobody else will ever wake them — and the task sleeps through the
+/// completion its next poll would have found: a lost wakeup on the first
+/// schedule in which a second poll finds the episode open.
+pub type MutantRequeueWithoutWake = FastPathReplica<REQUEUE_WITHOUT_WAKE>;
+
 impl<const BUG: u8> FastPathReplica<BUG> {
     /// Creates the mutant for `n` participants.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        FastPathReplica {
-            inner: CentralBarrier::with_policy_in(n, StallPolicy::Spin),
-        }
+        let inner: Box<dyn SplitBarrier> = if BUG == REQUEUE_WITHOUT_WAKE {
+            Box::new(DisseminationBarrier::<ShadowSync>::with_policy_in(
+                n,
+                StallPolicy::Spin,
+            ))
+        } else {
+            Box::new(CentralBarrier::<ShadowSync>::with_policy_in(
+                n,
+                StallPolicy::Spin,
+            ))
+        };
+        FastPathReplica { inner }
     }
 }
 
@@ -947,7 +976,7 @@ impl<const BUG: u8> AsyncFrontend for FastPathReplica<BUG> {
         let episode = token.episode();
         drop(token);
         Box::pin(FastPathFuture::<BUG> {
-            inner: &self.inner,
+            inner: &*self.inner,
             id,
             episode,
             yielded: false,
@@ -956,7 +985,7 @@ impl<const BUG: u8> AsyncFrontend for FastPathReplica<BUG> {
 }
 
 struct FastPathFuture<'a, const BUG: u8> {
-    inner: &'a CentralBarrier<ShadowSync>,
+    inner: &'a dyn SplitBarrier,
     id: usize,
     episode: u64,
     yielded: bool,
@@ -967,7 +996,12 @@ impl<const BUG: u8> Future for FastPathFuture<'_, BUG> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = Pin::into_inner(self);
-        let released = || this.inner.release_epoch().is_some_and(|k| this.episode < k);
+        let released = || match this.inner.release_epoch() {
+            Some(k) => this.episode < k,
+            None => this
+                .inner
+                .is_complete(&ArrivalToken::new(this.id, this.episode)),
+        };
         let ready = Poll::Ready(Ok(WaitOutcome {
             episode: this.episode,
             ..WaitOutcome::default()
@@ -984,12 +1018,17 @@ impl<const BUG: u8> Future for FastPathFuture<'_, BUG> {
             }
             return Poll::Pending;
         }
-        this.inner.register_waker(this.id, this.episode, cx.waker());
+        let parked = this.inner.register_waker(this.id, this.episode, cx.waker());
         // BUG (seeded, `MutantParkWithoutRecheck`): the real frontend
         // re-reads the release word here, after registering, and returns
         // `Pending` on that answer only.
         if BUG != PARK_WITHOUT_RECHECK && released() {
             return ready;
+        }
+        // BUG (seeded, `MutantRequeueWithoutWake`): the real frontend wakes
+        // its own waker before a `Pending` that parked nothing.
+        if !parked && BUG != REQUEUE_WITHOUT_WAKE {
+            cx.waker().wake_by_ref();
         }
         Poll::Pending
     }

@@ -1013,7 +1013,7 @@ pub trait AsyncFrontend: Send + Sync {
     fn arrive_future(&self, id: usize) -> AsyncArrival<'_>;
 }
 
-impl AsyncFrontend for AsyncBarrier<Arc<dyn SplitBarrier>, ShadowSync> {
+impl AsyncFrontend for AsyncBarrier<Arc<dyn SplitBarrier>> {
     fn participants(&self) -> usize {
         SplitBarrier::participants(self)
     }
@@ -1048,9 +1048,15 @@ impl WakeFlag {
         })
     }
 
+    /// Clears the flag. The shadow word is stored only when it is set: a
+    /// store is a write to every peer blocked until one, and a task that
+    /// re-polls without parking would otherwise feed its peers' waits
+    /// forever — a livelock the checker would rightly report.
     fn reset(&self) {
         self.yielded.store(false, Ordering::Relaxed);
-        self.word.store(0, Ordering::Release);
+        if self.is_set() {
+            self.word.store(0, Ordering::Release);
+        }
     }
 
     fn is_set(&self) -> bool {
@@ -1079,9 +1085,9 @@ impl Wake for WakeFlag {
 /// returns `Pending` without waking itself.
 ///
 /// This model-checks the handoff the executor relies on: a parking poll
-/// registers the task's waker against its episode — in the episode core
-/// on a backend with a release word, in the frontend's sweep registry on
-/// a cooperative one — and whoever completes the episode must wake it. In
+/// registers the task's waker against its episode in the episode core,
+/// and whoever completes the episode must wake it; on a backend with no
+/// parking place (dissemination) a pending poll re-queues itself. In
 /// **every** interleaving each episode must complete with the fuzzy
 /// property intact. A completer that wakes nobody
 /// ([`crate::mutants::MutantNoWake`]) strands an earlier-parked peer whose
@@ -1115,11 +1121,7 @@ pub fn async_handoff(backend: BackendKind, n: usize, episodes: u64) -> Scenario 
         format!("async/{}/n{n}/e{episodes}", backend.name()),
         n,
         episodes,
-        move || {
-            Arc::new(AsyncBarrier::<_, ShadowSync>::new_in(
-                backend.build_shadow(n),
-            ))
-        },
+        move || Arc::new(AsyncBarrier::new(backend.build_shadow(n))),
     )
 }
 

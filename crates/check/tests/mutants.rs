@@ -271,7 +271,7 @@ fn must_lose_a_wakeup(
 /// The real `AsyncBarrier` frontend over `backend`, in the checker's
 /// domain.
 fn real_frontend(backend: Arc<dyn SplitBarrier>) -> Arc<dyn AsyncFrontend> {
-    Arc::new(AsyncBarrier::<_, ShadowSync>::new_in(backend))
+    Arc::new(AsyncBarrier::new(backend))
 }
 
 /// The backends that park in the episode core: those with a release word.
@@ -298,6 +298,7 @@ const NEVER_WAKES_SPACE: (usize, u64, usize) = (2, 1, 2);
 const PARK_WITHOUT_RECHECK_SPACE: (usize, u64, usize) = (2, 2, 2);
 const WAKE_BEFORE_PUBLISH_SPACE: (usize, u64, usize) = (3, 1, 1);
 const YIELD_WITHOUT_WAKE_SPACE: (usize, u64, usize) = (2, 1, 1);
+const REQUEUE_WITHOUT_WAKE_SPACE: (usize, u64, usize) = (2, 1, 1);
 
 #[test]
 fn completer_that_never_wakes_is_caught_as_lost_wakeup() {
@@ -383,6 +384,30 @@ fn real_async_frontend_survives_the_yield_without_wake_schedule_space() {
     real_async_frontend_survives(YIELD_WITHOUT_WAKE_SPACE);
 }
 
+#[test]
+fn async_requeue_without_wake_is_caught_as_lost_wakeup() {
+    // Dissemination has no parking place. t0 arrives; its first poll
+    // yields, its second is refused a registration and returns `Pending`
+    // without waking its task. t1 arrives, which completes t0's episode,
+    // and resolves; nobody else ever wakes t0, and nobody polls it again.
+    use fuzzy_check::mutants::MutantRequeueWithoutWake;
+    must_lose_a_wakeup(
+        "mutant/requeue-without-wake",
+        REQUEUE_WITHOUT_WAKE_SPACE,
+        || Arc::new(MutantRequeueWithoutWake::new(2)),
+    );
+}
+
+#[test]
+fn real_async_frontend_survives_the_requeue_without_wake_schedule_space() {
+    // The real poll wakes its own waker before every `Pending` that parked
+    // nothing, so the task polls, and drives its rounds, again.
+    let (n, episodes, bound) = REQUEUE_WITHOUT_WAKE_SPACE;
+    let scenario = async_handoff(BackendKind::Dissemination, n, episodes);
+    let schedules = must_survive(scenario, opts(bound));
+    assert!(schedules < opts(bound).max_schedules, "space not exhausted");
+}
+
 /// Check-smoke's exploration — unbounded-preemption DFS — cut off after
 /// `max_schedules`.
 fn smoke_dfs(max_schedules: usize) -> ExploreOptions {
@@ -410,7 +435,7 @@ fn async_early_epoch_is_caught_as_fuzzy_violation() {
 fn real_async_frontend_survives_the_early_epoch_scenario_on_every_backend() {
     // Same scenario over the stock backends: the four that publish a
     // release word park in the episode core, the cooperative one
-    // (dissemination) in the frontend's fixpoint sweep; neither may lose a
+    // (dissemination) re-queues its pending polls; neither may lose a
     // wakeup or release early. A tenth
     // of the mutant's budget here; `scripts/ci.sh check-smoke` runs this
     // very exploration (`check --scenario async`) to the full 10k.

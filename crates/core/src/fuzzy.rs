@@ -88,9 +88,9 @@ pub trait SplitBarrier: Send + Sync {
     /// participants at once, through that single word — Scott's fuzzy
     /// central barrier's one global word that every departing thread reads.
     ///
-    /// A layer that tracks many waiters (the async frontend's waker
-    /// registry) asks this once instead of probing each waiter: everything
-    /// parked for an episode below `k` is released, nothing else is. The
+    /// A layer that tracks many waiters (the episode core's parked set)
+    /// asks this once instead of probing each waiter: everything parked
+    /// for an episode below `k` is released, nothing else is. The
     /// value is monotone and, like `is_complete`, a `k` observed after
     /// acquiring a lock that a completing arriver released covers that
     /// arrival.

@@ -10,6 +10,7 @@
 //! [`MemberHandle`] it issues, so a stale handle never reaches the slot's
 //! next occupant ([`BarrierError::StaleGeneration`]).
 
+use crate::async_wait::park_or_requeue;
 use crate::error::BarrierError;
 use crate::failure::Deadline;
 use crate::fuzzy::SplitBarrier;
@@ -445,32 +446,13 @@ impl<S: SyncOps> fmt::Debug for ReconfigBarrier<S> {
     }
 }
 
-/// Polls `ready`. While it is false, parks the task's waker on the inner
-/// barrier as participant `slot`'s, until the release word passes
-/// `episode`, and looks again (a completion before the registration wakes
-/// nobody). An inner barrier that cannot park — dissemination, where a
-/// poll is what sends the member's later rounds — gets the task re-queued
-/// instead, to poll again.
-fn poll_ready(
-    inner: &dyn SplitBarrier,
-    cx: &Context<'_>,
-    (slot, episode): (usize, u64),
-    ready: impl Fn() -> bool,
-) -> bool {
-    if ready() {
-        return true;
-    }
-    if !inner.register_waker(slot, episode, cx.waker()) {
-        cx.waker().wake_by_ref();
-        return false;
-    }
-    ready()
-}
-
 /// Resolves when the episode its token arrived for completes.
 ///
-/// Neither future keeps a waker list: the inner barrier's completer wakes
-/// what [`SplitBarrier::register_waker`] parked, after it publishes.
+/// Neither future keeps a waker list. Both follow the one rule of a
+/// pending poll (`async_wait::park_or_requeue`): the inner barrier's
+/// completer wakes what [`SplitBarrier::register_waker`] parked, and an
+/// inner barrier that cannot park (dissemination, where a poll is what
+/// sends the member's later rounds) gets the task re-queued instead.
 #[must_use = "an async arrival must be polled to completion"]
 #[derive(Debug)]
 pub struct ReconfigFuture<S: SyncOps = RealSync> {
@@ -486,9 +468,12 @@ impl<S: SyncOps> Future for ReconfigFuture<S> {
         let this = Pin::into_inner(self);
         let inner = &*this.barrier.inner;
         let token = this.token.inner();
-        if !poll_ready(inner, cx, (token.id, token.episode), || {
-            inner.is_complete(&token) || inner.is_poisoned()
-        }) {
+        let settled = || (inner.is_complete(&token) || inner.is_poisoned()).then_some(());
+        if settled().is_none()
+            && park_or_requeue(inner, cx, (token.id, token.episode), settled)
+                .0
+                .is_none()
+        {
             return Poll::Pending;
         }
         this.done = true;
@@ -523,12 +508,15 @@ impl<S: SyncOps> Future for ActivationFuture<S> {
         let barrier = &this.barrier;
         // Parked until the next completion: an admission applies at one.
         let release = barrier.inner.release_epoch().unwrap_or_default();
-        let ready = || barrier.is_settled(&this.ticket);
-        if poll_ready(&*barrier.inner, cx, (this.ticket.slot, release), ready) {
-            Poll::Ready(barrier.wait_active(&this.ticket))
-        } else {
-            Poll::Pending
+        let settled = || barrier.is_settled(&this.ticket).then_some(());
+        if settled().is_none()
+            && park_or_requeue(&*barrier.inner, cx, (this.ticket.slot, release), settled)
+                .0
+                .is_none()
+        {
+            return Poll::Pending;
         }
+        Poll::Ready(barrier.wait_active(&this.ticket))
     }
 }
 

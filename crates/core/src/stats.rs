@@ -266,8 +266,8 @@ struct Shared {
 /// relies on it, which is what lets a cell be updated with a plain load
 /// and store. A participant may move between threads, but every such
 /// hand-off already synchronizes: an async task migrates through the
-/// executor's run-queue mutex and is probed by other tasks only on a
-/// cooperative backend, under the frontend's probe lock; a reconfigurable barrier's slot changes owner
+/// executor's run-queue mutex, and a future probes its own participant's
+/// token only; a reconfigurable barrier's slot changes owner
 /// when a departure frees it, with a release the next joiner's claim
 /// acquires;
 /// a supervisor re-admits a crashed member through the same join path. So
@@ -579,16 +579,11 @@ counter_set! {
     /// (there is no shared counter block to bump on the poll path); `steals`
     /// is `fuzzy-sched`'s executor's.
     pub struct AsyncSnapshot {
-        /// Waiters that registered a waker (on a release-word backend the
-        /// second pending poll, elsewhere the first).
+        /// Futures that parked a waker in the backend's episode core (a
+        /// later pending poll, on a backend with a release word).
         parked: u64 => "parked",
         /// Previously parked waiters that completed their episode.
         resumed: u64 => "resumed",
-        /// Drain sweeps over a cooperative backend's parked-waiter
-        /// registry (none on a backend with a release word).
-        drains: u64 => "drains",
-        /// Wakers invoked by those sweeps.
-        wakes: u64 => "wakes",
         /// Barrier-future polls.
         polls: u64 => "polls",
         /// Futures whose first pending poll yielded (woke its own task)

@@ -1090,31 +1090,54 @@ mod tests {
     #[test]
     fn async_frontend_runs_unmodified_over_the_mesh() {
         use fuzzy_barrier::AsyncBarrier;
+        use std::future::Future;
+        use std::pin::Pin;
+        use std::sync::mpsc;
+        const EPISODES: u64 = 10;
+        const LIMIT: Duration = Duration::from_secs(10);
         let (_mesh, bs) = mesh_barriers(2, NetConfig::new());
-        // Cooperative: each endpoint completes by its own rounds, so the
-        // frontend must take its sweep path.
+        // No release word: the endpoint completes by its own rounds, and a
+        // frame from the peer completes an episode with no call of ours on
+        // the stack. The future's re-polls come from its own wakes only.
         assert_eq!(bs[0].release_epoch(), None);
-        let asy = Arc::new(AsyncBarrier::new(Arc::clone(&bs[0])));
+        let asy = AsyncBarrier::new(Arc::clone(&bs[0]));
+        let (pending, first_pending) = mpsc::channel::<u64>();
         std::thread::scope(|s| {
             let peer = Arc::clone(&bs[1]);
             s.spawn(move || {
-                for _ in 0..10u64 {
+                // Arrives for each episode only once the future has gone
+                // `Pending` on it; stops when the future's side is gone.
+                while let Ok(e) = first_pending.recv() {
                     let t = peer.arrive(0);
-                    peer.wait(t);
+                    let outcome = peer.wait_deadline(t, Deadline::after(LIMIT));
+                    assert_eq!(outcome.expect("the peer's episode completes").episode, e);
                 }
             });
             s.spawn(move || {
-                for e in 0..10u64 {
-                    let future = asy.arrive_async(0);
-                    let outcome = futures_block_on(future).expect("episode must complete");
-                    assert_eq!(outcome.episode, e);
+                for e in 0..EPISODES {
+                    let mut future = asy.arrive_async(0);
+                    let mut told = false;
+                    let outcome = block_on_wakes(
+                        std::future::poll_fn(|cx| {
+                            let poll = Pin::new(&mut future).poll(cx);
+                            if poll.is_pending() && !told {
+                                told = true;
+                                pending.send(e).expect("the peer is listening");
+                            }
+                            poll
+                        }),
+                        LIMIT,
+                    );
+                    assert_eq!(outcome.expect("episode must complete").episode, e);
                 }
+                drop(pending);
             });
         });
     }
 
-    /// Minimal single-future block_on: polls with a thread-parking waker.
-    fn futures_block_on<F: std::future::Future>(future: F) -> F::Output {
+    /// Minimal single-future block_on that polls again only when woken,
+    /// and panics if no wake comes within `limit`.
+    fn block_on_wakes<F: std::future::Future>(future: F, limit: Duration) -> F::Output {
         use std::pin::pin;
         use std::sync::mpsc;
         use std::task::{Context, Poll, Wake, Waker};
@@ -1131,11 +1154,9 @@ mod tests {
         loop {
             match future.as_mut().poll(&mut cx) {
                 Poll::Ready(v) => return v,
-                Poll::Pending => {
-                    // Re-poll on wake or after a short nap: the net
-                    // barrier is cooperative, so polls also drive it.
-                    let _ = rx.recv_timeout(Duration::from_millis(5));
-                }
+                Poll::Pending => rx
+                    .recv_timeout(limit)
+                    .expect("a pending future is woken again"),
             }
         }
     }

@@ -246,16 +246,16 @@ chaos_smoke() {
 # Then the quick sweeps, each of which fails itself on a broken shape:
 # exp_backend_faceoff asserts that a 32-probe spin budget (the hier rows)
 # beats the default 1,024 (central and counting) on stall probes at
-# N = 16; exp_async_scale asserts parked == resumed and drains == 0 on
-# every row (central's tasks park in the episode core, not behind the
-# frontend's probe lock); exp_net_scale asserts exactly
+# N = 16; exp_async_scale asserts parked == resumed on every row
+# (central's tasks park in the episode core); exp_net_scale asserts exactly
 # ceil(log2 N) frames per arrival with zero retries on every loopback row
 # and a wedge-free UDS process mesh.
 #
 # Last, the model checker's async mutants (a completer that never wakes
 # the parked, a backend whose release word runs one arrival early, a park
 # with no re-read after its registration, a completer that wakes before
-# it publishes, a first pending poll that yields without waking its task)
+# it publishes, a first pending poll that yields without waking its task,
+# a dissemination poll refused a parking place that re-queues nothing)
 # and its forged-round transport
 # mutant must each be caught while the real frontend and NetBarrier
 # survive the same schedules; in release, a task that panics must
@@ -264,7 +264,9 @@ chaos_smoke() {
 # deferred tasks and be freed, a task that yields on every poll must
 # starve nobody queued behind it and be starved by nobody queued ahead
 # of it, and a task that yields 1,000 times must finish; a NetBarrier arrive must put its signal on the wire
-# before it polls, and still send every round that poll makes due; and
+# before it polls, and still send every round that poll makes due, and an
+# async future over a NetBarrier must be woken, or re-queue itself, when a
+# peer's frame completes its episode; and
 # the multi-process harness tests (a real UDS worker mesh, and killing
 # one worker mid-episode poisons, not hangs, the survivors) must pass.
 ledger_smoke() {
@@ -276,13 +278,13 @@ ledger_smoke() {
             return 1
     done
     filtered_tests "-p fuzzy-check --test mutants" never_wake async_early_epoch \
-        park_without_recheck wake_before_publish yield_without_wake net_skip_round \
-        real_net_barrier &&
+        park_without_recheck wake_before_publish yield_without_wake requeue_without_wake \
+        net_skip_round real_net_barrier &&
         filtered_tests "--release -p fuzzy-sched" panicking \
             foreign_wake dropping_the_pool a_dropped_pool cannot_starve \
             yields_a_thousand_times &&
         filtered_tests "--release -p fuzzy-net" arrive_signals_before_it_listens \
-            arrive_sends_every_round_already_due &&
+            arrive_sends_every_round_already_due async_frontend_runs_unmodified_over_the_mesh &&
         cargo test -q -p fuzzy-sched --test multiproc
 }
 
