@@ -93,14 +93,37 @@ fn run(works: &[i64], region: i64, pipelined: bool) -> (u64, u64, bool, Vec<u64>
         ..MachineConfig::default()
     };
     let mut m = Machine::new(Program::new(streams), cfg).expect("valid program");
-    let out = m.run(10_000_000).expect("no memory faults");
-    assert!(out.is_halted(), "unexpected outcome: {out:?}");
+    // Stepped one cycle at a time, so that each region position can be
+    // read where it was taken: a processor whose sync count rose in a
+    // cycle synchronized there, at its `region_progress` (`run`'s
+    // telemetry keeps only their distribution).
+    let mut positions = Vec::new();
+    let mut syncs = vec![0; procs];
+    loop {
+        let live = m.step().expect("no memory faults");
+        for (p, seen) in m.procs().iter().zip(&mut syncs) {
+            if p.stats.syncs > *seen {
+                *seen = p.stats.syncs;
+                positions.push(p.region_progress);
+            }
+        }
+        if !live || m.cycle() >= 10_000_000 {
+            break;
+        }
+    }
+    assert!(m.all_halted(), "still running at cycle {}", m.cycle());
+    let t = m.stats().sync;
+    assert_eq!(
+        (positions.len() as u64, positions.iter().sum::<u64>()),
+        (t.position_hist.total(), t.position_total_instrs),
+        "the stepped image disagrees with the telemetry"
+    );
     let violated = (0..procs).any(|p| m.memory().peek(200 + p) == 999);
     (
         m.stats().total_stall_cycles(),
         m.stats().sync_events,
         violated,
-        m.sync_positions().to_vec(),
+        positions,
     )
 }
 

@@ -197,6 +197,17 @@ fn main() -> ExitCode {
             ps.instructions, ps.stall_cycles, ps.busy_cycles, ps.barrier_entries, ps.syncs
         );
     }
+    let sync = &stats.sync;
+    match sync.position_hist.quantile_upper_bound(0.5) {
+        Some(median) => println!(
+            "region positions at sync: {} samples, mean {:.1}, max {}, median <= {} instrs",
+            sync.position_hist.total(),
+            sync.mean_position_instrs(),
+            sync.position_max_instrs,
+            median
+        ),
+        None => println!("region positions at sync: 0 samples"),
+    }
     if opts.trace {
         println!("trace:");
         for e in machine.trace().events() {

@@ -217,12 +217,9 @@ pub struct Machine {
     trap_handlers: Vec<Option<usize>>,
     /// Pending asynchronous interrupts: `(deliver_at_cycle, proc, handler)`.
     interrupts: Vec<(u64, usize, usize)>,
-    /// Samples of each synchronizing processor's position inside its
-    /// barrier region (instructions already executed from the region) at
-    /// the moment synchronization occurred.
-    sync_positions: Vec<u64>,
     /// Machine-level stall histogram and arrival-spread accumulators —
-    /// the cycle-domain mirror of the thread library's telemetry.
+    /// the cycle-domain mirror of the thread library's telemetry — and
+    /// the region positions at synchronization.
     telemetry: SyncTelemetry,
     /// Injected ready-line faults (see [`crate::fault`]).
     faults: Vec<FaultState>,
@@ -233,12 +230,6 @@ pub struct Machine {
     #[cfg(test)]
     pub(crate) forgotten: Option<Forgotten>,
 }
-
-/// Most samples [`Machine::sync_positions`] retains (8 MiB of `u64`s):
-/// the samples describe a distribution, and a million of them describe it
-/// as well as the hundreds of millions a long sweep would otherwise pile
-/// up. Later synchronizations are still counted everywhere else.
-pub const SYNC_POSITION_SAMPLES: usize = 1 << 20;
 
 /// Everything that can end a run of jumped-over cycles — the event list of
 /// [`Machine::run`].
@@ -440,7 +431,6 @@ impl Machine {
             sync_events: 0,
             trap_handlers: vec![None; n],
             interrupts: Vec::new(),
-            sync_positions: Vec::new(),
             telemetry: SyncTelemetry::default(),
             faults: Vec::new(),
             evictions: Vec::new(),
@@ -536,15 +526,6 @@ impl Machine {
         &self.trace
     }
 
-    /// Samples of processors’ positions inside their barrier regions at
-    /// the moment each synchronization occurred: 0 means the processor
-    /// had only just entered the region; larger values mean it was deep
-    /// inside. The spread of these samples is the "fuzziness" of Fig. 1.
-    #[must_use]
-    pub fn sync_positions(&self) -> &[u64] {
-        &self.sync_positions
-    }
-
     /// Whether every processor has halted.
     #[must_use]
     pub fn all_halted(&self) -> bool {
@@ -580,7 +561,7 @@ impl Machine {
             self.step_proc(i, cycle)?;
         }
 
-        self.broadcast(cycle);
+        self.broadcast(cycle, &[]);
         self.cycle += 1;
         Ok(!self.all_halted())
     }
@@ -589,11 +570,15 @@ impl Machine {
     /// processors have acted — "all processors simultaneously discover
     /// the occurrence of synchronization" — followed by the watchdog
     /// registers' tick. Returns the processors that synchronized.
-    fn broadcast(&mut self, cycle: u64) -> u64 {
+    ///
+    /// `ahead` is [`Machine::run`]'s issue-ahead runs (empty from
+    /// [`Machine::step`]): what they issued past `cycle` is not yet part
+    /// of a processor's position in its region.
+    fn broadcast(&mut self, cycle: u64, ahead: &[Ahead]) -> u64 {
         let ready = ready_lines(self.procs.iter().map(|p| &p.unit)) & self.lines_delivered(cycle);
         let synced = sync_set(self.procs.len(), |i| &self.procs[i].unit, ready);
         if synced != 0 {
-            self.synchronize(cycle, synced);
+            self.synchronize(cycle, synced, ahead);
         }
         self.maintain_watchdogs(cycle, ready & !synced);
         synced
@@ -622,8 +607,8 @@ impl Machine {
 
     /// Applies a non-empty result of the broadcast evaluation: state
     /// (iii) for every member of `synced`, plus the bookkeeping that hangs
-    /// off a synchronization.
-    fn synchronize(&mut self, cycle: u64, synced: u64) {
+    /// off a synchronization, each member's region position among it.
+    fn synchronize(&mut self, cycle: u64, synced: u64, ahead: &[Ahead]) {
         for ev in &mut self.evictions {
             if ev.recovered_at.is_none() && synced & (1u64 << ev.watchdog) != 0 {
                 ev.recovered_at = Some(cycle);
@@ -654,9 +639,9 @@ impl Machine {
                 // same cycle costs one stall cycle.
                 self.telemetry.stall_hist.record(cycle - start + 1);
             }
-            if self.sync_positions.len() < SYNC_POSITION_SAMPLES {
-                self.sync_positions.push(p.region_progress);
-            }
+            let issued_ahead = ahead.get(i).map_or(0, |a| a.progress_after(cycle));
+            self.telemetry
+                .record_position(p.region_progress - issued_ahead);
             self.trace.record(cycle, i, EventKind::Sync);
         }
     }
@@ -879,15 +864,12 @@ impl Machine {
         let evictions = self.evictions.len();
         // A synchronization samples region positions as of `cycle`, not
         // as far as a processor has issued ahead.
-        let sample = !self.forgets(Forgotten::AheadSample);
-        let ahead = |i: usize| u64::from(sample) * s.ahead[i].progress_after(cycle);
-        for (i, p) in self.procs.iter_mut().enumerate() {
-            p.region_progress -= ahead(i);
-        }
-        let freed = self.broadcast(cycle) & s.parked;
-        for (i, p) in self.procs.iter_mut().enumerate() {
-            p.region_progress += ahead(i);
-        }
+        let ahead: &[Ahead] = if self.forgets(Forgotten::AheadSample) {
+            &[]
+        } else {
+            &s.ahead
+        };
+        let freed = self.broadcast(cycle, ahead) & s.parked;
         for i in bits(freed) {
             s.unpark(&mut self.procs[i], cycle + 1);
         }
@@ -1009,10 +991,11 @@ impl Machine {
     /// interrupt coming due for it — issue now, each at the cycle `step`
     /// would issue it in. They write only the processor's registers,
     /// program counter and counts, which nobody reads before the clock
-    /// gets there but a synchronization (`evaluate` samples the region
-    /// position as of its cycle) and a return (`settle` takes back what
-    /// lies past it). `busy_until` ends past the last one, so the event
-    /// loop next wakes for this processor where it can do something else.
+    /// gets there but a synchronization (`synchronize` leaves what lies
+    /// past its cycle out of the region position it records) and a return
+    /// (`settle` takes back what lies past it). `busy_until` ends past the
+    /// last one, so the event loop next wakes for this processor where it
+    /// can do something else.
     /// Nothing issues ahead where an [`Exclusion`] says it could be seen.
     #[inline(always)]
     fn issue_ahead(&mut self, i: usize, s: &mut Schedule) {
@@ -2051,15 +2034,36 @@ mod tests {
             b.finish().unwrap()
         };
         let p = Program::new(vec![mk(2, 200), mk(50, 5)]);
+        // Stepping shows each sample: a processor whose sync count rose
+        // in a cycle synchronized there, at its `region_progress`.
+        let mut stepped = Machine::new(p.clone(), config()).unwrap();
+        let (mut pos, mut seen) = (Vec::new(), [0; 2]);
+        while stepped.step().unwrap() {
+            for (proc, seen) in stepped.procs.iter().zip(&mut seen) {
+                if proc.stats.syncs > *seen {
+                    *seen = proc.stats.syncs;
+                    pos.push(proc.region_progress);
+                }
+            }
+        }
         let mut m = Machine::new(p, config()).unwrap();
         assert!(m.run(100_000).unwrap().is_halted());
-        let pos = m.sync_positions().to_vec();
-        assert_eq!(pos.len(), 2);
+        let t = m.stats().sync;
+        assert_eq!(t, stepped.stats().sync);
+        assert_eq!(t.position_hist.total(), 2, "{t:?}");
+        assert_eq!(pos.len(), 2, "{pos:?}");
         let (deep, shallow) = (pos.iter().max().unwrap(), pos.iter().min().unwrap());
         assert!(
             *deep > 50 && *shallow <= 1,
-            "early proc should be deep in its region, late proc at the              start: {pos:?}"
+            "early proc should be deep in its region, late proc at the start: {pos:?}"
         );
+        assert_eq!(t.position_max_instrs, *deep);
+        assert!(t.position_max_instrs > 50, "{t:?}");
+        assert!(
+            t.position_hist.buckets[..=1].iter().sum::<u64>() >= 1,
+            "{t:?}"
+        );
+        assert_eq!(t.position_total_instrs, deep + shallow, "{t:?}");
     }
 
     #[test]

@@ -127,13 +127,14 @@ fn run_stepwise(m: &mut Machine, max_cycles: u64) -> Result<RunOutcome, SimError
 struct Observed {
     outcome: Result<RunOutcome, String>,
     cycle: u64,
+    /// Counters and telemetry, region positions at synchronization
+    /// included.
     stats: MachineStats,
     waiting: Vec<u64>,
     /// Registers, program counters, unit states, frames, in-flight lists.
     procs: String,
     memory: Vec<i64>,
     mem_stats: Vec<MemStats>,
-    sync_positions: Vec<u64>,
     evictions: Vec<EvictionEvent>,
     trace: Vec<Event>,
     trace_dropped: u64,
@@ -155,7 +156,6 @@ impl Observed {
                 .map(|a| m.memory().peek(a))
                 .collect(),
             mem_stats: (0..n).map(|p| m.memory().stats(p)).collect(),
-            sync_positions: m.sync_positions().to_vec(),
             evictions: m.evictions().to_vec(),
             trace: m.trace().events().to_vec(),
             trace_dropped: m.trace().dropped(),
@@ -189,7 +189,6 @@ impl Observed {
             procs,
             memory,
             mem_stats,
-            sync_positions,
             evictions,
             trace,
             trace_dropped,

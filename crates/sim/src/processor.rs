@@ -52,9 +52,13 @@ pub struct Processor {
     /// suspended while non-zero.
     pub handler_depth: u32,
     /// Barrier-region instructions executed since the current region was
-    /// entered — the processor's *position* inside the region, sampled at
-    /// synchronization time (Fig. 1: "the processors could be executing
-    /// at any point in their respective barrier regions").
+    /// entered — the processor's *position* inside the region (Fig. 1:
+    /// "the processors could be executing at any point in their respective
+    /// barrier regions"). Each synchronization records it in the machine's
+    /// [`SyncTelemetry`](crate::stats::SyncTelemetry) position histogram;
+    /// one processor's own sample is this field, read after the
+    /// [`Machine::step`](crate::machine::Machine::step) in which its
+    /// `stats.syncs` rises.
     pub region_progress: u64,
     /// Cycle at which the current stall (state iv) began, if stalled.
     /// Cleared when the stall resolves; its duration feeds the machine's

@@ -3,11 +3,14 @@
 //! The thread library's telemetry schema (`fuzzy-barrier`'s `stats`
 //! module) with **cycles** in place of nanoseconds: the shared
 //! power-of-two stall histogram, per-sync-event arrival spread (first vs
-//! last barrier-region entry of the group), and per-processor counters.
+//! last barrier-region entry of the group), and per-processor counters —
+//! plus the one simulator-only distribution, each synchronizing
+//! processor's position inside its barrier region (Fig. 1's fuzziness).
 
 use fuzzy_util::{counter_set, Histogram, Json, SHARED_SECTION_KEYS};
 
-/// Machine-level synchronization telemetry, in cycles.
+/// Machine-level synchronization telemetry, in cycles (region positions
+/// in instructions).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyncTelemetry {
     /// Histogram of individual stall durations (cycles a processor spent
@@ -21,6 +24,15 @@ pub struct SyncTelemetry {
     pub spread_max_cycles: u64,
     /// Spread of the most recent sync event.
     pub spread_last_cycles: u64,
+    /// Histogram of region positions at synchronization: per processor
+    /// synchronized, the barrier-region instructions it had executed
+    /// since entering the region (0 = just entered). Its total is the
+    /// sample count.
+    pub position_hist: Histogram,
+    /// Sum of every region-position sample.
+    pub position_total_instrs: u64,
+    /// Largest region-position sample.
+    pub position_max_instrs: u64,
 }
 
 impl SyncTelemetry {
@@ -40,6 +52,24 @@ impl SyncTelemetry {
         self.spread_total_cycles += spread;
         self.spread_max_cycles = self.spread_max_cycles.max(spread);
         self.spread_last_cycles = spread;
+    }
+
+    /// Records one processor's region position at a synchronization.
+    pub fn record_position(&mut self, instrs: u64) {
+        self.position_hist.record(instrs);
+        self.position_total_instrs += instrs;
+        self.position_max_instrs = self.position_max_instrs.max(instrs);
+    }
+
+    /// Mean region position per sample, in instructions.
+    #[must_use]
+    pub fn mean_position_instrs(&self) -> f64 {
+        let samples = self.position_hist.total();
+        if samples == 0 {
+            0.0
+        } else {
+            self.position_total_instrs as f64 / samples as f64
+        }
     }
 
     /// Mean arrival spread per sync event, in cycles.
@@ -205,6 +235,26 @@ mod tests {
         assert_eq!(t.spread_max_cycles, 10);
         assert_eq!(t.spread_last_cycles, 1);
         assert!((t.mean_spread_cycles() - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sync_telemetry_tracks_positions() {
+        let mut t = SyncTelemetry::default();
+        assert_eq!(t.mean_position_instrs(), 0.0);
+        for instrs in [0, 1, 102, 402, 5] {
+            t.record_position(instrs);
+        }
+        assert_eq!(t.position_hist.total(), 5);
+        assert_eq!(t.position_hist.buckets[0], 2, "0 and 1 share bucket 0");
+        assert_eq!(t.position_hist.buckets[2], 1);
+        assert_eq!(t.position_hist.buckets[6], 1);
+        assert_eq!(t.position_hist.buckets[8], 1);
+        assert_eq!(t.position_total_instrs, 510);
+        assert_eq!(t.position_max_instrs, 402);
+        assert!((t.mean_position_instrs() - 102.0).abs() < 1e-12);
+        assert_eq!(t.position_hist.quantile_upper_bound(0.5), Some(7));
+        // Only the spread block reaches the JSON.
+        assert_eq!(t.spread_json(), SyncTelemetry::default().spread_json());
     }
 
     #[test]

@@ -28,8 +28,9 @@
 #   fuzz-smoke   differential fuzzer: 200 nests at a fixed seed, zero
 #                divergences required, stats export schema-validated;
 #                then the compiler's determinism test, the simulator's
-#                stepwise-vs-run equivalence suite and 500 more nests
-#                against the release build
+#                stepwise-vs-run equivalence suite, exp_semantics' Fig. 1
+#                region positions at sync (literal for literal) and 500
+#                more nests against the release build
 #   chaos-smoke  reconfig mutants must be caught (and the real barrier
 #                must survive the same schedules), then exp_chaos_churn
 #                --quick across every backend on both runtimes, schema
@@ -187,9 +188,12 @@ fault_smoke() {
 # Then the compiler's determinism test (the fuzzer's findings replay only
 # if a compile is a function of its input), and the simulator's exactness
 # referee against the build the ledger measures: the stepwise-vs-run
-# equivalence suite (mutants included) and
-# a longer fuzz campaign, both in release — stage test runs them in debug
-# only, and overflow checks and inlining differ between the two.
+# equivalence suite (mutants included), the exact Fig. 1 image that
+# `exp_semantics` reads by stepping (`semantics_exact`: the simulator keeps
+# only the distribution of region positions at sync, so this pins each
+# processor's own) and a longer fuzz campaign, all in release — stage test
+# runs them in debug only, and overflow checks and inlining differ between
+# the two.
 fuzz_smoke() {
     out="$(mktemp)" || return 1
     status=1
@@ -204,6 +208,8 @@ fuzz_smoke() {
     filtered_tests "--release -p fuzzy-fuzz --test deterministic_codegen" \
         compiling_twice_gives_identical_programs || return 1
     filtered_tests "--release -p fuzzy-sim --lib" equivalence || return 1
+    filtered_tests "--release -p fuzzy-bench --test semantics_exact" \
+        region_positions_at_sync || return 1
     campaign="$(cargo run -q --release -p fuzzy-fuzz --bin fuzz -- \
         --seed 7 --iters 500 2>&1)" || return 1
     echo "$campaign"
