@@ -13,7 +13,7 @@
 //!    barriers is needed", Sec. 5) and disjoint subset barriers proceed
 //!    independently.
 
-use fuzzy_barrier::{GroupRegistry, ProcMask};
+use fuzzy_barrier::{GroupRegistry, ProcMask, SplitBarrier};
 use fuzzy_bench::{banner, StatsExport, Table};
 use fuzzy_sim::assembler::assemble_program;
 use fuzzy_sim::builder::MachineBuilder;
@@ -181,17 +181,20 @@ fn main() {
             let barrier = Arc::clone(barrier);
             let child = *child;
             s.spawn(move || {
+                let rank = barrier.rank(child, barrier.tag()).expect("tag matches");
                 for _ in 0..100 {
-                    let t = barrier.arrive(child, barrier.tag()).expect("tag matches");
-                    barrier.wait(t);
+                    barrier.point(rank);
                 }
             });
         }
         // The parent participates in every pair barrier, round-robin.
+        let ranks: Vec<usize> = pair_barriers
+            .iter()
+            .map(|(_, b)| b.rank(0, b.tag()).expect("tag matches"))
+            .collect();
         for _ in 0..100 {
-            for (_, barrier) in &pair_barriers {
-                let t = barrier.arrive(0, barrier.tag()).expect("tag matches");
-                barrier.wait(t);
+            for ((_, barrier), &rank) in pair_barriers.iter().zip(&ranks) {
+                barrier.point(rank);
             }
         }
     });

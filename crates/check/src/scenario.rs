@@ -269,17 +269,19 @@ impl Ledger {
         self.episode(rank, episode, release, arrive, |t| wait_never(barrier, t))
     }
 
-    /// [`Self::episode`] on a subset barrier, under its own tag.
-    fn subset_episode(
+    /// [`Self::episode`] on a barrier whose participant ids are this
+    /// ledger's ranks — a subset barrier, whose ids are ranks within its
+    /// mask: member `rank` arrives as `rank`, then waits without a
+    /// deadline.
+    fn rank_episode(
         &self,
-        barrier: &Subset,
+        barrier: &(impl SplitBarrier + ?Sized),
         rank: usize,
         episode: u64,
         release: u64,
     ) -> Option<()> {
-        let id = self.members[rank];
-        let arrive = || barrier.arrive(id, barrier.tag());
-        self.episode(rank, episode, release, arrive, |t| subset_wait(barrier, t))
+        let arrive = || Ok(barrier.arrive(rank));
+        self.episode(rank, episode, release, arrive, |t| wait_never(barrier, t))
     }
 
     /// Reports `err` from `rank`'s `what` on this ledger's barrier.
@@ -344,13 +346,6 @@ fn wait_never(
     barrier: &(impl SplitBarrier + ?Sized),
     token: ArrivalToken,
 ) -> Result<u64, BarrierError> {
-    barrier
-        .wait_deadline(token, Deadline::never())
-        .map(|outcome| outcome.episode)
-}
-
-/// [`wait_never`] on a subset barrier.
-fn subset_wait(barrier: &Subset, token: ArrivalToken) -> Result<u64, BarrierError> {
     barrier
         .wait_deadline(token, Deadline::never())
         .map(|outcome| outcome.episode)
@@ -571,21 +566,22 @@ fn subset_pair_body(
 ) -> Option<()> {
     // Presenting the private tag at the shared barrier must be rejected —
     // tags are what keep Fig. 6's P3-at-B1 from synchronizing with
-    // P1-at-B2. The error path touches no shadow state, so this probe is
-    // deterministic and free.
-    match shared.arrive(id, private.tag()) {
+    // P1-at-B2. The tag is checked against no shadow state, so this probe
+    // is deterministic and free.
+    match shared.rank(id, private.tag()) {
         Err(BarrierError::TagMismatch { .. }) => {}
         Ok(_) => return protocol_error(id, "wrong tag accepted by shared barrier".into()),
         Err(err) => return report_err(id, "wrong-tag probe", &err),
     }
+    let (shared_rank, private_rank) = (present(shared, id)?, present(private, id)?);
     // The private barrier's ledger is this thread's own; `classify` never
     // sees it.
     let solo = Ledger::new(vec![id]);
     for e in 0..episodes {
         // Solo synchronization on the private singleton barrier.
-        solo.subset_episode(private, 0, e, e)?;
+        solo.rank_episode(private, private_rank, e, e)?;
         // Shared fuzzy synchronization.
-        ledger.subset_episode(shared, id, e, e)?;
+        ledger.rank_episode(shared, shared_rank, e, e)?;
     }
     Some(())
 }
@@ -611,16 +607,23 @@ pub fn subset_overlap(episodes: u64) -> Scenario {
         },
         // Threads 0 and 2 each belong to exactly one masked barrier.
         move |(a, b, ledger_a, ledger_b), id| match id {
-            0 => (0..episodes).try_for_each(|e| ledger_a.subset_episode(a, 0, e, e)),
+            0 => single_body(a, ledger_a, 0, episodes),
             1 => middle_body(a, b, ledger_a, ledger_b, episodes),
-            _ => (0..episodes).try_for_each(|e| ledger_b.subset_episode(b, 1, e, e)),
+            _ => single_body(b, ledger_b, 2, episodes),
         },
         |_| None,
     )
 }
 
+/// Body for thread `id` in one barrier: present the credential once, then
+/// run every episode on it by rank.
+fn single_body(barrier: &Subset, ledger: &Ledger, id: usize, episodes: u64) -> Option<()> {
+    let rank = present(barrier, id)?;
+    (0..episodes).try_for_each(|e| ledger.rank_episode(barrier, rank, e, e))
+}
+
 /// Body for the thread in both barriers: arrive at both, then wait on
-/// both. It is rank 1 of A's ledger and rank 0 of B's.
+/// both. It is rank 1 of A and rank 0 of B, and of their ledgers.
 fn middle_body(
     a: &Subset,
     b: &Subset,
@@ -628,18 +631,25 @@ fn middle_body(
     ledger_b: &Ledger,
     episodes: u64,
 ) -> Option<()> {
-    let id = 1usize;
+    let (rank_a, rank_b) = (present(a, 1)?, present(b, 1)?);
     for e in 0..episodes {
-        let token_a = ledger_a.arrive(1, || a.arrive(id, a.tag()))?;
-        let token_b = ledger_b.arrive(0, || b.arrive(id, b.tag()))?;
-        if let Err(err) = ledger_b.wait(0, e, e, || subset_wait(b, token_b))? {
-            return ledger_b.fail(0, "wait", &err);
+        let token_a = ledger_a.arrive(rank_a, || Ok(a.arrive(rank_a)))?;
+        let token_b = ledger_b.arrive(rank_b, || Ok(b.arrive(rank_b)))?;
+        if let Err(err) = ledger_b.wait(rank_b, e, e, || wait_never(b, token_b))? {
+            return ledger_b.fail(rank_b, "wait", &err);
         }
-        if let Err(err) = ledger_a.wait(1, e, e, || subset_wait(a, token_a))? {
-            return ledger_a.fail(1, "wait", &err);
+        if let Err(err) = ledger_a.wait(rank_a, e, e, || wait_never(a, token_a))? {
+            return ledger_a.fail(rank_a, "wait", &err);
         }
     }
     Some(())
+}
+
+/// Thread `id` presents its credential — its global id and `barrier`'s
+/// tag — once, and gets the rank it drives the barrier as; `None` after
+/// reporting a refusal.
+fn present(barrier: &Subset, id: usize) -> Option<usize> {
+    ok_or_report(id, "present credential", barrier.rank(id, barrier.tag()))
 }
 
 // ---------------------------------------------------------------------------
@@ -685,6 +695,7 @@ fn registry_body(
     episodes: u64,
 ) -> Option<()> {
     let private_tag = Tag::new(10 + id as u16).expect("non-zero");
+    let shared_rank = present(shared, id)?;
     // Each episode's private barrier is freshly allocated, so it always
     // completes *its* episode 0. Its ledger is this thread's own;
     // `classify` never sees it.
@@ -710,9 +721,9 @@ fn registry_body(
             );
         }
         // Solo sync on the private barrier (never blocks: one member).
-        solo.subset_episode(&private, 0, e, 0)?;
+        solo.rank_episode(&*private, present(&private, id)?, e, 0)?;
         // Fuzzy sync with the peer stream on the long-lived shared barrier.
-        ledger.subset_episode(shared, id, e, e)?;
+        ledger.rank_episode(shared, shared_rank, e, e)?;
         // Release the slot; next episode re-allocates the same tag.
         ok_or_report(id, "release private", reg.release(private_tag))?;
     }

@@ -73,7 +73,10 @@
 //! reproduce those semantics in software: disjoint subsets of participants
 //! synchronize independently, two participants synchronize only if their
 //! tags match, and a registry of at most *N − 1* barriers serves *N*
-//! dynamically created streams.
+//! dynamically created streams. A `SubsetBarrier` is a [`SplitBarrier`]
+//! over its inner barrier: a participant presents its global id and tag
+//! once, to [`group::SubsetBarrier::rank`], and drives the barrier by the
+//! rank it gets back.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

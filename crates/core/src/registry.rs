@@ -12,6 +12,7 @@
 
 use crate::centralized::CentralBarrier;
 use crate::error::BarrierError;
+use crate::fuzzy::SplitBarrier;
 use crate::group::SubsetBarrier;
 use crate::mask::ProcMask;
 use crate::spin::StallPolicy;
@@ -126,59 +127,7 @@ impl<S: SyncOps> GroupRegistry<S> {
     ///   already live.
     /// * [`BarrierError::EmptyGroup`] if `mask` is empty.
     pub fn allocate(&self, mask: ProcMask) -> Result<(Tag, RegistryBarrier<S>), BarrierError> {
-        let mut inner = self.inner.lock().expect("registry lock");
-        if inner.barriers.len() >= self.capacity() {
-            Self::sweep_orphans_locked(&mut inner);
-        }
-        if inner.barriers.len() >= self.capacity() {
-            return Err(BarrierError::RegistryFull {
-                capacity: self.capacity(),
-            });
-        }
-        // Find the next unused tag (tags of released barriers are reusable,
-        // mirroring the paper's "streams that need to synchronize repeatedly
-        // can reuse the barrier shared by them").
-        let mut tag = inner.next_tag;
-        while inner.barriers.contains_key(&tag) {
-            tag = tag.next();
-        }
-        let barrier = Arc::new(SubsetBarrier::with_policy_in(tag, mask, self.policy)?);
-        inner.barriers.insert(tag, Arc::clone(&barrier));
-        inner.next_tag = tag.next();
-        Ok((tag, barrier))
-    }
-
-    /// Capacity-aware admission: like [`Self::allocate`], but on
-    /// [`BarrierError::RegistryFull`] backs off and retries up to
-    /// `retries` times with exponential backoff (`base`, doubling per
-    /// attempt), giving concurrently departing streams time to release or
-    /// orphan their slots. Each retry re-sweeps orphans via the allocation
-    /// path.
-    ///
-    /// This is the admission side of dynamic membership: a recovered
-    /// worker re-joining a fully subscribed system waits for churn instead
-    /// of failing fast.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::allocate`]; [`BarrierError::RegistryFull`] only after
-    /// every retry is exhausted.
-    pub fn allocate_with_backoff(
-        &self,
-        mask: ProcMask,
-        retries: u32,
-        base: std::time::Duration,
-    ) -> Result<(Tag, RegistryBarrier<S>), BarrierError> {
-        let mut attempt = 0;
-        loop {
-            match self.allocate(mask) {
-                Err(BarrierError::RegistryFull { .. }) if attempt < retries => {
-                    std::thread::sleep(base.saturating_mul(1 << attempt.min(16)));
-                    attempt += 1;
-                }
-                other => return other,
-            }
-        }
+        self.insert(None, mask)
     }
 
     /// Allocates a barrier with a caller-chosen tag.
@@ -192,6 +141,17 @@ impl<S: SyncOps> GroupRegistry<S> {
         tag: Tag,
         mask: ProcMask,
     ) -> Result<RegistryBarrier<S>, BarrierError> {
+        self.insert(Some(tag), mask).map(|(_, barrier)| barrier)
+    }
+
+    /// The one allocation path: under the lock, sweep orphans if full,
+    /// refuse if still full, then insert a barrier under `requested` or,
+    /// for `None`, the next free tag.
+    fn insert(
+        &self,
+        requested: Option<Tag>,
+        mask: ProcMask,
+    ) -> Result<(Tag, RegistryBarrier<S>), BarrierError> {
         let mut inner = self.inner.lock().expect("registry lock");
         if inner.barriers.len() >= self.capacity() {
             Self::sweep_orphans_locked(&mut inner);
@@ -201,12 +161,26 @@ impl<S: SyncOps> GroupRegistry<S> {
                 capacity: self.capacity(),
             });
         }
-        if inner.barriers.contains_key(&tag) {
-            return Err(BarrierError::DuplicateTag { tag });
-        }
+        let tag = match requested {
+            Some(tag) if inner.barriers.contains_key(&tag) => {
+                return Err(BarrierError::DuplicateTag { tag });
+            }
+            Some(tag) => tag,
+            // Tags of released barriers are reusable, mirroring the paper's
+            // "streams that need to synchronize repeatedly can reuse the
+            // barrier shared by them".
+            None => {
+                let mut tag = inner.next_tag;
+                while inner.barriers.contains_key(&tag) {
+                    tag = tag.next();
+                }
+                inner.next_tag = tag.next();
+                tag
+            }
+        };
         let barrier = Arc::new(SubsetBarrier::with_policy_in(tag, mask, self.policy)?);
         inner.barriers.insert(tag, Arc::clone(&barrier));
-        Ok(barrier)
+        Ok((tag, barrier))
     }
 
     /// Looks up the live barrier with `tag`.
@@ -361,7 +335,7 @@ mod tests {
         let r = GroupRegistry::new(2); // capacity 1
         let m = ProcMask::first_n(2);
         let (_tag, barrier) = r.allocate(m).unwrap();
-        let token = barrier.arrive(0, barrier.tag()).unwrap();
+        let token = barrier.arrive(barrier.rank(0, barrier.tag()).unwrap());
         drop(token);
         drop(barrier); // no release(tag): the slot is now orphaned
         assert_eq!(r.live_barriers(), 1);
@@ -425,9 +399,10 @@ mod tests {
                 s.spawn(move || {
                     let m = ProcMask::first_n(2);
                     while !stop.load(Ordering::Acquire) {
-                        let (tag, barrier) = r
-                            .allocate_with_backoff(m, 8, std::time::Duration::from_micros(50))
-                            .expect("backoff admission should eventually succeed");
+                        // At most three handles are held at once, so when
+                        // the 63 slots fill, the allocation's own sweep
+                        // makes room.
+                        let (tag, barrier) = r.allocate(m).expect("room after a sweep");
                         // The held handle must survive any concurrent sweep.
                         assert_eq!(r.lookup(tag).unwrap().tag(), barrier.tag());
                         drop(barrier); // orphan it for the sweeper
@@ -456,42 +431,16 @@ mod tests {
     }
 
     #[test]
-    fn backoff_admission_waits_out_a_full_registry() {
-        let r = std::sync::Arc::new(GroupRegistry::new(2)); // capacity 1
-        let m = ProcMask::first_n(2);
-        let (tag, _held) = r.allocate(m).unwrap();
-        // Fail-fast path: zero retries surfaces RegistryFull immediately.
-        assert_eq!(
-            r.allocate_with_backoff(m, 0, std::time::Duration::from_micros(10))
-                .unwrap_err(),
-            BarrierError::RegistryFull { capacity: 1 }
-        );
-        std::thread::scope(|s| {
-            let r2 = std::sync::Arc::clone(&r);
-            let admitted = s.spawn(move || {
-                r2.allocate_with_backoff(m, 12, std::time::Duration::from_micros(100))
-            });
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            r.release(tag).unwrap();
-            let (tag2, _b2) = admitted
-                .join()
-                .unwrap()
-                .expect("admission must succeed once the slot frees");
-            assert!(r.lookup(tag2).is_ok());
-        });
-    }
-
-    #[test]
     fn aggregate_telemetry_merges_every_field_of_the_live_barriers() {
         let r = GroupRegistry::new(3);
         let (tag_a, a) = r.allocate([0].into_iter().collect()).unwrap();
         let (tag_b, b) = r.allocate([1].into_iter().collect()).unwrap();
         let period = crate::stats::SPREAD_SAMPLE_PERIOD;
         for _ in 0..period {
-            a.wait(a.arrive(0, tag_a).unwrap());
+            a.point(a.rank(0, tag_a).unwrap());
         }
         for _ in 0..2 * period {
-            b.wait(b.arrive(1, tag_b).unwrap());
+            b.point(b.rank(1, tag_b).unwrap());
         }
         let (total, per_barrier) = r.aggregate_telemetry();
         assert_eq!(per_barrier.len(), 2);

@@ -6,14 +6,15 @@
 //! error order, a removed participant's admission back — and the guard
 //! under concurrent evictions, which it must serialise. The `async/*` rows
 //! put the same contract through a wrapper that overrides what `wait` and
-//! `abort` are derived from.
+//! `abort` are derived from, and the `subset/*` rows through the tagged,
+//! masked wrapper that forwards everything by rank.
 //! What is specific to one backend (tree shapes, ghost pre-payment, shard
 //! death, …) stays in that backend's own unit tests.
 
 use fuzzy_barrier::{
     ArrivalToken, AsyncBarrier, Barrier, BarrierError, CentralBarrier, CountingBarrier, Cx,
     Deadline, DisseminationBarrier, FlatProtocol, HierBarrier, Protocol, RealSync, SplitBarrier,
-    StallPolicy, TreeBarrier,
+    StallPolicy, SubsetBarrier, Tag, TreeBarrier,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -77,8 +78,9 @@ impl FlatProtocol<RealSync> for Flags {
 
 /// Every backend and shape: tree fan-ins 2, 3 and 4; hier at shard size 1 (a
 /// pure tree over shards), 2 and ≥ n (one centralized shard); the worked
-/// example; and the async frontend, driven through the sync trait only,
-/// over a uniform-release and a cooperative backend.
+/// example; and the async frontend and the subset wrapper, driven through
+/// the sync trait only, each over a uniform-release and a cooperative
+/// backend.
 const SHAPES: &[(&str, Build)] = &[
     ("central", |n, p| {
         Arc::new(CentralBarrier::with_policy(n, p))
@@ -116,7 +118,29 @@ const SHAPES: &[(&str, Build)] = &[
     ("async/dissemination", |n, p| {
         Arc::new(AsyncBarrier::new(DisseminationBarrier::with_policy(n, p)))
     }),
+    ("subset/central", |n, p| {
+        on_odd_ids(CentralBarrier::with_policy(n, p))
+    }),
+    ("subset/dissemination", |n, p| {
+        on_odd_ids(DisseminationBarrier::with_policy(n, p))
+    }),
 ];
+
+/// A subset barrier over `inner` on the odd global ids `1, 3, 5, …`, so
+/// that no participant's global id is its rank; each id's credential is
+/// checked for the rank the contract then drives. The inner barrier is
+/// built by the caller, first: a zero-participant row panics with its
+/// message.
+fn on_odd_ids(inner: impl SplitBarrier + 'static) -> Arc<dyn SplitBarrier> {
+    let n = inner.participants();
+    let tag = Tag::new(5).expect("non-zero");
+    let b = SubsetBarrier::from_backend(tag, (0..n).map(|r| 2 * r + 1).collect(), inner)
+        .expect("one id per rank");
+    for rank in 0..n {
+        assert_eq!(b.rank(2 * rank + 1, tag), Ok(rank));
+    }
+    Arc::new(b)
+}
 
 /// Runs `check` on a fresh `n`-participant barrier of every shape. The
 /// host has two cores, so threaded checks wait with a yielding policy.

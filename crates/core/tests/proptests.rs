@@ -200,7 +200,10 @@ fn registry_never_exceeds_budget() {
         for op in ops {
             if op {
                 match registry.allocate(mask) {
-                    Ok((tag, handle)) => live.push((tag, handle)),
+                    Ok((tag, handle)) => {
+                        assert_eq!(handle.rank(1, tag), Ok(1));
+                        live.push((tag, handle));
+                    }
                     Err(_) => assert_eq!(live.len(), max_streams - 1),
                 }
             } else if let Some((tag, _)) = live.first().cloned() {

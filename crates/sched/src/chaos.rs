@@ -34,12 +34,17 @@
 
 use crate::async_exec::AsyncExecutor;
 use crate::executor::BarrierChoice;
-use fuzzy_barrier::reconfig::{JoinTicket, MemberHandle, ReconfigBarrier};
-use fuzzy_barrier::{BarrierError, Deadline, HistogramSnapshot, StallHistogram, StallPolicy};
+use fuzzy_barrier::reconfig::{JoinTicket, MemberHandle, ReconfigBarrier, ReconfigToken};
+use fuzzy_barrier::{
+    BarrierError, Deadline, HistogramSnapshot, StallHistogram, StallPolicy, WaitOutcome,
+};
 use fuzzy_util::SplitMix64;
+use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::pin;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::task::{Context, Waker};
 use std::time::{Duration, Instant};
 
 /// Which runtime the chaos members run on.
@@ -231,10 +236,26 @@ fn check_release(ctl: &MemberCtl, arrived_epoch: u64, released_epoch: u64) {
     );
 }
 
-/// The episode loop a threaded chaos member runs. Returns when told to
-/// stop, leave, or crash. `stop` is only raised once the member is the
-/// sole survivor, so a pre-arrive exit can never strand a peer.
-fn member_body(rb: &Arc<ReconfigBarrier>, h: MemberHandle, ctl: &MemberCtl, stop: &AtomicBool) {
+/// The episode loop every chaos member runs, on either runtime. Returns
+/// when told to stop, leave, or crash. `stop` is only raised once the
+/// member is the sole survivor, so a pre-arrive exit can never strand a
+/// peer.
+///
+/// `wait` is the one thing the runtimes do differently: a thread blocks
+/// in [`ReconfigBarrier::wait`], so its future is ready when made and the
+/// whole loop runs in one poll ([`run_blocking`]); a task awaits
+/// [`ReconfigBarrier::wait_future`], so a member waiting on its peers
+/// yields its worker to other tasks instead of pinning it — `M ≫ N`
+/// members multiplex over `N` workers without deadlock.
+async fn member_body<F>(
+    rb: &ReconfigBarrier,
+    h: MemberHandle,
+    ctl: &MemberCtl,
+    stop: &AtomicBool,
+    wait: impl Fn(ReconfigToken) -> F,
+) where
+    F: Future<Output = Result<WaitOutcome, BarrierError>>,
+{
     loop {
         let cmd = ctl.cmd.load(Ordering::Acquire);
         match cmd {
@@ -263,6 +284,8 @@ fn member_body(rb: &Arc<ReconfigBarrier>, h: MemberHandle, ctl: &MemberCtl, stop
                     region_delay();
                 }
                 let outcome = if cmd == CMD_SPURIOUS {
+                    // The bounded probe is blocking but near-instant; the
+                    // recovery retry is the runtime's own wait.
                     match rb.wait_deadline(&token, Deadline::after(Duration::from_micros(1))) {
                         Ok(o) => o,
                         Err(BarrierError::Timeout { .. }) => {
@@ -270,12 +293,12 @@ fn member_body(rb: &Arc<ReconfigBarrier>, h: MemberHandle, ctl: &MemberCtl, stop
                             // the release while the arrival stands.
                             // Retrying the same token must recover.
                             ctl.spurious_hits.fetch_add(1, Ordering::Relaxed);
-                            rb.wait(&token).expect("retry after spurious timeout")
+                            wait(token).await.expect("retry after spurious timeout")
                         }
                         Err(err) => panic!("chaos wait failed: {err}"),
                     }
                 } else {
-                    rb.wait(&token).expect("chaos wait must release")
+                    wait(token).await.expect("chaos wait must release")
                 };
                 check_release(ctl, arrived, outcome.episode);
                 if cmd != CMD_RUN {
@@ -288,67 +311,11 @@ fn member_body(rb: &Arc<ReconfigBarrier>, h: MemberHandle, ctl: &MemberCtl, stop
     }
 }
 
-/// The async twin of [`member_body`]: waits are `wait_future` awaits, so
-/// a member waiting on its peers yields its worker to other tasks instead
-/// of pinning it — `M ≫ N` members multiplex over `N` workers without
-/// deadlock.
-async fn member_body_async(
-    rb: Arc<ReconfigBarrier>,
-    h: MemberHandle,
-    ctl: Arc<MemberCtl>,
-    stop: Arc<AtomicBool>,
-) {
-    loop {
-        let cmd = ctl.cmd.load(Ordering::Acquire);
-        match cmd {
-            CMD_LEAVE => {
-                rb.leave(h).expect("chaos leave must be legal");
-                ctl.exit();
-                return;
-            }
-            CMD_CRASH => {
-                let _ = catch_unwind(AssertUnwindSafe(|| panic!("chaos: injected crash")));
-                ctl.crashed.store(true, Ordering::Release);
-                ctl.exit();
-                return;
-            }
-            _ => {
-                if stop.load(Ordering::Acquire) {
-                    ctl.exit();
-                    return;
-                }
-                let token = rb.arrive(&h).expect("live handle must arrive");
-                let arrived = token.epoch();
-                if cmd == CMD_DELAY {
-                    region_delay();
-                }
-                let outcome = if cmd == CMD_SPURIOUS {
-                    // The bounded probe is blocking but near-instant; the
-                    // recovery retry is the async wait.
-                    match rb.wait_deadline(&token, Deadline::after(Duration::from_micros(1))) {
-                        Ok(o) => o,
-                        Err(BarrierError::Timeout { .. }) => {
-                            ctl.spurious_hits.fetch_add(1, Ordering::Relaxed);
-                            rb.wait_future(token)
-                                .await
-                                .expect("retry after spurious timeout")
-                        }
-                        Err(err) => panic!("chaos wait failed: {err}"),
-                    }
-                } else {
-                    rb.wait_future(token)
-                        .await
-                        .expect("chaos wait must release")
-                };
-                check_release(&ctl, arrived, outcome.episode);
-                if cmd != CMD_RUN {
-                    let _ =
-                        ctl.cmd
-                            .compare_exchange(cmd, CMD_RUN, Ordering::AcqRel, Ordering::Relaxed);
-                }
-            }
-        }
-    }
+/// Runs a future whose every await is ready, as a threaded member's is,
+/// to completion in one poll.
+fn run_blocking(future: impl Future<Output = ()>) {
+    let polled = pin!(future).poll(&mut Context::from_waker(Waker::noop()));
+    assert!(polled.is_ready(), "a blocking member never pends");
 }
 
 /// What a freshly spawned member starts from: a founder already holds an
@@ -390,7 +357,9 @@ fn spawn_member<'scope>(
                     }
                 };
                 ctl.publish(&h);
-                member_body(&rb, h, &ctl, &stop);
+                run_blocking(member_body(&rb, h, &ctl, &stop, |token| {
+                    std::future::ready(rb.wait(&token))
+                }));
             });
         }
         Some(exec) => {
@@ -402,7 +371,7 @@ fn spawn_member<'scope>(
                     Role::Joiner(ticket) => rb.activation_future(&ticket).await,
                 };
                 ctl.publish(&h);
-                member_body_async(rb, h, ctl, stop).await;
+                member_body(&rb, h, &ctl, &stop, |token| rb.wait_future(token)).await;
             });
         }
     }

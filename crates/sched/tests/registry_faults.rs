@@ -9,7 +9,7 @@
 //! telemetry, the orphaned slot is swept, and the same group is rebuilt
 //! at full strength.
 
-use fuzzy_barrier::{BarrierError, GroupRegistry, ProcMask};
+use fuzzy_barrier::{BarrierError, GroupRegistry, ProcMask, SplitBarrier};
 use fuzzy_sched::executor::busy;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,8 +32,9 @@ fn evict_then_rebuild_under_threaded_runner() {
             let barrier = Arc::clone(&barrier);
             s.spawn(move || {
                 let episodes = if id == DEAD { 1 } else { EPISODES };
+                let rank = barrier.rank(id, tag).unwrap();
                 for _ in 0..episodes {
-                    let token = barrier.arrive(id, tag).unwrap();
+                    let token = barrier.arrive(rank);
                     busy(4);
                     barrier.wait(token);
                 }
@@ -54,6 +55,10 @@ fn evict_then_rebuild_under_threaded_runner() {
         }
         barrier.evict(DEAD).unwrap();
     });
+    assert_eq!(
+        barrier.rank(DEAD, tag).unwrap_err(),
+        BarrierError::NotAParticipant { id: DEAD }
+    );
 
     let stats = barrier.stats();
     assert_eq!(stats.evictions, 1, "exactly one stream was evicted");
@@ -84,8 +89,9 @@ fn evict_then_rebuild_under_threaded_runner() {
         for id in 0..PROCS {
             let rebuilt = Arc::clone(&rebuilt);
             s.spawn(move || {
+                let rank = rebuilt.rank(id, tag2).unwrap();
                 for _ in 0..EPISODES {
-                    let token = rebuilt.arrive(id, tag2).unwrap();
+                    let token = rebuilt.arrive(rank);
                     busy(4);
                     rebuilt.wait(token);
                 }
@@ -113,7 +119,7 @@ fn orphaned_groups_do_not_wedge_allocation_at_capacity() {
                     for id in 0..2 {
                         let group = Arc::clone(&group);
                         inner.spawn(move || {
-                            let token = group.arrive(id, tag).unwrap();
+                            let token = group.arrive(group.rank(id, tag).unwrap());
                             busy(2);
                             group.wait(token);
                         });

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example stream_merge`
 
-use fuzzy_barrier::{GroupRegistry, ProcMask, SubsetBarrier, Tag};
+use fuzzy_barrier::{GroupRegistry, ProcMask, SplitBarrier, SubsetBarrier, Tag};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -42,6 +42,8 @@ fn main() {
             let results = Arc::clone(&results);
             s.spawn(move || {
                 let id = w + 1;
+                // Present the credential once; arrive by rank from then on.
+                let rank = barrier.rank(id, barrier.tag()).expect("tag");
                 let mut acc = 0u64;
                 for round in 1..=ROUNDS {
                     // Worker's work: varies per worker (different stream
@@ -54,7 +56,7 @@ fn main() {
                     // arrive/wait split lets the worker prepare its next
                     // round (the barrier region) while the parent catches
                     // up.
-                    let token = barrier.arrive(id, barrier.tag()).expect("tag");
+                    let token = barrier.arrive(rank);
                     acc = acc.rotate_left(1); // barrier-region work
                     barrier.wait(token);
                 }
@@ -63,9 +65,13 @@ fn main() {
 
         // Parent: merges with each worker in turn, each round.
         let mut merged = 0u64;
+        let ranks: Vec<usize> = pairs
+            .iter()
+            .map(|b| b.rank(0, b.tag()).expect("tag"))
+            .collect();
         for _round in 1..=ROUNDS {
             for (w, barrier) in pairs.iter().enumerate() {
-                let token = barrier.arrive(0, barrier.tag()).expect("tag");
+                let token = barrier.arrive(ranks[w]);
                 // Parent's barrier region: fold the previous round's
                 // result while this worker finishes.
                 merged = merged.wrapping_add(results[w].load(Ordering::Acquire));
@@ -102,10 +108,10 @@ fn main() {
         for id in 1..streams {
             let b = Arc::clone(&final_barrier);
             s.spawn(move || {
-                b.point(id, b.tag()).expect("tag");
+                b.point(b.rank(id, b.tag()).expect("tag"));
             });
         }
-        final_barrier.point(0, final_barrier.tag()).expect("tag");
+        final_barrier.point(final_barrier.rank(0, final_barrier.tag()).expect("tag"));
     });
     println!("all streams merged; done.");
 }
