@@ -33,8 +33,8 @@
 //! The [`scenario`] module holds the workloads: the plain `protocol` on
 //! every backend, masked/tagged `subset` barriers, `registry` churn,
 //! `poison`, both `evict` shapes, the `async` frontend's waker hand-off,
-//! `reconfig` membership changes and a parked `wait_future`, and `net`
-//! endpoints over a loopback mesh. Every body synchronizes through one checked step — the
+//! `reconfig` membership changes and an async member parked through the
+//! frontend over the group, and `net` endpoints over a loopback mesh. Every body synchronizes through one checked step — the
 //! [`Ledger`]'s arrival half and wait half — and one constructor owns the
 //! per-schedule plumbing, so the contract is stated once.
 //!
@@ -58,11 +58,12 @@
 //! the core (one never wakes it, one looks before it publishes). Three
 //! replace the core, because the bug is in what the core owns: a no-op
 //! poison, a mask-preserving eviction and a check-then-act eviction
-//! guard. Two are async futures over the core's parking place (one parks
-//! without re-reading the release word, one yields without waking its
-//! task), three are dynamic-membership layers (a join admitted
-//! mid-episode, an admission into the in-flight episode and a forgotten
-//! generation check), and one is a transport that forges the higher
+//! guard. Three are async futures over the core's parking place (one
+//! parks without re-reading the release word, one yields without waking
+//! its task, one re-queues nothing over dissemination), two are
+//! dynamic-membership bugs behind the real `ReconfigBarrier` (an admission
+//! into the in-flight episode and a presentation that forgets the
+//! generation), and one is a transport that forges the higher
 //! dissemination rounds, releasing a `NetBarrier` endpoint on first
 //! contact;
 //! `cargo test -p fuzzy-check` proves the checker catches them all.
@@ -85,7 +86,7 @@ pub use scenario::{
     join_evict_race, join_mid_episode, join_mid_episode_with, net_round, net_round_with, poison,
     poison_with, protocol, protocol_with, reconfig_future, reconfig_future_with, registry,
     stale_generation, stale_generation_with, subset_overlap, subset_pair, AsyncArrival,
-    AsyncFrontend, BackendKind, Ledger, ReconfigArrival, ReconfigOps,
+    AsyncFrontend, BackendKind, Ledger,
 };
 pub use sched::{Defect, RunResult, Violation, DEFAULT_STEP_LIMIT};
 pub use shadow::ShadowSync;

@@ -39,16 +39,16 @@
 //! dropped: a waiter that registers and returns `Pending` without
 //! re-reading the release word, a first pending poll that yields without
 //! waking its own task, and — over dissemination, which has no parking
-//! place — a later pending poll that re-queues nothing. Three
-//! *dynamic-membership* bugs: a membership layer that widens the group
-//! mid-episode instead of at a boundary, an inner barrier whose admission
-//! stamps the joiner into the in-flight episode, and a credential check
-//! that forgets the slot generation — caught by the reconfig scenarios. And a *distributed* bug: a
+//! place — a later pending poll that re-queues nothing. Two
+//! *dynamic-membership* bugs behind the real `ReconfigBarrier`: an inner
+//! barrier whose admission stamps the joiner into the in-flight episode,
+//! and a presentation that forgets the slot generation — caught by the
+//! reconfig scenarios. And a *distributed* bug: a
 //! transport wrapper that forges the higher dissemination rounds from the
 //! round-0 signal, releasing a `NetBarrier` endpoint on first contact —
 //! caught by the net-round scenario's cross-mesh fuzzy check.
 
-use crate::scenario::{AsyncArrival, AsyncFrontend, ReconfigArrival, ReconfigOps};
+use crate::scenario::{AsyncArrival, AsyncFrontend, Group};
 use crate::shadow::ShadowSync;
 use fuzzy_barrier::centralized::Central;
 use fuzzy_barrier::dissemination;
@@ -56,7 +56,7 @@ use fuzzy_barrier::stats::StatsSnapshot;
 use fuzzy_barrier::sync::{Atomic, SyncOps};
 use fuzzy_barrier::{
     ArrivalToken, Barrier, BarrierError, CentralBarrier, Cx, Deadline, DisseminationBarrier,
-    FlatProtocol, Protocol, ReconfigBarrier, SplitBarrier, StallPolicy, WaitOutcome,
+    FlatProtocol, MemberHandle, Protocol, ReconfigBarrier, SplitBarrier, StallPolicy, WaitOutcome,
 };
 use fuzzy_net::{DecodeError, FrameSink, Message, NetError, Transport};
 use std::fmt;
@@ -755,9 +755,9 @@ const WAKE_BEFORE_PUBLISH: u8 = 1;
 /// completer's wake of the core's parked set broken, chosen by `BUG`.
 /// Everything else — ids, tokens, the wait loop, poison, the parked set
 /// itself — is the real episode core's, and the frontend that parks on it
-/// is the real [`fuzzy_barrier::AsyncBarrier`] or `ReconfigBarrier`'s
-/// futures. Use it through [`MutantNoWake`] and
-/// [`MutantWakeBeforePublish`].
+/// is the real [`fuzzy_barrier::AsyncBarrier`], over the mutant directly or
+/// over a `ReconfigBarrier` built on it. Use it through [`MutantNoWake`]
+/// and [`MutantWakeBeforePublish`].
 #[derive(Debug)]
 pub struct CompleterWake<const BUG: u8, S: SyncOps = ShadowSync> {
     count: S::AtomicUsize,
@@ -1035,111 +1035,6 @@ impl<const BUG: u8> Future for FastPathFuture<'_, BUG> {
 }
 
 // ---------------------------------------------------------------------------
-// MutantJoinMidEpoch: join admitted without an episode boundary
-// ---------------------------------------------------------------------------
-
-/// A minimal dynamic-membership barrier that **admits joiners
-/// immediately** instead of staging them until the episode boundary.
-///
-/// The group's width changes under an in-flight episode whose arrival
-/// countdown was armed at the old width. Depending on the interleaving,
-/// the joiner's arrival either completes the episode one peer early —
-/// releasing waiters past a member that never began (the fuzzy
-/// violation) — or the re-armed countdown expects an arrival the episode
-/// never gets, and every later waiter hangs. This is exactly the bug the
-/// episode core's staged admission exists to prevent: a completer applies
-/// it where nobody has arrived yet, so no episode ever runs at a width it
-/// was not armed for.
-#[derive(Debug)]
-pub struct MutantJoinMidEpoch<S: SyncOps = ShadowSync> {
-    capacity: usize,
-    /// Current episode width.
-    members: S::AtomicUsize,
-    /// Arrivals remaining in the in-flight episode.
-    remaining: S::AtomicUsize,
-    epoch: S::AtomicU64,
-    /// Slot claim refcounts, as in the real protocol.
-    reserved: Vec<S::AtomicU32>,
-}
-
-impl<S: SyncOps> MutantJoinMidEpoch<S> {
-    /// Creates the mutant group with `initial` members over `capacity`
-    /// slots.
-    #[must_use]
-    pub fn new(capacity: usize, initial: usize) -> Self {
-        assert!(initial > 0 && initial <= capacity);
-        MutantJoinMidEpoch {
-            capacity,
-            members: S::AtomicUsize::new(initial),
-            remaining: S::AtomicUsize::new(initial),
-            epoch: S::AtomicU64::new(0),
-            reserved: (0..capacity)
-                .map(|slot| S::AtomicU32::new(u32::from(slot < initial)))
-                .collect(),
-        }
-    }
-}
-
-impl<S: SyncOps> ReconfigOps for MutantJoinMidEpoch<S> {
-    fn join(&self) -> Result<(usize, u64), BarrierError> {
-        for slot in 0..self.capacity {
-            if self.reserved[slot].fetch_add(1, Ordering::AcqRel) == 0 {
-                // BUG (seeded): the real protocol stages the join and
-                // lets an episode boundary apply it. Widening the group
-                // here changes the width under the in-flight episode,
-                // whose countdown was armed at the old width.
-                self.members.fetch_add(1, Ordering::AcqRel);
-                return Ok((slot, 0));
-            }
-            self.reserved[slot].fetch_sub(1, Ordering::AcqRel);
-        }
-        Err(BarrierError::GroupFull {
-            capacity: self.capacity,
-        })
-    }
-
-    fn is_active(&self, _slot: usize, _generation: u64) -> bool {
-        // Part of the same bug: the member was admitted on join, so there
-        // is no boundary to wait for.
-        true
-    }
-
-    fn wait_active(&self, _slot: usize, _generation: u64) {}
-
-    fn arrive(&self, slot: usize, _generation: u64) -> Result<ReconfigArrival, BarrierError> {
-        let e = self.epoch.load(Ordering::Acquire);
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.remaining
-                .store(self.members.load(Ordering::Acquire), Ordering::Release);
-            self.epoch.fetch_add(1, Ordering::AcqRel);
-        }
-        Ok(ReconfigArrival::untracked(slot, e))
-    }
-
-    fn wait(&self, arrival: ReconfigArrival) -> Result<u64, BarrierError> {
-        S::wait_until(StallPolicy::Spin, || {
-            self.epoch.load(Ordering::Acquire) > arrival.epoch
-        });
-        Ok(arrival.epoch)
-    }
-
-    fn leave(&self, slot: usize, _generation: u64) -> Result<(), BarrierError> {
-        // Mirror sloppiness: the departure is applied immediately too.
-        self.members.fetch_sub(1, Ordering::AcqRel);
-        self.reserved[slot].fetch_sub(1, Ordering::AcqRel);
-        Ok(())
-    }
-
-    fn evict(&self, slot: usize, generation: u64) -> Result<(), BarrierError> {
-        self.leave(slot, generation)
-    }
-
-    fn members(&self) -> usize {
-        self.members.load(Ordering::Acquire)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // MutantAdmitInFlight: admission stamped into the in-flight episode
 // ---------------------------------------------------------------------------
 
@@ -1191,12 +1086,9 @@ impl<S: SyncOps> MutantAdmitInFlight<S> {
 impl MutantAdmitInFlight {
     /// A three-slot, two-founder group over the mutant.
     #[must_use]
-    pub fn group() -> Arc<dyn ReconfigOps> {
-        let (group, _founders) =
-            ReconfigBarrier::<ShadowSync>::with_policy_in(3, 2, StallPolicy::Spin, |n| {
-                Arc::new(Self::new(n)) as Arc<dyn SplitBarrier>
-            });
-        Arc::new(group)
+    pub fn group() -> Group {
+        let inner = |n| Arc::new(Self::new(n)) as Arc<dyn SplitBarrier>;
+        ReconfigBarrier::with_policy_in(3, 2, StallPolicy::Spin, inner).0
     }
 }
 
@@ -1266,83 +1158,41 @@ impl<S: SyncOps> SplitBarrier for MutantAdmitInFlight<S> {
 }
 
 // ---------------------------------------------------------------------------
-// MutantStaleGeneration: credential check forgets the generation
+// MutantStaleGeneration: a presentation that forgets the generation
 // ---------------------------------------------------------------------------
 
-/// A membership layer over the real [`ReconfigBarrier`] whose arrival
-/// path **replaces the credential's generation with whatever the slot
-/// currently carries** — "the slot number checks out, good enough".
+/// A forged presentation to the real [`ReconfigBarrier`]: a handle refused
+/// as stale is **presented again under the generation the refusal names**
+/// — "the slot number checks out, good enough".
 ///
 /// A departed member's retained handle then arrives straight into the
-/// re-occupied slot: the re-occupant's rank gets a second arrival stream,
+/// re-occupied slot: the re-occupant's slot gets a second arrival stream,
 /// the inner countdown skews, and a member that was removed from the
 /// group still gets released by it. The stale-generation scenario expects
 /// exactly [`BarrierError::StaleGeneration`] from the probe, so any
-/// schedule on which the forged arrival is accepted (or refused with the
-/// wrong error) convicts this mutant immediately.
+/// schedule on which the forged presentation is accepted (or refused with
+/// the wrong error) convicts this mutant immediately.
 #[derive(Debug)]
-pub struct MutantStaleGeneration {
-    inner: Arc<ReconfigBarrier<ShadowSync>>,
-}
+pub struct MutantStaleGeneration;
 
 impl MutantStaleGeneration {
-    /// Creates the mutant group with `initial` members over `capacity`
-    /// slots.
-    #[must_use]
-    pub fn new(capacity: usize, initial: usize) -> Self {
-        let (inner, _founders) = ReconfigBarrier::<ShadowSync>::with_policy_in(
-            capacity,
-            initial,
-            StallPolicy::Spin,
-            |n| {
-                Arc::new(CentralBarrier::<ShadowSync>::with_policy_in(
-                    n,
-                    StallPolicy::Spin,
-                )) as Arc<dyn SplitBarrier>
-            },
-        );
-        MutantStaleGeneration {
-            inner: Arc::new(inner),
+    /// [`ReconfigBarrier::rank`], forged; pass it as the scenario's
+    /// presentation.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReconfigBarrier::rank`], except that a stale generation is
+    /// never reported.
+    pub fn rank(group: &Group, handle: &MemberHandle) -> Result<usize, BarrierError> {
+        match group.rank(handle) {
+            // BUG (seeded): the held generation is dropped on the floor
+            // and rebuilt from the slot's current one, so the stale-handle
+            // check can never fire.
+            Err(BarrierError::StaleGeneration { slot, current, .. }) => {
+                group.rank(&MemberHandle::from_parts(slot, current))
+            }
+            presented => presented,
         }
-    }
-}
-
-impl ReconfigOps for MutantStaleGeneration {
-    fn join(&self) -> Result<(usize, u64), BarrierError> {
-        ReconfigOps::join(&*self.inner)
-    }
-
-    fn is_active(&self, slot: usize, generation: u64) -> bool {
-        ReconfigOps::is_active(&*self.inner, slot, generation)
-    }
-
-    fn wait_active(&self, slot: usize, generation: u64) {
-        ReconfigOps::wait_active(&*self.inner, slot, generation);
-    }
-
-    fn arrive(&self, slot: usize, _generation: u64) -> Result<ReconfigArrival, BarrierError> {
-        // BUG (seeded): the held generation is dropped on the floor and
-        // rebuilt from the slot's current one, so the stale-credential
-        // check can never fire and a departed member's handle arrives
-        // into whoever occupies the slot now.
-        let current = self.inner.generation_of(slot);
-        ReconfigOps::arrive(&*self.inner, slot, current)
-    }
-
-    fn wait(&self, arrival: ReconfigArrival) -> Result<u64, BarrierError> {
-        ReconfigOps::wait(&*self.inner, arrival)
-    }
-
-    fn leave(&self, slot: usize, generation: u64) -> Result<(), BarrierError> {
-        ReconfigOps::leave(&*self.inner, slot, generation)
-    }
-
-    fn evict(&self, slot: usize, generation: u64) -> Result<(), BarrierError> {
-        ReconfigOps::evict(&*self.inner, slot, generation)
-    }
-
-    fn members(&self) -> usize {
-        self.inner.members()
     }
 }
 

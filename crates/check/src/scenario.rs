@@ -27,8 +27,7 @@ use fuzzy_barrier::sync::{Atomic, SyncOps};
 use fuzzy_barrier::{
     ArrivalToken, AsyncBarrier, BarrierError, CentralBarrier, CountingBarrier, Deadline,
     DisseminationBarrier, GroupRegistry, HierBarrier, JoinTicket, MemberHandle, ProcMask,
-    ReconfigBarrier, ReconfigToken, SplitBarrier, StallPolicy, SubsetBarrier, Tag, TreeBarrier,
-    WaitOutcome,
+    ReconfigBarrier, SplitBarrier, StallPolicy, SubsetBarrier, Tag, TreeBarrier, WaitOutcome,
 };
 use fuzzy_net::{LoopbackMesh, NetBarrier, NetConfig};
 use std::future::Future;
@@ -271,8 +270,8 @@ impl Ledger {
 
     /// [`Self::episode`] on a barrier whose participant ids are this
     /// ledger's ranks — a subset barrier, whose ids are ranks within its
-    /// mask: member `rank` arrives as `rank`, then waits without a
-    /// deadline.
+    /// mask, or a reconfig group, whose ids are slots: member `rank`
+    /// arrives as `rank`, then waits without a deadline.
     fn rank_episode(
         &self,
         barrier: &(impl SplitBarrier + ?Sized),
@@ -1202,110 +1201,12 @@ where
 // Dynamic-membership (reconfig) scenarios
 // ---------------------------------------------------------------------------
 
-/// One arrival through a [`ReconfigOps`] group: the slot, the epoch it
-/// arrived for, and — from the real group — the token its wait needs.
-#[derive(Debug)]
-pub struct ReconfigArrival {
-    /// The slot that arrived.
-    pub slot: usize,
-    /// The epoch it arrived for.
-    pub epoch: u64,
-    token: Option<ReconfigToken>,
-}
-
-impl ReconfigArrival {
-    /// An arrival without a token, for a group that waits on the epoch.
-    #[must_use]
-    pub fn untracked(slot: usize, epoch: u64) -> Self {
-        ReconfigArrival {
-            slot,
-            epoch,
-            token: None,
-        }
-    }
-}
-
-/// Object-safe view of a dynamic-membership barrier, so the reconfig
-/// scenarios can drive the real [`ReconfigBarrier`] and seeded mutants
-/// like [`crate::mutants::MutantJoinMidEpoch`] through one interface.
-/// Credentials travel as plain `(slot, generation)` pairs, arrivals as
-/// [`ReconfigArrival`]s.
-pub trait ReconfigOps: Send + Sync {
-    /// Stages a join; returns the claimed `(slot, generation)`.
-    fn join(&self) -> Result<(usize, u64), BarrierError>;
-
-    /// True once the staged join's admission has taken effect.
-    fn is_active(&self, slot: usize, generation: u64) -> bool;
-
-    /// Blocks until the staged join is active, then redeems it.
-    fn wait_active(&self, slot: usize, generation: u64);
-
-    /// Arrives under the credential.
-    fn arrive(&self, slot: usize, generation: u64) -> Result<ReconfigArrival, BarrierError>;
-
-    /// Waits without a deadline on `arrival`; returns the epoch released.
-    fn wait(&self, arrival: ReconfigArrival) -> Result<u64, BarrierError>;
-
-    /// Voluntary departure.
-    fn leave(&self, slot: usize, generation: u64) -> Result<(), BarrierError>;
-
-    /// Supervisor-driven eviction of a member that will never arrive.
-    fn evict(&self, slot: usize, generation: u64) -> Result<(), BarrierError>;
-
-    /// Live member count.
-    fn members(&self) -> usize;
-
-    /// One whole episode under the credential: arrive, then wait.
-    fn sync(&self, slot: usize, generation: u64) -> Result<u64, BarrierError> {
-        let arrival = self.arrive(slot, generation)?;
-        self.wait(arrival)
-    }
-}
-
-impl ReconfigOps for ReconfigBarrier<ShadowSync> {
-    fn join(&self) -> Result<(usize, u64), BarrierError> {
-        let ticket = ReconfigBarrier::join(self)?;
-        Ok((ticket.slot(), ticket.generation()))
-    }
-
-    fn is_active(&self, slot: usize, generation: u64) -> bool {
-        ReconfigBarrier::is_active(self, &JoinTicket::from_parts(slot, generation))
-    }
-
-    fn wait_active(&self, slot: usize, generation: u64) {
-        let handle = ReconfigBarrier::wait_active(self, &JoinTicket::from_parts(slot, generation));
-        debug_assert_eq!(handle.slot(), slot);
-    }
-
-    fn arrive(&self, slot: usize, generation: u64) -> Result<ReconfigArrival, BarrierError> {
-        let token = ReconfigBarrier::arrive(self, &MemberHandle::from_parts(slot, generation))?;
-        Ok(ReconfigArrival {
-            slot,
-            epoch: token.epoch(),
-            token: Some(token),
-        })
-    }
-
-    fn wait(&self, arrival: ReconfigArrival) -> Result<u64, BarrierError> {
-        let token = arrival
-            .token
-            .expect("an arrival at this group carries its token");
-        self.wait_deadline(&token, Deadline::never())
-            .map(|outcome| outcome.episode)
-    }
-
-    fn leave(&self, slot: usize, generation: u64) -> Result<(), BarrierError> {
-        ReconfigBarrier::leave(self, MemberHandle::from_parts(slot, generation))
-    }
-
-    fn evict(&self, slot: usize, generation: u64) -> Result<(), BarrierError> {
-        ReconfigBarrier::evict(self, slot, generation)
-    }
-
-    fn members(&self) -> usize {
-        ReconfigBarrier::members(self)
-    }
-}
+/// The shadow-domain group the reconfig scenarios drive. It is a
+/// [`SplitBarrier`] whose participant ids are slots, so a member presents
+/// its handle once ([`ReconfigBarrier::rank`]) and runs every episode by
+/// slot through the ledger's checked step; in every ledger here a
+/// member's rank is its slot.
+pub(crate) type Group = ReconfigBarrier<ShadowSync>;
 
 impl BackendKind {
     /// Episodes from the one an admission is staged in to the joiner's
@@ -1321,45 +1222,39 @@ impl BackendKind {
     }
 }
 
-/// The shadow-domain group over `backend`: one inner barrier for all
-/// `capacity` slots, the slots from `initial` on evicted from the start.
-fn shadow_group(backend: BackendKind, capacity: usize, initial: usize) -> Arc<dyn ReconfigOps> {
-    let (group, _founders) =
-        ReconfigBarrier::<ShadowSync>::with_policy_in(capacity, initial, StallPolicy::Spin, |n| {
-            backend.build_shadow(n)
-        });
-    Arc::new(group)
+/// The group over `backend`: one inner barrier for all `capacity` slots,
+/// the slots from `initial` on evicted from the start.
+fn shadow_group(backend: BackendKind, capacity: usize, initial: usize) -> Group {
+    let build = |n| backend.build_shadow(n);
+    ReconfigBarrier::with_policy_in(capacity, initial, StallPolicy::Spin, build).0
 }
 
-/// One checked episode through a [`ReconfigOps`] group under the
-/// `(slot, generation)` credential, released at epoch `epoch`; `episode`
-/// numbers it in `ledger`, where `id` is both the global thread id and the
-/// member's rank.
-fn reconfig_episode(
-    group: &dyn ReconfigOps,
-    ledger: &Ledger,
-    id: usize,
-    episode: u64,
-    epoch: u64,
-    (slot, generation): (usize, u64),
-) -> Option<()> {
-    ledger.episode(
-        id,
-        episode,
-        epoch,
-        || group.arrive(slot, generation),
-        |arrival| group.wait(arrival),
-    )
+/// Thread `thread` presents `handle` to `group` once, and gets the slot it
+/// drives the group as; `None` after reporting a refusal.
+fn present_handle(group: &Group, thread: usize, handle: MemberHandle) -> Option<usize> {
+    ok_or_report(thread, "present handle", group.rank(&handle))
+}
+
+/// Founder `slot`'s handle: every founder holds generation 0.
+fn founder(slot: usize) -> MemberHandle {
+    MemberHandle::from_parts(slot, 0)
+}
+
+/// One episode of `slot` outside any ledger: arrive, then wait without a
+/// deadline; the released episode out.
+fn sync(group: &Group, slot: usize) -> Result<u64, BarrierError> {
+    wait_never(group, SplitBarrier::arrive(group, slot))
 }
 
 /// Async reconfig scenario: member 0 of an `n`-member group waits on
-/// each of `episodes` episodes through [`ReconfigBarrier::wait_future`],
-/// polled the way [`async_handoff`] polls, while its peers arrive and wait.
-/// On a backend with a release word the future parks in the episode core
-/// ([`SplitBarrier::register_waker`]); on dissemination it re-polls, since
-/// its polls drive its rounds. An inner barrier whose completer wakes
-/// nobody ([`crate::mutants::MutantNoWake`]) strands the parked member
-/// with its episode fully arrived: a lost wakeup.
+/// each of `episodes` episodes through [`AsyncBarrier::wait_async`] over
+/// the group, polled the way [`async_handoff`] polls, while its peers
+/// arrive and wait. On a backend with a release word the future parks in
+/// the episode core ([`SplitBarrier::register_waker`], which the group
+/// forwards); on dissemination it re-polls, since its polls drive its
+/// rounds. An inner barrier whose completer wakes nobody
+/// ([`crate::mutants::MutantNoWake`]) strands the parked member with its
+/// episode fully arrived: a lost wakeup.
 pub fn reconfig_future_with(
     name: impl Into<String>,
     n: usize,
@@ -1373,19 +1268,23 @@ pub fn reconfig_future_with(
             let (group, _founders) =
                 ReconfigBarrier::<ShadowSync>::with_policy_in(n, n, StallPolicy::Spin, &inner);
             let ledger = ledger(n);
-            ((Arc::new(group), Arc::clone(&ledger)), vec![ledger])
+            (
+                (AsyncBarrier::new(group), Arc::clone(&ledger)),
+                vec![ledger],
+            )
         },
-        move |(group, ledger), id| {
+        move |(frontend, ledger), id| {
+            let group = frontend.backend();
+            let slot = present_handle(group, id, founder(id))?;
             let flag = WakeFlag::new();
             for e in 0..episodes {
-                // Every founder holds generation 0.
-                if id > 0 {
-                    reconfig_episode(&**group, ledger, id, e, e, (id, 0))?;
+                if slot > 0 {
+                    ledger.rank_episode(group, slot, e, e)?;
                     continue;
                 }
-                let arrive = || group.arrive(&MemberHandle::from_parts(0, 0));
-                ledger.episode(0, e, e, arrive, |token| {
-                    poll_episode(Pin::new(&mut group.wait_future(token)), &flag, e)
+                let arrive = || Ok(SplitBarrier::arrive(group, slot));
+                ledger.episode(slot, e, e, arrive, |token| {
+                    poll_episode(Pin::new(&mut frontend.wait_async(token)), &flag, e)
                 })?;
             }
             Some(())
@@ -1411,31 +1310,30 @@ pub fn reconfig_future(backend: BackendKind) -> Scenario {
 /// so on **every** schedule the completers see the staged join at the
 /// same point: epochs `0..lag` must run at the founding pair and epoch
 /// `lag` at the grown trio, `lag` being the backend's
-/// [`BackendKind::admission_lag`]. A protocol that admits the joiner into
-/// the in-flight episode ([`crate::mutants::MutantJoinMidEpoch`],
-/// [`crate::mutants::MutantAdmitInFlight`]) releases someone at the wrong
+/// [`BackendKind::admission_lag`]. An inner barrier that admits the
+/// joiner into the in-flight episode
+/// ([`crate::mutants::MutantAdmitInFlight`]) releases someone at the wrong
 /// epoch, releases a founder past its peer (fuzzy violation), or skews the
 /// arrival counts into a deadlock.
 pub fn join_mid_episode_with(
     name: impl Into<String>,
     lag: u64,
-    mut factory: impl FnMut() -> Arc<dyn ReconfigOps> + 'static,
+    mut factory: impl FnMut() -> Group + 'static,
 ) -> Scenario {
     scenario(
         name,
         3,
         move || {
-            let group = factory();
             let founders = Arc::new(Ledger::new(vec![0, 1]));
             let grown = ledger(3);
             let ledgers = vec![Arc::clone(&founders), Arc::clone(&grown)];
-            ((group, ShadowU32::new(0), founders, grown), ledgers)
+            ((factory(), ShadowU32::new(0), founders, grown), ledgers)
         },
         move |(group, joined, founders, grown), id| {
             if id == 2 {
-                join_mid_episode_joiner(&**group, joined, grown, lag)
+                join_mid_episode_joiner(group, joined, grown, lag)
             } else {
-                join_mid_episode_founder(&**group, joined, founders, grown, id, lag)
+                join_mid_episode_founder(group, joined, founders, grown, id, lag)
             }
         },
         |_| None,
@@ -1453,36 +1351,37 @@ pub fn join_mid_episode(backend: BackendKind) -> Scenario {
 }
 
 fn join_mid_episode_founder(
-    group: &dyn ReconfigOps,
+    group: &Group,
     joined: &ShadowU32,
     founders: &Ledger,
     grown: &Ledger,
     id: usize,
     lag: u64,
 ) -> Option<()> {
+    let slot = present_handle(group, id, founder(id))?;
     // Hold epoch 0 until the join is staged: its completer then sees the
     // staged join on every schedule.
     ShadowSync::wait_until(StallPolicy::Spin, || joined.load(Ordering::Acquire) == 1);
-    // Epochs before the joiner's first at the founding pair; founders hold
-    // slot `id`, generation 0.
+    // Epochs before the joiner's first at the founding pair.
     for epoch in 0..lag {
-        reconfig_episode(group, founders, id, epoch, epoch, (id, 0))?;
+        founders.rank_episode(group, slot, epoch, epoch)?;
     }
     // Then the grown trio (the grown ledger numbers from zero).
-    reconfig_episode(group, grown, id, 0, lag, (id, 0))
+    grown.rank_episode(group, slot, 0, lag)
 }
 
 fn join_mid_episode_joiner(
-    group: &dyn ReconfigOps,
+    group: &Group,
     joined: &ShadowU32,
     grown: &Ledger,
     lag: u64,
 ) -> Option<()> {
-    let (slot, generation) = ok_or_report(2, "join", group.join())?;
+    // The founders hold slots 0 and 1, so the join reserves slot 2.
+    let ticket = ok_or_report(2, "join", group.join())?;
     joined.store(1, Ordering::Release);
     live()?;
-    group.wait_active(slot, generation);
-    reconfig_episode(group, grown, 2, 0, lag, (slot, generation))?;
+    let slot = present_handle(group, 2, group.wait_active(&ticket))?;
+    grown.rank_episode(group, slot, 0, lag)?;
     // The staged join must actually have landed: three live members.
     let members = group.members();
     live()?;
@@ -1530,9 +1429,9 @@ impl Pump {
         self.target.fetch_max(epoch + 1, Ordering::AcqRel);
     }
 
-    /// The server (thread 1, credential `(1, 0)`): syncs every requested
+    /// The server (thread 1, founder of `slot`): syncs every requested
     /// epoch, until the joiner sets `j_done`.
-    fn serve(&self, group: &dyn ReconfigOps, j_done: &ShadowU32) -> Option<()> {
+    fn serve(&self, group: &Group, slot: usize, j_done: &ShadowU32) -> Option<()> {
         let mut next = 1;
         loop {
             ShadowSync::wait_until(StallPolicy::Spin, || {
@@ -1542,7 +1441,7 @@ impl Pump {
             if j_done.load(Ordering::Acquire) == 1 {
                 return Some(());
             }
-            match ok_or_report(1, "server sync", group.sync(1, 0))? {
+            match ok_or_report(1, "server sync", sync(group, slot))? {
                 e if e == next => next = e + 1,
                 e => return protocol_error(1, format!("server released {e}, expected {next}")),
             }
@@ -1551,36 +1450,38 @@ impl Pump {
     }
 
     /// A joiner's way in: epochs on request until its admission has taken
-    /// effect, then one synchronized epoch with the server.
+    /// effect, then its handle presented and one synchronized epoch with
+    /// the server. The handle out.
     fn activate_and_sync(
         &self,
-        group: &dyn ReconfigOps,
+        group: &Group,
         thread: usize,
-        (slot, generation): (usize, u64),
-    ) -> Option<()> {
-        while !group.is_active(slot, generation) {
+        ticket: &JoinTicket,
+    ) -> Option<MemberHandle> {
+        while !group.is_active(ticket) {
             self.one_more()?;
         }
-        group.wait_active(slot, generation);
-        let arrival = ok_or_report(thread, "joiner arrive", group.arrive(slot, generation))?;
-        self.through(arrival.epoch);
-        ok_or_report(thread, "joiner wait", group.wait(arrival))?;
-        live()
+        let handle = group.wait_active(ticket);
+        let token = SplitBarrier::arrive(group, present_handle(group, thread, handle)?);
+        self.through(token.episode());
+        ok_or_report(thread, "joiner wait", wait_never(group, token))?;
+        live()?;
+        Some(handle)
     }
 }
 
 /// Stale-generation scenario over a two-slot group: member A leaves, its
 /// slot is re-claimed by joiner J at a bumped generation, and A's retained
-/// credential must then be refused with exactly
+/// handle, presented through `present`, must then be refused with exactly
 /// [`BarrierError::StaleGeneration`] — on every schedule, including those
-/// where the probe races J's activation. A membership layer that forgets
-/// the generation check ([`crate::mutants::MutantStaleGeneration`]) lets
-/// the stale arrival into the re-occupied slot, which this scenario
-/// reports as a protocol error the moment the probe returns anything
-/// else.
+/// where the probe races J's activation. A presentation that forgets the
+/// generation ([`crate::mutants::MutantStaleGeneration`]) lets the stale
+/// handle into the re-occupied slot, which this scenario reports as a
+/// protocol error the moment the probe returns anything else.
 pub fn stale_generation_with(
     name: impl Into<String>,
-    mut factory: impl FnMut() -> Arc<dyn ReconfigOps> + 'static,
+    backend: BackendKind,
+    present: fn(&Group, &MemberHandle) -> Result<usize, BarrierError>,
 ) -> Scenario {
     scenario(
         name,
@@ -1589,39 +1490,34 @@ pub fn stale_generation_with(
             let flag = || ShadowU32::new(0);
             // No fuzzy ledger: this scenario checks the credential
             // lifecycle, so a hang is reported as the deadlock it is.
-            let state = (factory(), flag(), flag(), flag(), flag(), Pump::new());
+            let group = shadow_group(backend, 2, 2);
+            let state = (group, flag(), flag(), flag(), flag(), Pump::new());
             (state, Vec::new())
         },
-        |(group, left, joined, a_done, j_done, pump), id| match id {
-            0 => stale_generation_leaver(&**group, left, joined, a_done),
+        move |(group, left, joined, a_done, j_done, pump), id| match id {
+            0 => stale_generation_leaver(group, (left, joined, a_done), present),
             1 => {
-                sync_epoch_zero(&**group, 1, "server sync", (1, 0))?;
-                pump.serve(&**group, j_done)
+                let slot = present_handle(group, 1, founder(1))?;
+                sync_epoch_zero(group, 1, slot)?;
+                pump.serve(group, slot, j_done)
             }
-            _ => stale_generation_reuser(&**group, (left, joined, a_done, j_done), pump),
+            _ => stale_generation_reuser(group, (left, joined, a_done, j_done), pump),
         },
         |_| None,
     )
 }
 
-/// [`stale_generation_with`] over the real shadow-domain group.
+/// [`stale_generation_with`] over the real shadow-domain group, whose
+/// presentation is [`ReconfigBarrier::rank`].
 #[must_use]
 pub fn stale_generation(backend: BackendKind) -> Scenario {
-    stale_generation_with(
-        format!("reconfig/{}/stale-generation", backend.name()),
-        move || shadow_group(backend, 2, 2),
-    )
+    let name = format!("reconfig/{}/stale-generation", backend.name());
+    stale_generation_with(name, backend, Group::rank)
 }
 
-/// Thread `thread`'s full-strength `sync` under `credential`, which must
-/// release epoch 0.
-fn sync_epoch_zero(
-    group: &dyn ReconfigOps,
-    thread: usize,
-    what: &str,
-    (slot, generation): (usize, u64),
-) -> Option<()> {
-    match ok_or_report(thread, what, group.sync(slot, generation))? {
+/// Slot `slot`'s full-strength episode, which must release epoch 0.
+fn sync_epoch_zero(group: &Group, thread: usize, slot: usize) -> Option<()> {
+    match ok_or_report(thread, "sync", sync(group, slot))? {
         0 => Some(()),
         e => protocol_error(
             thread,
@@ -1631,34 +1527,29 @@ fn sync_epoch_zero(
 }
 
 fn stale_generation_leaver(
-    group: &dyn ReconfigOps,
-    left: &ShadowU32,
-    joined: &ShadowU32,
-    a_done: &ShadowU32,
+    group: &Group,
+    (left, joined, a_done): (&ShadowU32, &ShadowU32, &ShadowU32),
+    present: fn(&Group, &MemberHandle) -> Result<usize, BarrierError>,
 ) -> Option<()> {
     // Epoch 0 at full strength, then depart. The departure bumps the slot
-    // generation and frees the slot, so the retained (0, 0) credential is
-    // stale from here on.
-    sync_epoch_zero(group, 0, "pre-leave sync", (0, 0))?;
+    // generation and frees the slot, so the retained handle is stale from
+    // here on.
+    let handle = founder(0);
+    sync_epoch_zero(group, 0, present_handle(group, 0, handle)?)?;
     live()?;
-    ok_or_report(0, "leave", group.leave(0, 0))?;
+    ok_or_report(0, "leave", group.leave(handle))?;
     left.store(1, Ordering::Release);
-    // Probe only once the slot has been re-claimed, so the stale arrival
-    // races a live re-occupant rather than an empty slot.
+    // Probe only once the slot has been re-claimed, so the stale
+    // presentation races a live re-occupant rather than an empty slot.
     ShadowSync::wait_until(StallPolicy::Spin, || joined.load(Ordering::Acquire) == 1);
     live()?;
-    match group.sync(0, 0) {
+    match present(group, &handle) {
         Err(BarrierError::StaleGeneration {
             slot,
             held,
             current,
         }) if slot == 0 && held == 0 && current >= 1 => {}
-        Ok(e) => {
-            return protocol_error(
-                0,
-                format!("stale credential accepted; released at epoch {e}"),
-            )
-        }
+        Ok(slot) => return protocol_error(0, format!("stale handle accepted as slot {slot}")),
         Err(err) => return report_err(0, "stale probe", &err),
     }
     a_done.store(1, Ordering::Release);
@@ -1666,7 +1557,7 @@ fn stale_generation_leaver(
 }
 
 fn stale_generation_reuser(
-    group: &dyn ReconfigOps,
+    group: &Group,
     (left, joined, a_done, j_done): (&ShadowU32, &ShadowU32, &ShadowU32, &ShadowU32),
     pump: &Pump,
 ) -> Option<()> {
@@ -1674,23 +1565,20 @@ fn stale_generation_reuser(
     // cannot see GroupFull.
     ShadowSync::wait_until(StallPolicy::Spin, || left.load(Ordering::Acquire) == 1);
     live()?;
-    let (slot, generation) = ok_or_report(2, "reuse join", group.join())?;
-    if slot != 0 || generation == 0 {
+    let ticket = ok_or_report(2, "reuse join", group.join())?;
+    if ticket.slot() != 0 || ticket.generation() == 0 {
         return protocol_error(
             2,
-            format!(
-                "expected to reuse slot 0 at a bumped generation, got slot {slot} \
-                 generation {generation}"
-            ),
+            format!("expected to reuse slot 0 at a bumped generation, got {ticket:?}"),
         );
     }
     joined.store(1, Ordering::Release);
-    pump.activate_and_sync(group, 2, (slot, generation))?;
+    let handle = pump.activate_and_sync(group, 2, &ticket)?;
     // Leave only after the stale probe resolved, so the probe always
     // races a live re-occupant.
     ShadowSync::wait_until(StallPolicy::Spin, || a_done.load(Ordering::Acquire) == 1);
     live()?;
-    ok_or_report(2, "reuse leave", group.leave(slot, generation))?;
+    ok_or_report(2, "reuse leave", group.leave(handle))?;
     j_done.store(1, Ordering::Release);
     Some(())
 }
@@ -1720,14 +1608,14 @@ pub fn join_evict_race(backend: BackendKind) -> Scenario {
             // The evictee synchronizes once and goes silent; the server
             // removes it. Arriving only for the completed epoch 0 honors
             // the eviction contract on every schedule.
-            0 => reconfig_episode(&**group, full, 0, 0, 0, (0, 0)),
-            1 => join_evict_race_server(&**group, full, j_done, pump),
+            0 => full.rank_episode(group, present_handle(group, 0, founder(0))?, 0, 0),
+            1 => join_evict_race_server(group, full, j_done, pump),
             _ => {
                 // No gating: the join races the founders' epoch 0 and the
                 // eviction across schedules. Slot 2 is free on every one.
-                let credential = ok_or_report(2, "race join", group.join())?;
-                pump.activate_and_sync(&**group, 2, credential)?;
-                ok_or_report(2, "joiner leave", group.leave(credential.0, credential.1))?;
+                let ticket = ok_or_report(2, "race join", group.join())?;
+                let handle = pump.activate_and_sync(group, 2, &ticket)?;
+                ok_or_report(2, "joiner leave", group.leave(handle))?;
                 j_done.store(1, Ordering::Release);
                 Some(())
             }
@@ -1737,18 +1625,19 @@ pub fn join_evict_race(backend: BackendKind) -> Scenario {
 }
 
 fn join_evict_race_server(
-    group: &dyn ReconfigOps,
+    group: &Group,
     full: &Ledger,
     j_done: &ShadowU32,
     pump: &Pump,
 ) -> Option<()> {
-    reconfig_episode(group, full, 1, 0, 0, (1, 0))?;
+    let slot = present_handle(group, 1, founder(1))?;
+    full.rank_episode(group, slot, 0, 0)?;
     // Epoch 0 is complete, so the founder's last arrival is behind the
     // in-flight epoch and the eviction contract holds.
     ok_or_report(1, "evict", group.evict(0, 0))?;
     // Epochs on request until the joiner has activated, synchronized and
     // departed; the eviction's stand-in covers the founder's arrival.
-    pump.serve(group, j_done)?;
+    pump.serve(group, slot, j_done)?;
     live()?;
     // Convergence: the evictee is gone and the joiner left — the server
     // must be alone, on every schedule.

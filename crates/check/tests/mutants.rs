@@ -445,23 +445,6 @@ fn real_async_frontend_survives_the_early_epoch_scenario_on_every_backend() {
 }
 
 #[test]
-fn join_mid_epoch_mutant_is_caught() {
-    // The mutant widens the episode the moment join() returns instead of
-    // staging the joiner to the next boundary. Depending on the order the
-    // checker picks, that surfaces as a fuzzy violation (the in-flight
-    // episode releases counting the joiner who never arrived for it), a
-    // deadlock (the widened countdown never fills), or a protocol error
-    // (a participant is released at the wrong epoch) — any defect class
-    // means the checker saw the boundary discipline break.
-    use fuzzy_check::mutants::MutantJoinMidEpoch;
-    use fuzzy_check::{join_mid_episode_with, ReconfigOps};
-    let scenario = join_mid_episode_with("mutant/join-mid-epoch", 1, || {
-        Arc::new(MutantJoinMidEpoch::<ShadowSync>::new(3, 2)) as Arc<dyn ReconfigOps>
-    });
-    must_catch(scenario, opts(2), |_| true);
-}
-
-#[test]
 fn admit_in_flight_mutant_is_caught() {
     // The inner barrier counts the joiner in the episode already running,
     // behind the real ReconfigBarrier. The founders hold epoch 0 until the
@@ -476,19 +459,20 @@ fn admit_in_flight_mutant_is_caught() {
 
 #[test]
 fn stale_generation_mutant_is_caught() {
-    // The mutant looks up the slot's *current* generation instead of
-    // checking the credential it was handed, so a departed member's stale
-    // handle is accepted — it either completes an episode it has no right
-    // to join (protocol error: "stale credential accepted") or is refused
-    // as no participant while the re-occupant's join is unredeemed (also
-    // a protocol error). Either way the probe never sees the
-    // StaleGeneration rejection the scenario demands, deterministically,
-    // on the very first sequential schedule.
+    // The forged presentation re-presents a stale handle under the slot's
+    // *current* generation, so a departed member's handle is accepted
+    // (protocol error: "stale handle accepted") or is refused as no
+    // participant while the re-occupant's join is unredeemed (also a
+    // protocol error). Either way the probe never sees the StaleGeneration
+    // rejection the scenario demands, deterministically, on the very first
+    // sequential schedule.
     use fuzzy_check::mutants::MutantStaleGeneration;
-    use fuzzy_check::{stale_generation_with, ReconfigOps};
-    let scenario = stale_generation_with("mutant/stale-generation", || {
-        Arc::new(MutantStaleGeneration::new(2, 2)) as Arc<dyn ReconfigOps>
-    });
+    use fuzzy_check::stale_generation_with;
+    let scenario = stale_generation_with(
+        "mutant/stale-generation",
+        BackendKind::Central,
+        MutantStaleGeneration::rank,
+    );
     must_catch(scenario, opts(0), is_protocol_error);
 }
 
@@ -506,8 +490,9 @@ fn reconfig_pass_opts() -> ExploreOptions {
 
 #[test]
 fn reconfig_future_over_a_never_waking_completer_is_caught() {
-    // The member's wait_future parks on the inner barrier; the inner
-    // completer never wakes it, and the member sleeps through an episode
+    // The member's future — AsyncBarrier over the group — parks on the
+    // inner barrier; the inner completer never wakes it, and the member
+    // sleeps through an episode
     // its peer completed. One episode: with two, the peer also waits in
     // episode 1, which the member never arrives for, and the hang is only
     // a deadlock.

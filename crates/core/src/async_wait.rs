@@ -26,9 +26,9 @@
 //! completer wakes what is parked below the release it publishes. A
 //! backend with no parking place says false, and a `Pending` decision
 //! wakes its own waker, so the task is re-queued and polls — and drives
-//! its rounds — again. The reconfig futures follow the same rule through
-//! the same helper. The frontend owns no lock and no shared word, so an
-//! arrive owes nobody a wake.
+//! its rounds — again. `ReconfigBarrier`'s activation future follows the
+//! same rule through the same helper. The frontend owns no lock and no
+//! shared word, so an arrive owes nobody a wake.
 //!
 //! Nothing on the poll path bumps a shared counter (see [`crate::stats`]):
 //! `polls` / `yields` / `parked` / `resumed` go to the future's
@@ -213,11 +213,17 @@ impl<B: SplitBarrier> AsyncBarrier<B> {
     /// counts as an abort and poisons the barrier so peers are not left
     /// hanging on a cancelled participant.
     pub fn arrive_async(&self, id: usize) -> BarrierFuture<'_, B> {
-        let episode = self.inner.arrive(id).episode();
+        self.wait_async(self.inner.arrive(id))
+    }
+
+    /// The future of an arrival already made — say, one retried after a
+    /// bounded wait timed out: the async form of `wait`, under the rules of
+    /// [`Self::arrive_async`].
+    pub fn wait_async(&self, token: ArrivalToken) -> BarrierFuture<'_, B> {
         BarrierFuture {
             barrier: self,
-            id,
-            episode,
+            id: token.participant(),
+            episode: token.episode(),
             yielded: false,
             parked: false,
             polls: 0,

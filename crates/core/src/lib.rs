@@ -113,9 +113,7 @@ pub use fuzzy::{FuzzyBarrier, SplitBarrier};
 pub use group::SubsetBarrier;
 pub use hier::HierBarrier;
 pub use mask::ProcMask;
-pub use reconfig::{
-    ActivationFuture, JoinTicket, MemberHandle, ReconfigBarrier, ReconfigFuture, ReconfigToken,
-};
+pub use reconfig::{ActivationFuture, JoinTicket, MemberHandle, ReconfigBarrier, ReconfigToken};
 pub use registry::GroupRegistry;
 pub use spin::StallPolicy;
 pub use stats::{
@@ -147,6 +145,6 @@ mod send_sync_tests {
         assert_send_sync::<GroupRegistry>();
         assert_send_sync::<BarrierError>();
         assert_send_sync::<ReconfigBarrier>();
-        assert_send_sync::<ReconfigToken>();
+        assert_send_sync::<AsyncBarrier<ReconfigBarrier>>();
     }
 }

@@ -2,13 +2,12 @@
 //!
 //! The paper's Sec. 5 mask update shrinks a barrier when a processor fails;
 //! [`ReconfigBarrier`] grows one too, without stopping its episodes. Slot
-//! *i* is participant *i* of one inner barrier, built once. A departure is
-//! its [`SplitBarrier::evict`] (the departing member must not have arrived
-//! for the in-flight episode), a join its [`SplitBarrier::admit`]. So an
-//! arrival is one generation check plus one inner `arrive`, and a wait is
-//! the inner wait. Each slot's monotone **generation** is stamped into the
-//! [`MemberHandle`] it issues, so a stale handle never reaches the slot's
-//! next occupant ([`BarrierError::StaleGeneration`]).
+//! *i* is participant *i* of one inner barrier, built once, and the group
+//! is a [`SplitBarrier`] over slots whose departures are inner evictions
+//! and joins inner admissions. Each slot's monotone **generation** is
+//! stamped into the [`MemberHandle`] it issues and checked where the handle
+//! is presented ([`ReconfigBarrier::rank`]), so a stale handle never
+//! reaches the slot's next occupant ([`BarrierError::StaleGeneration`]).
 
 use crate::async_wait::park_or_requeue;
 use crate::error::BarrierError;
@@ -24,11 +23,11 @@ use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll};
+use std::task::{Context, Poll, Waker};
 
 /// A member's credential: which slot it occupies and the slot generation
-/// it was issued under. Arrivals re-validate the generation, so handles
-/// outlive their membership only as rejectable tokens, never as live ones.
+/// it was issued under. Handles outlive their membership only as
+/// rejectable tokens, never as live ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemberHandle {
     slot: usize,
@@ -37,10 +36,10 @@ pub struct MemberHandle {
 
 impl MemberHandle {
     /// Reconstructs a handle from its parts — e.g. one a supervisor
-    /// persisted across a restart. Every use re-validates the slot
-    /// generation, so a reconstructed handle that does not match the slot's
-    /// current generation is rejected ([`BarrierError::StaleGeneration`]),
-    /// never admitted.
+    /// persisted across a restart. A reconstructed handle that does not
+    /// match the slot's current generation is rejected
+    /// ([`BarrierError::StaleGeneration`]), never admitted; a slot beyond
+    /// capacity is [`BarrierError::InvalidParticipant`].
     #[must_use]
     pub fn from_parts(slot: usize, generation: u64) -> Self {
         MemberHandle { slot, generation }
@@ -90,32 +89,10 @@ impl JoinTicket {
     }
 }
 
-/// An arrival: the member's slot and the epoch it arrived for. Only
-/// [`ReconfigBarrier::arrive`] makes one. Waits borrow it, so a timed-out
-/// [`ReconfigBarrier::wait_deadline`] is retried with the same token.
-#[derive(Debug)]
-pub struct ReconfigToken {
-    slot: usize,
-    epoch: u64,
-}
-
-impl ReconfigToken {
-    /// The epoch this token arrived for.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The membership slot that arrived.
-    #[must_use]
-    pub fn slot(&self) -> usize {
-        self.slot
-    }
-
-    fn inner(&self) -> ArrivalToken {
-        ArrivalToken::new(self.slot, self.epoch)
-    }
-}
+/// An arrival at the group: the [`ArrivalToken`] of the member's slot.
+/// Waits borrow it, so a timed-out [`ReconfigBarrier::wait_deadline`] is
+/// retried with the same token.
+pub type ReconfigToken = ArrivalToken;
 
 #[derive(Debug)]
 struct Slot<S: SyncOps> {
@@ -128,6 +105,15 @@ struct Slot<S: SyncOps> {
 /// The state word of a live handle at `generation`.
 fn live(generation: u64) -> u64 {
     2 * generation + 1
+}
+
+/// The error of a departure under generation `held` whose inner eviction
+/// was refused as no participant: a racing departure under it won.
+fn raced(slot: usize, held: u64) -> impl FnOnce(BarrierError) -> BarrierError {
+    move |err| match err {
+        BarrierError::NotAParticipant { .. } => refusal(slot, held, live(held + 1)),
+        err => err,
+    }
 }
 
 /// Why a slot whose state word reads `state` refuses generation `held`.
@@ -146,20 +132,19 @@ fn refusal(slot: usize, held: u64, state: u64) -> BarrierError {
 /// A split-phase barrier with dynamic membership; see the module docs.
 ///
 /// ```
-/// use fuzzy_barrier::{reconfig::ReconfigBarrier, CentralBarrier};
+/// use fuzzy_barrier::{reconfig::ReconfigBarrier, CentralBarrier, SplitBarrier};
 /// use std::sync::Arc;
 ///
 /// let (barrier, handles) = ReconfigBarrier::new(4, 1, |n| Arc::new(CentralBarrier::new(n)));
-/// let token = barrier.arrive(&handles[0]).unwrap();
+/// let token = SplitBarrier::arrive(&barrier, barrier.rank(&handles[0]).unwrap());
 /// // ... barrier region ...
-/// assert_eq!(barrier.wait(&token).unwrap().episode, 0);
+/// assert_eq!(barrier.wait(token).episode, 0);
 /// ```
 pub struct ReconfigBarrier<S: SyncOps = RealSync> {
     inner: Arc<dyn SplitBarrier>,
     policy: StallPolicy,
     slots: Box<[CachePadded<Slot<S>>]>,
-    /// Successful [`Self::evict`] calls. The inner barrier counts every
-    /// departure as an eviction, and the slots evicted at construction.
+    /// Successful evictions; the inner barrier's count has leaves too.
     evictions: AtomicU64,
 }
 
@@ -255,27 +240,54 @@ impl<S: SyncOps> ReconfigBarrier<S> {
             .count()
     }
 
-    /// The current generation of `slot` (which must be below capacity).
-    #[must_use]
-    pub fn generation_of(&self, slot: usize) -> u64 {
-        self.slots[slot].state.load(Ordering::Acquire) / 2
+    /// Slot `slot`, or [`BarrierError::InvalidParticipant`] beyond capacity.
+    fn slot(&self, slot: usize) -> Result<&Slot<S>, BarrierError> {
+        let capacity = self.capacity();
+        let invalid = BarrierError::InvalidParticipant { id: slot, capacity };
+        self.slots.get(slot).map(|cell| &**cell).ok_or(invalid)
     }
 
-    /// Takes a free slot lock-free and stages its admission in the inner
-    /// barrier; the joiner is counted from a later episode boundary on.
+    /// Checks the handle a member presents, and returns its slot: the
+    /// [`SplitBarrier`] participant id it drives the group as from then on.
+    ///
+    /// # Errors
+    ///
+    /// [`BarrierError::InvalidParticipant`] beyond capacity,
+    /// [`BarrierError::StaleGeneration`] if its holder left or was evicted,
+    /// [`BarrierError::NotAParticipant`] for a join not yet redeemed.
+    pub fn rank(&self, handle: &MemberHandle) -> Result<usize, BarrierError> {
+        let state = self.slot(handle.slot)?.state.load(Ordering::Acquire);
+        if state == live(handle.generation) {
+            Ok(handle.slot)
+        } else {
+            Err(refusal(handle.slot, handle.generation, state))
+        }
+    }
+
+    /// Reserves `slot` and stages its admission in the inner barrier: the
+    /// generation it reserved the slot under, or `None` if it was held.
+    fn reserve(&self, slot: usize) -> Result<Option<u64>, BarrierError> {
+        let cell = self.slot(slot)?;
+        if cell.reserved.fetch_add(1, Ordering::AcqRel) != 0 {
+            cell.reserved.fetch_sub(1, Ordering::AcqRel);
+            return Ok(None);
+        }
+        if let Err(err) = self.inner.admit(slot) {
+            cell.reserved.fetch_sub(1, Ordering::AcqRel);
+            return Err(err);
+        }
+        Ok(Some(cell.state.load(Ordering::Acquire) / 2))
+    }
+
+    /// Stages a join in the first slot that [`SplitBarrier::admit`]
+    /// reserves; the joiner is counted from a later episode boundary on.
     /// Fails with [`BarrierError::GroupFull`] when no slot is free (a
     /// departure frees its slot before it returns: back off and retry).
     pub fn join(&self) -> Result<JoinTicket, BarrierError> {
-        for (index, slot) in self.slots.iter().enumerate() {
-            if slot.reserved.fetch_add(1, Ordering::AcqRel) == 0 {
-                let generation = slot.state.load(Ordering::Acquire) / 2;
-                if let Err(err) = self.inner.admit(index) {
-                    slot.reserved.fetch_sub(1, Ordering::AcqRel);
-                    return Err(err);
-                }
-                return Ok(JoinTicket::from_parts(index, generation));
+        for slot in 0..self.capacity() {
+            if let Some(generation) = self.reserve(slot)? {
+                return Ok(JoinTicket::from_parts(slot, generation));
             }
-            slot.reserved.fetch_sub(1, Ordering::AcqRel);
         }
         Err(BarrierError::GroupFull {
             capacity: self.capacity(),
@@ -286,145 +298,102 @@ impl<S: SyncOps> ReconfigBarrier<S> {
     /// arrival is counted.
     #[must_use]
     pub fn is_active(&self, ticket: &JoinTicket) -> bool {
-        self.generation_of(ticket.slot) == ticket.generation && self.inner.is_member(ticket.slot)
+        self.slot(ticket.slot)
+            .is_ok_and(|cell| cell.state.load(Ordering::Acquire) / 2 == ticket.generation)
+            && self.inner.is_member(ticket.slot)
     }
 
-    /// True once the join is active or the ticket was evicted: either way
-    /// [`Self::wait_active`] has its answer.
+    /// True once the join is active or the ticket evicted (or no slot).
     fn is_settled(&self, ticket: &JoinTicket) -> bool {
-        self.generation_of(ticket.slot) != ticket.generation || self.inner.is_member(ticket.slot)
+        self.slot(ticket.slot).map_or(true, |cell| {
+            cell.state.load(Ordering::Acquire) / 2 != ticket.generation
+        }) || self.inner.is_member(ticket.slot)
     }
 
     /// Waits, under the group's stall policy, until the join is active, and
     /// issues the member's handle. Some member must complete an episode for
-    /// that to happen. If the ticket was evicted meanwhile
-    /// ([`Self::evict`]), the handle is stale: its first `arrive` fails with
-    /// [`BarrierError::StaleGeneration`].
+    /// that to happen. If the ticket was evicted meanwhile, the handle is
+    /// stale: [`Self::rank`] refuses it.
     #[must_use]
     pub fn wait_active(&self, ticket: &JoinTicket) -> MemberHandle {
         S::wait_until(self.policy, || self.is_settled(ticket));
-        // A no-op if an eviction moved the generation on.
-        self.slots[ticket.slot]
-            .state
-            .fetch_max(live(ticket.generation), Ordering::AcqRel);
+        if let Ok(cell) = self.slot(ticket.slot) {
+            // A no-op if an eviction moved the generation on.
+            cell.state
+                .fetch_max(live(ticket.generation), Ordering::AcqRel);
+        }
         MemberHandle::from_parts(ticket.slot, ticket.generation)
     }
 
-    /// Announces that the member behind `handle` is ready to synchronize;
-    /// never blocks. Refuses a handle whose holder left or was evicted
-    /// ([`BarrierError::StaleGeneration`]) or a join not yet redeemed
-    /// ([`BarrierError::NotAParticipant`]).
-    #[inline]
+    /// [`Self::rank`], then the arrival of the slot; never blocks.
     pub fn arrive(&self, handle: &MemberHandle) -> Result<ReconfigToken, BarrierError> {
-        let state = self.slots[handle.slot].state.load(Ordering::Acquire);
-        if state != live(handle.generation) {
-            return Err(refusal(handle.slot, handle.generation, state));
-        }
-        let epoch = self.inner.arrive(handle.slot).episode();
-        Ok(ReconfigToken {
-            slot: handle.slot,
-            epoch,
-        })
+        Ok(SplitBarrier::arrive(self, self.rank(handle)?))
     }
 
-    /// [`Self::wait_deadline`] without a deadline.
-    pub fn wait(&self, token: &ReconfigToken) -> Result<WaitOutcome, BarrierError> {
-        self.wait_deadline(token, Deadline::never())
-    }
-
-    /// The inner barrier's bounded, poison-aware wait: completion wins over
-    /// [`BarrierError::Timeout`] and [`BarrierError::Poisoned`]. After a
+    /// [`SplitBarrier::wait_deadline`] on a borrowed token: after a
     /// timeout the arrival still counts, and the token is retried as is.
-    #[inline]
     pub fn wait_deadline(
         &self,
         token: &ReconfigToken,
         deadline: Deadline,
     ) -> Result<WaitOutcome, BarrierError> {
-        self.inner.wait_deadline(token.inner(), deadline)
+        let token = ArrivalToken::new(token.participant(), token.episode());
+        SplitBarrier::wait_deadline(self, token, deadline)
     }
 
     /// Removes the member behind `handle`: its departure is the stand-in
     /// arrival for the in-flight episode, and the handle is stale and the
-    /// slot free before this returns. Refuses a handle as
-    /// [`Self::arrive`] does, and the last member ([`BarrierError::EmptyGroup`]).
+    /// slot free before this returns. Refuses a handle as [`Self::rank`]
+    /// does, and the last member ([`BarrierError::EmptyGroup`]).
     pub fn leave(&self, handle: MemberHandle) -> Result<(), BarrierError> {
-        self.depart(handle.slot, handle.generation, false)
+        self.rank(&handle)
+            .and_then(|slot| self.remove(slot).map_err(raced(slot, handle.generation)))
     }
 
     /// A supervisor's [`Self::leave`] for a member that crashed before
-    /// arriving; yesterday's generation cannot evict today's occupant. It
-    /// also removes a joiner whose ticket was never redeemed (its holder
-    /// died before [`Self::wait_active`]) once the join is active; before
-    /// that it is refused with [`BarrierError::NotAParticipant`], and the
-    /// supervisor retries.
+    /// arriving, counted as an eviction; yesterday's generation cannot evict
+    /// today's occupant. It also removes a joiner whose ticket was never
+    /// redeemed once the join is active; before that it is refused with
+    /// [`BarrierError::NotAParticipant`], and the supervisor retries.
     pub fn evict(&self, slot: usize, generation: u64) -> Result<(), BarrierError> {
-        self.depart(slot, generation, true)?;
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        let state = self.slot(slot)?.state.load(Ordering::Acquire);
+        let active_ticket = state == 2 * generation && self.inner.is_member(slot);
+        if state != live(generation) && !active_ticket {
+            return Err(refusal(slot, generation, state));
+        }
+        SplitBarrier::evict(self, slot).map_err(raced(slot, generation))
     }
 
-    fn depart(&self, slot: usize, held: u64, unredeemed: bool) -> Result<(), BarrierError> {
-        let state = self.slots[slot].state.load(Ordering::Acquire);
-        let active_ticket = unredeemed && state == 2 * held && self.inner.is_member(slot);
-        if state != live(held) && !active_ticket {
-            return Err(refusal(slot, held, state));
-        }
-        match self.inner.evict(slot) {
-            Ok(()) => {}
-            // A racing departure under the same credential won.
-            Err(BarrierError::NotAParticipant { .. }) => {
-                return Err(refusal(slot, held, live(held + 1)));
-            }
-            Err(err) => return Err(err),
-        }
+    /// Evicts whoever holds `slot` from the inner barrier, then moves the
+    /// slot's generation on and frees it.
+    fn remove(&self, slot: usize) -> Result<(), BarrierError> {
+        let cell = self.slot(slot)?;
+        self.inner.evict(slot)?;
         // The generation moves on before the slot is free: whoever takes
         // it next reads the new one. A maximum, not an increment, so a
         // racing `wait_active` of an evicted ticket cannot set it live.
-        self.slots[slot]
-            .state
-            .fetch_max(2 * (held + 1), Ordering::AcqRel);
-        self.slots[slot].reserved.fetch_sub(1, Ordering::AcqRel);
+        let generation = cell.state.load(Ordering::Acquire) / 2;
+        cell.state.fetch_max(2 * (generation + 1), Ordering::AcqRel);
+        cell.reserved.fetch_sub(1, Ordering::AcqRel);
         Ok(())
     }
 
     /// Poisons the inner barrier.
     pub fn poison(&self) {
-        self.inner.poison();
-    }
-
-    /// True if the inner barrier is poisoned.
-    #[must_use]
-    pub fn is_poisoned(&self) -> bool {
-        self.inner.is_poisoned()
+        SplitBarrier::poison(self);
     }
 
     /// The inner barrier's statistics (slot = participant id), except that
-    /// `evictions` counts [`Self::evict`] calls only.
+    /// `evictions` counts evictions only, not leaves.
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            evictions: self.evictions.load(Ordering::Relaxed),
-            ..self.inner.stats()
-        }
+        SplitBarrier::stats(self)
     }
 
     /// The inner barrier's telemetry, `evictions` as in [`Self::stats`].
     #[must_use]
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        let mut telemetry = self.inner.telemetry();
-        telemetry.base.evictions = self.evictions.load(Ordering::Relaxed);
-        telemetry
-    }
-
-    /// Async [`Self::wait`]. Dropping the future unresolved poisons the
-    /// barrier, like [`crate::BarrierFuture`].
-    pub fn wait_future(self: &Arc<Self>, token: ReconfigToken) -> ReconfigFuture<S> {
-        ReconfigFuture {
-            barrier: Arc::clone(self),
-            token,
-            done: false,
-        }
+        SplitBarrier::telemetry(self)
     }
 
     /// Async [`Self::wait_active`]: an executor holds a joiner as a task
@@ -437,6 +406,78 @@ impl<S: SyncOps> ReconfigBarrier<S> {
     }
 }
 
+/// Every method forwards to the inner barrier, by slot. An eviction
+/// removes whoever holds the slot, handle or not, and moves its generation
+/// on; an admission reserves the slot first, and leaves a held one be.
+impl<S: SyncOps> SplitBarrier for ReconfigBarrier<S> {
+    fn arrive(&self, slot: usize) -> ArrivalToken {
+        self.inner.arrive(slot)
+    }
+
+    fn is_complete(&self, token: &ArrivalToken) -> bool {
+        self.inner.is_complete(token)
+    }
+
+    fn wait_deadline(
+        &self,
+        token: ArrivalToken,
+        deadline: Deadline,
+    ) -> Result<WaitOutcome, BarrierError> {
+        self.inner.wait_deadline(token, deadline)
+    }
+
+    fn poison(&self) {
+        self.inner.poison();
+    }
+
+    fn clear_poison(&self) {
+        self.inner.clear_poison();
+    }
+
+    fn is_poisoned(&self) -> bool {
+        self.inner.is_poisoned()
+    }
+
+    fn participants(&self) -> usize {
+        self.inner.participants()
+    }
+
+    fn stats(&self) -> StatsSnapshot {
+        StatsSnapshot {
+            evictions: self.evictions.load(Ordering::Relaxed),
+            ..self.inner.stats()
+        }
+    }
+
+    fn release_epoch(&self) -> Option<u64> {
+        self.inner.release_epoch()
+    }
+
+    fn evict(&self, slot: usize) -> Result<(), BarrierError> {
+        self.remove(slot)?;
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn admit(&self, slot: usize) -> Result<(), BarrierError> {
+        self.reserve(slot).map(drop)
+    }
+
+    fn is_member(&self, slot: usize) -> bool {
+        self.inner.is_member(slot)
+    }
+
+    fn register_waker(&self, slot: usize, episode: u64, waker: &Waker) -> bool {
+        self.inner.register_waker(slot, episode, waker)
+    }
+
+    fn telemetry(&self) -> TelemetrySnapshot {
+        let mut telemetry = self.inner.telemetry();
+        telemetry.base.evictions = self.evictions.load(Ordering::Relaxed);
+        telemetry
+    }
+}
+
 impl<S: SyncOps> fmt::Debug for ReconfigBarrier<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReconfigBarrier")
@@ -446,53 +487,10 @@ impl<S: SyncOps> fmt::Debug for ReconfigBarrier<S> {
     }
 }
 
-/// Resolves when the episode its token arrived for completes.
-///
-/// Neither future keeps a waker list. Both follow the one rule of a
-/// pending poll (`async_wait::park_or_requeue`): the inner barrier's
-/// completer wakes what [`SplitBarrier::register_waker`] parked, and an
-/// inner barrier that cannot park (dissemination, where a poll is what
-/// sends the member's later rounds) gets the task re-queued instead.
-#[must_use = "an async arrival must be polled to completion"]
-#[derive(Debug)]
-pub struct ReconfigFuture<S: SyncOps = RealSync> {
-    barrier: Arc<ReconfigBarrier<S>>,
-    token: ReconfigToken,
-    done: bool,
-}
-
-impl<S: SyncOps> Future for ReconfigFuture<S> {
-    type Output = Result<WaitOutcome, BarrierError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = Pin::into_inner(self);
-        let inner = &*this.barrier.inner;
-        let token = this.token.inner();
-        let settled = || (inner.is_complete(&token) || inner.is_poisoned()).then_some(());
-        if settled().is_none()
-            && park_or_requeue(inner, cx, (token.id, token.episode), settled)
-                .0
-                .is_none()
-        {
-            return Poll::Pending;
-        }
-        this.done = true;
-        // Returns at once: the episode completed, or the poison is reported.
-        Poll::Ready(this.barrier.wait(&this.token))
-    }
-}
-
-impl<S: SyncOps> Drop for ReconfigFuture<S> {
-    fn drop(&mut self) {
-        // An arrival nobody waits on would hang its peers.
-        if !self.done && !self.barrier.inner.is_complete(&self.token.inner()) {
-            self.barrier.poison();
-        }
-    }
-}
-
 /// Resolves to the member's handle once its join is active, as
-/// [`ReconfigBarrier::wait_active`] returns it.
+/// [`ReconfigBarrier::wait_active`] returns it. It waits on membership, not
+/// on an episode, by the rule of every pending poll (parked in the inner
+/// episode core, or re-queued where that cannot park: dissemination).
 #[must_use = "the join takes effect whether or not this is awaited; only awaiting it yields the handle"]
 #[derive(Debug)]
 pub struct ActivationFuture<S: SyncOps = RealSync> {
@@ -523,11 +521,11 @@ impl<S: SyncOps> Future for ActivationFuture<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::async_wait::AsyncBarrier;
     use crate::centralized::CentralBarrier;
     use crate::dissemination::DisseminationBarrier;
     use crate::hier::HierBarrier;
     use std::sync::atomic::AtomicUsize;
-    use std::task::Waker;
 
     fn central_factory(n: usize) -> Arc<dyn SplitBarrier> {
         Arc::new(CentralBarrier::with_policy(n, StallPolicy::yielding()))
@@ -563,9 +561,8 @@ mod tests {
         let h = handles[0];
         for e in 0..5 {
             let t = b.arrive(&h).unwrap();
-            assert_eq!(t.epoch(), e);
-            let o = b.wait(&t).unwrap();
-            assert_eq!(o.episode, e);
+            assert_eq!(t.episode(), e);
+            assert_eq!(b.wait(t).episode, e);
         }
         assert_eq!(b.epoch(), 5);
         assert_eq!(b.stats().episodes, 5);
@@ -582,7 +579,7 @@ mod tests {
         for _ in 0..3 {
             let ticket = b.join().unwrap();
             let t = b.arrive(&handles[0]).unwrap();
-            b.wait(&t).unwrap();
+            b.wait(t);
             let h = b.wait_active(&ticket);
             b.leave(h).unwrap();
         }
@@ -592,29 +589,27 @@ mod tests {
     #[test]
     fn joiner_activates_at_the_next_boundary() {
         let (b, handles) = ReconfigBarrier::new(4, 2, central_factory);
-        let b = Arc::new(b);
         let ticket = b.join().unwrap();
         assert!(
             !b.is_active(&ticket),
             "join stages; it must not apply early"
         );
+        let b = &b;
         std::thread::scope(|s| {
             for h in handles {
-                let b = Arc::clone(&b);
                 s.spawn(move || {
                     // Epoch 0: two members. Epoch 1: three.
                     for _ in 0..2 {
                         let t = b.arrive(&h).unwrap();
-                        b.wait(&t).unwrap();
+                        b.wait(t);
                     }
                 });
             }
-            let b2 = Arc::clone(&b);
             s.spawn(move || {
-                let h = b2.wait_active(&ticket);
-                let t = b2.arrive(&h).unwrap();
-                assert_eq!(t.epoch(), 1, "joiner's first epoch is post-boundary");
-                b2.wait(&t).unwrap();
+                let h = b.wait_active(&ticket);
+                let t = b.arrive(&h).unwrap();
+                assert_eq!(t.episode(), 1, "joiner's first epoch is post-boundary");
+                b.wait(t);
             });
         });
         assert_eq!(b.members(), 3);
@@ -624,25 +619,23 @@ mod tests {
     #[test]
     fn leave_invalidates_the_handle_and_shrinks() {
         let (b, handles) = ReconfigBarrier::new(4, 2, central_factory);
-        let b = Arc::new(b);
+        let b = &b;
         std::thread::scope(|s| {
-            let b0 = Arc::clone(&b);
             let h0 = handles[0];
             s.spawn(move || {
                 // Epoch 0 with both, epoch 1 alone (peer's leave stands in).
                 for e in 0..2 {
-                    let t = b0.arrive(&h0).unwrap();
-                    assert_eq!(b0.wait(&t).unwrap().episode, e);
+                    let t = b.arrive(&h0).unwrap();
+                    assert_eq!(b.wait(t).episode, e);
                 }
             });
-            let b1 = Arc::clone(&b);
             let h1 = handles[1];
             s.spawn(move || {
-                let t = b1.arrive(&h1).unwrap();
-                b1.wait(&t).unwrap();
-                b1.leave(h1).unwrap();
+                let t = b.arrive(&h1).unwrap();
+                b.wait(t);
+                b.leave(h1).unwrap();
                 assert_eq!(
-                    b1.arrive(&h1).unwrap_err(),
+                    b.arrive(&h1).unwrap_err(),
                     BarrierError::StaleGeneration {
                         slot: 1,
                         held: 0,
@@ -657,14 +650,13 @@ mod tests {
     #[test]
     fn evict_releases_a_stuck_epoch_and_respects_generations() {
         let (b, handles) = ReconfigBarrier::new(2, 2, central_factory);
-        let b = Arc::new(b);
+        let b = &b;
         std::thread::scope(|s| {
-            let b0 = Arc::clone(&b);
             let h0 = handles[0];
             s.spawn(move || {
-                let t = b0.arrive(&h0).unwrap();
+                let t = b.arrive(&h0).unwrap();
                 // Member 1 never arrives; its eviction must release us.
-                assert_eq!(b0.wait(&t).unwrap().episode, 0);
+                assert_eq!(b.wait(t).episode, 0);
             });
             std::thread::sleep(std::time::Duration::from_millis(5));
             // Wrong generation is refused; the right one evicts.
@@ -686,32 +678,42 @@ mod tests {
     #[test]
     fn evictions_count_evict_calls_not_departures() {
         // Capacity 4 over 3 founders: one slot starts evicted in the inner
-        // barrier, and leaves are inner evictions too. Neither is counted.
+        // barrier, and leaves are inner evictions too. Neither is counted;
+        // a credentialed and a slot eviction are.
         let (b, handles) = ReconfigBarrier::new(4, 3, central_factory);
         b.leave(handles[2]).unwrap();
         assert_eq!(b.stats().evictions, 0);
         b.evict(1, handles[1].generation()).unwrap();
         assert_eq!(b.stats().evictions, 1);
-        assert_eq!(b.telemetry().base.evictions, 1);
+        let ticket = b.join().unwrap();
         let t = b.arrive(&handles[0]).unwrap();
-        assert_eq!(b.wait(&t).unwrap().episode, 0);
+        assert_eq!(b.wait(t).episode, 0);
+        assert!(b.is_active(&ticket));
+        SplitBarrier::evict(&b, ticket.slot()).unwrap();
+        assert_eq!(b.stats().evictions, 2);
+        assert_eq!(b.telemetry().base.evictions, 2);
         assert_eq!(b.telemetry().base, b.stats());
+        // The slot's generation moved on: the ticket's handle is stale.
+        let late = b.wait_active(&ticket);
+        assert!(matches!(
+            b.rank(&late).unwrap_err(),
+            BarrierError::StaleGeneration { .. }
+        ));
     }
 
     #[test]
     fn slot_reuse_issues_a_fresh_generation() {
         let (b, handles) = ReconfigBarrier::new(2, 2, central_factory);
-        let b = Arc::new(b);
         let h0 = handles[0];
         // Member 1 leaves before arriving; its stand-in covers epoch 0.
         b.leave(handles[1]).unwrap();
         let t = b.arrive(&h0).unwrap();
-        b.wait(&t).unwrap();
+        b.wait(t);
         // The departure freed slot 1; a new joiner reuses it at gen 1.
         let ticket = b.join().unwrap();
         assert_eq!(ticket.slot(), 1);
         let t = b.arrive(&h0).unwrap();
-        b.wait(&t).unwrap();
+        b.wait(t);
         let h1b = b.wait_active(&ticket);
         assert_eq!(h1b.generation(), 1);
         // Old and new handles now disagree on generation: the stale one
@@ -724,12 +726,12 @@ mod tests {
                 current: 1
             }
         ));
+        let b = &b;
         std::thread::scope(|s| {
             for h in [h0, h1b] {
-                let b = Arc::clone(&b);
                 s.spawn(move || {
                     let t = b.arrive(&h).unwrap();
-                    b.wait(&t).unwrap();
+                    b.wait(t);
                 });
             }
         });
@@ -745,6 +747,24 @@ mod tests {
             b.arrive(&forged).unwrap_err(),
             BarrierError::NotAParticipant { id: 1 }
         );
+    }
+
+    #[test]
+    fn a_credential_beyond_capacity_is_refused_not_a_panic() {
+        let (b, _handles) = ReconfigBarrier::new(4, 2, central_factory);
+        let invalid = BarrierError::InvalidParticipant { id: 9, capacity: 4 };
+        let handle = MemberHandle::from_parts(9, 0);
+        assert_eq!(b.rank(&handle), Err(invalid.clone()));
+        assert_eq!(b.arrive(&handle).unwrap_err(), invalid);
+        assert_eq!(b.leave(handle), Err(invalid.clone()));
+        assert_eq!(b.evict(9, 0), Err(invalid.clone()));
+        assert_eq!(SplitBarrier::evict(&b, 9), Err(invalid.clone()));
+        assert_eq!(SplitBarrier::admit(&b, 9), Err(invalid.clone()));
+        let ticket = JoinTicket::from_parts(9, 0);
+        assert!(!b.is_active(&ticket));
+        // Settled at once, with a handle that is refused where presented.
+        assert_eq!(b.rank(&b.wait_active(&ticket)), Err(invalid));
+        assert_eq!(b.members(), 2);
     }
 
     #[test]
@@ -765,25 +785,23 @@ mod tests {
     #[test]
     fn timeout_keeps_the_token_retryable() {
         let (b, handles) = ReconfigBarrier::new(2, 2, central_factory);
-        let b = Arc::new(b);
+        let b = &b;
         std::thread::scope(|s| {
-            let b0 = Arc::clone(&b);
             let h0 = handles[0];
             s.spawn(move || {
-                let t = b0.arrive(&h0).unwrap();
-                let err = b0
+                let t = b.arrive(&h0).unwrap();
+                let err = b
                     .wait_deadline(&t, Deadline::after(std::time::Duration::from_millis(5)))
                     .unwrap_err();
                 assert_eq!(err, BarrierError::Timeout { episode: 0 });
                 // Retry with the same token once the peer shows up.
-                assert_eq!(b0.wait(&t).unwrap().episode, 0);
+                assert_eq!(b.wait(t).episode, 0);
             });
-            let b1 = Arc::clone(&b);
             let h1 = handles[1];
             s.spawn(move || {
                 std::thread::sleep(std::time::Duration::from_millis(20));
-                let t = b1.arrive(&h1).unwrap();
-                b1.wait(&t).unwrap();
+                let t = b.arrive(&h1).unwrap();
+                b.wait(t);
             });
         });
     }
@@ -802,25 +820,23 @@ mod tests {
             |n| Arc::new(HierBarrier::with_shards(n, 2, StallPolicy::yielding())) as _,
         ] {
             let (b, handles) = ReconfigBarrier::new(6, 3, factory);
-            let b = Arc::new(b);
             let ticket = b.join().unwrap();
+            let b = &b;
             std::thread::scope(|s| {
                 for h in handles {
-                    let b = Arc::clone(&b);
                     s.spawn(move || {
                         for _ in 0..4 {
                             let t = b.arrive(&h).unwrap();
-                            b.wait(&t).unwrap();
+                            b.wait(t);
                         }
                     });
                 }
-                let b2 = Arc::clone(&b);
                 s.spawn(move || {
-                    let h = b2.wait_active(&ticket);
-                    let mut t = b2.arrive(&h).unwrap();
-                    assert!(t.epoch() <= 2, "counted from epoch 1 or 2");
-                    while b2.wait(&t).unwrap().episode < 3 {
-                        t = b2.arrive(&h).unwrap();
+                    let h = b.wait_active(&ticket);
+                    let mut t = b.arrive(&h).unwrap();
+                    assert!(t.episode() <= 2, "counted from epoch 1 or 2");
+                    while b.wait(t).episode < 3 {
+                        t = b.arrive(&h).unwrap();
                     }
                 });
             });
@@ -830,26 +846,53 @@ mod tests {
     }
 
     #[test]
-    fn async_wait_future_resolves_on_completion() {
+    fn an_async_member_awaits_the_frontend_over_the_group() {
+        // Central parks the second pending poll in the episode core;
+        // dissemination has no parking place, so it re-queues instead.
+        for (factory, parks) in [
+            (central_factory as fn(usize) -> Arc<dyn SplitBarrier>, true),
+            (
+                |n| {
+                    Arc::new(DisseminationBarrier::with_policy(
+                        n,
+                        StallPolicy::yielding(),
+                    )) as _
+                },
+                false,
+            ),
+        ] {
+            let (b, handles) = ReconfigBarrier::new(2, 2, factory);
+            let frontend = AsyncBarrier::new(b);
+            let b = frontend.backend();
+            let mut f0 = frontend.wait_async(b.arrive(&handles[0]).unwrap());
+            let wakes = Wakes::new();
+            assert!(wakes.poll(&mut f0).is_pending(), "peer not arrived yet");
+            assert_eq!(wakes.count(), 1, "the first pending poll yields");
+            assert!(wakes.poll(&mut f0).is_pending());
+            assert_eq!(wakes.count(), 1 + usize::from(!parks));
+            let t1 = b.arrive(&handles[1]).unwrap();
+            assert_eq!(wakes.count(), 2, "woken by the completer, or re-queued");
+            assert!(matches!(wakes.poll(&mut f0), Poll::Ready(Ok(o)) if o.episode == 0));
+            assert_eq!(b.wait(t1).episode, 0);
+        }
+    }
+
+    #[test]
+    fn a_parked_future_dropped_unresolved_poisons_but_is_not_woken() {
         let (b, handles) = ReconfigBarrier::new(2, 2, central_factory);
-        let b = Arc::new(b);
-        let t0 = b.arrive(&handles[0]).unwrap();
-        let mut f0 = b.wait_future(t0);
+        let frontend = AsyncBarrier::new(b);
+        let b = frontend.backend();
+        let mut f0 = frontend.wait_async(b.arrive(&handles[0]).unwrap());
         let wakes = Wakes::new();
-        assert!(wakes.poll(&mut f0).is_pending(), "peer not arrived yet");
-        assert_eq!(wakes.count(), 0, "parked, not re-queued");
-        let t1 = b.arrive(&handles[1]).unwrap();
-        assert_eq!(wakes.count(), 1, "the completer wakes the parked task");
-        let mut f1 = b.wait_future(t1);
-        match wakes.poll(&mut f1) {
-            Poll::Ready(Ok(o)) => assert_eq!(o.episode, 0),
-            other => panic!("expected Ready(Ok(_)), got {other:?}"),
-        }
-        match wakes.poll(&mut f0) {
-            Poll::Ready(Ok(o)) => assert_eq!(o.episode, 0),
-            other => panic!("expected Ready(Ok(_)), got {other:?}"),
-        }
-        assert_eq!(b.epoch(), 1);
+        assert!(wakes.poll(&mut f0).is_pending(), "yields");
+        assert!(wakes.poll(&mut f0).is_pending(), "parks");
+        assert_eq!(wakes.count(), 1, "the yield's own wake");
+        drop(f0);
+        assert!(
+            b.is_poisoned(),
+            "an arrival nobody waits on hangs its peers"
+        );
+        assert_eq!(wakes.count(), 1, "the poison wakes no dropped task");
     }
 
     #[test]
@@ -862,34 +905,14 @@ mod tests {
         assert!(wakes.poll(&mut act).is_pending());
         assert_eq!(wakes.count(), 0, "parked, not re-queued");
         // One solo epoch is the boundary that admits the joiner.
-        let t = b.arrive(&handles[0]).unwrap();
+        let t = ReconfigBarrier::arrive(&b, &handles[0]).unwrap();
         assert_eq!(wakes.count(), 1, "the completer wakes the parked task");
-        b.wait(&t).unwrap();
+        b.wait(t);
         match wakes.poll(&mut act) {
             Poll::Ready(h) => assert_eq!(h.slot(), ticket.slot()),
             Poll::Pending => panic!("activation future must resolve after the boundary"),
         }
         assert_eq!(b.members(), 2);
-    }
-
-    #[test]
-    fn futures_over_dissemination_poll_instead_of_parking() {
-        // A dissemination member's later rounds are sent by its own polls,
-        // so a pending poll re-queues the task rather than parking it.
-        let (b, handles) = ReconfigBarrier::new(2, 2, |n| {
-            Arc::new(DisseminationBarrier::with_policy(
-                n,
-                StallPolicy::yielding(),
-            )) as _
-        });
-        let b = Arc::new(b);
-        let mut f0 = b.wait_future(b.arrive(&handles[0]).unwrap());
-        let wakes = Wakes::new();
-        assert!(wakes.poll(&mut f0).is_pending());
-        assert_eq!(wakes.count(), 1, "re-queued");
-        let t1 = b.arrive(&handles[1]).unwrap();
-        assert!(matches!(wakes.poll(&mut f0), Poll::Ready(Ok(_))));
-        assert_eq!(b.wait(&t1).unwrap().episode, 0);
     }
 
     #[test]
@@ -904,16 +927,16 @@ mod tests {
         );
         // Episode 0's completer admits the joiner, which never shows up.
         let tokens = [b.arrive(&handles[0]), b.arrive(&handles[1])].map(Result::unwrap);
-        for t in &tokens {
-            b.wait(t).unwrap();
+        for t in tokens {
+            b.wait(t);
         }
         assert!(b.is_active(&ticket));
         b.evict(slot, generation).unwrap();
         // Its stand-in covers episode 1; the founders go on without it.
         for e in 1..4 {
             let tokens = [b.arrive(&handles[0]), b.arrive(&handles[1])].map(Result::unwrap);
-            for t in &tokens {
-                assert_eq!(b.wait(t).unwrap().episode, e);
+            for t in tokens {
+                assert_eq!(b.wait(t).episode, e);
             }
         }
         assert_eq!((b.members(), b.stats().evictions), (2, 1));
@@ -931,15 +954,6 @@ mod tests {
     }
 
     #[test]
-    fn dropping_an_unresolved_wait_future_poisons() {
-        let (b, handles) = ReconfigBarrier::new(2, 2, central_factory);
-        let b = Arc::new(b);
-        let t0 = b.arrive(&handles[0]).unwrap();
-        drop(b.wait_future(t0));
-        assert!(b.is_poisoned());
-    }
-
-    #[test]
     fn churn_under_load_stays_live() {
         // One permanent core member keeps episodes flowing (so boundaries —
         // and thus activations — always come) while a revolving door of
@@ -947,23 +961,18 @@ mod tests {
         // is raised only after every joiner has fully left, so the core's
         // exit can never strand an active member mid-wait.
         let (b, handles) = ReconfigBarrier::new(8, 1, central_factory);
-        let b = Arc::new(b);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let (b, stop) = (&b, &stop);
         std::thread::scope(|s| {
-            let core = {
-                let b = Arc::clone(&b);
-                let stop = Arc::clone(&stop);
-                let h = handles[0];
-                s.spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        let t = b.arrive(&h).unwrap();
-                        b.wait(&t).unwrap();
-                    }
-                })
-            };
+            let h = handles[0];
+            let core = s.spawn(move || {
+                while !stop.load(Ordering::Acquire) {
+                    let t = b.arrive(&h).unwrap();
+                    b.wait(t);
+                }
+            });
             let joiners: Vec<_> = (0..3)
                 .map(|_| {
-                    let b = Arc::clone(&b);
                     s.spawn(move || {
                         for _ in 0..10 {
                             let ticket = loop {
@@ -975,7 +984,7 @@ mod tests {
                             let h = b.wait_active(&ticket);
                             for _ in 0..2 {
                                 let t = b.arrive(&h).unwrap();
-                                b.wait(&t).unwrap();
+                                b.wait(t);
                             }
                             b.leave(h).unwrap();
                         }

@@ -6,15 +6,16 @@
 //! error order, a removed participant's admission back — and the guard
 //! under concurrent evictions, which it must serialise. The `async/*` rows
 //! put the same contract through a wrapper that overrides what `wait` and
-//! `abort` are derived from, and the `subset/*` rows through the tagged,
-//! masked wrapper that forwards everything by rank.
+//! `abort` are derived from, the `subset/*` rows through the tagged,
+//! masked wrapper that forwards everything by rank, and the `reconfig/*`
+//! rows through the dynamic-membership group, whose ids are slots.
 //! What is specific to one backend (tree shapes, ghost pre-payment, shard
 //! death, …) stays in that backend's own unit tests.
 
 use fuzzy_barrier::{
     ArrivalToken, AsyncBarrier, Barrier, BarrierError, CentralBarrier, CountingBarrier, Cx,
-    Deadline, DisseminationBarrier, FlatProtocol, HierBarrier, Protocol, RealSync, SplitBarrier,
-    StallPolicy, SubsetBarrier, Tag, TreeBarrier,
+    Deadline, DisseminationBarrier, FlatProtocol, HierBarrier, Protocol, RealSync, ReconfigBarrier,
+    SplitBarrier, StallPolicy, SubsetBarrier, Tag, TreeBarrier,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -78,9 +79,9 @@ impl FlatProtocol<RealSync> for Flags {
 
 /// Every backend and shape: tree fan-ins 2, 3 and 4; hier at shard size 1 (a
 /// pure tree over shards), 2 and ≥ n (one centralized shard); the worked
-/// example; and the async frontend and the subset wrapper, driven through
-/// the sync trait only, each over a uniform-release and a cooperative
-/// backend.
+/// example; and the async frontend, the subset wrapper and the reconfig
+/// group, driven through the sync trait only, each over a uniform-release
+/// and a cooperative backend.
 const SHAPES: &[(&str, Build)] = &[
     ("central", |n, p| {
         Arc::new(CentralBarrier::with_policy(n, p))
@@ -124,6 +125,12 @@ const SHAPES: &[(&str, Build)] = &[
     ("subset/dissemination", |n, p| {
         on_odd_ids(DisseminationBarrier::with_policy(n, p))
     }),
+    ("reconfig/central", |n, p| {
+        every_slot_a_founder(Arc::new(CentralBarrier::with_policy(n, p)))
+    }),
+    ("reconfig/dissemination", |n, p| {
+        every_slot_a_founder(Arc::new(DisseminationBarrier::with_policy(n, p)))
+    }),
 ];
 
 /// A subset barrier over `inner` on the odd global ids `1, 3, 5, …`, so
@@ -140,6 +147,19 @@ fn on_odd_ids(inner: impl SplitBarrier + 'static) -> Arc<dyn SplitBarrier> {
         assert_eq!(b.rank(2 * rank + 1, tag), Ok(rank));
     }
     Arc::new(b)
+}
+
+/// A reconfig group over `inner` whose every slot is a founder, so the
+/// contract drives slot `i` as participant `i`; each founder's handle is
+/// checked for its slot. The inner barrier is built by the caller, first,
+/// as for [`on_odd_ids`].
+fn every_slot_a_founder(inner: Arc<dyn SplitBarrier>) -> Arc<dyn SplitBarrier> {
+    let n = inner.participants();
+    let (group, handles) = ReconfigBarrier::new(n, n, |_| inner);
+    for (slot, handle) in handles.iter().enumerate() {
+        assert_eq!(group.rank(handle), Ok(slot));
+    }
+    Arc::new(group)
 }
 
 /// Runs `check` on a fresh `n`-participant barrier of every shape. The
@@ -596,11 +616,12 @@ fn a_waker_parked_for_the_next_episode_sleeps_through_this_one() {
     });
 }
 
-/// A `ReconfigFuture` re-polled while its episode is open keeps one entry:
-/// the completion wakes its task once, however often it was polled.
+/// An async member of a reconfig group — `AsyncBarrier` over the group —
+/// re-polled while its episode is open keeps one entry: its first pending
+/// poll yields (one wake of its own), and the completion wakes its task
+/// once more, however often it was polled.
 #[test]
 fn a_reconfig_future_polled_a_thousand_times_is_woken_once() {
-    use fuzzy_barrier::ReconfigBarrier;
     use std::future::Future;
     use std::pin::Pin;
     use std::task::Context;
@@ -609,18 +630,19 @@ fn a_reconfig_future_polled_a_thousand_times_is_woken_once() {
             continue;
         }
         let (group, handles) = ReconfigBarrier::new(2, 2, |n| build(n, StallPolicy::yielding()));
-        let group = Arc::new(group);
+        let frontend = AsyncBarrier::new(group);
+        let group = frontend.backend();
         let (count, waker) = Count::new();
         let mut cx = Context::from_waker(&waker);
-        let mut future = group.wait_future(group.arrive(&handles[0]).expect("a member"));
+        let mut future = frontend.wait_async(group.arrive(&handles[0]).expect("a member"));
         for _ in 0..1_000 {
             assert!(Pin::new(&mut future).poll(&mut cx).is_pending(), "{name}");
         }
-        assert_eq!(count.woken(), 0, "{name}");
+        assert_eq!(count.woken(), 1, "{name}: the yield");
         let last = group.arrive(&handles[1]).expect("a member");
-        assert_eq!(count.woken(), 1, "{name}: one entry, one wake");
+        assert_eq!(count.woken(), 2, "{name}: one entry, one wake");
         assert!(Pin::new(&mut future).poll(&mut cx).is_ready(), "{name}");
-        assert_eq!(group.wait(&last).expect("released").episode, 0, "{name}");
+        assert_eq!(group.wait(last).episode, 0, "{name}");
     }
 }
 

@@ -2,11 +2,12 @@
 //! every participant id `is_complete(token(id, e)) == (e < k)`. Checked at
 //! every quiescent point of a single-threaded walk through arrivals,
 //! eviction, `leave` and poison on the four backends that publish a
-//! release word; the cooperative backend and the wrappers must say `None`.
+//! release word; the cooperative backend and the async frontend must say
+//! `None`, and the reconfig group says its inner barrier's.
 
 use fuzzy_barrier::{
     ArrivalToken, AsyncBarrier, CentralBarrier, CountingBarrier, DisseminationBarrier,
-    FuzzyBarrier, HierBarrier, SplitBarrier, StallPolicy, TreeBarrier,
+    FuzzyBarrier, HierBarrier, ReconfigBarrier, SplitBarrier, StallPolicy, TreeBarrier,
 };
 use std::sync::Arc;
 
@@ -129,9 +130,31 @@ fn cooperative_backends_and_wrappers_publish_no_release_word() {
     let shared: Arc<dyn SplitBarrier> = Arc::new(DisseminationBarrier::new(n));
     assert_eq!(shared.release_epoch(), None);
     // A wrapper with bookkeeping of its own keeps `None` even over a
-    // uniform-release backend. (`ReconfigBarrier` is not a `SplitBarrier`
-    // at all; `NetBarrier`'s `None` is asserted in `fuzzy-net`.)
+    // uniform-release backend. (`NetBarrier`'s `None` is asserted in
+    // `fuzzy-net`.)
     let frontend = AsyncBarrier::new(CentralBarrier::new(n));
     assert_eq!(frontend.backend().release_epoch(), Some(0));
     assert_eq!(frontend.release_epoch(), None);
+}
+
+/// A reconfig group's release word and parking place are its inner
+/// barrier's: `Some` and advancing over central, where a waker parks;
+/// `None` over dissemination, where it does not.
+#[test]
+fn a_reconfig_group_publishes_its_inner_release_word() {
+    let waker = std::task::Waker::noop();
+    let (group, handles) = ReconfigBarrier::new(2, 2, |n| Arc::new(CentralBarrier::new(n)));
+    assert_eq!(group.release_epoch(), Some(0));
+    assert!(group.register_waker(0, 0, waker), "parks over central");
+    episode("reconfig(central)", &group, &[0, 1]);
+    assert_eq!(group.release_epoch(), Some(1));
+    let token = group.arrive(&handles[0]).expect("a member");
+    assert_eq!(check("reconfig(central)", &group), 1);
+    group.leave(handles[1]).expect("not the last member");
+    assert_eq!(check("reconfig(central)", &group), 2);
+    group.wait(token);
+
+    let (group, _) = ReconfigBarrier::new(2, 2, |n| Arc::new(DisseminationBarrier::new(n)));
+    assert_eq!(group.release_epoch(), None);
+    assert!(!group.register_waker(0, 0, waker), "no parking place");
 }

@@ -122,7 +122,7 @@ fn reconfig_wrapper_conserves_counts_through_the_cell_fold() {
                     for e in 0..episodes {
                         let token = barrier.arrive(&handle).expect("live member");
                         region(handle.slot());
-                        let outcome = barrier.wait(&token).expect("never poisoned");
+                        let outcome = barrier.wait(token);
                         assert_eq!(outcome.episode, e);
                     }
                 });

@@ -36,7 +36,8 @@ use crate::async_exec::AsyncExecutor;
 use crate::executor::BarrierChoice;
 use fuzzy_barrier::reconfig::{JoinTicket, MemberHandle, ReconfigBarrier, ReconfigToken};
 use fuzzy_barrier::{
-    BarrierError, Deadline, HistogramSnapshot, StallHistogram, StallPolicy, WaitOutcome,
+    AsyncBarrier, BarrierError, Deadline, HistogramSnapshot, StallHistogram, StallPolicy,
+    WaitOutcome,
 };
 use fuzzy_util::SplitMix64;
 use std::future::Future;
@@ -242,11 +243,12 @@ fn check_release(ctl: &MemberCtl, arrived_epoch: u64, released_epoch: u64) {
 /// peer.
 ///
 /// `wait` is the one thing the runtimes do differently: a thread blocks
-/// in [`ReconfigBarrier::wait`], so its future is ready when made and the
-/// whole loop runs in one poll ([`run_blocking`]); a task awaits
-/// [`ReconfigBarrier::wait_future`], so a member waiting on its peers
-/// yields its worker to other tasks instead of pinning it — `M ≫ N`
-/// members multiplex over `N` workers without deadlock.
+/// in [`ReconfigBarrier::wait_deadline`] without a deadline, so its future
+/// is ready when made and the whole loop runs in one poll
+/// ([`run_blocking`]); a task awaits [`AsyncBarrier::wait_async`] over the
+/// group, so a member waiting on its peers yields its worker to other
+/// tasks instead of pinning it — `M ≫ N` members multiplex over `N`
+/// workers without deadlock.
 async fn member_body<F>(
     rb: &ReconfigBarrier,
     h: MemberHandle,
@@ -279,7 +281,7 @@ async fn member_body<F>(
                     return;
                 }
                 let token = rb.arrive(&h).expect("live handle must arrive");
-                let arrived = token.epoch();
+                let arrived = token.episode();
                 if cmd == CMD_DELAY {
                     region_delay();
                 }
@@ -326,20 +328,24 @@ enum Role {
     Joiner(JoinTicket),
 }
 
+/// The group with its async frontend, which async members await.
+type Group = AsyncBarrier<Arc<ReconfigBarrier>>;
+
 fn spawn_member<'scope>(
     scope: &'scope std::thread::Scope<'scope, '_>,
     executor: Option<&AsyncExecutor>,
-    rb: &Arc<ReconfigBarrier>,
+    group: &Arc<Group>,
     stop: &Arc<AtomicBool>,
     ctl: &Arc<MemberCtl>,
     role: Role,
 ) {
-    let rb = Arc::clone(rb);
+    let group = Arc::clone(group);
     let stop = Arc::clone(stop);
     let ctl = Arc::clone(ctl);
     match executor {
         None => {
             scope.spawn(move || {
+                let rb = group.backend();
                 let h = match role {
                     Role::Founder(h) => h,
                     Role::Joiner(ticket) => {
@@ -357,13 +363,14 @@ fn spawn_member<'scope>(
                     }
                 };
                 ctl.publish(&h);
-                run_blocking(member_body(&rb, h, &ctl, &stop, |token| {
-                    std::future::ready(rb.wait(&token))
+                run_blocking(member_body(rb, h, &ctl, &stop, |token| {
+                    std::future::ready(rb.wait_deadline(&token, Deadline::never()))
                 }));
             });
         }
         Some(exec) => {
             exec.spawn(async move {
+                let rb = group.backend();
                 let h = match role {
                     Role::Founder(h) => h,
                     // The integration under test: the executor holds this
@@ -371,7 +378,7 @@ fn spawn_member<'scope>(
                     Role::Joiner(ticket) => rb.activation_future(&ticket).await,
                 };
                 ctl.publish(&h);
-                member_body(&rb, h, &ctl, &stop, |token| rb.wait_future(token)).await;
+                member_body(rb, h, &ctl, &stop, |token| group.wait_async(token)).await;
             });
         }
     }
@@ -412,7 +419,8 @@ pub fn run_chaos(config: ChaosConfig) -> ChaosReport {
         ReconfigBarrier::with_policy_in(config.capacity, config.initial, policy, move |n| {
             backend.build(n, policy)
         });
-    let rb = Arc::new(rb);
+    let group = Arc::new(AsyncBarrier::new(Arc::new(rb)));
+    let rb = group.backend();
     let stop = Arc::new(AtomicBool::new(false));
     let recovery = StallHistogram::new();
     let mut rng = SplitMix64::seed_from_u64(config.seed);
@@ -471,7 +479,7 @@ pub fn run_chaos(config: ChaosConfig) -> ChaosReport {
 
         for h in handles {
             let ctl = MemberCtl::fresh();
-            spawn_member(s, executor.as_ref(), &rb, &stop, &ctl, Role::Founder(h));
+            spawn_member(s, executor.as_ref(), &group, &stop, &ctl, Role::Founder(h));
             roster.push(ctl);
         }
 
@@ -516,7 +524,14 @@ pub fn run_chaos(config: ChaosConfig) -> ChaosReport {
                     }
                 };
                 let ctl = MemberCtl::fresh();
-                spawn_member(s, executor.as_ref(), &rb, &stop, &ctl, Role::Joiner(ticket));
+                spawn_member(
+                    s,
+                    executor.as_ref(),
+                    &group,
+                    &stop,
+                    &ctl,
+                    Role::Joiner(ticket),
+                );
                 roster.push(ctl);
                 counts.joins += 1;
             } else {

@@ -22,8 +22,9 @@
 //!   with per-worker run queues and work stealing;
 //! * [`chaos`] — a seeded real-thread chaos harness that injects
 //!   join/leave/crash/delay/spurious-timeout events into live episodes
-//!   over a dynamic-membership `ReconfigBarrier` and asserts liveness
-//!   and release-epoch agreement — plus transport chaos
+//!   over a dynamic-membership `ReconfigBarrier` (its async members await
+//!   `AsyncBarrier` over the group) and asserts liveness and
+//!   release-epoch agreement — plus transport chaos
 //!   ([`run_net_chaos`]) that drops, delays, duplicates and reorders
 //!   frames under a live distributed `NetBarrier`;
 //! * [`multiproc`] — a harness that forks real worker *processes* (by

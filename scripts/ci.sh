@@ -218,16 +218,16 @@ fuzz_smoke() {
 }
 
 # Chaos smoke: the dynamic-membership gate. First the model checker's
-# reconfig mutants (join-before-boundary, admit-in-flight, stale-generation
-# depart, and a wait_future over an inner completer that never wakes must
-# all be caught) plus the real implementation surviving the same
+# reconfig mutants (admit-in-flight, a forged stale-generation
+# presentation, and an async member over an inner completer that never
+# wakes must all be caught) plus the real implementation surviving the same
 # schedule spaces; then the quick chaos-churn experiment — real threads,
 # every backend, both runtimes, seeded join/leave/crash/delay/spurious
 # churn — with its telemetry export schema-validated.
 chaos_smoke() {
     filtered_tests "-p fuzzy-check --test mutants" \
-        join_mid_epoch admit_in_flight stale_generation_mutant reconfig_future \
-        real_reconfig || return 1
+        admit_in_flight stale_generation_mutant reconfig_future real_reconfig ||
+        return 1
     out="$(mktemp)" || return 1
     status=1
     if cargo run -q --release -p fuzzy-bench --bin exp_chaos_churn -- \
