@@ -13,10 +13,10 @@
 //! violation was found, 2 = usage error.
 
 use fuzzy_check::{
-    async_handoff, evict, evict_race, explore_dfs, explore_random, join_evict_race,
-    join_mid_episode, net_round, poison, protocol, reconfig_future, registry, replay,
-    stale_generation, subset_overlap, subset_pair, BackendKind, ExploreOptions, Outcome, Scenario,
-    DEFAULT_STEP_LIMIT,
+    async_handoff, evict, evict_during_join, evict_race, explore_dfs, explore_random,
+    join_evict_race, join_mid_episode, net_round, poison, protocol, reconfig_future, registry,
+    replay, stale_generation, subset_overlap, subset_pair, BackendKind, ExploreOptions, Outcome,
+    Scenario, DEFAULT_STEP_LIMIT,
 };
 use std::time::Instant;
 
@@ -68,8 +68,9 @@ const FAMILIES: [Family; 8] = [
         runs: Runs::PerBackend(|b, n, e| vec![async_handoff(b, n, e)]),
     },
     // The reconfig scenarios pin their own membership shapes (founders +
-    // joiner, leaver + reuser, evictee + joiner, an async waiter and its
-    // peer) over each backend; -n is intentionally ignored for them.
+    // joiner, leaver + reuser, evictee + joiner, a joiner whose slot is
+    // evicted and re-joined, an async waiter and its peer) over each
+    // backend; -n is intentionally ignored for them.
     Family {
         name: "reconfig",
         runs: Runs::PerBackend(|b, _, _| {
@@ -77,6 +78,7 @@ const FAMILIES: [Family; 8] = [
                 join_mid_episode(b),
                 stale_generation(b),
                 join_evict_race(b),
+                evict_during_join(b),
                 reconfig_future(b),
             ]
         }),
@@ -429,6 +431,7 @@ mod tests {
                 "reconfig/dissemination/join-mid-episode",
                 "reconfig/dissemination/stale-generation",
                 "reconfig/dissemination/join-evict-race",
+                "reconfig/dissemination/evict-during-join",
                 "reconfig/dissemination/future"
             ]
         );

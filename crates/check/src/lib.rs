@@ -82,11 +82,11 @@ pub use explore::{
     explore_dfs, explore_random, replay, ExploreOptions, Outcome, Scenario, ScheduleRun,
 };
 pub use scenario::{
-    async_handoff, async_handoff_with, classify, evict, evict_race, evict_race_with, evict_with,
-    join_evict_race, join_mid_episode, join_mid_episode_with, net_round, net_round_with, poison,
-    poison_with, protocol, protocol_with, reconfig_future, reconfig_future_with, registry,
-    stale_generation, stale_generation_with, subset_overlap, subset_pair, AsyncArrival,
-    AsyncFrontend, BackendKind, Ledger,
+    async_handoff, async_handoff_with, classify, evict, evict_during_join, evict_race,
+    evict_race_with, evict_with, join_evict_race, join_mid_episode, join_mid_episode_with,
+    net_round, net_round_with, poison, poison_with, protocol, protocol_with, reconfig_future,
+    reconfig_future_with, registry, stale_generation, stale_generation_with, subset_overlap,
+    subset_pair, AsyncArrival, AsyncFrontend, BackendKind, Ledger,
 };
 pub use sched::{Defect, RunResult, Violation, DEFAULT_STEP_LIMIT};
 pub use shadow::ShadowSync;

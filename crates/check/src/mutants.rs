@@ -1158,12 +1158,13 @@ impl<S: SyncOps> SplitBarrier for MutantAdmitInFlight<S> {
 }
 
 // ---------------------------------------------------------------------------
-// MutantStaleGeneration: a presentation that forgets the generation
+// forged_rank: a presentation that forgets the generation
 // ---------------------------------------------------------------------------
 
 /// A forged presentation to the real [`ReconfigBarrier`]: a handle refused
 /// as stale is **presented again under the generation the refusal names**
-/// — "the slot number checks out, good enough".
+/// — "the slot number checks out, good enough". Pass it as the
+/// stale-generation scenario's presentation.
 ///
 /// A departed member's retained handle then arrives straight into the
 /// re-occupied slot: the re-occupant's slot gets a second arrival stream,
@@ -1171,28 +1172,21 @@ impl<S: SyncOps> SplitBarrier for MutantAdmitInFlight<S> {
 /// group still gets released by it. The stale-generation scenario expects
 /// exactly [`BarrierError::StaleGeneration`] from the probe, so any
 /// schedule on which the forged presentation is accepted (or refused with
-/// the wrong error) convicts this mutant immediately.
-#[derive(Debug)]
-pub struct MutantStaleGeneration;
-
-impl MutantStaleGeneration {
-    /// [`ReconfigBarrier::rank`], forged; pass it as the scenario's
-    /// presentation.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReconfigBarrier::rank`], except that a stale generation is
-    /// never reported.
-    pub fn rank(group: &Group, handle: &MemberHandle) -> Result<usize, BarrierError> {
-        match group.rank(handle) {
-            // BUG (seeded): the held generation is dropped on the floor
-            // and rebuilt from the slot's current one, so the stale-handle
-            // check can never fire.
-            Err(BarrierError::StaleGeneration { slot, current, .. }) => {
-                group.rank(&MemberHandle::from_parts(slot, current))
-            }
-            presented => presented,
+/// the wrong error) convicts it immediately.
+///
+/// # Errors
+///
+/// As [`ReconfigBarrier::rank`], except that a stale generation is never
+/// reported.
+pub fn forged_rank(group: &Group, handle: &MemberHandle) -> Result<usize, BarrierError> {
+    match group.rank(handle) {
+        // BUG (seeded): the held generation is dropped on the floor and
+        // rebuilt from the slot's current one, so the stale-handle check
+        // can never fire.
+        Err(BarrierError::StaleGeneration { slot, current, .. }) => {
+            group.rank(&MemberHandle::from_parts(slot, current))
         }
+        presented => presented,
     }
 }
 

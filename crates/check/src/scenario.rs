@@ -1472,10 +1472,11 @@ impl Pump {
 
 /// Stale-generation scenario over a two-slot group: member A leaves, its
 /// slot is re-claimed by joiner J at a bumped generation, and A's retained
-/// handle, presented through `present`, must then be refused with exactly
+/// handle, presented through `present` and then through the credentialed
+/// [`ReconfigBarrier::arrive`], must be refused with exactly
 /// [`BarrierError::StaleGeneration`] — on every schedule, including those
 /// where the probe races J's activation. A presentation that forgets the
-/// generation ([`crate::mutants::MutantStaleGeneration`]) lets the stale
+/// generation ([`crate::mutants::forged_rank`]) lets the stale
 /// handle into the re-occupied slot, which this scenario reports as a
 /// protocol error the moment the probe returns anything else.
 pub fn stale_generation_with(
@@ -1543,15 +1544,19 @@ fn stale_generation_leaver(
     // presentation races a live re-occupant rather than an empty slot.
     ShadowSync::wait_until(StallPolicy::Spin, || joined.load(Ordering::Acquire) == 1);
     live()?;
-    match present(group, &handle) {
+    let refused = |what: &str, probe: Result<usize, BarrierError>| match probe {
         Err(BarrierError::StaleGeneration {
             slot,
             held,
             current,
-        }) if slot == 0 && held == 0 && current >= 1 => {}
-        Ok(slot) => return protocol_error(0, format!("stale handle accepted as slot {slot}")),
-        Err(err) => return report_err(0, "stale probe", &err),
-    }
+        }) if slot == 0 && held == 0 && current >= 1 => Some(()),
+        Ok(slot) => protocol_error(0, format!("{what}: stale handle accepted as slot {slot}")),
+        Err(err) => report_err(0, what, &err),
+    };
+    refused("stale probe", present(group, &handle))?;
+    // The credentialed arrival, checked on every call, must refuse it too.
+    let arrival = ReconfigBarrier::arrive(group, &handle).map(|token| token.participant());
+    refused("stale arrival", arrival)?;
     a_done.store(1, Ordering::Release);
     Some(())
 }
@@ -1634,7 +1639,7 @@ fn join_evict_race_server(
     full.rank_episode(group, slot, 0, 0)?;
     // Epoch 0 is complete, so the founder's last arrival is behind the
     // in-flight epoch and the eviction contract holds.
-    ok_or_report(1, "evict", group.evict(0, 0))?;
+    ok_or_report(1, "evict", group.evict_member(0, 0))?;
     // Epochs on request until the joiner has activated, synchronized and
     // departed; the eviction's stand-in covers the founder's arrival.
     pump.serve(group, slot, j_done)?;
@@ -1649,5 +1654,107 @@ fn join_evict_race_server(
             format!("expected 1 member after convergence, found {members}"),
         );
     }
+    Some(())
+}
+
+/// Evict-during-join scenario over a two-slot group with one founder, the
+/// server: joiner J stages into slot 1 while supervisor S has episodes
+/// pumped until that admission applies (at most the backend's
+/// [`BackendKind::admission_lag`] of them), then evicts the slot through
+/// the trait's [`SplitBarrier::evict`], which takes no credential. J's
+/// ticket must then be stale, on every schedule, including those that stop
+/// J between staging its admission and reading the generation its ticket
+/// carries: a ticket that carried the moved-on generation would share the
+/// handle of the slot's next occupant, a second live handle on one slot.
+/// If the admission has not applied when S's episodes end, S evicts
+/// nothing and J activates.
+#[must_use]
+pub fn evict_during_join(backend: BackendKind) -> Scenario {
+    let lag = backend.admission_lag();
+    scenario(
+        format!("reconfig/{}/evict-during-join", backend.name()),
+        3,
+        move || {
+            let flag = || ShadowU32::new(0);
+            // No fuzzy ledger, as in the stale-generation scenario.
+            let group = shadow_group(backend, 2, 1);
+            let flags = [flag(), flag(), flag(), flag()];
+            ((group, flags, Pump::new()), Vec::new())
+        },
+        move |(group, [opened, joining, verdict, j_done], pump), id| match id {
+            0 => {
+                let slot = present_handle(group, 0, founder(0))?;
+                sync_epoch_zero(group, 0, slot)?;
+                opened.store(1, Ordering::Release);
+                pump.serve(group, slot, j_done)
+            }
+            1 => evict_during_join_supervisor(group, [opened, joining, verdict], pump, lag),
+            _ => evict_during_join_joiner(group, (joining, verdict, j_done), pump),
+        },
+        |_| None,
+    )
+}
+
+/// The supervisor's verdict: J's join kept, or its slot evicted.
+const KEPT: u32 = 1;
+const EVICTED: u32 = 2;
+
+fn evict_during_join_supervisor(
+    group: &Group,
+    [opened, joining, verdict]: [&ShadowU32; 3],
+    pump: &Pump,
+    lag: u64,
+) -> Option<()> {
+    // Membership is read only between episodes: a join that an episode in
+    // flight admits would be counted in the one pumped next, which J never
+    // arrives for.
+    let ready = || opened.load(Ordering::Acquire) == 1 && joining.load(Ordering::Acquire) == 1;
+    ShadowSync::wait_until(StallPolicy::Spin, ready);
+    live()?;
+    for _ in 0..lag {
+        if group.is_member(1) {
+            break;
+        }
+        pump.one_more()?;
+    }
+    let kept = !group.is_member(1);
+    if !kept {
+        ok_or_report(1, "evict", SplitBarrier::evict(group, 1))?;
+    }
+    verdict.store(if kept { KEPT } else { EVICTED }, Ordering::Release);
+    Some(())
+}
+
+fn evict_during_join_joiner(
+    group: &Group,
+    (joining, verdict, j_done): (&ShadowU32, &ShadowU32, &ShadowU32),
+    pump: &Pump,
+) -> Option<()> {
+    joining.store(1, Ordering::Release);
+    let ticket = ok_or_report(2, "join", group.join())?;
+    ShadowSync::wait_until(StallPolicy::Spin, || verdict.load(Ordering::Acquire) != 0);
+    live()?;
+    let evicted = verdict.load(Ordering::Acquire) == EVICTED;
+    while !evicted && !group.is_active(&ticket) {
+        pump.one_more()?;
+    }
+    // An evicted ticket is presented as `wait_active` would issue it: one
+    // left at the moved-on generation would never settle.
+    let handle = if evicted {
+        MemberHandle::from_parts(ticket.slot(), ticket.generation())
+    } else {
+        group.wait_active(&ticket)
+    };
+    match (group.rank(&handle), evicted) {
+        (Ok(_), false) | (Err(BarrierError::StaleGeneration { .. }), true) => {}
+        (Err(BarrierError::NotAParticipant { .. }), true) => {
+            return protocol_error(
+                2,
+                format!("an evicted join's {ticket:?} holds its slot's next generation"),
+            )
+        }
+        (presented, _) => return protocol_error(2, format!("{ticket:?} presented: {presented:?}")),
+    }
+    j_done.store(1, Ordering::Release);
     Some(())
 }

@@ -466,13 +466,10 @@ fn stale_generation_mutant_is_caught() {
     // protocol error). Either way the probe never sees the StaleGeneration
     // rejection the scenario demands, deterministically, on the very first
     // sequential schedule.
-    use fuzzy_check::mutants::MutantStaleGeneration;
+    use fuzzy_check::mutants::forged_rank;
     use fuzzy_check::stale_generation_with;
-    let scenario = stale_generation_with(
-        "mutant/stale-generation",
-        BackendKind::Central,
-        MutantStaleGeneration::rank,
-    );
+    let scenario =
+        stale_generation_with("mutant/stale-generation", BackendKind::Central, forged_rank);
     must_catch(scenario, opts(0), is_protocol_error);
 }
 
@@ -528,6 +525,24 @@ fn real_reconfig_survives_stale_generation_schedules() {
 fn real_reconfig_survives_join_evict_race_schedules() {
     for backend in BackendKind::ALL {
         must_survive(fuzzy_check::join_evict_race(backend), reconfig_pass_opts());
+    }
+}
+
+#[test]
+fn real_reconfig_survives_evict_during_join_schedules() {
+    // A join's ticket carries the generation read before its admission is
+    // staged, so a slot evicted once that admission applies leaves the
+    // ticket stale. One preemption, inside `join`, reaches that window:
+    // with the generation read after staging, DFS at bound 1 finds the
+    // shared generation within 2.5k-12.2k schedules on every backend, and
+    // bound 2 spends its first 30k elsewhere.
+    let opts = ExploreOptions {
+        max_schedules: 15_000,
+        preemption_bound: Some(1),
+        ..reconfig_pass_opts()
+    };
+    for backend in BackendKind::ALL {
+        must_survive(fuzzy_check::evict_during_join(backend), opts);
     }
 }
 

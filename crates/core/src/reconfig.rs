@@ -6,8 +6,8 @@
 //! is a [`SplitBarrier`] over slots whose departures are inner evictions
 //! and joins inner admissions. Each slot's monotone **generation** is
 //! stamped into the [`MemberHandle`] it issues and checked where the handle
-//! is presented ([`ReconfigBarrier::rank`]), so a stale handle never
-//! reaches the slot's next occupant ([`BarrierError::StaleGeneration`]).
+//! is presented ([`ReconfigBarrier::rank`], and every credentialed
+//! arrival), so a stale handle is refused ([`BarrierError::StaleGeneration`]).
 
 use crate::async_wait::park_or_requeue;
 use crate::error::BarrierError;
@@ -248,7 +248,9 @@ impl<S: SyncOps> ReconfigBarrier<S> {
     }
 
     /// Checks the handle a member presents, and returns its slot: the
-    /// [`SplitBarrier`] participant id it drives the group as from then on.
+    /// [`SplitBarrier`] participant id it drives the group as from then on,
+    /// until its holder leaves or is evicted: after that, arrivals by slot
+    /// land unchecked on the next occupant, so an evicted member presents again.
     ///
     /// # Errors
     ///
@@ -272,11 +274,12 @@ impl<S: SyncOps> ReconfigBarrier<S> {
             cell.reserved.fetch_sub(1, Ordering::AcqRel);
             return Ok(None);
         }
-        if let Err(err) = self.inner.admit(slot) {
+        // Read before staging: an eviction once it applies makes this stale.
+        let generation = cell.state.load(Ordering::Acquire) / 2;
+        self.inner.admit(slot).inspect_err(|_| {
             cell.reserved.fetch_sub(1, Ordering::AcqRel);
-            return Err(err);
-        }
-        Ok(Some(cell.state.load(Ordering::Acquire) / 2))
+        })?;
+        Ok(Some(generation))
     }
 
     /// Stages a join in the first slot that [`SplitBarrier::admit`]
@@ -355,7 +358,7 @@ impl<S: SyncOps> ReconfigBarrier<S> {
     /// today's occupant. It also removes a joiner whose ticket was never
     /// redeemed once the join is active; before that it is refused with
     /// [`BarrierError::NotAParticipant`], and the supervisor retries.
-    pub fn evict(&self, slot: usize, generation: u64) -> Result<(), BarrierError> {
+    pub fn evict_member(&self, slot: usize, generation: u64) -> Result<(), BarrierError> {
         let state = self.slot(slot)?.state.load(Ordering::Acquire);
         let active_ticket = state == 2 * generation && self.inner.is_member(slot);
         if state != live(generation) && !active_ticket {
@@ -406,9 +409,8 @@ impl<S: SyncOps> ReconfigBarrier<S> {
     }
 }
 
-/// Every method forwards to the inner barrier, by slot. An eviction
-/// removes whoever holds the slot, handle or not, and moves its generation
-/// on; an admission reserves the slot first, and leaves a held one be.
+/// Every method forwards to the inner barrier, by slot; an eviction of whoever
+/// holds the slot moves its generation on, and an admission reserves it first.
 impl<S: SyncOps> SplitBarrier for ReconfigBarrier<S> {
     fn arrive(&self, slot: usize) -> ArrivalToken {
         self.inner.arrive(slot)
@@ -502,19 +504,18 @@ impl<S: SyncOps> Future for ActivationFuture<S> {
     type Output = MemberHandle;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = Pin::into_inner(self);
-        let barrier = &this.barrier;
+        let barrier = &self.barrier;
         // Parked until the next completion: an admission applies at one.
         let release = barrier.inner.release_epoch().unwrap_or_default();
-        let settled = || barrier.is_settled(&this.ticket).then_some(());
+        let settled = || barrier.is_settled(&self.ticket).then_some(());
         if settled().is_none()
-            && park_or_requeue(&*barrier.inner, cx, (this.ticket.slot, release), settled)
+            && park_or_requeue(&*barrier.inner, cx, (self.ticket.slot, release), settled)
                 .0
                 .is_none()
         {
             return Poll::Pending;
         }
-        Poll::Ready(barrier.wait_active(&this.ticket))
+        Poll::Ready(barrier.wait_active(&self.ticket))
     }
 }
 
@@ -661,16 +662,16 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
             // Wrong generation is refused; the right one evicts.
             assert!(matches!(
-                b.evict(1, 99).unwrap_err(),
+                b.evict_member(1, 99).unwrap_err(),
                 BarrierError::StaleGeneration { .. }
             ));
-            b.evict(1, handles[1].generation()).unwrap();
+            b.evict_member(1, handles[1].generation()).unwrap();
         });
         assert_eq!(b.members(), 1);
         assert_eq!(b.stats().evictions, 1);
         // Double-evict with the old generation is now stale.
         assert!(matches!(
-            b.evict(1, handles[1].generation()).unwrap_err(),
+            b.evict_member(1, handles[1].generation()).unwrap_err(),
             BarrierError::StaleGeneration { .. }
         ));
     }
@@ -683,7 +684,7 @@ mod tests {
         let (b, handles) = ReconfigBarrier::new(4, 3, central_factory);
         b.leave(handles[2]).unwrap();
         assert_eq!(b.stats().evictions, 0);
-        b.evict(1, handles[1].generation()).unwrap();
+        b.evict_member(1, handles[1].generation()).unwrap();
         assert_eq!(b.stats().evictions, 1);
         let ticket = b.join().unwrap();
         let t = b.arrive(&handles[0]).unwrap();
@@ -757,7 +758,7 @@ mod tests {
         assert_eq!(b.rank(&handle), Err(invalid.clone()));
         assert_eq!(b.arrive(&handle).unwrap_err(), invalid);
         assert_eq!(b.leave(handle), Err(invalid.clone()));
-        assert_eq!(b.evict(9, 0), Err(invalid.clone()));
+        assert_eq!(b.evict_member(9, 0), Err(invalid.clone()));
         assert_eq!(SplitBarrier::evict(&b, 9), Err(invalid.clone()));
         assert_eq!(SplitBarrier::admit(&b, 9), Err(invalid.clone()));
         let ticket = JoinTicket::from_parts(9, 0);
@@ -922,7 +923,7 @@ mod tests {
         let (slot, generation) = (ticket.slot(), ticket.generation());
         // Staged, not counted yet: nothing to remove.
         assert_eq!(
-            b.evict(slot, generation).unwrap_err(),
+            b.evict_member(slot, generation).unwrap_err(),
             BarrierError::NotAParticipant { id: slot }
         );
         // Episode 0's completer admits the joiner, which never shows up.
@@ -931,7 +932,7 @@ mod tests {
             b.wait(t);
         }
         assert!(b.is_active(&ticket));
-        b.evict(slot, generation).unwrap();
+        b.evict_member(slot, generation).unwrap();
         // Its stand-in covers episode 1; the founders go on without it.
         for e in 1..4 {
             let tokens = [b.arrive(&handles[0]), b.arrive(&handles[1])].map(Result::unwrap);

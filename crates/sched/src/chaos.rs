@@ -552,7 +552,7 @@ pub fn run_chaos(config: ChaosConfig) -> ChaosReport {
                             &mut || victim.crashed.load(Ordering::Acquire),
                             "crash victim never died",
                         );
-                        rb.evict(
+                        rb.evict_member(
                             victim.slot.load(Ordering::Acquire),
                             victim.generation.load(Ordering::Acquire),
                         )
